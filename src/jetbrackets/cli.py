@@ -1,7 +1,11 @@
 """Command-line surface: deterministic JSON over the engine.
 
 Exit codes: 0 on success, 1 when a mathematical check comes out false, 2 on
-usage, parse, or engine errors.  Expressions accept `-` to read stdin.
+usage, parse, or engine errors.  Every exit 2 after argument parsing prints a
+JSON object {"error": {"code", "message"}}; a negative count, degree, order
+or slice cap, or a Miura weight below 1, gives the code `invalid-argument`,
+and an unexpected exception gives `internal-error` with its traceback on
+stderr.  Expressions accept `-` to read stdin.
 Deformation manifests are JSON documents of the form
 
     {"base": "D: u*del + 1/2*u_1",
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .algebra import (
@@ -48,7 +53,13 @@ from .variational import (
     operator_to_bivector,
 )
 
+
+class _InvalidArgument(Exception):
+    """A command-line value outside its documented range."""
+
+
 _ERROR_CODES = [
+    (_InvalidArgument, "invalid-argument"),
     (ParseError, "parse-error"),
     (NotExact, "not-exact"),
     (NoSolution, "no-solution"),
@@ -65,6 +76,14 @@ def _error_code(exc) -> str:
         if isinstance(exc, cls):
             return code
     return "internal-error"
+
+
+def _at_least(args, *names, minimum=0) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < minimum:
+            flag = "--" + name.replace("_", "-")
+            raise _InvalidArgument(f"{flag} must be at least {minimum}, got {value}")
 
 
 def _read_arg(text: str) -> str:
@@ -127,6 +146,7 @@ def _cmd_dtot(args):
 
 
 def _cmd_vder(args):
+    _at_least(args, "level")
     p = _density(args, args.expr)
     if args.slot == "u":
         r = higher_variational_u(p, 1, args.level)
@@ -157,6 +177,7 @@ def _cmd_check_compatible(args):
 
 
 def _cmd_hierarchy(args):
+    _at_least(args, "n")
     hams = hierarchy(args.n)
     doc = {"hamiltonians": [
         {"index": i - 1, "density": str(H.rep),
@@ -168,6 +189,7 @@ def _cmd_hierarchy(args):
 
 
 def _cmd_symmetries(args):
+    _at_least(args, "degree")
     udeg = 6 if args.max_udeg is None else args.max_udeg
     basis = symmetry_space(args.degree, udeg, max_order=args.max_order)
     _emit({"degree": args.degree, "dimension": len(basis),
@@ -176,6 +198,7 @@ def _cmd_symmetries(args):
 
 
 def _cmd_obstruction(args):
+    _at_least(args, "order")
     D = _load_manifest(args, args.manifest)
     order = args.order if args.order is not None else D.truncation
     res = mc_residual(D, order)
@@ -190,6 +213,8 @@ def _cmd_obstruction(args):
 
 
 def _cmd_miura_push(args):
+    _at_least(args, "order")
+    _at_least(args, "weight", minimum=1)
     D = _load_manifest(args, args.manifest)
     x = parse_density(_read_arg(args.x), hat=args.hat)
     X = canonical_class(x * SuperPolynomial.theta(0, hat=x.hat))
@@ -200,6 +225,7 @@ def _cmd_miura_push(args):
 
 
 def _cmd_quasi_trivialize(args):
+    _at_least(args, "degree")
     g = parse_density(_read_arg(args.g), hat=args.hat)
     witness, c1 = quasi_trivialize_from_generator(g, args.degree,
                                                   max_udeg=args.max_udeg)
@@ -347,13 +373,18 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _at_least(args, "max_order", "max_udeg")
         return args.func(args)
-    except (ParseError, AlgebraError) as exc:
-        doc = {"error": {"code": _error_code(exc), "message": str(exc)}}
+    except Exception as exc:  # noqa: BLE001 - every failure becomes an error object
+        code = _error_code(exc)
+        doc = {"error": {"code": code, "message": str(exc)}}
         if isinstance(exc, ParseError):
             doc["error"]["column"] = exc.column
             if exc.expected:
                 doc["error"]["expected"] = list(exc.expected)
+        elif code == "internal-error":
+            doc["error"]["message"] = f"{type(exc).__name__}: {exc}"
+            traceback.print_exc()
         _emit(doc, args)
         return 2
 

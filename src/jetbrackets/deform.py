@@ -4,7 +4,10 @@ Epsilon-expansions of bivectors with their Maurer-Cartan residuals and
 obstruction cocycles, the double complex of a compatible pair, Miura and
 quasi-Miura pushforwards, and a constructive primitive solver: acyclicity of
 d_H on the positive-degree graded pieces is realized by enumerating a finite
-monomial slice, materializing d_H as an exact rational matrix and solving.
+monomial slice, building d_H on it as a sparse exact rational matrix and
+solving with one reduced-row-echelon kernel.  The d_H images of the last
+slice are kept, so the Y and X solves of a quasi-trivialization, which share
+H, slice and grading, build the system once.
 """
 
 from __future__ import annotations
@@ -222,8 +225,6 @@ class GradedSlice:
     homogeneity, capped order, capped power of the undifferentiated u, capped
     Laurent depth in u_1 (hat mode)."""
 
-    theta_degree: int | None = None
-    degree: int | None = None
     max_order: int = 4
     max_udeg: int = 4
     laurent_depth: int = 0
@@ -279,88 +280,151 @@ def _even_parts(budget: int, kmin: int, kmax: int):
             e += 1
 
 
-def solve_exact(rows, rhs):
-    """Gaussian elimination over the rationals; rows are dense lists.
-    Returns a solution with free variables set to zero, or None."""
-    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    nrows = len(m)
-    ncols = len(rows[0]) if nrows else 0
-    piv_cols = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
+class SparseMatrix:
+    """An exact rational matrix as sparse rows {column: Fraction}.
+
+    Rows are keyed by any hashable label (a monomial, say) so that a right-hand
+    side can be given in the same labels.  Both operations reduce a copy of the
+    rows to reduced row echelon form with the pivot columns taken in column
+    order; that form is unique, so the solution of ``solve`` and the vectors
+    of ``kernel`` do not depend on row order or on the choice of pivot rows.
+    """
+
+    def __init__(self, rows: dict, ncols: int):
+        self.rows = rows
+        self.ncols = ncols
+
+    def solve(self, rhs: dict):
+        """A solution of M x = rhs as a dense list, free variables set to 0,
+        or None when the system is inconsistent."""
+        if any(v and key not in self.rows for key, v in rhs.items()):
             return None
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(piv_cols):
-        sol[col] = m[i][ncols]
-    return sol
+        n = self.ncols
+        rows = []
+        for key, row in self.rows.items():
+            row = dict(row)
+            b = rhs.get(key)
+            if b:
+                row[n] = b
+            rows.append(row)
+        pivots = _rref(rows, n)
+        pivot_rows = set(pivots.values())
+        if any(rows[i] for i in range(len(rows)) if i not in pivot_rows):
+            return None
+        sol = [Fraction(0)] * n
+        for col, i in pivots.items():
+            sol[col] = rows[i].get(n, Fraction(0))
+        return sol
+
+    def kernel(self):
+        """Basis of the kernel, one dense vector per free column in column
+        order, with that column at 1."""
+        n = self.ncols
+        rows = [dict(row) for row in self.rows.values()]
+        pivots = _rref(rows, n)
+        basis = []
+        for fc in range(n):
+            if fc in pivots:
+                continue
+            v = [Fraction(0)] * n
+            v[fc] = Fraction(1)
+            for col, i in pivots.items():
+                x = rows[i].get(fc)
+                if x:
+                    v[col] = -x
+            basis.append(v)
+        return basis
 
 
-def nullspace_exact(rows):
-    """Basis of the kernel of the matrix (dense rational rows)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = [list(r) for r in rows]
-    piv_cols = []
-    r = 0
+def _rref(rows, ncols):
+    """Reduce the sparse rows in place to reduced row echelon form.
+
+    Pivots are taken only in columns < ncols, in column order; entries at
+    ncols and beyond (an augmented right-hand side) are carried along.  The
+    pivot row of a column is the shortest candidate, which keeps fill-in low.
+    Returns {pivot column: row index}, in column order.
+    """
+    where: dict = {}
+    for i, row in enumerate(rows):
+        for col in row:
+            where.setdefault(col, set()).add(i)
+    pivots = {}
+    used = set()
     for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+        hits = where.get(col)
+        if not hits:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    free = [c for c in range(ncols) if c not in piv_cols]
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, col in enumerate(piv_cols):
-            v[col] = -m[i][fc]
-        basis.append(v)
-    return basis
+        cands = [i for i in hits if i not in used]
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        inv = Fraction(1) / prow[col]
+        if inv != 1:
+            for c in prow:
+                prow[c] *= inv
+        for i in list(hits):
+            if i == p:
+                continue
+            row = rows[i]
+            f = row[col]
+            for c, x in prow.items():
+                y = row.get(c)
+                if y is None:
+                    row[c] = -f * x
+                    where.setdefault(c, set()).add(i)
+                else:
+                    y -= f * x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+                        where[c].discard(i)
+        pivots[col] = p
+        used.add(p)
+    return pivots
 
 
-def _linear_system(targets, c_rep):
-    """Rows/columns for sum_b x_b targets[b] = c_rep, indexed by monomials."""
-    monos = set(c_rep.terms)
-    for t in targets:
-        monos.update(t.terms)
-    monos = sorted(monos)
-    rows = [[t.terms.get(mn, Fraction(0)) for t in targets] for mn in monos]
-    rhs = [c_rep.terms.get(mn, Fraction(0)) for mn in monos]
-    return rows, rhs
+def slice_matrix(columns, maps) -> SparseMatrix:
+    """The matrix of the linear maps on a slice: entry ((k, m), j) is the
+    coefficient of the monomial m in maps[k](columns[j])."""
+    rows: dict = {}
+    for j, x in enumerate(columns):
+        for k, f in enumerate(maps):
+            for mn, v in f(x).rep.terms.items():
+                if v:
+                    rows.setdefault((k, mn), {})[j] = v
+    return SparseMatrix(rows, len(columns))
+
+
+def linear_combination(vector, basis) -> SuperPolynomial:
+    """sum_j vector[j] basis[j] over a nonempty basis, in column order."""
+    out = SuperPolynomial.zero(basis[0].q, basis[0].hat)
+    for x, b in zip(vector, basis):
+        if x:
+            out = out + b * x
+    return out
+
+
+# The last slice system of primitive_solve: (key, basis, matrix).  One entry,
+# because the Y and X solves of quasi_trivialize share H, slice and grading
+# back to back; holding more would only keep dead systems alive.
+_LAST_SYSTEM = None
+
+
+def _primitive_system(H: MultiVector, s: GradedSlice, t: int, deg: int, q: int, hat: bool):
+    """Basis of the slice and the sparse matrix of d_H on it, reusing the
+    previous call's images when the key matches."""
+    global _LAST_SYSTEM
+    key = (H, s, t, deg, hat)
+    last = _LAST_SYSTEM
+    if last is not None and last[0] == key:
+        return last[1], last[2]
+    basis = enumerate_basis(s, t, deg, q, hat)
+    matrix = slice_matrix([canonical_class(b) for b in basis],
+                           [lambda X: schouten_bracket(H, X)])
+    _LAST_SYSTEM = (key, basis, matrix)
+    return basis, matrix
 
 
 def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
@@ -376,19 +440,14 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
     if deg is None:
         raise AlgebraError("primitive_solve needs homogeneous input")
     Huse = H.to_hat() if c.hat and not H.hat else H
+    rhs = {(0, mn): v for mn, v in c.rep.terms.items()}
     s = slice_
     for _ in range(max_grows + 1):
-        basis = enumerate_basis(s, t, deg - 1, c.q, c.hat)
+        basis, matrix = _primitive_system(Huse, s, t, deg - 1, c.q, c.hat)
         if basis:
-            images = [schouten_bracket(Huse, canonical_class(b)).rep for b in basis]
-            rows, rhs = _linear_system(images, c.rep)
-            sol = solve_exact(rows, rhs)
+            sol = matrix.solve(rhs)
             if sol is not None:
-                density = SuperPolynomial.zero(c.q, c.hat)
-                for x, b in zip(sol, basis):
-                    if x:
-                        density = density + b * x
-                y = canonical_class(density)
+                y = canonical_class(linear_combination(sol, basis))
                 if schouten_bracket(Huse, y) != c:
                     raise AssertionError("primitive_solve verification failed")
                 return y

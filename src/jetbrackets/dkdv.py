@@ -15,7 +15,14 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import AlgebraError, DiffOperator, SuperPolynomial
-from .deform import Cochain, GradedSlice, enumerate_basis, nullspace_exact, primitive_solve
+from .deform import (
+    Cochain,
+    GradedSlice,
+    enumerate_basis,
+    linear_combination,
+    primitive_solve,
+    slice_matrix,
+)
 from .schouten import Pencil
 from .variational import (
     EvolutionaryVF,
@@ -108,24 +115,9 @@ def symmetry_space(ell: int, max_udeg: int = 6, max_order: int | None = None):
     if not chars:
         return []
     theta = SuperPolynomial.theta(0)
-    images = [(pencil.d_P(canonical_class(b * theta)).rep,
-               pencil.d_Q(canonical_class(b * theta)).rep) for b in chars]
-    monos = sorted({mn for ip, iq in images for mn in (*ip.terms, *iq.terms)})
-    rows = []
-    for mn in monos:
-        rows.append([ip.terms.get(mn, Fraction(0)) for ip, _ in images])
-        rows.append([iq.terms.get(mn, Fraction(0)) for _, iq in images])
-    if not rows:
-        rows = [[Fraction(0)] * len(chars)]
-    basis = nullspace_exact(rows)
-    out = []
-    for v in basis:
-        c = SuperPolynomial.zero(1)
-        for x, b in zip(v, chars):
-            if x:
-                c = c + b * x
-        out.append(c)
-    return out
+    fields = [canonical_class(b * theta) for b in chars]
+    matrix = slice_matrix(fields, [pencil.d_P, pencil.d_Q])
+    return [linear_combination(v, chars) for v in matrix.kernel()]
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,14 @@ class TestPrimitiveSolve:
         y = primitive_solve(c, Q, GradedSlice(max_order=2, max_udeg=4))
         assert PENCIL.d_Q(y) == c
 
+    def test_alternating_differentials_on_one_slice(self):
+        # the last slice system is memoized; a solve against Q right after
+        # one against P on the same slice and grading must not reuse P's images
+        c1 = PENCIL.d_Q(PENCIL.d_P(canonical_class(u * u1 * SP.u(2))))
+        sl = GradedSlice(max_order=3, max_udeg=4)
+        for H, d_H in ((P, PENCIL.d_P), (Q, PENCIL.d_Q), (P, PENCIL.d_P)):
+            assert d_H(primitive_solve(c1, H, sl)) == c1
+
 
 class TestReduceToTail:
     def test_coboundary_reduces_to_trivial_tail(self, rng):

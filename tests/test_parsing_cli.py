@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -85,9 +87,15 @@ class TestParser:
             assert str(parse_density(str(p))) == str(p)
 
 
+# the CLI child process finds the package in src/ without an install
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run_cli(*argv, stdin=None):
     proc = subprocess.run([sys.executable, "-m", "jetbrackets.cli", *argv],
-                          capture_output=True, text=True, input=stdin)
+                          capture_output=True, text=True, input=stdin, env=CLI_ENV)
     doc = json.loads(proc.stdout) if proc.stdout.strip() else None
     return proc.returncode, doc
 
@@ -166,9 +174,9 @@ class TestCLI:
 
     def test_determinism(self):
         a = subprocess.run([sys.executable, "-m", "jetbrackets.cli",
-                            "hierarchy", "--n", "2"], capture_output=True)
+                            "hierarchy", "--n", "2"], capture_output=True, env=CLI_ENV)
         b = subprocess.run([sys.executable, "-m", "jetbrackets.cli",
-                            "hierarchy", "--n", "2"], capture_output=True)
+                            "hierarchy", "--n", "2"], capture_output=True, env=CLI_ENV)
         assert a.stdout == b.stdout
 
     def test_obstruction_manifest(self, tmp_path):
@@ -200,3 +208,33 @@ class TestCLI:
         assert main(["bracket", "u*theta", "u*theta"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert "bracket" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["vder", "--level", "-1", "u_2"],
+        ["hierarchy", "--n", "-1"],
+        ["symmetries", "--degree", "-2"],
+        ["quasi-trivialize", "--g", "d(u_1*u)", "--degree", "-1"],
+        ["obstruction", "unread.json", "--order", "-1"],
+        ["miura-push", "unread.json", "--x", "u_1", "--order", "-3"],
+        ["miura-push", "unread.json", "--x", "u_1", "--weight", "0"],
+        ["symmetries", "--degree", "1", "--max-udeg", "-1"],
+        ["symmetries", "--degree", "2", "--max-order", "-1"],
+    ])
+    def test_out_of_range_argument_exit_two(self, capsys, argv):
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["code"] == "invalid-argument"
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        import jetbrackets.cli as cli
+
+        def broken():
+            raise AssertionError("psi identity lost")
+
+        monkeypatch.setattr(cli, "psi_check", broken)
+        assert main(["psi-check"]) == 2
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["error"] == {"code": "internal-error",
+                                "message": "AssertionError: psi identity lost"}
+        assert "Traceback" in captured.err
