@@ -227,6 +227,10 @@ def _cmd_miura_push(args):
 def _cmd_quasi_trivialize(args):
     _at_least(args, "degree")
     g = parse_density(_read_arg(args.g), hat=args.hat)
+    k = g.theta_degree()
+    if g and k != 0:
+        raise _InvalidArgument(
+            f"--g must have theta-degree 0, got {'mixed' if k is None else k}")
     witness, c1 = quasi_trivialize_from_generator(g, args.degree,
                                                   max_udeg=args.max_udeg)
     if isinstance(witness, NontrivialAtDegreeZero):

@@ -186,6 +186,8 @@ def miura_push(D: EpsilonDeformation, X, weight: int = 1,
     X is a vector field (class of theta-degree 1 or an EvolutionaryVF); hat
     characteristics give quasi-Miura transformations.
     """
+    if weight < 1:
+        raise AlgebraError(f"Miura weight must be at least 1, got {weight}")
     if isinstance(X, EvolutionaryVF):
         X = X.as_class()
     if X.theta_degree != 1:
@@ -431,7 +433,8 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
                     max_grows: int = 2) -> MultiVector:
     """Solve d_H y = c for y in the slice; exact, deterministic, growing the
     slice a bounded number of times before reporting NoSolution."""
-    if not schouten_bracket(H, c).is_zero():
+    Huse = H.to_hat() if c.hat and not H.hat else H
+    if not schouten_bracket(Huse, c).is_zero():
         raise AlgebraError("primitive_solve needs a d_H-closed input")
     if c.is_zero():
         return MultiVector(SuperPolynomial.zero(c.q, c.hat), max(c.theta_degree - 1, 0))
@@ -439,7 +442,6 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
     deg = c.homogeneity()
     if deg is None:
         raise AlgebraError("primitive_solve needs homogeneous input")
-    Huse = H.to_hat() if c.hat and not H.hat else H
     rhs = {(0, mn): v for mn, v in c.rep.terms.items()}
     s = slice_
     for _ in range(max_grows + 1):

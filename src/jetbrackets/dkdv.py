@@ -90,7 +90,12 @@ def hierarchy(N: int):
 
 def hierarchy_flow(H: MultiVector) -> EvolutionaryVF:
     """The evolutionary field d u/dt = d(delta_u H) of a Hamiltonian."""
-    return EvolutionaryVF(higher_variational_u(H.rep, 1, 0).total_derivative())
+    return _flow(H.rep)
+
+
+def _flow(w: SuperPolynomial) -> EvolutionaryVF:
+    """The vector field d_P int(w) dx, with characteristic d(delta_u w)."""
+    return EvolutionaryVF(higher_variational_u(w, 1, 0).total_derivative())
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +357,6 @@ def _char_of_vf_class(Y: MultiVector) -> SuperPolynomial:
     return Y.rep.partial_theta(0)
 
 
-def _dP_functional_vf(w: SuperPolynomial) -> EvolutionaryVF:
-    """d_P int(w) dx as a vector field: characteristic d(delta_u w)."""
-    return EvolutionaryVF(higher_variational_u(w, 1, 0).total_derivative())
-
-
 def _u_antiderivative(p: SuperPolynomial) -> SuperPolynomial:
     """Antiderivative in u with zero constant term (p a polynomial in u)."""
     if p.order() != 0:
@@ -481,7 +481,7 @@ def _trivialize_pair(f, g, ell0, c1, pencil):
             raise AssertionError("degree-2 endgame: f is not u g + u_1^2 p(u)")
         h = _u_antiderivative(p) * Fraction(2, 3)
         carrier = state.c + u2 * SuperPolynomial.u(1, power=-1, hat=True) * h
-        witness = _dP_functional_vf(carrier)
+        witness = _flow(carrier)
         _verify_witness(witness, c1, pencil)
         return witness
 
@@ -492,7 +492,7 @@ def _trivialize_pair(f, g, ell0, c1, pencil):
         raise AssertionError("order-2 reduction failed")
     if state.f or state.g:
         raise AssertionError("pair did not vanish at order 1: not a cocycle")
-    witness = _dP_functional_vf(state.c)
+    witness = _flow(state.c)
     _verify_witness(witness, c1, pencil)
     return witness
 

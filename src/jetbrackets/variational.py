@@ -13,17 +13,30 @@ Canonical representatives: for theta-degree k >= 1 the representative is
 N F - k F is always a total derivative, so this is a well-defined projection
 onto normal forms.  For k = 0 the representative is the residue of a
 deterministic integration-by-parts descent.
+
+Every variational derivative (delta_u and delta_theta at every level) and N
+run through one integer kernel, `_variational`.  It clears denominators once
+(D, the lcm of the coefficient denominators), files the partial derivatives
+of all terms under their power of d in a single sweep, evaluates the
+alternating sum p_0 - d(p_1 - d(p_2 - ...)) on int coefficients through the
+algebra layer's table of monomial derivatives, and divides by D once at the
+end (by D k for a canonical representative).  Coefficients are Fractions
+again at the API, and no zero coefficient is ever stored.
 """
 
 from __future__ import annotations
 
-from math import comb
+from bisect import bisect_left
+from fractions import Fraction
+from math import comb, lcm
 
 from .algebra import (
+    _DERIV_CACHE,
     AlgebraError,
     DiffOperator,
     SkewnessError,
     SuperPolynomial,
+    _derive_monomial,
 )
 
 
@@ -35,35 +48,73 @@ class NotExact(AlgebraError):
         self.residue = residue
 
 
-def _nested_alternating(pieces):
-    """sum_j (-1)^j d^j pieces[j], evaluated as p_0 - d(p_1 - d(p_2 - ...))."""
-    acc = None
-    for p in reversed(pieces):
-        if acc is None:
-            acc = p
+def _variational(a: SuperPolynomial, odd: bool, alpha: int, level: int):
+    """Integer kernel of delta_{level, u^alpha} (odd false) and
+    delta_{level, theta_alpha} (odd true).
+
+    Returns (terms, D): the derivative is sum_m terms[m]/D m, with terms an
+    int dict without zeros and D the lcm of the denominators of a.  One sweep
+    over a.terms files C(level+j, level) times the partial derivative by the
+    coordinate of order level+j of every term under piece j; then
+    p_0 - d(p_1 - d(p_2 - ...)) is evaluated on int dicts through the shared
+    table of monomial derivatives, dropping zeros after each round.
+    """
+    terms = a.terms
+    D = lcm(*(c.denominator for c in terms.values()))
+    pieces: dict = {}
+    for (even, odds), c in terms.items():
+        n = c.numerator * (D // c.denominator)
+        if odd:
+            for i, (b, k) in enumerate(odds):
+                if b != alpha or k < level:
+                    continue
+                v = n * comb(k, level)
+                key = (even, odds[:i] + odds[i + 1:])
+                piece = pieces.setdefault(k - level, {})
+                piece[key] = piece.get(key, 0) + (-v if i & 1 else v)
         else:
-            acc = p - acc.total_derivative()
-    return acc
+            for i, ((b, k), e) in enumerate(even):
+                if b != alpha or k < level:
+                    continue
+                if e == 1:
+                    key = (even[:i] + even[i + 1:], odds)
+                else:
+                    key = (even[:i] + (((b, k), e - 1),) + even[i + 1:], odds)
+                piece = pieces.setdefault(k - level, {})
+                piece[key] = piece.get(key, 0) + n * e * comb(k, level)
+    if not pieces:
+        return {}, D
+    cache = _DERIV_CACHE
+    acc: dict = {}
+    for j in range(max(pieces), -1, -1):
+        out = pieces.get(j, {})
+        get = out.get
+        for mono, c in acc.items():
+            ents = cache.get(mono)
+            if ents is None:
+                ents = _derive_monomial(mono)
+                cache[mono] = ents
+            for key, mult in ents:
+                out[key] = get(key, 0) - c * mult
+        acc = {m: c for m, c in out.items() if c}
+    return acc, D
+
+
+def _to_poly(terms: dict, D: int, q: int, hat: bool) -> SuperPolynomial:
+    """The polynomial sum_m terms[m]/D m; terms must be free of zeros."""
+    if D == 1:
+        return SuperPolynomial({m: Fraction(c) for m, c in terms.items()}, q, hat)
+    return SuperPolynomial({m: Fraction(c, D) for m, c in terms.items()}, q, hat)
 
 
 def higher_variational_u(a: SuperPolynomial, alpha: int = 1, level: int = 0) -> SuperPolynomial:
     """delta_{k,u^alpha} = sum_j (-1)^j C(k+j, k) d^j o partial_{u^alpha_{k+j}}."""
-    top = a.order() - level
-    if top < 0:
-        return SuperPolynomial.zero(a.q, a.hat)
-    pieces = [a.partial_u(level + j, alpha) * comb(level + j, level)
-              for j in range(top + 1)]
-    return _nested_alternating(pieces)
+    return _to_poly(*_variational(a, False, alpha, level), a.q, a.hat)
 
 
 def higher_variational_theta(a: SuperPolynomial, alpha: int = 1, level: int = 0) -> SuperPolynomial:
     """delta_{k,theta_alpha}, the odd counterpart."""
-    top = a.order() - level
-    if top < 0:
-        return SuperPolynomial.zero(a.q, a.hat)
-    pieces = [a.partial_theta(level + j, alpha) * comb(level + j, level)
-              for j in range(top + 1)]
-    return _nested_alternating(pieces)
+    return _to_poly(*_variational(a, True, alpha, level), a.q, a.hat)
 
 
 def variational_derivative(a: SuperPolynomial, slot: str = "u", alpha: int = 1,
@@ -76,14 +127,29 @@ def variational_derivative(a: SuperPolynomial, slot: str = "u", alpha: int = 1,
     raise AlgebraError(f"unknown variational slot {slot!r}")
 
 
+def _normalize(a: SuperPolynomial):
+    """Integer form (terms, D) of N(a), with theta_alpha prepended to the
+    output of the kernel."""
+    out: dict = {}
+    get = out.get
+    D = 1
+    for alpha in range(1, a.q + 1):
+        terms, D = _variational(a, True, alpha, 0)
+        head = (alpha, 0)
+        for (even, odds), c in terms.items():
+            # theta_alpha passes the i factors sorted before it (the sign of
+            # _merge_odd) and kills the term if it is already present
+            i = bisect_left(odds, head)
+            if i < len(odds) and odds[i] == head:
+                continue
+            key = (even, odds[:i] + (head,) + odds[i:])
+            out[key] = get(key, 0) + (-c if i & 1 else c)
+    return {m: c for m, c in out.items() if c}, D
+
+
 def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
     """The normalization operator N = sum_alpha theta_alpha delta_{theta_alpha}."""
-    out = SuperPolynomial.zero(a.q, a.hat)
-    for alpha in range(1, a.q + 1):
-        d = higher_variational_theta(a, alpha, 0)
-        if d:
-            out = out + SuperPolynomial.theta(0, alpha, a.q, a.hat) * d
-    return out
+    return _to_poly(*_normalize(a), a.q, a.hat)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +401,8 @@ def canonical_class(a: SuperPolynomial) -> MultiVector:
     if k == 0:
         _g, r = _decompose_even(a)
         return MultiVector(r, 0)
-    return MultiVector(normalize_N(a) / k, k)
+    terms, D = _normalize(a)
+    return MultiVector(_to_poly(terms, D * k, a.q, a.hat), k)
 
 
 class EvolutionaryVF:
@@ -523,7 +590,6 @@ def bivector_to_operator(B: MultiVector) -> OperatorMatrix:
             raise AlgebraError("canonical bivector representative expected")
     zero_op = DiffOperator.zero(q, hat)
     entries = [[zero_op for _ in range(q)] for _ in range(q)]
-    done = [[False] * q for _ in range(q)]
     for a in range(1, q + 1):
         for b in range(a, q + 1):
             # higher coefficients P_k, k >= 1, read off directly
@@ -534,7 +600,6 @@ def bivector_to_operator(B: MultiVector) -> OperatorMatrix:
                 p0 = (Dab.adjoint() + Dab).coeffs.get(0, SuperPolynomial.zero(q, hat))
                 Dab = Dab + DiffOperator({0: -p0 / 2}, q, hat)
                 entries[a - 1][a - 1] = Dab
-                done[a - 1][a - 1] = True
             else:
                 # the visible order-0 part is (P^{ab}_0 - P^{ba}_0)/2 and
                 # (D^{ab})* = -D^{ba} fixes the split
@@ -548,7 +613,6 @@ def bivector_to_operator(B: MultiVector) -> OperatorMatrix:
                 Dab = Dab + DiffOperator({0: p_ab0}, q, hat)
                 entries[a - 1][b - 1] = Dab
                 entries[b - 1][a - 1] = -Dab.adjoint()
-                done[a - 1][b - 1] = done[b - 1][a - 1] = True
     M = OperatorMatrix(entries)
     if not M.is_skew_adjoint():
         raise SkewnessError("reconstructed operator is not skew-adjoint")

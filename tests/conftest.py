@@ -2,8 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from jetbrackets import SuperPolynomial as SP
+
+# property tests draw a fixed example sequence (derandomized, no example
+# database), so every run checks the same cases in bounded time
+settings.register_profile("jetbrackets", derandomize=True, database=None,
+                          max_examples=60, deadline=None)
+settings.load_profile("jetbrackets")
 
 
 def rand_coeff(rng):

@@ -165,6 +165,13 @@ class TestMiura:
         pushed = miura_push(D, X, 1, 1)
         assert pushed.base.hat
 
+    @pytest.mark.parametrize("weight", [0, -1])
+    def test_nonpositive_weight_rejected(self, weight):
+        # the series loop steps by the weight, so weight <= 0 never ends
+        D = EpsilonDeformation(P, [], 1)
+        with pytest.raises(AlgebraError, match="weight"):
+            miura_push(D, canonical_class(u1 * th), weight, 1)
+
 
 class TestPrimitiveSolve:
     def test_construct_then_solve(self):
@@ -205,6 +212,15 @@ class TestPrimitiveSolve:
         c = PENCIL.d_Q(F)
         y = primitive_solve(c, Q, GradedSlice(max_order=2, max_udeg=4))
         assert PENCIL.d_Q(y) == c
+
+    def test_hat_cocycle_with_polynomial_structure(self):
+        # the closedness check must see P converted to hat mode, like the solve
+        hat_th = SP.theta(0, hat=True)
+        a = canonical_class(SP.u(2, hat=True) * SP.u(1, power=-1, hat=True) * hat_th)
+        c = PENCIL.d_P(a)
+        assert c.hat and not P.hat
+        y = primitive_solve(c, P, GradedSlice(3, 2, 2))
+        assert y.hat and PENCIL.d_P(y) == c
 
     def test_alternating_differentials_on_one_slice(self):
         # the last slice system is memoized; a solve against Q right after

@@ -219,6 +219,11 @@ class TestCLI:
         ["miura-push", "unread.json", "--x", "u_1", "--weight", "0"],
         ["symmetries", "--degree", "1", "--max-udeg", "-1"],
         ["symmetries", "--degree", "2", "--max-order", "-1"],
+        # a characteristic --g must be even: theta-degree 1, or mixed
+        ["quasi-trivialize", "--g", "theta"],
+        ["quasi-trivialize", "--g", "u*theta_1"],
+        ["quasi-trivialize", "--g", "u + theta"],
+        ["quasi-trivialize", "--hat", "--g", "u_1^-1*theta"],
     ])
     def test_out_of_range_argument_exit_two(self, capsys, argv):
         assert main(argv) == 2

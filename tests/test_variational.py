@@ -19,6 +19,8 @@ from jetbrackets import (
     variational_derivative,
     vf_from_density,
 )
+from hypothesis import given, strategies as st
+
 from jetbrackets.algebra import SkewnessError
 from jetbrackets.variational import OperatorMatrix
 from conftest import rand_density
@@ -242,3 +244,120 @@ class TestOperatorDictionary:
         assert M.is_skew_adjoint()
         B = operator_to_bivector(M)
         assert bivector_to_operator(B) == M
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the integer kernel against the Fraction formulas
+# ---------------------------------------------------------------------------
+
+def _ref_nested_alternating(pieces):
+    acc = None
+    for p in reversed(pieces):
+        acc = p if acc is None else p - acc.total_derivative()
+    return acc
+
+
+def _ref_delta(a, odd, alpha, level):
+    """sum_j (-1)^j C(level+j, level) d^j partial_{level+j}, one Fraction
+    polynomial per partial derivative, summed by Horner."""
+    top = a.order() - level
+    if top < 0:
+        return SP.zero(a.q, a.hat)
+    partial = a.partial_theta if odd else a.partial_u
+    return _ref_nested_alternating(
+        [partial(level + j, alpha) * comb(level + j, level) for j in range(top + 1)])
+
+
+def _ref_normalize_N(a):
+    out = SP.zero(a.q, a.hat)
+    for alpha in range(1, a.q + 1):
+        d = _ref_delta(a, True, alpha, 0)
+        if d:
+            out = out + SP.theta(0, alpha, a.q, a.hat) * d
+    return out
+
+
+_DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10])
+
+
+@st.composite
+def densities(draw, min_theta_degree=0):
+    """A density of uniform theta-degree (up to 3) over q = 1 or 2, hat
+    (Laurent in u_1) or not, with coefficients over mixed denominators."""
+    q = draw(st.sampled_from([1, 2]))
+    hat = q == 1 and draw(st.booleans())
+    k = draw(st.integers(min_theta_degree, 3))
+    a = SP.zero(q, hat)
+    for _ in range(draw(st.integers(0, 5))):
+        num = draw(st.integers(-7, 7).filter(bool))
+        m = SP.const(Fraction(num, draw(_DENOMINATORS)), q, hat)
+        for _ in range(draw(st.integers(0, 3))):
+            m = m * SP.u(draw(st.integers(0, 4)), draw(st.integers(1, q)), 1, q, hat)
+        if hat and draw(st.booleans()):
+            m = m * SP.u(1, 1, -draw(st.integers(1, 3)), q, hat)
+        odd = draw(st.lists(st.tuples(st.integers(1, q), st.integers(0, 4)),
+                            min_size=k, max_size=k, unique=True))
+        for alpha, j in odd:
+            m = m * SP.theta(j, alpha, q, hat)
+        a = a + m
+    return a
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+class TestKernelAgainstFractionFormulas:
+    @given(densities())
+    def test_higher_variational_derivatives(self, a):
+        for alpha in range(1, a.q + 1):
+            for level in range(4):
+                _assert_same(higher_variational_u(a, alpha, level),
+                             _ref_delta(a, False, alpha, level))
+                _assert_same(higher_variational_theta(a, alpha, level),
+                             _ref_delta(a, True, alpha, level))
+
+    @given(densities())
+    def test_normalize_N(self, a):
+        _assert_same(normalize_N(a), _ref_normalize_N(a))
+
+    @given(densities(min_theta_degree=1))
+    def test_canonical_class(self, a):
+        if not a:
+            return
+        k = a.theta_degree()
+        got = canonical_class(a)
+        assert got.theta_degree == k
+        _assert_same(got.rep, _ref_normalize_N(a) / k)
+
+    @given(densities())
+    def test_total_derivatives_are_null(self, a):
+        d = a.total_derivative()
+        for alpha in range(1, a.q + 1):
+            assert higher_variational_u(d, alpha).is_zero()
+            assert higher_variational_theta(d, alpha).is_zero()
+        assert normalize_N(d).is_zero()
+
+    @given(densities())
+    def test_no_zero_coefficients(self, a):
+        # the d(a) part cancels inside the kernel's rounds; no zero entry
+        # may be left behind
+        b = a + a.total_derivative() * Fraction(1, 3)
+        outs = [normalize_N(b)]
+        for alpha in range(1, b.q + 1):
+            for level in range(3):
+                outs.append(higher_variational_u(b, alpha, level))
+                outs.append(higher_variational_theta(b, alpha, level))
+        for p in outs:
+            assert all(c != 0 for c in p.terms.values())
+
+    def test_cross_component_cancellation(self):
+        # theta1 delta_theta1 a and theta2 delta_theta2 a meet on the same
+        # monomials and cancel there
+        u2 = SP.u(0, 2, 1, 2)
+        t = [[SP.theta(j, alpha, 2) for j in range(2)] for alpha in (1, 2)]
+        a = u2 * t[0][0] * t[1][1] - u2 * t[0][1] * t[1][0]
+        n = normalize_N(a)
+        _assert_same(n, _ref_normalize_N(a))
+        assert all(c != 0 for c in n.terms.values())
