@@ -47,10 +47,9 @@ from .variational import (
     NotExact,
     bivector_to_operator,
     canonical_class,
-    higher_variational_theta,
-    higher_variational_u,
     normalize_N,
     operator_to_bivector,
+    variational_derivative,
 )
 
 
@@ -147,11 +146,7 @@ def _cmd_dtot(args):
 
 def _cmd_vder(args):
     _at_least(args, "level")
-    p = _density(args, args.expr)
-    if args.slot == "u":
-        r = higher_variational_u(p, 1, args.level)
-    else:
-        r = higher_variational_theta(p, 1, args.level)
+    r = variational_derivative(_density(args, args.expr), args.slot, 1, args.level)
     _emit({"result": str(r), "slot": args.slot, "level": args.level}, args)
     return 0
 
@@ -189,9 +184,8 @@ def _cmd_hierarchy(args):
 
 
 def _cmd_symmetries(args):
-    _at_least(args, "degree")
-    udeg = 6 if args.max_udeg is None else args.max_udeg
-    basis = symmetry_space(args.degree, udeg, max_order=args.max_order)
+    _at_least(args, "max_order", "max_udeg", "degree")
+    basis = symmetry_space(args.degree, args.max_udeg, max_order=args.max_order)
     _emit({"degree": args.degree, "dimension": len(basis),
            "basis": sorted(str(b) for b in basis)}, args)
     return 0
@@ -216,7 +210,7 @@ def _cmd_miura_push(args):
     _at_least(args, "order")
     _at_least(args, "weight", minimum=1)
     D = _load_manifest(args, args.manifest)
-    x = parse_density(_read_arg(args.x), hat=args.hat)
+    x = _density(args, args.x)
     X = canonical_class(x * SuperPolynomial.theta(0, hat=x.hat))
     N = args.order if args.order is not None else D.truncation
     pushed = miura_push(D, X, args.weight, N)
@@ -225,8 +219,8 @@ def _cmd_miura_push(args):
 
 
 def _cmd_quasi_trivialize(args):
-    _at_least(args, "degree")
-    g = parse_density(_read_arg(args.g), hat=args.hat)
+    _at_least(args, "max_udeg", "degree")
+    g = _density(args, args.g)
     k = g.theta_degree()
     if g and k != 0:
         raise _InvalidArgument(
@@ -252,11 +246,12 @@ def _cmd_selftest(args):
     checks = []
 
     def check(name, fn):
+        entry = {"name": name, "pass": False}
         try:
-            ok = bool(fn())
-        except Exception:  # noqa: BLE001 - reported, not raised
-            ok = False
-        checks.append({"name": name, "pass": ok})
+            entry["pass"] = bool(fn())
+        except Exception as exc:  # noqa: BLE001 - reported, not raised
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+        checks.append(entry)
 
     pen = dkdv_pencil()
     check("pencil-certified", lambda: pen.certified)
@@ -282,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hat", action="store_true",
                         help="allow Laurent powers of u_1")
-    common.add_argument("--max-order", type=int, default=None,
-                        help="cap on jet order for solver slices")
-    common.add_argument("--max-udeg", type=int, default=None,
-                        help="cap on the power of u for solver slices")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="pretty", action="store_false",
                      default=False, help="compact JSON output (default)")
@@ -339,6 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symmetries", parents=[common],
                        help="joint kernel of d_P and d_Q in a graded slice")
     p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--max-order", type=int, default=None,
+                   help="cap on the jet order of the slice (default: the degree)")
+    p.add_argument("--max-udeg", type=int, default=6,
+                   help="cap on the power of u in the slice (default: 6)")
     p.set_defaults(func=_cmd_symmetries)
 
     p = sub.add_parser("obstruction", parents=[common],
@@ -361,6 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "d_P int(g theta) dx")
     p.add_argument("--g", required=True)
     p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--max-udeg", type=int, default=None,
+                   help="cap on the power of u in the solver slice "
+                        "(default: the u-power of g plus 3, at least 8)")
     p.set_defaults(func=_cmd_quasi_trivialize)
 
     p = sub.add_parser("psi-check", parents=[common],
@@ -377,7 +375,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _at_least(args, "max_order", "max_udeg")
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - every failure becomes an error object
         code = _error_code(exc)

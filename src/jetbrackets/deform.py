@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import AlgebraError, SuperPolynomial
-from .schouten import Pencil, schouten_bracket
+from .schouten import Pencil, _in_algebra_of, schouten_bracket
 from .variational import EvolutionaryVF, MultiVector, canonical_class
 
 
@@ -118,10 +118,6 @@ class Cochain:
         degs = {c.theta_degree for c in self.entries if not c.is_zero()}
         if len(degs) > 1:
             raise AlgebraError("cochain entries must share their theta-degree")
-
-    @property
-    def bidegree(self) -> int:
-        return len(self.entries) - 1
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.entries)
@@ -433,7 +429,7 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
                     max_grows: int = 2) -> MultiVector:
     """Solve d_H y = c for y in the slice; exact, deterministic, growing the
     slice a bounded number of times before reporting NoSolution."""
-    Huse = H.to_hat() if c.hat and not H.hat else H
+    Huse = _in_algebra_of(H, c)
     if not schouten_bracket(Huse, c).is_zero():
         raise AlgebraError("primitive_solve needs a d_H-closed input")
     if c.is_zero():
@@ -482,15 +478,13 @@ def reduce_to_tail(c: Cochain, pencil: Pencil, slice_: GradedSlice):
     return Cochain(entries), chain
 
 
-def homogenize(D: EpsilonDeformation, p: int, slice_: GradedSlice,
-               pencil_base: MultiVector | None = None) -> EpsilonDeformation:
+def homogenize(D: EpsilonDeformation, p: int, slice_: GradedSlice) -> EpsilonDeformation:
     """Equivalent deformation with the eps^k term homogeneous of degree kp+1.
 
     The first correction must already be homogeneous of degree p+1; stray
     components of later corrections are removed by Miura transformations
     generated by primitives of d_base.
     """
-    base = D.base if pencil_base is None else pencil_base
     H1 = D.term(1)
     if not H1.is_zero() and H1.homogeneity() != p + 1:
         raise AlgebraError("first correction is not homogeneous of degree p+1")
@@ -504,7 +498,7 @@ def homogenize(D: EpsilonDeformation, p: int, slice_: GradedSlice,
             if d - 1 <= 0:
                 raise NoSolution("stray component outside the acyclic range")
             stray = canonical_class(comps[d])
-            I_k = primitive_solve(stray.scale(-1), base, slice_)
+            I_k = primitive_solve(stray.scale(-1), D.base, slice_)
             cur = miura_push(cur, I_k, k, N)
         comps = cur.term(k).rep.homogeneous_components()
         if any(d != target for d in comps):

@@ -27,6 +27,7 @@ from .schouten import Pencil
 from .variational import (
     EvolutionaryVF,
     MultiVector,
+    _antidiff_u,
     antidiff_square,
     canonical_class,
     higher_variational_u,
@@ -37,20 +38,18 @@ from .variational import (
 _PENCIL = None
 
 
+def _q_operator(hat=False) -> DiffOperator:
+    return DiffOperator({1: SuperPolynomial.u(0, hat=hat),
+                         0: SuperPolynomial.u(1, hat=hat) / 2}, 1, hat)
+
+
 def dkdv_pencil() -> Pencil:
     """The certified pencil of d and u d + u_1/2."""
     global _PENCIL
     if _PENCIL is None:
         P = operator_to_bivector(DiffOperator.d(1))
-        Q = operator_to_bivector(DiffOperator({1: SuperPolynomial.u(0),
-                                               0: SuperPolynomial.u(1) / 2}))
-        _PENCIL = Pencil.make(P, Q)
+        _PENCIL = Pencil.make(P, operator_to_bivector(_q_operator()))
     return _PENCIL
-
-
-def _q_operator(hat=False) -> DiffOperator:
-    return DiffOperator({1: SuperPolynomial.u(0, hat=hat),
-                         0: SuperPolynomial.u(1, hat=hat) / 2}, 1, hat)
 
 
 # ---------------------------------------------------------------------------
@@ -151,54 +150,45 @@ def build_eSE(f: SuperPolynomial, g: SuperPolynomial, n: int):
         if j == 0:
             Gj = Gj - g * half
         e.append(Fj - Gj)
+    return e, _s_system(e, n), _e_system(e, n) if n % 2 == 0 else None
+
+
+def _s_system(e, n: int):
+    """S_k = e_k + sum_{j=k..n} (-1)^j C(j+1, k+1) d^(j-k) e_j, k = 0..n."""
     S = []
     for k in range(n + 1):
         Sk = e[k]
         for j in range(k, n + 1):
-            c = comb(j + 1, k + 1)
-            if c:
-                t = e[j].dx(j - k) * c
-                Sk = Sk + (-t if j & 1 else t)
+            t = e[j].dx(j - k) * comb(j + 1, k + 1)
+            Sk = Sk + (-t if j & 1 else t)
         S.append(Sk)
-    E = None
-    if n % 2 == 0 and n >= 0:
-        m = n // 2
-        E = []
-        for l in range(m + 1):
-            El = SuperPolynomial.zero(f.q, f.hat)
-            for j in range(2 * l, m + l + 1):
-                c = comb(2 * m - j, m - l) * comb(j + 1, 2 * l + 1)
-                if c:
-                    t = e[j].dx(j - 2 * l) * c
-                    El = El + (-t if j & 1 else t)
-            E.append(El)
-    return e, S, E
+    return S
+
+
+def _e_system(e, n: int):
+    """E_l = sum_{j=2l..m+l} (-1)^j C(2m-j, m-l) C(j+1, 2l+1) d^(j-2l) e_j,
+    l = 0..m, for n = 2m."""
+    m = n // 2
+    E = []
+    for l in range(m + 1):
+        El = SuperPolynomial.zero(e[0].q, e[0].hat)
+        for j in range(2 * l, m + l + 1):
+            t = e[j].dx(j - 2 * l) * (comb(2 * m - j, m - l) * comb(j + 1, 2 * l + 1))
+            El = El + (-t if j & 1 else t)
+        E.append(El)
+    return E
 
 
 def verify_SE_equivalence(e, n: int) -> bool:
     """Check the packed identity expressing S_k through the E_l for the
-    given e-data (n even)."""
+    given e-data (n even); missing entries e_j, j <= n, count as zero."""
     if n % 2:
         raise AlgebraError("the packed E-system is defined for even n only")
     m = n // 2
-    hat = e[0].hat
-    q = e[0].q
-    E = []
-    for l in range(m + 1):
-        El = SuperPolynomial.zero(q, hat)
-        for j in range(2 * l, m + l + 1):
-            c = comb(2 * m - j, m - l) * comb(j + 1, 2 * l + 1)
-            if c and j < len(e):
-                t = e[j].dx(j - 2 * l) * c
-                El = El + (-t if j & 1 else t)
-        E.append(El)
-    for k in range(n + 1):
-        Sk = (e[k] if k < len(e) else SuperPolynomial.zero(q, hat))
-        for j in range(k, n + 1):
-            c = comb(j + 1, k + 1)
-            if c and j < len(e):
-                t = e[j].dx(j - k) * c
-                Sk = Sk + (-t if j & 1 else t)
+    q, hat = e[0].q, e[0].hat
+    e = list(e) + [SuperPolynomial.zero(q, hat)] * (n + 1 - len(e))
+    E = _e_system(e, n)
+    for k, Sk in enumerate(_s_system(e, n)):
         if k == n:
             rhs = E[m] * 2
         else:
@@ -207,10 +197,9 @@ def verify_SE_equivalence(e, n: int) -> bool:
                 num = comb(2 * l + 1, k + 1)
                 if num == 0:
                     continue
-                den = comb(2 * m - k - 1, m - l)
-                if den == 0:
-                    raise AlgebraError("unexpected vanishing denominator")
-                rhs = rhs + E[l].dx(2 * l - k) * Fraction(num, den)
+                # num != 0 gives k <= 2l; with k < 2m that is k < m + l, so the
+                # denominator C(2m-k-1, m-l) is nonzero
+                rhs = rhs + E[l].dx(2 * l - k) * Fraction(num, comb(2 * m - k - 1, m - l))
         if Sk != rhs:
             return False
     return True
@@ -353,23 +342,25 @@ class NontrivialAtDegreeZero:
         return False
 
 
-def _char_of_vf_class(Y: MultiVector) -> SuperPolynomial:
+def _characteristic(Y: MultiVector) -> SuperPolynomial:
+    """The characteristic f of a vector-field class with canonical
+    representative f theta."""
     return Y.rep.partial_theta(0)
 
 
-def _u_antiderivative(p: SuperPolynomial) -> SuperPolynomial:
-    """Antiderivative in u with zero constant term (p a polynomial in u)."""
-    if p.order() != 0:
-        raise AlgebraError("expected a function of u alone")
-    out = SuperPolynomial.zero(p.q, p.hat)
-    for (even, odd), c in p.terms.items():
-        e = even[0][1] if even else 0
-        key = ((((1, 0), e + 1),), odd)
-        out = out + SuperPolynomial({key: c * Fraction(1, e + 1)}, p.q, p.hat)
-    return out
+def _tail_degree(c1: MultiVector, ell: int | None) -> int:
+    """The degree ell0 of a nonzero tail class c1, homogeneous of degree
+    ell0 + 1 >= 1, checked against a declared degree ell."""
+    deg = c1.homogeneity()
+    if deg is None or deg < 1:
+        raise AlgebraError("tail class must be homogeneous of degree ell + 1 >= 1")
+    ell0 = deg - 1
+    if ell is not None and ell != ell0:
+        raise AlgebraError(f"declared degree {ell} but the class is in degree {ell0}")
+    return ell0
 
 
-def quasi_trivialize(c, ell: int | None = None, max_udeg: int = 8):
+def quasi_trivialize(c, ell: int | None = None):
     """Quasi-triviality witness for a tail cocycle (0, c1) of the pencil.
 
     For homogeneity degree ell >= 1 returns the vector field b0 (with
@@ -389,15 +380,9 @@ def quasi_trivialize(c, ell: int | None = None, max_udeg: int = 8):
         raise AlgebraError("expected a cochain or bivector class")
     if not pencil.d_P(c1).is_zero() or not pencil.d_Q(c1).is_zero():
         raise AlgebraError("(0, c1) is not a cocycle of the double complex")
-    zero_vf = EvolutionaryVF(SuperPolynomial.zero(1, True))
     if c1.is_zero():
-        return zero_vf
-    deg = c1.homogeneity()
-    if deg is None or deg < 1:
-        raise AlgebraError("tail class must be homogeneous of degree ell + 1 >= 1")
-    ell0 = deg - 1
-    if ell is not None and ell != ell0:
-        raise AlgebraError(f"declared degree {ell} but the class is in degree {ell0}")
+        return EvolutionaryVF(SuperPolynomial.zero(1, True))
+    ell0 = _tail_degree(c1, ell)
 
     if ell0 == 0:
         # the only trivial degree-0 classes are constant multiples of
@@ -411,12 +396,12 @@ def quasi_trivialize(c, ell: int | None = None, max_udeg: int = 8):
             return w
         return NontrivialAtDegreeZero(c1)
 
-    sl = GradedSlice(max_order=max(ell0, 2), max_udeg=max_udeg)
+    sl = GradedSlice(max_order=max(ell0, 2), max_udeg=8)
     Y = primitive_solve(c1, pencil.P, sl)
-    g = _char_of_vf_class(Y)
+    g = _characteristic(Y)
     rhs = pencil.d_Q(Y)
     X = primitive_solve(rhs, pencil.P, sl)
-    f = _char_of_vf_class(X)
+    f = _characteristic(X)
     return _trivialize_pair(f, g, ell0, c1, pencil)
 
 
@@ -425,17 +410,17 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None,
     """Witness for the tail class c1 = d_P int(g theta) dx; returns (b0, c1).
 
     The partner characteristic f with d_P int(f theta) = d_Q int(g theta) is
-    produced by the primitive solver.
+    produced by the primitive solver.  g must be even (theta-degree 0).
     """
+    k = g.theta_degree()
+    if g and k != 0:
+        raise AlgebraError(f"g must have theta-degree 0, got {'mixed' if k is None else k}")
     pencil = dkdv_pencil()
     gmv = canonical_class((g * SuperPolynomial.theta(0, q=g.q, hat=g.hat)))
     c1 = pencil.d_P(gmv)
     if c1.is_zero():
         return EvolutionaryVF(SuperPolynomial.zero(1, True)), c1
-    deg = c1.homogeneity()
-    ell0 = deg - 1
-    if ell is not None and ell != ell0:
-        raise AlgebraError(f"declared degree {ell} but the class is in degree {ell0}")
+    ell0 = _tail_degree(c1, ell)
     if ell0 == 0:
         return quasi_trivialize(c1), c1
     if not pencil.d_Q(c1).is_zero():
@@ -444,7 +429,7 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None,
     udeg = max(8, g.max_u_power() + 3) if max_udeg is None else max_udeg
     sl = GradedSlice(max_order=max(ell0, g.order(), 2), max_udeg=udeg)
     X = primitive_solve(rhs, pencil.P, sl)
-    f = _char_of_vf_class(X)
+    f = _characteristic(X)
     return _trivialize_pair(f, g, ell0, c1, pencil), c1
 
 
@@ -479,7 +464,7 @@ def _trivialize_pair(f, g, ell0, c1, pencil):
             raise AssertionError("degree-2 endgame: g is not d(u_1 p(u))")
         if state.f != u0 * state.g + u1 * u1 * p:
             raise AssertionError("degree-2 endgame: f is not u g + u_1^2 p(u)")
-        h = _u_antiderivative(p) * Fraction(2, 3)
+        h = _antidiff_u(p, 0)[0] * Fraction(2, 3)
         carrier = state.c + u2 * SuperPolynomial.u(1, power=-1, hat=True) * h
         witness = _flow(carrier)
         _verify_witness(witness, c1, pencil)

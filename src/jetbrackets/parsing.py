@@ -289,9 +289,5 @@ def parse_expression(text: str, hat: bool = False):
     return parse_density(text, hat=hat)
 
 
-def format_density(p: SuperPolynomial) -> str:
-    return str(p)
-
-
 def format_operator(d: DiffOperator) -> str:
     return "D: " + str(d)

@@ -52,6 +52,11 @@ def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
     return canonical_class(density)
 
 
+def _in_algebra_of(H: MultiVector, a: MultiVector) -> MultiVector:
+    """H, moved to hat mode when a lives there, so that [[H, a]] is defined."""
+    return H.to_hat() if a.hat and not H.hat else H
+
+
 def differential_dH(H: MultiVector, a: MultiVector) -> MultiVector:
     """d_H = [[H, .]]; a differential as soon as [[H, H]] = 0."""
     return schouten_bracket(H, a)
@@ -110,12 +115,10 @@ class Pencil:
         return self.P + self.Q.scale(Fraction(lam))
 
     def d_P(self, a: MultiVector) -> MultiVector:
-        P = self.P.to_hat() if a.hat and not self.P.hat else self.P
-        return schouten_bracket(P, a)
+        return schouten_bracket(_in_algebra_of(self.P, a), a)
 
     def d_Q(self, a: MultiVector) -> MultiVector:
-        Q = self.Q.to_hat() if a.hat and not self.Q.hat else self.Q
-        return schouten_bracket(Q, a)
+        return schouten_bracket(_in_algebra_of(self.Q, a), a)
 
 
 def hydrodynamic_bivector(h, q: int = 1):

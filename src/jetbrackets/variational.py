@@ -341,10 +341,6 @@ class MultiVector:
         self.q = rep.q
         self.hat = rep.hat
 
-    @property
-    def shifted_degree(self) -> int:
-        return self.theta_degree - 1
-
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
@@ -462,23 +458,12 @@ class EvolutionaryVF:
 
 
 def vf_from_density(a: SuperPolynomial) -> EvolutionaryVF:
-    """Characteristic tuple of the vector field int(a) dx, a of theta-degree 1."""
+    """Characteristic tuple of the vector field int(a) dx, a of theta-degree 1:
+    the characteristic of u^alpha is delta_{theta_alpha} a."""
     if a.theta_degree() != 1:
         raise AlgebraError("vector fields come from theta-degree-1 densities")
-    chars = []
-    for alpha in range(1, a.q + 1):
-        c = SuperPolynomial.zero(a.q, a.hat)
-        for j in range(a.order() + 1):
-            f = a.partial_theta(j, alpha)
-            if f:
-                f = f.dx(j)
-                c = c + (-f if j & 1 else f)
-        chars.append(c)
-    return EvolutionaryVF(tuple(chars))
-
-
-def vf_class(a: SuperPolynomial) -> MultiVector:
-    return canonical_class(a)
+    return EvolutionaryVF(tuple(higher_variational_theta(a, alpha)
+                                for alpha in range(1, a.q + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +580,16 @@ def bivector_to_operator(B: MultiVector) -> OperatorMatrix:
             # higher coefficients P_k, k >= 1, read off directly
             coeffs = {k: raw[(a, b, k)] * 2 for (x, y, k) in raw if x == a and y == b and k >= 1}
             Dab = DiffOperator(coeffs, q, hat)
+            # tail = sum_k (-1)^k d^k P_k, the order-0 part of the adjoint
+            tail = Dab.adjoint().coeffs.get(0, SuperPolynomial.zero(q, hat))
             if a == b:
                 # P_0 from skew-adjointness of the diagonal entry
-                p0 = (Dab.adjoint() + Dab).coeffs.get(0, SuperPolynomial.zero(q, hat))
-                Dab = Dab + DiffOperator({0: -p0 / 2}, q, hat)
-                entries[a - 1][a - 1] = Dab
+                entries[a - 1][a - 1] = Dab + DiffOperator({0: -tail / 2}, q, hat)
             else:
                 # the visible order-0 part is (P^{ab}_0 - P^{ba}_0)/2 and
                 # (D^{ab})* = -D^{ba} fixes the split
                 c0 = raw.get((a, b, 0), SuperPolynomial.zero(q, hat))
-                tail = SuperPolynomial.zero(q, hat)
-                for k, p in Dab.coeffs.items():
-                    if k >= 1:
-                        t = p.dx(k)
-                        tail = tail + (-t if k & 1 else t)
-                p_ab0 = c0 - tail / 2
-                Dab = Dab + DiffOperator({0: p_ab0}, q, hat)
+                Dab = Dab + DiffOperator({0: c0 - tail / 2}, q, hat)
                 entries[a - 1][b - 1] = Dab
                 entries[b - 1][a - 1] = -Dab.adjoint()
     M = OperatorMatrix(entries)

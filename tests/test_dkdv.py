@@ -155,6 +155,13 @@ class TestESE:
                  for _ in range(n + 1)]
             assert verify_SE_equivalence(e, n)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_short_e(self, rng, n):
+        # entries e_j missing from the end of the list count as zero
+        e = [rand_density(rng, 0, max_order=3, hat=True, terms=2) for _ in range(n)]
+        for k in range(1, n + 1):
+            assert verify_SE_equivalence(e[:k], n)
+
     def test_odd_n_rejected(self, rng):
         e = [rand_density(rng, 0, hat=True) for _ in range(4)]
         with pytest.raises(AlgebraError):
@@ -370,6 +377,21 @@ class TestQuasiTrivialize:
                        canonical_class(th * SP.theta(1))])
         with pytest.raises(AlgebraError):
             quasi_trivialize(bad)
+
+    def test_odd_generator_rejected(self):
+        # g theta vanishes for g = theta: no zero witness may come back
+        with pytest.raises(AlgebraError, match="theta-degree 0, got 1"):
+            quasi_trivialize_from_generator(th)
+
+    def test_mixed_generator_rejected(self):
+        # the theta part of u + theta must not be dropped into a "trivial"
+        with pytest.raises(AlgebraError, match="theta-degree 0, got mixed"):
+            quasi_trivialize_from_generator(u + th)
+
+    def test_inhomogeneous_generator_rejected(self):
+        g = (u1 * u).total_derivative() + u1 ** 3 * u
+        with pytest.raises(AlgebraError, match="homogeneous"):
+            quasi_trivialize_from_generator(g)
 
 
 class TestPsi:

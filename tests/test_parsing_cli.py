@@ -243,3 +243,31 @@ class TestCLI:
         assert doc["error"] == {"code": "internal-error",
                                 "message": "AssertionError: psi identity lost"}
         assert "Traceback" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hierarchy", "--n", "1", "--max-order", "3"],
+    ["dtot", "--max-udeg", "2", "u"],
+    ["quasi-trivialize", "--g", "d(u_1*u)", "--max-order", "3"],
+])
+def test_slice_caps_only_where_read(argv):
+    # --max-order belongs to symmetries, --max-udeg to symmetries and
+    # quasi-trivialize; argparse rejects them elsewhere with exit 2
+    code, doc = run_cli(*argv)
+    assert code == 2 and doc is None
+
+
+def test_selftest_reports_the_exception(capsys, monkeypatch):
+    import jetbrackets.cli as cli
+
+    def broken():
+        raise AssertionError("psi identity lost")
+
+    monkeypatch.setattr(cli, "psi_check", broken)
+    assert main(["selftest"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    by_name = {c["name"]: c for c in doc["checks"]}
+    assert by_name["psi-check"] == {"name": "psi-check", "pass": False,
+                                    "error": "AssertionError: psi identity lost"}
+    assert all("error" not in c for name, c in by_name.items() if name != "psi-check")

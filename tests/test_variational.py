@@ -281,12 +281,12 @@ _DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10])
 
 
 @st.composite
-def densities(draw, min_theta_degree=0):
+def densities(draw, min_theta_degree=0, max_theta_degree=3):
     """A density of uniform theta-degree (up to 3) over q = 1 or 2, hat
     (Laurent in u_1) or not, with coefficients over mixed denominators."""
     q = draw(st.sampled_from([1, 2]))
     hat = q == 1 and draw(st.booleans())
-    k = draw(st.integers(min_theta_degree, 3))
+    k = draw(st.integers(min_theta_degree, max_theta_degree))
     a = SP.zero(q, hat)
     for _ in range(draw(st.integers(0, 5))):
         num = draw(st.integers(-7, 7).filter(bool))
@@ -361,3 +361,30 @@ class TestKernelAgainstFractionFormulas:
         n = normalize_N(a)
         _assert_same(n, _ref_normalize_N(a))
         assert all(c != 0 for c in n.terms.values())
+
+
+def _ref_vf_chars(a):
+    """The characteristics as vf_from_density built them before it called the
+    kernel: sum_j (-1)^j d^j partial_{theta_alpha,j} a for every alpha."""
+    chars = []
+    for alpha in range(1, a.q + 1):
+        c = SP.zero(a.q, a.hat)
+        for j in range(a.order() + 1):
+            f = a.partial_theta(j, alpha)
+            if f:
+                f = f.dx(j)
+                c = c + (-f if j & 1 else f)
+        chars.append(c)
+    return chars
+
+
+class TestVectorFieldAgainstPartialThetaLoop:
+    @given(densities(min_theta_degree=1, max_theta_degree=1))
+    def test_characteristics(self, a):
+        if not a:
+            return
+        X = vf_from_density(a)
+        want = _ref_vf_chars(a)
+        assert len(X.chars) == len(want) == a.q
+        for got, w in zip(X.chars, want):
+            _assert_same(got, w)
