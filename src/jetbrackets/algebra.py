@@ -10,12 +10,19 @@ Monomials are stored in a normal form: the even part is a sorted tuple of
 increasing tuple of (a, k).  All signs coming from sorting odd factors are
 absorbed into the coefficients, so equality of polynomials is equality of
 dictionaries.  Odd partial derivatives are left derivations.
+
+Every derivation goes through one integer kernel: `_file` scales the terms
+by D, the lcm of their denominators, and files signed partial derivatives
+under the power of d they are to receive, in one sweep; `_add_derivative`
+applies d once through the table of monomial derivatives; `_to_poly`
+divides by D.  partial_u and partial_theta are one filing, d^n is n steps
+(on `_scaled` terms), and `_variational` is one filing plus Horner in d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf, lcm
 
 
 class AlgebraError(Exception):
@@ -55,6 +62,8 @@ def _merge_odd(o1: tuple, o2: tuple):
         return 1, o2
     if not o2:
         return 1, o1
+    if o1[-1] < o2[0]:
+        return 1, o1 + o2
     merged = []
     sign = 1
     i = j = 0
@@ -224,66 +233,23 @@ class SuperPolynomial:
 
     def partial_u(self, k: int, alpha: int = 1) -> "SuperPolynomial":
         """Partial derivative with respect to the jet variable u^alpha_k."""
-        coord = (alpha, k)
-        out: dict = {}
-        for (even, odd), c in self.terms.items():
-            for i, (co, e) in enumerate(even):
-                if co == coord:
-                    ne = e - 1
-                    if ne:
-                        new_even = even[:i] + ((co, ne),) + even[i + 1:]
-                    else:
-                        new_even = even[:i] + even[i + 1:]
-                    key = (new_even, odd)
-                    s = out.get(key, _ZERO) + c * e
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-                    break
-        return SuperPolynomial(out, self.q, self.hat)
+        pieces, D = _file(self.terms, False, alpha, k, k)
+        return _to_poly(pieces.get(0, {}), D, self.q, self.hat)
 
     def partial_theta(self, k: int, alpha: int = 1) -> "SuperPolynomial":
         """Left graded derivative with respect to theta_{alpha,k}."""
-        coord = (alpha, k)
-        out: dict = {}
-        for (even, odd), c in self.terms.items():
-            for i, co in enumerate(odd):
-                if co == coord:
-                    sign = -1 if i & 1 else 1
-                    key = (even, odd[:i] + odd[i + 1:])
-                    s = out.get(key, _ZERO) + c * sign
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-                    break
-        return SuperPolynomial(out, self.q, self.hat)
+        pieces, D = _file(self.terms, True, alpha, k, k)
+        return _to_poly(pieces.get(0, {}), D, self.q, self.hat)
 
     def total_derivative(self) -> "SuperPolynomial":
         """The total derivative: u^a_k -> u^a_{k+1}, theta_{a,k} -> theta_{a,k+1}."""
-        out: dict = {}
-        cache = _DERIV_CACHE
-        get = out.get
-        for mono, c in self.terms.items():
-            ents = cache.get(mono)
-            if ents is None:
-                ents = _derive_monomial(mono)
-                cache[mono] = ents
-            for key, mult in ents:
-                s = get(key)
-                s = c * mult if s is None else s + c * mult
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return SuperPolynomial(out, self.q, self.hat)
+        return self.dx(1)
 
     def dx(self, n: int = 1) -> "SuperPolynomial":
-        p = self
+        terms, D = _scaled(self.terms)
         for _ in range(n):
-            p = p.total_derivative()
-        return p
+            terms = _add_derivative({}, terms)
+        return _to_poly(terms, D, self.q, self.hat)
 
     # -- gradings ----------------------------------------------------------
 
@@ -418,10 +384,12 @@ class SuperPolynomial:
         return f"SuperPolynomial({self}{flags})"
 
 
+# -- the derivation kernel (see the module docstring) --------------------------
+
 # table of monomial derivatives: mono -> ((mono', integer multiplier), ...);
-# the coefficients are integers (exponents), so total_derivative reduces to
-# integer-scaled accumulation.  The cache is add-only with deterministic
-# values, so concurrent readers are safe (a racing recompute is identical).
+# the multipliers are integers (exponents), so d of an int dict stays an int
+# dict.  The cache is add-only with deterministic values, so concurrent
+# readers are safe (a racing recompute is identical).
 _DERIV_CACHE: dict = {}
 
 
@@ -454,6 +422,81 @@ def _derive_monomial(mono):
     return tuple(ents)
 
 
+def _add_derivative(out: dict, terms: dict) -> dict:
+    """out + d(terms) for int dicts, without zero coefficients; out is
+    updated in place.  The one reader of `_DERIV_CACHE`."""
+    cache = _DERIV_CACHE
+    get = out.get
+    for mono, c in terms.items():
+        ents = cache.get(mono)
+        if ents is None:
+            ents = _derive_monomial(mono)
+            cache[mono] = ents
+        for key, mult in ents:
+            out[key] = get(key, 0) + c * mult
+    return {m: c for m, c in out.items() if c}
+
+
+def _scaled(terms: dict):
+    """(D terms as an int dict, D) with D the lcm of the denominators."""
+    D = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (D // c.denominator) for m, c in terms.items()}, D
+
+
+def _file(terms: dict, odd: bool, alpha: int, lo: int, hi: float = inf):
+    """The filing sweep.  Returns (pieces, D): D is the lcm of the
+    denominators of terms, and pieces[j] is the int dict of
+    (-1)^j C(lo+j, lo) D times the partial derivative of terms by
+    u^alpha_{lo+j} (odd false) or theta_{alpha,lo+j} (odd true, a left
+    derivative), for lo+j <= hi."""
+    D = lcm(*(c.denominator for c in terms.values()))
+    pieces: dict = {}
+    for (even, odds), c in terms.items():
+        n = c.numerator * (D // c.denominator)
+        if odd:
+            for i, (b, k) in enumerate(odds):
+                if b != alpha or not lo <= k <= hi:
+                    continue
+                v = n * comb(k, lo)
+                key = (even, odds[:i] + odds[i + 1:])
+                piece = pieces.setdefault(k - lo, {})
+                piece[key] = piece.get(key, 0) + (-v if (i + k - lo) & 1 else v)
+        else:
+            for i, ((b, k), e) in enumerate(even):
+                if b != alpha or not lo <= k <= hi:
+                    continue
+                v = n * e * comb(k, lo)
+                if e == 1:
+                    key = (even[:i] + even[i + 1:], odds)
+                else:
+                    key = (even[:i] + (((b, k), e - 1),) + even[i + 1:], odds)
+                piece = pieces.setdefault(k - lo, {})
+                piece[key] = piece.get(key, 0) + (-v if (k - lo) & 1 else v)
+    return pieces, D
+
+
+def _variational(a: SuperPolynomial, odd: bool, alpha: int, level: int):
+    """Integer kernel of delta_{level, u^alpha} (odd false) or
+    delta_{level, theta_alpha} (odd true): (terms, D) with the derivative
+    sum_m terms[m]/D m, evaluated as p_0 + d(p_1 + d(...)) on the pieces p_j
+    of `_file`."""
+    pieces, D = _file(a.terms, odd, alpha, level)
+    if not pieces:
+        return {}, D
+    top = max(pieces)
+    acc = pieces[top]
+    for j in range(top - 1, -1, -1):
+        acc = _add_derivative(pieces.get(j, {}), acc)
+    return acc, D
+
+
+def _to_poly(terms: dict, D: int, q: int, hat: bool) -> SuperPolynomial:
+    """The polynomial sum_m terms[m]/D m, zero coefficients dropped."""
+    if D == 1:
+        return SuperPolynomial({m: Fraction(c) for m, c in terms.items() if c}, q, hat)
+    return SuperPolynomial({m: Fraction(c, D) for m, c in terms.items() if c}, q, hat)
+
+
 def _u_name(a, k, q):
     base = "u" if q == 1 else f"u{a}"
     return base if k == 0 else f"{base}_{k}"
@@ -462,6 +505,12 @@ def _u_name(a, k, q):
 def _theta_name(a, k, q):
     base = "theta" if q == 1 else f"theta{a}"
     return base if k == 0 else f"{base}_{k}"
+
+
+def _theta_free(p: SuperPolynomial) -> bool:
+    """No term of p has an odd factor (true for the zero polynomial).  Unlike
+    `theta_degree() in (0, None)`, this rejects mixed theta-degree."""
+    return not any(odd for _even, odd in p.terms)
 
 
 def superproduct(a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
@@ -497,7 +546,7 @@ class DiffOperator:
         for j, p in coeffs.items():
             if isinstance(p, (int, Fraction)):
                 p = SuperPolynomial.const(p, q, hat)
-            if p.theta_degree() not in (0, None):
+            if not _theta_free(p):
                 raise AlgebraError("operator coefficients must be free of odd coordinates")
             if p:
                 clean[j] = p

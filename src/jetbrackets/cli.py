@@ -11,6 +11,11 @@ Deformation manifests are JSON documents of the form
     {"base": "D: u*del + 1/2*u_1",
      "corrections": {"2": "D: 3/2*del^3"},
      "truncation": 4}
+
+A manifest is user input: a missing or unreadable file, invalid JSON, a
+missing "base" string, a correction that is not an operator string, a
+correction order that is not an integer >= 1, or a truncation that is not an
+integer >= 0 gives `invalid-argument`.
 """
 
 from __future__ import annotations
@@ -107,11 +112,25 @@ def _operator(args, text) -> DiffOperator:
 
 
 def _load_manifest(args, path) -> EpsilonDeformation:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+        raise _InvalidArgument(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("base"), str):
+        raise _InvalidArgument('manifest needs a "base" operator string')
+    table = doc.get("corrections", {})
+    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+        raise _InvalidArgument('manifest "corrections" must map orders to operator strings')
+    try:
+        table = {int(k): v for k, v in table.items()}
+        trunc = int(doc.get("truncation", max(table, default=0)))
+    except (TypeError, ValueError) as exc:
+        raise _InvalidArgument(f"manifest orders must be integers: {exc}") from exc
+    if trunc < 0 or min(table, default=1) < 1:
+        raise _InvalidArgument("manifest correction orders must be at least 1 "
+                               "and its truncation at least 0")
     base = operator_to_bivector(parse_operator(doc["base"], hat=args.hat))
-    table = {int(k): v for k, v in doc.get("corrections", {}).items()}
-    trunc = int(doc.get("truncation", max(table, default=0)))
     corrections = []
     for k in range(1, trunc + 1):
         if k in table:

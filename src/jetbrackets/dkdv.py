@@ -135,6 +135,12 @@ def build_eSE(f: SuperPolynomial, g: SuperPolynomial, n: int):
     coefficients of g; the constraint system is S_k = 0, k = 0..n, and for
     even n the equivalent packed system E_l, l = 0..n/2 (None for odd n).
     """
+    e = _e_data(f, g, n)
+    return e, _s_system(e, n), _e_system(e, n) if n % 2 == 0 else None
+
+
+def _e_data(f: SuperPolynomial, g: SuperPolynomial, n: int):
+    """e_j = F_j - G_j, j = 0..n (see build_eSE)."""
     if f.order() > n or g.order() > n:
         raise AlgebraError("pair has order larger than declared")
     half = Fraction(1, 2)
@@ -150,7 +156,7 @@ def build_eSE(f: SuperPolynomial, g: SuperPolynomial, n: int):
         if j == 0:
             Gj = Gj - g * half
         e.append(Fj - Gj)
-    return e, _s_system(e, n), _e_system(e, n) if n % 2 == 0 else None
+    return e
 
 
 def _s_system(e, n: int):
@@ -226,11 +232,9 @@ class CocyclePair:
     f: SuperPolynomial
     g: SuperPolynomial
     n: int
-    ell: int | None = None
 
     def s_system(self):
-        _e, S, _E = build_eSE(self.f, self.g, self.n)
-        return S
+        return _s_system(_e_data(self.f, self.g, self.n), self.n)
 
     def verify(self) -> bool:
         return all(s.is_zero() for s in self.s_system())
@@ -240,13 +244,13 @@ class _MoveState:
     """Sequential application of the allowed pair modifications
     f += d delta_u(a) + K delta_u(b), g += -d delta_u(b) + K delta_u(c)."""
 
-    def __init__(self, f, g, hat=True):
+    def __init__(self, f, g):
         self.f = f
         self.g = g
-        self.K = _q_operator(hat=hat)
-        self.a = SuperPolynomial.zero(1, hat)
-        self.b = SuperPolynomial.zero(1, hat)
-        self.c = SuperPolynomial.zero(1, hat)
+        self.K = _q_operator(hat=True)
+        self.a = SuperPolynomial.zero(1, True)
+        self.b = SuperPolynomial.zero(1, True)
+        self.c = SuperPolynomial.zero(1, True)
 
     def move(self, a, b, c):
         da = higher_variational_u(a, 1, 0)
@@ -321,7 +325,7 @@ def quasi_step(pair: CocyclePair):
         raise AlgebraError("pair does not satisfy the cocycle equation")
     state = _MoveState(pair.f.to_hat(), pair.g.to_hat())
     _one_reduction(state, n)
-    new_pair = CocyclePair(state.f, state.g, n - 2, pair.ell)
+    new_pair = CocyclePair(state.f, state.g, n - 2)
     if not new_pair.verify():
         raise AssertionError("reduced pair lost the cocycle equation")
     return state.a, state.b, state.c, new_pair
@@ -438,14 +442,14 @@ def _trivialize_pair(f, g, ell0, c1, pencil):
     g = g.to_hat()
     state = _MoveState(f, g)
     n = max(state.f.order(), state.g.order())
-    pair = CocyclePair(state.f, state.g, max(n, 1), ell0)
+    pair = CocyclePair(state.f, state.g, max(n, 1))
     if not pair.verify():
         raise AssertionError("pair fails the cocycle equation before reduction")
     while n > 2:
         N = n if n % 2 == 0 else n + 1
         _one_reduction(state, N)
         n = N - 2
-        if not CocyclePair(state.f, state.g, max(n, 1), ell0).verify():
+        if not CocyclePair(state.f, state.g, max(n, 1)).verify():
             raise AssertionError("reduction lost the cocycle equation")
 
     if ell0 == 1:

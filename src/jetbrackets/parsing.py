@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraError, DiffOperator, SuperPolynomial
+from .algebra import AlgebraError, DiffOperator, SuperPolynomial, _theta_free
 
 
 class ParseError(Exception):
@@ -274,8 +274,8 @@ def parse_operator(text: str, hat: bool = False) -> DiffOperator:
             tok = parser.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[1], ("end",))
-        for j, p in coeffs.items():
-            if p.theta_degree() not in (0, None):
+        for p in coeffs.values():
+            if not _theta_free(p):
                 raise ParseError("operator coefficients must be even", 1)
         return DiffOperator(coeffs, 1, hat)
     except AlgebraError as exc:

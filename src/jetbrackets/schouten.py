@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, DiffOperator, SkewnessError, SuperPolynomial
+from .algebra import AlgebraError, DiffOperator, SkewnessError, SuperPolynomial, _theta_free
 from .variational import (
     MultiVector,
     OperatorMatrix,
@@ -136,7 +136,7 @@ def hydrodynamic_bivector(h, q: int = 1):
         raise AlgebraError("h must be a q x q matrix")
     for row in h:
         for e in row:
-            if e.order() != 0 or e.theta_degree() not in (0, None):
+            if e.order() != 0 or not _theta_free(e):
                 raise AlgebraError("h entries must depend on u only")
     for a in range(q):
         for b in range(q):

@@ -15,28 +15,24 @@ onto normal forms.  For k = 0 the representative is the residue of a
 deterministic integration-by-parts descent.
 
 Every variational derivative (delta_u and delta_theta at every level) and N
-run through one integer kernel, `_variational`.  It clears denominators once
-(D, the lcm of the coefficient denominators), files the partial derivatives
-of all terms under their power of d in a single sweep, evaluates the
-alternating sum p_0 - d(p_1 - d(p_2 - ...)) on int coefficients through the
-algebra layer's table of monomial derivatives, and divides by D once at the
-end (by D k for a canonical representative).  Coefficients are Fractions
-again at the API, and no zero coefficient is ever stored.
+run through the algebra layer's integer derivation kernel,
+`algebra._variational`; N prepends theta_alpha with the sign of
+`algebra._merge_odd`, and a canonical representative divides by D k in the
+one conversion back to Fractions.  No zero coefficient is ever stored.  The
+operator of a bivector B is read off delta_{theta_a} B = sum_b D^{ab} theta_b.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from fractions import Fraction
-from math import comb, lcm
-
 from .algebra import (
-    _DERIV_CACHE,
     AlgebraError,
     DiffOperator,
     SkewnessError,
     SuperPolynomial,
-    _derive_monomial,
+    _merge_odd,
+    _theta_free,
+    _to_poly,
+    _variational,
 )
 
 
@@ -46,65 +42,6 @@ class NotExact(AlgebraError):
     def __init__(self, message, residue=None):
         super().__init__(message)
         self.residue = residue
-
-
-def _variational(a: SuperPolynomial, odd: bool, alpha: int, level: int):
-    """Integer kernel of delta_{level, u^alpha} (odd false) and
-    delta_{level, theta_alpha} (odd true).
-
-    Returns (terms, D): the derivative is sum_m terms[m]/D m, with terms an
-    int dict without zeros and D the lcm of the denominators of a.  One sweep
-    over a.terms files C(level+j, level) times the partial derivative by the
-    coordinate of order level+j of every term under piece j; then
-    p_0 - d(p_1 - d(p_2 - ...)) is evaluated on int dicts through the shared
-    table of monomial derivatives, dropping zeros after each round.
-    """
-    terms = a.terms
-    D = lcm(*(c.denominator for c in terms.values()))
-    pieces: dict = {}
-    for (even, odds), c in terms.items():
-        n = c.numerator * (D // c.denominator)
-        if odd:
-            for i, (b, k) in enumerate(odds):
-                if b != alpha or k < level:
-                    continue
-                v = n * comb(k, level)
-                key = (even, odds[:i] + odds[i + 1:])
-                piece = pieces.setdefault(k - level, {})
-                piece[key] = piece.get(key, 0) + (-v if i & 1 else v)
-        else:
-            for i, ((b, k), e) in enumerate(even):
-                if b != alpha or k < level:
-                    continue
-                if e == 1:
-                    key = (even[:i] + even[i + 1:], odds)
-                else:
-                    key = (even[:i] + (((b, k), e - 1),) + even[i + 1:], odds)
-                piece = pieces.setdefault(k - level, {})
-                piece[key] = piece.get(key, 0) + n * e * comb(k, level)
-    if not pieces:
-        return {}, D
-    cache = _DERIV_CACHE
-    acc: dict = {}
-    for j in range(max(pieces), -1, -1):
-        out = pieces.get(j, {})
-        get = out.get
-        for mono, c in acc.items():
-            ents = cache.get(mono)
-            if ents is None:
-                ents = _derive_monomial(mono)
-                cache[mono] = ents
-            for key, mult in ents:
-                out[key] = get(key, 0) - c * mult
-        acc = {m: c for m, c in out.items() if c}
-    return acc, D
-
-
-def _to_poly(terms: dict, D: int, q: int, hat: bool) -> SuperPolynomial:
-    """The polynomial sum_m terms[m]/D m; terms must be free of zeros."""
-    if D == 1:
-        return SuperPolynomial({m: Fraction(c) for m, c in terms.items()}, q, hat)
-    return SuperPolynomial({m: Fraction(c, D) for m, c in terms.items()}, q, hat)
 
 
 def higher_variational_u(a: SuperPolynomial, alpha: int = 1, level: int = 0) -> SuperPolynomial:
@@ -128,23 +65,20 @@ def variational_derivative(a: SuperPolynomial, slot: str = "u", alpha: int = 1,
 
 
 def _normalize(a: SuperPolynomial):
-    """Integer form (terms, D) of N(a), with theta_alpha prepended to the
-    output of the kernel."""
+    """Integer form (terms, D) of N(a): theta_alpha times the kernel's
+    delta_{theta_alpha} a, summed over alpha."""
     out: dict = {}
     get = out.get
     D = 1
     for alpha in range(1, a.q + 1):
         terms, D = _variational(a, True, alpha, 0)
-        head = (alpha, 0)
+        head = ((alpha, 0),)
         for (even, odds), c in terms.items():
-            # theta_alpha passes the i factors sorted before it (the sign of
-            # _merge_odd) and kills the term if it is already present
-            i = bisect_left(odds, head)
-            if i < len(odds) and odds[i] == head:
-                continue
-            key = (even, odds[:i] + (head,) + odds[i:])
-            out[key] = get(key, 0) + (-c if i & 1 else c)
-    return {m: c for m, c in out.items() if c}, D
+            merged = _merge_odd(head, odds)
+            if merged is not None:
+                key = (even, merged[1])
+                out[key] = get(key, 0) + c * merged[0]
+    return out, D
 
 
 def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
@@ -305,7 +239,7 @@ def decompose_total_derivative(a: SuperPolynomial):
             gk, rk = _decompose_even(comp)
             g, r = g + gk, r + rk
         else:
-            nres = normalize_N(comp) / k
+            nres = canonical_class(comp).rep
             body = comp - nres
             w = _witness_from_N(body, k)
             g, r = g + w, r + nres
@@ -411,7 +345,7 @@ class EvolutionaryVF:
             chars = (chars,)
         self.chars = tuple(chars)
         for c in self.chars:
-            if c.theta_degree() not in (0, None):
+            if not _theta_free(c):
                 raise AlgebraError("characteristics must be even densities")
 
     @property
@@ -549,49 +483,21 @@ def operator_to_bivector(D) -> MultiVector:
 
 
 def bivector_to_operator(B: MultiVector) -> OperatorMatrix:
-    """Inverse of operator_to_bivector on theta-degree-2 classes."""
+    """Inverse of operator_to_bivector on theta-degree-2 classes: row a of the
+    operator is read off delta_{theta_a} B = sum_b D^{ab} theta_b."""
     if B.theta_degree != 2:
         raise AlgebraError("only theta-degree-2 classes correspond to operators")
     q, hat = B.q, B.hat
-    rep = B.rep  # canonical: every term theta_{a,0} theta_{b,k}
-    # raw[a][b][k] collects the coefficient polynomials of theta_{a,0} theta_{b,k}
-    raw = {}
-    for (even, odd), c in rep.terms.items():
-        if len(odd) != 2:
-            raise AlgebraError("not a bivector density")
-        (a1, k1), (a2, k2) = odd
-        coeff = SuperPolynomial({(even, ()): c}, q, hat)
-        if k1 == 0:
-            raw.setdefault((a1, a2, k2), SuperPolynomial.zero(q, hat))
-            raw[(a1, a2, k2)] = raw[(a1, a2, k2)] + coeff
-            if k2 == 0:
-                # theta_{a,0} theta_{b,0}: also readable in the other order
-                raw.setdefault((a2, a1, 0), SuperPolynomial.zero(q, hat))
-                raw[(a2, a1, 0)] = raw[(a2, a1, 0)] - coeff
-        elif k2 == 0:
-            raw.setdefault((a2, a1, k1), SuperPolynomial.zero(q, hat))
-            raw[(a2, a1, k1)] = raw[(a2, a1, k1)] - coeff
-        else:
-            raise AlgebraError("canonical bivector representative expected")
-    zero_op = DiffOperator.zero(q, hat)
-    entries = [[zero_op for _ in range(q)] for _ in range(q)]
+    entries = []
     for a in range(1, q + 1):
-        for b in range(a, q + 1):
-            # higher coefficients P_k, k >= 1, read off directly
-            coeffs = {k: raw[(a, b, k)] * 2 for (x, y, k) in raw if x == a and y == b and k >= 1}
-            Dab = DiffOperator(coeffs, q, hat)
-            # tail = sum_k (-1)^k d^k P_k, the order-0 part of the adjoint
-            tail = Dab.adjoint().coeffs.get(0, SuperPolynomial.zero(q, hat))
-            if a == b:
-                # P_0 from skew-adjointness of the diagonal entry
-                entries[a - 1][a - 1] = Dab + DiffOperator({0: -tail / 2}, q, hat)
-            else:
-                # the visible order-0 part is (P^{ab}_0 - P^{ba}_0)/2 and
-                # (D^{ab})* = -D^{ba} fixes the split
-                c0 = raw.get((a, b, 0), SuperPolynomial.zero(q, hat))
-                Dab = Dab + DiffOperator({0: c0 - tail / 2}, q, hat)
-                entries[a - 1][b - 1] = Dab
-                entries[b - 1][a - 1] = -Dab.adjoint()
+        row = [{} for _ in range(q)]  # row[b - 1][j]: terms of D^{ab}_j
+        for (even, odd), c in higher_variational_theta(B.rep, a).terms.items():
+            if len(odd) != 1:
+                raise AlgebraError("not a bivector density")
+            b, j = odd[0]
+            row[b - 1].setdefault(j, {})[(even, ())] = c
+        entries.append([DiffOperator({j: SuperPolynomial(t, q, hat) for j, t in coeffs.items()},
+                                     q, hat) for coeffs in row])
     M = OperatorMatrix(entries)
     if not M.is_skew_adjoint():
         raise SkewnessError("reconstructed operator is not skew-adjoint")

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from jetbrackets import SuperPolynomial as SP
+from jetbrackets.algebra import _derive_monomial
 
 # property tests draw a fixed example sequence (derandomized, no example
 # database), so every run checks the same cases in bounded time
@@ -49,3 +50,101 @@ def rand_homogeneous(rng, theta_degree, degree, max_order=None, max_udeg=3,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+_DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10])
+
+
+@st.composite
+def densities(draw, min_theta_degree=0, max_theta_degree=3, q=None, hat=None):
+    """A density of uniform theta-degree (up to 3) over q = 1 or 2, hat
+    (Laurent in u_1) or not, with coefficients over mixed denominators and
+    jet orders 0-4.  q and hat are drawn unless given."""
+    if q is None:
+        q = draw(st.sampled_from([1, 2]))
+    if hat is None:
+        hat = q == 1 and draw(st.booleans())
+    k = draw(st.integers(min_theta_degree, max_theta_degree))
+    a = SP.zero(q, hat)
+    for _ in range(draw(st.integers(0, 5))):
+        num = draw(st.integers(-7, 7).filter(bool))
+        m = SP.const(Fraction(num, draw(_DENOMINATORS)), q, hat)
+        for _ in range(draw(st.integers(0, 3))):
+            m = m * SP.u(draw(st.integers(0, 4)), draw(st.integers(1, q)), 1, q, hat)
+        if hat and draw(st.booleans()):
+            m = m * SP.u(1, 1, -draw(st.integers(1, 3)), q, hat)
+        odd = draw(st.lists(st.tuples(st.integers(1, q), st.integers(0, 4)),
+                            min_size=k, max_size=k, unique=True))
+        for alpha, j in odd:
+            m = m * SP.theta(j, alpha, q, hat)
+        a = a + m
+    return a
+
+
+def assert_same(got, want):
+    assert got == want
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# Reference derivations: the Fraction loops the ring used before its
+# derivations went through the integer kernel, frozen here so that the
+# differential tests never compare the kernel with itself.  The monomial
+# derivatives are recomputed on every call, without the kernel's cache.
+# ---------------------------------------------------------------------------
+
+def ref_partial_u(p, k, alpha=1):
+    coord = (alpha, k)
+    out = {}
+    for (even, odd), c in p.terms.items():
+        for i, (co, e) in enumerate(even):
+            if co == coord:
+                ne = e - 1
+                if ne:
+                    new_even = even[:i] + ((co, ne),) + even[i + 1:]
+                else:
+                    new_even = even[:i] + even[i + 1:]
+                key = (new_even, odd)
+                s = out.get(key, Fraction(0)) + c * e
+                if s:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
+                break
+    return SP(out, p.q, p.hat)
+
+
+def ref_partial_theta(p, k, alpha=1):
+    coord = (alpha, k)
+    out = {}
+    for (even, odd), c in p.terms.items():
+        for i, co in enumerate(odd):
+            if co == coord:
+                sign = -1 if i & 1 else 1
+                key = (even, odd[:i] + odd[i + 1:])
+                s = out.get(key, Fraction(0)) + c * sign
+                if s:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
+                break
+    return SP(out, p.q, p.hat)
+
+
+def ref_total_derivative(p):
+    out = {}
+    for mono, c in p.terms.items():
+        for key, mult in _derive_monomial(mono):
+            s = out.get(key)
+            s = c * mult if s is None else s + c * mult
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return SP(out, p.q, p.hat)
+
+
+def ref_dx(p, n=1):
+    for _ in range(n):
+        p = ref_total_derivative(p)
+    return p

@@ -11,7 +11,17 @@ from jetbrackets import (
     adjoint,
     grading_info,
 )
-from conftest import rand_density
+from hypothesis import given
+
+from conftest import (
+    assert_same,
+    densities,
+    rand_density,
+    ref_dx,
+    ref_partial_theta,
+    ref_partial_u,
+    ref_total_derivative,
+)
 
 
 u = SP.u(0)
@@ -116,6 +126,34 @@ class TestDerivations:
             assert lhs == rhs
 
 
+class TestDerivationsAgainstFractionLoops:
+    """The kernel wrappers against the frozen Fraction loops, on densities
+    over q = 1 and 2, hat and non-hat; order 5 is absent from every draw."""
+
+    @given(densities())
+    def test_partials(self, a):
+        for alpha in range(1, a.q + 1):
+            for k in range(6):
+                assert_same(a.partial_u(k, alpha), ref_partial_u(a, k, alpha))
+                assert_same(a.partial_theta(k, alpha), ref_partial_theta(a, k, alpha))
+
+    @given(densities())
+    def test_total_derivative_and_powers(self, a):
+        assert_same(a.total_derivative(), ref_total_derivative(a))
+        for n in range(4):
+            assert_same(a.dx(n), ref_dx(a, n))
+
+    @given(densities())
+    def test_total_derivative_is_the_chain_rule(self, a):
+        # d = sum over coordinates of (lifted coordinate) * (partial by it)
+        want = SP.zero(a.q, a.hat)
+        for alpha in range(1, a.q + 1):
+            for k in range(6):
+                want = want + SP.u(k + 1, alpha, 1, a.q, a.hat) * ref_partial_u(a, k, alpha)
+                want = want + SP.theta(k + 1, alpha, a.q, a.hat) * ref_partial_theta(a, k, alpha)
+        assert_same(a.total_derivative(), want)
+
+
 class TestGrading:
     def test_examples(self):
         p = SP.u(2, hat=True) ** 2 * SP.u(1, power=-2, hat=True)
@@ -172,3 +210,7 @@ class TestDiffOperator:
     def test_rejects_odd_coefficients(self):
         with pytest.raises(AlgebraError):
             DiffOperator({1: th})
+
+    def test_rejects_mixed_coefficients(self):
+        with pytest.raises(AlgebraError, match="free of odd coordinates"):
+            DiffOperator({0: u + th})

@@ -72,6 +72,10 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_operator("D: del*u")
 
+    def test_operator_rejects_mixed_coefficient(self):
+        with pytest.raises(ParseError, match="operator coefficients must be even"):
+            parse_operator("D: (u + theta)*del")
+
     def test_print_parse_round_trip(self, rng):
         for _ in range(30):
             p = rand_density(rng, rng.randint(0, 2), max_order=3, hat=True,
@@ -229,6 +233,28 @@ class TestCLI:
         assert main(argv) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["error"]["code"] == "invalid-argument"
+
+    @pytest.mark.parametrize("command", [
+        ["obstruction"],
+        ["miura-push", "--x", "u_1"],
+    ], ids=["obstruction", "miura-push"])
+    @pytest.mark.parametrize("content", [
+        '{"corrections": {"2": "D: 3/2*del^3"}, "truncation": 4}',
+        '{"base": "D: del", "corrections": {"two": "D: del^3"}}',
+        '{"base": "D: del",',
+        None,
+        '{"base": "D: del", "truncation": -2}',
+        '{"base": "D: del", "corrections": {"0": "D: del^3"}}',
+    ], ids=["no-base", "non-integer-order", "invalid-json", "missing-file",
+            "negative-truncation", "order-zero"])
+    def test_malformed_manifest_is_invalid_argument(self, capsys, tmp_path, command, content):
+        man = tmp_path / "manifest.json"
+        if content is not None:
+            man.write_text(content)
+        assert main([command[0], str(man)] + command[1:]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["code"] == "invalid-argument"
+        assert "Traceback" not in captured.err
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         import jetbrackets.cli as cli

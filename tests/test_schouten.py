@@ -212,6 +212,10 @@ class TestHydrodynamic:
         with pytest.raises(AlgebraError):
             hydrodynamic_bivector(0)
 
+    def test_mixed_entry_rejected(self):
+        with pytest.raises(AlgebraError, match="depend on u only"):
+            hydrodynamic_bivector(u + th)
+
     def test_quadratic_metric_is_hamiltonian(self):
         B, M, _gamma, flat = hydrodynamic_bivector(u * u)
         assert flat

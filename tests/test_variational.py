@@ -22,8 +22,29 @@ from jetbrackets import (
 from hypothesis import given, strategies as st
 
 from jetbrackets.algebra import SkewnessError
-from jetbrackets.variational import OperatorMatrix
-from conftest import rand_density
+from jetbrackets.variational import MultiVector, OperatorMatrix
+from conftest import (
+    assert_same,
+    densities,
+    rand_density,
+    ref_dx,
+    ref_partial_theta,
+    ref_partial_u,
+    ref_total_derivative,
+)
+
+
+@st.composite
+def skew_operators(draw):
+    """A random skew-adjoint q x q operator matrix A - A^* of order <= 3,
+    q = 1 or 2, hat included."""
+    q = draw(st.sampled_from([1, 2]))
+    hat = q == 1 and draw(st.booleans())
+    coeff = densities(max_theta_degree=0, q=q, hat=hat)
+    A = [[DiffOperator({j: draw(coeff) for j in range(draw(st.integers(0, 4)))}, q, hat)
+          for _b in range(q)] for _a in range(q)]
+    return OperatorMatrix([[A[a][b] - A[b][a].adjoint() for b in range(q)]
+                           for a in range(q)])
 
 
 u = SP.u(0)
@@ -169,6 +190,11 @@ class TestEvolutionaryVF:
         X = vf_from_density(s.total_derivative() * th1)
         assert X.chars[0] == -(2 * u * u1).total_derivative()
 
+    def test_mixed_characteristic_rejected(self):
+        from jetbrackets import EvolutionaryVF
+        with pytest.raises(AlgebraError, match="characteristics must be even"):
+            EvolutionaryVF(u + th)
+
     def test_apply_is_derivation(self, rng):
         from jetbrackets import EvolutionaryVF
         X = EvolutionaryVF(u * u1)
@@ -235,6 +261,26 @@ class TestOperatorDictionary:
         B = operator_to_bivector(M)
         assert bivector_to_operator(B) == M
 
+    def test_non_canonical_representative_rejected(self):
+        with pytest.raises(AlgebraError):
+            bivector_to_operator(MultiVector(u * th1 * th2, 2))
+
+    @given(skew_operators())
+    def test_round_trip_from_random_skew_operator(self, D):
+        assert D.is_skew_adjoint()
+        if all(e.is_zero() for row in D.entries for e in row):
+            return
+        assert bivector_to_operator(operator_to_bivector(D)) == D
+
+    @given(densities(min_theta_degree=2, max_theta_degree=2))
+    def test_round_trip_from_random_class(self, a):
+        B = canonical_class(a)
+        if B.is_zero():
+            return
+        M = bivector_to_operator(B)
+        assert M.q == a.q and M.hat == a.hat
+        assert operator_to_bivector(M) == B
+
     def test_round_trip_q2_with_order_zero(self):
         one = SP.const(1, q=2)
         u2v = SP.u(1, alpha=2, q=2)
@@ -253,7 +299,7 @@ class TestOperatorDictionary:
 def _ref_nested_alternating(pieces):
     acc = None
     for p in reversed(pieces):
-        acc = p if acc is None else p - acc.total_derivative()
+        acc = p if acc is None else p - ref_total_derivative(acc)
     return acc
 
 
@@ -263,9 +309,9 @@ def _ref_delta(a, odd, alpha, level):
     top = a.order() - level
     if top < 0:
         return SP.zero(a.q, a.hat)
-    partial = a.partial_theta if odd else a.partial_u
+    partial = ref_partial_theta if odd else ref_partial_u
     return _ref_nested_alternating(
-        [partial(level + j, alpha) * comb(level + j, level) for j in range(top + 1)])
+        [partial(a, level + j, alpha) * comb(level + j, level) for j in range(top + 1)])
 
 
 def _ref_normalize_N(a):
@@ -277,50 +323,19 @@ def _ref_normalize_N(a):
     return out
 
 
-_DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10])
-
-
-@st.composite
-def densities(draw, min_theta_degree=0, max_theta_degree=3):
-    """A density of uniform theta-degree (up to 3) over q = 1 or 2, hat
-    (Laurent in u_1) or not, with coefficients over mixed denominators."""
-    q = draw(st.sampled_from([1, 2]))
-    hat = q == 1 and draw(st.booleans())
-    k = draw(st.integers(min_theta_degree, max_theta_degree))
-    a = SP.zero(q, hat)
-    for _ in range(draw(st.integers(0, 5))):
-        num = draw(st.integers(-7, 7).filter(bool))
-        m = SP.const(Fraction(num, draw(_DENOMINATORS)), q, hat)
-        for _ in range(draw(st.integers(0, 3))):
-            m = m * SP.u(draw(st.integers(0, 4)), draw(st.integers(1, q)), 1, q, hat)
-        if hat and draw(st.booleans()):
-            m = m * SP.u(1, 1, -draw(st.integers(1, 3)), q, hat)
-        odd = draw(st.lists(st.tuples(st.integers(1, q), st.integers(0, 4)),
-                            min_size=k, max_size=k, unique=True))
-        for alpha, j in odd:
-            m = m * SP.theta(j, alpha, q, hat)
-        a = a + m
-    return a
-
-
-def _assert_same(got, want):
-    assert got == want
-    assert all(type(c) is Fraction for c in got.terms.values())
-
-
 class TestKernelAgainstFractionFormulas:
     @given(densities())
     def test_higher_variational_derivatives(self, a):
         for alpha in range(1, a.q + 1):
             for level in range(4):
-                _assert_same(higher_variational_u(a, alpha, level),
-                             _ref_delta(a, False, alpha, level))
-                _assert_same(higher_variational_theta(a, alpha, level),
-                             _ref_delta(a, True, alpha, level))
+                assert_same(higher_variational_u(a, alpha, level),
+                            _ref_delta(a, False, alpha, level))
+                assert_same(higher_variational_theta(a, alpha, level),
+                            _ref_delta(a, True, alpha, level))
 
     @given(densities())
     def test_normalize_N(self, a):
-        _assert_same(normalize_N(a), _ref_normalize_N(a))
+        assert_same(normalize_N(a), _ref_normalize_N(a))
 
     @given(densities(min_theta_degree=1))
     def test_canonical_class(self, a):
@@ -329,7 +344,7 @@ class TestKernelAgainstFractionFormulas:
         k = a.theta_degree()
         got = canonical_class(a)
         assert got.theta_degree == k
-        _assert_same(got.rep, _ref_normalize_N(a) / k)
+        assert_same(got.rep, _ref_normalize_N(a) / k)
 
     @given(densities())
     def test_total_derivatives_are_null(self, a):
@@ -359,7 +374,7 @@ class TestKernelAgainstFractionFormulas:
         t = [[SP.theta(j, alpha, 2) for j in range(2)] for alpha in (1, 2)]
         a = u2 * t[0][0] * t[1][1] - u2 * t[0][1] * t[1][0]
         n = normalize_N(a)
-        _assert_same(n, _ref_normalize_N(a))
+        assert_same(n, _ref_normalize_N(a))
         assert all(c != 0 for c in n.terms.values())
 
 
@@ -370,9 +385,9 @@ def _ref_vf_chars(a):
     for alpha in range(1, a.q + 1):
         c = SP.zero(a.q, a.hat)
         for j in range(a.order() + 1):
-            f = a.partial_theta(j, alpha)
+            f = ref_partial_theta(a, j, alpha)
             if f:
-                f = f.dx(j)
+                f = ref_dx(f, j)
                 c = c + (-f if j & 1 else f)
         chars.append(c)
     return chars
@@ -387,4 +402,4 @@ class TestVectorFieldAgainstPartialThetaLoop:
         want = _ref_vf_chars(a)
         assert len(X.chars) == len(want) == a.q
         for got, w in zip(X.chars, want):
-            _assert_same(got, w)
+            assert_same(got, w)
