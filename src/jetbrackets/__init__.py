@@ -17,7 +17,6 @@ from .variational import (
     EvolutionaryVF,
     MultiVector,
     NotExact,
-    OperatorMatrix,
     antidiff_square,
     bivector_to_operator,
     canonical_class,

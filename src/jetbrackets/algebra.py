@@ -1,13 +1,12 @@
 """Exact arithmetic in the free superalgebra of differential polynomials.
 
-The ring has even generators u^a_k (jet variables, a = 1..q, k >= 0) and odd
-generators theta_{a,k}.  Coefficients are exact rationals.  In *hat* mode
-(q = 1 only) Laurent powers of u_1 are permitted, nothing else may be
-inverted.
+The ring has one dependent variable: even generators u_k (jet variables,
+k >= 0) and odd generators theta_k.  Coefficients are exact rationals.  In
+*hat* mode Laurent powers of u_1 are permitted, nothing else may be inverted.
 
 Monomials are stored in a normal form: the even part is a sorted tuple of
-((a, k), exponent) pairs with nonzero exponents, the odd part a strictly
-increasing tuple of (a, k).  All signs coming from sorting odd factors are
+((1, k), exponent) pairs with nonzero exponents, the odd part a strictly
+increasing tuple of (1, k).  All signs coming from sorting odd factors are
 absorbed into the coefficients, so equality of polynomials is equality of
 dictionaries.  Odd partial derivatives are left derivations.
 
@@ -30,7 +29,7 @@ class AlgebraError(Exception):
 
 
 class IncompatibleAlgebras(AlgebraError):
-    """Operands live in different rings (q or hat flag mismatch)."""
+    """Operands live in different rings: one is in hat mode, the other not."""
 
 
 class UndefinedGrading(AlgebraError):
@@ -40,8 +39,6 @@ class UndefinedGrading(AlgebraError):
 class SkewnessError(AlgebraError):
     """An operator required to be skew-adjoint is not."""
 
-
-Coord = tuple[int, int]  # (alpha, k)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -53,6 +50,11 @@ def _coerce(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+
+
+def _only_one_component(q) -> None:
+    if q != 1 or isinstance(q, bool):
+        raise AlgebraError(f"the ring has one dependent variable; q = {q!r} is not supported")
 
 
 def _merge_odd(o1: tuple, o2: tuple):
@@ -89,50 +91,53 @@ def _merge_odd(o1: tuple, o2: tuple):
 class SuperPolynomial:
     """Sparse differential superpolynomial with exact rational coefficients."""
 
-    __slots__ = ("terms", "q", "hat")
+    __slots__ = ("terms", "hat")
 
-    def __init__(self, terms=None, q: int = 1, hat: bool = False):
+    def __init__(self, terms=None, *, hat: bool = False):
         self.terms = dict(terms) if terms else {}
-        self.q = q
         self.hat = hat
 
     # -- constructors ------------------------------------------------------
 
+    # zero and const keep a positional q that accepts only 1, because the
+    # benchmark's workloads call zero(1, hat) and const(c, 1, hat); the shim
+    # goes once they no longer do.
+
     @classmethod
     def zero(cls, q=1, hat=False):
-        return cls({}, q, hat)
+        _only_one_component(q)
+        return cls(hat=hat)
 
     @classmethod
     def const(cls, c, q=1, hat=False):
+        _only_one_component(q)
         c = _coerce(c)
         if c == 0:
-            return cls({}, q, hat)
-        return cls({((), ()): c}, q, hat)
+            return cls(hat=hat)
+        return cls({((), ()): c}, hat=hat)
 
     @classmethod
-    def u(cls, k=0, alpha=1, power=1, q=1, hat=False):
-        if k < 0 or not (1 <= alpha <= q):
-            raise AlgebraError(f"invalid jet coordinate u^{alpha}_{k}")
+    def u(cls, k=0, *, power=1, hat=False):
+        if k < 0:
+            raise AlgebraError(f"invalid jet coordinate u_{k}")
         if power == 0:
-            return cls.const(1, q, hat)
-        if power < 0 and not (hat and q == 1 and alpha == 1 and k == 1):
+            return cls.const(1, hat=hat)
+        if power < 0 and not (hat and k == 1):
             raise AlgebraError("negative powers are only allowed for u_1 in hat mode")
-        return cls({((((alpha, k), power),), ()): _ONE}, q, hat)
+        return cls({((((1, k), power),), ()): _ONE}, hat=hat)
 
     @classmethod
-    def theta(cls, k=0, alpha=1, q=1, hat=False):
-        if k < 0 or not (1 <= alpha <= q):
-            raise AlgebraError(f"invalid odd coordinate theta_{alpha},{k}")
-        return cls({((), ((alpha, k),)): _ONE}, q, hat)
+    def theta(cls, k=0, *, hat=False):
+        if k < 0:
+            raise AlgebraError(f"invalid odd coordinate theta_{k}")
+        return cls({((), ((1, k),)): _ONE}, hat=hat)
 
     # -- ring structure ----------------------------------------------------
 
     def _check_compatible(self, other: "SuperPolynomial"):
-        if self.q != other.q or self.hat != other.hat:
+        if self.hat != other.hat:
             raise IncompatibleAlgebras(
-                f"operands live in different algebras: q={self.q},hat={self.hat} "
-                f"vs q={other.q},hat={other.hat}"
-            )
+                f"operands live in different algebras: hat={self.hat} vs hat={other.hat}")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -142,17 +147,17 @@ class SuperPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SuperPolynomial.const(other, self.q, self.hat)
+            other = SuperPolynomial.const(other, hat=self.hat)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return self.q == other.q and self.hat == other.hat and self.terms == other.terms
+        return self.hat == other.hat and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.q, self.hat, frozenset(self.terms.items())))
+        return hash((self.hat, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SuperPolynomial.const(other, self.q, self.hat)
+            other = SuperPolynomial.const(other, hat=self.hat)
         self._check_compatible(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -161,16 +166,16 @@ class SuperPolynomial:
                 terms[m] = s
             elif m in terms:
                 del terms[m]
-        return SuperPolynomial(terms, self.q, self.hat)
+        return SuperPolynomial(terms, hat=self.hat)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPolynomial({m: -c for m, c in self.terms.items()}, self.q, self.hat)
+        return SuperPolynomial({m: -c for m, c in self.terms.items()}, hat=self.hat)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SuperPolynomial.const(other, self.q, self.hat)
+            other = SuperPolynomial.const(other, hat=self.hat)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -180,8 +185,8 @@ class SuperPolynomial:
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if c == 0:
-                return SuperPolynomial.zero(self.q, self.hat)
-            return SuperPolynomial({m: cc * c for m, cc in self.terms.items()}, self.q, self.hat)
+                return SuperPolynomial.zero(hat=self.hat)
+            return SuperPolynomial({m: cc * c for m, cc in self.terms.items()}, hat=self.hat)
         self._check_compatible(other)
         out: dict = {}
         for (e1, o1), c1 in self.terms.items():
@@ -208,7 +213,7 @@ class SuperPolynomial:
                     out[key] = s
                 elif key in out:
                     del out[key]
-        return SuperPolynomial(out, self.q, self.hat)
+        return SuperPolynomial(out, hat=self.hat)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -224,32 +229,35 @@ class SuperPolynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("only nonnegative integer powers of polynomials")
-        out = SuperPolynomial.const(1, self.q, self.hat)
+        out = SuperPolynomial.const(1, hat=self.hat)
         for _ in range(n):
             out = out * self
         return out
 
     # -- derivations -------------------------------------------------------
 
-    def partial_u(self, k: int, alpha: int = 1) -> "SuperPolynomial":
-        """Partial derivative with respect to the jet variable u^alpha_k."""
-        pieces, D = _file(self.terms, False, alpha, k, k)
-        return _to_poly(pieces.get(0, {}), D, self.q, self.hat)
+    def partial_u(self, k: int) -> "SuperPolynomial":
+        """Partial derivative with respect to the jet variable u_k."""
+        pieces, D = _file(self.terms, False, k, k)
+        return _to_poly(pieces.get(0, {}), D, self.hat)
 
-    def partial_theta(self, k: int, alpha: int = 1) -> "SuperPolynomial":
-        """Left graded derivative with respect to theta_{alpha,k}."""
-        pieces, D = _file(self.terms, True, alpha, k, k)
-        return _to_poly(pieces.get(0, {}), D, self.q, self.hat)
+    def partial_theta(self, k: int) -> "SuperPolynomial":
+        """Left graded derivative with respect to theta_k."""
+        pieces, D = _file(self.terms, True, k, k)
+        return _to_poly(pieces.get(0, {}), D, self.hat)
 
     def total_derivative(self) -> "SuperPolynomial":
-        """The total derivative: u^a_k -> u^a_{k+1}, theta_{a,k} -> theta_{a,k+1}."""
+        """The total derivative: u_k -> u_{k+1}, theta_k -> theta_{k+1}."""
         return self.dx(1)
 
     def dx(self, n: int = 1) -> "SuperPolynomial":
+        """The n-th total derivative, n >= 0."""
+        if n < 0:
+            raise AlgebraError(f"the power of the total derivative must be nonnegative, got {n}")
         terms, D = _scaled(self.terms)
         for _ in range(n):
             terms = _add_derivative({}, terms)
-        return _to_poly(terms, D, self.q, self.hat)
+        return _to_poly(terms, D, self.hat)
 
     # -- gradings ----------------------------------------------------------
 
@@ -278,7 +286,7 @@ class SuperPolynomial:
         return None
 
     def degree(self):
-        """Uniform homogeneity degree (deg u^a_k = deg theta_{a,k} = k,
+        """Uniform homogeneity degree (deg u_k = deg theta_k = k,
         deg u_1^{-1} = -1), or None if inhomogeneous."""
         degs = {self._mono_degree(m) for m in self.terms}
         if len(degs) == 1:
@@ -306,20 +314,20 @@ class SuperPolynomial:
         comps: dict = {}
         for m, c in self.terms.items():
             comps.setdefault(self._mono_degree(m), {})[m] = c
-        return {d: SuperPolynomial(t, self.q, self.hat) for d, t in sorted(comps.items())}
+        return {d: SuperPolynomial(t, hat=self.hat) for d, t in sorted(comps.items())}
 
     def theta_components(self) -> dict:
         comps: dict = {}
         for m, c in self.terms.items():
             comps.setdefault(len(m[1]), {})[m] = c
-        return {k: SuperPolynomial(t, self.q, self.hat) for k, t in sorted(comps.items())}
+        return {k: SuperPolynomial(t, hat=self.hat) for k, t in sorted(comps.items())}
 
     # -- coefficient extraction --------------------------------------------
 
-    def coefficient_layers(self, k: int, alpha: int = 1) -> dict:
-        """Collect by the exponent of u^alpha_k: exponent -> polynomial free
-        of that variable."""
-        coord = (alpha, k)
+    def coefficient_layers(self, k: int) -> dict:
+        """Collect by the exponent of u_k: exponent -> polynomial free of
+        that variable."""
+        coord = (1, k)
         layers: dict = {}
         for (even, odd), c in self.terms.items():
             e = 0
@@ -330,11 +338,11 @@ class SuperPolynomial:
                     rest = even[:i] + even[i + 1:]
                     break
             layers.setdefault(e, {})[(rest, odd)] = c
-        return {e: SuperPolynomial(t, self.q, self.hat) for e, t in sorted(layers.items())}
+        return {e: SuperPolynomial(t, hat=self.hat) for e, t in sorted(layers.items())}
 
-    def max_u_power(self, alpha: int = 1) -> int:
-        """Largest exponent of the undifferentiated u^alpha."""
-        coord = (alpha, 0)
+    def max_u_power(self) -> int:
+        """Largest exponent of the undifferentiated u."""
+        coord = (1, 0)
         best = 0
         for (even, _odd) in self.terms:
             for co, e in even:
@@ -345,9 +353,7 @@ class SuperPolynomial:
     def to_hat(self) -> "SuperPolynomial":
         if self.hat:
             return self
-        if self.q != 1:
-            raise AlgebraError("hat mode is restricted to q = 1")
-        return SuperPolynomial(self.terms, 1, True)
+        return SuperPolynomial(self.terms, hat=True)
 
     # -- printing ----------------------------------------------------------
 
@@ -360,11 +366,11 @@ class SuperPolynomial:
         parts = []
         for (even, odd), c in self.sorted_terms():
             factors = []
-            for (a, k), e in even:
-                name = _u_name(a, k, self.q)
+            for (_, k), e in even:
+                name = _name("u", k)
                 factors.append(name if e == 1 else f"{name}^{e}")
-            for (a, k) in odd:
-                factors.append(_theta_name(a, k, self.q))
+            for (_, k) in odd:
+                factors.append(_name("theta", k))
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -379,8 +385,7 @@ class SuperPolynomial:
         return out
 
     def __repr__(self):
-        flags = f", q={self.q}" if self.q != 1 else ""
-        flags += ", hat=True" if self.hat else ""
+        flags = ", hat=True" if self.hat else ""
         return f"SuperPolynomial({self}{flags})"
 
 
@@ -443,44 +448,46 @@ def _scaled(terms: dict):
     return {m: c.numerator * (D // c.denominator) for m, c in terms.items()}, D
 
 
-def _file(terms: dict, odd: bool, alpha: int, lo: int, hi: float = inf):
+def _file(terms: dict, odd: bool, lo: int, hi: float = inf):
     """The filing sweep.  Returns (pieces, D): D is the lcm of the
     denominators of terms, and pieces[j] is the int dict of
-    (-1)^j C(lo+j, lo) D times the partial derivative of terms by
-    u^alpha_{lo+j} (odd false) or theta_{alpha,lo+j} (odd true, a left
-    derivative), for lo+j <= hi."""
+    (-1)^j C(lo+j, lo) D times the partial derivative of terms by u_{lo+j}
+    (odd false) or theta_{lo+j} (odd true, a left derivative), for
+    lo+j <= hi."""
     D = lcm(*(c.denominator for c in terms.values()))
     pieces: dict = {}
     for (even, odds), c in terms.items():
         n = c.numerator * (D // c.denominator)
         if odd:
-            for i, (b, k) in enumerate(odds):
-                if b != alpha or not lo <= k <= hi:
+            for i, (_, k) in enumerate(odds):
+                if not lo <= k <= hi:
                     continue
                 v = n * comb(k, lo)
                 key = (even, odds[:i] + odds[i + 1:])
                 piece = pieces.setdefault(k - lo, {})
                 piece[key] = piece.get(key, 0) + (-v if (i + k - lo) & 1 else v)
         else:
-            for i, ((b, k), e) in enumerate(even):
-                if b != alpha or not lo <= k <= hi:
+            for i, (co, e) in enumerate(even):
+                k = co[1]
+                if not lo <= k <= hi:
                     continue
                 v = n * e * comb(k, lo)
                 if e == 1:
                     key = (even[:i] + even[i + 1:], odds)
                 else:
-                    key = (even[:i] + (((b, k), e - 1),) + even[i + 1:], odds)
+                    key = (even[:i] + ((co, e - 1),) + even[i + 1:], odds)
                 piece = pieces.setdefault(k - lo, {})
                 piece[key] = piece.get(key, 0) + (-v if (k - lo) & 1 else v)
     return pieces, D
 
 
-def _variational(a: SuperPolynomial, odd: bool, alpha: int, level: int):
-    """Integer kernel of delta_{level, u^alpha} (odd false) or
-    delta_{level, theta_alpha} (odd true): (terms, D) with the derivative
-    sum_m terms[m]/D m, evaluated as p_0 + d(p_1 + d(...)) on the pieces p_j
-    of `_file`."""
-    pieces, D = _file(a.terms, odd, alpha, level)
+def _variational(a: SuperPolynomial, odd: bool, level: int):
+    """Integer kernel of delta_{level, u} (odd false) or delta_{level, theta}
+    (odd true), level >= 0: (terms, D) with the derivative sum_m terms[m]/D m,
+    evaluated as p_0 + d(p_1 + d(...)) on the pieces p_j of `_file`."""
+    if level < 0:
+        raise AlgebraError(f"the level of a variational derivative must be nonnegative, got {level}")
+    pieces, D = _file(a.terms, odd, level)
     if not pieces:
         return {}, D
     top = max(pieces)
@@ -490,20 +497,14 @@ def _variational(a: SuperPolynomial, odd: bool, alpha: int, level: int):
     return acc, D
 
 
-def _to_poly(terms: dict, D: int, q: int, hat: bool) -> SuperPolynomial:
+def _to_poly(terms: dict, D: int, hat: bool) -> SuperPolynomial:
     """The polynomial sum_m terms[m]/D m, zero coefficients dropped."""
     if D == 1:
-        return SuperPolynomial({m: Fraction(c) for m, c in terms.items() if c}, q, hat)
-    return SuperPolynomial({m: Fraction(c, D) for m, c in terms.items() if c}, q, hat)
+        return SuperPolynomial({m: Fraction(c) for m, c in terms.items() if c}, hat=hat)
+    return SuperPolynomial({m: Fraction(c, D) for m, c in terms.items() if c}, hat=hat)
 
 
-def _u_name(a, k, q):
-    base = "u" if q == 1 else f"u{a}"
-    return base if k == 0 else f"{base}_{k}"
-
-
-def _theta_name(a, k, q):
-    base = "theta" if q == 1 else f"theta{a}"
+def _name(base, k):
     return base if k == 0 else f"{base}_{k}"
 
 
@@ -522,12 +523,12 @@ def total_derivative(a: SuperPolynomial) -> SuperPolynomial:
     return a.total_derivative()
 
 
-def partial_derivative(a: SuperPolynomial, kind: str, k: int, alpha: int = 1) -> SuperPolynomial:
+def partial_derivative(a: SuperPolynomial, kind: str, k: int) -> SuperPolynomial:
     """Partial derivative; kind is "u" or "theta"."""
     if kind == "u":
-        return a.partial_u(k, alpha)
+        return a.partial_u(k)
     if kind == "theta":
-        return a.partial_theta(k, alpha)
+        return a.partial_theta(k)
     raise AlgebraError(f"unknown coordinate kind {kind!r}")
 
 
@@ -536,31 +537,32 @@ def grading_info(a: SuperPolynomial):
 
 
 class DiffOperator:
-    """A one-component differential operator sum_j P_j d^j with theta-free
+    """A differential operator sum_j P_j d^j, j >= 0, with theta-free
     polynomial coefficients."""
 
-    __slots__ = ("coeffs", "q", "hat")
+    __slots__ = ("coeffs", "hat")
 
-    def __init__(self, coeffs: dict, q: int = 1, hat: bool = False):
+    def __init__(self, coeffs: dict, *, hat: bool = False):
         clean = {}
         for j, p in coeffs.items():
+            if j < 0:
+                raise AlgebraError(f"operator orders must be nonnegative, got {j}")
             if isinstance(p, (int, Fraction)):
-                p = SuperPolynomial.const(p, q, hat)
+                p = SuperPolynomial.const(p, hat=hat)
             if not _theta_free(p):
                 raise AlgebraError("operator coefficients must be free of odd coordinates")
             if p:
                 clean[j] = p
         self.coeffs = clean
-        self.q = q
         self.hat = hat
 
     @classmethod
-    def zero(cls, q=1, hat=False):
-        return cls({}, q, hat)
+    def zero(cls, *, hat=False):
+        return cls({}, hat=hat)
 
     @classmethod
-    def d(cls, j=1, q=1, hat=False):
-        return cls({j: SuperPolynomial.const(1, q, hat)}, q, hat)
+    def d(cls, j=1, *, hat=False):
+        return cls({j: SuperPolynomial.const(1, hat=hat)}, hat=hat)
 
     def order(self) -> int:
         return max(self.coeffs, default=0)
@@ -571,31 +573,31 @@ class DiffOperator:
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        return self.q == other.q and self.hat == other.hat and self.coeffs == other.coeffs
+        return self.hat == other.hat and self.coeffs == other.coeffs
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = DiffOperator({0: other}, self.q, self.hat)
+            other = DiffOperator({0: other}, hat=self.hat)
         coeffs = dict(self.coeffs)
         for j, p in other.coeffs.items():
-            s = coeffs.get(j, SuperPolynomial.zero(self.q, self.hat)) + p
+            s = coeffs.get(j, SuperPolynomial.zero(hat=self.hat)) + p
             if s:
                 coeffs[j] = s
             elif j in coeffs:
                 del coeffs[j]
-        return DiffOperator(coeffs, self.q, self.hat)
+        return DiffOperator(coeffs, hat=self.hat)
 
     def __neg__(self):
-        return DiffOperator({j: -p for j, p in self.coeffs.items()}, self.q, self.hat)
+        return DiffOperator({j: -p for j, p in self.coeffs.items()}, hat=self.hat)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "DiffOperator":
-        return DiffOperator({j: p * c for j, p in self.coeffs.items()}, self.q, self.hat)
+        return DiffOperator({j: p * c for j, p in self.coeffs.items()}, hat=self.hat)
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        out = SuperPolynomial.zero(self.q, self.hat)
+        out = SuperPolynomial.zero(hat=self.hat)
         for j, p in self.coeffs.items():
             out = out + p * f.dx(j)
         return out
@@ -610,7 +612,7 @@ class DiffOperator:
                     key = i + j - t
                     cur = out.get(key)
                     out[key] = c if cur is None else cur + c
-        return DiffOperator(out, self.q, self.hat)
+        return DiffOperator(out, hat=self.hat)
 
     def adjoint(self) -> "DiffOperator":
         """Formal adjoint: (P d^j)* = (-d)^j . P."""
@@ -622,7 +624,7 @@ class DiffOperator:
                 key = j - t
                 cur = out.get(key)
                 out[key] = c if cur is None else cur + c
-        return DiffOperator(out, self.q, self.hat)
+        return DiffOperator(out, hat=self.hat)
 
     def is_skew_adjoint(self) -> bool:
         return (self.adjoint() + self).is_zero()

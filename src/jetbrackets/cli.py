@@ -14,8 +14,10 @@ Deformation manifests are JSON documents of the form
 
 A manifest is user input: a missing or unreadable file, invalid JSON, a
 missing "base" string, a correction that is not an operator string, a
-correction order that is not an integer >= 1, or a truncation that is not an
-integer >= 0 gives `invalid-argument`.
+correction order that is not an integer >= 1, a truncation that is not an
+integer >= 0, or a correction order above the truncation gives
+`invalid-argument`.  Without "truncation" the series is truncated at its
+highest correction order.
 """
 
 from __future__ import annotations
@@ -130,23 +132,26 @@ def _load_manifest(args, path) -> EpsilonDeformation:
     if trunc < 0 or min(table, default=1) < 1:
         raise _InvalidArgument("manifest correction orders must be at least 1 "
                                "and its truncation at least 0")
+    if max(table, default=0) > trunc:
+        raise _InvalidArgument(f"manifest correction order {max(table)} exceeds "
+                               f"its truncation {trunc}")
     base = operator_to_bivector(parse_operator(doc["base"], hat=args.hat))
     corrections = []
     for k in range(1, trunc + 1):
         if k in table:
             corrections.append(operator_to_bivector(parse_operator(table[k], hat=args.hat)))
         else:
-            corrections.append(MultiVector(SuperPolynomial.zero(1, args.hat), 2))
+            corrections.append(MultiVector(SuperPolynomial.zero(hat=args.hat), 2))
     return EpsilonDeformation(base, corrections, trunc)
 
 
 def _dump_series(D: EpsilonDeformation) -> dict:
-    doc = {"base": format_operator(bivector_to_operator(D.base).single()),
+    doc = {"base": format_operator(bivector_to_operator(D.base)),
            "corrections": {}, "truncation": D.truncation}
     for k in range(1, D.truncation + 1):
         H = D.term(k)
         if not H.is_zero():
-            doc["corrections"][str(k)] = format_operator(bivector_to_operator(H).single())
+            doc["corrections"][str(k)] = format_operator(bivector_to_operator(H))
     return doc
 
 
@@ -165,7 +170,7 @@ def _cmd_dtot(args):
 
 def _cmd_vder(args):
     _at_least(args, "level")
-    r = variational_derivative(_density(args, args.expr), args.slot, 1, args.level)
+    r = variational_derivative(_density(args, args.expr), args.slot, level=args.level)
     _emit({"result": str(r), "slot": args.slot, "level": args.level}, args)
     return 0
 

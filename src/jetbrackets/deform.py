@@ -30,7 +30,8 @@ class MCViolation(AlgebraError):
 
 
 class EpsilonDeformation:
-    """base + sum_k eps^k H_k, truncated; all entries theta-degree-2 classes."""
+    """base + sum_k eps^k H_k, truncated at eps^N; all entries theta-degree-2
+    classes.  corrections[k - 1] is H_k, and there are at most N of them."""
 
     def __init__(self, base: MultiVector, corrections=(), truncation=None):
         if base.theta_degree != 2:
@@ -41,11 +42,16 @@ class EpsilonDeformation:
             if not H.is_zero() and H.theta_degree != 2:
                 raise AlgebraError("corrections must be bivectors")
         self.truncation = len(self.corrections) if truncation is None else truncation
+        if self.truncation < 0:
+            raise AlgebraError(f"truncation must be at least 0, got {self.truncation}")
+        if len(self.corrections) > self.truncation:
+            raise AlgebraError(f"{len(self.corrections)} corrections exceed the "
+                               f"truncation at order {self.truncation}")
         while len(self.corrections) < self.truncation:
             self.corrections.append(self._zero())
 
     def _zero(self) -> MultiVector:
-        return MultiVector(SuperPolynomial.zero(self.base.q, self.base.hat), 2)
+        return MultiVector(SuperPolynomial.zero(hat=self.base.hat), 2)
 
     def term(self, k: int) -> MultiVector:
         """Coefficient of eps^k (the base at k = 0, zero beyond truncation)."""
@@ -81,7 +87,7 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     out = []
     for k in range(1, n + 1):
         acc = schouten_bracket(D.term(0), D.term(k))
-        inner = MultiVector(SuperPolynomial.zero(D.base.q, D.base.hat), 3)
+        inner = MultiVector(SuperPolynomial.zero(hat=D.base.hat), 3)
         for i in range(1, k):
             inner = inner + schouten_bracket(D.term(i), D.term(k - i))
         out.append(acc + inner.scale(Fraction(1, 2)))
@@ -97,7 +103,7 @@ def obstruction(D: EpsilonDeformation, n: int) -> MultiVector:
     extension of an order-n deformation; always closed for the base."""
     if not is_order_n_deformation(D, n):
         raise MCViolation(f"not a deformation of order {n}")
-    acc = MultiVector(SuperPolynomial.zero(D.base.q, D.base.hat), 3)
+    acc = MultiVector(SuperPolynomial.zero(hat=D.base.hat), 3)
     for i in range(1, n + 1):
         acc = acc + schouten_bracket(D.term(i), D.term(n - i + 1))
     closure = schouten_bracket(D.term(0), acc)
@@ -189,12 +195,14 @@ def miura_push(D: EpsilonDeformation, X, weight: int = 1,
     if X.theta_degree != 1:
         raise AlgebraError("Miura generators are vector fields")
     N = D.truncation if truncation is None else truncation
+    if N < 0:
+        raise AlgebraError(f"truncation must be at least 0, got {N}")
     if X.hat and not D.base.hat:
         D = D.to_hat()
     if D.base.hat and not X.hat:
         X = X.to_hat()
     p = weight
-    out = [MultiVector(SuperPolynomial.zero(D.base.q, D.base.hat), 2)
+    out = [MultiVector(SuperPolynomial.zero(hat=D.base.hat), 2)
            for _ in range(N + 1)]
     for k in range(0, N + 1):
         H = D.term(k)
@@ -234,12 +242,10 @@ class GradedSlice:
                        if self.laurent_depth else 0)
 
 
-def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int,
-                    q: int = 1, hat: bool = False):
+def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int, *,
+                    hat: bool = False):
     """All normal-form monomials of the given theta-degree and homogeneity
-    degree within the slice caps.  q = 1 only (the graded solver's domain)."""
-    if q != 1:
-        raise AlgebraError("graded slices are implemented for q = 1")
+    degree within the slice caps."""
     n = slice_.max_order
     depth = slice_.laurent_depth if hat else 0
     out = []
@@ -259,7 +265,7 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int,
                     even.append(((1, 1), e1))
                 even.extend((((1, k), e) for k, e in evens))
                 key = (tuple(sorted(even)), tuple((1, j) for j in odd))
-                out.append(SuperPolynomial({key: Fraction(1)}, 1, hat))
+                out.append(SuperPolynomial({key: Fraction(1)}, hat=hat))
     return out
 
 
@@ -397,7 +403,7 @@ def slice_matrix(columns, maps) -> SparseMatrix:
 
 def linear_combination(vector, basis) -> SuperPolynomial:
     """sum_j vector[j] basis[j] over a nonempty basis, in column order."""
-    out = SuperPolynomial.zero(basis[0].q, basis[0].hat)
+    out = SuperPolynomial.zero(hat=basis[0].hat)
     for x, b in zip(vector, basis):
         if x:
             out = out + b * x
@@ -410,7 +416,7 @@ def linear_combination(vector, basis) -> SuperPolynomial:
 _LAST_SYSTEM = None
 
 
-def _primitive_system(H: MultiVector, s: GradedSlice, t: int, deg: int, q: int, hat: bool):
+def _primitive_system(H: MultiVector, s: GradedSlice, t: int, deg: int, hat: bool):
     """Basis of the slice and the sparse matrix of d_H on it, reusing the
     previous call's images when the key matches."""
     global _LAST_SYSTEM
@@ -418,7 +424,7 @@ def _primitive_system(H: MultiVector, s: GradedSlice, t: int, deg: int, q: int, 
     last = _LAST_SYSTEM
     if last is not None and last[0] == key:
         return last[1], last[2]
-    basis = enumerate_basis(s, t, deg, q, hat)
+    basis = enumerate_basis(s, t, deg, hat=hat)
     matrix = slice_matrix([canonical_class(b) for b in basis],
                            [lambda X: schouten_bracket(H, X)])
     _LAST_SYSTEM = (key, basis, matrix)
@@ -433,7 +439,7 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
     if not schouten_bracket(Huse, c).is_zero():
         raise AlgebraError("primitive_solve needs a d_H-closed input")
     if c.is_zero():
-        return MultiVector(SuperPolynomial.zero(c.q, c.hat), max(c.theta_degree - 1, 0))
+        return MultiVector(SuperPolynomial.zero(hat=c.hat), max(c.theta_degree - 1, 0))
     t = c.theta_degree - 1
     deg = c.homogeneity()
     if deg is None:
@@ -441,7 +447,7 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
     rhs = {(0, mn): v for mn, v in c.rep.terms.items()}
     s = slice_
     for _ in range(max_grows + 1):
-        basis, matrix = _primitive_system(Huse, s, t, deg - 1, c.q, c.hat)
+        basis, matrix = _primitive_system(Huse, s, t, deg - 1, c.hat)
         if basis:
             sol = matrix.solve(rhs)
             if sol is not None:
@@ -466,7 +472,7 @@ def reduce_to_tail(c: Cochain, pencil: Pencil, slice_: GradedSlice):
         lead = entries[i]
         if lead.is_zero():
             chain.append(MultiVector(
-                SuperPolynomial.zero(lead.q, lead.hat),
+                SuperPolynomial.zero(hat=lead.hat),
                 max(lead.theta_degree - 1, 0)))
             continue
         a = primitive_solve(lead, pencil.P, slice_)

@@ -40,7 +40,7 @@ _PENCIL = None
 
 def _q_operator(hat=False) -> DiffOperator:
     return DiffOperator({1: SuperPolynomial.u(0, hat=hat),
-                         0: SuperPolynomial.u(1, hat=hat) / 2}, 1, hat)
+                         0: SuperPolynomial.u(1, hat=hat) / 2}, hat=hat)
 
 
 def dkdv_pencil() -> Pencil:
@@ -59,13 +59,13 @@ def dkdv_pencil() -> Pencil:
 def _euler_lift(s: SuperPolynomial) -> SuperPolynomial:
     """A density H with delta_u H = s, for s in the image of the Euler
     operator: the standard homotopy int_0^1 u s(lambda . jets) dlambda."""
-    out = SuperPolynomial.zero(s.q, s.hat)
-    u0 = SuperPolynomial.u(0, q=s.q, hat=s.hat)
+    out = SuperPolynomial.zero(hat=s.hat)
+    u0 = SuperPolynomial.u(0, hat=s.hat)
     for (even, odd), c in s.terms.items():
         if odd:
             raise AlgebraError("lift expects an even density")
         d = sum(e for _co, e in even)
-        out = out + u0 * SuperPolynomial({(even, odd): c}, s.q, s.hat) / (d + 1)
+        out = out + u0 * SuperPolynomial({(even, odd): c}, hat=s.hat) / (d + 1)
     return out
 
 
@@ -77,11 +77,11 @@ def hierarchy(N: int):
     Qop = _q_operator()
     out = [canonical_class(SuperPolynomial.u(0) * Fraction(4, 3))]
     for _n in range(0, N + 1):
-        delta = higher_variational_u(out[-1].rep, 1, 0)
+        delta = higher_variational_u(out[-1].rep)
         rhs = Qop.apply(delta)
         new_delta = integrate_x(rhs)
         lift = _euler_lift(new_delta)
-        if higher_variational_u(lift, 1, 0) != new_delta:
+        if higher_variational_u(lift) != new_delta:
             raise AssertionError("hierarchy lift failed")
         out.append(canonical_class(lift))
     return out
@@ -94,7 +94,7 @@ def hierarchy_flow(H: MultiVector) -> EvolutionaryVF:
 
 def _flow(w: SuperPolynomial) -> EvolutionaryVF:
     """The vector field d_P int(w) dx, with characteristic d(delta_u w)."""
-    return EvolutionaryVF(higher_variational_u(w, 1, 0).total_derivative())
+    return EvolutionaryVF(higher_variational_u(w).total_derivative())
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def _e_data(f: SuperPolynomial, g: SuperPolynomial, n: int):
     e = []
     for j in range(n + 1):
         Fj = f.partial_u(j)
-        Gj = SuperPolynomial.zero(f.q, f.hat)
+        Gj = SuperPolynomial.zero(hat=f.hat)
         for l in range(0, n - j + 1):
             dg = g.partial_u(j + l)
             if dg:
@@ -177,7 +177,7 @@ def _e_system(e, n: int):
     m = n // 2
     E = []
     for l in range(m + 1):
-        El = SuperPolynomial.zero(e[0].q, e[0].hat)
+        El = SuperPolynomial.zero(hat=e[0].hat)
         for j in range(2 * l, m + l + 1):
             t = e[j].dx(j - 2 * l) * (comb(2 * m - j, m - l) * comb(j + 1, 2 * l + 1))
             El = El + (-t if j & 1 else t)
@@ -191,14 +191,14 @@ def verify_SE_equivalence(e, n: int) -> bool:
     if n % 2:
         raise AlgebraError("the packed E-system is defined for even n only")
     m = n // 2
-    q, hat = e[0].q, e[0].hat
-    e = list(e) + [SuperPolynomial.zero(q, hat)] * (n + 1 - len(e))
+    hat = e[0].hat
+    e = list(e) + [SuperPolynomial.zero(hat=hat)] * (n + 1 - len(e))
     E = _e_system(e, n)
     for k, Sk in enumerate(_s_system(e, n)):
         if k == n:
             rhs = E[m] * 2
         else:
-            rhs = SuperPolynomial.zero(q, hat)
+            rhs = SuperPolynomial.zero(hat=hat)
             for l in range(m + 1):
                 num = comb(2 * l + 1, k + 1)
                 if num == 0:
@@ -248,14 +248,14 @@ class _MoveState:
         self.f = f
         self.g = g
         self.K = _q_operator(hat=True)
-        self.a = SuperPolynomial.zero(1, True)
-        self.b = SuperPolynomial.zero(1, True)
-        self.c = SuperPolynomial.zero(1, True)
+        self.a = SuperPolynomial.zero(hat=True)
+        self.b = SuperPolynomial.zero(hat=True)
+        self.c = SuperPolynomial.zero(hat=True)
 
     def move(self, a, b, c):
-        da = higher_variational_u(a, 1, 0)
-        db = higher_variational_u(b, 1, 0)
-        dc = higher_variational_u(c, 1, 0)
+        da = higher_variational_u(a)
+        db = higher_variational_u(b)
+        dc = higher_variational_u(c)
         self.f = self.f + da.total_derivative() + self.K.apply(db)
         self.g = self.g - db.total_derivative() + self.K.apply(dc)
         self.a = self.a + a
@@ -273,7 +273,7 @@ def _one_reduction(state: _MoveState, n: int, last_step: int = 9):
     sgn_m = -1 if m & 1 else 1
     u0 = SuperPolynomial.u(0, hat=True)
     u1inv = SuperPolynomial.u(1, power=-1, hat=True)
-    zero = SuperPolynomial.zero(1, True)
+    zero = SuperPolynomial.zero(hat=True)
 
     # step 1: the top coefficient of f - u g is already absent
     diff = state.f - u0 * state.g
@@ -385,7 +385,7 @@ def quasi_trivialize(c, ell: int | None = None):
     if not pencil.d_P(c1).is_zero() or not pencil.d_Q(c1).is_zero():
         raise AlgebraError("(0, c1) is not a cocycle of the double complex")
     if c1.is_zero():
-        return EvolutionaryVF(SuperPolynomial.zero(1, True))
+        return EvolutionaryVF(SuperPolynomial.zero(hat=True))
     ell0 = _tail_degree(c1, ell)
 
     if ell0 == 0:
@@ -395,7 +395,7 @@ def quasi_trivialize(c, ell: int | None = None):
         key = ((), ((1, 0), (1, 1)))
         lam = rep.terms.get(key)
         if lam is not None and len(rep.terms) == 1:
-            w = EvolutionaryVF(SuperPolynomial.const(-2 * lam, 1, True))
+            w = EvolutionaryVF(SuperPolynomial.const(-2 * lam, hat=True))
             _verify_witness(w, c1, pencil)
             return w
         return NontrivialAtDegreeZero(c1)
@@ -420,10 +420,10 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None,
     if g and k != 0:
         raise AlgebraError(f"g must have theta-degree 0, got {'mixed' if k is None else k}")
     pencil = dkdv_pencil()
-    gmv = canonical_class((g * SuperPolynomial.theta(0, q=g.q, hat=g.hat)))
+    gmv = canonical_class((g * SuperPolynomial.theta(0, hat=g.hat)))
     c1 = pencil.d_P(gmv)
     if c1.is_zero():
-        return EvolutionaryVF(SuperPolynomial.zero(1, True)), c1
+        return EvolutionaryVF(SuperPolynomial.zero(hat=True)), c1
     ell0 = _tail_degree(c1, ell)
     if ell0 == 0:
         return quasi_trivialize(c1), c1

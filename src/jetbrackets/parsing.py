@@ -1,4 +1,4 @@
-"""Surface syntax for densities and differential operators (q = 1).
+"""Surface syntax for densities and differential operators.
 
 Grammar: rationals `a/b`; variables `u`, `u_k`, `theta`, `theta_k`;
 operators `+ - * ^` with `^` > `*` > `+ -` and unary minus; `d(expr)` for the
@@ -165,7 +165,7 @@ class _Parser:
             if not self.operator:
                 raise ParseError("'del' is only valid after the 'D:' prefix",
                                  col, name)
-            return (SuperPolynomial.const(1, 1, self.hat), 1)
+            return (SuperPolynomial.const(1, hat=self.hat), 1)
         base, _, sub = name.partition("_")
         k = 0
         if sub:
@@ -180,7 +180,7 @@ class _Parser:
                          ("u", "u_k", "theta", "theta_k", "d", "del"))
 
     def _const(self, c):
-        return (SuperPolynomial.const(c, 1, self.hat), 0)
+        return (SuperPolynomial.const(c, hat=self.hat), 0)
 
     def _neg(self, val):
         return (-val[0], val[1])
@@ -222,7 +222,7 @@ class _Parser:
             raise ParseError("negative powers apply to the bare variable",
                              self.peek()[2])
         return (SuperPolynomial({(((coord, ee * e),), ()): Fraction(1)},
-                                1, self.hat), 0)
+                                hat=self.hat), 0)
 
 
 def _is_const_one(p: SuperPolynomial) -> bool:
@@ -277,7 +277,7 @@ def parse_operator(text: str, hat: bool = False) -> DiffOperator:
         for p in coeffs.values():
             if not _theta_free(p):
                 raise ParseError("operator coefficients must be even", 1)
-        return DiffOperator(coeffs, 1, hat)
+        return DiffOperator(coeffs, hat=hat)
     except AlgebraError as exc:
         raise ParseError(str(exc), 1) from exc
 

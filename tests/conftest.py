@@ -21,9 +21,9 @@ def rand_coeff(rng):
 def rand_density(rng, theta_degree=0, max_order=3, terms=2, hat=False,
                  max_udeg=2, laurent=1):
     """Random sparse density with the requested theta-degree."""
-    out = SP.zero(1, hat)
+    out = SP.zero(hat=hat)
     for _ in range(terms):
-        m = SP.const(rand_coeff(rng), 1, hat)
+        m = SP.const(rand_coeff(rng), hat=hat)
         for _ in range(rng.randint(0, max_udeg)):
             m = m * SP.u(rng.randint(0, max_order), hat=hat)
         if hat and laurent and rng.random() < 0.4:
@@ -40,8 +40,8 @@ def rand_homogeneous(rng, theta_degree, degree, max_order=None, max_udeg=3,
     from jetbrackets import GradedSlice, enumerate_basis
     sl = GradedSlice(max_order=degree + 1 if max_order is None else max_order,
                      max_udeg=max_udeg, laurent_depth=laurent_depth)
-    basis = enumerate_basis(sl, theta_degree, degree, 1, hat)
-    out = SP.zero(1, hat)
+    basis = enumerate_basis(sl, theta_degree, degree, hat=hat)
+    out = SP.zero(hat=hat)
     for b in rng.sample(basis, min(terms, len(basis))):
         out = out + b * rand_coeff(rng)
     return out
@@ -56,27 +56,24 @@ _DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10])
 
 
 @st.composite
-def densities(draw, min_theta_degree=0, max_theta_degree=3, q=None, hat=None):
-    """A density of uniform theta-degree (up to 3) over q = 1 or 2, hat
-    (Laurent in u_1) or not, with coefficients over mixed denominators and
-    jet orders 0-4.  q and hat are drawn unless given."""
-    if q is None:
-        q = draw(st.sampled_from([1, 2]))
+def densities(draw, min_theta_degree=0, max_theta_degree=3, hat=None):
+    """A density of uniform theta-degree (up to 3), hat (Laurent in u_1) or
+    not, with coefficients over mixed denominators and jet orders 0-4.  hat
+    is drawn unless given."""
     if hat is None:
-        hat = q == 1 and draw(st.booleans())
+        hat = draw(st.booleans())
     k = draw(st.integers(min_theta_degree, max_theta_degree))
-    a = SP.zero(q, hat)
+    a = SP.zero(hat=hat)
     for _ in range(draw(st.integers(0, 5))):
         num = draw(st.integers(-7, 7).filter(bool))
-        m = SP.const(Fraction(num, draw(_DENOMINATORS)), q, hat)
+        m = SP.const(Fraction(num, draw(_DENOMINATORS)), hat=hat)
         for _ in range(draw(st.integers(0, 3))):
-            m = m * SP.u(draw(st.integers(0, 4)), draw(st.integers(1, q)), 1, q, hat)
+            m = m * SP.u(draw(st.integers(0, 4)), hat=hat)
         if hat and draw(st.booleans()):
-            m = m * SP.u(1, 1, -draw(st.integers(1, 3)), q, hat)
-        odd = draw(st.lists(st.tuples(st.integers(1, q), st.integers(0, 4)),
-                            min_size=k, max_size=k, unique=True))
-        for alpha, j in odd:
-            m = m * SP.theta(j, alpha, q, hat)
+            m = m * SP.u(1, power=-draw(st.integers(1, 3)), hat=hat)
+        odd = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k, unique=True))
+        for j in odd:
+            m = m * SP.theta(j, hat=hat)
         a = a + m
     return a
 
@@ -111,7 +108,7 @@ def ref_partial_u(p, k, alpha=1):
                 elif key in out:
                     del out[key]
                 break
-    return SP(out, p.q, p.hat)
+    return SP(out, hat=p.hat)
 
 
 def ref_partial_theta(p, k, alpha=1):
@@ -128,7 +125,7 @@ def ref_partial_theta(p, k, alpha=1):
                 elif key in out:
                     del out[key]
                 break
-    return SP(out, p.q, p.hat)
+    return SP(out, hat=p.hat)
 
 
 def ref_total_derivative(p):
@@ -141,7 +138,7 @@ def ref_total_derivative(p):
                 out[key] = s
             elif key in out:
                 del out[key]
-    return SP(out, p.q, p.hat)
+    return SP(out, hat=p.hat)
 
 
 def ref_dx(p, n=1):

@@ -49,7 +49,7 @@ u1inv = SP.u(1, power=-1, hat=True)
 
 P_OP = DiffOperator.d(1)
 Q_OP = DiffOperator({1: u, 0: u1 / 2})
-QH_OP = DiffOperator({1: uh, 0: u1h / 2}, 1, True)
+QH_OP = DiffOperator({1: uh, 0: u1h / 2}, hat=True)
 
 
 def _report(num, label, ok, t0=None):
@@ -210,7 +210,7 @@ def test_criterion_09_quasi_trivialization_degree_two():
         ok = ok and pen.d_P(cls).is_zero() and pen.d_Q(cls) == target
         # and the engine recovers an equivalent witness from the generator
         from jetbrackets import quasi_trivialize_from_generator
-        p_plain = SP({m: c for m, c in pdens.terms.items()}, 1, False)
+        p_plain = SP({m: c for m, c in pdens.terms.items()}, hat=False)
         w, c1 = quasi_trivialize_from_generator(
             (SP.u(1) * p_plain).total_derivative())
         ok = ok and pen.d_Q(w.as_class()) == c1.to_hat()

@@ -134,6 +134,22 @@ class TestBihamObstruction:
             biham_obstruction(P1, Q1, PENCIL)
 
 
+class TestTruncation:
+    def test_corrections_beyond_truncation_rejected(self):
+        # eps^2 Q cannot survive a truncation at eps^1
+        with pytest.raises(AlgebraError, match="exceed the truncation"):
+            EpsilonDeformation(P, [Q, Q], 1)
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(AlgebraError, match="truncation must be at least 0"):
+            EpsilonDeformation(P, [], -1)
+
+    def test_terms_beyond_truncation_are_zero(self):
+        D = EpsilonDeformation(P, [Q], 3)
+        assert D.term(1) == Q
+        assert all(D.term(k).is_zero() for k in (2, 3, 4))
+
+
 class TestMiura:
     def test_translation_fixes_p(self):
         D = EpsilonDeformation(P, [], 2)
@@ -171,6 +187,11 @@ class TestMiura:
         D = EpsilonDeformation(P, [], 1)
         with pytest.raises(AlgebraError, match="weight"):
             miura_push(D, canonical_class(u1 * th), weight, 1)
+
+    def test_negative_truncation_rejected(self):
+        D = EpsilonDeformation(P, [], 1)
+        with pytest.raises(AlgebraError, match="truncation must be at least 0"):
+            miura_push(D, canonical_class(u1 * th), 1, -1)
 
 
 class TestPrimitiveSolve:
@@ -271,7 +292,7 @@ class TestGradedSlice:
     def test_enumeration_respects_bounds(self):
         from jetbrackets import enumerate_basis
         sl = GradedSlice(max_order=4, max_udeg=2, laurent_depth=2)
-        basis = enumerate_basis(sl, 2, 3, 1, True)
+        basis = enumerate_basis(sl, 2, 3, hat=True)
         assert basis
         for b in basis:
             assert b.degree() == 3
@@ -286,14 +307,14 @@ class TestGradedSlice:
         # u-power <= 1 and order <= 2: u_2, u u_2, u_1^2, u u_1^2
         from jetbrackets import enumerate_basis
         sl = GradedSlice(max_order=2, max_udeg=1)
-        basis = enumerate_basis(sl, 0, 2, 1, False)
+        basis = enumerate_basis(sl, 0, 2, hat=False)
         got = sorted(str(b) for b in basis)
         assert got == sorted(["u_2", "u*u_2", "u_1^2", "u*u_1^2"])
 
     def test_enumeration_distinct(self):
         from jetbrackets import enumerate_basis
         sl = GradedSlice(max_order=3, max_udeg=2, laurent_depth=1)
-        basis = enumerate_basis(sl, 1, 2, 1, True)
+        basis = enumerate_basis(sl, 1, 2, hat=True)
         keys = [next(iter(b.terms)) for b in basis]
         assert len(keys) == len(set(keys))
 

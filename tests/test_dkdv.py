@@ -43,7 +43,7 @@ u1inv = SP.u(1, power=-1, hat=True)
 
 P_OP = DiffOperator.d(1)
 Q_OP = DiffOperator({1: u, 0: u1 / 2})
-QH_OP = DiffOperator({1: uh, 0: u1h / 2}, 1, True)
+QH_OP = DiffOperator({1: uh, 0: u1h / 2}, hat=True)
 
 
 class TestPencil:
@@ -115,7 +115,7 @@ class TestSymmetries:
 
 class TestESE:
     def test_zero_pair(self):
-        z = SP.zero(1, True)
+        z = SP.zero(hat=True)
         e, S, E = build_eSE(z, z, 4)
         assert all(x.is_zero() for x in e + S + E)
 
@@ -145,7 +145,7 @@ class TestESE:
     def test_top_entry(self, rng):
         # e_j = delta_{j,n}-type data: S_n = 2 E_m = 2 e_n
         n = 4
-        e = [SP.zero(1, True)] * n + [rand_density(rng, 0, max_order=2, hat=True)]
+        e = [SP.zero(hat=True)] * n + [rand_density(rng, 0, max_order=2, hat=True)]
         assert verify_SE_equivalence(e, n)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -183,7 +183,7 @@ class TestESE:
             G = canonical_class(g * thh)
             lhs = (pen.d_P(F) - pen.d_Q(G)).rep * 2
             _e, S, _E = build_eSE(f, g, n)
-            rhs = SP.zero(1, True)
+            rhs = SP.zero(hat=True)
             for k in range(n + 1):
                 rhs = rhs + thh * SP.theta(k + 1, hat=True) * S[k]
             assert lhs == rhs
@@ -194,7 +194,7 @@ class TestESE:
         f = rand_density(rng, 0, max_order=5, hat=True, terms=3)
         g = rand_density(rng, 0, max_order=5, hat=True, terms=3)
         _e, _S, E = build_eSE(f, g, n)
-        lhs = E[2].coefficient_layers(6).get(1, SP.zero(1, True))
+        lhs = E[2].coefficient_layers(6).get(1, SP.zero(hat=True))
         diff = f - uh * g
         assert lhs == diff.partial_u(5).partial_u(5) * (-n)
 
@@ -215,7 +215,7 @@ class TestBinomialIdentity:
 def coboundary_pair(rng, laurent=2):
     """Pair (f, g) = (K delta_u b, -d delta_u b) from a random b in
     A-hat[3] linear in u_3; satisfies the constraint system at order 6."""
-    b = SP.zero(1, True)
+    b = SP.zero(hat=True)
     for _ in range(3):
         m = SP.const(rand_coeff(rng), 1, True)
         for _ in range(rng.randint(0, 2)):
@@ -263,7 +263,7 @@ class TestQuasiStep:
     def test_zero_top_data_passes_through(self):
         g = u1h ** 2
         f = uh * g + u1h ** 2 * uh
-        pair0 = CocyclePair(f - uh * g, SP.zero(1, True), 6)
+        pair0 = CocyclePair(f - uh * g, SP.zero(hat=True), 6)
         # build an honest low-order pair instead: f = u g + u_1^2 p with g = d(u_1 p)
         p = uh
         g = (u1h * p).total_derivative()
@@ -275,7 +275,7 @@ class TestQuasiStep:
 
     def test_rejects_non_cocycle(self, rng):
         f = rand_density(rng, 0, max_order=6, hat=True)
-        pair = CocyclePair(f, SP.zero(1, True), 6)
+        pair = CocyclePair(f, SP.zero(hat=True), 6)
         if not pair.verify():
             with pytest.raises(AlgebraError):
                 quasi_step(pair)
@@ -285,7 +285,7 @@ class TestQuasiStep:
         with pytest.raises(AlgebraError):
             quasi_step(CocyclePair(f, g, 5))
         with pytest.raises(AlgebraError):
-            quasi_step(CocyclePair(SP.zero(1, True), SP.zero(1, True), 4))
+            quasi_step(CocyclePair(SP.zero(hat=True), SP.zero(hat=True), 4))
 
 
 class TestQuasiTrivialize:

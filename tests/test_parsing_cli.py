@@ -245,8 +245,9 @@ class TestCLI:
         None,
         '{"base": "D: del", "truncation": -2}',
         '{"base": "D: del", "corrections": {"0": "D: del^3"}}',
+        '{"base": "D: del", "corrections": {"7": "D: del^5"}, "truncation": 2}',
     ], ids=["no-base", "non-integer-order", "invalid-json", "missing-file",
-            "negative-truncation", "order-zero"])
+            "negative-truncation", "order-zero", "order-above-truncation"])
     def test_malformed_manifest_is_invalid_argument(self, capsys, tmp_path, command, content):
         man = tmp_path / "manifest.json"
         if content is not None:

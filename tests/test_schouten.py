@@ -198,15 +198,14 @@ class TestPoissonBracketFunctionals:
 
 class TestHydrodynamic:
     def test_constant_metric(self):
-        B, M, gamma, flat = hydrodynamic_bivector(1)
-        assert flat and M.single() == DiffOperator.d(1)
+        B, op = hydrodynamic_bivector(1)
+        assert op == DiffOperator.d(1)
         assert B == P
 
     def test_linear_metric(self):
-        B, M, gamma, flat = hydrodynamic_bivector(u)
-        assert flat and M.single() == Q_OP
+        B, op = hydrodynamic_bivector(u)
+        assert op == Q_OP
         assert B == Q
-        assert gamma[0][0][0] == SP.const(Fraction(1, 2))
 
     def test_degenerate(self):
         with pytest.raises(AlgebraError):
@@ -217,13 +216,6 @@ class TestHydrodynamic:
             hydrodynamic_bivector(u + th)
 
     def test_quadratic_metric_is_hamiltonian(self):
-        B, M, _gamma, flat = hydrodynamic_bivector(u * u)
-        assert flat
-        assert is_hamiltonian(B)
-
-    def test_q2_constant_metric(self):
-        one = SP.const(1, q=2)
-        zero = SP.zero(q=2)
-        B, M, gamma, flat = hydrodynamic_bivector([[zero, one], [one, zero]], q=2)
-        assert flat
+        B, op = hydrodynamic_bivector(u * u)
+        assert op == DiffOperator({1: u * u, 0: u * u1})
         assert is_hamiltonian(B)

@@ -22,7 +22,7 @@ from jetbrackets import (
 from hypothesis import given, strategies as st
 
 from jetbrackets.algebra import SkewnessError
-from jetbrackets.variational import MultiVector, OperatorMatrix
+from jetbrackets.variational import MultiVector
 from conftest import (
     assert_same,
     densities,
@@ -36,15 +36,11 @@ from conftest import (
 
 @st.composite
 def skew_operators(draw):
-    """A random skew-adjoint q x q operator matrix A - A^* of order <= 3,
-    q = 1 or 2, hat included."""
-    q = draw(st.sampled_from([1, 2]))
-    hat = q == 1 and draw(st.booleans())
-    coeff = densities(max_theta_degree=0, q=q, hat=hat)
-    A = [[DiffOperator({j: draw(coeff) for j in range(draw(st.integers(0, 4)))}, q, hat)
-          for _b in range(q)] for _a in range(q)]
-    return OperatorMatrix([[A[a][b] - A[b][a].adjoint() for b in range(q)]
-                           for a in range(q)])
+    """A random skew-adjoint operator A - A^* of order <= 3, hat included."""
+    hat = draw(st.booleans())
+    coeff = densities(max_theta_degree=0, hat=hat)
+    A = DiffOperator({j: draw(coeff) for j in range(draw(st.integers(0, 4)))}, hat=hat)
+    return A - A.adjoint()
 
 
 u = SP.u(0)
@@ -78,9 +74,9 @@ class TestVariationalDerivative:
         for _ in range(15):
             a = rand_density(rng, rng.randint(1, 3), max_order=3)
             for i in range(0, 4):
-                acc = SP.zero(1, a.hat)
+                acc = SP.zero(hat=a.hat)
                 for j in range(i, a.order() + 1):
-                    t = higher_variational_theta(a, 1, j)
+                    t = higher_variational_theta(a, level=j)
                     if t:
                         acc = acc + t.dx(j - i) * comb(j, i)
                 assert acc == a.partial_theta(i)
@@ -227,7 +223,7 @@ class TestOperatorDictionary:
             sp = s.partial_u(0)
             spp = sp.partial_u(0)
             B = canonical_class(s * th1 * th2 / 2)
-            D = bivector_to_operator(B).single()
+            D = bivector_to_operator(B)
             expected = DiffOperator({
                 3: -s,
                 2: -(Fraction(3, 2) * u1 * sp),
@@ -249,17 +245,7 @@ class TestOperatorDictionary:
             if D.is_zero():
                 continue
             assert D.order() <= 4
-            assert bivector_to_operator(operator_to_bivector(D)).single() == D
-
-    def test_round_trip_q2(self):
-        # a two-component hydrodynamic operator: h = [[0,1],[1,0]] times d
-        one = SP.const(1, q=2)
-        zero = SP.zero(q=2)
-        d = DiffOperator({1: one}, q=2)
-        z = DiffOperator({}, q=2)
-        M = OperatorMatrix([[z, d], [d, z]])
-        B = operator_to_bivector(M)
-        assert bivector_to_operator(B) == M
+            assert bivector_to_operator(operator_to_bivector(D)) == D
 
     def test_non_canonical_representative_rejected(self):
         with pytest.raises(AlgebraError):
@@ -268,7 +254,7 @@ class TestOperatorDictionary:
     @given(skew_operators())
     def test_round_trip_from_random_skew_operator(self, D):
         assert D.is_skew_adjoint()
-        if all(e.is_zero() for row in D.entries for e in row):
+        if D.is_zero():
             return
         assert bivector_to_operator(operator_to_bivector(D)) == D
 
@@ -277,19 +263,9 @@ class TestOperatorDictionary:
         B = canonical_class(a)
         if B.is_zero():
             return
-        M = bivector_to_operator(B)
-        assert M.q == a.q and M.hat == a.hat
-        assert operator_to_bivector(M) == B
-
-    def test_round_trip_q2_with_order_zero(self):
-        one = SP.const(1, q=2)
-        u2v = SP.u(1, alpha=2, q=2)
-        d12 = DiffOperator({1: one, 0: u2v}, q=2)
-        M = OperatorMatrix([[DiffOperator({}, q=2), d12],
-                            [-(d12.adjoint()), DiffOperator({}, q=2)]])
-        assert M.is_skew_adjoint()
-        B = operator_to_bivector(M)
-        assert bivector_to_operator(B) == M
+        D = bivector_to_operator(B)
+        assert isinstance(D, DiffOperator) and D.hat == a.hat
+        assert operator_to_bivector(D) == B
 
 
 # ---------------------------------------------------------------------------
@@ -303,35 +279,36 @@ def _ref_nested_alternating(pieces):
     return acc
 
 
-def _ref_delta(a, odd, alpha, level):
+def _ref_delta(a, odd, level):
     """sum_j (-1)^j C(level+j, level) d^j partial_{level+j}, one Fraction
     polynomial per partial derivative, summed by Horner."""
     top = a.order() - level
     if top < 0:
-        return SP.zero(a.q, a.hat)
+        return SP.zero(hat=a.hat)
     partial = ref_partial_theta if odd else ref_partial_u
     return _ref_nested_alternating(
-        [partial(a, level + j, alpha) * comb(level + j, level) for j in range(top + 1)])
+        [partial(a, level + j) * comb(level + j, level) for j in range(top + 1)])
 
 
 def _ref_normalize_N(a):
-    out = SP.zero(a.q, a.hat)
-    for alpha in range(1, a.q + 1):
-        d = _ref_delta(a, True, alpha, 0)
-        if d:
-            out = out + SP.theta(0, alpha, a.q, a.hat) * d
+    out = SP.zero(hat=a.hat)
+    d = _ref_delta(a, True, 0)
+    if d:
+        out = out + SP.theta(0, hat=a.hat) * d
     return out
 
 
 class TestKernelAgainstFractionFormulas:
     @given(densities())
     def test_higher_variational_derivatives(self, a):
-        for alpha in range(1, a.q + 1):
-            for level in range(4):
-                assert_same(higher_variational_u(a, alpha, level),
-                            _ref_delta(a, False, alpha, level))
-                assert_same(higher_variational_theta(a, alpha, level),
-                            _ref_delta(a, True, alpha, level))
+        for level in range(4):
+            assert_same(higher_variational_u(a, level=level), _ref_delta(a, False, level))
+            assert_same(higher_variational_theta(a, level=level), _ref_delta(a, True, level))
+
+    def test_negative_level_rejected(self):
+        for delta in (higher_variational_u, higher_variational_theta):
+            with pytest.raises(AlgebraError, match="nonnegative"):
+                delta(u * u1, level=-1)
 
     @given(densities())
     def test_normalize_N(self, a):
@@ -349,9 +326,8 @@ class TestKernelAgainstFractionFormulas:
     @given(densities())
     def test_total_derivatives_are_null(self, a):
         d = a.total_derivative()
-        for alpha in range(1, a.q + 1):
-            assert higher_variational_u(d, alpha).is_zero()
-            assert higher_variational_theta(d, alpha).is_zero()
+        assert higher_variational_u(d).is_zero()
+        assert higher_variational_theta(d).is_zero()
         assert normalize_N(d).is_zero()
 
     @given(densities())
@@ -360,37 +336,23 @@ class TestKernelAgainstFractionFormulas:
         # may be left behind
         b = a + a.total_derivative() * Fraction(1, 3)
         outs = [normalize_N(b)]
-        for alpha in range(1, b.q + 1):
-            for level in range(3):
-                outs.append(higher_variational_u(b, alpha, level))
-                outs.append(higher_variational_theta(b, alpha, level))
+        for level in range(3):
+            outs.append(higher_variational_u(b, level=level))
+            outs.append(higher_variational_theta(b, level=level))
         for p in outs:
             assert all(c != 0 for c in p.terms.values())
 
-    def test_cross_component_cancellation(self):
-        # theta1 delta_theta1 a and theta2 delta_theta2 a meet on the same
-        # monomials and cancel there
-        u2 = SP.u(0, 2, 1, 2)
-        t = [[SP.theta(j, alpha, 2) for j in range(2)] for alpha in (1, 2)]
-        a = u2 * t[0][0] * t[1][1] - u2 * t[0][1] * t[1][0]
-        n = normalize_N(a)
-        assert_same(n, _ref_normalize_N(a))
-        assert all(c != 0 for c in n.terms.values())
 
-
-def _ref_vf_chars(a):
-    """The characteristics as vf_from_density built them before it called the
-    kernel: sum_j (-1)^j d^j partial_{theta_alpha,j} a for every alpha."""
-    chars = []
-    for alpha in range(1, a.q + 1):
-        c = SP.zero(a.q, a.hat)
-        for j in range(a.order() + 1):
-            f = ref_partial_theta(a, j, alpha)
-            if f:
-                f = ref_dx(f, j)
-                c = c + (-f if j & 1 else f)
-        chars.append(c)
-    return chars
+def _ref_vf_char(a):
+    """The characteristic as vf_from_density built it before it called the
+    kernel: sum_j (-1)^j d^j partial_{theta_j} a."""
+    c = SP.zero(hat=a.hat)
+    for j in range(a.order() + 1):
+        f = ref_partial_theta(a, j)
+        if f:
+            f = ref_dx(f, j)
+            c = c + (-f if j & 1 else f)
+    return c
 
 
 class TestVectorFieldAgainstPartialThetaLoop:
@@ -399,7 +361,5 @@ class TestVectorFieldAgainstPartialThetaLoop:
         if not a:
             return
         X = vf_from_density(a)
-        want = _ref_vf_chars(a)
-        assert len(X.chars) == len(want) == a.q
-        for got, w in zip(X.chars, want):
-            assert_same(got, w)
+        assert len(X.chars) == 1
+        assert_same(X.chars[0], _ref_vf_char(a))
