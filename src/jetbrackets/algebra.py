@@ -538,7 +538,7 @@ def grading_info(a: SuperPolynomial):
 
 class DiffOperator:
     """A differential operator sum_j P_j d^j, j >= 0, with theta-free
-    polynomial coefficients."""
+    polynomial coefficients in the operator's own algebra (same hat flag)."""
 
     __slots__ = ("coeffs", "hat")
 
@@ -551,6 +551,9 @@ class DiffOperator:
                 p = SuperPolynomial.const(p, hat=hat)
             if not _theta_free(p):
                 raise AlgebraError("operator coefficients must be free of odd coordinates")
+            if p.hat != hat:
+                raise IncompatibleAlgebras(
+                    f"operator coefficient has hat={p.hat}, the operator hat={hat}")
             if p:
                 clean[j] = p
         self.coeffs = clean

@@ -4,10 +4,11 @@ Epsilon-expansions of bivectors with their Maurer-Cartan residuals and
 obstruction cocycles, the double complex of a compatible pair, Miura and
 quasi-Miura pushforwards, and a constructive primitive solver: acyclicity of
 d_H on the positive-degree graded pieces is realized by enumerating a finite
-monomial slice, building d_H on it as a sparse exact rational matrix and
-solving with one reduced-row-echelon kernel.  The d_H images of the last
-slice are kept, so the Y and X solves of a quasi-trivialization, which share
-H, slice and grading, build the system once.
+monomial slice, building d_H on it as a sparse matrix of primitive integer
+rows and solving with one fraction-free reduced-row-echelon kernel, whose
+results are converted to Fraction once, on return.  The integer rows of the
+last slice are kept, so the Y and X solves of a quasi-trivialization, which
+share H, slice and grading, build and convert the system once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import AlgebraError, SuperPolynomial
 from .schouten import Pencil, _in_algebra_of, schouten_bracket
@@ -246,6 +248,8 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int, *,
                     hat: bool = False):
     """All normal-form monomials of the given theta-degree and homogeneity
     degree within the slice caps."""
+    if theta_degree < 0:
+        raise AlgebraError(f"theta-degree must be at least 0, got {theta_degree}")
     n = slice_.max_order
     depth = slice_.laurent_depth if hat else 0
     out = []
@@ -285,17 +289,32 @@ def _even_parts(budget: int, kmin: int, kmax: int):
 
 
 class SparseMatrix:
-    """An exact rational matrix as sparse rows {column: Fraction}.
+    """An exact rational matrix as sparse primitive integer rows {column: int}.
 
     Rows are keyed by any hashable label (a monomial, say) so that a right-hand
-    side can be given in the same labels.  Both operations reduce a copy of the
-    rows to reduced row echelon form with the pivot columns taken in column
-    order; that form is unique, so the solution of ``solve`` and the vectors
+    side can be given in the same labels.  The constructor takes rational rows,
+    drops zero entries and scales each row once to a primitive integer row
+    (nonzero integer entries with gcd 1), remembering the scale for the
+    right-hand side.  Both operations reduce a copy of the rows over the
+    integers to reduced row echelon form with the pivot columns taken in
+    column order, and convert to Fraction only in what they return; that
+    form, normalized, is unique, so the solution of ``solve`` and the vectors
     of ``kernel`` do not depend on row order or on the choice of pivot rows.
     """
 
     def __init__(self, rows: dict, ncols: int):
-        self.rows = rows
+        self.rows = {}
+        self.scales = {}  # label -> (m, d): the integer row is m/d times the given one
+        for key, row in rows.items():
+            m = lcm(*(v.denominator for v in row.values()))
+            ints = {c: v.numerator * (m // v.denominator)
+                    for c, v in row.items() if v}
+            d = gcd(*ints.values()) or 1
+            if d != 1:
+                ints = {c: x // d for c, x in ints.items()}
+            self.rows[key] = ints
+            if m != 1 or d != 1:
+                self.scales[key] = (m, d)
         self.ncols = ncols
 
     def solve(self, rhs: dict):
@@ -306,10 +325,18 @@ class SparseMatrix:
         n = self.ncols
         rows = []
         for key, row in self.rows.items():
-            row = dict(row)
             b = rhs.get(key)
             if b:
-                row[n] = b
+                # the given row | b, times m/d, is row | p/q in lowest terms,
+                # so q row | p is a primitive integer row
+                m, d = self.scales.get(key, (1, 1))
+                p, q = b.numerator * m, b.denominator * d
+                g = gcd(p, q)
+                p, q = p // g, q // g
+                row = {c: x * q for c, x in row.items()} if q != 1 else dict(row)
+                row[n] = p
+            else:
+                row = dict(row)
             rows.append(row)
         pivots = _rref(rows, n)
         pivot_rows = set(pivots.values())
@@ -317,7 +344,9 @@ class SparseMatrix:
             return None
         sol = [Fraction(0)] * n
         for col, i in pivots.items():
-            sol[col] = rows[i].get(n, Fraction(0))
+            row = rows[i]
+            if n in row:
+                sol[col] = Fraction(row[n], row[col])
         return sol
 
     def kernel(self):
@@ -333,19 +362,25 @@ class SparseMatrix:
             v = [Fraction(0)] * n
             v[fc] = Fraction(1)
             for col, i in pivots.items():
-                x = rows[i].get(fc)
-                if x:
-                    v[col] = -x
+                row = rows[i]
+                if fc in row:
+                    v[col] = -Fraction(row[fc], row[col])
             basis.append(v)
         return basis
 
 
 def _rref(rows, ncols):
-    """Reduce the sparse rows in place to reduced row echelon form.
+    """Reduce the sparse primitive integer rows in place to a reduced row
+    echelon form, fraction-free.
 
     Pivots are taken only in columns < ncols, in column order; entries at
     ncols and beyond (an augmented right-hand side) are carried along.  The
     pivot row of a column is the shortest candidate, which keeps fill-in low.
+    A row with entry f in the pivot column of a pivot row with entry a
+    becomes (a/g) row - (f/g) pivot row, g = gcd(a, f), and is then divided
+    by its content, so every row stays a primitive integer row and no step
+    does rational arithmetic.  Pivot entries are not scaled to 1: dividing
+    a pivot row by its pivot entry gives the unique normalized form.
     Returns {pivot column: row index}, in column order.
     """
     where: dict = {}
@@ -363,27 +398,35 @@ def _rref(rows, ncols):
             continue
         p = min(cands, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
-        inv = Fraction(1) / prow[col]
-        if inv != 1:
-            for c in prow:
-                prow[c] *= inv
+        a = prow[col]
         for i in list(hits):
             if i == p:
                 continue
             row = rows[i]
             f = row[col]
+            g = gcd(a, f)
+            if a < 0:
+                g = -g
+            s, t = a // g, f // g
+            if s != 1:
+                for c in row:
+                    row[c] *= s
             for c, x in prow.items():
                 y = row.get(c)
                 if y is None:
-                    row[c] = -f * x
+                    row[c] = -t * x
                     where.setdefault(c, set()).add(i)
                 else:
-                    y -= f * x
+                    y -= t * x
                     if y:
                         row[c] = y
                     else:
                         del row[c]
                         where[c].discard(i)
+            h = gcd(*row.values())
+            if h > 1:
+                for c in row:
+                    row[c] //= h
         pivots[col] = p
         used.add(p)
     return pivots
@@ -391,13 +434,13 @@ def _rref(rows, ncols):
 
 def slice_matrix(columns, maps) -> SparseMatrix:
     """The matrix of the linear maps on a slice: entry ((k, m), j) is the
-    coefficient of the monomial m in maps[k](columns[j])."""
+    coefficient of the monomial m in maps[k](columns[j]).  The polynomial
+    terms carry no zero coefficients, so every stored entry is nonzero."""
     rows: dict = {}
     for j, x in enumerate(columns):
         for k, f in enumerate(maps):
             for mn, v in f(x).rep.terms.items():
-                if v:
-                    rows.setdefault((k, mn), {})[j] = v
+                rows.setdefault((k, mn), {})[j] = v
     return SparseMatrix(rows, len(columns))
 
 
@@ -440,6 +483,9 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
         raise AlgebraError("primitive_solve needs a d_H-closed input")
     if c.is_zero():
         return MultiVector(SuperPolynomial.zero(hat=c.hat), max(c.theta_degree - 1, 0))
+    if c.theta_degree < 1:
+        raise AlgebraError(f"primitive_solve needs theta-degree at least 1, got "
+                           f"{c.theta_degree}: d_H raises the theta-degree by one")
     t = c.theta_degree - 1
     deg = c.homogeneity()
     if deg is None:

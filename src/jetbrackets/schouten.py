@@ -114,7 +114,8 @@ class Pencil:
 def hydrodynamic_bivector(h):
     """Build the order-one bivector of a coefficient h(u).
 
-    Returns (bivector, operator) with the operator h d + h'(u) u_1 / 2.
+    Returns (bivector, operator) with the operator h d + h'(u) u_1 / 2, both
+    in the algebra of h (a hat h gives a hat pair).
     """
     if isinstance(h, (int, Fraction)):
         h = SuperPolynomial.const(h)
@@ -122,5 +123,5 @@ def hydrodynamic_bivector(h):
         raise AlgebraError("h must depend on u only")
     if h.is_zero():
         raise AlgebraError("degenerate h: the coefficient vanishes identically")
-    op = DiffOperator({1: h, 0: h.total_derivative() / 2})
+    op = DiffOperator({1: h, 0: h.total_derivative() / 2}, hat=h.hat)
     return operator_to_bivector(op), op

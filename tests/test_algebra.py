@@ -242,3 +242,11 @@ class TestDiffOperator:
             DiffOperator.d(-1)
         with pytest.raises(AlgebraError, match="nonnegative"):
             DiffOperator({1: u, -2: u1})
+
+    def test_rejects_coefficients_of_the_other_algebra(self):
+        with pytest.raises(IncompatibleAlgebras):
+            DiffOperator({1: SP.u(0, hat=True)})
+        with pytest.raises(IncompatibleAlgebras):
+            DiffOperator({1: u}, hat=True)
+        # constants are coerced into the operator's algebra
+        assert DiffOperator({0: 3}, hat=True).coeffs[0].hat

@@ -243,6 +243,13 @@ class TestPrimitiveSolve:
         y = primitive_solve(c, P, GradedSlice(3, 2, 2))
         assert y.hat and PENCIL.d_P(y) == c
 
+    def test_theta_degree_zero_class_rejected(self):
+        # int u dx is d_P-closed, but a primitive would have theta-degree -1
+        c = canonical_class(u)
+        assert PENCIL.d_P(c).is_zero()
+        with pytest.raises(AlgebraError, match="theta-degree at least 1, got 0"):
+            primitive_solve(c, P, GradedSlice())
+
     def test_alternating_differentials_on_one_slice(self):
         # the last slice system is memoized; a solve against Q right after
         # one against P on the same slice and grading must not reuse P's images
@@ -310,6 +317,11 @@ class TestGradedSlice:
         basis = enumerate_basis(sl, 0, 2, hat=False)
         got = sorted(str(b) for b in basis)
         assert got == sorted(["u_2", "u*u_2", "u_1^2", "u*u_1^2"])
+
+    def test_negative_theta_degree_rejected(self):
+        from jetbrackets import enumerate_basis
+        with pytest.raises(AlgebraError, match="got -1"):
+            enumerate_basis(GradedSlice(), -1, 3)
 
     def test_enumeration_distinct(self):
         from jetbrackets import enumerate_basis

@@ -219,3 +219,10 @@ class TestHydrodynamic:
         B, op = hydrodynamic_bivector(u * u)
         assert op == DiffOperator({1: u * u, 0: u * u1})
         assert is_hamiltonian(B)
+
+    def test_hat_coefficient_gives_hat_pair(self):
+        B, op = hydrodynamic_bivector(SP.u(0, hat=True))
+        assert op.hat and B.hat
+        assert op == DiffOperator({1: SP.u(0, hat=True), 0: SP.u(1, hat=True) / 2},
+                                  hat=True)
+        assert B == Q.to_hat()

@@ -10,11 +10,13 @@ convention.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from jetbrackets import deform  # noqa: E402
 from jetbrackets.deform import SparseMatrix  # noqa: E402
 
 SHAPES = [(m, n) for m in (1, 3, 6, 9) for n in (1, 4, 7, 10)]
@@ -106,3 +108,222 @@ def test_rhs_outside_the_row_labels_is_inconsistent():
     M = SparseMatrix({"a": {0: Fraction(1)}}, 1)
     assert M.solve({"z": Fraction(1)}) is None
     assert M.solve({"z": Fraction(0), "a": Fraction(5)}) == [Fraction(5)]
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free kernel against the Fraction elimination it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_rref(rows, ncols):
+    """Frozen copy of the Fraction RREF the integer kernel replaced."""
+    where: dict = {}
+    for i, row in enumerate(rows):
+        for col in row:
+            where.setdefault(col, set()).add(i)
+    pivots = {}
+    used = set()
+    for col in range(ncols):
+        hits = where.get(col)
+        if not hits:
+            continue
+        cands = [i for i in hits if i not in used]
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        inv = Fraction(1) / prow[col]
+        if inv != 1:
+            for c in prow:
+                prow[c] *= inv
+        for i in list(hits):
+            if i == p:
+                continue
+            row = rows[i]
+            f = row[col]
+            for c, x in prow.items():
+                y = row.get(c)
+                if y is None:
+                    row[c] = -f * x
+                    where.setdefault(c, set()).add(i)
+                else:
+                    y -= f * x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+                        where[c].discard(i)
+        pivots[col] = p
+        used.add(p)
+    return pivots
+
+
+def _ref_solve(rows, n, rhs):
+    if any(v and key not in rows for key, v in rhs.items()):
+        return None
+    work = []
+    for key, row in rows.items():
+        row = dict(row)
+        if rhs.get(key):
+            row[n] = rhs[key]
+        work.append(row)
+    pivots = _ref_rref(work, n)
+    if any(work[i] for i in range(len(work)) if i not in set(pivots.values())):
+        return None
+    sol = [Fraction(0)] * n
+    for col, i in pivots.items():
+        sol[col] = work[i].get(n, Fraction(0))
+    return sol
+
+
+def _ref_kernel(rows, n):
+    work = [dict(row) for row in rows.values()]
+    pivots = _ref_rref(work, n)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for col, i in pivots.items():
+            if work[i].get(fc):
+                v[col] = -work[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _rational_system(rng, m, n, big):
+    """Seeded sparse rational rows with zero rows, duplicate (and scaled
+    duplicate) rows and mixed denominators; ``big`` draws numerators and
+    denominators above 2^64."""
+    def entry():
+        if big:
+            num = rng.randint(2 ** 64, 2 ** 80) * rng.choice([-1, 1])
+            return Fraction(num, rng.choice([1, 3, 2 ** 65 + 13, 7 ** 30]))
+        return Fraction(rng.choice([-9, -4, -2, -1, 1, 2, 5, 12]),
+                        rng.choice([1, 1, 2, 3, 4, 6, 10, 35]))
+    rows = {}
+    for i in range(m):
+        r = rng.random()
+        if r < 0.1:
+            rows[i] = {}
+        elif r < 0.3 and rows:
+            src = rows[rng.choice(list(rows))]
+            scale = entry()
+            rows[i] = {c: x * scale for c, x in src.items()}
+        else:
+            rows[i] = {j: entry() for j in range(n) if rng.random() < 0.4}
+    return rows
+
+
+def _rhs(rng, rows, n, consistent):
+    """A right-hand side in the row labels: M x0 for a random x0, or that
+    plus a perturbation on one label (usually inconsistent)."""
+    x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
+    rhs = {key: sum((x * x0[c] for c, x in row.items()), Fraction(0))
+           for key, row in rows.items()}
+    if not consistent and rows:
+        key = rng.choice(list(rows))
+        rhs[key] += Fraction(rng.randint(1, 7), rng.randint(1, 4))
+    return {k: v for k, v in rhs.items() if v}
+
+
+def _assert_matches_reference(rows, n, rhs_list):
+    """Pivots, normalized rows, solutions and kernels of the integer kernel
+    equal those of the frozen Fraction elimination; every row left behind
+    is primitive; results are Fractions."""
+    M = deform.SparseMatrix(rows, n)
+
+    ref_rows = [dict(r) for r in rows.values()]
+    ref_pivots = _ref_rref(ref_rows, n)
+    int_rows = [dict(r) for r in M.rows.values()]
+    pivots = deform._rref(int_rows, n)
+    assert pivots == ref_pivots
+    for col, i in pivots.items():
+        a = int_rows[i][col]
+        assert {c: Fraction(x, a) for c, x in int_rows[i].items()} == ref_rows[i]
+    for row in int_rows:
+        assert all(type(x) is int for x in row.values())
+        if row:
+            assert gcd(*row.values()) == 1
+
+    kernel = M.kernel()
+    assert kernel == _ref_kernel(rows, n)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    for rhs in rhs_list:
+        got = M.solve(rhs)
+        assert got == _ref_solve(rows, n, rhs)
+        if got is not None:
+            assert all(type(x) is Fraction for x in got)
+        # the augmented system, eliminated as solve does, stays primitive
+        aug = {key: dict(row) for key, row in rows.items()}
+        for key, b in rhs.items():
+            aug[key][n] = b
+        aug_rows = [dict(r) for r in deform.SparseMatrix(aug, n + 1).rows.values()]
+        deform._rref(aug_rows, n)
+        for row in aug_rows:
+            if row:
+                assert gcd(*row.values()) == 1
+
+
+def _reference_cases():
+    for seed in range(6):
+        for m, n in ((1, 1), (4, 3), (7, 7), (10, 6), (6, 11)):
+            for big in (False, True):
+                yield seed, m, n, big
+
+
+@pytest.mark.parametrize("seed,m,n,big", list(_reference_cases()))
+def test_integer_kernel_matches_fraction_reference(seed, m, n, big):
+    rng = random.Random(f"fraction-free/{seed}/{m}/{n}/{big}")
+    rows = _rational_system(rng, m, n, big)
+    rhs_list = [_rhs(rng, rows, n, True), _rhs(rng, rows, n, False), {}]
+    _assert_matches_reference(rows, n, rhs_list)
+
+
+def test_rows_become_primitive_integer_rows():
+    M = deform.SparseMatrix({"a": {0: Fraction(2, 3), 2: Fraction(-4, 9)},
+                             "b": {1: Fraction(6)}, "z": {}}, 3)
+    assert M.rows == {"a": {0: 3, 2: -2}, "b": {1: 1}, "z": {}}
+    assert M.solve({"a": Fraction(1, 3), "b": Fraction(3)}) == \
+        [Fraction(1, 2), Fraction(1, 2), Fraction(0)]
+    assert M.solve({"z": Fraction(1)}) is None
+
+
+def test_explicit_zero_entries_are_dropped():
+    # a stored zero would be taken as a pivot of its column
+    M = deform.SparseMatrix({"a": {0: Fraction(0), 1: Fraction(1)},
+                             "b": {0: Fraction(2), 1: Fraction(1)}}, 2)
+    assert M.rows == {"a": {1: 1}, "b": {0: 2, 1: 1}}
+    assert M.solve({"a": Fraction(1), "b": Fraction(3)}) == [Fraction(1), Fraction(1)]
+    assert M.kernel() == []
+
+
+def test_captured_qt_ladder_slice_system(monkeypatch):
+    """The d_P slice system of an ell = 6 qt-ladder cocycle, as built by
+    slice_matrix, with the right-hand sides of its Y and X solves."""
+    from jetbrackets import (GradedSlice, canonical_class, dkdv_pencil,
+                             enumerate_basis, quasi_trivialize)
+
+    captured = []
+
+    class Recording(deform.SparseMatrix):
+        def __init__(self, rows, ncols):
+            captured.append(({k: dict(r) for k, r in rows.items()}, ncols, []))
+            super().__init__(rows, ncols)
+
+        def solve(self, rhs):
+            captured[-1][2].append(dict(rhs))
+            return super().solve(rhs)
+
+    monkeypatch.setattr(deform, "SparseMatrix", Recording)
+    monkeypatch.setattr(deform, "_LAST_SYSTEM", None)
+    pencil = dkdv_pencil()
+    basis = enumerate_basis(GradedSlice(max_order=2, max_udeg=2), 0, 6)
+    w = basis[3] * Fraction(-7, 4) + basis[11] * Fraction(5, 3)
+    c1 = pencil.d_Q(pencil.d_P(canonical_class(w)))
+    assert c1.theta_degree == 2 and not c1.is_zero()
+    quasi_trivialize(c1)
+    assert len(captured) == 1
+    rows, n, rhs_list = captured[0]
+    assert len(rhs_list) == 2 and (len(rows), n) == (392, 405)
+    _assert_matches_reference(rows, n, rhs_list)
