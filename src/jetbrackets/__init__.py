@@ -3,7 +3,6 @@
 from .algebra import (
     AlgebraError,
     DiffOperator,
-    IncompatibleAlgebras,
     SkewnessError,
     SuperPolynomial,
     UndefinedGrading,

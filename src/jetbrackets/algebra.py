@@ -1,8 +1,9 @@
 """Exact arithmetic in the free superalgebra of differential polynomials.
 
 The ring has one dependent variable: even generators u_k (jet variables,
-k >= 0) and odd generators theta_k.  Coefficients are exact rationals.  In
-*hat* mode Laurent powers of u_1 are permitted, nothing else may be inverted.
+k >= 0) and odd generators theta_k.  Coefficients are exact rationals.  u_1 is
+inverted: it alone may carry a negative exponent, nothing else is invertible.
+The polynomials form a subring that every operation here preserves.
 
 Monomials are stored in a normal form: the even part is a sorted tuple of
 ((1, k), exponent) pairs with nonzero exponents, the odd part a strictly
@@ -26,10 +27,6 @@ from math import comb, inf, lcm
 
 class AlgebraError(Exception):
     """Base class for errors raised by the algebra layer."""
-
-
-class IncompatibleAlgebras(AlgebraError):
-    """Operands live in different rings: one is in hat mode, the other not."""
 
 
 class UndefinedGrading(AlgebraError):
@@ -91,53 +88,49 @@ def _merge_odd(o1: tuple, o2: tuple):
 class SuperPolynomial:
     """Sparse differential superpolynomial with exact rational coefficients."""
 
-    __slots__ = ("terms", "hat")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, *, hat: bool = False):
+    def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
-        self.hat = hat
 
     # -- constructors ------------------------------------------------------
 
-    # zero and const keep a positional q that accepts only 1, because the
-    # benchmark's workloads call zero(1, hat) and const(c, 1, hat); the shim
-    # goes once they no longer do.
+    # Benchmark shims: the workloads call zero(1, hat), const(c, 1, hat),
+    # u(k, hat=...), theta(k, hat=...) and MultiVector.to_hat(), so the
+    # positional q accepts only 1, hat is accepted and ignored (there is one
+    # ring) and MultiVector.to_hat returns its class; all go together once
+    # the benchmark no longer calls them.
 
     @classmethod
     def zero(cls, q=1, hat=False):
         _only_one_component(q)
-        return cls(hat=hat)
+        return cls()
 
     @classmethod
     def const(cls, c, q=1, hat=False):
         _only_one_component(q)
         c = _coerce(c)
         if c == 0:
-            return cls(hat=hat)
-        return cls({((), ()): c}, hat=hat)
+            return cls()
+        return cls({((), ()): c})
 
     @classmethod
     def u(cls, k=0, *, power=1, hat=False):
         if k < 0:
             raise AlgebraError(f"invalid jet coordinate u_{k}")
         if power == 0:
-            return cls.const(1, hat=hat)
-        if power < 0 and not (hat and k == 1):
-            raise AlgebraError("negative powers are only allowed for u_1 in hat mode")
-        return cls({((((1, k), power),), ()): _ONE}, hat=hat)
+            return cls.const(1)
+        if power < 0 and k != 1:
+            raise AlgebraError("negative powers are only allowed for u_1")
+        return cls({((((1, k), power),), ()): _ONE})
 
     @classmethod
     def theta(cls, k=0, *, hat=False):
         if k < 0:
             raise AlgebraError(f"invalid odd coordinate theta_{k}")
-        return cls({((), ((1, k),)): _ONE}, hat=hat)
+        return cls({((), ((1, k),)): _ONE})
 
     # -- ring structure ----------------------------------------------------
-
-    def _check_compatible(self, other: "SuperPolynomial"):
-        if self.hat != other.hat:
-            raise IncompatibleAlgebras(
-                f"operands live in different algebras: hat={self.hat} vs hat={other.hat}")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -147,18 +140,20 @@ class SuperPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SuperPolynomial.const(other, hat=self.hat)
+            other = SuperPolynomial.const(other)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return self.hat == other.hat and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.hat, frozenset(self.terms.items())))
+        # a constant equals its number, so it hashes like it
+        if self.terms.keys() <= {((), ())}:
+            return hash(self.terms.get(((), ()), 0))
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SuperPolynomial.const(other, hat=self.hat)
-        self._check_compatible(other)
+            other = SuperPolynomial.const(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m, _ZERO) + c
@@ -166,16 +161,16 @@ class SuperPolynomial:
                 terms[m] = s
             elif m in terms:
                 del terms[m]
-        return SuperPolynomial(terms, hat=self.hat)
+        return SuperPolynomial(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPolynomial({m: -c for m, c in self.terms.items()}, hat=self.hat)
+        return SuperPolynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SuperPolynomial.const(other, hat=self.hat)
+            other = SuperPolynomial.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -185,9 +180,8 @@ class SuperPolynomial:
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if c == 0:
-                return SuperPolynomial.zero(hat=self.hat)
-            return SuperPolynomial({m: cc * c for m, cc in self.terms.items()}, hat=self.hat)
-        self._check_compatible(other)
+                return SuperPolynomial()
+            return SuperPolynomial({m: cc * c for m, cc in self.terms.items()})
         out: dict = {}
         for (e1, o1), c1 in self.terms.items():
             for (e2, o2), c2 in other.terms.items():
@@ -213,7 +207,7 @@ class SuperPolynomial:
                     out[key] = s
                 elif key in out:
                     del out[key]
-        return SuperPolynomial(out, hat=self.hat)
+        return SuperPolynomial(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -229,7 +223,7 @@ class SuperPolynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("only nonnegative integer powers of polynomials")
-        out = SuperPolynomial.const(1, hat=self.hat)
+        out = SuperPolynomial.const(1)
         for _ in range(n):
             out = out * self
         return out
@@ -239,12 +233,12 @@ class SuperPolynomial:
     def partial_u(self, k: int) -> "SuperPolynomial":
         """Partial derivative with respect to the jet variable u_k."""
         pieces, D = _file(self.terms, False, k, k)
-        return _to_poly(pieces.get(0, {}), D, self.hat)
+        return _to_poly(pieces.get(0, {}), D)
 
     def partial_theta(self, k: int) -> "SuperPolynomial":
         """Left graded derivative with respect to theta_k."""
         pieces, D = _file(self.terms, True, k, k)
-        return _to_poly(pieces.get(0, {}), D, self.hat)
+        return _to_poly(pieces.get(0, {}), D)
 
     def total_derivative(self) -> "SuperPolynomial":
         """The total derivative: u_k -> u_{k+1}, theta_k -> theta_{k+1}."""
@@ -257,7 +251,7 @@ class SuperPolynomial:
         terms, D = _scaled(self.terms)
         for _ in range(n):
             terms = _add_derivative({}, terms)
-        return _to_poly(terms, D, self.hat)
+        return _to_poly(terms, D)
 
     # -- gradings ----------------------------------------------------------
 
@@ -314,13 +308,13 @@ class SuperPolynomial:
         comps: dict = {}
         for m, c in self.terms.items():
             comps.setdefault(self._mono_degree(m), {})[m] = c
-        return {d: SuperPolynomial(t, hat=self.hat) for d, t in sorted(comps.items())}
+        return {d: SuperPolynomial(t) for d, t in sorted(comps.items())}
 
     def theta_components(self) -> dict:
         comps: dict = {}
         for m, c in self.terms.items():
             comps.setdefault(len(m[1]), {})[m] = c
-        return {k: SuperPolynomial(t, hat=self.hat) for k, t in sorted(comps.items())}
+        return {k: SuperPolynomial(t) for k, t in sorted(comps.items())}
 
     # -- coefficient extraction --------------------------------------------
 
@@ -338,7 +332,7 @@ class SuperPolynomial:
                     rest = even[:i] + even[i + 1:]
                     break
             layers.setdefault(e, {})[(rest, odd)] = c
-        return {e: SuperPolynomial(t, hat=self.hat) for e, t in sorted(layers.items())}
+        return {e: SuperPolynomial(t) for e, t in sorted(layers.items())}
 
     def max_u_power(self) -> int:
         """Largest exponent of the undifferentiated u."""
@@ -349,11 +343,6 @@ class SuperPolynomial:
                 if co == coord and e > best:
                     best = e
         return best
-
-    def to_hat(self) -> "SuperPolynomial":
-        if self.hat:
-            return self
-        return SuperPolynomial(self.terms, hat=True)
 
     # -- printing ----------------------------------------------------------
 
@@ -385,8 +374,7 @@ class SuperPolynomial:
         return out
 
     def __repr__(self):
-        flags = ", hat=True" if self.hat else ""
-        return f"SuperPolynomial({self}{flags})"
+        return f"SuperPolynomial({self})"
 
 
 # -- the derivation kernel (see the module docstring) --------------------------
@@ -497,11 +485,11 @@ def _variational(a: SuperPolynomial, odd: bool, level: int):
     return acc, D
 
 
-def _to_poly(terms: dict, D: int, hat: bool) -> SuperPolynomial:
+def _to_poly(terms: dict, D: int) -> SuperPolynomial:
     """The polynomial sum_m terms[m]/D m, zero coefficients dropped."""
     if D == 1:
-        return SuperPolynomial({m: Fraction(c) for m, c in terms.items() if c}, hat=hat)
-    return SuperPolynomial({m: Fraction(c, D) for m, c in terms.items() if c}, hat=hat)
+        return SuperPolynomial({m: Fraction(c) for m, c in terms.items() if c})
+    return SuperPolynomial({m: Fraction(c, D) for m, c in terms.items() if c})
 
 
 def _name(base, k):
@@ -538,34 +526,30 @@ def grading_info(a: SuperPolynomial):
 
 class DiffOperator:
     """A differential operator sum_j P_j d^j, j >= 0, with theta-free
-    polynomial coefficients in the operator's own algebra (same hat flag)."""
+    coefficients."""
 
-    __slots__ = ("coeffs", "hat")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict, *, hat: bool = False):
+    def __init__(self, coeffs: dict):
         clean = {}
         for j, p in coeffs.items():
             if j < 0:
                 raise AlgebraError(f"operator orders must be nonnegative, got {j}")
             if isinstance(p, (int, Fraction)):
-                p = SuperPolynomial.const(p, hat=hat)
+                p = SuperPolynomial.const(p)
             if not _theta_free(p):
                 raise AlgebraError("operator coefficients must be free of odd coordinates")
-            if p.hat != hat:
-                raise IncompatibleAlgebras(
-                    f"operator coefficient has hat={p.hat}, the operator hat={hat}")
             if p:
                 clean[j] = p
         self.coeffs = clean
-        self.hat = hat
 
     @classmethod
-    def zero(cls, *, hat=False):
-        return cls({}, hat=hat)
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def d(cls, j=1, *, hat=False):
-        return cls({j: SuperPolynomial.const(1, hat=hat)}, hat=hat)
+    def d(cls, j=1):
+        return cls({j: SuperPolynomial.const(1)})
 
     def order(self) -> int:
         return max(self.coeffs, default=0)
@@ -576,31 +560,31 @@ class DiffOperator:
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        return self.hat == other.hat and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = DiffOperator({0: other}, hat=self.hat)
+            other = DiffOperator({0: other})
         coeffs = dict(self.coeffs)
         for j, p in other.coeffs.items():
-            s = coeffs.get(j, SuperPolynomial.zero(hat=self.hat)) + p
+            s = coeffs.get(j, SuperPolynomial()) + p
             if s:
                 coeffs[j] = s
             elif j in coeffs:
                 del coeffs[j]
-        return DiffOperator(coeffs, hat=self.hat)
+        return DiffOperator(coeffs)
 
     def __neg__(self):
-        return DiffOperator({j: -p for j, p in self.coeffs.items()}, hat=self.hat)
+        return DiffOperator({j: -p for j, p in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "DiffOperator":
-        return DiffOperator({j: p * c for j, p in self.coeffs.items()}, hat=self.hat)
+        return DiffOperator({j: p * c for j, p in self.coeffs.items()})
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        out = SuperPolynomial.zero(hat=self.hat)
+        out = SuperPolynomial()
         for j, p in self.coeffs.items():
             out = out + p * f.dx(j)
         return out
@@ -615,7 +599,7 @@ class DiffOperator:
                     key = i + j - t
                     cur = out.get(key)
                     out[key] = c if cur is None else cur + c
-        return DiffOperator(out, hat=self.hat)
+        return DiffOperator(out)
 
     def adjoint(self) -> "DiffOperator":
         """Formal adjoint: (P d^j)* = (-d)^j . P."""
@@ -627,7 +611,7 @@ class DiffOperator:
                 key = j - t
                 cur = out.get(key)
                 out[key] = c if cur is None else cur + c
-        return DiffOperator(out, hat=self.hat)
+        return DiffOperator(out)
 
     def is_skew_adjoint(self) -> bool:
         return (self.adjoint() + self).is_zero()

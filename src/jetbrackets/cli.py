@@ -31,7 +31,6 @@ from fractions import Fraction
 from .algebra import (
     AlgebraError,
     DiffOperator,
-    IncompatibleAlgebras,
     SkewnessError,
     SuperPolynomial,
     UndefinedGrading,
@@ -71,7 +70,6 @@ _ERROR_CODES = [
     (NoSolution, "no-solution"),
     (MCViolation, "mc-violation"),
     (SkewnessError, "not-skew-adjoint"),
-    (IncompatibleAlgebras, "incompatible-algebras"),
     (UndefinedGrading, "undefined-grading"),
     (AlgebraError, "algebra-error"),
 ]
@@ -141,7 +139,7 @@ def _load_manifest(args, path) -> EpsilonDeformation:
         if k in table:
             corrections.append(operator_to_bivector(parse_operator(table[k], hat=args.hat)))
         else:
-            corrections.append(MultiVector(SuperPolynomial.zero(hat=args.hat), 2))
+            corrections.append(MultiVector(SuperPolynomial(), 2))
     return EpsilonDeformation(base, corrections, trunc)
 
 
@@ -235,7 +233,7 @@ def _cmd_miura_push(args):
     _at_least(args, "weight", minimum=1)
     D = _load_manifest(args, args.manifest)
     x = _density(args, args.x)
-    X = canonical_class(x * SuperPolynomial.theta(0, hat=x.hat))
+    X = canonical_class(x * SuperPolynomial.theta(0))
     N = args.order if args.order is not None else D.truncation
     pushed = miura_push(D, X, args.weight, N)
     _emit(_dump_series(pushed), args)
@@ -289,7 +287,7 @@ def _cmd_selftest(args):
     def quasi_deg2():
         g = (SuperPolynomial.u(1) * SuperPolynomial.u(0)).total_derivative()
         witness, c1 = quasi_trivialize_from_generator(g, 2)
-        return dkdv_pencil().d_Q(witness.as_class()) == c1.to_hat()
+        return dkdv_pencil().d_Q(witness.as_class()) == c1
 
     check("quasi-trivialize-deg2", quasi_deg2)
     ok = all(c["pass"] for c in checks)

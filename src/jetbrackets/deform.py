@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import AlgebraError, SuperPolynomial
-from .schouten import Pencil, _in_algebra_of, schouten_bracket
+from .schouten import Pencil, schouten_bracket
 from .variational import EvolutionaryVF, MultiVector, canonical_class
 
 
@@ -53,7 +53,7 @@ class EpsilonDeformation:
             self.corrections.append(self._zero())
 
     def _zero(self) -> MultiVector:
-        return MultiVector(SuperPolynomial.zero(hat=self.base.hat), 2)
+        return MultiVector(SuperPolynomial(), 2)
 
     def term(self, k: int) -> MultiVector:
         """Coefficient of eps^k (the base at k = 0, zero beyond truncation)."""
@@ -62,11 +62,6 @@ class EpsilonDeformation:
         if 1 <= k <= len(self.corrections):
             return self.corrections[k - 1]
         return self._zero()
-
-    def to_hat(self) -> "EpsilonDeformation":
-        return EpsilonDeformation(self.base.to_hat(),
-                                  [H.to_hat() for H in self.corrections],
-                                  self.truncation)
 
     def __eq__(self, other):
         if not isinstance(other, EpsilonDeformation):
@@ -89,7 +84,7 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     out = []
     for k in range(1, n + 1):
         acc = schouten_bracket(D.term(0), D.term(k))
-        inner = MultiVector(SuperPolynomial.zero(hat=D.base.hat), 3)
+        inner = MultiVector(SuperPolynomial(), 3)
         for i in range(1, k):
             inner = inner + schouten_bracket(D.term(i), D.term(k - i))
         out.append(acc + inner.scale(Fraction(1, 2)))
@@ -105,7 +100,7 @@ def obstruction(D: EpsilonDeformation, n: int) -> MultiVector:
     extension of an order-n deformation; always closed for the base."""
     if not is_order_n_deformation(D, n):
         raise MCViolation(f"not a deformation of order {n}")
-    acc = MultiVector(SuperPolynomial.zero(hat=D.base.hat), 3)
+    acc = MultiVector(SuperPolynomial(), 3)
     for i in range(1, n + 1):
         acc = acc + schouten_bracket(D.term(i), D.term(n - i + 1))
     closure = schouten_bracket(D.term(0), acc)
@@ -187,25 +182,21 @@ def miura_push(D: EpsilonDeformation, X, weight: int = 1,
                truncation: int | None = None) -> EpsilonDeformation:
     """exp(-eps^p ad_X) applied to the series, truncated at eps^N.
 
-    X is a vector field (class of theta-degree 1 or an EvolutionaryVF); hat
-    characteristics give quasi-Miura transformations.
+    X is a vector field (class of theta-degree 1 or an EvolutionaryVF); a
+    characteristic with u_1^-1 gives a quasi-Miura transformation, and X = 0
+    the identity.
     """
     if weight < 1:
         raise AlgebraError(f"Miura weight must be at least 1, got {weight}")
     if isinstance(X, EvolutionaryVF):
         X = X.as_class()
-    if X.theta_degree != 1:
+    if X.theta_degree != 1 and not X.is_zero():
         raise AlgebraError("Miura generators are vector fields")
     N = D.truncation if truncation is None else truncation
     if N < 0:
         raise AlgebraError(f"truncation must be at least 0, got {N}")
-    if X.hat and not D.base.hat:
-        D = D.to_hat()
-    if D.base.hat and not X.hat:
-        X = X.to_hat()
     p = weight
-    out = [MultiVector(SuperPolynomial.zero(hat=D.base.hat), 2)
-           for _ in range(N + 1)]
+    out = [MultiVector(SuperPolynomial(), 2) for _ in range(N + 1)]
     for k in range(0, N + 1):
         H = D.term(k)
         if H.is_zero():
@@ -231,7 +222,8 @@ def miura_push(D: EpsilonDeformation, X, weight: int = 1,
 class GradedSlice:
     """A finite-dimensional space of densities: fixed theta-degree and
     homogeneity, capped order, capped power of the undifferentiated u, capped
-    Laurent depth in u_1 (hat mode)."""
+    Laurent depth in u_1 (the largest admitted power of u_1^-1; 0 keeps the
+    slice polynomial)."""
 
     max_order: int = 4
     max_udeg: int = 4
@@ -244,14 +236,13 @@ class GradedSlice:
                        if self.laurent_depth else 0)
 
 
-def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int, *,
-                    hat: bool = False):
+def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
     """All normal-form monomials of the given theta-degree and homogeneity
     degree within the slice caps."""
     if theta_degree < 0:
         raise AlgebraError(f"theta-degree must be at least 0, got {theta_degree}")
     n = slice_.max_order
-    depth = slice_.laurent_depth if hat else 0
+    depth = slice_.laurent_depth
     out = []
     for odd in itertools.combinations(range(0, n + 1), theta_degree):
         rem = degree - sum(odd)
@@ -259,7 +250,7 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int, *,
         # e_1 := rem - sum, e_0 free up to the cap
         for evens in _even_parts(rem + depth, 2, n):
             e1 = rem - sum(k * e for k, e in evens)
-            if e1 < -depth or (not hat and e1 < 0):
+            if e1 < -depth:
                 continue
             for e0 in range(slice_.max_udeg + 1):
                 even = []
@@ -269,7 +260,7 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int, *,
                     even.append(((1, 1), e1))
                 even.extend((((1, k), e) for k, e in evens))
                 key = (tuple(sorted(even)), tuple((1, j) for j in odd))
-                out.append(SuperPolynomial({key: Fraction(1)}, hat=hat))
+                out.append(SuperPolynomial({key: Fraction(1)}))
     return out
 
 
@@ -446,7 +437,7 @@ def slice_matrix(columns, maps) -> SparseMatrix:
 
 def linear_combination(vector, basis) -> SuperPolynomial:
     """sum_j vector[j] basis[j] over a nonempty basis, in column order."""
-    out = SuperPolynomial.zero(hat=basis[0].hat)
+    out = SuperPolynomial()
     for x, b in zip(vector, basis):
         if x:
             out = out + b * x
@@ -459,15 +450,15 @@ def linear_combination(vector, basis) -> SuperPolynomial:
 _LAST_SYSTEM = None
 
 
-def _primitive_system(H: MultiVector, s: GradedSlice, t: int, deg: int, hat: bool):
+def _primitive_system(H: MultiVector, s: GradedSlice, t: int, deg: int):
     """Basis of the slice and the sparse matrix of d_H on it, reusing the
     previous call's images when the key matches."""
     global _LAST_SYSTEM
-    key = (H, s, t, deg, hat)
+    key = (H, s, t, deg)
     last = _LAST_SYSTEM
     if last is not None and last[0] == key:
         return last[1], last[2]
-    basis = enumerate_basis(s, t, deg, hat=hat)
+    basis = enumerate_basis(s, t, deg)
     matrix = slice_matrix([canonical_class(b) for b in basis],
                            [lambda X: schouten_bracket(H, X)])
     _LAST_SYSTEM = (key, basis, matrix)
@@ -478,11 +469,10 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
                     max_grows: int = 2) -> MultiVector:
     """Solve d_H y = c for y in the slice; exact, deterministic, growing the
     slice a bounded number of times before reporting NoSolution."""
-    Huse = _in_algebra_of(H, c)
-    if not schouten_bracket(Huse, c).is_zero():
+    if not schouten_bracket(H, c).is_zero():
         raise AlgebraError("primitive_solve needs a d_H-closed input")
     if c.is_zero():
-        return MultiVector(SuperPolynomial.zero(hat=c.hat), max(c.theta_degree - 1, 0))
+        return MultiVector(SuperPolynomial(), max(c.theta_degree - 1, 0))
     if c.theta_degree < 1:
         raise AlgebraError(f"primitive_solve needs theta-degree at least 1, got "
                            f"{c.theta_degree}: d_H raises the theta-degree by one")
@@ -493,12 +483,12 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
     rhs = {(0, mn): v for mn, v in c.rep.terms.items()}
     s = slice_
     for _ in range(max_grows + 1):
-        basis, matrix = _primitive_system(Huse, s, t, deg - 1, c.hat)
+        basis, matrix = _primitive_system(H, s, t, deg - 1)
         if basis:
             sol = matrix.solve(rhs)
             if sol is not None:
                 y = canonical_class(linear_combination(sol, basis))
-                if schouten_bracket(Huse, y) != c:
+                if schouten_bracket(H, y) != c:
                     raise AssertionError("primitive_solve verification failed")
                 return y
         s = s.grown()
@@ -517,9 +507,7 @@ def reduce_to_tail(c: Cochain, pencil: Pencil, slice_: GradedSlice):
     for i in range(len(entries) - 1):
         lead = entries[i]
         if lead.is_zero():
-            chain.append(MultiVector(
-                SuperPolynomial.zero(hat=lead.hat),
-                max(lead.theta_degree - 1, 0)))
+            chain.append(MultiVector(SuperPolynomial(), max(lead.theta_degree - 1, 0)))
             continue
         a = primitive_solve(lead, pencil.P, slice_)
         chain.append(a)

@@ -38,9 +38,8 @@ from .variational import (
 _PENCIL = None
 
 
-def _q_operator(hat=False) -> DiffOperator:
-    return DiffOperator({1: SuperPolynomial.u(0, hat=hat),
-                         0: SuperPolynomial.u(1, hat=hat) / 2}, hat=hat)
+def _q_operator() -> DiffOperator:
+    return DiffOperator({1: SuperPolynomial.u(0), 0: SuperPolynomial.u(1) / 2})
 
 
 def dkdv_pencil() -> Pencil:
@@ -59,13 +58,13 @@ def dkdv_pencil() -> Pencil:
 def _euler_lift(s: SuperPolynomial) -> SuperPolynomial:
     """A density H with delta_u H = s, for s in the image of the Euler
     operator: the standard homotopy int_0^1 u s(lambda . jets) dlambda."""
-    out = SuperPolynomial.zero(hat=s.hat)
-    u0 = SuperPolynomial.u(0, hat=s.hat)
+    out = SuperPolynomial()
+    u0 = SuperPolynomial.u(0)
     for (even, odd), c in s.terms.items():
         if odd:
             raise AlgebraError("lift expects an even density")
         d = sum(e for _co, e in even)
-        out = out + u0 * SuperPolynomial({(even, odd): c}, hat=s.hat) / (d + 1)
+        out = out + u0 * SuperPolynomial({(even, odd): c}) / (d + 1)
     return out
 
 
@@ -147,11 +146,11 @@ def _e_data(f: SuperPolynomial, g: SuperPolynomial, n: int):
     e = []
     for j in range(n + 1):
         Fj = f.partial_u(j)
-        Gj = SuperPolynomial.zero(hat=f.hat)
+        Gj = SuperPolynomial()
         for l in range(0, n - j + 1):
             dg = g.partial_u(j + l)
             if dg:
-                Gj = Gj + SuperPolynomial.u(l, hat=f.hat) * dg * (
+                Gj = Gj + SuperPolynomial.u(l) * dg * (
                     half * (comb(j + l, l) + comb(j + l + 1, l)))
         if j == 0:
             Gj = Gj - g * half
@@ -177,7 +176,7 @@ def _e_system(e, n: int):
     m = n // 2
     E = []
     for l in range(m + 1):
-        El = SuperPolynomial.zero(hat=e[0].hat)
+        El = SuperPolynomial()
         for j in range(2 * l, m + l + 1):
             t = e[j].dx(j - 2 * l) * (comb(2 * m - j, m - l) * comb(j + 1, 2 * l + 1))
             El = El + (-t if j & 1 else t)
@@ -191,14 +190,13 @@ def verify_SE_equivalence(e, n: int) -> bool:
     if n % 2:
         raise AlgebraError("the packed E-system is defined for even n only")
     m = n // 2
-    hat = e[0].hat
-    e = list(e) + [SuperPolynomial.zero(hat=hat)] * (n + 1 - len(e))
+    e = list(e) + [SuperPolynomial()] * (n + 1 - len(e))
     E = _e_system(e, n)
     for k, Sk in enumerate(_s_system(e, n)):
         if k == n:
             rhs = E[m] * 2
         else:
-            rhs = SuperPolynomial.zero(hat=hat)
+            rhs = SuperPolynomial()
             for l in range(m + 1):
                 num = comb(2 * l + 1, k + 1)
                 if num == 0:
@@ -247,10 +245,10 @@ class _MoveState:
     def __init__(self, f, g):
         self.f = f
         self.g = g
-        self.K = _q_operator(hat=True)
-        self.a = SuperPolynomial.zero(hat=True)
-        self.b = SuperPolynomial.zero(hat=True)
-        self.c = SuperPolynomial.zero(hat=True)
+        self.K = _q_operator()
+        self.a = SuperPolynomial()
+        self.b = SuperPolynomial()
+        self.c = SuperPolynomial()
 
     def move(self, a, b, c):
         da = higher_variational_u(a)
@@ -271,9 +269,9 @@ def _one_reduction(state: _MoveState, n: int, last_step: int = 9):
     """
     m = n // 2
     sgn_m = -1 if m & 1 else 1
-    u0 = SuperPolynomial.u(0, hat=True)
-    u1inv = SuperPolynomial.u(1, power=-1, hat=True)
-    zero = SuperPolynomial.zero(hat=True)
+    u0 = SuperPolynomial.u(0)
+    u1inv = SuperPolynomial.u(1, power=-1)
+    zero = SuperPolynomial()
 
     # step 1: the top coefficient of f - u g is already absent
     diff = state.f - u0 * state.g
@@ -323,7 +321,7 @@ def quasi_step(pair: CocyclePair):
         raise AlgebraError("the reduction step needs even order n = 2m > 4")
     if not pair.verify():
         raise AlgebraError("pair does not satisfy the cocycle equation")
-    state = _MoveState(pair.f.to_hat(), pair.g.to_hat())
+    state = _MoveState(pair.f, pair.g)
     _one_reduction(state, n)
     new_pair = CocyclePair(state.f, state.g, n - 2)
     if not new_pair.verify():
@@ -385,7 +383,7 @@ def quasi_trivialize(c, ell: int | None = None):
     if not pencil.d_P(c1).is_zero() or not pencil.d_Q(c1).is_zero():
         raise AlgebraError("(0, c1) is not a cocycle of the double complex")
     if c1.is_zero():
-        return EvolutionaryVF(SuperPolynomial.zero(hat=True))
+        return EvolutionaryVF(SuperPolynomial())
     ell0 = _tail_degree(c1, ell)
 
     if ell0 == 0:
@@ -395,7 +393,7 @@ def quasi_trivialize(c, ell: int | None = None):
         key = ((), ((1, 0), (1, 1)))
         lam = rep.terms.get(key)
         if lam is not None and len(rep.terms) == 1:
-            w = EvolutionaryVF(SuperPolynomial.const(-2 * lam, hat=True))
+            w = EvolutionaryVF(SuperPolynomial.const(-2 * lam))
             _verify_witness(w, c1, pencil)
             return w
         return NontrivialAtDegreeZero(c1)
@@ -420,10 +418,10 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None,
     if g and k != 0:
         raise AlgebraError(f"g must have theta-degree 0, got {'mixed' if k is None else k}")
     pencil = dkdv_pencil()
-    gmv = canonical_class((g * SuperPolynomial.theta(0, hat=g.hat)))
+    gmv = canonical_class(g * SuperPolynomial.theta(0))
     c1 = pencil.d_P(gmv)
     if c1.is_zero():
-        return EvolutionaryVF(SuperPolynomial.zero(hat=True)), c1
+        return EvolutionaryVF(SuperPolynomial()), c1
     ell0 = _tail_degree(c1, ell)
     if ell0 == 0:
         return quasi_trivialize(c1), c1
@@ -438,8 +436,6 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None,
 
 
 def _trivialize_pair(f, g, ell0, c1, pencil):
-    f = f.to_hat()
-    g = g.to_hat()
     state = _MoveState(f, g)
     n = max(state.f.order(), state.g.order())
     pair = CocyclePair(state.f, state.g, max(n, 1))
@@ -456,9 +452,9 @@ def _trivialize_pair(f, g, ell0, c1, pencil):
         raise AssertionError("nonzero tail cocycle in degree 1 cannot exist")
 
     if ell0 == 2:
-        u0 = SuperPolynomial.u(0, hat=True)
-        u1 = SuperPolynomial.u(1, hat=True)
-        u2 = SuperPolynomial.u(2, hat=True)
+        u0 = SuperPolynomial.u(0)
+        u1 = SuperPolynomial.u(1)
+        u2 = SuperPolynomial.u(2)
         if (state.f - u0 * state.g).partial_u(2):
             raise AssertionError("degree-2 endgame: f - u g still has u_2")
         p = state.g.partial_u(2)
@@ -469,7 +465,7 @@ def _trivialize_pair(f, g, ell0, c1, pencil):
         if state.f != u0 * state.g + u1 * u1 * p:
             raise AssertionError("degree-2 endgame: f is not u g + u_1^2 p(u)")
         h = _antidiff_u(p, 0)[0] * Fraction(2, 3)
-        carrier = state.c + u2 * SuperPolynomial.u(1, power=-1, hat=True) * h
+        carrier = state.c + u2 * SuperPolynomial.u(1, power=-1) * h
         witness = _flow(carrier)
         _verify_witness(witness, c1, pencil)
         return witness
@@ -490,7 +486,7 @@ def _verify_witness(b0: EvolutionaryVF, c1: MultiVector, pencil: Pencil):
     cls = b0.as_class()
     if not pencil.d_P(cls).is_zero():
         raise AssertionError("witness is not d_P-closed")
-    if pencil.d_Q(cls) != c1.to_hat():
+    if pencil.d_Q(cls) != c1:
         raise AssertionError("witness does not map to the cocycle under d_Q")
 
 
@@ -501,9 +497,9 @@ def _verify_witness(b0: EvolutionaryVF, c1: MultiVector, pencil: Pencil):
 def psi_density() -> SuperPolynomial:
     """psi = -(u_3/u_1 - u_2^2/u_1^2)/2, the second-order correction of the
     coordinate change taking dispersionless KdV to KdV."""
-    u1i = SuperPolynomial.u(1, power=-1, hat=True)
-    u2 = SuperPolynomial.u(2, hat=True)
-    u3 = SuperPolynomial.u(3, hat=True)
+    u1i = SuperPolynomial.u(1, power=-1)
+    u2 = SuperPolynomial.u(2)
+    u3 = SuperPolynomial.u(3)
     return (u3 * u1i - u2 * u2 * u1i * u1i) * Fraction(-1, 2)
 
 
@@ -511,9 +507,9 @@ def psi_residual(psi: SuperPolynomial | None = None, source: int = 1) -> SuperPo
     """D_t psi - u d(psi) - u_1 psi + source * u_3 along the flow u_t = u u_1."""
     if psi is None:
         psi = psi_density()
-    u0 = SuperPolynomial.u(0, hat=True)
-    u1 = SuperPolynomial.u(1, hat=True)
-    u3 = SuperPolynomial.u(3, hat=True)
+    u0 = SuperPolynomial.u(0)
+    u1 = SuperPolynomial.u(1)
+    u3 = SuperPolynomial.u(3)
     Dt = EvolutionaryVF(u0 * u1)
     return Dt.apply(psi) - u0 * psi.total_derivative() - u1 * psi + u3 * source
 

@@ -3,9 +3,9 @@
 Grammar: rationals `a/b`; variables `u`, `u_k`, `theta`, `theta_k`;
 operators `+ - * ^` with `^` > `*` > `+ -` and unary minus; `d(expr)` for the
 total derivative; a `D:` prefix switches to operator mode, where terms have
-the shape `coeff*del^j` (`del` last in each product).  Hat mode admits
-negative exponents on u_1.  Whitespace is insignificant.  Printing uses the
-canonical term order, so parse(print(x)) == x.
+the shape `coeff*del^j` (`del` last in each product).  With hat=True the
+input may carry negative exponents on u_1.  Whitespace is insignificant.
+Printing uses the canonical term order, so parse(print(x)) == x.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class _Parser:
             if not self.operator:
                 raise ParseError("'del' is only valid after the 'D:' prefix",
                                  col, name)
-            return (SuperPolynomial.const(1, hat=self.hat), 1)
+            return (SuperPolynomial.const(1), 1)
         base, _, sub = name.partition("_")
         k = 0
         if sub:
@@ -173,14 +173,14 @@ class _Parser:
                 raise ParseError(f"bad subscript in {name!r}", col, name)
             k = int(sub)
         if base == "u":
-            return (SuperPolynomial.u(k, hat=self.hat), 0)
+            return (SuperPolynomial.u(k), 0)
         if base == "theta":
-            return (SuperPolynomial.theta(k, hat=self.hat), 0)
+            return (SuperPolynomial.theta(k), 0)
         raise ParseError(f"unknown variable {name!r}", col, name,
                          ("u", "u_k", "theta", "theta_k", "d", "del"))
 
     def _const(self, c):
-        return (SuperPolynomial.const(c, hat=self.hat), 0)
+        return (SuperPolynomial.const(c), 0)
 
     def _neg(self, val):
         return (-val[0], val[1])
@@ -208,7 +208,7 @@ class _Parser:
             return (poly, e)
         if e >= 0:
             return (poly ** e, 0)
-        # negative exponents: only u_1 in hat mode (the Laurent generator)
+        # negative exponents: only on u_1, and only where hat admits them
         mono = _single_monomial(poly)
         if mono is None or mono[1] or len(mono[0]) != 1:
             raise ParseError("negative powers apply to a single variable only",
@@ -221,8 +221,7 @@ class _Parser:
         if coeff != 1:
             raise ParseError("negative powers apply to the bare variable",
                              self.peek()[2])
-        return (SuperPolynomial({(((coord, ee * e),), ()): Fraction(1)},
-                                hat=self.hat), 0)
+        return (SuperPolynomial({(((coord, ee * e),), ()): Fraction(1)}), 0)
 
 
 def _is_const_one(p: SuperPolynomial) -> bool:
@@ -277,7 +276,7 @@ def parse_operator(text: str, hat: bool = False) -> DiffOperator:
         for p in coeffs.values():
             if not _theta_free(p):
                 raise ParseError("operator coefficients must be even", 1)
-        return DiffOperator(coeffs, hat=hat)
+        return DiffOperator(coeffs)
     except AlgebraError as exc:
         raise ParseError(str(exc), 1) from exc
 

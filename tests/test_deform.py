@@ -7,6 +7,7 @@ from jetbrackets import (
     Cochain,
     DiffOperator,
     EpsilonDeformation,
+    EvolutionaryVF,
     GradedSlice,
     MCViolation,
     MultiVector,
@@ -25,6 +26,7 @@ from jetbrackets import (
     primitive_solve,
     reduce_to_tail,
     schouten_bracket,
+    vf_from_density,
 )
 from conftest import rand_density
 
@@ -176,10 +178,25 @@ class TestMiura:
             assert all(r.is_zero() for r in mc_residual(pushed, 3))
 
     def test_quasi_miura_allows_hat(self):
-        X = canonical_class(SP.u(1, power=-1, hat=True) * SP.theta(0, hat=True))
+        X = canonical_class(SP.u(1, power=-1) * SP.theta(0))
         D = EpsilonDeformation(P, [], 1)
         pushed = miura_push(D, X, 1, 1)
-        assert pushed.base.hat
+        assert pushed.term(1) == canonical_class(
+            SP.u(1, power=-3) * SP.u(2) * th * SP.theta(1) * (-2))
+
+    @pytest.mark.parametrize("make", [
+        lambda: canonical_class(SP.zero()),
+        lambda: canonical_class(u1 - u1),
+        lambda: EvolutionaryVF(SP.zero()),
+        lambda: vf_from_density(SP.zero()),
+    ], ids=["zero-class", "cancelled-class", "zero-field", "field-of-zero-density"])
+    def test_zero_generator_is_the_identity(self, make):
+        # exp(0) = 1: canonical_class(0) has theta-degree 0, yet it is the
+        # zero vector field
+        X = make()
+        D = EpsilonDeformation(Q, [ZERO_BIV, B3], 2)
+        assert miura_push(D, X, 1, 3) == D
+        assert miura_push(D, X, 1, 3).truncation == 3
 
     @pytest.mark.parametrize("weight", [0, -1])
     def test_nonpositive_weight_rejected(self, weight):
@@ -235,13 +252,13 @@ class TestPrimitiveSolve:
         assert PENCIL.d_Q(y) == c
 
     def test_hat_cocycle_with_polynomial_structure(self):
-        # the closedness check must see P converted to hat mode, like the solve
-        hat_th = SP.theta(0, hat=True)
-        a = canonical_class(SP.u(2, hat=True) * SP.u(1, power=-1, hat=True) * hat_th)
+        # a Laurent cocycle against the polynomial P: the slice's Laurent
+        # depth admits the u_1^-1 primitive
+        a = canonical_class(SP.u(2) * SP.u(1, power=-1) * th)
         c = PENCIL.d_P(a)
-        assert c.hat and not P.hat
+        assert min(c.rep.coefficient_layers(1)) < 0
         y = primitive_solve(c, P, GradedSlice(3, 2, 2))
-        assert y.hat and PENCIL.d_P(y) == c
+        assert min(y.rep.coefficient_layers(1)) < 0 and PENCIL.d_P(y) == c
 
     def test_theta_degree_zero_class_rejected(self):
         # int u dx is d_P-closed, but a primitive would have theta-degree -1
@@ -299,7 +316,7 @@ class TestGradedSlice:
     def test_enumeration_respects_bounds(self):
         from jetbrackets import enumerate_basis
         sl = GradedSlice(max_order=4, max_udeg=2, laurent_depth=2)
-        basis = enumerate_basis(sl, 2, 3, hat=True)
+        basis = enumerate_basis(sl, 2, 3)
         assert basis
         for b in basis:
             assert b.degree() == 3
@@ -308,13 +325,15 @@ class TestGradedSlice:
             assert b.max_u_power() <= 2
             layers = b.coefficient_layers(1)
             assert min(layers) >= -2
+        # the Laurent depth alone admits u_1^-1: there is no separate mode
+        assert min(min(b.coefficient_layers(1)) for b in basis) == -2
 
     def test_enumeration_is_complete_for_small_slice(self):
         # brute-force count of theta-free degree-2 monomials with
         # u-power <= 1 and order <= 2: u_2, u u_2, u_1^2, u u_1^2
         from jetbrackets import enumerate_basis
         sl = GradedSlice(max_order=2, max_udeg=1)
-        basis = enumerate_basis(sl, 0, 2, hat=False)
+        basis = enumerate_basis(sl, 0, 2)
         got = sorted(str(b) for b in basis)
         assert got == sorted(["u_2", "u*u_2", "u_1^2", "u*u_1^2"])
 
@@ -326,7 +345,7 @@ class TestGradedSlice:
     def test_enumeration_distinct(self):
         from jetbrackets import enumerate_basis
         sl = GradedSlice(max_order=3, max_udeg=2, laurent_depth=1)
-        basis = enumerate_basis(sl, 1, 2, hat=True)
+        basis = enumerate_basis(sl, 1, 2)
         keys = [next(iter(b.terms)) for b in basis]
         assert len(keys) == len(set(keys))
 

@@ -36,14 +36,10 @@ u = SP.u(0)
 u1 = SP.u(1)
 u2 = SP.u(2)
 th = SP.theta(0)
-uh = SP.u(0, hat=True)
-u1h = SP.u(1, hat=True)
-u2h = SP.u(2, hat=True)
-u1inv = SP.u(1, power=-1, hat=True)
+u1inv = SP.u(1, power=-1)
 
 P_OP = DiffOperator.d(1)
 Q_OP = DiffOperator({1: u, 0: u1 / 2})
-QH_OP = DiffOperator({1: uh, 0: u1h / 2}, hat=True)
 
 
 class TestPencil:
@@ -115,14 +111,14 @@ class TestSymmetries:
 
 class TestESE:
     def test_zero_pair(self):
-        z = SP.zero(hat=True)
+        z = SP.zero()
         e, S, E = build_eSE(z, z, 4)
         assert all(x.is_zero() for x in e + S + E)
 
     def test_n2_packing(self, rng):
         # S_0 = E_0 + 3 d^2 E_1 with E_0 = 2 e_0 - 2 d e_1, E_1 = e_2
-        f = rand_density(rng, 0, max_order=2, hat=True)
-        g = rand_density(rng, 0, max_order=2, hat=True)
+        f = rand_density(rng, 0, max_order=2, laurent=1)
+        g = rand_density(rng, 0, max_order=2, laurent=1)
         e, S, E = build_eSE(f, g, 2)
         assert E[0] == e[0] * 2 - e[1].total_derivative() * 2
         assert E[1] == e[2]
@@ -132,41 +128,41 @@ class TestESE:
         # f = u g with g = u_1^3: the u_2-part of S_0 (which is
         # -l(l-1) u_1^{l-2} (s - u t) in general) collapses, leaving
         # 2 (1 - l)((s - u t)' + t/2) u_1^l = -6 u_1^3
-        g = u1h ** 3
-        f = uh * g
+        g = u1 ** 3
+        f = u * g
         _e, S, _E = build_eSE(f, g, 1)
         assert S[0].partial_u(2).is_zero()
-        assert S[0] == u1h ** 3 * (-6)
+        assert S[0] == u1 ** 3 * (-6)
         assert S[1].is_zero()
         # a generic pair of the same shape does carry a u_2-coefficient
-        _e2, S2, _E2 = build_eSE(uh * uh * g, g, 1)
+        _e2, S2, _E2 = build_eSE(u * u * g, g, 1)
         assert not S2[0].partial_u(2).is_zero()
 
     def test_top_entry(self, rng):
         # e_j = delta_{j,n}-type data: S_n = 2 E_m = 2 e_n
         n = 4
-        e = [SP.zero(hat=True)] * n + [rand_density(rng, 0, max_order=2, hat=True)]
+        e = [SP.zero()] * n + [rand_density(rng, 0, max_order=2, laurent=1)]
         assert verify_SE_equivalence(e, n)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_equivalence_random(self, rng, n):
         for _ in range(4):
-            e = [rand_density(rng, 0, max_order=3, hat=True, terms=2)
+            e = [rand_density(rng, 0, max_order=3, laurent=1, terms=2)
                  for _ in range(n + 1)]
             assert verify_SE_equivalence(e, n)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_short_e(self, rng, n):
         # entries e_j missing from the end of the list count as zero
-        e = [rand_density(rng, 0, max_order=3, hat=True, terms=2) for _ in range(n)]
+        e = [rand_density(rng, 0, max_order=3, laurent=1, terms=2) for _ in range(n)]
         for k in range(1, n + 1):
             assert verify_SE_equivalence(e[:k], n)
 
     def test_odd_n_rejected(self, rng):
-        e = [rand_density(rng, 0, hat=True) for _ in range(4)]
+        e = [rand_density(rng, 0, laurent=1) for _ in range(4)]
         with pytest.raises(AlgebraError):
             verify_SE_equivalence(e, 3)
-        _e, _S, E = build_eSE(u1h, u1h, 3)
+        _e, _S, E = build_eSE(u1, u1, 3)
         assert E is None
 
     def test_packed_density_identity(self, rng):
@@ -174,28 +170,28 @@ class TestESE:
         # N(density of d_P int(f theta) - d_Q int(g theta)) = sum_k theta
         # theta_{k+1} S_k, for arbitrary pairs (no cocycle condition needed)
         pen = dkdv_pencil()
-        thh = SP.theta(0, hat=True)
+        thh = SP.theta(0)
         for _ in range(6):
             n = rng.choice([2, 3, 4])
-            f = rand_density(rng, 0, max_order=n, hat=True)
-            g = rand_density(rng, 0, max_order=n, hat=True)
+            f = rand_density(rng, 0, max_order=n, laurent=1)
+            g = rand_density(rng, 0, max_order=n, laurent=1)
             F = canonical_class(f * thh)
             G = canonical_class(g * thh)
             lhs = (pen.d_P(F) - pen.d_Q(G)).rep * 2
             _e, S, _E = build_eSE(f, g, n)
-            rhs = SP.zero(hat=True)
+            rhs = SP.zero()
             for k in range(n + 1):
-                rhs = rhs + thh * SP.theta(k + 1, hat=True) * S[k]
+                rhs = rhs + thh * SP.theta(k + 1) * S[k]
             assert lhs == rhs
 
     def test_step4_identity(self, rng):
         # for f, g of order <= n-1: [u_n] E_{m-1} = -n d^2_{n-1}(f - u g)
         n = 6
-        f = rand_density(rng, 0, max_order=5, hat=True, terms=3)
-        g = rand_density(rng, 0, max_order=5, hat=True, terms=3)
+        f = rand_density(rng, 0, max_order=5, laurent=1, terms=3)
+        g = rand_density(rng, 0, max_order=5, laurent=1, terms=3)
         _e, _S, E = build_eSE(f, g, n)
-        lhs = E[2].coefficient_layers(6).get(1, SP.zero(hat=True))
-        diff = f - uh * g
+        lhs = E[2].coefficient_layers(6).get(1, SP.zero())
+        diff = f - u * g
         assert lhs == diff.partial_u(5).partial_u(5) * (-n)
 
 
@@ -213,20 +209,21 @@ class TestBinomialIdentity:
 
 
 def coboundary_pair(rng, laurent=2):
-    """Pair (f, g) = (K delta_u b, -d delta_u b) from a random b in
-    A-hat[3] linear in u_3; satisfies the constraint system at order 6."""
-    b = SP.zero(hat=True)
+    """Pair (f, g) = (K delta_u b, -d delta_u b) from a random b of order 3,
+    linear in u_3, with u_1 inverted; satisfies the constraint system at
+    order 6."""
+    b = SP.zero()
     for _ in range(3):
-        m = SP.const(rand_coeff(rng), 1, True)
+        m = SP.const(rand_coeff(rng))
         for _ in range(rng.randint(0, 2)):
-            m = m * SP.u(rng.randint(0, 2), hat=True)
+            m = m * SP.u(rng.randint(0, 2))
         if rng.random() < 0.6:
-            m = m * SP.u(1, power=-rng.randint(1, laurent), hat=True)
+            m = m * SP.u(1, power=-rng.randint(1, laurent))
         if rng.random() < 0.7:
-            m = m * SP.u(3, hat=True)
+            m = m * SP.u(3)
         b = b + m
     db = higher_variational_u(b)
-    return QH_OP.apply(db), -db.total_derivative()
+    return Q_OP.apply(db), -db.total_derivative()
 
 
 class TestQuasiStep:
@@ -257,25 +254,25 @@ class TestQuasiStep:
             da = higher_variational_u(a)
             db = higher_variational_u(b)
             dc = higher_variational_u(c)
-            assert new.f == f + da.total_derivative() + QH_OP.apply(db)
-            assert new.g == g - db.total_derivative() + QH_OP.apply(dc)
+            assert new.f == f + da.total_derivative() + Q_OP.apply(db)
+            assert new.g == g - db.total_derivative() + Q_OP.apply(dc)
 
     def test_zero_top_data_passes_through(self):
-        g = u1h ** 2
-        f = uh * g + u1h ** 2 * uh
-        pair0 = CocyclePair(f - uh * g, SP.zero(hat=True), 6)
+        g = u1 ** 2
+        f = u * g + u1 ** 2 * u
+        pair0 = CocyclePair(f - u * g, SP.zero(), 6)
         # build an honest low-order pair instead: f = u g + u_1^2 p with g = d(u_1 p)
-        p = uh
-        g = (u1h * p).total_derivative()
-        f = uh * g + u1h ** 2 * p
+        p = u
+        g = (u1 * p).total_derivative()
+        f = u * g + u1 ** 2 * p
         pair = CocyclePair(f, g, 6)
         assert pair.verify()
         _a, _b, _c, new = quasi_step(pair)
         assert new.f == f and new.g == g
 
     def test_rejects_non_cocycle(self, rng):
-        f = rand_density(rng, 0, max_order=6, hat=True)
-        pair = CocyclePair(f, SP.zero(hat=True), 6)
+        f = rand_density(rng, 0, max_order=6, laurent=1)
+        pair = CocyclePair(f, SP.zero(), 6)
         if not pair.verify():
             with pytest.raises(AlgebraError):
                 quasi_step(pair)
@@ -285,7 +282,7 @@ class TestQuasiStep:
         with pytest.raises(AlgebraError):
             quasi_step(CocyclePair(f, g, 5))
         with pytest.raises(AlgebraError):
-            quasi_step(CocyclePair(SP.zero(hat=True), SP.zero(hat=True), 4))
+            quasi_step(CocyclePair(SP.zero(), SP.zero(), 4))
 
 
 class TestQuasiTrivialize:
@@ -297,13 +294,13 @@ class TestQuasiTrivialize:
         assert isinstance(witness, EvolutionaryVF)
         # the witness is d_P int (u_2/u_1) h dx with h' = (2/3) p
         e = pdens.max_u_power()
-        h = uh ** (e + 1) * Fraction(2, 3 * (e + 1))
-        carrier = u2h * u1inv * h
+        h = u ** (e + 1) * Fraction(2, 3 * (e + 1))
+        carrier = u2 * u1inv * h
         expected = higher_variational_u(carrier).total_derivative()
         assert witness.chars[0] == expected
         wcls = witness.as_class()
         assert pen.d_P(wcls).is_zero()
-        assert pen.d_Q(wcls) == c1.to_hat()
+        assert pen.d_Q(wcls) == c1
 
     def test_degree_one_generator_gives_zero_witness(self):
         s = u ** 2
@@ -323,7 +320,7 @@ class TestQuasiTrivialize:
         c1 = canonical_class(th * SP.theta(1) * Fraction(5, 2))
         w = quasi_trivialize(c1)
         assert isinstance(w, EvolutionaryVF)
-        assert pen.d_Q(w.as_class()) == c1.to_hat()
+        assert pen.d_Q(w.as_class()) == c1
 
     @pytest.mark.parametrize("ell", [3, 4, 5])
     def test_higher_degree_coboundaries(self, rng, ell):
@@ -343,7 +340,7 @@ class TestQuasiTrivialize:
             assert isinstance(witness, EvolutionaryVF)
             wcls = witness.as_class()
             assert pen.d_P(wcls).is_zero()
-            assert pen.d_Q(wcls) == c1.to_hat()
+            assert pen.d_Q(wcls) == c1
             if produced >= 2:
                 break
         assert produced >= 1
@@ -358,14 +355,14 @@ class TestQuasiTrivialize:
         witness = quasi_trivialize(c1)
         cls = witness.as_class()
         assert pen.d_P(cls).is_zero()
-        assert pen.d_Q(cls) == c1.to_hat()
+        assert pen.d_Q(cls) == c1
 
     def test_tail_cochain_entry_point(self):
         pen = dkdv_pencil()
         c1 = canonical_class(-(u * SP.theta(1) * SP.theta(2)))
         c = Cochain([MultiVector(SP.zero(), 2), c1])
         witness = quasi_trivialize(c, 2)
-        assert pen.d_Q(witness.as_class()) == c1.to_hat()
+        assert pen.d_Q(witness.as_class()) == c1
 
     def test_non_cocycle_rejected(self):
         c1 = canonical_class(u ** 2 * th * SP.theta(3))
@@ -408,9 +405,10 @@ class TestPsi:
         # with the u_3 source subtracted instead of added the residual is
         # exactly -2 u_3: the identity is sign-critical
         res = psi_residual(source=-1)
-        assert res == SP.u(3, hat=True) * (-2)
+        assert res == SP.u(3) * (-2)
 
     def test_psi_lives_in_order_three_hat(self):
         psi = psi_density()
-        assert psi.order() == 3 and psi.hat
+        assert psi.order() == 3
+        assert set(psi.coefficient_layers(1)) == {-2, -1}
         assert psi.degree() == 2

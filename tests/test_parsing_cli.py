@@ -28,7 +28,7 @@ class TestParser:
     def test_density_examples(self):
         assert parse_density("u*u_1") == u * u1
         assert parse_density("u_2^2 * u_1^-2", hat=True) == \
-            SP.u(2, hat=True) ** 2 * SP.u(1, power=-2, hat=True)
+            SP.u(2) ** 2 * SP.u(1, power=-2)
         assert parse_density("1/6*u^3") == u ** 3 / 6
         assert parse_density("theta*theta_1 - u") == th * SP.theta(1) - u
 
@@ -78,7 +78,7 @@ class TestParser:
 
     def test_print_parse_round_trip(self, rng):
         for _ in range(30):
-            p = rand_density(rng, rng.randint(0, 2), max_order=3, hat=True,
+            p = rand_density(rng, rng.randint(0, 2), max_order=3,
                              laurent=2)
             assert parse_density(str(p), hat=True) == p
         for _ in range(10):
@@ -203,6 +203,15 @@ class TestCLI:
         assert code == 0
         assert doc["base"] == "D: del"
         assert doc["corrections"] == {}
+
+    @pytest.mark.parametrize("x", ["0", "u_1 - u_1"])
+    def test_miura_push_zero_generator_is_the_identity(self, tmp_path, x):
+        series = {"base": "D: u*del + 1/2*u_1",
+                  "corrections": {"2": "D: 3/2*del^3"}, "truncation": 2}
+        man = tmp_path / "m.json"
+        man.write_text(json.dumps(series))
+        code, doc = run_cli("miura-push", str(man), "--x", x)
+        assert code == 0 and doc == series
 
     def test_selftest(self):
         code, doc = run_cli("selftest")

@@ -81,9 +81,13 @@ class TestBracketBasics:
                 schouten_bracket(b, schouten_bracket(a, c)).scale(sgn((ka - 1) * (kb - 1)))
             assert lhs == rhs
 
-    def test_flag_mismatch(self):
-        with pytest.raises(AlgebraError):
-            schouten_bracket(P, P.to_hat())
+    def test_polynomial_and_laurent_classes_bracket(self):
+        # a polynomial P and a Laurent a need no conversion; the bracket is
+        # graded skew, [[P, a]] = -[[a, P]] for a vector field a
+        a = canonical_class(SP.u(1, power=-1) * th)
+        Pa = schouten_bracket(P, a)
+        assert Pa == canonical_class(SP.u(1, power=-3) * SP.u(2) * th * th1 * (-2))
+        assert Pa == schouten_bracket(a, P).scale(-1)
 
 
 class TestDifferentials:
@@ -221,8 +225,6 @@ class TestHydrodynamic:
         assert is_hamiltonian(B)
 
     def test_hat_coefficient_gives_hat_pair(self):
-        B, op = hydrodynamic_bivector(SP.u(0, hat=True))
-        assert op.hat and B.hat
-        assert op == DiffOperator({1: SP.u(0, hat=True), 0: SP.u(1, hat=True) / 2},
-                                  hat=True)
-        assert B == Q.to_hat()
+        B, op = hydrodynamic_bivector(SP.u(0))
+        assert op == DiffOperator({1: SP.u(0), 0: SP.u(1) / 2})
+        assert B == Q

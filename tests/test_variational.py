@@ -36,10 +36,10 @@ from conftest import (
 
 @st.composite
 def skew_operators(draw):
-    """A random skew-adjoint operator A - A^* of order <= 3, hat included."""
-    hat = draw(st.booleans())
-    coeff = densities(max_theta_degree=0, hat=hat)
-    A = DiffOperator({j: draw(coeff) for j in range(draw(st.integers(0, 4)))}, hat=hat)
+    """A random skew-adjoint operator A - A^* of order <= 3, Laurent
+    coefficients included."""
+    coeff = densities(max_theta_degree=0, laurent=draw(st.booleans()))
+    A = DiffOperator({j: draw(coeff) for j in range(draw(st.integers(0, 4)))})
     return A - A.adjoint()
 
 
@@ -56,7 +56,7 @@ class TestVariationalDerivative:
         assert variational_derivative(u * u1).is_zero()
 
     def test_u2_over_u1_is_null(self):
-        w = SP.u(2, hat=True) * SP.u(1, power=-1, hat=True)
+        w = SP.u(2) * SP.u(1, power=-1)
         assert variational_derivative(w).is_zero()
 
     def test_higher_level_example(self):
@@ -64,7 +64,7 @@ class TestVariationalDerivative:
 
     def test_delta_kills_d_randomized(self, rng):
         for _ in range(30):
-            a = rand_density(rng, rng.randint(0, 2), max_order=5, hat=True)
+            a = rand_density(rng, rng.randint(0, 2), max_order=5, laurent=1)
             d = a.total_derivative()
             assert higher_variational_u(d).is_zero()
             assert higher_variational_theta(d).is_zero()
@@ -74,7 +74,7 @@ class TestVariationalDerivative:
         for _ in range(15):
             a = rand_density(rng, rng.randint(1, 3), max_order=3)
             for i in range(0, 4):
-                acc = SP.zero(hat=a.hat)
+                acc = SP.zero()
                 for j in range(i, a.order() + 1):
                     t = higher_variational_theta(a, level=j)
                     if t:
@@ -103,10 +103,10 @@ class TestNormalization:
             assert lhs == rhs
 
     def test_nf_minus_kf_is_exact(self, rng):
-        for hat in (False, True):
+        for laurent in (0, 1):
             for _ in range(15):
                 k = rng.randint(1, 3)
-                F = rand_density(rng, k, max_order=4, hat=hat)
+                F = rand_density(rng, k, max_order=4, laurent=laurent)
                 if F.is_zero():
                     continue
                 w = integrate_x(normalize_N(F) - F * k)
@@ -122,27 +122,27 @@ class TestIntegrateX:
         assert got == u ** 3 / 4
 
     def test_log_obstruction(self):
-        w = SP.u(2, hat=True) * SP.u(1, power=-1, hat=True)
+        w = SP.u(2) * SP.u(1, power=-1)
         with pytest.raises(NotExact) as err:
             integrate_x(w)
         assert err.value.residue == w
 
     def test_laurent_exact(self):
         # u_2 u_1^{-2} = d(-u_1^{-1})
-        w = SP.u(2, hat=True) * SP.u(1, power=-2, hat=True)
+        w = SP.u(2) * SP.u(1, power=-2)
         assert integrate_x(w).total_derivative() == w
 
     def test_witness_on_random_exact_densities(self, rng):
         for _ in range(30):
-            g = rand_density(rng, rng.randint(0, 3), max_order=3, hat=True)
+            g = rand_density(rng, rng.randint(0, 3), max_order=3, laurent=1)
             d = g.total_derivative()
             w = integrate_x(d)
             assert w.total_derivative() == d
 
     def test_decompose_residue_is_class_invariant(self, rng):
         for _ in range(20):
-            a = rand_density(rng, 0, max_order=3, hat=True)
-            b = rand_density(rng, 0, max_order=2, hat=True)
+            a = rand_density(rng, 0, max_order=3, laurent=1)
+            b = rand_density(rng, 0, max_order=2, laurent=1)
             _g1, r1 = decompose_total_derivative(a)
             _g2, r2 = decompose_total_derivative(a + b.total_derivative())
             assert r1 == r2
@@ -159,8 +159,8 @@ class TestCanonicalClass:
     def test_invariance_under_exact_shifts(self, rng):
         for _ in range(25):
             k = rng.randint(0, 3)
-            a = rand_density(rng, k, max_order=3, hat=True)
-            b = rand_density(rng, k, max_order=2, hat=True)
+            a = rand_density(rng, k, max_order=3, laurent=1)
+            b = rand_density(rng, k, max_order=2, laurent=1)
             lhs = canonical_class(a + b.total_derivative())
             assert lhs == canonical_class(a)
             assert canonical_class(b.total_derivative()).is_zero()
@@ -264,7 +264,7 @@ class TestOperatorDictionary:
         if B.is_zero():
             return
         D = bivector_to_operator(B)
-        assert isinstance(D, DiffOperator) and D.hat == a.hat
+        assert isinstance(D, DiffOperator)
         assert operator_to_bivector(D) == B
 
 
@@ -284,17 +284,17 @@ def _ref_delta(a, odd, level):
     polynomial per partial derivative, summed by Horner."""
     top = a.order() - level
     if top < 0:
-        return SP.zero(hat=a.hat)
+        return SP.zero()
     partial = ref_partial_theta if odd else ref_partial_u
     return _ref_nested_alternating(
         [partial(a, level + j) * comb(level + j, level) for j in range(top + 1)])
 
 
 def _ref_normalize_N(a):
-    out = SP.zero(hat=a.hat)
+    out = SP.zero()
     d = _ref_delta(a, True, 0)
     if d:
-        out = out + SP.theta(0, hat=a.hat) * d
+        out = out + SP.theta(0) * d
     return out
 
 
@@ -346,7 +346,7 @@ class TestKernelAgainstFractionFormulas:
 def _ref_vf_char(a):
     """The characteristic as vf_from_density built it before it called the
     kernel: sum_j (-1)^j d^j partial_{theta_j} a."""
-    c = SP.zero(hat=a.hat)
+    c = SP.zero()
     for j in range(a.order() + 1):
         f = ref_partial_theta(a, j)
         if f:
