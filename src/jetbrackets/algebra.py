@@ -154,6 +154,8 @@ class SuperPolynomial:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SuperPolynomial.const(other)
+        elif not isinstance(other, SuperPolynomial):
+            return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m, _ZERO) + c
@@ -171,9 +173,13 @@ class SuperPolynomial:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SuperPolynomial.const(other)
+        elif not isinstance(other, SuperPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -182,6 +188,8 @@ class SuperPolynomial:
             if c == 0:
                 return SuperPolynomial()
             return SuperPolynomial({m: cc * c for m, cc in self.terms.items()})
+        if not isinstance(other, SuperPolynomial):
+            return NotImplemented
         out: dict = {}
         for (e1, o1), c1 in self.terms.items():
             for (e2, o2), c2 in other.terms.items():
@@ -381,9 +389,13 @@ class SuperPolynomial:
 
 # table of monomial derivatives: mono -> ((mono', integer multiplier), ...);
 # the multipliers are integers (exponents), so d of an int dict stays an int
-# dict.  The cache is add-only with deterministic values, so concurrent
-# readers are safe (a racing recompute is identical).
+# dict.  The values are deterministic, so concurrent readers are safe (a
+# racing recompute is identical) and emptying the table once it holds
+# _DERIV_LIMIT entries changes no result.  The limit is above the 3 507
+# entries of a quasi-trivialization ladder over ell <= 8 and the 52 000 of a
+# long run of random Jacobi checks, whose later checks reuse earlier entries.
 _DERIV_CACHE: dict = {}
+_DERIV_LIMIT = 65536
 
 
 def _derive_monomial(mono):
@@ -423,6 +435,8 @@ def _add_derivative(out: dict, terms: dict) -> dict:
     for mono, c in terms.items():
         ents = cache.get(mono)
         if ents is None:
+            if len(cache) >= _DERIV_LIMIT:
+                cache.clear()
             ents = _derive_monomial(mono)
             cache[mono] = ents
         for key, mult in ents:

@@ -6,9 +6,11 @@ quasi-Miura pushforwards, and a constructive primitive solver: acyclicity of
 d_H on the positive-degree graded pieces is realized by enumerating a finite
 monomial slice, building d_H on it as a sparse matrix of primitive integer
 rows and solving with one fraction-free reduced-row-echelon kernel, whose
-results are converted to Fraction once, on return.  The integer rows of the
-last slice are kept, so the Y and X solves of a quasi-trivialization, which
-share H, slice and grading, build and convert the system once.
+results are converted to Fraction once, on return.  The d_H image of each
+slice monomial is computed once per process and kept in a table shared by
+every slice problem: the slices nest and the differentials are fixed, so a
+later system, a grown slice or the next cocycle of the same degree reads its
+images instead of recomputing a Schouten bracket per monomial.
 """
 
 from __future__ import annotations
@@ -283,14 +285,15 @@ class SparseMatrix:
     """An exact rational matrix as sparse primitive integer rows {column: int}.
 
     Rows are keyed by any hashable label (a monomial, say) so that a right-hand
-    side can be given in the same labels.  The constructor takes rational rows,
-    drops zero entries and scales each row once to a primitive integer row
-    (nonzero integer entries with gcd 1), remembering the scale for the
-    right-hand side.  Both operations reduce a copy of the rows over the
-    integers to reduced row echelon form with the pivot columns taken in
-    column order, and convert to Fraction only in what they return; that
-    form, normalized, is unique, so the solution of ``solve`` and the vectors
-    of ``kernel`` do not depend on row order or on the choice of pivot rows.
+    side can be given in the same labels.  The constructor takes rational rows
+    (int or Fraction entries), drops zero entries and scales each row once to
+    a primitive integer row (nonzero integer entries with gcd 1), remembering
+    the scale for the right-hand side.  Both operations reduce a copy of the
+    rows over the integers to reduced row echelon form with the pivot columns
+    taken in column order, and convert to Fraction only in what they return;
+    that form, normalized, is unique, so the solution of ``solve`` and the
+    vectors of ``kernel`` do not depend on row order or on the choice of
+    pivot rows.
     """
 
     def __init__(self, rows: dict, ncols: int):
@@ -423,16 +426,50 @@ def _rref(rows, ncols):
     return pivots
 
 
-def slice_matrix(columns, maps) -> SparseMatrix:
-    """The matrix of the linear maps on a slice: entry ((k, m), j) is the
-    coefficient of the monomial m in maps[k](columns[j]).  The polynomial
-    terms carry no zero coefficients, so every stored entry is nonzero."""
+# The d_H images of single monomials: (H, monomial) -> the terms of
+# [[H, class(monomial)]] as a tuple of monomials and a tuple of coefficients,
+# H keyed by the terms of its representative.  Every slice_matrix call reads
+# and fills it.  Image monomials are interned through _KEYS, because a few
+# hundred distinct monomials make up thousands of image terms, and integral
+# coefficients (nine in ten) are stored as ints.  The values are
+# deterministic, so emptying both tables once _IMAGE_LIMIT images are held
+# changes no result; the limit is well above the 2 430 images of a
+# quasi-trivialization ladder over ell <= 8.
+_IMAGES: dict = {}
+_KEYS: dict = {}
+_IMAGE_LIMIT = 16384
+
+
+def slice_matrix(monomials, brackets) -> SparseMatrix:
+    """The matrix of the maps d_H, H in brackets, on the span of the
+    monomials: entry ((k, m), j) is the coefficient of the monomial m in
+    [[brackets[k], class(monomials[j])]].  The images come from the table
+    above; polynomial terms carry no zero coefficients, so every stored entry
+    is nonzero."""
+    intern = _KEYS.setdefault
+    hkeys = [intern(h, h) for h in (frozenset(H.rep.terms.items()) for H in brackets)]
     rows: dict = {}
-    for j, x in enumerate(columns):
-        for k, f in enumerate(maps):
-            for mn, v in f(x).rep.terms.items():
+    for j, x in enumerate(monomials):
+        ((mono, c),) = x.terms.items()
+        for k, H in enumerate(brackets):
+            image = _IMAGES.get((hkeys[k], mono))
+            if image is None:
+                if len(_IMAGES) >= _IMAGE_LIMIT:
+                    _IMAGES.clear()
+                    _KEYS.clear()
+                    hkeys = [intern(h, h) for h in hkeys]
+                cls = canonical_class(SuperPolynomial({mono: Fraction(1)}))
+                terms = schouten_bracket(H, cls).rep.terms
+                image = (tuple(map(intern, terms, terms)),
+                         tuple(v.numerator if v.denominator == 1 else v
+                               for v in terms.values()))
+                _IMAGES[(hkeys[k], mono)] = image
+            mns, values = image
+            if c != 1:
+                values = [v * c for v in values]
+            for mn, v in zip(mns, values):
                 rows.setdefault((k, mn), {})[j] = v
-    return SparseMatrix(rows, len(columns))
+    return SparseMatrix(rows, len(monomials))
 
 
 def linear_combination(vector, basis) -> SuperPolynomial:
@@ -442,27 +479,6 @@ def linear_combination(vector, basis) -> SuperPolynomial:
         if x:
             out = out + b * x
     return out
-
-
-# The last slice system of primitive_solve: (key, basis, matrix).  One entry,
-# because the Y and X solves of quasi_trivialize share H, slice and grading
-# back to back; holding more would only keep dead systems alive.
-_LAST_SYSTEM = None
-
-
-def _primitive_system(H: MultiVector, s: GradedSlice, t: int, deg: int):
-    """Basis of the slice and the sparse matrix of d_H on it, reusing the
-    previous call's images when the key matches."""
-    global _LAST_SYSTEM
-    key = (H, s, t, deg)
-    last = _LAST_SYSTEM
-    if last is not None and last[0] == key:
-        return last[1], last[2]
-    basis = enumerate_basis(s, t, deg)
-    matrix = slice_matrix([canonical_class(b) for b in basis],
-                           [lambda X: schouten_bracket(H, X)])
-    _LAST_SYSTEM = (key, basis, matrix)
-    return basis, matrix
 
 
 def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
@@ -483,9 +499,9 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
     rhs = {(0, mn): v for mn, v in c.rep.terms.items()}
     s = slice_
     for _ in range(max_grows + 1):
-        basis, matrix = _primitive_system(H, s, t, deg - 1)
+        basis = enumerate_basis(s, t, deg - 1)
         if basis:
-            sol = matrix.solve(rhs)
+            sol = slice_matrix(basis, [H]).solve(rhs)
             if sol is not None:
                 y = canonical_class(linear_combination(sol, basis))
                 if schouten_bracket(H, y) != c:

@@ -18,6 +18,7 @@ from .algebra import AlgebraError, DiffOperator, SuperPolynomial
 from .deform import (
     Cochain,
     GradedSlice,
+    NoSolution,
     enumerate_basis,
     linear_combination,
     primitive_solve,
@@ -118,8 +119,7 @@ def symmetry_space(ell: int, max_udeg: int = 6, max_order: int | None = None):
     if not chars:
         return []
     theta = SuperPolynomial.theta(0)
-    fields = [canonical_class(b * theta) for b in chars]
-    matrix = slice_matrix(fields, [pencil.d_P, pencil.d_Q])
+    matrix = slice_matrix([b * theta for b in chars], [pencil.P, pencil.Q])
     return [linear_combination(v, chars) for v in matrix.kernel()]
 
 
@@ -335,8 +335,8 @@ def quasi_step(pair: CocyclePair):
 
 @dataclass
 class NontrivialAtDegreeZero:
-    """Marker result: degree-0 tail classes s(u) theta theta_1 with
-    nonconstant s are not quasi-trivial."""
+    """Marker result: polynomial degree-0 tail classes s(u) theta theta_1
+    with nonconstant s are not quasi-trivial."""
 
     cocycle: MultiVector
 
@@ -367,9 +367,10 @@ def quasi_trivialize(c, ell: int | None = None):
 
     For homogeneity degree ell >= 1 returns the vector field b0 (with
     u_1-inverses allowed) satisfying d_P b0 = 0 and d_Q b0 = c1, both
-    re-verified exactly before returning.  At degree 0 only the constant
-    multiples of theta theta_1 are trivial; anything else yields
-    NontrivialAtDegreeZero.
+    re-verified exactly before returning.  At degree 0 a polynomial class is
+    trivial only as a constant multiple of theta theta_1, and anything else
+    yields NontrivialAtDegreeZero; a Laurent class gets a witness from the
+    joint d_P / d_Q system or raises NoSolution (see _degree_zero).
     """
     pencil = dkdv_pencil()
     if isinstance(c, Cochain):
@@ -387,16 +388,7 @@ def quasi_trivialize(c, ell: int | None = None):
     ell0 = _tail_degree(c1, ell)
 
     if ell0 == 0:
-        # the only trivial degree-0 classes are constant multiples of
-        # theta theta_1 = d_Q(-2 int theta dx)
-        rep = c1.rep
-        key = ((), ((1, 0), (1, 1)))
-        lam = rep.terms.get(key)
-        if lam is not None and len(rep.terms) == 1:
-            w = EvolutionaryVF(SuperPolynomial.const(-2 * lam))
-            _verify_witness(w, c1, pencil)
-            return w
-        return NontrivialAtDegreeZero(c1)
+        return _degree_zero(c1, pencil)
 
     sl = GradedSlice(max_order=max(ell0, 2), max_udeg=8)
     Y = primitive_solve(c1, pencil.P, sl)
@@ -405,6 +397,38 @@ def quasi_trivialize(c, ell: int | None = None):
     X = primitive_solve(rhs, pencil.P, sl)
     f = _characteristic(X)
     return _trivialize_pair(f, g, ell0, c1, pencil)
+
+
+def _degree_zero(c1: MultiVector, pencil: Pencil):
+    """The witness of a degree-0 tail class, or NontrivialAtDegreeZero.
+
+    A polynomial class is s(u) theta theta_1, trivial exactly when s is a
+    constant lam, with theta theta_1 = d_Q(-2 int theta dx).  For a Laurent
+    class that theorem does not apply: d_P b = 0, d_Q b = c1 is solved as one
+    joint system on the Laurent slice of degree-0 vector fields, grown once;
+    no solution there raises NoSolution (undecided), never "nontrivial".
+    """
+    rep = c1.rep
+    if not any(e < 0 for even, _odd in rep.terms for _k, e in even):
+        lam = rep.terms.get(((), ((1, 0), (1, 1))))
+        if lam is None or len(rep.terms) != 1:
+            return NontrivialAtDegreeZero(c1)
+        w = EvolutionaryVF(SuperPolynomial.const(-2 * lam))
+        _verify_witness(w, c1, pencil)
+        return w
+    sl = GradedSlice(max_order=max(2, rep.order()), max_udeg=max(2, rep.max_u_power()),
+                     laurent_depth=2)
+    rhs = {(1, mn): v for mn, v in rep.terms.items()}
+    # one growth only: the next slice takes tens of seconds
+    for s in (sl, sl.grown()):
+        basis = enumerate_basis(s, 1, 0)
+        sol = slice_matrix(basis, [pencil.P, pencil.Q]).solve(rhs)
+        if sol is not None:
+            w = EvolutionaryVF(_characteristic(canonical_class(linear_combination(sol, basis))))
+            _verify_witness(w, c1, pencil)
+            return w
+    raise NoSolution(f"no degree-0 witness in slices up to {s}: "
+                     "enlarge the slice or the class is not quasi-trivial")
 
 
 def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None,

@@ -65,6 +65,15 @@ class TestProduct:
         assert {SP.const(3): "three"}[3] == "three"
         assert hash(u) == hash(SP.u(0))
 
+    @pytest.mark.parametrize("op", [
+        lambda a: a * 1.5, lambda a: a + "x", lambda a: a - 1.5,
+        lambda a: 1.5 * a, lambda a: "x" + a, lambda a: 1.5 - a, lambda a: a + None,
+    ], ids=["a*1.5", "a+str", "a-1.5", "1.5*a", "str+a", "1.5-a", "a+None"])
+    def test_foreign_operands_raise_type_error(self, op):
+        # NotImplemented from the ring operations lets Python raise TypeError
+        with pytest.raises(TypeError):
+            op(u)
+
     def test_laurent_only_for_u1_in_hat_mode(self):
         with pytest.raises(AlgebraError):
             SP.u(2, power=-1)  # wrong jet

@@ -315,6 +315,29 @@ class TestQuasiTrivialize:
         assert isinstance(res, NontrivialAtDegreeZero)
         assert not res
 
+    def test_degree_zero_laurent_class_gets_a_witness(self):
+        # d_P int(d(u_1^-1) theta) is trivial although it is not a multiple
+        # of theta theta_1: the polynomial theorem does not apply to it
+        pen = dkdv_pencil()
+        w, c1 = quasi_trivialize_from_generator(SP.u(1, power=-1).total_derivative())
+        assert c1.homogeneity() == 1
+        assert isinstance(w, EvolutionaryVF)
+        inv = SP.u(1, power=-1)
+        assert w.chars[0] == (inv ** 4 * SP.u(2) ** 2 * 2
+                              - inv ** 3 * SP.u(3) * Fraction(2, 3))
+        assert pen.d_P(w.as_class()).is_zero()
+        assert pen.d_Q(w.as_class()) == c1
+        assert quasi_trivialize(c1).chars == w.chars
+
+    def test_degree_zero_laurent_without_witness_is_undecided(self):
+        # u theta theta_1 + d_Q(b0): not trivial, but the Laurent slice
+        # cannot prove that, so the answer is NoSolution, not "nontrivial"
+        from jetbrackets import NoSolution
+        _, c1 = quasi_trivialize_from_generator(SP.u(1, power=-1).total_derivative())
+        mixed = canonical_class(u * th * SP.theta(1)) + c1
+        with pytest.raises(NoSolution, match="laurent_depth=6"):
+            quasi_trivialize(mixed)
+
     def test_degree_zero_constant_is_trivial(self):
         pen = dkdv_pencil()
         c1 = canonical_class(th * SP.theta(1) * Fraction(5, 2))

@@ -1,0 +1,126 @@
+"""The process-wide table of d_H images of slice monomials.
+
+A slice matrix built from a cold table, the same matrix built again from the
+warm table, and the direct build the table replaced (one canonical_class and
+one Schouten bracket per column, column outer, map inner) must agree entry
+for entry and in row order, for every bracket partner, on polynomial and
+Laurent slices of theta-degree 0, 1 and 2.  The size bounds of the image
+table and of the derivation cache change no result.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from jetbrackets import (
+    GradedSlice,
+    SuperPolynomial as SP,
+    canonical_class,
+    dkdv_pencil,
+    enumerate_basis,
+    quasi_trivialize,
+    schouten_bracket,
+    symmetry_space,
+)
+from jetbrackets import algebra, deform
+
+PENCIL = dkdv_pencil()
+PARTNERS = {"P": PENCIL.P, "Q": PENCIL.Q, "P+2Q": PENCIL.member(2)}
+
+
+def _direct_build(monomials, brackets):
+    """Frozen copy of the build the table replaced."""
+    columns = [canonical_class(x) for x in monomials]
+    maps = [lambda X, H=H: schouten_bracket(H, X) for H in brackets]
+    rows: dict = {}
+    for j, x in enumerate(columns):
+        for k, f in enumerate(maps):
+            for mn, v in f(x).rep.terms.items():
+                rows.setdefault((k, mn), {})[j] = v
+    return deform.SparseMatrix(rows, len(columns))
+
+
+def _assert_same(a, b):
+    assert list(a.rows) == list(b.rows)
+    assert a.rows == b.rows
+    assert a.scales == b.scales
+    assert a.ncols == b.ncols
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    monkeypatch.setattr(deform, "_IMAGES", {})
+    monkeypatch.setattr(deform, "_KEYS", {})
+
+
+def _seeded_columns(t, depth, name):
+    """A seeded slice of theta-degree t, in a seeded column order, plus one
+    scaled monomial."""
+    rng = random.Random(f"image-table/{t}/{depth}/{name}")
+    sl = GradedSlice(max_order=3, max_udeg=2, laurent_depth=depth)
+    basis = enumerate_basis(sl, t, rng.randint(t + 1, t + 3))
+    assert basis
+    rng.shuffle(basis)
+    return basis + [basis[0] * Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 2, 7]))]
+
+
+@pytest.mark.parametrize("name", sorted(PARTNERS))
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_cold_warm_and_direct_builds_agree(cold, t, depth, name):
+    H = PARTNERS[name]
+    columns = _seeded_columns(t, depth, name)
+    first = deform.slice_matrix(columns, [H])
+    assert len(deform._IMAGES) == len(columns) - 1  # the scaled column is a hit
+    assert first.rows
+    _assert_same(deform.slice_matrix(columns, [H]), first)
+    _assert_same(_direct_build(columns, [H]), first)
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_joint_system_reads_the_table(cold, monkeypatch, depth):
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return schouten_bracket(a, b)
+
+    monkeypatch.setattr(deform, "schouten_bracket", counting)
+    theta = SP.theta(0)
+    sl = GradedSlice(max_order=3, max_udeg=3, laurent_depth=depth)
+    columns = [b * theta for b in enumerate_basis(sl, 0, 3)]
+    brackets = [PENCIL.P, PENCIL.Q]
+    first = deform.slice_matrix(columns, brackets)
+    assert len(calls) == 2 * len(columns)
+    # a smaller slice nests in the larger one: no new image is computed
+    inner = [b * theta for b in enumerate_basis(GradedSlice(3, 1, 0), 0, 3)]
+    assert set(x for c in inner for x in c.terms) <= set(x for c in columns for x in c.terms)
+    deform.slice_matrix(inner, brackets)
+    _assert_same(deform.slice_matrix(columns, brackets), first)
+    assert len(calls) == 2 * len(columns)
+    _assert_same(_direct_build(columns, brackets), first)
+
+
+def _results():
+    basis = enumerate_basis(GradedSlice(max_order=2, max_udeg=2), 0, 4)
+    w = basis[1] * Fraction(3, 2) - basis[5]
+    c1 = PENCIL.d_Q(PENCIL.d_P(canonical_class(w)))
+    assert not c1.is_zero()
+    witness = quasi_trivialize(c1)
+    columns = _seeded_columns(1, 2, "bound")
+    matrix = deform.slice_matrix(columns, [PENCIL.P, PENCIL.Q])
+    return (symmetry_space(1, 3), symmetry_space(2, 2), witness.chars,
+            list(matrix.rows.items()), matrix.scales)
+
+
+def test_size_bounds_change_no_result(monkeypatch):
+    expected = _results()
+    monkeypatch.setattr(deform, "_IMAGES", {})
+    monkeypatch.setattr(deform, "_KEYS", {})
+    monkeypatch.setattr(deform, "_IMAGE_LIMIT", 3)
+    monkeypatch.setattr(algebra, "_DERIV_CACHE", {})
+    monkeypatch.setattr(algebra, "_DERIV_LIMIT", 5)
+    assert _results() == expected
+    assert 0 < len(deform._IMAGES) <= 3
+    assert 0 < len(algebra._DERIV_CACHE) <= 5

@@ -158,6 +158,16 @@ class TestCLI:
         assert code == 1 and doc["trivial"] is False
         assert doc["reason"] == "nontrivial-at-degree-zero"
 
+    def test_quasi_trivialize_laurent_degree_zero(self):
+        code, doc = run_cli("quasi-trivialize", "--hat", "--g", "d(u_1^-1)")
+        assert code == 0 and doc["trivial"] is True
+        assert doc["witness_characteristic"] == "2*u_1^-4*u_2^2 - 2/3*u_1^-3*u_3"
+
+    def test_quasi_trivialize_laurent_degree_zero_undecided(self):
+        code, doc = run_cli("quasi-trivialize", "--hat", "--g", "1/2*u^2 + d(u_1^-1)")
+        assert code == 2 and doc["error"]["code"] == "no-solution"
+        assert "GradedSlice(" in doc["error"]["message"]
+
     def test_quasi_trivialize_inadmissible_generator(self):
         code, doc = run_cli("quasi-trivialize", "--g", "u_1^2")
         assert code == 2 and doc["error"]["code"] == "algebra-error"
