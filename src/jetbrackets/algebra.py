@@ -8,21 +8,26 @@ The polynomials form a subring that every operation here preserves.
 Monomials are stored in a normal form: the even part is a sorted tuple of
 ((1, k), exponent) pairs with nonzero exponents, the odd part a strictly
 increasing tuple of (1, k).  All signs coming from sorting odd factors are
-absorbed into the coefficients, so equality of polynomials is equality of
-dictionaries.  Odd partial derivatives are left derivations.
+absorbed into the coefficients.  Odd partial derivatives are left derivations.
 
-Every derivation goes through one integer kernel: `_file` scales the terms
-by D, the lcm of their denominators, and files signed partial derivatives
-under the power of d they are to receive, in one sweep; `_add_derivative`
-applies d once through the table of monomial derivatives; `_to_poly`
-divides by D.  partial_u and partial_theta are one filing, d^n is n steps
-(on `_scaled` terms), and `_variational` is one filing plus Horner in d.
+A polynomial holds integer numerators over one positive denominator D: the
+coefficient of the monomial m is nums[m]/D.  The form is canonical (no zero
+numerator, gcd(D, *nums) = 1), so equality and hashing are structural.  The
+public constructor normalizes keys and rational coefficients into it; every
+kernel computes numerators and D in integers and returns through `_make`,
+which drops zeros and divides out the gcd.  `terms` is a Fraction view.
+
+Every derivation goes through one integer kernel: `_file` files the signed
+partial derivatives of the numerators under the power of d they are to
+receive, in one sweep; `_add_derivative` applies d once through the table of
+monomial derivatives.  Neither changes D.  partial_u and partial_theta are
+one filing, d^n is n steps, and `_variational` is one filing plus Horner in d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import comb, gcd, inf, lcm
 
 
 class AlgebraError(Exception):
@@ -35,18 +40,6 @@ class UndefinedGrading(AlgebraError):
 
 class SkewnessError(AlgebraError):
     """An operator required to be skew-adjoint is not."""
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
 def _only_one_component(q) -> None:
@@ -85,13 +78,66 @@ def _merge_odd(o1: tuple, o2: tuple):
     return sign, tuple(merged)
 
 
-class SuperPolynomial:
-    """Sparse differential superpolynomial with exact rational coefficients."""
+def _normal_monomial(mono):
+    """(sign, normal form) of a monomial given as (even factors, odd factors)
+    in any order, or None when an odd generator repeats (theta^2 = 0)."""
+    even, normal, prev = tuple(mono[0]), True, -1
+    for (a, k), e in even:
+        if a != 1 or type(k) is not int or k < 0 or type(e) is not int or (e < 0 and k != 1):
+            raise AlgebraError(f"invalid factor (({a!r}, {k!r}), {e!r}): the index must be "
+                               "at least 0, and only u_1 has negative powers")
+        normal = normal and e != 0 and k > prev
+        prev = k
+    if not normal:
+        exps: dict = {}
+        for (_, k), e in even:
+            exps[k] = exps.get(k, 0) + e
+        even = tuple([((1, k), e) for k, e in sorted(exps.items()) if e])
+    sign, odd = 1, ()
+    for a, k in mono[1]:
+        if a != 1 or type(k) is not int or k < 0:
+            raise AlgebraError(f"invalid odd factor ({a!r}, {k!r}): the index must be at least 0")
+        # multiply by theta_k on the right: its sign is that of the factors it jumps
+        merged = _merge_odd(odd, ((1, k),))
+        if merged is None:
+            return None
+        sign, odd = sign * merged[0], merged[1]
+    return sign, (even, odd)
 
-    __slots__ = ("terms",)
+
+class SuperPolynomial:
+    """Sparse differential superpolynomial with exact rational coefficients,
+    held as integer numerators over one denominator (see the module
+    docstring)."""
+
+    __slots__ = ("_nums", "_D")
 
     def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+        """The polynomial sum_m terms[m] m, for any mapping of monomials
+        (even factors, odd factors) to int or Fraction coefficients: factors
+        may come in any order and repeat, zero exponents and coefficients are
+        dropped, and odd factors are sorted with their Koszul sign."""
+        self._nums, self._D = {}, 1
+        if not terms:
+            return
+        terms = dict(terms)
+        if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
+            raise TypeError("coefficients must be exact rationals (int or Fraction)")
+        D = lcm(*(c.denominator for c in terms.values()))
+        nums: dict = {}
+        for mono, c in terms.items():
+            normal = _normal_monomial(mono)
+            if normal is not None:
+                sign, key = normal
+                nums[key] = nums.get(key, 0) + sign * c.numerator * (D // c.denominator)
+        p = _make(nums, D)
+        self._nums, self._D = p._nums, p._D
+
+    @property
+    def terms(self) -> dict:
+        """A fresh dict {monomial: Fraction coefficient}."""
+        D = self._D
+        return {m: Fraction(c, D) for m, c in self._nums.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -109,71 +155,59 @@ class SuperPolynomial:
     @classmethod
     def const(cls, c, q=1, hat=False):
         _only_one_component(q)
-        c = _coerce(c)
-        if c == 0:
-            return cls()
         return cls({((), ()): c})
 
     @classmethod
     def u(cls, k=0, *, power=1, hat=False):
-        if k < 0:
-            raise AlgebraError(f"invalid jet coordinate u_{k}")
-        if power == 0:
-            return cls.const(1)
-        if power < 0 and k != 1:
-            raise AlgebraError("negative powers are only allowed for u_1")
-        return cls({((((1, k), power),), ()): _ONE})
+        return cls({((((1, k), power),), ()): 1})
 
     @classmethod
     def theta(cls, k=0, *, hat=False):
-        if k < 0:
-            raise AlgebraError(f"invalid odd coordinate theta_{k}")
-        return cls({((), ((1, k),)): _ONE})
+        return cls({((), ((1, k),)): 1})
 
     # -- ring structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SuperPolynomial.const(other)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self._D == other._D and self._nums == other._nums
 
     def __hash__(self):
         # a constant equals its number, so it hashes like it
-        if self.terms.keys() <= {((), ())}:
+        if self._nums.keys() <= {((), ())}:
             return hash(self.terms.get(((), ()), 0))
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self._nums.items()), self._D))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SuperPolynomial.const(other)
         elif not isinstance(other, SuperPolynomial):
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, _ZERO) + c
-            if s:
-                terms[m] = s
-            elif m in terms:
-                del terms[m]
-        return SuperPolynomial(terms)
+        if not other._nums:
+            return self
+        D = lcm(self._D, other._D)
+        sa, sb = D // self._D, D // other._D
+        nums = {m: c * sa for m, c in self._nums.items()} if sa != 1 else dict(self._nums)
+        get = nums.get
+        for m, c in other._nums.items():
+            nums[m] = get(m, 0) + c * sb
+        return _make(nums, D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPolynomial({m: -c for m, c in self.terms.items()})
+        return _make({m: -c for m, c in self._nums.items()}, self._D)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SuperPolynomial.const(other)
-        elif not isinstance(other, SuperPolynomial):
+        if not isinstance(other, (int, Fraction, SuperPolynomial)):
             return NotImplemented
         return self + (-other)
 
@@ -184,15 +218,14 @@ class SuperPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if c == 0:
-                return SuperPolynomial()
-            return SuperPolynomial({m: cc * c for m, cc in self.terms.items()})
+            n = other.numerator
+            return _make({m: c * n for m, c in self._nums.items()}, self._D * other.denominator)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         out: dict = {}
-        for (e1, o1), c1 in self.terms.items():
-            for (e2, o2), c2 in other.terms.items():
+        get = out.get
+        for (e1, o1), c1 in self._nums.items():
+            for (e2, o2), c2 in other._nums.items():
                 merged = _merge_odd(o1, o2)
                 if merged is None:
                     continue
@@ -209,13 +242,8 @@ class SuperPolynomial:
                 else:
                     even = e1 or e2
                 key = (even, odd)
-                c = c1 * c2 * sign
-                s = out.get(key, _ZERO) + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return SuperPolynomial(out)
+                out[key] = get(key, 0) + (c1 * c2 if sign > 0 else -c1 * c2)
+        return _make(out, self._D * other._D)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -223,10 +251,14 @@ class SuperPolynomial:
         return NotImplemented
 
     def __truediv__(self, other):
-        c = _coerce(other)
-        if c == 0:
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (1 / c)
+        n, d = other.numerator, other.denominator
+        if n < 0:
+            n, d = -n, -d
+        return _make({m: c * d for m, c in self._nums.items()}, self._D * n)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -240,13 +272,11 @@ class SuperPolynomial:
 
     def partial_u(self, k: int) -> "SuperPolynomial":
         """Partial derivative with respect to the jet variable u_k."""
-        pieces, D = _file(self.terms, False, k, k)
-        return _to_poly(pieces.get(0, {}), D)
+        return _make(_file(self._nums, False, k, k).get(0, {}), self._D)
 
     def partial_theta(self, k: int) -> "SuperPolynomial":
         """Left graded derivative with respect to theta_k."""
-        pieces, D = _file(self.terms, True, k, k)
-        return _to_poly(pieces.get(0, {}), D)
+        return _make(_file(self._nums, True, k, k).get(0, {}), self._D)
 
     def total_derivative(self) -> "SuperPolynomial":
         """The total derivative: u_k -> u_{k+1}, theta_k -> theta_{k+1}."""
@@ -256,10 +286,10 @@ class SuperPolynomial:
         """The n-th total derivative, n >= 0."""
         if n < 0:
             raise AlgebraError(f"the power of the total derivative must be nonnegative, got {n}")
-        terms, D = _scaled(self.terms)
+        nums = self._nums
         for _ in range(n):
-            terms = _add_derivative({}, terms)
-        return _to_poly(terms, D)
+            nums = _add_derivative({}, nums)
+        return _make(nums, self._D)
 
     # -- gradings ----------------------------------------------------------
 
@@ -282,7 +312,7 @@ class SuperPolynomial:
 
     def theta_degree(self):
         """Uniform theta-degree, or None if mixed.  Zero polynomial -> None."""
-        degs = {len(odd) for (_, odd) in self.terms}
+        degs = {len(odd) for (_, odd) in self._nums}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -290,18 +320,18 @@ class SuperPolynomial:
     def degree(self):
         """Uniform homogeneity degree (deg u_k = deg theta_k = k,
         deg u_1^{-1} = -1), or None if inhomogeneous."""
-        degs = {self._mono_degree(m) for m in self.terms}
+        degs = {self._mono_degree(m) for m in self._nums}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def order(self) -> int:
         """Largest jet index appearing (even or odd); 0 for constants."""
-        return max((self._mono_order(m) for m in self.terms), default=0)
+        return max((self._mono_order(m) for m in self._nums), default=0)
 
     def grading_info(self):
         """Return (degree, theta_degree, order) with "inhomogeneous" markers."""
-        if not self.terms:
+        if not self._nums:
             raise UndefinedGrading("the zero polynomial has no grading")
         d = self.degree()
         t = self.theta_degree()
@@ -314,15 +344,15 @@ class SuperPolynomial:
     def homogeneous_components(self) -> dict:
         """Split into homogeneity-degree components: degree -> polynomial."""
         comps: dict = {}
-        for m, c in self.terms.items():
+        for m, c in self._nums.items():
             comps.setdefault(self._mono_degree(m), {})[m] = c
-        return {d: SuperPolynomial(t) for d, t in sorted(comps.items())}
+        return {d: _make(t, self._D) for d, t in sorted(comps.items())}
 
     def theta_components(self) -> dict:
         comps: dict = {}
-        for m, c in self.terms.items():
+        for m, c in self._nums.items():
             comps.setdefault(len(m[1]), {})[m] = c
-        return {k: SuperPolynomial(t) for k, t in sorted(comps.items())}
+        return {k: _make(t, self._D) for k, t in sorted(comps.items())}
 
     # -- coefficient extraction --------------------------------------------
 
@@ -331,7 +361,7 @@ class SuperPolynomial:
         that variable."""
         coord = (1, k)
         layers: dict = {}
-        for (even, odd), c in self.terms.items():
+        for (even, odd), c in self._nums.items():
             e = 0
             rest = even
             for i, (co, ee) in enumerate(even):
@@ -340,13 +370,13 @@ class SuperPolynomial:
                     rest = even[:i] + even[i + 1:]
                     break
             layers.setdefault(e, {})[(rest, odd)] = c
-        return {e: SuperPolynomial(t) for e, t in sorted(layers.items())}
+        return {e: _make(t, self._D) for e, t in sorted(layers.items())}
 
     def max_u_power(self) -> int:
         """Largest exponent of the undifferentiated u."""
         coord = (1, 0)
         best = 0
-        for (even, _odd) in self.terms:
+        for (even, _odd) in self._nums:
             for co, e in even:
                 if co == coord and e > best:
                     best = e
@@ -358,7 +388,7 @@ class SuperPolynomial:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0][1]), kv[0][1], kv[0][0]))
 
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         parts = []
         for (even, odd), c in self.sorted_terms():
@@ -383,6 +413,24 @@ class SuperPolynomial:
 
     def __repr__(self):
         return f"SuperPolynomial({self})"
+
+
+# -- the canonical form --------------------------------------------------------
+
+def _make(nums: dict, D: int) -> SuperPolynomial:
+    """The polynomial sum_m nums[m]/D m, D > 0, in canonical form: zero
+    numerators dropped and gcd(D, *nums) divided out.  The only way a
+    polynomial is built; nums must not be mutated afterwards."""
+    if 0 in nums.values():
+        nums = {m: c for m, c in nums.items() if c}
+    g = gcd(D, *nums.values()) if D != 1 else 1
+    if g != 1:
+        nums = {m: c // g for m, c in nums.items()}
+        D //= g
+    p = object.__new__(SuperPolynomial)
+    p._nums = nums
+    p._D = D
+    return p
 
 
 # -- the derivation kernel (see the module docstring) --------------------------
@@ -444,22 +492,13 @@ def _add_derivative(out: dict, terms: dict) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _scaled(terms: dict):
-    """(D terms as an int dict, D) with D the lcm of the denominators."""
-    D = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (D // c.denominator) for m, c in terms.items()}, D
-
-
-def _file(terms: dict, odd: bool, lo: int, hi: float = inf):
-    """The filing sweep.  Returns (pieces, D): D is the lcm of the
-    denominators of terms, and pieces[j] is the int dict of
-    (-1)^j C(lo+j, lo) D times the partial derivative of terms by u_{lo+j}
-    (odd false) or theta_{lo+j} (odd true, a left derivative), for
-    lo+j <= hi."""
-    D = lcm(*(c.denominator for c in terms.values()))
+def _file(nums: dict, odd: bool, lo: int, hi: float = inf) -> dict:
+    """The filing sweep.  pieces[j] is the int dict of (-1)^j C(lo+j, lo)
+    times the partial derivative of nums by u_{lo+j} (odd false) or
+    theta_{lo+j} (odd true, a left derivative), for lo+j <= hi; the
+    denominator is unchanged."""
     pieces: dict = {}
-    for (even, odds), c in terms.items():
-        n = c.numerator * (D // c.denominator)
+    for (even, odds), n in nums.items():
         if odd:
             for i, (_, k) in enumerate(odds):
                 if not lo <= k <= hi:
@@ -480,30 +519,23 @@ def _file(terms: dict, odd: bool, lo: int, hi: float = inf):
                     key = (even[:i] + ((co, e - 1),) + even[i + 1:], odds)
                 piece = pieces.setdefault(k - lo, {})
                 piece[key] = piece.get(key, 0) + (-v if (k - lo) & 1 else v)
-    return pieces, D
+    return pieces
 
 
-def _variational(a: SuperPolynomial, odd: bool, level: int):
-    """Integer kernel of delta_{level, u} (odd false) or delta_{level, theta}
-    (odd true), level >= 0: (terms, D) with the derivative sum_m terms[m]/D m,
-    evaluated as p_0 + d(p_1 + d(...)) on the pieces p_j of `_file`."""
+def _variational(a: SuperPolynomial, odd: bool, level: int) -> SuperPolynomial:
+    """delta_{level, u} a (odd false) or delta_{level, theta} a (odd true),
+    level >= 0, evaluated as p_0 + d(p_1 + d(...)) on the pieces p_j of
+    `_file`."""
     if level < 0:
         raise AlgebraError(f"the level of a variational derivative must be nonnegative, got {level}")
-    pieces, D = _file(a.terms, odd, level)
-    if not pieces:
-        return {}, D
-    top = max(pieces)
-    acc = pieces[top]
-    for j in range(top - 1, -1, -1):
-        acc = _add_derivative(pieces.get(j, {}), acc)
-    return acc, D
-
-
-def _to_poly(terms: dict, D: int) -> SuperPolynomial:
-    """The polynomial sum_m terms[m]/D m, zero coefficients dropped."""
-    if D == 1:
-        return SuperPolynomial({m: Fraction(c) for m, c in terms.items() if c})
-    return SuperPolynomial({m: Fraction(c, D) for m, c in terms.items() if c})
+    pieces = _file(a._nums, odd, level)
+    acc: dict = {}
+    if pieces:
+        top = max(pieces)
+        acc = pieces[top]
+        for j in range(top - 1, -1, -1):
+            acc = _add_derivative(pieces.get(j, {}), acc)
+    return _make(acc, a._D)
 
 
 def _name(base, k):
@@ -513,7 +545,7 @@ def _name(base, k):
 def _theta_free(p: SuperPolynomial) -> bool:
     """No term of p has an odd factor (true for the zero polynomial).  Unlike
     `theta_degree() in (0, None)`, this rejects mixed theta-degree."""
-    return not any(odd for _even, odd in p.terms)
+    return not any(odd for _even, odd in p._nums)
 
 
 def superproduct(a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
@@ -579,14 +611,14 @@ class DiffOperator:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = DiffOperator({0: other})
+        elif not isinstance(other, DiffOperator):
+            return NotImplemented
         coeffs = dict(self.coeffs)
         for j, p in other.coeffs.items():
-            s = coeffs.get(j, SuperPolynomial()) + p
-            if s:
-                coeffs[j] = s
-            elif j in coeffs:
-                del coeffs[j]
-        return DiffOperator(coeffs)
+            coeffs[j] = coeffs[j] + p if j in coeffs else p
+        return DiffOperator(coeffs)  # drops the coefficients that cancelled
+
+    __radd__ = __add__
 
     def __neg__(self):
         return DiffOperator({j: -p for j, p in self.coeffs.items()})

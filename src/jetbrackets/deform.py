@@ -5,8 +5,8 @@ obstruction cocycles, the double complex of a compatible pair, Miura and
 quasi-Miura pushforwards, and a constructive primitive solver: acyclicity of
 d_H on the positive-degree graded pieces is realized by enumerating a finite
 monomial slice, building d_H on it as a sparse matrix of primitive integer
-rows and solving with one fraction-free reduced-row-echelon kernel, whose
-results are converted to Fraction once, on return.  The d_H image of each
+rows and solving with one fraction-free reduced-row-echelon kernel; its
+rational results are formed only on return.  The d_H image of each
 slice monomial is computed once per process and kept in a table shared by
 every slice problem: the slices nest and the differentials are fixed, so a
 later system, a grown slice or the next cocycle of the same degree reads its
@@ -262,7 +262,7 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
                     even.append(((1, 1), e1))
                 even.extend((((1, k), e) for k, e in evens))
                 key = (tuple(sorted(even)), tuple((1, j) for j in odd))
-                out.append(SuperPolynomial({key: Fraction(1)}))
+                out.append(SuperPolynomial({key: 1}))
     return out
 
 
@@ -458,7 +458,7 @@ def slice_matrix(monomials, brackets) -> SparseMatrix:
                     _IMAGES.clear()
                     _KEYS.clear()
                     hkeys = [intern(h, h) for h in hkeys]
-                cls = canonical_class(SuperPolynomial({mono: Fraction(1)}))
+                cls = canonical_class(SuperPolynomial({mono: 1}))
                 terms = schouten_bracket(H, cls).rep.terms
                 image = (tuple(map(intern, terms, terms)),
                          tuple(v.numerator if v.denominator == 1 else v
@@ -481,6 +481,31 @@ def linear_combination(vector, basis) -> SuperPolynomial:
     return out
 
 
+def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> MultiVector:
+    """The class y with [[H, y]] = T for each bracket H and its target T,
+    searched in the slice and then in up to max_grows grown slices.  The
+    targets are homogeneous classes of one theta-degree k >= 1 and degree d,
+    not all zero; y has theta-degree k - 1 and degree d - 1.  y is verified
+    exactly; NoSolution names the last slice tried."""
+    c = next(T for T in targets if not T.is_zero())
+    t, deg = c.theta_degree - 1, c.homogeneity() - 1
+    rhs = {(k, mn): v for k, T in enumerate(targets) for mn, v in T.rep.terms.items()}
+    s = slice_
+    for grow in range(max_grows + 1):
+        if grow:
+            s = s.grown()
+        basis = enumerate_basis(s, t, deg)
+        if basis:
+            sol = slice_matrix(basis, brackets).solve(rhs)
+            if sol is not None:
+                y = canonical_class(linear_combination(sol, basis))
+                if any(schouten_bracket(H, y) != T for H, T in zip(brackets, targets)):
+                    raise AssertionError("slice solution verification failed")
+                return y
+    raise NoSolution(
+        f"no solution in slices up to {s}: enlarge the slice or the class is not exact")
+
+
 def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
                     max_grows: int = 2) -> MultiVector:
     """Solve d_H y = c for y in the slice; exact, deterministic, growing the
@@ -492,24 +517,9 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
     if c.theta_degree < 1:
         raise AlgebraError(f"primitive_solve needs theta-degree at least 1, got "
                            f"{c.theta_degree}: d_H raises the theta-degree by one")
-    t = c.theta_degree - 1
-    deg = c.homogeneity()
-    if deg is None:
+    if c.homogeneity() is None:
         raise AlgebraError("primitive_solve needs homogeneous input")
-    rhs = {(0, mn): v for mn, v in c.rep.terms.items()}
-    s = slice_
-    for _ in range(max_grows + 1):
-        basis = enumerate_basis(s, t, deg - 1)
-        if basis:
-            sol = slice_matrix(basis, [H]).solve(rhs)
-            if sol is not None:
-                y = canonical_class(linear_combination(sol, basis))
-                if schouten_bracket(H, y) != c:
-                    raise AssertionError("primitive_solve verification failed")
-                return y
-        s = s.grown()
-    raise NoSolution(
-        f"no primitive in slices up to {s}: enlarge the slice or the class is not exact")
+    return _solve_in_slices([H], [c], slice_, max_grows)
 
 
 def reduce_to_tail(c: Cochain, pencil: Pencil, slice_: GradedSlice):

@@ -18,7 +18,7 @@ from .algebra import AlgebraError, DiffOperator, SuperPolynomial
 from .deform import (
     Cochain,
     GradedSlice,
-    NoSolution,
+    _solve_in_slices,
     enumerate_basis,
     linear_combination,
     primitive_solve,
@@ -418,17 +418,9 @@ def _degree_zero(c1: MultiVector, pencil: Pencil):
         return w
     sl = GradedSlice(max_order=max(2, rep.order()), max_udeg=max(2, rep.max_u_power()),
                      laurent_depth=2)
-    rhs = {(1, mn): v for mn, v in rep.terms.items()}
     # one growth only: the next slice takes tens of seconds
-    for s in (sl, sl.grown()):
-        basis = enumerate_basis(s, 1, 0)
-        sol = slice_matrix(basis, [pencil.P, pencil.Q]).solve(rhs)
-        if sol is not None:
-            w = EvolutionaryVF(_characteristic(canonical_class(linear_combination(sol, basis))))
-            _verify_witness(w, c1, pencil)
-            return w
-    raise NoSolution(f"no degree-0 witness in slices up to {s}: "
-                     "enlarge the slice or the class is not quasi-trivial")
+    y = _solve_in_slices([pencil.P, pencil.Q], [MultiVector(SuperPolynomial(), 2), c1], sl, 1)
+    return EvolutionaryVF(_characteristic(y))
 
 
 def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None,

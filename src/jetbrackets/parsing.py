@@ -193,7 +193,7 @@ class _Parser:
 
     def _mul(self, a, b):
         if a[1]:
-            if not _is_const_one(b[0]) or b[1] == 0:
+            if b[0] != 1 or b[1] == 0:
                 raise ParseError("'del' must be the last factor of a term",
                                  self.peek()[2])
             return (a[0], a[1] + b[1])
@@ -202,7 +202,7 @@ class _Parser:
     def _pow(self, val, e):
         poly, delpow = val
         if delpow:
-            if not _is_const_one(poly) or delpow != 1 or e < 0:
+            if poly != 1 or delpow != 1 or e < 0:
                 raise ParseError("only 'del^j' with j >= 0 is allowed",
                                  self.peek()[2])
             return (poly, e)
@@ -221,11 +221,7 @@ class _Parser:
         if coeff != 1:
             raise ParseError("negative powers apply to the bare variable",
                              self.peek()[2])
-        return (SuperPolynomial({(((coord, ee * e),), ()): Fraction(1)}), 0)
-
-
-def _is_const_one(p: SuperPolynomial) -> bool:
-    return p.terms == {((), ()): Fraction(1)}
+        return (SuperPolynomial({(((coord, ee * e),), ()): 1}), 0)
 
 
 def _single_monomial(p: SuperPolynomial):

@@ -16,10 +16,10 @@ deterministic integration-by-parts descent.
 
 Every variational derivative (delta_u and delta_theta at every level) and N
 run through the algebra layer's integer derivation kernel,
-`algebra._variational`; N prepends theta, and a canonical representative
-divides by D k in the one conversion back to Fractions.  No zero
-coefficient is ever stored.  The operator of a bivector B is read off
-delta_theta B = sum_j D_j theta_j.
+`algebra._variational`, which works on the numerators and keeps the
+denominator; N multiplies by theta, and a canonical representative divides
+by k, which multiplies the denominator by k.  The operator of a bivector B
+is read off delta_theta B = sum_j D_j theta_j.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .algebra import (
     SkewnessError,
     SuperPolynomial,
     _theta_free,
-    _to_poly,
     _variational,
 )
 
@@ -45,12 +44,12 @@ class NotExact(AlgebraError):
 
 def higher_variational_u(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
     """delta_{k,u} = sum_j (-1)^j C(k+j, k) d^j o partial_{u_{k+j}}, k = level >= 0."""
-    return _to_poly(*_variational(a, False, level))
+    return _variational(a, False, level)
 
 
 def higher_variational_theta(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
     """delta_{k,theta}, the odd counterpart."""
-    return _to_poly(*_variational(a, True, level))
+    return _variational(a, True, level)
 
 
 def variational_derivative(a: SuperPolynomial, slot: str = "u", *,
@@ -63,24 +62,12 @@ def variational_derivative(a: SuperPolynomial, slot: str = "u", *,
     raise AlgebraError(f"unknown variational slot {slot!r}")
 
 
-_THETA = (1, 0)
-
-
-def _normalize(a: SuperPolynomial):
-    """Integer form (terms, D) of N(a): theta times the kernel's
-    delta_theta a.  theta sorts before every other odd generator, so it is
-    prepended with sign +1, and theta theta = 0."""
-    terms, D = _variational(a, True, 0)
-    out = {}
-    for (even, odds), c in terms.items():
-        if not odds or odds[0] != _THETA:
-            out[(even, (_THETA,) + odds)] = c
-    return out, D
+_THETA = SuperPolynomial.theta()
 
 
 def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
     """The normalization operator N = theta delta_theta."""
-    return _to_poly(*_normalize(a))
+    return _THETA * _variational(a, True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +84,12 @@ def _antidiff_u(p: SuperPolynomial, k: int):
     blocked: dict = {}
     coord = (1, k)
     for (even, odd), c in p.terms.items():
-        e = 0
-        pos = None
-        for i, (co, ee) in enumerate(even):
-            if co == coord:
-                e, pos = ee, i
-                break
+        e = next((ee for co, ee in even if co == coord), 0)
         if e == -1:
             blocked[(even, odd)] = c
-            continue
-        ne = e + 1
-        if pos is None:
-            new_even = tuple(sorted(even + ((coord, ne),)))
         else:
-            new_even = even[:pos] + ((coord, ne),) + even[pos + 1:]
-        good[(new_even, odd)] = c / ne
+            # the constructor merges the new factor into the power of u_k
+            good[(even + ((coord, 1),), odd)] = c / (e + 1)
     return SuperPolynomial(good), SuperPolynomial(blocked)
 
 
@@ -153,19 +131,10 @@ def _decompose_even(a: SuperPolynomial):
         # ones, p u_n, are d of the u_{n-1}-antiderivative of p up to lower
         # order, so this step removes every u_n
         top = (1, n)
-        moved: dict = {}
-        linear: dict = {}
-        rest: dict = {}
-        for (even, odd), c in work.terms.items():
-            e = next((e for co, e in even if co == top), 0)
-            if e == 0:
-                rest[(even, odd)] = c
-            elif e == 1:
-                linear[(even, odd)] = c
-            else:
-                moved[(even, odd)] = c
-        residue = residue + SuperPolynomial(moved)
-        work = SuperPolynomial(rest) + SuperPolynomial(linear)
+        moved = SuperPolynomial({(even, odd): c for (even, odd), c in work.terms.items()
+                                 if dict(even).get(top, 0) > 1})
+        residue = residue + moved
+        work = work - moved
         p = work.coefficient_layers(n).get(1)
         if p:
             anti, blocked = _antidiff_u(p, n - 1)
@@ -290,8 +259,8 @@ def canonical_class(a: SuperPolynomial) -> MultiVector:
     if k == 0:
         _g, r = _decompose_even(a)
         return MultiVector(r, 0)
-    terms, D = _normalize(a)
-    return MultiVector(_to_poly(terms, D * k), k)
+    # (1/k) N(a), written out so that traces count only explicit N calls
+    return MultiVector(_THETA * _variational(a, True, 0) / k, k)
 
 
 class EvolutionaryVF:

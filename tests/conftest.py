@@ -146,3 +146,47 @@ def ref_dx(p, n=1):
     for _ in range(n):
         p = ref_total_derivative(p)
     return p
+
+
+# ---------------------------------------------------------------------------
+# Reference ring operations: the Fraction loops the ring used before it held
+# integer numerators over one denominator, frozen here on term dicts
+# {monomial: Fraction} (the `terms` view).  The odd factors of a product are
+# sorted by counting inversions, independently of the ring's merge.
+# ---------------------------------------------------------------------------
+
+def _ref_accumulate(out, key, c):
+    s = out.get(key, Fraction(0)) + c
+    if s:
+        out[key] = s
+    elif key in out:
+        del out[key]
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        _ref_accumulate(out, m, c * sign)
+    return out
+
+
+def ref_scale(a, c):
+    c = Fraction(c)
+    return {m: cc * c for m, cc in a.items()} if c else {}
+
+
+def ref_mul(a, b):
+    out = {}
+    for (e1, o1), c1 in a.items():
+        for (e2, o2), c2 in b.items():
+            odd = o1 + o2
+            if len(set(odd)) < len(odd):
+                continue
+            inversions = sum(x > y for i, x in enumerate(odd) for y in odd[i + 1:])
+            exps = dict(e1)
+            for k, v in e2:
+                exps[k] = exps.get(k, 0) + v
+            even = tuple(sorted((k, v) for k, v in exps.items() if v))
+            _ref_accumulate(out, (even, tuple(sorted(odd))),
+                            c1 * c2 * (-1 if inversions & 1 else 1))
+    return out

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,15 +17,20 @@ from jetbrackets import (
     normalize_N,
     schouten_bracket,
 )
-from hypothesis import given
+from jetbrackets.algebra import _normal_monomial
+from hypothesis import given, strategies as st
 
 from conftest import (
     assert_same,
     densities,
+    rand_coeff,
     rand_density,
+    ref_add,
     ref_dx,
+    ref_mul,
     ref_partial_theta,
     ref_partial_u,
+    ref_scale,
     ref_total_derivative,
 )
 
@@ -175,6 +182,109 @@ class TestDerivationsAgainstFractionLoops:
         assert_same(a.total_derivative(), want)
 
 
+def assert_canonical(p):
+    """p holds integer numerators over a positive denominator with no common
+    factor and no zero numerator, under normal monomial keys."""
+    nums, D = p._nums, p._D
+    assert type(D) is int and D > 0
+    assert all(type(c) is int and c for c in nums.values())
+    assert gcd(D, *nums.values()) == 1
+    assert all(_normal_monomial(m) == (1, m) for m in nums)
+
+
+class TestRingAgainstFractionLoops:
+    """Every ring operation against the frozen Fraction loops, through the
+    `terms` view, on polynomial and Laurent densities, and every result in
+    the canonical integer form."""
+
+    @given(st.integers(0, 2 ** 32), st.integers(0, 2))
+    def test_operations(self, seed, laurent):
+        rng = random.Random(seed)
+        a = rand_density(rng, rng.randint(0, 3), max_order=4, terms=3, laurent=laurent)
+        b = rand_density(rng, rng.randint(0, 3), max_order=4, terms=3, laurent=laurent)
+        c = rand_coeff(rng)
+        n = rng.randint(-3, 3) or 2
+        A, B = a.terms, b.terms
+        cases = [
+            (a + b, ref_add(A, B)), (a - b, ref_add(A, B, -1)), (-a, ref_scale(A, -1)),
+            (a + c, ref_add(A, {((), ()): c})), (c - a, ref_add({((), ()): c}, A, -1)),
+            (a * b, ref_mul(A, B)), (b * a, ref_mul(B, A)),
+            (a * c, ref_scale(A, c)), (n * a, ref_scale(A, n)), (a * 0, {}),
+            (a / c, ref_scale(A, 1 / c)), (a / n, ref_scale(A, Fraction(1, n))),
+        ]
+        cases += [(a.dx(k), ref_dx(a, k).terms) for k in range(4)]
+        for k in range(6):
+            cases.append((a.partial_u(k), ref_partial_u(a, k).terms))
+            cases.append((a.partial_theta(k), ref_partial_theta(a, k).terms))
+        for got, want in cases:
+            assert got.terms == want
+            assert_canonical(got)
+        assert_canonical(a)
+        assert_canonical(b)
+
+
+class TestNormalForm:
+    """The public constructor normalizes, so equality and hashing are
+    structural."""
+
+    def test_zero_coefficient_is_dropped(self):
+        z = SP({((), ()): Fraction(0)})
+        assert not z and z == 0 and z.is_zero()
+        assert SP({((((1, 0), 1),), ()): 0, ((), ()): 2}) == 2
+
+    def test_odd_factors_sorted_with_koszul_sign(self):
+        assert SP({((), ((1, 1), (1, 0))): 1}) == -th * th1
+        assert SP({((), ((1, 2), (1, 0), (1, 1))): 1}) == th * th1 * th2
+        assert SP({((), ((1, 1), (1, 1))): 1}) == 0
+
+    def test_even_factors_sorted_and_merged(self):
+        assert SP({((((1, 1), 1), ((1, 0), 1)), ()): 1}) == u * u1
+        assert SP({((((1, 0), 1), ((1, 0), 2)), ()): 1}) == u ** 3
+        assert SP({((((1, 1), 1), ((1, 1), -1)), ()): 1}) == 1
+
+    def test_zero_exponent_is_dropped(self):
+        assert SP({((((1, 0), 0),), ()): 1}) == 1
+        assert SP({((((1, 0), 0),), ((1, 0),)): 3}) == th * 3
+
+    def test_repeated_keys_after_normalization_add_up(self):
+        p = SP({((), ((1, 0), (1, 1))): 1, ((), ((1, 1), (1, 0))): Fraction(1, 2)})
+        assert p == th * th1 / 2
+
+    def test_invalid_input_rejected(self):
+        for bad in ({((((1, 3), -1),), ()): 1},    # only u_1 is inverted
+                    {((((1, -1), 1),), ()): 1},    # negative index
+                    {((), ((1, -2),)): 1},
+                    {((((2, 0), 1),), ()): 1}):    # a second dependent variable
+            with pytest.raises(AlgebraError):
+                SP(bad)
+        for bad in (1.5, "1", None):
+            with pytest.raises(TypeError):
+                SP({((), ()): bad})
+        with pytest.raises(TypeError):
+            SP.const(0.5)
+
+    def test_terms_is_a_fresh_view(self):
+        p = u * th / 3 + 1
+        view = p.terms
+        view[((), ())] = Fraction(7)
+        view.clear()
+        assert p == u * th / 3 + 1 and len(p.terms) == 2
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+    def test_equal_polynomials_hash_equal(self):
+        pairs = [
+            (SP({((((1, 1), 1), ((1, 0), 1)), ()): 1}), u * u1),
+            (SP({((), ((1, 1), (1, 0))): 1}), -th * th1),
+            ((u * 6 + u1 * 4) / 4, u * Fraction(3, 2) + u1),
+            (SP({((((1, 0), 0),), ()): Fraction(3, 6)}), Fraction(1, 2)),
+            (SP({((), ()): 4}), 4),
+            ((u + 1) - u, 1),
+            (SP({((), ()): Fraction(0)}), 0),
+        ]
+        for p, q in pairs:
+            assert p == q and hash(p) == hash(q)
+
+
 class TestScalarRing:
     def test_only_one_component(self):
         for make in (lambda: SP.zero(2), lambda: SP.const(1, 2), lambda: SP.zero(True)):
@@ -263,6 +373,15 @@ class TestDiffOperator:
     def test_rejects_mixed_coefficients(self):
         with pytest.raises(AlgebraError, match="free of odd coordinates"):
             DiffOperator({0: u + th})
+
+    def test_addition_with_numbers_and_foreign_operands(self):
+        D = DiffOperator.d(1)
+        assert 1 + D == D + 1 == DiffOperator({1: 1, 0: 1})
+        assert Fraction(1, 2) + D - Fraction(1, 2) == D
+        for bad in (lambda: D + 1.5, lambda: D + u, lambda: 1.5 + D, lambda: u + D,
+                    lambda: D - u, lambda: D + None):
+            with pytest.raises(TypeError):
+                bad()
 
     def test_rejects_negative_orders(self):
         with pytest.raises(AlgebraError, match="nonnegative"):

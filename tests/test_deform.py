@@ -233,6 +233,16 @@ class TestPrimitiveSolve:
             primitive_solve(c, P, GradedSlice(max_order=3, max_udeg=4),
                             max_grows=1)
 
+    def test_no_solution_names_the_last_slice_tried(self):
+        # u^3 theta theta_1 = d_P(int u^4/4 theta dx) needs u^4: beyond udeg 1
+        c = canonical_class(u ** 3 * th * SP.theta(1))
+        with pytest.raises(NoSolution, match=r"up to GradedSlice\(max_order=2, max_udeg=1,"):
+            primitive_solve(c, P, GradedSlice(2, 1), max_grows=0)
+        assert primitive_solve(c, P, GradedSlice(2, 1), max_grows=1) == canonical_class(u ** 4 * th / 4)
+        # int theta dx has no primitive: one growth of (3, 4) is (5, 10)
+        with pytest.raises(NoSolution, match=r"up to GradedSlice\(max_order=5, max_udeg=10,"):
+            primitive_solve(canonical_class(th), P, GradedSlice(3, 4), max_grows=1)
+
     def test_theta_theta1_is_exact(self):
         c = canonical_class(th * SP.theta(1))
         y = primitive_solve(c, P, GradedSlice(max_order=2, max_udeg=2))
