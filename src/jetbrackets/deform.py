@@ -11,6 +11,14 @@ slice monomial is computed once per process and kept in a table shared by
 every slice problem: the slices nest and the differentials are fixed, so a
 later system, a grown slice or the next cocycle of the same degree reads its
 images instead of recomputing a Schouten bracket per monomial.
+
+Each graded piece is further graded by u-count, the sum of the even
+exponents of a monomial (u_1^-1 counts -1, theta factors 0).  d, N and the
+variational derivatives keep the u-count and the Schouten bracket lowers it
+by one, so d_H for H of one u-count h shifts it by h - 1: by -1 for the
+bracket of d (theta theta_1) and by 0 for that of u d + u_1/2.  Every slice
+system is therefore block-diagonal by u-count, and the solver enumerates and
+eliminates only the blocks its targets reach.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import AlgebraError, SuperPolynomial
+from .algebra import AlgebraError, SuperPolynomial, _make
 from .schouten import Pencil, schouten_bracket
 from .variational import EvolutionaryVF, MultiVector, canonical_class
 
@@ -243,26 +251,42 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
     degree within the slice caps."""
     if theta_degree < 0:
         raise AlgebraError(f"theta-degree must be at least 0, got {theta_degree}")
+    return _enumerate(slice_, theta_degree, degree)
+
+
+def _ucount(mono) -> int:
+    """The u-count of a monomial: the sum of its even exponents (u_1^-1
+    counts -1, theta factors 0)."""
+    return sum(e for _, e in mono[0])
+
+
+def _enumerate(slice_: GradedSlice, theta_degree: int, degree: int, ucounts=None):
+    """The monomials of enumerate_basis, in its order; given a sorted list of
+    u-counts, only those whose u-count is in it, in the same relative order.
+    The keys are built in normal form, so they go through the private
+    constructor."""
     n = slice_.max_order
     depth = slice_.laurent_depth
+    cap = slice_.max_udeg
     out = []
     for odd in itertools.combinations(range(0, n + 1), theta_degree):
         rem = degree - sum(odd)
+        odd_key = tuple((1, j) for j in odd)
         # even exponents: e_k for k >= 2 with sum k e_k <= rem + depth,
-        # e_1 := rem - sum, e_0 free up to the cap
+        # e_1 := rem - sum, e_0 free up to the cap (fixed by the u-count)
         for evens in _even_parts(rem + depth, 2, n):
             e1 = rem - sum(k * e for k, e in evens)
             if e1 < -depth:
                 continue
-            for e0 in range(slice_.max_udeg + 1):
-                even = []
-                if e0:
-                    even.append(((1, 0), e0))
-                if e1:
-                    even.append(((1, 1), e1))
-                even.extend((((1, k), e) for k, e in evens))
-                key = (tuple(sorted(even)), tuple((1, j) for j in odd))
-                out.append(SuperPolynomial({key: 1}))
+            tail = ((((1, 1), e1),) if e1 else ()) + tuple(((1, k), e) for k, e in evens)
+            if ucounts is None:
+                e0s = range(cap + 1)
+            else:
+                base = e1 + sum(e for _, e in evens)
+                e0s = [w - base for w in ucounts if 0 <= w - base <= cap]
+            for e0 in e0s:
+                even = ((((1, 0), e0),) + tail) if e0 else tail
+                out.append(_make({(even, odd_key): 1}, 1))
     return out
 
 
@@ -485,16 +509,25 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
     """The class y with [[H, y]] = T for each bracket H and its target T,
     searched in the slice and then in up to max_grows grown slices.  The
     targets are homogeneous classes of one theta-degree k >= 1 and degree d,
-    not all zero; y has theta-degree k - 1 and degree d - 1.  y is verified
-    exactly; NoSolution names the last slice tried."""
+    not all zero; y has theta-degree k - 1 and degree d - 1.
+
+    The system is block-diagonal by u-count: when every H has one u-count h,
+    d_H maps the u-count-a block to u-count a + h - 1, so only the blocks
+    that some target term reaches can carry a solution, and only their
+    monomials are enumerated.  Their relative order is that of the whole
+    slice and the other blocks have zero right-hand side, so the solution is
+    the one the whole slice gives.  A bracket that mixes u-counts searches
+    the whole slice.  y is verified exactly; NoSolution names the last slice
+    tried and the u-count blocks searched."""
     c = next(T for T in targets if not T.is_zero())
     t, deg = c.theta_degree - 1, c.homogeneity() - 1
     rhs = {(k, mn): v for k, T in enumerate(targets) for mn, v in T.rep.terms.items()}
+    blocks = _solution_blocks(brackets, targets)
     s = slice_
     for grow in range(max_grows + 1):
         if grow:
             s = s.grown()
-        basis = enumerate_basis(s, t, deg)
+        basis = _enumerate(s, t, deg, blocks)
         if basis:
             sol = slice_matrix(basis, brackets).solve(rhs)
             if sol is not None:
@@ -502,8 +535,22 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
                 if any(schouten_bracket(H, y) != T for H, T in zip(brackets, targets)):
                     raise AssertionError("slice solution verification failed")
                 return y
-    raise NoSolution(
-        f"no solution in slices up to {s}: enlarge the slice or the class is not exact")
+    searched = "all u-count blocks" if blocks is None else f"u-count blocks {blocks}"
+    raise NoSolution(f"no solution in slices up to {s}, {searched}: "
+                     "enlarge the slice or the class is not exact")
+
+
+def _solution_blocks(brackets, targets):
+    """The sorted u-counts u(m) - (h - 1), m a term of a target and h the
+    u-count of its bracket, or None when some bracket mixes u-counts."""
+    blocks = set()
+    for H, T in zip(brackets, targets):
+        hs = {_ucount(mn) for mn in H.rep.terms}
+        if len(hs) != 1:
+            return None
+        (h,) = hs
+        blocks.update(_ucount(mn) - h + 1 for mn in T.rep.terms)
+    return sorted(blocks)
 
 
 def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,

@@ -190,3 +190,33 @@ def ref_mul(a, b):
             _ref_accumulate(out, (even, tuple(sorted(odd))),
                             c1 * c2 * (-1 if inversions & 1 else 1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference slice solve: the whole slice, every u-count block, as the solver
+# searched it before it kept only the blocks a target reaches.
+# ---------------------------------------------------------------------------
+
+def full_slice_solve(brackets, targets, slice_, max_grows=0):
+    """The class y with [[H, y]] = T for each bracket H and target T, found
+    on the whole slice (grown up to max_grows times) with enumerate_basis,
+    slice_matrix and SparseMatrix.solve, or None; returns (y, system shapes)."""
+    from jetbrackets import canonical_class, enumerate_basis
+    from jetbrackets.deform import linear_combination, slice_matrix
+    c = next(T for T in targets if not T.is_zero())
+    t, deg = c.theta_degree - 1, c.homogeneity() - 1
+    rhs = {(k, mn): v for k, T in enumerate(targets) for mn, v in T.rep.terms.items()}
+    shapes = []
+    s = slice_
+    for grow in range(max_grows + 1):
+        if grow:
+            s = s.grown()
+        basis = enumerate_basis(s, t, deg)
+        if not basis:
+            continue
+        M = slice_matrix(basis, brackets)
+        shapes.append((len(M.rows), M.ncols))
+        sol = M.solve(rhs)
+        if sol is not None:
+            return canonical_class(linear_combination(sol, basis)), shapes
+    return None, shapes

@@ -299,11 +299,14 @@ def test_explicit_zero_entries_are_dropped():
 
 
 def test_captured_qt_ladder_slice_system(monkeypatch):
-    """The d_P slice system of an ell = 6 qt-ladder cocycle, as built by
-    slice_matrix for its Y and X solves, with their right-hand sides.  The
-    two solves share H, slice and grading, so they build identical rows."""
+    """The d_P slice systems of an ell = 6 qt-ladder cocycle, as built by
+    slice_matrix for its Y and X solves, with their right-hand sides.  Each
+    solve keeps only the u-count block its target reaches, so the two
+    systems differ; the whole slice, one 392 x 405 system, gives the same
+    classes."""
+    from conftest import full_slice_solve
     from jetbrackets import (GradedSlice, canonical_class, dkdv_pencil,
-                             enumerate_basis, quasi_trivialize)
+                             enumerate_basis, primitive_solve, quasi_trivialize)
 
     captured = []
 
@@ -316,16 +319,28 @@ def test_captured_qt_ladder_slice_system(monkeypatch):
             captured[-1][2].append(dict(rhs))
             return super().solve(rhs)
 
-    monkeypatch.setattr(deform, "SparseMatrix", Recording)
     pencil = dkdv_pencil()
     basis = enumerate_basis(GradedSlice(max_order=2, max_udeg=2), 0, 6)
     w = basis[3] * Fraction(-7, 4) + basis[11] * Fraction(5, 3)
     c1 = pencil.d_Q(pencil.d_P(canonical_class(w)))
     assert c1.theta_degree == 2 and not c1.is_zero()
-    quasi_trivialize(c1)
+    with monkeypatch.context() as m:
+        m.setattr(deform, "SparseMatrix", Recording)
+        quasi_trivialize(c1)
     assert len(captured) == 2
-    (rows, n, rhs_y), (rows_x, n_x, rhs_x) = captured
-    assert (rows_x, n_x) == (rows, n)
-    assert list(rows_x) == list(rows)
-    assert len(rhs_y) == len(rhs_x) == 1 and (len(rows), n) == (392, 405)
-    _assert_matches_reference(rows, n, rhs_y + rhs_x)
+    (rows_y, n_y, rhs_y), (rows_x, n_x, rhs_x) = captured
+    assert len(rhs_y) == len(rhs_x) == 1
+    assert (len(rows_y), n_y) == (37, 42)
+    assert (len(rows_x), n_x) == (41, 44)
+    _assert_matches_reference(rows_y, n_y, rhs_y)
+    _assert_matches_reference(rows_x, n_x, rhs_x)
+
+    # the block solves give the classes of the whole-slice solves
+    sl = GradedSlice(max_order=7, max_udeg=8)
+    Y = primitive_solve(c1, pencil.P, sl, max_grows=0)
+    Y_full, shapes = full_slice_solve([pencil.P], [c1], sl)
+    assert shapes == [(392, 405)] and Y == Y_full
+    rhs = pencil.d_Q(Y)
+    X = primitive_solve(rhs, pencil.P, sl, max_grows=0)
+    X_full, shapes = full_slice_solve([pencil.P], [rhs], sl)
+    assert shapes == [(392, 405)] and X == X_full
