@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import AlgebraError, SuperPolynomial, _make
+from .algebra import AlgebraError, SuperPolynomial, _make, _pack, _ucounts
 from .schouten import Pencil, schouten_bracket
 from .variational import EvolutionaryVF, MultiVector, canonical_class
 
@@ -254,17 +254,11 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
     return _enumerate(slice_, theta_degree, degree)
 
 
-def _ucount(mono) -> int:
-    """The u-count of a monomial: the sum of its even exponents (u_1^-1
-    counts -1, theta factors 0)."""
-    return sum(e for _, e in mono[0])
-
-
 def _enumerate(slice_: GradedSlice, theta_degree: int, degree: int, ucounts=None):
     """The monomials of enumerate_basis, in its order; given a sorted list of
     u-counts, only those whose u-count is in it, in the same relative order.
-    The keys are built in normal form, so they go through the private
-    constructor."""
+    The monomials are built in normal form, so they are packed and go
+    through the private constructor."""
     n = slice_.max_order
     depth = slice_.laurent_depth
     cap = slice_.max_udeg
@@ -286,7 +280,7 @@ def _enumerate(slice_: GradedSlice, theta_degree: int, degree: int, ucounts=None
                 e0s = [w - base for w in ucounts if 0 <= w - base <= cap]
             for e0 in e0s:
                 even = ((((1, 0), e0),) + tail) if e0 else tail
-                out.append(_make({(even, odd_key): 1}, 1))
+                out.append(_make({_pack((even, odd_key)): 1}, 1))
     return out
 
 
@@ -545,11 +539,11 @@ def _solution_blocks(brackets, targets):
     u-count of its bracket, or None when some bracket mixes u-counts."""
     blocks = set()
     for H, T in zip(brackets, targets):
-        hs = {_ucount(mn) for mn in H.rep.terms}
+        hs = _ucounts(H.rep)
         if len(hs) != 1:
             return None
         (h,) = hs
-        blocks.update(_ucount(mn) - h + 1 for mn in T.rep.terms)
+        blocks.update(u - h + 1 for u in _ucounts(T.rep))
     return sorted(blocks)
 
 

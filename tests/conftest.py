@@ -5,7 +5,6 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from jetbrackets import SuperPolynomial as SP
-from jetbrackets.algebra import _derive_monomial
 
 # property tests draw a fixed example sequence (derandomized, no example
 # database), so every run checks the same cases in bounded time
@@ -127,6 +126,37 @@ def ref_partial_theta(p, k, alpha=1):
                     del out[key]
                 break
     return SP(out)
+
+
+def _derive_monomial(mono):
+    """d of a nested monomial: ((monomial, integer multiplier), ...), the
+    table entry of the derivation kernel before it packed its keys."""
+    even, odd = mono
+    ents = []
+    # even part, Leibniz term by term
+    for i, ((a, k), e) in enumerate(even):
+        ne = e - 1
+        if ne:
+            base = even[:i] + (((a, k), ne),) + even[i + 1:]
+        else:
+            base = even[:i] + even[i + 1:]
+        exps = dict(base)
+        up = (a, k + 1)
+        nv = exps.get(up, 0) + 1
+        if nv:
+            exps[up] = nv
+        else:
+            del exps[up]
+        ents.append(((tuple(sorted(exps.items())), odd), e))
+    # odd part: even derivation, no Koszul signs; the lex order has nothing
+    # strictly between (a, k) and (a, k+1), so replacing in place keeps the
+    # tuple sorted, and the only possible collision is the immediate successor
+    for i, (a, k) in enumerate(odd):
+        lifted = (a, k + 1)
+        if i + 1 < len(odd) and odd[i + 1] == lifted:
+            continue
+        ents.append(((even, odd[:i] + (lifted,) + odd[i + 1:]), 1))
+    return tuple(ents)
 
 
 def ref_total_derivative(p):

@@ -17,7 +17,6 @@ from jetbrackets import (
     normalize_N,
     schouten_bracket,
 )
-from jetbrackets.algebra import _normal_monomial
 from hypothesis import given, strategies as st
 
 from conftest import (
@@ -184,12 +183,18 @@ class TestDerivationsAgainstFractionLoops:
 
 def assert_canonical(p):
     """p holds integer numerators over a positive denominator with no common
-    factor and no zero numerator, under normal monomial keys."""
+    factor and no zero numerator, and its `terms` view has normal nested
+    keys and rebuilds p."""
     nums, D = p._nums, p._D
     assert type(D) is int and D > 0
     assert all(type(c) is int and c for c in nums.values())
     assert gcd(D, *nums.values()) == 1
-    assert all(_normal_monomial(m) == (1, m) for m in nums)
+    terms = p.terms
+    for even, odd in terms:
+        assert all(e != 0 for _, e in even)
+        assert [co for co, _ in even] == sorted({co for co, _ in even})
+        assert list(odd) == sorted(set(odd))
+    assert SP(terms) == p
 
 
 class TestRingAgainstFractionLoops:
