@@ -15,7 +15,9 @@ the key `_ONE` = 2^13 << 17.  Exponents range over 0..16383 for u_k, k != 1,
 and over -8192..8191 for u_1; the constructor, `*`, `**` and the derivations
 raise AlgebraError for a monomial outside that range.  Jet indices are
 unbounded: a key is as long as its largest index needs.  Only this module
-reads or builds keys; `_pack` and `_ucounts` serve the slice enumeration.
+reads or builds keys; `_pack` and `_ucounts` serve the slice enumeration,
+and `_numerators` hands the slice solver integer coefficients under keys it
+treats as opaque labels.
 
 On packed keys the ring is integer arithmetic.  A product of monomials whose
 theta bits are disjoint (theta^2 = 0 otherwise) has the key m1 + m2 - `_ONE`,
@@ -215,6 +217,13 @@ def _key_order(key: int) -> int:
 def _ucounts(p: "SuperPolynomial") -> set:
     """The u-counts of the monomials of p."""
     return {_key_ucount(m) for m in p._nums}
+
+
+def _numerators(p: "SuperPolynomial"):
+    """(nums, D): p is sum_m nums[m]/D m, nums an int dict under packed keys
+    and D > 0, in canonical form.  The dict is p's own: read it, never
+    mutate it.  Outside this module the keys are opaque labels."""
+    return p._nums, p._D
 
 
 class SuperPolynomial:

@@ -19,17 +19,25 @@ by one, so d_H for H of one u-count h shifts it by h - 1: by -1 for the
 bracket of d (theta theta_1) and by 0 for that of u d + u_1/2.  Every slice
 system is therefore block-diagonal by u-count, and the solver enumerates and
 eliminates only the blocks its targets reach.
+
+A class of theta-degree t >= 1 has the one normal-form representative
+(1/t) theta delta_theta of any of its densities, and every term of it
+carries theta_0.  So on a polynomial slice whose order reaches the unknown's
+degree, the monomials with theta_0 span the classes of the whole slice, and
+the solver takes only those as columns; they come first in the enumeration,
+so the pivots and the solution are those of every column.  Laurent slices
+and shorter ones keep every column (see _solve_in_slices).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import AlgebraError, SuperPolynomial, _make, _pack, _ucounts
-from .schouten import Pencil, schouten_bracket
+from .algebra import AlgebraError, SuperPolynomial, _make, _numerators, _pack, _ucounts
+from .schouten import Pencil, _bracket, _operand, schouten_bracket
 from .variational import EvolutionaryVF, MultiVector, canonical_class
 
 
@@ -239,6 +247,12 @@ class GradedSlice:
     max_udeg: int = 4
     laurent_depth: int = 0
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v < 0:
+                raise AlgebraError(f"GradedSlice {f.name} must be at least 0, got {v}")
+
     def grown(self) -> "GradedSlice":
         return replace(self, max_order=self.max_order + 2,
                        max_udeg=self.max_udeg * 2 + 2,
@@ -254,16 +268,23 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
     return _enumerate(slice_, theta_degree, degree)
 
 
-def _enumerate(slice_: GradedSlice, theta_degree: int, degree: int, ucounts=None):
+def _enumerate(slice_: GradedSlice, theta_degree: int, degree: int, ucounts=None,
+               canonical=False):
     """The monomials of enumerate_basis, in its order; given a sorted list of
-    u-counts, only those whose u-count is in it, in the same relative order.
+    u-counts, only those whose u-count is in it, and with canonical (for
+    theta_degree >= 1), only those whose odd part contains theta_0, in the
+    same relative order.  The theta_0 monomials come first in that order.
     The monomials are built in normal form, so they are packed and go
     through the private constructor."""
     n = slice_.max_order
     depth = slice_.laurent_depth
     cap = slice_.max_udeg
+    if canonical:
+        odds = ((0,) + rest for rest in itertools.combinations(range(1, n + 1), theta_degree - 1))
+    else:
+        odds = itertools.combinations(range(0, n + 1), theta_degree)
     out = []
-    for odd in itertools.combinations(range(0, n + 1), theta_degree):
+    for odd in odds:
         rem = degree - sum(odd)
         odd_key = tuple((1, j) for j in odd)
         # even exponents: e_k for k >= 2 with sum k e_k <= rem + depth,
@@ -446,13 +467,14 @@ def _rref(rows, ncols):
 
 # The d_H images of single monomials: (H, monomial) -> the terms of
 # [[H, class(monomial)]] as a tuple of monomials and a tuple of coefficients,
-# H keyed by the terms of its representative.  Every slice_matrix call reads
-# and fills it.  Image monomials are interned through _KEYS, because a few
-# hundred distinct monomials make up thousands of image terms, and integral
-# coefficients (nine in ten) are stored as ints.  The values are
-# deterministic, so emptying both tables once _IMAGE_LIMIT images are held
-# changes no result; the limit is well above the 2 430 images of a
-# quasi-trivialization ladder over ell <= 8.
+# monomials as the ring's packed keys and H keyed by the numerators and
+# denominator of its representative.  Every slice_matrix call reads and fills
+# it.  Image monomials are interned through _KEYS, because a few hundred
+# distinct monomials make up thousands of image terms, and integral
+# coefficients are stored as ints.  The values are deterministic, so emptying
+# both tables once _IMAGE_LIMIT images are held changes no result; the limit
+# is well above the 233 images that quasi-trivializing one cocycle of each
+# degree ell = 3..8 leaves in it.
 _IMAGES: dict = {}
 _KEYS: dict = {}
 _IMAGE_LIMIT = 16384
@@ -460,15 +482,25 @@ _IMAGE_LIMIT = 16384
 
 def slice_matrix(monomials, brackets) -> SparseMatrix:
     """The matrix of the maps d_H, H in brackets, on the span of the
-    monomials: entry ((k, m), j) is the coefficient of the monomial m in
-    [[brackets[k], class(monomials[j])]].  The images come from the table
-    above; polynomial terms carry no zero coefficients, so every stored entry
-    is nonzero."""
+    monomials: entry ((k, m), j) is the coefficient of the monomial with key
+    m in [[brackets[k], class(monomials[j])]].  The images come from the
+    table above; a monomial missing from it has its class and that class's
+    variational derivatives computed once for all brackets, and each
+    bracket's derivatives are computed once per call.  Polynomial terms
+    carry no zero coefficients, so every stored entry is nonzero."""
     intern = _KEYS.setdefault
-    hkeys = [intern(h, h) for h in (frozenset(H.rep.terms.items()) for H in brackets)]
+    hkeys = []
+    for H in brackets:
+        nums, D = _numerators(H.rep)
+        h = (frozenset(nums.items()), D)
+        hkeys.append(intern(h, h))
+    operands = [None] * len(brackets)
     rows: dict = {}
     for j, x in enumerate(monomials):
-        ((mono, c),) = x.terms.items()
+        nums, D = _numerators(x)
+        ((mono, n),) = nums.items()
+        c = n if D == 1 else Fraction(n, D)
+        column = None
         for k, H in enumerate(brackets):
             image = _IMAGES.get((hkeys[k], mono))
             if image is None:
@@ -476,11 +508,14 @@ def slice_matrix(monomials, brackets) -> SparseMatrix:
                     _IMAGES.clear()
                     _KEYS.clear()
                     hkeys = [intern(h, h) for h in hkeys]
-                cls = canonical_class(SuperPolynomial({mono: 1}))
-                terms = schouten_bracket(H, cls).rep.terms
-                image = (tuple(map(intern, terms, terms)),
-                         tuple(v.numerator if v.denominator == 1 else v
-                               for v in terms.values()))
+                if column is None:
+                    column = _operand(canonical_class(_make({mono: 1}, 1)))
+                if operands[k] is None:
+                    operands[k] = _operand(H)
+                inums, iD = _numerators(_bracket(operands[k], column).rep)
+                image = (tuple(map(intern, inums, inums)),
+                         tuple(v // iD if v % iD == 0 else Fraction(v, iD)
+                               for v in inums.values()))
                 _IMAGES[(hkeys[k], mono)] = image
             mns, values = image
             if c != 1:
@@ -503,7 +538,7 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
     """The class y with [[H, y]] = T for each bracket H and its target T,
     searched in the slice and then in up to max_grows grown slices.  The
     targets are homogeneous classes of one theta-degree k >= 1 and degree d,
-    not all zero; y has theta-degree k - 1 and degree d - 1.
+    not all zero; y has theta-degree t = k - 1 and degree d - 1.
 
     The system is block-diagonal by u-count: when every H has one u-count h,
     d_H maps the u-count-a block to u-count a + h - 1, so only the blocks
@@ -511,17 +546,35 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
     monomials are enumerated.  Their relative order is that of the whole
     slice and the other blocks have zero right-hand side, so the solution is
     the one the whole slice gives.  A bracket that mixes u-counts searches
-    the whole slice.  y is verified exactly; NoSolution names the last slice
-    tried and the u-count blocks searched."""
+    the whole slice.
+
+    For t >= 1 on a polynomial slice of order at least d - 1, the columns
+    are only the monomials with theta_0.  The class of any monomial m is
+    that of theta delta_theta m / t, whose terms all carry theta_0 and keep
+    m's degree, u-count and bound on the power of u; in a polynomial
+    monomial of degree d - 1 every index is at most d - 1, so they lie in
+    the slice.  The theta_0 columns come first and span every other column,
+    so no other column is a pivot and the solution, free variables at 0, is
+    the one of all the columns.  A Laurent slice or a shorter one keeps all
+    its columns: there the total derivatives in delta_theta can carry
+    theta delta_theta m / t out of the slice.
+
+    y is verified exactly; NoSolution names the last slice tried and the
+    u-count blocks searched."""
     c = next(T for T in targets if not T.is_zero())
     t, deg = c.theta_degree - 1, c.homogeneity() - 1
-    rhs = {(k, mn): v for k, T in enumerate(targets) for mn, v in T.rep.terms.items()}
+    rhs = {}
+    for k, T in enumerate(targets):
+        nums, D = _numerators(T.rep)
+        for mn, v in nums.items():
+            rhs[(k, mn)] = Fraction(v, D)
     blocks = _solution_blocks(brackets, targets)
     s = slice_
     for grow in range(max_grows + 1):
         if grow:
             s = s.grown()
-        basis = _enumerate(s, t, deg, blocks)
+        canonical = t >= 1 and s.laurent_depth == 0 and s.max_order >= deg
+        basis = _enumerate(s, t, deg, blocks, canonical)
         if basis:
             sol = slice_matrix(basis, brackets).solve(rhs)
             if sol is not None:
@@ -551,6 +604,8 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
                     max_grows: int = 2) -> MultiVector:
     """Solve d_H y = c for y in the slice; exact, deterministic, growing the
     slice a bounded number of times before reporting NoSolution."""
+    if max_grows < 0:
+        raise AlgebraError(f"max_grows must be at least 0, got {max_grows}")
     if not schouten_bracket(H, c).is_zero():
         raise AlgebraError("primitive_solve needs a d_H-closed input")
     if c.is_zero():

@@ -27,23 +27,29 @@ from .variational import (
 
 def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
     """The bracket [[a, b]]; theta-degree drops by one."""
-    F, G = a.rep, b.rep
-    ka = a.theta_degree
-    if F.is_zero() or G.is_zero():
-        k = max(a.theta_degree + b.theta_degree - 1, 0)
-        return MultiVector(SuperPolynomial(), k)
+    if a.is_zero() or b.is_zero():
+        return MultiVector(SuperPolynomial(), max(a.theta_degree + b.theta_degree - 1, 0))
+    return _bracket(_operand(a), _operand(b))
+
+
+def _operand(a: MultiVector):
+    """What the bracket reads of a class: its theta-degree and the theta- and
+    u-variational derivatives of its representative.  A caller bracketing one
+    class with several others computes it once."""
+    return a.theta_degree, higher_variational_theta(a.rep), higher_variational_u(a.rep)
+
+
+def _bracket(a, b) -> MultiVector:
+    """[[a, b]] from the `_operand`s of a and b."""
+    (ka, dtF, duF), (kb, dtG, duG) = a, b
     sign = 1 if (ka + 1) % 2 == 0 else -1
     density = SuperPolynomial()
-    dtF = higher_variational_theta(F)
-    duG = higher_variational_u(G)
     if dtF and duG:
         density = density + dtF * duG * sign
-    duF = higher_variational_u(F)
-    dtG = higher_variational_theta(G)
     if duF and dtG:
         density = density - duF * dtG
     if density.is_zero():
-        return MultiVector(density, max(a.theta_degree + b.theta_degree - 1, 0))
+        return MultiVector(density, max(ka + kb - 1, 0))
     return canonical_class(density)
 
 

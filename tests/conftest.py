@@ -232,10 +232,14 @@ def full_slice_solve(brackets, targets, slice_, max_grows=0):
     on the whole slice (grown up to max_grows times) with enumerate_basis,
     slice_matrix and SparseMatrix.solve, or None; returns (y, system shapes)."""
     from jetbrackets import canonical_class, enumerate_basis
+    from jetbrackets.algebra import _numerators
     from jetbrackets.deform import linear_combination, slice_matrix
     c = next(T for T in targets if not T.is_zero())
     t, deg = c.theta_degree - 1, c.homogeneity() - 1
-    rhs = {(k, mn): v for k, T in enumerate(targets) for mn, v in T.rep.terms.items()}
+    rhs = {}
+    for k, T in enumerate(targets):
+        nums, D = _numerators(T.rep)
+        rhs.update(((k, mn), Fraction(v, D)) for mn, v in nums.items())
     shapes = []
     s = slice_
     for grow in range(max_grows + 1):

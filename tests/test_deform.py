@@ -243,6 +243,13 @@ class TestPrimitiveSolve:
         with pytest.raises(NoSolution, match=r"up to GradedSlice\(max_order=5, max_udeg=10,"):
             primitive_solve(canonical_class(th), P, GradedSlice(3, 4), max_grows=1)
 
+    def test_negative_max_grows_rejected(self):
+        # no slice would be tried, and NoSolution would name one never searched
+        c = canonical_class(u ** 3 * th * SP.theta(1))
+        with pytest.raises(AlgebraError, match="max_grows must be at least 0, got -1"):
+            primitive_solve(c, P, GradedSlice(3, 2), max_grows=-1)
+        assert PENCIL.d_P(primitive_solve(c, P, GradedSlice(3, 4), max_grows=0)) == c
+
     def test_theta_theta1_is_exact(self):
         c = canonical_class(th * SP.theta(1))
         y = primitive_solve(c, P, GradedSlice(max_order=2, max_udeg=2))
@@ -351,6 +358,14 @@ class TestGradedSlice:
         from jetbrackets import enumerate_basis
         with pytest.raises(AlgebraError, match="got -1"):
             enumerate_basis(GradedSlice(), -1, 3)
+
+    @pytest.mark.parametrize("fields", [(-1, 2, 0), (2, -1, 0), (2, 2, -1)])
+    def test_negative_fields_rejected(self, fields):
+        # GradedSlice(2, 2, -1) enumerated monomials all forced to carry u_1
+        name = ("max_order", "max_udeg", "laurent_depth")[fields.index(-1)]
+        with pytest.raises(AlgebraError, match=f"{name} must be at least 0, got -1"):
+            GradedSlice(*fields)
+        GradedSlice(0, 0, 0).grown()
 
     def test_enumeration_distinct(self):
         from jetbrackets import enumerate_basis

@@ -30,14 +30,17 @@ PARTNERS = {"P": PENCIL.P, "Q": PENCIL.Q, "P+2Q": PENCIL.member(2)}
 
 
 def _direct_build(monomials, brackets):
-    """Frozen copy of the build the table replaced."""
+    """Frozen copy of the build the table replaced, in the table's row
+    labels: the ring's monomial keys, read with the coefficients through
+    algebra._numerators."""
     columns = [canonical_class(x) for x in monomials]
     maps = [lambda X, H=H: schouten_bracket(H, X) for H in brackets]
     rows: dict = {}
     for j, x in enumerate(columns):
         for k, f in enumerate(maps):
-            for mn, v in f(x).rep.terms.items():
-                rows.setdefault((k, mn), {})[j] = v
+            nums, D = algebra._numerators(f(x).rep)
+            for mn, v in nums.items():
+                rows.setdefault((k, mn), {})[j] = Fraction(v, D)
     return deform.SparseMatrix(rows, len(columns))
 
 
@@ -80,25 +83,34 @@ def test_cold_warm_and_direct_builds_agree(cold, t, depth, name):
 
 @pytest.mark.parametrize("depth", [0, 2])
 def test_joint_system_reads_the_table(cold, monkeypatch, depth):
-    calls = []
+    calls, operands = [], []
 
     def counting(a, b):
         calls.append(1)
-        return schouten_bracket(a, b)
+        return bracket(a, b)
 
-    monkeypatch.setattr(deform, "schouten_bracket", counting)
+    def counting_operand(a):
+        operands.append(1)
+        return operand(a)
+
+    bracket, operand = deform._bracket, deform._operand
+    monkeypatch.setattr(deform, "_bracket", counting)
+    monkeypatch.setattr(deform, "_operand", counting_operand)
     theta = SP.theta(0)
     sl = GradedSlice(max_order=3, max_udeg=3, laurent_depth=depth)
     columns = [b * theta for b in enumerate_basis(sl, 0, 3)]
     brackets = [PENCIL.P, PENCIL.Q]
     first = deform.slice_matrix(columns, brackets)
     assert len(calls) == 2 * len(columns)
+    # each column's class and each bracket are differentiated once
+    assert len(operands) == len(columns) + 2
     # a smaller slice nests in the larger one: no new image is computed
     inner = [b * theta for b in enumerate_basis(GradedSlice(3, 1, 0), 0, 3)]
     assert set(x for c in inner for x in c.terms) <= set(x for c in columns for x in c.terms)
     deform.slice_matrix(inner, brackets)
     _assert_same(deform.slice_matrix(columns, brackets), first)
     assert len(calls) == 2 * len(columns)
+    assert len(operands) == len(columns) + 2
     _assert_same(_direct_build(columns, brackets), first)
 
 
