@@ -5,7 +5,11 @@ usage, parse, or engine errors.  Every exit 2 after argument parsing prints a
 JSON object {"error": {"code", "message"}}; a negative count, degree, order
 or slice cap, or a Miura weight below 1, gives the code `invalid-argument`,
 and an unexpected exception gives `internal-error` with its traceback on
-stderr.  Expressions accept `-` to read stdin.
+stderr.  Expressions accept `-` to read stdin; at most one argument of a
+request may be `-`, and `bracket - -` or `check-compatible - -` gives
+`invalid-argument` before stdin is read.  `main` builds its argument parser
+on its first call and reuses it for every later call in the process;
+`build_parser` returns a fresh parser each time.
 Deformation manifests are JSON documents of the form
 
     {"base": "D: u*del + 1/2*u_1",
@@ -14,15 +18,17 @@ Deformation manifests are JSON documents of the form
 
 A manifest is user input: a missing or unreadable file, invalid JSON, a
 missing "base" string, a correction that is not an operator string, a
-correction order that is not an integer >= 1, a truncation that is not an
-integer >= 0, or a correction order above the truncation gives
-`invalid-argument`.  Without "truncation" the series is truncated at its
-highest correction order.
+correction key that is not a string of decimal digits 0-9 naming an order
+>= 1 (so not " 2 " or "+2"), two keys naming the same order ("2" and "02"),
+a truncation that is not a JSON integer >= 0 (so not 2.7, "2" or true), or
+a correction order above the truncation gives `invalid-argument`.  Without
+"truncation" the series is truncated at its highest correction order.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -90,6 +96,12 @@ def _at_least(args, *names, minimum=0) -> None:
             raise _InvalidArgument(f"{flag} must be at least {minimum}, got {value}")
 
 
+def _one_stdin(*texts) -> None:
+    """Refuse a request that names stdin twice: the second read gets ""."""
+    if texts.count("-") > 1:
+        raise _InvalidArgument("at most one argument may be '-' (stdin)")
+
+
 def _read_arg(text: str) -> str:
     if text == "-":
         return sys.stdin.read()
@@ -122,11 +134,17 @@ def _load_manifest(args, path) -> EpsilonDeformation:
     table = doc.get("corrections", {})
     if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
         raise _InvalidArgument('manifest "corrections" must map orders to operator strings')
-    try:
-        table = {int(k): v for k, v in table.items()}
-        trunc = int(doc.get("truncation", max(table, default=0)))
-    except (TypeError, ValueError) as exc:
-        raise _InvalidArgument(f"manifest orders must be integers: {exc}") from exc
+    bad = [k for k in table if not (k.isascii() and k.isdecimal())]
+    if bad:
+        raise _InvalidArgument(f"manifest correction orders must be decimal integers, "
+                               f"got {bad[0]!r}")
+    orders = {int(k): v for k, v in table.items()}
+    if len(orders) < len(table):
+        raise _InvalidArgument("manifest names a correction order twice")
+    table = orders
+    trunc = doc.get("truncation", max(table, default=0))
+    if type(trunc) is not int:  # JSON true and 2.0 are not integers here
+        raise _InvalidArgument(f"manifest truncation must be an integer, got {trunc!r}")
     if trunc < 0 or min(table, default=1) < 1:
         raise _InvalidArgument("manifest correction orders must be at least 1 "
                                "and its truncation at least 0")
@@ -154,6 +172,7 @@ def _dump_series(D: EpsilonDeformation) -> dict:
 
 
 def _cmd_bracket(args):
+    _one_stdin(args.a, args.b)
     a = canonical_class(_density(args, args.a))
     b = canonical_class(_density(args, args.b))
     res = schouten_bracket(a, b)
@@ -186,6 +205,7 @@ def _cmd_check_hamiltonian(args):
 
 
 def _cmd_check_compatible(args):
+    _one_stdin(args.op1, args.op2)
     B1 = operator_to_bivector(_operator(args, args.op1))
     B2 = operator_to_bivector(_operator(args, args.op2))
     ok = is_hamiltonian(B1) and is_hamiltonian(B2) and are_compatible(B1, B2)
@@ -393,9 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves every
+    # request; it is built on first use, not at import
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - every failure becomes an error object

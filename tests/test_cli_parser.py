@@ -1,0 +1,78 @@
+"""`cli.main` builds its argument parser once per process and reuses it.
+
+A reused parser must answer every request as a fresh process would: usage
+errors, help and ordinary requests alike, in any order.
+"""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jetbrackets.cli as cli
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+# a fixed width, so that help is wrapped alike in and out of process
+COLUMNS = "100"
+
+
+def in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_process(argv):
+    env = {**os.environ, "COLUMNS": COLUMNS, "PYTHONPATH": os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "jetbrackets.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counting():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert in_process(["dtot", "u"])[0] == 0
+        assert in_process(["dtot", "u_1"])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    ap = cli.build_parser()
+    assert ap is not cli.build_parser()
+    assert ap is not cli._parser()
+    # a caller's change to its own parser does not reach main
+    ap.add_argument("--extra", required=True)
+    assert in_process(["dtot", "u"]) == (0, '{"result":"u_1"}\n', "")
+
+
+def test_reused_parser_answers_like_a_fresh_process(monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    sequence = [
+        ["no-such-command"],
+        ["vder", "--slot", "bogus", "u"],
+        ["hierarchy"],
+        ["vder", "--help"],
+        ["dtot", "u^2*u_1 - 1/3*u_2"],  # the golden case "dtot"
+    ]
+    seen = [in_process(argv) for argv in sequence]
+    assert [code for code, _, _ in seen] == [2, 2, 2, 0, 0]
+    for argv, got in zip(sequence, seen):
+        assert got == fresh_process(argv), argv

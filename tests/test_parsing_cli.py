@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -265,8 +266,19 @@ class TestCLI:
         '{"base": "D: del", "truncation": -2}',
         '{"base": "D: del", "corrections": {"0": "D: del^3"}}',
         '{"base": "D: del", "corrections": {"7": "D: del^5"}, "truncation": 2}',
+        '{"base": "D: del", "truncation": 2.7}',
+        '{"base": "D: del", "truncation": 2.0}',
+        '{"base": "D: del", "truncation": "2"}',
+        '{"base": "D: del", "truncation": true}',
+        '{"base": "D: del", "corrections": {" 2 ": "D: del^3"}}',
+        '{"base": "D: del", "corrections": {"+2": "D: del^3"}}',
+        '{"base": "D: del", "corrections": {"\\u0662": "D: del^3"}}',
+        '{"base": "D: del", "corrections": {"2": "D: del^3", "02": "D: del^5"}}',
     ], ids=["no-base", "non-integer-order", "invalid-json", "missing-file",
-            "negative-truncation", "order-zero", "order-above-truncation"])
+            "negative-truncation", "order-zero", "order-above-truncation",
+            "float-truncation", "integral-float-truncation", "string-truncation",
+            "bool-truncation", "padded-order", "signed-order", "non-ascii-digit-order",
+            "repeated-order"])
     def test_malformed_manifest_is_invalid_argument(self, capsys, tmp_path, command, content):
         man = tmp_path / "manifest.json"
         if content is not None:
@@ -275,6 +287,25 @@ class TestCLI:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["error"]["code"] == "invalid-argument"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["bracket", "--", "-", "-"],
+        ["check-compatible", "--", "-", "-"],
+        ["bracket", "--hat", "-", "-"],
+    ])
+    def test_stdin_named_twice_is_invalid_argument(self, capsys, monkeypatch, argv):
+        # the second read would get "" and report a parse error at column 1
+        stdin = io.StringIO("D: del\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid-argument"
+        assert stdin.read() == "D: del\n"  # refused before stdin is read
+
+    def test_stdin_for_one_of_two_arguments(self):
+        code, doc = run_cli("check-compatible", "D: del", "-", stdin="D: u*del + 1/2*u_1\n")
+        assert code == 0 and doc == {"compatible": True}
+        code, doc = run_cli("bracket", "-", "theta*theta_1", stdin="theta*theta_1\n")
+        assert code == 0 and doc["bracket"] == "0"
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         import jetbrackets.cli as cli
