@@ -22,7 +22,10 @@ correction key that is not a string of decimal digits 0-9 naming an order
 >= 1 (so not " 2 " or "+2"), two keys naming the same order ("2" and "02"),
 a truncation that is not a JSON integer >= 0 (so not 2.7, "2" or true), or
 a correction order above the truncation gives `invalid-argument`.  Without
-"truncation" the series is truncated at its highest correction order.
+"truncation" the series is truncated at its highest correction order.  A
+truncation, or an `--order` of `obstruction` or `miura-push`, above 10 000
+gives `invalid-argument` too: a series is stored and checked order by
+order, so a few bytes of manifest must not ask for a million orders.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ from .variational import (
 )
 
 
+_MAX_ORDER = 10_000  # largest truncation or --order of a series request
+
+
 class _InvalidArgument(Exception):
     """A command-line value outside its documented range."""
 
@@ -94,6 +100,11 @@ def _at_least(args, *names, minimum=0) -> None:
         if value is not None and value < minimum:
             flag = "--" + name.replace("_", "-")
             raise _InvalidArgument(f"{flag} must be at least {minimum}, got {value}")
+
+
+def _order_at_most_max(args) -> None:
+    if args.order is not None and args.order > _MAX_ORDER:
+        raise _InvalidArgument(f"--order must be at most {_MAX_ORDER}, got {args.order}")
 
 
 def _one_stdin(*texts) -> None:
@@ -148,6 +159,9 @@ def _load_manifest(args, path) -> EpsilonDeformation:
     if trunc < 0 or min(table, default=1) < 1:
         raise _InvalidArgument("manifest correction orders must be at least 1 "
                                "and its truncation at least 0")
+    if trunc > _MAX_ORDER:
+        raise _InvalidArgument(f"manifest truncation must be at most {_MAX_ORDER}, "
+                               f"got {trunc}")
     if max(table, default=0) > trunc:
         raise _InvalidArgument(f"manifest correction order {max(table)} exceeds "
                                f"its truncation {trunc}")
@@ -235,6 +249,7 @@ def _cmd_symmetries(args):
 
 def _cmd_obstruction(args):
     _at_least(args, "order")
+    _order_at_most_max(args)
     D = _load_manifest(args, args.manifest)
     order = args.order if args.order is not None else D.truncation
     res = mc_residual(D, order)
@@ -250,6 +265,7 @@ def _cmd_obstruction(args):
 
 def _cmd_miura_push(args):
     _at_least(args, "order")
+    _order_at_most_max(args)
     _at_least(args, "weight", minimum=1)
     D = _load_manifest(args, args.manifest)
     x = _density(args, args.x)

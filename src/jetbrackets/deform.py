@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import AlgebraError, SuperPolynomial, _make, _numerators, _pack, _ucounts
-from .schouten import Pencil, _bracket, _operand, schouten_bracket
+from .schouten import Pencil, schouten_bracket
 from .variational import EvolutionaryVF, MultiVector, canonical_class
 
 
@@ -92,19 +92,31 @@ class EpsilonDeformation:
                 f"corrections={self.corrections!r}, N={self.truncation})")
 
 
+def _nonzero_orders(D: EpsilonDeformation, n: int) -> list:
+    """The orders 1 <= k <= n with a nonzero correction, ascending."""
+    return [k for k, H in enumerate(D.corrections[:n], 1) if not H.is_zero()]
+
+
 def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     """Coefficients of eps^k, 1 <= k <= up_to, in (1/2)[[H, H]].
 
     The coefficient is [[H_0, H_k]] + (1/2) sum_{i=1}^{k-1} [[H_i, H_{k-i}]];
-    corrections beyond the truncation are zero.
+    corrections beyond the truncation are zero.  Only pairs of nonzero
+    corrections are bracketed, so a sparse series costs time linear in
+    up_to.
     """
     n = D.truncation if up_to is None else up_to
+    orders = _nonzero_orders(D, n)
+    nonzero = set(orders)
     out = []
     for k in range(1, n + 1):
         acc = schouten_bracket(D.term(0), D.term(k))
         inner = MultiVector(SuperPolynomial(), 3)
-        for i in range(1, k):
-            inner = inner + schouten_bracket(D.term(i), D.term(k - i))
+        for i in orders:
+            if i >= k:
+                break
+            if k - i in nonzero:
+                inner = inner + schouten_bracket(D.term(i), D.term(k - i))
         out.append(acc + inner.scale(Fraction(1, 2)))
     return out
 
@@ -115,12 +127,16 @@ def is_order_n_deformation(D: EpsilonDeformation, n: int) -> bool:
 
 def obstruction(D: EpsilonDeformation, n: int) -> MultiVector:
     """The obstruction cocycle sum_{i=1}^{n} [[H_i, H_{n-i+1}]] blocking the
-    extension of an order-n deformation; always closed for the base."""
+    extension of an order-n deformation; always closed for the base.  Like
+    mc_residual, it brackets only pairs of nonzero corrections."""
     if not is_order_n_deformation(D, n):
         raise MCViolation(f"not a deformation of order {n}")
+    orders = _nonzero_orders(D, n)
+    nonzero = set(orders)
     acc = MultiVector(SuperPolynomial(), 3)
-    for i in range(1, n + 1):
-        acc = acc + schouten_bracket(D.term(i), D.term(n - i + 1))
+    for i in orders:
+        if n - i + 1 in nonzero:
+            acc = acc + schouten_bracket(D.term(i), D.term(n - i + 1))
     closure = schouten_bracket(D.term(0), acc)
     if not closure.is_zero():
         raise AssertionError("obstruction cocycle is not closed: internal error")
@@ -484,17 +500,16 @@ def slice_matrix(monomials, brackets) -> SparseMatrix:
     """The matrix of the maps d_H, H in brackets, on the span of the
     monomials: entry ((k, m), j) is the coefficient of the monomial with key
     m in [[brackets[k], class(monomials[j])]].  The images come from the
-    table above; a monomial missing from it has its class and that class's
-    variational derivatives computed once for all brackets, and each
-    bracket's derivatives are computed once per call.  Polynomial terms
-    carry no zero coefficients, so every stored entry is nonzero."""
+    table above; a monomial missing from it has its class built once for all
+    brackets, and every class carries its variational derivatives, so each
+    is differentiated at most once.  Polynomial terms carry no zero
+    coefficients, so every stored entry is nonzero."""
     intern = _KEYS.setdefault
     hkeys = []
     for H in brackets:
         nums, D = _numerators(H.rep)
         h = (frozenset(nums.items()), D)
         hkeys.append(intern(h, h))
-    operands = [None] * len(brackets)
     rows: dict = {}
     for j, x in enumerate(monomials):
         nums, D = _numerators(x)
@@ -509,10 +524,8 @@ def slice_matrix(monomials, brackets) -> SparseMatrix:
                     _KEYS.clear()
                     hkeys = [intern(h, h) for h in hkeys]
                 if column is None:
-                    column = _operand(canonical_class(_make({mono: 1}, 1)))
-                if operands[k] is None:
-                    operands[k] = _operand(H)
-                inums, iD = _numerators(_bracket(operands[k], column).rep)
+                    column = canonical_class(_make({mono: 1}, 1))
+                inums, iD = _numerators(schouten_bracket(H, column).rep)
                 image = (tuple(map(intern, inums, inums)),
                          tuple(v // iD if v % iD == 0 else Fraction(v, iD)
                                for v in inums.values()))

@@ -77,7 +77,7 @@ def hierarchy(N: int):
     Qop = _q_operator()
     out = [canonical_class(SuperPolynomial.u(0) * Fraction(4, 3))]
     for _n in range(0, N + 1):
-        delta = higher_variational_u(out[-1].rep)
+        delta = out[-1]._delta_u()
         rhs = Qop.apply(delta)
         new_delta = integrate_x(rhs)
         lift = _euler_lift(new_delta)

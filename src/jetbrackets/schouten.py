@@ -8,6 +8,14 @@ with |F| the theta-degree of F and the products taken in the displayed
 order.  It only involves variational derivatives, so it is well defined on
 classes, and the fixed product order pins every sign in the calculus built
 on top of it.
+
+Each class carries its delta_theta and delta_u (see
+`variational.MultiVector`): the bracket reads them, computing a missing one
+at most once per class and a delta_u only against a nonzero delta_theta,
+so d_P, d_Q, the Maurer-Cartan residuals and the Jacobi checks
+differentiate each operand at most once per variable however often they
+bracket it.  The bracket's result carries the delta_theta its canonical
+representative was formed from.
 """
 
 from __future__ import annotations
@@ -16,38 +24,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, DiffOperator, SkewnessError, SuperPolynomial, _theta_free
-from .variational import (
-    MultiVector,
-    canonical_class,
-    higher_variational_theta,
-    higher_variational_u,
-    operator_to_bivector,
-)
+from .variational import MultiVector, canonical_class, operator_to_bivector
 
 
 def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
-    """The bracket [[a, b]]; theta-degree drops by one."""
+    """The bracket [[a, b]]; theta-degree drops by one.  It reads the
+    variational derivatives each class carries, so a class bracketed many
+    times (a differential d_H, a slice column) is differentiated once."""
+    ka, kb = a.theta_degree, b.theta_degree
     if a.is_zero() or b.is_zero():
-        return MultiVector(SuperPolynomial(), max(a.theta_degree + b.theta_degree - 1, 0))
-    return _bracket(_operand(a), _operand(b))
-
-
-def _operand(a: MultiVector):
-    """What the bracket reads of a class: its theta-degree and the theta- and
-    u-variational derivatives of its representative.  A caller bracketing one
-    class with several others computes it once."""
-    return a.theta_degree, higher_variational_theta(a.rep), higher_variational_u(a.rep)
-
-
-def _bracket(a, b) -> MultiVector:
-    """[[a, b]] from the `_operand`s of a and b."""
-    (ka, dtF, duF), (kb, dtG, duG) = a, b
+        return MultiVector(SuperPolynomial(), max(ka + kb - 1, 0))
     sign = 1 if (ka + 1) % 2 == 0 else -1
     density = SuperPolynomial()
-    if dtF and duG:
-        density = density + dtF * duG * sign
-    if duF and dtG:
-        density = density - duF * dtG
+    dtF, dtG = a._delta_theta(), b._delta_theta()
+    if dtF:
+        density = density + dtF * b._delta_u() * sign
+    if dtG:
+        density = density - a._delta_u() * dtG
     if density.is_zero():
         return MultiVector(density, max(ka + kb - 1, 0))
     return canonical_class(density)
@@ -77,8 +70,8 @@ def poisson_bracket_functionals(F: MultiVector, G: MultiVector, D: DiffOperator)
         raise SkewnessError("Poisson bracket needs a skew-adjoint operator")
     if F.theta_degree != 0 or G.theta_degree != 0:
         raise AlgebraError("functional bracket takes theta-degree-0 classes")
-    dF = higher_variational_u(F.rep)
-    return canonical_class(dF * D.apply(higher_variational_u(G.rep)) if dF else dF)
+    dF = F._delta_u()
+    return canonical_class(dF * D.apply(G._delta_u()) if dF else dF)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ run through the algebra layer's integer derivation kernel,
 `algebra._variational`, which works on the numerators and keeps the
 denominator; N multiplies by theta, and a canonical representative divides
 by k, which multiplies the denominator by k.  The operator of a bivector B
-is read off delta_theta B = sum_j D_j theta_j.
+is read off delta_theta B = sum_j D_j theta_j.  A class carries the
+delta_theta and delta_u of its representative (see MultiVector), so the
+Schouten bracket differentiates each class at most once per variable.
 """
 
 from __future__ import annotations
@@ -196,13 +198,42 @@ def integrate_x(a: SuperPolynomial) -> SuperPolynomial:
 
 class MultiVector:
     """An equivalence class of densities modulo total derivatives, stored via
-    its canonical representative."""
+    its canonical representative.
 
-    __slots__ = ("rep", "theta_degree")
+    A class carries the variational derivatives delta_theta rep and delta_u
+    rep that the Schouten bracket reads, in two private slots: each is
+    computed at most once per class, on first use, unless the class was
+    built with it.  `canonical_class` (theta-degree k >= 1) stores the
+    delta_theta it differentiates anyway: N a - k a is a total derivative,
+    so delta_theta (theta delta_theta a / k) = delta_theta a.  The
+    derivatives are linear, so `scale` scales the known ones, and the sum of
+    two classes of theta-degree k >= 1 with known delta_theta is
+    theta (delta_theta a + delta_theta b) / k, with no differentiation.
+
+    Invariant: `rep` and `theta_degree` are never reassigned after
+    construction, and `theta_degree` is the theta-degree of `rep`; the
+    carried derivatives are only correct under it."""
+
+    __slots__ = ("rep", "theta_degree", "_dtheta", "_du")
 
     def __init__(self, rep: SuperPolynomial, theta_degree: int):
         self.rep = rep
         self.theta_degree = theta_degree
+        self._dtheta = self._du = None
+
+    def _delta_theta(self) -> SuperPolynomial:
+        """delta_theta rep, computed at most once."""
+        d = self._dtheta
+        if d is None:
+            d = self._dtheta = _variational(self.rep, True, 0)
+        return d
+
+    def _delta_u(self) -> SuperPolynomial:
+        """delta_u rep, computed at most once."""
+        d = self._du
+        if d is None:
+            d = self._du = _variational(self.rep, False, 0)
+        return d
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -225,8 +256,15 @@ class MultiVector:
             return other
         if other.is_zero():
             return self
-        if self.theta_degree != other.theta_degree:
+        k = self.theta_degree
+        if k != other.theta_degree:
             raise AlgebraError("cannot add multivectors of different theta-degree")
+        if k >= 1 and self._dtheta is not None and other._dtheta is not None:
+            dtheta = self._dtheta + other._dtheta
+            # a zero sum takes the general path, which gives the zero class
+            # of theta-degree 0
+            if dtheta:
+                return _class_of(dtheta, k)
         return canonical_class(self.rep + other.rep)
 
     def __sub__(self, other):
@@ -236,7 +274,12 @@ class MultiVector:
         return self.scale(-1)
 
     def scale(self, c) -> "MultiVector":
-        return MultiVector(self.rep * c, self.theta_degree)
+        out = MultiVector(self.rep * c, self.theta_degree)
+        if self._dtheta is not None:
+            out._dtheta = self._dtheta * c
+        if self._du is not None:
+            out._du = self._du * c
+        return out
 
     def to_hat(self) -> "MultiVector":
         # benchmark shim, see the comment on SuperPolynomial.zero
@@ -249,18 +292,35 @@ class MultiVector:
         return f"MultiVector({self}, k={self.theta_degree})"
 
 
+_ZERO = SuperPolynomial()
+
+
+def _class_of(dtheta: SuperPolynomial, k: int) -> MultiVector:
+    """The class of theta-degree k >= 1 whose representative has the
+    theta-variational derivative dtheta: rep = theta dtheta / k."""
+    # (1/k) N(a), written out so that traces count only explicit N calls
+    out = MultiVector(_THETA * dtheta / k, k)
+    out._dtheta = dtheta
+    return out
+
+
 def canonical_class(a: SuperPolynomial) -> MultiVector:
-    """The class of the density a, via the canonical representative."""
+    """The class of the density a, via the canonical representative; a class
+    of theta-degree k >= 1 carries delta_theta a, and one of theta-degree 0
+    carries delta_theta = 0."""
     k = a.theta_degree()
     if k is None and a:
         raise AlgebraError("density has mixed theta-degree; no canonical class")
     if not a:
-        return MultiVector(a, 0)
+        out = MultiVector(a, 0)
+        out._dtheta = out._du = a
+        return out
     if k == 0:
         _g, r = _decompose_even(a)
-        return MultiVector(r, 0)
-    # (1/k) N(a), written out so that traces count only explicit N calls
-    return MultiVector(_THETA * _variational(a, True, 0) / k, k)
+        out = MultiVector(r, 0)
+        out._dtheta = _ZERO
+        return out
+    return _class_of(_variational(a, True, 0), k)
 
 
 class EvolutionaryVF:
@@ -334,7 +394,7 @@ def bivector_to_operator(B: MultiVector) -> DiffOperator:
     if B.theta_degree != 2:
         raise AlgebraError("only theta-degree-2 classes correspond to operators")
     coeffs: dict = {}  # coeffs[j]: terms of D_j
-    for (even, odd), c in higher_variational_theta(B.rep).terms.items():
+    for (even, odd), c in B._delta_theta().terms.items():
         if len(odd) != 1:
             raise AlgebraError("not a bivector density")
         coeffs.setdefault(odd[0][1], {})[(even, ())] = c

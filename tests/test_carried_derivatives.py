@@ -1,0 +1,184 @@
+"""The variational derivatives a class carries.
+
+Every `MultiVector` holds delta_theta rep and delta_u rep, filled when the
+class is built (`canonical_class`, `+`, `scale`) or on first use.  A carried
+derivative must equal a fresh differentiation of the representative, on
+polynomial and Laurent densities and through every way a class is made; a
+zero sum keeps theta-degree 0; and each class is differentiated at most once
+per variable however often it is bracketed.  The count tests build their own
+pencil, so they do not depend on what earlier tests computed.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from jetbrackets import (
+    DiffOperator,
+    EvolutionaryVF,
+    MultiVector,
+    Pencil,
+    SuperPolynomial as SP,
+    canonical_class,
+    higher_variational_theta,
+    higher_variational_u,
+    operator_to_bivector,
+    schouten_bracket,
+)
+from jetbrackets import variational
+
+from conftest import densities, rand_density
+
+SCALARS = st.sampled_from([0, 1, -1, 2, Fraction(-3, 2), Fraction(5, 7)])
+
+
+def _assert_carried(c: MultiVector):
+    """Stored derivatives equal fresh ones; missing ones are computed equal."""
+    for slot, compute, fresh in (("_dtheta", c._delta_theta, higher_variational_theta),
+                                 ("_du", c._delta_u, higher_variational_u)):
+        stored = getattr(c, slot)
+        want = fresh(c.rep)
+        if stored is not None:
+            assert stored == want
+        assert compute() == want
+        assert getattr(c, slot) == want
+
+
+def _same_degree_pair(draw, k=None):
+    if k is None:
+        k = draw(st.integers(0, 3))
+    return (canonical_class(draw(densities(k, k))),
+            canonical_class(draw(densities(k, k))))
+
+
+@given(st.data())
+def test_canonical_classes_carry_their_derivatives(data):
+    a = data.draw(densities())
+    c = canonical_class(a)
+    assert c._dtheta is not None  # filled on construction, not lazily
+    if c.theta_degree >= 1:
+        assert c._dtheta == higher_variational_theta(a)
+    _assert_carried(c)
+
+
+@given(st.data())
+def test_sums_differences_and_multiples_carry_their_derivatives(data):
+    a, b = _same_degree_pair(data.draw)
+    c, d = data.draw(SCALARS), data.draw(SCALARS)
+    for x in (a + b, a - b, a.scale(c), a.scale(c) + b.scale(d), -a):
+        _assert_carried(x)
+    # once delta_u is known too, scale carries both
+    a._delta_u(), b._delta_u()
+    for x in (a.scale(c), b.scale(d), a.scale(c) - b.scale(d)):
+        _assert_carried(x)
+    # the sum equals the old definition, the class of the summed densities
+    for x, y in ((a, b), (a, b.scale(-1)), (a.scale(c), b.scale(d))):
+        s, ref = x + y, canonical_class(x.rep + y.rep)
+        assert s == ref
+        if not (x.is_zero() or y.is_zero()):
+            assert (s.rep, s.theta_degree) == (ref.rep, ref.theta_degree)
+
+
+@given(st.data())
+def test_zero_sums_keep_theta_degree_zero(data):
+    a, _ = _same_degree_pair(data.draw, data.draw(st.integers(1, 3)))
+    c = data.draw(SCALARS.filter(bool))
+    for z in (a - a, a + (-a), a.scale(c) + a.scale(-c), a.scale(c) - a.scale(c)):
+        if not a.is_zero():
+            assert z.theta_degree == 0
+        assert z.is_zero()
+        assert z == MultiVector(SP(), 0) == MultiVector(SP(), 3) == canonical_class(SP())
+        assert (z == a) == a.is_zero()
+        _assert_carried(z)
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 2), st.integers(1, 2), st.booleans())
+def test_brackets_and_their_sums_carry_their_derivatives(rng, ka, kb, laurent):
+    # small densities: a bracket of a bracket of the strategy's densities
+    # takes seconds
+    def small(k):
+        return canonical_class(rand_density(rng, k, max_order=2, laurent=laurent))
+
+    a, b, b2 = small(ka), small(kb), small(kb)
+    ab, ab2 = schouten_bracket(a, b), schouten_bracket(a, b2)
+    for x in (ab, ab2, ab + ab2, ab - ab2.scale(2), schouten_bracket(ab, b)):
+        _assert_carried(x)
+    # a bracket read twice reads the derivatives it stored the first time
+    assert schouten_bracket(a, b) == ab
+
+
+@given(densities(0, 0), densities(0, 0))
+def test_operators_and_vector_fields_carry_their_derivatives(f, g):
+    # f d + f_1/2 is skew-adjoint for every f
+    B = operator_to_bivector(DiffOperator({1: f, 0: f.total_derivative() / 2}))
+    X = EvolutionaryVF(g).as_class()
+    for x in (B, X, schouten_bracket(X, B), B.scale(3) + B):
+        _assert_carried(x)
+
+
+# ---------------------------------------------------------------------------
+# How often the derivation kernel runs
+# ---------------------------------------------------------------------------
+
+def _count_kernel(monkeypatch):
+    calls = []
+    kernel = variational._variational
+
+    def counting(a, odd, level):
+        calls.append((a, odd))
+        return kernel(a, odd, level)
+
+    monkeypatch.setattr(variational, "_variational", counting)
+    return calls
+
+
+def _fresh_pencil_classes():
+    """A fresh P and Q of the dKdV pencil, not the process-wide pencil."""
+    u = SP.u(0)
+    return (operator_to_bivector(DiffOperator.d(1)),
+            operator_to_bivector(DiffOperator({1: u, 0: SP.u(1) / 2})))
+
+
+def test_pencil_make_differentiates_each_structure_once(monkeypatch):
+    calls = _count_kernel(monkeypatch)
+    P, Q = _fresh_pencil_classes()
+    pencil = Pencil.make(P, Q)
+    assert pencil.certified
+    counts = Counter(calls)
+    for H in (P, Q):
+        # delta_theta comes from canonical_class, delta_u from the first bracket
+        assert counts[(H.rep, True)] <= 1
+        assert counts[(H.rep, False)] == 1
+    for H in (P, Q):
+        assert H._dtheta is not None and H._du is not None
+
+
+def test_d_P_then_d_Q_differentiate_a_class_once(monkeypatch):
+    pencil = Pencil.make(*_fresh_pencil_classes())
+    u, th = SP.u(0), SP.theta(0)
+    for density in (u ** 2 * SP.u(2) * th,                                 # t = 1
+                    u * th * SP.theta(2) + SP.u(1, power=-1) * th * SP.theta(1),  # t = 2, Laurent
+                    u ** 3 * SP.u(2)):                                     # t = 0
+        calls = _count_kernel(monkeypatch)
+        c = canonical_class(density)
+        first, second = pencil.d_P(c), pencil.d_Q(c)
+        counts = Counter(calls)
+        assert not c.is_zero()
+        # delta_theta once at most (canonical_class), delta_u once (d_P)
+        assert sum(n for (a, odd), n in counts.items() if odd and a in (density, c.rep)) <= 1
+        assert counts[(c.rep, False)] == 1
+        # besides c, only the two images are put in canonical form
+        assert len(calls) <= 2 + 2
+        calls.clear()
+        assert (pencil.d_P(c), pencil.d_Q(c)) == (first, second)
+        assert len(calls) <= 2
+
+
+def test_sums_and_multiples_are_not_differentiated_again(monkeypatch):
+    a = canonical_class(SP.u(0) * SP.u(2) * SP.theta(0) * SP.theta(1))
+    b = canonical_class(SP.u(1) ** 2 * SP.theta(0) * SP.theta(3))
+    calls = _count_kernel(monkeypatch)
+    s = a + b.scale(Fraction(2, 3)) - a.scale(4)
+    assert calls == []
+    assert s._dtheta == higher_variational_theta(s.rep)

@@ -61,6 +61,20 @@ class TestMCResidual:
         res = mc_residual(D, 2)
         assert not res[0].is_zero()
 
+    def test_sparse_series_matches_every_pair(self):
+        # the residual brackets only nonzero corrections; the sum over every
+        # pair, zero ones included, is the definition
+        H1 = canonical_class(u * th * SP.theta(3))
+        bad = canonical_class(u * u * th * SP.theta(3))
+        D = EpsilonDeformation(P, [H1, ZERO_BIV, bad, B3, ZERO_BIV, Q], truncation=7)
+        res = mc_residual(D, 9)
+        assert len(res) == 9 and sum(not r.is_zero() for r in res) >= 3
+        for k, r in enumerate(res, 1):
+            inner = MultiVector(SP.zero(), 3)
+            for i in range(1, k):
+                inner = inner + schouten_bracket(D.term(i), D.term(k - i))
+            assert r == schouten_bracket(P, D.term(k)) + inner.scale(Fraction(1, 2))
+
 
 class TestObstruction:
     def test_constant_coefficient_first_obstruction(self):
@@ -91,6 +105,19 @@ class TestObstruction:
         D = EpsilonDeformation(P, [H1], truncation=1)
         assert all(r.is_zero() for r in mc_residual(D, 1))
         assert not obstruction(D, 1).is_zero()
+
+    def test_sparse_series_matches_every_pair(self):
+        # orders 1 and 3 carry Q and a d_P-cocycle, order 2 is zero: an
+        # order-3 deformation of P whose obstruction sums [[H_1, H_3]] and
+        # [[H_3, H_1]] and skips every pair with H_2
+        H3 = canonical_class(u * th * SP.theta(3))
+        D = EpsilonDeformation(P, [Q, ZERO_BIV, H3], truncation=3)
+        ob = obstruction(D, 3)
+        assert not ob.is_zero()
+        want = MultiVector(SP.zero(), 3)
+        for i in range(1, 4):
+            want = want + schouten_bracket(D.term(i), D.term(4 - i))
+        assert ob == want
 
 
 class TestBicomplex:

@@ -9,6 +9,7 @@ table and of the derivation cache change no result.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from jetbrackets import (
     schouten_bracket,
     symmetry_space,
 )
-from jetbrackets import algebra, deform
+from jetbrackets import algebra, deform, variational
 
 PENCIL = dkdv_pencil()
 PARTNERS = {"P": PENCIL.P, "Q": PENCIL.Q, "P+2Q": PENCIL.member(2)}
@@ -83,34 +84,42 @@ def test_cold_warm_and_direct_builds_agree(cold, t, depth, name):
 
 @pytest.mark.parametrize("depth", [0, 2])
 def test_joint_system_reads_the_table(cold, monkeypatch, depth):
-    calls, operands = [], []
+    brackets_made, calls = [], []
 
-    def counting(a, b):
-        calls.append(1)
+    def counting_bracket(a, b):
+        brackets_made.append(1)
         return bracket(a, b)
 
-    def counting_operand(a):
-        operands.append(1)
-        return operand(a)
+    def counting_kernel(a, odd, level):
+        calls.append((a, odd))
+        return kernel(a, odd, level)
 
-    bracket, operand = deform._bracket, deform._operand
-    monkeypatch.setattr(deform, "_bracket", counting)
-    monkeypatch.setattr(deform, "_operand", counting_operand)
+    bracket, kernel = deform.schouten_bracket, variational._variational
     theta = SP.theta(0)
     sl = GradedSlice(max_order=3, max_udeg=3, laurent_depth=depth)
     columns = [b * theta for b in enumerate_basis(sl, 0, 3)]
+    reps = [canonical_class(x).rep for x in columns]
     brackets = [PENCIL.P, PENCIL.Q]
+    monkeypatch.setattr(deform, "schouten_bracket", counting_bracket)
+    monkeypatch.setattr(variational, "_variational", counting_kernel)
     first = deform.slice_matrix(columns, brackets)
-    assert len(calls) == 2 * len(columns)
-    # each column's class and each bracket are differentiated once
-    assert len(operands) == len(columns) + 2
+    assert len(brackets_made) == 2 * len(columns)
+    # each column's class is differentiated once per variable, however many
+    # brackets read it, and each bracket at most once per process (the
+    # pencil is shared, so it may be warm); the other calls put one image
+    # each in canonical form
+    counts = Counter(calls)
+    assert all(counts[(x, True)] == 1 for x in columns)
+    assert all(counts[(r, False)] == 1 for r in reps if r)
+    assert all(counts[(H.rep, odd)] <= 1 for H in brackets for odd in (True, False))
+    assert len(calls) <= 4 * len(columns) + 4
     # a smaller slice nests in the larger one: no new image is computed
     inner = [b * theta for b in enumerate_basis(GradedSlice(3, 1, 0), 0, 3)]
     assert set(x for c in inner for x in c.terms) <= set(x for c in columns for x in c.terms)
+    made, differentiated = len(brackets_made), len(calls)
     deform.slice_matrix(inner, brackets)
     _assert_same(deform.slice_matrix(columns, brackets), first)
-    assert len(calls) == 2 * len(columns)
-    assert len(operands) == len(columns) + 2
+    assert (len(brackets_made), len(calls)) == (made, differentiated)
     _assert_same(_direct_build(columns, brackets), first)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,6 +242,9 @@ class TestCLI:
         ["obstruction", "unread.json", "--order", "-1"],
         ["miura-push", "unread.json", "--x", "u_1", "--order", "-3"],
         ["miura-push", "unread.json", "--x", "u_1", "--weight", "0"],
+        # a series request is bounded at order 10 000
+        ["obstruction", "unread.json", "--order", "10001"],
+        ["miura-push", "unread.json", "--x", "u_1", "--order", "10001"],
         ["symmetries", "--degree", "1", "--max-udeg", "-1"],
         ["symmetries", "--degree", "2", "--max-order", "-1"],
         # a characteristic --g must be even: theta-degree 1, or mixed
@@ -274,11 +278,13 @@ class TestCLI:
         '{"base": "D: del", "corrections": {"+2": "D: del^3"}}',
         '{"base": "D: del", "corrections": {"\\u0662": "D: del^3"}}',
         '{"base": "D: del", "corrections": {"2": "D: del^3", "02": "D: del^5"}}',
+        '{"base": "D: del", "truncation": 10001}',
+        '{"base": "D: del", "corrections": {"1000000": "D: del^3"}}',
     ], ids=["no-base", "non-integer-order", "invalid-json", "missing-file",
             "negative-truncation", "order-zero", "order-above-truncation",
             "float-truncation", "integral-float-truncation", "string-truncation",
             "bool-truncation", "padded-order", "signed-order", "non-ascii-digit-order",
-            "repeated-order"])
+            "repeated-order", "truncation-above-bound", "order-above-bound"])
     def test_malformed_manifest_is_invalid_argument(self, capsys, tmp_path, command, content):
         man = tmp_path / "manifest.json"
         if content is not None:
@@ -287,6 +293,20 @@ class TestCLI:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["error"]["code"] == "invalid-argument"
         assert "Traceback" not in captured.err
+
+    def test_sparse_series_costs_linear_time(self, capsys, tmp_path):
+        # mc_residual and obstruction bracket only pairs of nonzero
+        # corrections: one correction at truncation 5000 costs milliseconds,
+        # where a sum over every pair costs seconds
+        man = tmp_path / "manifest.json"
+        man.write_text('{"base": "D: del", "corrections": {"1": "D: u*del + 1/2*u_1"}, '
+                       '"truncation": 5000}')
+        start = time.perf_counter()
+        assert main(["obstruction", str(man)]) == 0
+        assert time.perf_counter() - start < 0.5
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["is_deformation"] and doc["order"] == 5000
+        assert doc["mc_residual"] == ["0"] * 5000 and doc["obstruction"] == "0"
 
     @pytest.mark.parametrize("argv", [
         ["bracket", "--", "-", "-"],
