@@ -8,9 +8,6 @@ from .algebra import (
     UndefinedGrading,
     adjoint,
     grading_info,
-    partial_derivative,
-    superproduct,
-    total_derivative,
 )
 from .variational import (
     EvolutionaryVF,

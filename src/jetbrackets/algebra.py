@@ -567,7 +567,7 @@ def _make(nums: dict, D: int) -> SuperPolynomial:
 # the multipliers are integers (exponents), so d of an int dict stays an int
 # dict.  The values are deterministic, so concurrent readers are safe (a
 # racing recompute is identical) and emptying the table once it holds
-# _DERIV_LIMIT entries changes no result.  The limit is above the 3 507
+# _DERIV_LIMIT entries changes no result.  The limit is above the 1 339
 # entries of a quasi-trivialization ladder over ell <= 8 and the 52 158 of 52
 # passes of random Jacobi checks, whose later checks reuse earlier entries.
 # Those 52 158 entries retain 30.7 MB under tracemalloc, 588 bytes each
@@ -676,6 +676,51 @@ def _variational(a: SuperPolynomial, odd: bool, level: int) -> SuperPolynomial:
     return _make(acc, a._D)
 
 
+def _koszul_dP(a: SuperPolynomial) -> SuperPolynomial:
+    """D_P a = sum_k theta_{k+1} partial_{u_k} a, theta_{k+1} multiplying on
+    the left: d_P for P = d, since d_P(class a) = -class(D_P a)."""
+    out: dict = {}
+    for m, n in a._nums.items():
+        below = 0  # the theta factors of index <= k
+        for k in range(_key_order(m) + 1):
+            f = (m >> (_W * k)) & _FIELD
+            below += f & 1
+            e = (f >> 1) - _BIAS if k == 1 else f >> 1
+            if e and not (m >> (_W * k + _W)) & 1:
+                if e == _U1_MIN:
+                    raise _range_error("D_P")
+                key = m - (2 << (_W * k)) + (1 << (_W * k + _W))
+                out[key] = out.get(key, 0) + (-n * e if below & 1 else n * e)
+    return _make(out, a._D)
+
+
+def _contract(a: SuperPolynomial) -> SuperPolynomial:
+    """The contracting homotopy K of D_P: K m = h_k m / w_k, where h_k = u_k
+    partial_{theta_{k+1}} has D_P h_k + h_k D_P = w_k = e_k + [theta_{k+1}
+    in m] and k is the first pair with w_k != 0.  So D_P K + K D_P = 1 on
+    monomials of nonzero weight; K is 0 on the others, theta_0^i (u_1^-1
+    theta_2)^j, which span the cohomology of D_P."""
+    ents = []
+    for m, n in a._nums.items():
+        below = 0
+        for k in range(_key_order(m) + 1):
+            f = (m >> (_W * k)) & _FIELD
+            below += f & 1
+            e = (f >> 1) - _BIAS if k == 1 else f >> 1
+            up = (m >> (_W * k + _W)) & 1
+            if e + up:
+                if up:
+                    _check_exponent(k, e + 1)
+                    ents.append((m + (2 << (_W * k)) - (1 << (_W * k + _W)),
+                                 -n if below & 1 else n, e + 1))
+                break
+    L = lcm(*(w for _, _, w in ents))
+    out: dict = {}
+    for key, n, w in ents:
+        out[key] = out.get(key, 0) + n * (L // w)
+    return _make(out, a._D * L)
+
+
 def _name(base, k):
     return base if k == 0 else f"{base}_{k}"
 
@@ -685,24 +730,6 @@ def _theta_free(p: SuperPolynomial) -> bool:
     `theta_degree() in (0, None)`, this rejects mixed theta-degree."""
     tmask = _masks(max(p._nums, default=0))[0]
     return not any(m & tmask for m in p._nums)
-
-
-def superproduct(a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
-    """Graded-commutative product (same as a * b)."""
-    return a * b
-
-
-def total_derivative(a: SuperPolynomial) -> SuperPolynomial:
-    return a.total_derivative()
-
-
-def partial_derivative(a: SuperPolynomial, kind: str, k: int) -> SuperPolynomial:
-    """Partial derivative; kind is "u" or "theta"."""
-    if kind == "u":
-        return a.partial_u(k)
-    if kind == "theta":
-        return a.partial_theta(k)
-    raise AlgebraError(f"unknown coordinate kind {kind!r}")
 
 
 def grading_info(a: SuperPolynomial):

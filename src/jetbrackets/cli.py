@@ -283,8 +283,7 @@ def _cmd_quasi_trivialize(args):
     if g and k != 0:
         raise _InvalidArgument(
             f"--g must have theta-degree 0, got {'mixed' if k is None else k}")
-    witness, c1 = quasi_trivialize_from_generator(g, args.degree,
-                                                  max_udeg=args.max_udeg)
+    witness, c1 = quasi_trivialize_from_generator(g, args.degree)
     if isinstance(witness, NontrivialAtDegreeZero):
         _emit({"trivial": False, "cocycle": str(c1.rep),
                "reason": "nontrivial-at-degree-zero"}, args)
@@ -415,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--max-udeg", type=int, default=None,
-                   help="cap on the power of u in the solver slice "
-                        "(default: the u-power of g plus 3, at least 8)")
+                   help="no effect: the witness needs no slice (a negative "
+                        "value is still refused)")
     p.set_defaults(func=_cmd_quasi_trivialize)
 
     p = sub.add_parser("psi-check", parents=[common],

@@ -19,14 +19,6 @@ by one, so d_H for H of one u-count h shifts it by h - 1: by -1 for the
 bracket of d (theta theta_1) and by 0 for that of u d + u_1/2.  Every slice
 system is therefore block-diagonal by u-count, and the solver enumerates and
 eliminates only the blocks its targets reach.
-
-A class of theta-degree t >= 1 has the one normal-form representative
-(1/t) theta delta_theta of any of its densities, and every term of it
-carries theta_0.  So on a polynomial slice whose order reaches the unknown's
-degree, the monomials with theta_0 span the classes of the whole slice, and
-the solver takes only those as columns; they come first in the enumeration,
-so the pivots and the solution are those of every column.  Laurent slices
-and shorter ones keep every column (see _solve_in_slices).
 """
 
 from __future__ import annotations
@@ -284,23 +276,16 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
     return _enumerate(slice_, theta_degree, degree)
 
 
-def _enumerate(slice_: GradedSlice, theta_degree: int, degree: int, ucounts=None,
-               canonical=False):
+def _enumerate(slice_: GradedSlice, theta_degree: int, degree: int, ucounts=None):
     """The monomials of enumerate_basis, in its order; given a sorted list of
-    u-counts, only those whose u-count is in it, and with canonical (for
-    theta_degree >= 1), only those whose odd part contains theta_0, in the
-    same relative order.  The theta_0 monomials come first in that order.
+    u-counts, only those whose u-count is in it, in the same relative order.
     The monomials are built in normal form, so they are packed and go
     through the private constructor."""
     n = slice_.max_order
     depth = slice_.laurent_depth
     cap = slice_.max_udeg
-    if canonical:
-        odds = ((0,) + rest for rest in itertools.combinations(range(1, n + 1), theta_degree - 1))
-    else:
-        odds = itertools.combinations(range(0, n + 1), theta_degree)
     out = []
-    for odd in odds:
+    for odd in itertools.combinations(range(0, n + 1), theta_degree):
         rem = degree - sum(odd)
         odd_key = tuple((1, j) for j in odd)
         # even exponents: e_k for k >= 2 with sum k e_k <= rem + depth,
@@ -489,8 +474,7 @@ def _rref(rows, ncols):
 # distinct monomials make up thousands of image terms, and integral
 # coefficients are stored as ints.  The values are deterministic, so emptying
 # both tables once _IMAGE_LIMIT images are held changes no result; the limit
-# is well above the 233 images that quasi-trivializing one cocycle of each
-# degree ell = 3..8 leaves in it.
+# is well above the 528 images of symmetry_space over ell = 1..7, caps 2..5.
 _IMAGES: dict = {}
 _KEYS: dict = {}
 _IMAGE_LIMIT = 16384
@@ -561,17 +545,6 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
     the one the whole slice gives.  A bracket that mixes u-counts searches
     the whole slice.
 
-    For t >= 1 on a polynomial slice of order at least d - 1, the columns
-    are only the monomials with theta_0.  The class of any monomial m is
-    that of theta delta_theta m / t, whose terms all carry theta_0 and keep
-    m's degree, u-count and bound on the power of u; in a polynomial
-    monomial of degree d - 1 every index is at most d - 1, so they lie in
-    the slice.  The theta_0 columns come first and span every other column,
-    so no other column is a pivot and the solution, free variables at 0, is
-    the one of all the columns.  A Laurent slice or a shorter one keeps all
-    its columns: there the total derivatives in delta_theta can carry
-    theta delta_theta m / t out of the slice.
-
     y is verified exactly; NoSolution names the last slice tried and the
     u-count blocks searched."""
     c = next(T for T in targets if not T.is_zero())
@@ -586,8 +559,7 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
     for grow in range(max_grows + 1):
         if grow:
             s = s.grown()
-        canonical = t >= 1 and s.laurent_depth == 0 and s.max_order >= deg
-        basis = _enumerate(s, t, deg, blocks, canonical)
+        basis = _enumerate(s, t, deg, blocks)
         if basis:
             sol = slice_matrix(basis, brackets).solve(rhs)
             if sol is not None:

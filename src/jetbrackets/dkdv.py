@@ -5,7 +5,8 @@ infinitesimal-symmetry checks, the e/S/E systems attached to a pair of
 characteristics, the order-lowering reduction step, and the full
 quasi-trivialization of tail cocycles: every positive-degree infinitesimal
 bihamiltonian deformation is trivialized by a vector field with u_1-inverse
-coefficients, produced here explicitly and re-verified exactly.
+coefficients, produced here explicitly and re-verified exactly.  Its d_P
+primitives come from the contracting homotopy of d_P (Getzler, 2002).
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebra import AlgebraError, DiffOperator, SuperPolynomial
+from .algebra import AlgebraError, DiffOperator, SuperPolynomial, _contract, _koszul_dP
 from .deform import (
     Cochain,
     GradedSlice,
     _solve_in_slices,
     enumerate_basis,
     linear_combination,
-    primitive_solve,
     slice_matrix,
 )
 from .schouten import Pencil
@@ -386,17 +386,22 @@ def quasi_trivialize(c, ell: int | None = None):
     if c1.is_zero():
         return EvolutionaryVF(SuperPolynomial())
     ell0 = _tail_degree(c1, ell)
-
     if ell0 == 0:
         return _degree_zero(c1, pencil)
+    Y = _d_P_primitive(c1)
+    X = _d_P_primitive(pencil.d_Q(Y))
+    return _trivialize_pair(_characteristic(X), _characteristic(Y), ell0, c1, pencil)
 
-    sl = GradedSlice(max_order=max(ell0, 2), max_udeg=8)
-    Y = primitive_solve(c1, pencil.P, sl)
-    g = _characteristic(Y)
-    rhs = pencil.d_Q(Y)
-    X = primitive_solve(rhs, pencil.P, sl)
-    f = _characteristic(X)
-    return _trivialize_pair(f, g, ell0, c1, pencil)
+
+def _d_P_primitive(c: MultiVector) -> MultiVector:
+    """The class y with d_P y = c, c d_P-closed of homogeneity at least 2,
+    through the homotopy K of D_P (`algebra._contract`): with a = -rep(c),
+    D_P a = d b for b = integrate_x(D_P a), and y = K(a - d(K b)) has D_P y
+    = a - d(K b), so d_P y = -class(D_P y) = c.  Polynomial or Laurent, no
+    monomial of degree 2 or more has weight 0."""
+    a = -c.rep
+    b = integrate_x(_koszul_dP(a))
+    return canonical_class(_contract(a - _contract(b).total_derivative()))
 
 
 def _degree_zero(c1: MultiVector, pencil: Pencil):
@@ -423,12 +428,11 @@ def _degree_zero(c1: MultiVector, pencil: Pencil):
     return EvolutionaryVF(_characteristic(y))
 
 
-def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None,
-                                    max_udeg: int | None = None):
+def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
     """Witness for the tail class c1 = d_P int(g theta) dx; returns (b0, c1).
 
-    The partner characteristic f with d_P int(f theta) = d_Q int(g theta) is
-    produced by the primitive solver.  g must be even (theta-degree 0).
+    The partner characteristic f with d_P int(f theta) = d_Q int(g theta)
+    comes from _d_P_primitive.  g must be even (theta-degree 0).
     """
     k = g.theta_degree()
     if g and k != 0:
@@ -443,12 +447,8 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None,
         return quasi_trivialize(c1), c1
     if not pencil.d_Q(c1).is_zero():
         raise AlgebraError("d_P int(g theta) is not d_Q-closed: g is not admissible")
-    rhs = pencil.d_Q(gmv)
-    udeg = max(8, g.max_u_power() + 3) if max_udeg is None else max_udeg
-    sl = GradedSlice(max_order=max(ell0, g.order(), 2), max_udeg=udeg)
-    X = primitive_solve(rhs, pencil.P, sl)
-    f = _characteristic(X)
-    return _trivialize_pair(f, g, ell0, c1, pencil), c1
+    X = _d_P_primitive(pencil.d_Q(gmv))
+    return _trivialize_pair(_characteristic(X), g, ell0, c1, pencil), c1
 
 
 def _trivialize_pair(f, g, ell0, c1, pencil):

@@ -5,6 +5,8 @@ operators `+ - * ^` with `^` > `*` > `+ -` and unary minus; `d(expr)` for the
 total derivative; a `D:` prefix switches to operator mode, where terms have
 the shape `coeff*del^j` (`del` last in each product).  With hat=True the
 input may carry negative exponents on u_1.  Whitespace is insignificant.
+Numbers and subscripts are ASCII digits 0-9.  Parentheses, d(...) and unary
+minus signs nest factors in factors, at most _MAX_NESTING deep.
 Printing uses the canonical term order, so parse(print(x)) == x.
 """
 
@@ -26,6 +28,7 @@ class ParseError(Exception):
 
 
 _SYMBOLS = "+-*^()/"
+_MAX_NESTING = 100  # nested factors; each costs at most five frames of the descent
 
 
 def _tokenize(text):
@@ -41,9 +44,9 @@ def _tokenize(text):
             tokens.append((ch, ch, i + 1))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i + 1))
             i = j
@@ -66,6 +69,7 @@ class _Parser:
         self.operator = operator
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # the factors being parsed
 
     def peek(self):
         return self.tokens[self.pos]
@@ -108,14 +112,19 @@ class _Parser:
 
     def factor(self):
         tok = self.peek()
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"more than {_MAX_NESTING} nested factors", tok[2], tok[1])
+        self.depth += 1
         if tok[0] == "-":
             self.next()
-            return self._neg(self.factor())
-        val = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            e = self._signed_int()
-            val = self._pow(val, e)
+            val = self._neg(self.factor())
+        else:
+            val = self.atom()
+            if self.peek()[0] == "^":
+                self.next()
+                e = self._signed_int()
+                val = self._pow(val, e)
+        self.depth -= 1
         return val
 
     def _signed_int(self):
@@ -169,7 +178,7 @@ class _Parser:
         base, _, sub = name.partition("_")
         k = 0
         if sub:
-            if not sub.isdigit():
+            if not (sub.isascii() and sub.isdigit()):
                 raise ParseError(f"bad subscript in {name!r}", col, name)
             k = int(sub)
         if base == "u":
@@ -209,12 +218,13 @@ class _Parser:
         if e >= 0:
             return (poly ** e, 0)
         # negative exponents: only on u_1, and only where hat admits them
-        mono = _single_monomial(poly)
+        terms = poly.terms
+        mono = next(iter(terms)) if len(terms) == 1 else None
         if mono is None or mono[1] or len(mono[0]) != 1:
             raise ParseError("negative powers apply to a single variable only",
                              self.peek()[2])
         (coord, ee), = mono[0]
-        coeff = poly.terms[mono]
+        coeff = terms[mono]
         if coord != (1, 1) or not self.hat:
             raise ParseError("negative powers are only allowed for u_1 in hat "
                              "mode (use --hat)", self.peek()[2])
@@ -222,12 +232,6 @@ class _Parser:
             raise ParseError("negative powers apply to the bare variable",
                              self.peek()[2])
         return (SuperPolynomial({(((coord, ee * e),), ()): 1}), 0)
-
-
-def _single_monomial(p: SuperPolynomial):
-    if len(p.terms) == 1:
-        return next(iter(p.terms))
-    return None
 
 
 def parse_density(text: str, hat: bool = False) -> SuperPolynomial:

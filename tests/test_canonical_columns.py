@@ -1,12 +1,11 @@
-"""Canonical theta_0 columns of the slice solver against the whole slice.
+"""The slice solver against the whole slice, for unknowns of theta-degree >= 1.
 
-For an unknown of theta-degree t >= 1 on a polynomial slice whose order
-reaches the unknown's degree, the solver enumerates only the monomials whose
-odd part contains theta_0.  Its answer, witness or NoSolution, must be the
-one of every column of the slice (conftest.full_slice_solve), for t = 1 and
-2 and the brackets P, Q and P + 2Q.  Slices outside that guard, Laurent
-slices and slices of order below the degree, keep all their columns and must
-agree too; there the theta_0 columns alone miss primitives.
+Its answer, witness or NoSolution, must be the one of every column of the
+slice (conftest.full_slice_solve), for t = 1 and 2 and the brackets P, Q and
+P + 2Q, on polynomial slices whose order reaches the unknown's degree
+(INSIDE) and on Laurent slices and slices of order below the degree
+(OUTSIDE).  Every slice keeps every column of the u-count blocks its target
+reaches.
 """
 
 import random
@@ -24,7 +23,7 @@ from jetbrackets import (
     primitive_solve,
     schouten_bracket,
 )
-from jetbrackets import algebra, deform
+from jetbrackets import deform
 
 PENCIL = dkdv_pencil()
 BRACKETS = {"P": PENCIL.P, "Q": PENCIL.Q, "P+2Q": PENCIL.member(2)}
@@ -32,13 +31,13 @@ BRACKETS = {"P": PENCIL.P, "Q": PENCIL.Q, "P+2Q": PENCIL.member(2)}
 # (slice the solver searches, slice the seeded primitive is drawn from, the
 # unknown's degree); a primitive drawn beyond the searched slice often has
 # no counterpart in it, which gives NoSolution cases
-INSIDE = [  # polynomial, max_order >= degree: canonical columns
+INSIDE = [  # polynomial, max_order >= degree
     (GradedSlice(3, 2), GradedSlice(3, 2), 3),
     (GradedSlice(4, 2), GradedSlice(4, 3), 4),
     (GradedSlice(3, 1), GradedSlice(3, 3), 3),
     (GradedSlice(5, 1), GradedSlice(5, 2), 5),
 ]
-OUTSIDE = [  # Laurent or of order below the degree: all columns
+OUTSIDE = [  # Laurent or of order below the degree
     (GradedSlice(3, 2, 1), GradedSlice(3, 2, 1), 3),
     (GradedSlice(3, 1, 2), GradedSlice(3, 2, 2), 2),
     (GradedSlice(2, 2, 2), GradedSlice(2, 2, 2), 3),
@@ -108,14 +107,14 @@ def test_slices_outside_the_guard_keep_every_column(case, name, t, monkeypatch):
         if source == slice_:
             assert found
         # the solver's system (built after the whole-slice one) keeps every
-        # column of its blocks, theta_0 or not
+        # column of its blocks
         block = deform._enumerate(slice_, t, degree, deform._solution_blocks([H], [c]))
         assert len(ncols) == 2 and ncols[1] == len(block)
 
 
 def test_both_kinds_of_answer_occur():
-    """The seeded cases above include witnesses and NoSolution, inside and
-    outside the guard."""
+    """The seeded cases above include witnesses and NoSolution, on INSIDE
+    and on OUTSIDE slices."""
     seen = set()
     for cases, tag in ((INSIDE, "in"), (OUTSIDE, "out")):
         for case, (slice_, source, degree) in enumerate(cases):
@@ -125,23 +124,3 @@ def test_both_kinds_of_answer_occur():
             for c in _targets(rng, PENCIL.P, 1, source, degree, 4):
                 seen.add((tag, _agree(c, PENCIL.P, slice_)))
     assert seen == {("in", True), ("in", False), ("out", True), ("out", False)}
-
-
-@pytest.mark.parametrize("slice_,t,degree", [
-    (GradedSlice(3, 2), 1, 3), (GradedSlice(4, 3), 2, 4), (GradedSlice(5, 1), 3, 6),
-    (GradedSlice(3, 2, 2), 1, 2), (GradedSlice(2, 2), 2, 4),
-])
-def test_theta0_columns_come_first(slice_, t, degree):
-    full = deform._enumerate(slice_, t, degree)
-    with_theta0 = [b for b in full if next(iter(b.terms))[1][0] == (1, 0)]
-    assert with_theta0 and len(with_theta0) < len(full)
-    assert full[:len(with_theta0)] == with_theta0
-    assert deform._enumerate(slice_, t, degree, canonical=True) == with_theta0
-    # with some u-count blocks, the same prefix of the blocks
-    ucounts = sorted(set().union(*(algebra._ucounts(b) for b in full)))[::2]
-    blocks = deform._enumerate(slice_, t, degree, ucounts)
-    canon = deform._enumerate(slice_, t, degree, ucounts, canonical=True)
-    assert canon and len(canon) < len(blocks)
-    assert blocks[:len(canon)] == canon
-    assert all(b in with_theta0 for b in canon)
-    assert not any(b in with_theta0 for b in blocks[len(canon):])

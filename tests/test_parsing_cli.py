@@ -342,6 +342,36 @@ class TestCLI:
         assert "Traceback" in captured.err
 
 
+# input the tokenizer or the recursive descent once let escape as
+# internal-error (ValueError from int(), RecursionError), or read as ASCII
+@pytest.mark.parametrize("expr", [
+    "u_\u00b2",                     # u_ and a superscript two
+    "\u00b2*u",                     # a superscript two as a number
+    "u_\u0661",                     # an Arabic-Indic one, once read as u_1
+    "1\u0661*u",                    # a non-ASCII digit inside a number
+    "(" * 400 + "u" + ")" * 400,    # 400 nested parentheses
+    "-" * 2000 + "u",               # 2000 unary minus signs
+    "d(" * 400 + "u" + ")" * 400,   # 400 nested total derivatives
+    "D: " + "(" * 400 + "u" + ")" * 400 + "*del",
+], ids=["superscript-subscript", "superscript-number", "arabic-indic-subscript",
+        "arabic-indic-in-number", "parentheses", "unary-minus", "nested-d", "operator"])
+def test_bad_input_is_a_parse_error(capsys, expr):
+    assert main(["dtot", "--", expr]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["code"] == "parse-error"
+    with pytest.raises(ParseError):
+        parse_expression(expr)
+
+
+def test_nesting_up_to_the_bound_parses():
+    assert parse_density("(" * 99 + "u" + ")" * 99) == u
+    assert parse_density("-" * 99 + "u") == -u
+    assert parse_density("d(" * 99 + "u" + ")" * 99) == SP.u(99)
+    with pytest.raises(ParseError, match="more than 100 nested factors") as err:
+        parse_density("-" * 100 + "u")
+    assert err.value.column == 101
+
+
 @pytest.mark.parametrize("argv", [
     ["hierarchy", "--n", "1", "--max-order", "3"],
     ["dtot", "--max-udeg", "2", "u"],

@@ -299,14 +299,15 @@ def test_explicit_zero_entries_are_dropped():
 
 
 def test_captured_qt_ladder_slice_system(monkeypatch):
-    """The d_P slice systems of an ell = 6 qt-ladder cocycle, as built by
-    slice_matrix for its Y and X solves, with their right-hand sides.  Each
-    solve keeps only the u-count block its target reaches, so the two
-    systems differ, and only the theta_0 columns of that block; the whole
-    slice, one 392 x 405 system, gives the same classes."""
+    """The d_P slice systems of an ell = 6 qt-ladder cocycle, as slice_matrix
+    builds them for primitive_solve's Y and X solves on the slice
+    GradedSlice(6, 8) that quasi-trivialization used to search, with their
+    right-hand sides.  Each solve keeps only the u-count block its target
+    reaches, so the two systems differ; the whole slice, one 392 x 405
+    system, gives the same classes."""
     from conftest import full_slice_solve
     from jetbrackets import (GradedSlice, canonical_class, dkdv_pencil,
-                             enumerate_basis, primitive_solve, quasi_trivialize)
+                             enumerate_basis, primitive_solve)
 
     captured = []
 
@@ -326,12 +327,13 @@ def test_captured_qt_ladder_slice_system(monkeypatch):
     assert c1.theta_degree == 2 and not c1.is_zero()
     with monkeypatch.context() as m:
         m.setattr(deform, "SparseMatrix", Recording)
-        quasi_trivialize(c1)
+        Y6 = primitive_solve(c1, pencil.P, GradedSlice(6, 8))
+        primitive_solve(pencil.d_Q(Y6), pencil.P, GradedSlice(6, 8))
     assert len(captured) == 2
     (rows_y, n_y, rhs_y), (rows_x, n_x, rhs_x) = captured
     assert len(rhs_y) == len(rhs_x) == 1
-    assert (len(rows_y), n_y) == (37, 13)
-    assert (len(rows_x), n_x) == (41, 14)
+    assert (len(rows_y), n_y) == (37, 40)
+    assert (len(rows_x), n_x) == (41, 42)
     _assert_matches_reference(rows_y, n_y, rhs_y)
     _assert_matches_reference(rows_x, n_x, rhs_x)
 
