@@ -15,8 +15,8 @@ the key `_ONE` = 2^13 << 17.  Exponents range over 0..16383 for u_k, k != 1,
 and over -8192..8191 for u_1; the constructor, `*`, `**` and the derivations
 raise AlgebraError for a monomial outside that range.  Jet indices are
 unbounded: a key is as long as its largest index needs.  Only this module
-reads or builds keys; `_pack` and `_ucounts` serve the slice enumeration,
-and `_numerators` hands the slice solver integer coefficients under keys it
+reads or builds keys; `_pack` serves the slice enumeration, and
+`_numerators` hands the slice solver integer coefficients under keys it
 treats as opaque labels.
 
 On packed keys the ring is integer arithmetic.  A product of monomials whose
@@ -50,6 +50,7 @@ one filing, d^n is n steps, and `_variational` is one filing plus Horner in d.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, gcd, inf, lcm
 
@@ -88,7 +89,9 @@ def _range_error(what: str) -> AlgebraError:
 
 def _check_exponent(k: int, e: int) -> None:
     if not (_U1_MIN <= e <= _U1_MAX if k == 1 else 0 <= e <= _E_MAX):
-        raise _range_error(f"{_name('u', k)}^{e}")
+        # an exponent past 2^64 may have more digits than Python prints
+        raise _range_error(f"{_name('u', k)}^{e}" if e.bit_length() <= 64
+                           else f"a power of {_name('u', k)} of more than 64 bits")
 
 
 def _normal_key(mono):
@@ -197,26 +200,12 @@ def _key_degree(key: int) -> int:
     return d - _BIAS
 
 
-def _key_ucount(key: int) -> int:
-    """The sum of the exponents (u_1^-1 counts -1, theta factors 0)."""
-    n = -_BIAS
-    while key:
-        n += (key & _FIELD) >> 1
-        key >>= _W
-    return n
-
-
 def _key_order(key: int) -> int:
     """The largest index of a factor of the key; 0 for a constant."""
     k = (key.bit_length() - 1) // _W
     if k >= 2:
         return k
     return 0 if key >> _W == _BIAS << 1 else 1
-
-
-def _ucounts(p: "SuperPolynomial") -> set:
-    """The u-counts of the monomials of p."""
-    return {_key_ucount(m) for m in p._nums}
 
 
 def _numerators(p: "SuperPolynomial"):
@@ -527,13 +516,13 @@ class SuperPolynomial:
             for (_, k) in odd:
                 factors.append(_name("theta", k))
             if not factors:
-                parts.append(str(c))
+                parts.append(_coeff_str(c))
             elif c == 1:
                 parts.append("*".join(factors))
             elif c == -1:
                 parts.append("-" + "*".join(factors))
             else:
-                parts.append(str(c) + "*" + "*".join(factors))
+                parts.append(_coeff_str(c) + "*" + "*".join(factors))
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -723,6 +712,14 @@ def _contract(a: SuperPolynomial) -> SuperPolynomial:
 
 def _name(base, k):
     return base if k == 0 else f"{base}_{k}"
+
+
+def _coeff_str(c: Fraction) -> str:
+    try:
+        return str(c)
+    except ValueError:  # more digits than Python converts; the limit is process-global
+        raise AlgebraError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                           "digits, Python's int/str conversion limit") from None
 
 
 def _theta_free(p: SuperPolynomial) -> bool:

@@ -149,7 +149,10 @@ def _load_manifest(args, path) -> EpsilonDeformation:
     if bad:
         raise _InvalidArgument(f"manifest correction orders must be decimal integers, "
                                f"got {bad[0]!r}")
-    orders = {int(k): v for k, v in table.items()}
+    try:
+        orders = {int(k): v for k, v in table.items()}
+    except ValueError:  # more digits than Python converts; the limit is process-global
+        raise _InvalidArgument("a manifest correction order has too many digits") from None
     if len(orders) < len(table):
         raise _InvalidArgument("manifest names a correction order twice")
     table = orders

@@ -11,14 +11,6 @@ slice monomial is computed once per process and kept in a table shared by
 every slice problem: the slices nest and the differentials are fixed, so a
 later system, a grown slice or the next cocycle of the same degree reads its
 images instead of recomputing a Schouten bracket per monomial.
-
-Each graded piece is further graded by u-count, the sum of the even
-exponents of a monomial (u_1^-1 counts -1, theta factors 0).  d, N and the
-variational derivatives keep the u-count and the Schouten bracket lowers it
-by one, so d_H for H of one u-count h shifts it by h - 1: by -1 for the
-bracket of d (theta theta_1) and by 0 for that of u d + u_1/2.  Every slice
-system is therefore block-diagonal by u-count, and the solver enumerates and
-eliminates only the blocks its targets reach.
 """
 
 from __future__ import annotations
@@ -28,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import AlgebraError, SuperPolynomial, _make, _numerators, _pack, _ucounts
+from .algebra import AlgebraError, SuperPolynomial, _make, _numerators, _pack
 from .schouten import Pencil, schouten_bracket
 from .variational import EvolutionaryVF, MultiVector, canonical_class
 
@@ -270,37 +262,24 @@ class GradedSlice:
 
 def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
     """All normal-form monomials of the given theta-degree and homogeneity
-    degree within the slice caps."""
+    degree within the slice caps.  They are built in normal form, so they
+    are packed and go through the private constructor."""
     if theta_degree < 0:
         raise AlgebraError(f"theta-degree must be at least 0, got {theta_degree}")
-    return _enumerate(slice_, theta_degree, degree)
-
-
-def _enumerate(slice_: GradedSlice, theta_degree: int, degree: int, ucounts=None):
-    """The monomials of enumerate_basis, in its order; given a sorted list of
-    u-counts, only those whose u-count is in it, in the same relative order.
-    The monomials are built in normal form, so they are packed and go
-    through the private constructor."""
     n = slice_.max_order
     depth = slice_.laurent_depth
-    cap = slice_.max_udeg
     out = []
     for odd in itertools.combinations(range(0, n + 1), theta_degree):
         rem = degree - sum(odd)
         odd_key = tuple((1, j) for j in odd)
         # even exponents: e_k for k >= 2 with sum k e_k <= rem + depth,
-        # e_1 := rem - sum, e_0 free up to the cap (fixed by the u-count)
+        # e_1 := rem - sum, e_0 free up to the cap
         for evens in _even_parts(rem + depth, 2, n):
             e1 = rem - sum(k * e for k, e in evens)
             if e1 < -depth:
                 continue
             tail = ((((1, 1), e1),) if e1 else ()) + tuple(((1, k), e) for k, e in evens)
-            if ucounts is None:
-                e0s = range(cap + 1)
-            else:
-                base = e1 + sum(e for _, e in evens)
-                e0s = [w - base for w in ucounts if 0 <= w - base <= cap]
-            for e0 in e0s:
+            for e0 in range(slice_.max_udeg + 1):
                 even = ((((1, 0), e0),) + tail) if e0 else tail
                 out.append(_make({_pack((even, odd_key)): 1}, 1))
     return out
@@ -467,16 +446,15 @@ def _rref(rows, ncols):
 
 
 # The d_H images of single monomials: (H, monomial) -> the terms of
-# [[H, class(monomial)]] as a tuple of monomials and a tuple of coefficients,
-# monomials as the ring's packed keys and H keyed by the numerators and
-# denominator of its representative.  Every slice_matrix call reads and fills
-# it.  Image monomials are interned through _KEYS, because a few hundred
-# distinct monomials make up thousands of image terms, and integral
-# coefficients are stored as ints.  The values are deterministic, so emptying
-# both tables once _IMAGE_LIMIT images are held changes no result; the limit
-# is well above the 528 images of symmetry_space over ell = 1..7, caps 2..5.
+# [[H, class(monomial)]] as a tuple of (monomial, coefficient) pairs,
+# monomials as the ring's packed keys, integral coefficients as ints and H
+# keyed by the numerators and denominator of its representative.  Every
+# slice_matrix call reads and fills it.  The values are deterministic, so
+# emptying the table once _IMAGE_LIMIT images are held changes no result;
+# the limit is well above the 528 images of symmetry_space over ell = 1..7,
+# caps 2..5, and the 24 of the degree-0 request of `quasi-trivialize --hat
+# --g "d(u_1^-1)"`.
 _IMAGES: dict = {}
-_KEYS: dict = {}
 _IMAGE_LIMIT = 16384
 
 
@@ -488,12 +466,10 @@ def slice_matrix(monomials, brackets) -> SparseMatrix:
     brackets, and every class carries its variational derivatives, so each
     is differentiated at most once.  Polynomial terms carry no zero
     coefficients, so every stored entry is nonzero."""
-    intern = _KEYS.setdefault
     hkeys = []
     for H in brackets:
         nums, D = _numerators(H.rep)
-        h = (frozenset(nums.items()), D)
-        hkeys.append(intern(h, h))
+        hkeys.append((frozenset(nums.items()), D))
     rows: dict = {}
     for j, x in enumerate(monomials):
         nums, D = _numerators(x)
@@ -505,20 +481,14 @@ def slice_matrix(monomials, brackets) -> SparseMatrix:
             if image is None:
                 if len(_IMAGES) >= _IMAGE_LIMIT:
                     _IMAGES.clear()
-                    _KEYS.clear()
-                    hkeys = [intern(h, h) for h in hkeys]
                 if column is None:
                     column = canonical_class(_make({mono: 1}, 1))
                 inums, iD = _numerators(schouten_bracket(H, column).rep)
-                image = (tuple(map(intern, inums, inums)),
-                         tuple(v // iD if v % iD == 0 else Fraction(v, iD)
-                               for v in inums.values()))
+                image = tuple((mn, v // iD if v % iD == 0 else Fraction(v, iD))
+                              for mn, v in inums.items())
                 _IMAGES[(hkeys[k], mono)] = image
-            mns, values = image
-            if c != 1:
-                values = [v * c for v in values]
-            for mn, v in zip(mns, values):
-                rows.setdefault((k, mn), {})[j] = v
+            for mn, v in image:
+                rows.setdefault((k, mn), {})[j] = v if c == 1 else v * c
     return SparseMatrix(rows, len(monomials))
 
 
@@ -535,18 +505,8 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
     """The class y with [[H, y]] = T for each bracket H and its target T,
     searched in the slice and then in up to max_grows grown slices.  The
     targets are homogeneous classes of one theta-degree k >= 1 and degree d,
-    not all zero; y has theta-degree t = k - 1 and degree d - 1.
-
-    The system is block-diagonal by u-count: when every H has one u-count h,
-    d_H maps the u-count-a block to u-count a + h - 1, so only the blocks
-    that some target term reaches can carry a solution, and only their
-    monomials are enumerated.  Their relative order is that of the whole
-    slice and the other blocks have zero right-hand side, so the solution is
-    the one the whole slice gives.  A bracket that mixes u-counts searches
-    the whole slice.
-
-    y is verified exactly; NoSolution names the last slice tried and the
-    u-count blocks searched."""
+    not all zero; y has theta-degree t = k - 1 and degree d - 1.  y is
+    verified exactly; NoSolution names the last slice tried."""
     c = next(T for T in targets if not T.is_zero())
     t, deg = c.theta_degree - 1, c.homogeneity() - 1
     rhs = {}
@@ -554,12 +514,11 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
         nums, D = _numerators(T.rep)
         for mn, v in nums.items():
             rhs[(k, mn)] = Fraction(v, D)
-    blocks = _solution_blocks(brackets, targets)
     s = slice_
     for grow in range(max_grows + 1):
         if grow:
             s = s.grown()
-        basis = _enumerate(s, t, deg, blocks)
+        basis = enumerate_basis(s, t, deg)
         if basis:
             sol = slice_matrix(basis, brackets).solve(rhs)
             if sol is not None:
@@ -567,22 +526,8 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
                 if any(schouten_bracket(H, y) != T for H, T in zip(brackets, targets)):
                     raise AssertionError("slice solution verification failed")
                 return y
-    searched = "all u-count blocks" if blocks is None else f"u-count blocks {blocks}"
-    raise NoSolution(f"no solution in slices up to {s}, {searched}: "
+    raise NoSolution(f"no solution in slices up to {s}: "
                      "enlarge the slice or the class is not exact")
-
-
-def _solution_blocks(brackets, targets):
-    """The sorted u-counts u(m) - (h - 1), m a term of a target and h the
-    u-count of its bracket, or None when some bracket mixes u-counts."""
-    blocks = set()
-    for H, T in zip(brackets, targets):
-        hs = _ucounts(H.rep)
-        if len(hs) != 1:
-            return None
-        (h,) = hs
-        blocks.update(u - h + 1 for u in _ucounts(T.rep))
-    return sorted(blocks)
 
 
 def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,

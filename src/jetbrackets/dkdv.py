@@ -19,6 +19,7 @@ from .algebra import AlgebraError, DiffOperator, SuperPolynomial, _contract, _ko
 from .deform import (
     Cochain,
     GradedSlice,
+    NoSolution,
     _solve_in_slices,
     enumerate_basis,
     linear_combination,
@@ -28,6 +29,7 @@ from .schouten import Pencil
 from .variational import (
     EvolutionaryVF,
     MultiVector,
+    NotExact,
     _antidiff_u,
     antidiff_square,
     canonical_class,
@@ -367,10 +369,12 @@ def quasi_trivialize(c, ell: int | None = None):
 
     For homogeneity degree ell >= 1 returns the vector field b0 (with
     u_1-inverses allowed) satisfying d_P b0 = 0 and d_Q b0 = c1, both
-    re-verified exactly before returning.  At degree 0 a polynomial class is
-    trivial only as a constant multiple of theta theta_1, and anything else
-    yields NontrivialAtDegreeZero; a Laurent class gets a witness from the
-    joint d_P / d_Q system or raises NoSolution (see _degree_zero).
+    re-verified exactly before returning, or raises NoSolution (undecided)
+    for a Laurent class whose order reduction would need log u_1.  At
+    degree 0 a polynomial class is trivial only as a constant multiple of
+    theta theta_1, and anything else yields NontrivialAtDegreeZero; a
+    Laurent class gets a witness from the joint d_P / d_Q system or raises
+    NoSolution (see _degree_zero).
     """
     pencil = dkdv_pencil()
     if isinstance(c, Cochain):
@@ -423,7 +427,8 @@ def _degree_zero(c1: MultiVector, pencil: Pencil):
         return w
     sl = GradedSlice(max_order=max(2, rep.order()), max_udeg=max(2, rep.max_u_power()),
                      laurent_depth=2)
-    # one growth only: the next slice takes tens of seconds
+    # one growth only: the next slice takes tens of seconds (26 s for the
+    # 6045 columns of g = u^2/2 + d(u_1^-1), Python 3.11, 2 cores)
     y = _solve_in_slices([pencil.P, pencil.Q], [MultiVector(SuperPolynomial(), 2), c1], sl, 1)
     return EvolutionaryVF(_characteristic(y))
 
@@ -452,17 +457,27 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
 
 
 def _trivialize_pair(f, g, ell0, c1, pencil):
+    """The witness for c1 from its cocycle pair (f, g), by order reduction.
+    A reduction step whose antiderivative needs log u_1 raises NoSolution:
+    the class is undecided, not shown to be nontrivial."""
     state = _MoveState(f, g)
     n = max(state.f.order(), state.g.order())
     pair = CocyclePair(state.f, state.g, max(n, 1))
     if not pair.verify():
         raise AssertionError("pair fails the cocycle equation before reduction")
-    while n > 2:
-        N = n if n % 2 == 0 else n + 1
-        _one_reduction(state, N)
-        n = N - 2
-        if not CocyclePair(state.f, state.g, max(n, 1)).verify():
-            raise AssertionError("reduction lost the cocycle equation")
+    try:
+        while n > 2:
+            N = n if n % 2 == 0 else n + 1
+            _one_reduction(state, N)
+            n = N - 2
+            if not CocyclePair(state.f, state.g, max(n, 1)).verify():
+                raise AssertionError("reduction lost the cocycle equation")
+        if ell0 > 2:
+            # one more top-layer removal at order 2 lands at order <= 1
+            _one_reduction(state, 2, last_step=3)
+    except NotExact as exc:
+        raise NoSolution(f"{exc}: the order reduction stops there, so the class "
+                         "is undecided") from exc
 
     if ell0 == 1:
         raise AssertionError("nonzero tail cocycle in degree 1 cannot exist")
@@ -486,9 +501,8 @@ def _trivialize_pair(f, g, ell0, c1, pencil):
         _verify_witness(witness, c1, pencil)
         return witness
 
-    # ell0 > 2: one more top-layer removal at order 2 lands at order <= 1,
-    # where the constraint system forces the pair to vanish identically
-    _one_reduction(state, 2, last_step=3)
+    # ell0 > 2: at order <= 1 the constraint system forces the pair to
+    # vanish identically
     if state.f.order() > 1 or state.g.order() > 1:
         raise AssertionError("order-2 reduction failed")
     if state.f or state.g:

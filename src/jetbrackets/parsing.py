@@ -5,8 +5,9 @@ operators `+ - * ^` with `^` > `*` > `+ -` and unary minus; `d(expr)` for the
 total derivative; a `D:` prefix switches to operator mode, where terms have
 the shape `coeff*del^j` (`del` last in each product).  With hat=True the
 input may carry negative exponents on u_1.  Whitespace is insignificant.
-Numbers and subscripts are ASCII digits 0-9.  Parentheses, d(...) and unary
-minus signs nest factors in factors, at most _MAX_NESTING deep.
+Numbers and subscripts are ASCII digits 0-9, at most as many as Python's
+int/str conversion allows (4300 unless set otherwise).  Parentheses, d(...)
+and unary minus signs nest factors in factors, at most _MAX_NESTING deep.
 Printing uses the canonical term order, so parse(print(x)) == x.
 """
 
@@ -29,6 +30,17 @@ class ParseError(Exception):
 
 _SYMBOLS = "+-*^()/"
 _MAX_NESTING = 100  # nested factors; each costs at most five frames of the descent
+
+
+def _int(digits, column):
+    """The value of a run of digits.  int() refuses more digits than Python's
+    int/str limit; that limit is process-global, so a longer run is a
+    ParseError, and the limit is never lifted."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long",
+                         column, digits) from None
 
 
 def _tokenize(text):
@@ -133,16 +145,16 @@ class _Parser:
             self.next()
             sign = -1
         tok = self.expect("int")
-        return sign * int(tok[1])
+        return sign * _int(tok[1], tok[2])
 
     def atom(self):
         tok = self.next()
         if tok[0] == "int":
-            num = int(tok[1])
+            num = _int(tok[1], tok[2])
             if self.peek()[0] == "/":
                 self.next()
                 den_tok = self.expect("int")
-                den = int(den_tok[1])
+                den = _int(den_tok[1], den_tok[2])
                 if den == 0:
                     raise ParseError("zero denominator", den_tok[2], den_tok[1])
                 return self._const(Fraction(num, den))
@@ -180,7 +192,7 @@ class _Parser:
         if sub:
             if not (sub.isascii() and sub.isdigit()):
                 raise ParseError(f"bad subscript in {name!r}", col, name)
-            k = int(sub)
+            k = _int(sub, col)
         if base == "u":
             return (SuperPolynomial.u(k), 0)
         if base == "theta":

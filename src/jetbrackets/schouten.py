@@ -52,13 +52,16 @@ def differential_dH(H: MultiVector, a: MultiVector) -> MultiVector:
 
 
 def is_hamiltonian(B: MultiVector) -> bool:
-    if B.theta_degree != 2:
+    """[[B, B]] = 0 for a bivector B; the zero class (the bivector of the
+    zero operator, of theta-degree 0) is Hamiltonian."""
+    if B.theta_degree != 2 and not B.is_zero():
         raise AlgebraError("Hamiltonianity is a property of bivectors")
     return schouten_bracket(B, B).is_zero()
 
 
 def are_compatible(B1: MultiVector, B2: MultiVector) -> bool:
-    if B1.theta_degree != 2 or B2.theta_degree != 2:
+    """[[B1, B2]] = 0 for bivectors, each possibly the zero class."""
+    if any(B.theta_degree != 2 and not B.is_zero() for B in (B1, B2)):
         raise AlgebraError("compatibility is a property of bivectors")
     return schouten_bracket(B1, B2).is_zero()
 

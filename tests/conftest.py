@@ -223,8 +223,8 @@ def ref_mul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Reference slice solve: the whole slice, every u-count block, as the solver
-# searched it before it kept only the blocks a target reaches.
+# Reference slice solve: the whole slice, written out apart from
+# deform._solve_in_slices, which every solve in the tests must agree with.
 # ---------------------------------------------------------------------------
 
 def full_slice_solve(brackets, targets, slice_, max_grows=0):

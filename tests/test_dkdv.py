@@ -338,6 +338,23 @@ class TestQuasiTrivialize:
         with pytest.raises(NoSolution, match="laurent_depth=6"):
             quasi_trivialize(mixed)
 
+    def test_laurent_reduction_needing_a_logarithm_is_undecided(self):
+        # c1 = d_Q d_P int u_1^-3 u_2^2 dx is trivial by construction, but
+        # its order reduction would need log u_1: NoSolution, not NotExact
+        from jetbrackets import NoSolution
+        pen = dkdv_pencil()
+        w = u1inv ** 3 * u2 ** 2
+        c1 = pen.d_Q(pen.d_P(canonical_class(w)))
+        with pytest.raises(NoSolution, match="requires a logarithm.*undecided"):
+            quasi_trivialize(c1)
+        # c1 = d_P int(g theta) dx for g = -Q delta_u w, and that route
+        # finds a verified witness
+        g = -Q_OP.apply(higher_variational_u(w))
+        witness, c = quasi_trivialize_from_generator(g)
+        assert c == c1
+        assert pen.d_P(witness.as_class()).is_zero()
+        assert pen.d_Q(witness.as_class()) == c1
+
     def test_degree_zero_constant_is_trivial(self):
         pen = dkdv_pencil()
         c1 = canonical_class(th * SP.theta(1) * Fraction(5, 2))

@@ -55,7 +55,6 @@ def _assert_same(a, b):
 @pytest.fixture
 def cold(monkeypatch):
     monkeypatch.setattr(deform, "_IMAGES", {})
-    monkeypatch.setattr(deform, "_KEYS", {})
 
 
 def _seeded_columns(t, depth, name):
@@ -138,7 +137,6 @@ def _results():
 def test_size_bounds_change_no_result(monkeypatch):
     expected = _results()
     monkeypatch.setattr(deform, "_IMAGES", {})
-    monkeypatch.setattr(deform, "_KEYS", {})
     monkeypatch.setattr(deform, "_IMAGE_LIMIT", 3)
     monkeypatch.setattr(algebra, "_DERIV_CACHE", {})
     monkeypatch.setattr(algebra, "_DERIV_LIMIT", 5)

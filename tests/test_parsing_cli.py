@@ -170,6 +170,20 @@ class TestCLI:
         assert code == 2 and doc["error"]["code"] == "no-solution"
         assert "GradedSlice(" in doc["error"]["message"]
 
+    def test_quasi_trivialize_laurent_log_obstruction_is_undecided(self, capsys):
+        # the order reduction of this class would need log u_1
+        assert main(["quasi-trivialize", "--hat", "--g", "u_1^-1*u_2"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "no-solution" and "logarithm" in err["message"]
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["check-hamiltonian", "D: 0"], {"hamiltonian": True}),
+        (["check-compatible", "D: 0", "D: del"], {"compatible": True}),
+    ], ids=["hamiltonian", "compatible"])
+    def test_zero_operator_checks(self, capsys, argv, doc):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == doc
+
     def test_quasi_trivialize_inadmissible_generator(self):
         code, doc = run_cli("quasi-trivialize", "--g", "u_1^2")
         assert code == 2 and doc["error"]["code"] == "algebra-error"
@@ -280,11 +294,13 @@ class TestCLI:
         '{"base": "D: del", "corrections": {"2": "D: del^3", "02": "D: del^5"}}',
         '{"base": "D: del", "truncation": 10001}',
         '{"base": "D: del", "corrections": {"1000000": "D: del^3"}}',
+        '{"base": "D: del", "corrections": {"' + "1" * 5000 + '": "D: del^3"}}',
     ], ids=["no-base", "non-integer-order", "invalid-json", "missing-file",
             "negative-truncation", "order-zero", "order-above-truncation",
             "float-truncation", "integral-float-truncation", "string-truncation",
             "bool-truncation", "padded-order", "signed-order", "non-ascii-digit-order",
-            "repeated-order", "truncation-above-bound", "order-above-bound"])
+            "repeated-order", "truncation-above-bound", "order-above-bound",
+            "order-beyond-digit-limit"])
     def test_malformed_manifest_is_invalid_argument(self, capsys, tmp_path, command, content):
         man = tmp_path / "manifest.json"
         if content is not None:
@@ -361,6 +377,37 @@ def test_bad_input_is_a_parse_error(capsys, expr):
     assert doc["error"]["code"] == "parse-error"
     with pytest.raises(ParseError):
         parse_expression(expr)
+
+
+# more digits than Python's int/str conversion limit (4300 unless set
+# otherwise); int() and str() once let that escape as an internal-error
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "1" * 5000
+needs_digit_limit = pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5000,
+                                       reason="no int/str digit limit below 5000")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("expr, column", [
+    (_LONG, 1), ("u_" + _LONG, 1), ("u^" + _LONG, 3), ("1/" + _LONG, 3),
+    # each exponent fits, their product does not, and the range error
+    # names it without printing it
+    ("(u^999)^" + _LONG[:_DIGIT_LIMIT], 1),
+], ids=["number", "subscript", "exponent", "denominator", "power-of-power"])
+def test_integer_beyond_the_digit_limit_is_a_parse_error(capsys, expr, column):
+    assert main(["dtot", "--", expr]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "parse-error" and err["column"] == column
+
+
+@needs_digit_limit
+def test_coefficient_beyond_the_digit_limit_is_an_algebra_error(capsys):
+    # (10^900)^6 parses, but its 5401 digits cannot be printed
+    assert main(["dtot", "--", "(10^900)^6*u"]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == "algebra-error" and str(_DIGIT_LIMIT) in err["message"]
+    assert "Traceback" not in captured.err
 
 
 def test_nesting_up_to_the_bound_parses():

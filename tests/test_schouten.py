@@ -131,6 +131,17 @@ class TestHamiltonianCertificates:
         assert is_hamiltonian(Q)
         assert are_compatible(P, Q)
 
+    def test_zero_operator_is_hamiltonian_and_compatible(self):
+        # the zero operator's bivector is the zero class, of theta-degree 0
+        Z = operator_to_bivector(DiffOperator({}))
+        assert Z.is_zero() and Z.theta_degree == 0
+        assert is_hamiltonian(Z)
+        assert are_compatible(Z, P) and are_compatible(Q, Z) and are_compatible(Z, Z)
+        with pytest.raises(AlgebraError, match="property of bivectors"):
+            is_hamiltonian(canonical_class(u * th))
+        with pytest.raises(AlgebraError, match="property of bivectors"):
+            are_compatible(Z, canonical_class(u * th))
+
     def test_non_skew_rejected_upfront(self):
         with pytest.raises(SkewnessError):
             operator_to_bivector(DiffOperator({1: u, 0: u1}))

@@ -298,13 +298,13 @@ def test_explicit_zero_entries_are_dropped():
     assert M.kernel() == []
 
 
-def test_captured_qt_ladder_slice_system(monkeypatch):
-    """The d_P slice systems of an ell = 6 qt-ladder cocycle, as slice_matrix
+def test_captured_tail_cocycle_slice_systems(monkeypatch):
+    """The d_P slice systems of an ell = 6 tail cocycle, as slice_matrix
     builds them for primitive_solve's Y and X solves on the slice
-    GradedSlice(6, 8) that quasi-trivialization used to search, with their
-    right-hand sides.  Each solve keeps only the u-count block its target
-    reaches, so the two systems differ; the whole slice, one 392 x 405
-    system, gives the same classes."""
+    GradedSlice(6, 8), with their right-hand sides.  Y and X have the same
+    theta-degree and degree, so both solves build one 392 x 387 system on
+    the whole slice; on GradedSlice(7, 8), one 392 x 405 system, the solver
+    gives the classes of the reference whole-slice solve."""
     from conftest import full_slice_solve
     from jetbrackets import (GradedSlice, canonical_class, dkdv_pencil,
                              enumerate_basis, primitive_solve)
@@ -332,12 +332,10 @@ def test_captured_qt_ladder_slice_system(monkeypatch):
     assert len(captured) == 2
     (rows_y, n_y, rhs_y), (rows_x, n_x, rhs_x) = captured
     assert len(rhs_y) == len(rhs_x) == 1
-    assert (len(rows_y), n_y) == (37, 40)
-    assert (len(rows_x), n_x) == (41, 42)
-    _assert_matches_reference(rows_y, n_y, rhs_y)
-    _assert_matches_reference(rows_x, n_x, rhs_x)
+    assert (len(rows_y), n_y) == (392, 387)
+    assert rows_x == rows_y and n_x == n_y
+    _assert_matches_reference(rows_y, n_y, rhs_y + rhs_x)
 
-    # the block solves give the classes of the whole-slice solves
     sl = GradedSlice(max_order=7, max_udeg=8)
     Y = primitive_solve(c1, pencil.P, sl, max_grows=0)
     Y_full, shapes = full_slice_solve([pencil.P], [c1], sl)

@@ -1,11 +1,10 @@
-"""The u-count grading and the block-restricted slice solve.
+"""The u-count grading and the slice solve against the whole slice.
 
 The u-count of a monomial is the sum of its even exponents (u_1^-1 counts -1,
 theta factors 0).  d, N and the variational derivatives keep it and the
 Schouten bracket lowers it by one, so d_P (P = theta theta_1) lowers it by one
-and d_Q keeps it.  The slice solver therefore enumerates only the u-count
-blocks a target reaches; every solve here must give what the whole slice
-gives, with the whole slice computed in the test.
+and d_Q keeps it: every slice system is block-diagonal by u-count.  Every
+solve here must give what the reference whole-slice solve of the test gives.
 """
 
 import random
@@ -67,14 +66,6 @@ def test_enumerated_monomials_are_canonical(slice_, theta_degree, degree):
         assert len(b.terms) == 1
 
 
-@given(slices, st.integers(0, 2), st.integers(-1, 6),
-       st.sets(st.integers(-3, 8), max_size=4))
-def test_block_enumeration_is_the_ordered_subsequence(slice_, theta_degree, degree, wanted):
-    full = enumerate_basis(slice_, theta_degree, degree)
-    blocks = deform._enumerate(slice_, theta_degree, degree, sorted(wanted))
-    assert blocks == [b for b in full if ucount(the_monomial(b)) in wanted]
-
-
 # ---------------------------------------------------------------------------
 # The grading
 # ---------------------------------------------------------------------------
@@ -99,7 +90,7 @@ def test_bracket_ucounts():
 
 
 # ---------------------------------------------------------------------------
-# Block solves against whole-slice solves
+# Solves against the reference whole-slice solve
 # ---------------------------------------------------------------------------
 
 def _ladder_cocycles():
@@ -159,23 +150,22 @@ def test_laurent_degree_zero_undecided():
     c1 = PENCIL.d_P(canonical_class(g * SP.theta(0)))
     y, shapes = full_slice_solve([P, Q], [MultiVector(SP(), 2), c1], _degree_zero_slice(c1), 1)
     assert y is None and len(shapes) == 2
-    with pytest.raises(NoSolution, match=r"laurent_depth=6\), u-count blocks \[-2, 1\]"):
+    with pytest.raises(NoSolution, match=r"laurent_depth=6\): "):
         quasi_trivialize_from_generator(g)
 
 
-def test_no_solution_names_the_blocks():
-    # u^3 theta theta_1 = d_P(int u^4/4 theta dx): block {4}, beyond udeg 1
+def test_no_solution_names_the_slice():
+    # u^3 theta theta_1 = d_P(int u^4/4 theta dx): u^4 is beyond udeg 1
     th = SP.theta(0)
     c = canonical_class(SP.u(0) ** 3 * th * SP.theta(1))
     with pytest.raises(NoSolution, match=r"^no solution in slices up to GradedSlice\("
-                                         r"max_order=2, max_udeg=1, laurent_depth=0\), "
-                                         r"u-count blocks \[4\]: "):
+                                         r"max_order=2, max_udeg=1, laurent_depth=0\): "):
         primitive_solve(c, P, GradedSlice(2, 1), max_grows=0)
 
 
 def test_mixed_bracket_searches_the_whole_slice(monkeypatch):
-    # H = (u + u^2) d + ...: its terms have u-counts 1 and 2, so no block
-    # restriction applies and the solve builds the whole-slice system
+    # H = (u + u^2) d + ...: its terms have u-counts 1 and 2, so d_H mixes
+    # u-count blocks; the solve builds the whole-slice system all the same
     H, _ = hydrodynamic_bivector(SP.u(0) + SP.u(0) ** 2)
     sl = GradedSlice(max_order=3, max_udeg=3)
     y0 = canonical_class((SP.u(0) ** 2 * SP.u(2) * Fraction(3, 2) - SP.u(1) ** 2) * SP.theta(0))
@@ -195,9 +185,9 @@ def test_mixed_bracket_searches_the_whole_slice(monkeypatch):
         m.setattr(deform, "SparseMatrix", Recording)
         got = primitive_solve(c, H, sl, max_grows=0)
     assert got == want
-    # the whole slice, every column of every block
+    # the whole slice, every column
     full = enumerate_basis(sl, 1, c.homogeneity() - 1)
     assert [shapes[0][1]] == [len(full)]
     assert ncols == [len(full)]
-    with pytest.raises(NoSolution, match=r"max_udeg=1, laurent_depth=0\), all u-count blocks: "):
+    with pytest.raises(NoSolution, match=r"max_udeg=1, laurent_depth=0\): "):
         primitive_solve(c, H, GradedSlice(3, 1), max_grows=0)
