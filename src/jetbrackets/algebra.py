@@ -46,6 +46,10 @@ partial derivatives of the numerators under the power of d they are to
 receive, in one sweep; `_add_derivative` applies d once through the table of
 monomial derivatives.  Neither changes D.  partial_u and partial_theta are
 one filing, d^n is n steps, and `_variational` is one filing plus Horner in d.
+`_integrate`, formal integration in x, descends from the top order with the
+same step.  `_derive_key`, `_unpack` and `_key_degree` read the fields of a
+key from one pass over its bytes (`_fields`), so d, printing and the degree
+cost time linear in a jet index.
 """
 
 from __future__ import annotations
@@ -136,11 +140,23 @@ def _pack(mono) -> int:
 _COORDS = tuple((1, k) for k in range(64))
 
 
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _fields(key: int):
+    """The fields of a key, index 0 first, and one zero field above them (at
+    least three in all), from one pass over the key's bytes: a walk by
+    `key >>= _W` would copy the whole int at every index."""
+    n = max(2, -(-key.bit_length() // _W)) + 1
+    if _BIG_ENDIAN:  # native fields, the most significant first
+        return memoryview(key.to_bytes(2 * n, "big")).cast("H")[::-1]
+    return memoryview(key.to_bytes(2 * n, "little")).cast("H")
+
+
 def _unpack(key: int):
     """The monomial of a key in the `terms` format."""
-    even, odd, k = [], [], 0
-    while key or k < 2:  # the u_1 field of u_1^-8192 is 0
-        f = key & _FIELD
+    even, odd = [], []
+    for k, f in enumerate(_fields(key)):
         e = (f >> 1) - _BIAS if k == 1 else f >> 1
         if e or f & 1:
             co = _COORDS[k] if k < 64 else (1, k)
@@ -148,8 +164,6 @@ def _unpack(key: int):
                 even.append((co, e))
             if f & 1:
                 odd.append(co)
-        key >>= _W
-        k += 1
     return tuple(even), tuple(odd)
 
 
@@ -191,13 +205,7 @@ def _inversion_mask(t: int) -> int:
 
 def _key_degree(key: int) -> int:
     """sum k e_k + sum k over the theta_k; field 1 adds its bias once."""
-    d = k = 0
-    while key:
-        f = key & _FIELD
-        d += k * ((f >> 1) + (f & 1))
-        key >>= _W
-        k += 1
-    return d - _BIAS
+    return sum(k * ((f >> 1) + (f & 1)) for k, f in enumerate(_fields(key))) - _BIAS
 
 
 def _key_order(key: int) -> int:
@@ -271,18 +279,29 @@ class SuperPolynomial:
         _only_one_component(q)
         return cls()
 
+    # The generators skip the general constructor: after its checks, their
+    # one key is built directly.
+
     @classmethod
     def const(cls, c, q=1, hat=False):
         _only_one_component(q)
-        return cls({((), ()): c})
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("coefficients must be exact rationals (int or Fraction)")
+        return _make({_ONE: c.numerator}, c.denominator)
 
     @classmethod
     def u(cls, k=0, *, power=1, hat=False):
-        return cls({((((1, k), power),), ()): 1})
+        if type(k) is not int or k < 0 or type(power) is not int or (power < 0 and k != 1):
+            raise AlgebraError(f"invalid factor ((1, {k!r}), {power!r}): the index must be "
+                               "at least 0, and only u_1 has negative powers")
+        _check_exponent(k, power)
+        return _make({_ONE + (power << (_W * k + 1)): 1}, 1)
 
     @classmethod
     def theta(cls, k=0, *, hat=False):
-        return cls({((), ((1, k),)): 1})
+        if type(k) is not int or k < 0:
+            raise AlgebraError(f"invalid odd factor (1, {k!r}): the index must be at least 0")
+        return _make({_ONE + (1 << (_W * k)): 1}, 1)
 
     # -- ring structure ----------------------------------------------------
 
@@ -571,22 +590,21 @@ def _derive_key(m: int):
     an even derivation, so theta_k -> theta_{k+1} keeps its place and sign
     and is dropped when theta_{k+1} is there already."""
     ents, odd = [], []
-    rest = m
-    k = 0
-    while rest or k < 2:
-        f = rest & _FIELD
+    fields = _fields(m)
+    for k in range(len(fields) - 1):
+        f, up = fields[k], fields[k + 1]
+        if not f and k != 1:  # the u_1 field of u_1^-8192 is 0
+            continue
         e = (f >> 1) - _BIAS if k == 1 else f >> 1
         shift = _W * k
         if e:
             # u_1^e loses one power, u_{k+1} gains one (_E_MAX is also the
             # largest value a field stores)
-            if e == _U1_MIN or (rest >> (_W + 1)) & _E_MAX == _E_MAX:
+            if e == _U1_MIN or up >> 1 == _E_MAX:
                 raise _range_error("a total derivative")
             ents.append((m + (2 << (shift + _W)) - (2 << shift), e))
-        if f & 1 and not (rest >> _W) & 1:
+        if f & 1 and not up & 1:
             odd.append((m + (1 << (shift + _W)) - (1 << shift), 1))
-        rest >>= _W
-        k += 1
     return tuple(ents + odd)
 
 
@@ -663,6 +681,87 @@ def _variational(a: SuperPolynomial, odd: bool, level: int) -> SuperPolynomial:
         for j in range(top - 1, -1, -1):
             acc = _add_derivative(pieces.get(j, {}), acc)
     return _make(acc, a._D)
+
+
+def _add_times_u(out: dict, nums: dict, k: int, c: int) -> None:
+    """out += c u_k nums for int dicts, in place; the denominator is the
+    caller's."""
+    unit, guard = 2 << (_W * k), 1 << (_W * k + _W - 1)
+    get = out.get
+    for m, v in nums.items():
+        key = m + unit
+        if key & guard:
+            raise _range_error("a product")
+        out[key] = get(key, 0) + c * v
+
+
+def _exponent(m: int, k: int) -> int:
+    """The exponent of u_k in the key m."""
+    f = (m >> (_W * k + 1)) & _E_MAX
+    return f - _BIAS if k == 1 else f
+
+
+def _integrate(a: SuperPolynomial):
+    """A g with d(g) = a, or None, by top-order descent on the terms bucketed
+    by order.  At top order n the theta_n terms move down to theta_{n-1} with
+    their coefficients (d theta_{n-1} = theta_n keeps its place and sign),
+    then the u_n-linear terms integrate in u_{n-1}; d of both is subtracted,
+    which clears order n.  None means the descent stalled, which happens
+    only on a density that is not a total derivative: a theta_n term with
+    theta_{n-1} or u_n, a term nonlinear in u_n, u_1^-1 u_2 (log u_1), a
+    power of u_{n-1} past the exponent range, or a nonzero remainder at
+    order 0.  Every bucket and g are over the one denominator D."""
+    D = a._D
+    work: dict = {}  # order -> {key: numerator}
+    for m, c in a._nums.items():
+        work.setdefault(_key_order(m), {})[m] = c
+    g: dict = {}
+    while work:
+        n = max(work)
+        top = {m: c for m, c in work.pop(n).items() if c}
+        if not top:
+            continue
+        if n == 0:
+            return None
+        s = _W * n
+        bit = 1 << s
+        neg_x = {}  # -(the theta_n terms moved down)
+        for m, c in top.items():
+            if m & bit:
+                if (m >> (s - _W)) & 1 or _exponent(m, n):
+                    return None
+                neg_x[m - bit + (bit >> _W)] = -c
+        if neg_x:
+            top = _add_derivative(top, neg_x)
+        y, L = [], 1
+        for m, c in top.items():
+            if _key_order(m) == n:
+                if m & bit or _exponent(m, n) != 1:
+                    return None
+                e = _exponent(m, n - 1) + 1
+                # no antiderivative in the ring: log u_1, or a power past
+                # the exponent range, which d(g) would keep
+                if not e or e > (_U1_MAX if n == 2 else _E_MAX):
+                    return None
+                y.append((m - (2 << s) + (2 << (s - _W)), c, e))
+                L = lcm(L, e)
+        if L != 1:
+            D *= L
+            for terms in (top, neg_x, g, *work.values()):
+                for m in terms:
+                    terms[m] *= L
+        neg_y = {key: -c * (L // e) for key, c, e in y}
+        top = _add_derivative(top, neg_y)
+        for terms in (neg_x, neg_y):
+            for m, c in terms.items():
+                g[m] = g.get(m, 0) - c
+        for m, c in top.items():
+            o = _key_order(m)
+            if o >= n:
+                return None
+            bucket = work.setdefault(o, {})
+            bucket[m] = bucket.get(m, 0) + c
+    return _make(g, D)
 
 
 def _koszul_dP(a: SuperPolynomial) -> SuperPolynomial:

@@ -2,7 +2,8 @@
 
 Hierarchy generation by the functional recursion from the Casimir, the
 infinitesimal-symmetry checks, the e/S/E systems attached to a pair of
-characteristics, the order-lowering reduction step, and the full
+characteristics (every e_j from one filing sweep of f and one of g, every
+d^i e_j computed once), the order-lowering reduction step, and the full
 quasi-trivialization of tail cocycles: every positive-degree infinitesimal
 bihamiltonian deformation is trivialized by a vector field with u_1-inverse
 coefficients, produced here explicitly and re-verified exactly.  Its d_P
@@ -13,9 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .algebra import AlgebraError, DiffOperator, SuperPolynomial, _contract, _koszul_dP
+from .algebra import (
+    AlgebraError,
+    DiffOperator,
+    SuperPolynomial,
+    _add_times_u,
+    _contract,
+    _file,
+    _koszul_dP,
+    _make,
+    _numerators,
+)
 from .deform import (
     Cochain,
     GradedSlice,
@@ -137,50 +148,70 @@ def build_eSE(f: SuperPolynomial, g: SuperPolynomial, n: int):
     even n the equivalent packed system E_l, l = 0..n/2 (None for odd n).
     """
     e = _e_data(f, g, n)
-    return e, _s_system(e, n), _e_system(e, n) if n % 2 == 0 else None
+    de = _prolong(e)
+    return e, _s_system(de, n), _e_system(de, n) if n % 2 == 0 else None
 
 
 def _e_data(f: SuperPolynomial, g: SuperPolynomial, n: int):
-    """e_j = F_j - G_j, j = 0..n (see build_eSE)."""
+    """e_j = F_j - G_j, j = 0..n (see build_eSE), with
+    2 G_j = sum_l (C(j+l, l) + C(j+l+1, l)) u_l partial_{u_{j+l}} g - [j = 0] g,
+    from one filing sweep of f and one of g."""
     if f.order() > n or g.order() > n:
         raise AlgebraError("pair has order larger than declared")
-    half = Fraction(1, 2)
+    (fn, fD), (gn, gD) = _numerators(f), _numerators(g)
+    # everything over D = 2 lcm(fD, gD): the numerators of f scale by sf,
+    # those of g / 2 by sg
+    L = lcm(fD, gD)
+    D, sf, sg = 2 * L, 2 * L // fD, L // gD
+    # _file signs the partial by u_i with (-1)^i
+    fp, gp = _file(fn, False, 0, n), _file(gn, False, 0, n)
     e = []
     for j in range(n + 1):
-        Fj = f.partial_u(j)
-        Gj = SuperPolynomial()
-        for l in range(0, n - j + 1):
-            dg = g.partial_u(j + l)
-            if dg:
-                Gj = Gj + SuperPolynomial.u(l) * dg * (
-                    half * (comb(j + l, l) + comb(j + l + 1, l)))
+        out = {m: v * (-sf if j & 1 else sf) for m, v in fp.get(j, {}).items()}
+        for i in range(j, n + 1):
+            if i in gp:
+                c = sg * (comb(i, j) + comb(i + 1, i - j))
+                _add_times_u(out, gp[i], i - j, c if i & 1 else -c)
         if j == 0:
-            Gj = Gj - g * half
-        e.append(Fj - Gj)
+            for m, v in gn.items():
+                out[m] = out.get(m, 0) + v * sg
+        e.append(_make(out, D))
     return e
 
 
-def _s_system(e, n: int):
-    """S_k = e_k + sum_{j=k..n} (-1)^j C(j+1, k+1) d^(j-k) e_j, k = 0..n."""
+def _prolong(polys, step: int = 1):
+    """rows[j] = [p_j, d p_j, ..., d^(step j) p_j] for the polys p_j."""
+    rows = []
+    for j, p in enumerate(polys):
+        row = [p]
+        for _ in range(step * j):
+            row.append(row[-1].total_derivative())
+        rows.append(row)
+    return rows
+
+
+def _s_system(de, n: int):
+    """S_k = e_k + sum_{j=k..n} (-1)^j C(j+1, k+1) d^(j-k) e_j, k = 0..n,
+    from the prolongations de[j][i] = d^i e_j, i <= j."""
     S = []
     for k in range(n + 1):
-        Sk = e[k]
+        Sk = de[k][0]
         for j in range(k, n + 1):
-            t = e[j].dx(j - k) * comb(j + 1, k + 1)
+            t = de[j][j - k] * comb(j + 1, k + 1)
             Sk = Sk + (-t if j & 1 else t)
         S.append(Sk)
     return S
 
 
-def _e_system(e, n: int):
+def _e_system(de, n: int):
     """E_l = sum_{j=2l..m+l} (-1)^j C(2m-j, m-l) C(j+1, 2l+1) d^(j-2l) e_j,
-    l = 0..m, for n = 2m."""
+    l = 0..m, for n = 2m, from the prolongations of _s_system."""
     m = n // 2
     E = []
     for l in range(m + 1):
         El = SuperPolynomial()
         for j in range(2 * l, m + l + 1):
-            t = e[j].dx(j - 2 * l) * (comb(2 * m - j, m - l) * comb(j + 1, 2 * l + 1))
+            t = de[j][j - 2 * l] * (comb(2 * m - j, m - l) * comb(j + 1, 2 * l + 1))
             El = El + (-t if j & 1 else t)
         E.append(El)
     return E
@@ -193,8 +224,10 @@ def verify_SE_equivalence(e, n: int) -> bool:
         raise AlgebraError("the packed E-system is defined for even n only")
     m = n // 2
     e = list(e) + [SuperPolynomial()] * (n + 1 - len(e))
-    E = _e_system(e, n)
-    for k, Sk in enumerate(_s_system(e, n)):
+    de = _prolong(e)
+    E = _e_system(de, n)
+    dE = _prolong(E, 2)
+    for k, Sk in enumerate(_s_system(de, n)):
         if k == n:
             rhs = E[m] * 2
         else:
@@ -205,7 +238,7 @@ def verify_SE_equivalence(e, n: int) -> bool:
                     continue
                 # num != 0 gives k <= 2l; with k < 2m that is k < m + l, so the
                 # denominator C(2m-k-1, m-l) is nonzero
-                rhs = rhs + E[l].dx(2 * l - k) * Fraction(num, comb(2 * m - k - 1, m - l))
+                rhs = rhs + dE[l][2 * l - k] * Fraction(num, comb(2 * m - k - 1, m - l))
         if Sk != rhs:
             return False
     return True
@@ -234,7 +267,7 @@ class CocyclePair:
     n: int
 
     def s_system(self):
-        return _s_system(_e_data(self.f, self.g, self.n), self.n)
+        return _s_system(_prolong(_e_data(self.f, self.g, self.n)), self.n)
 
     def verify(self) -> bool:
         return all(s.is_zero() for s in self.s_system())

@@ -14,6 +14,18 @@ N F - k F is always a total derivative, so this is a well-defined projection
 onto normal forms.  For k = 0 the representative is the residue of a
 deterministic integration-by-parts descent.
 
+Exactness in theta-degree k >= 1 is decided by a descent on the top order n
+(`algebra._integrate`): the theta_n terms move down to theta_{n-1} with
+their coefficients, the u_n-linear rest integrates in u_{n-1}, and d of both
+is subtracted, which clears order n.  Since ker d is 0 in these degrees, a
+descent that reaches 0 returns the one antiderivative, the same g as the
+higher-Euler homotopy (1/k) sum_j d^j (theta delta_{j+1,theta} a).  It
+stalls only on a density that is not exact (a theta_n term with theta_{n-1}
+or u_n, a term nonlinear in u_n, u_1^-1 u_2, which needs log u_1, or a
+remainder at order 0), and only then is the canonical residue computed for
+NotExact.  The descent applies d once to each term of g, n steps in all,
+where the homotopy took about n^2/2.
+
 Every variational derivative (delta_u and delta_theta at every level) and N
 run through the algebra layer's integer derivation kernel,
 `algebra._variational`, which works on the numerators and keeps the
@@ -31,6 +43,7 @@ from .algebra import (
     DiffOperator,
     SkewnessError,
     SuperPolynomial,
+    _integrate,
     _theta_free,
     _variational,
 )
@@ -150,18 +163,6 @@ def _decompose_even(a: SuperPolynomial):
     return g, residue
 
 
-def _witness_from_N(a: SuperPolynomial, k: int) -> SuperPolynomial:
-    """For theta-degree k >= 1 with N(a) = 0, an explicit g with d(g) = a,
-    namely (1/k) sum_j d^j (theta delta_{j+1,theta} a)."""
-    theta = SuperPolynomial.theta()
-    layers = [theta * higher_variational_theta(a, level=j + 1) for j in range(a.order())]
-    # sum_j d^j layer_j = layer_0 + d(layer_1 + d(layer_2 + ...))
-    acc = None
-    for layer in reversed(layers):
-        acc = layer if acc is None else layer + acc.total_derivative()
-    return (acc if acc is not None else SuperPolynomial()) / k
-
-
 def decompose_total_derivative(a: SuperPolynomial):
     """Split a = d(g) + r with r the canonical residue; works per
     theta-degree.  Returns (g, r)."""
@@ -170,12 +171,16 @@ def decompose_total_derivative(a: SuperPolynomial):
     for k, comp in a.theta_components().items():
         if k == 0:
             gk, rk = _decompose_even(comp)
-            g, r = g + gk, r + rk
         else:
-            nres = canonical_class(comp).rep
-            body = comp - nres
-            w = _witness_from_N(body, k)
-            g, r = g + w, r + nres
+            gk, rk = _integrate(comp), SuperPolynomial()
+            if gk is None:
+                # the descent stalls only on an inexact comp, so rk != 0;
+                # comp - rk is exact
+                rk = canonical_class(comp).rep
+                gk = _integrate(comp - rk) if rk else None
+                if gk is None:
+                    raise AssertionError("the descent stalled on an exact density")
+        g, r = g + gk, r + rk
     return g, r
 
 

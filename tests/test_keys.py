@@ -193,6 +193,20 @@ class TestKernelOnPackedKeys:
         assert sorted(q.homogeneous_components()) == [301, 999, 1002]
         assert (th(1000) * u(2) * u1).grading_info() == (1001, 1, 1000)
 
+    def test_index_20000(self):
+        # the key walks read each field once; stepping through the key with
+        # shifts cost time quadratic in the index
+        u, th = SP.u, SP.theta
+        p = Fraction(3, 2) * u(20000) * th(20000) - u(1, power=-1) * u(19999, power=2) * th(0)
+        assert_same(p.dx(), ref_dx(p))
+        assert str(p.dx()) == ("u_1^-2*u_2*u_19999^2*theta - 2*u_1^-1*u_19999*u_20000*theta"
+                               " - u_1^-1*u_19999^2*theta_1 + 3/2*u_20001*theta_20000"
+                               " + 3/2*u_20000*theta_20001")
+        assert parse_density(str(p), hat=True) == p
+        assert p.order() == 20000 and p.degree() is None and p.theta_degree() == 1
+        assert sorted(p.homogeneous_components()) == [39997, 40000]
+        assert (u(20000) * th(20000)).degree() == 40000
+
     def test_emptying_the_derivative_table_changes_no_result(self, monkeypatch):
         polys = [SP.u(1, power=-2) * SP.u(3) * SP.theta(0) + SP.u(0, power=3),
                      SP.theta(1000) * SP.u(2) + SP.theta(0) * SP.theta(2) * SP.u(1)]
@@ -213,7 +227,29 @@ class TestKernelOnPackedKeys:
 
 # -- the exponent range --------------------------------------------------------
 
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # the exception type and message are compared
+        return type(exc), str(exc)
+
+
 class TestExponentRange:
+    @pytest.mark.parametrize("k", [0, 1, 2, 17, 300, -1, 1.0, True, None])
+    @pytest.mark.parametrize("e", [1, 0, 2, -1, _E_MAX, _E_MAX + 1, _U1_MAX + 1,
+                                   _U1_MIN, _U1_MIN - 1, 2 ** 70, 1.5, True])
+    def test_generators_match_the_general_constructor(self, k, e):
+        assert _outcome(lambda: SP.u(k, power=e)) == _outcome(lambda: SP({((((1, k), e),), ()): 1}))
+        if e == 1:
+            assert _outcome(lambda: SP.theta(k)) == _outcome(lambda: SP({((), ((1, k),)): 1}))
+
+    @pytest.mark.parametrize("c", [0, 1, -3, 10 ** 30, Fraction(-2, 6), True, 1.5, "1", None])
+    def test_constants_match_the_general_constructor(self, c):
+        got, want = _outcome(lambda: SP.const(c)), _outcome(lambda: SP({((), ()): c}))
+        assert got == want
+        if isinstance(got, SP):
+            assert_same(got, want)
+
     def test_constructor(self):
         assert SP.u(0, power=_E_MAX).max_u_power() == _E_MAX
         assert SP.u(300, power=_E_MAX).order() == 300
