@@ -43,13 +43,17 @@ which drops zeros and divides out the gcd.
 
 Every derivation goes through one integer kernel: `_file` files the signed
 partial derivatives of the numerators under the power of d they are to
-receive, in one sweep; `_add_derivative` applies d once through the table of
-monomial derivatives.  Neither changes D.  partial_u and partial_theta are
-one filing, d^n is n steps, and `_variational` is one filing plus Horner in d.
-`_integrate`, formal integration in x, descends from the top order with the
-same step.  `_derive_key`, `_unpack` and `_key_degree` read the fields of a
-key from one pass over its bytes (`_fields`), so d, printing and the degree
-cost time linear in a jet index.
+receive, in one sweep; `_add_derivative` applies d once.  Neither changes D.
+partial_u and partial_theta are one filing, d^n is n steps, and
+`_variational` is one filing plus Horner in d.  `_integrate`, formal
+integration in x, descends from the top order with the same step.  d is an
+even derivation, so its table (`_DERIV_CACHE`) holds the derivatives of the
+theta-free and the odd parts of the keys it meets, not of the keys: a few
+thousand parts cover the tens of thousands of monomials of a Jacobi check.
+`_derive_key` finds the nonzero fields of a part with a bit fold, and
+`_unpack` and `_key_degree` read the fields of a key from one pass over its
+bytes (`_fields`), so d, printing and the degree cost time linear in a jet
+index.
 """
 
 from __future__ import annotations
@@ -571,56 +575,107 @@ def _make(nums: dict, D: int) -> SuperPolynomial:
 
 # -- the derivation kernel (see the module docstring) --------------------------
 
-# table of monomial derivatives: key -> ((key', integer multiplier), ...);
-# the multipliers are integers (exponents), so d of an int dict stays an int
-# dict.  The values are deterministic, so concurrent readers are safe (a
-# racing recompute is identical) and emptying the table once it holds
-# _DERIV_LIMIT entries changes no result.  The limit is above the 1 339
-# entries of a quasi-trivialization ladder over ell <= 8 and the 52 158 of 52
-# passes of random Jacobi checks, whose later checks reuse earlier entries.
-# Those 52 158 entries retain 30.7 MB under tracemalloc, 588 bytes each
-# (CPython 3.11), so a full table holds about 39 MB.
+# table of derivatives of the parts of monomials.  d is an even derivation,
+# so d(E theta^t) = d(E) theta^t + E d(theta^t): a key m splits into its odd
+# part t = m & _THETA and its theta-free part E = m - t, and the table holds
+# E -> ((step, multiplier), ...) from `_derive_key` and, for t != 0,
+# t -> (step, ...) from `_theta_moves`.  The two kinds of key cannot
+# collide: E has every theta bit clear, a nonzero t only theta bits.  A
+# derived key is m + step, and the multipliers are integers (exponents), so
+# d of an int dict stays an int dict.  The values are deterministic, so
+# concurrent readers are safe (a racing recompute is identical) and emptying
+# the table once it holds _DERIV_LIMIT entries changes no result.  Parts of
+# keys wider than 64 fields are derived on each use and not stored, which
+# bounds an entry's size.  The limit is above the 41 334 parts of the
+# quasi-Miura series of KdV through eps^16 and the 3 353 parts of 52 passes
+# of random Jacobi checks (seed 14, 48 746 distinct monomials).  Those 3 353
+# entries retain 1.05 MB under tracemalloc, 314 bytes each (CPython 3.11),
+# so a full table holds about 21 MB.
 _DERIV_CACHE: dict = {}
 _DERIV_LIMIT = 65536
+_THETA = _MASKS[64][0]       # the theta bits of fields 0..63
+_WIDE = 1 << (_W * 64)       # the keys from here on are wider than 64 fields
+# the steps of u_k^e -> u_k^(e-1) u_{k+1} and theta_k -> theta_{k+1}, shared
+# by every table entry
+_STEPS = tuple((2 << (_W * k + _W)) - (2 << (_W * k)) for k in range(64))
+_MOVES = tuple((1 << (_W * k + _W)) - (1 << (_W * k)) for k in range(64))
 
 
 def _derive_key(m: int):
-    """d of the monomial with key m, as ((key, multiplier), ...): the even
-    factors first (Leibniz, u_k^e -> e u_k^(e-1) u_{k+1}), then the odd ones,
-    an even derivation, so theta_k -> theta_{k+1} keeps its place and sign
-    and is dropped when theta_{k+1} is there already."""
-    ents, odd = [], []
-    fields = _fields(m)
-    for k in range(len(fields) - 1):
-        f, up = fields[k], fields[k + 1]
-        if not f and k != 1:  # the u_1 field of u_1^-8192 is 0
-            continue
+    """d of the monomial with theta-free key m, as ((step, multiplier), ...)
+    in field order: by Leibniz, u_k^e gives e u_k^(e-1) u_{k+1}, whose key is
+    m + step.  The nonzero fields come from a bit fold, so the cost is linear
+    in the key's length per nonzero field."""
+    x = m ^ _ONE  # field 1 of x is 0 exactly when u_1 has exponent 0
+    x |= x >> 8
+    x |= x >> 4
+    x |= x >> 2
+    x |= x >> 1
+    nz = x & (_THETA if m < _WIDE else _masks(m)[0])  # bit 0 of each nonzero field
+    ents = []
+    while nz:
+        low = nz & -nz
+        nz ^= low
+        shift = low.bit_length() - 1
+        k = shift // _W
+        f = (m >> shift) & _FIELD
         e = (f >> 1) - _BIAS if k == 1 else f >> 1
-        shift = _W * k
-        if e:
-            # u_1^e loses one power, u_{k+1} gains one (_E_MAX is also the
-            # largest value a field stores)
-            if e == _U1_MIN or up >> 1 == _E_MAX:
-                raise _range_error("a total derivative")
-            ents.append((m + (2 << (shift + _W)) - (2 << shift), e))
-        if f & 1 and not up & 1:
-            odd.append((m + (1 << (shift + _W)) - (1 << shift), 1))
-    return tuple(ents + odd)
+        # u_1^e loses one power, u_{k+1} gains one (_E_MAX is also the
+        # largest value a field stores)
+        if e == _U1_MIN or (m >> (shift + _W + 1)) & _E_MAX == _E_MAX:
+            raise _range_error("a total derivative")
+        ents.append((_STEPS[k] if k < 64 else (2 << (shift + _W)) - (2 << shift), e))
+    return tuple(ents)
+
+
+def _theta_moves(t: int):
+    """d of the odd part t (a product of theta factors, t != 0), as the steps
+    (step, ...) of its terms in field order: d is even, so theta_k ->
+    theta_{k+1} keeps its place and sign, and is dropped when theta_{k+1} is
+    in t already."""
+    free = t & ~(t >> _W)
+    moves = []
+    while free:
+        low = free & -free
+        free ^= low
+        k = (low.bit_length() - 1) // _W
+        moves.append(_MOVES[k] if k < 64 else (low << _W) - low)
+    return tuple(moves)
 
 
 def _add_derivative(out: dict, terms: dict) -> dict:
     """out + d(terms) for int dicts, without zero coefficients; out is
-    updated in place.  The one reader of `_DERIV_CACHE`."""
+    updated in place.  For each term m = E theta^t, the terms of d(E) theta^t
+    come first, then those of E d(theta^t), each in field order.  The one
+    reader of `_DERIV_CACHE`."""
     cache = _DERIV_CACHE
     get = out.get
     for m, c in terms.items():
-        ents = cache.get(m)
-        if ents is None:
-            if len(cache) >= _DERIV_LIMIT:
-                cache.clear()
-            ents = cache[m] = _derive_key(m)
-        for key, mult in ents:
+        if m < _WIDE:
+            t = m & _THETA
+            even = m - t
+            ents = cache.get(even)
+            if ents is None:
+                if len(cache) >= _DERIV_LIMIT:
+                    cache.clear()
+                ents = cache[even] = _derive_key(even)
+            if t:
+                moves = cache.get(t)
+                if moves is None:
+                    if len(cache) >= _DERIV_LIMIT:
+                        cache.clear()
+                    moves = cache[t] = _theta_moves(t)
+            else:
+                moves = ()
+        else:
+            t = m & _masks(m)[0]
+            ents, moves = _derive_key(m - t), _theta_moves(t) if t else ()
+        for step, mult in ents:
+            key = m + step
             out[key] = get(key, 0) + c * mult
+        for step in moves:
+            key = m + step
+            out[key] = get(key, 0) + c
     return {m: c for m, c in out.items() if c}
 
 

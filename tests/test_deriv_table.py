@@ -1,0 +1,263 @@
+"""The derivative table keyed by the even and odd parts of a monomial,
+against the per-monomial derivation it replaced.
+
+d is an even derivation, so d(E theta^t) = d(E) theta^t + E d(theta^t):
+`algebra._add_derivative` splits each key into its theta-free part E and its
+odd part t and reads the derivatives of both from one table.  The reference
+below is the kernel before that split: one table entry per monomial, built
+by `_derive_key_per_monomial`, kept here as the oracle.  Every result must
+equal it as a list of items, so the insertion order of each dict is pinned
+too, with the table cold and warm, on polynomial and Laurent keys, on
+blocked moves theta_k theta_{k+1} and on keys wider than 64 fields, which
+are derived on each use and never stored.
+"""
+
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, strategies as st
+
+from jetbrackets import (
+    AlgebraError,
+    SuperPolynomial as SP,
+    canonical_class,
+    normalize_N,
+    schouten_bracket,
+)
+from jetbrackets import algebra
+from jetbrackets.algebra import (
+    _BIAS, _E_MAX, _THETA, _U1_MIN, _U1_MAX, _W, _WIDE,
+    _add_derivative, _derive_key, _fields, _integrate, _make, _pack, _range_error, _theta_moves, _variational,
+)
+from conftest import rand_density
+
+
+# ---------------------------------------------------------------------------
+# The reference: d of a monomial from one walk over all of its fields
+# ---------------------------------------------------------------------------
+
+def _derive_key_per_monomial(m):
+    """d of the monomial with key m, as ((key, multiplier), ...): the even
+    factors first (Leibniz, u_k^e -> e u_k^(e-1) u_{k+1}), then the odd ones,
+    an even derivation, so theta_k -> theta_{k+1} keeps its place and sign
+    and is dropped when theta_{k+1} is there already."""
+    ents, odd = [], []
+    fields = _fields(m)
+    for k in range(len(fields) - 1):
+        f, up = fields[k], fields[k + 1]
+        if not f and k != 1:  # the u_1 field of u_1^-8192 is 0
+            continue
+        e = (f >> 1) - _BIAS if k == 1 else f >> 1
+        shift = _W * k
+        if e:
+            if e == _U1_MIN or up >> 1 == _E_MAX:
+                raise _range_error("a total derivative")
+            ents.append((m + (2 << (shift + _W)) - (2 << shift), e))
+        if f & 1 and not up & 1:
+            odd.append((m + (1 << (shift + _W)) - (1 << shift), 1))
+    return tuple(ents + odd)
+
+
+def ref_add_derivative(out, terms):
+    get = out.get
+    for m, c in terms.items():
+        for key, mult in _derive_key_per_monomial(m):
+            out[key] = get(key, 0) + c * mult
+    return {m: c for m, c in out.items() if c}
+
+
+@contextmanager
+def reference_kernel():
+    """Run the module's own code paths (dx, _variational, _integrate) on the
+    reference derivation instead of the table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_add_derivative", ref_add_derivative)
+        yield
+
+
+@contextmanager
+def cold_table():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_DERIV_CACHE", {})
+        yield algebra._DERIV_CACHE
+
+
+def outcome(f):
+    """f(), or the type and message of the AlgebraError it raises."""
+    try:
+        return f()
+    except AlgebraError as exc:
+        return AlgebraError, str(exc)
+
+
+def items(p):
+    """A polynomial as its ordered numerators and denominator."""
+    return p if p is None else (list(algebra._numerators(p)[0].items()), p._D)
+
+
+# ---------------------------------------------------------------------------
+# Drawn keys: polynomial and Laurent, blocked moves, extreme exponents and
+# indices past field 63
+# ---------------------------------------------------------------------------
+
+_INDICES = st.one_of(st.integers(0, 5), st.integers(61, 66), st.sampled_from([127, 300]))
+
+
+@st.composite
+def keys(draw):
+    even = {}
+    for k in draw(st.lists(_INDICES, max_size=4)):
+        even[k] = draw(st.sampled_from([1, 2, 3, _E_MAX - 1, _E_MAX]))
+    even[1] = min(even.get(1, 0), _U1_MAX)
+    if draw(st.booleans()):
+        even[1] = -draw(st.sampled_from([1, 2, 5, -_U1_MIN - 1, -_U1_MIN]))
+    odd = set(draw(st.lists(_INDICES, max_size=4)))
+    for k in draw(st.lists(_INDICES, max_size=2)):  # blocked moves
+        odd |= {k, k + 1}
+    return _pack((tuple(((1, k), e) for k, e in even.items()),
+                  tuple((1, k) for k in sorted(odd))))
+
+
+@st.composite
+def short_keys(draw, laurent=True):
+    """Keys of at most three factors u_k, u_1^-1, theta_k or a blocked pair
+    theta_k theta_{k+1}, k <= 4 or 63, 64, and no u_1^-1 with k >= 63: a
+    variational derivative or a descent takes as many d steps as the order,
+    d^n of f factors has about n^(f-1) terms, and d^n of u_1^-1 has p(n)."""
+    factors = draw(st.lists(st.tuples(st.sampled_from("uutb" + "l" * laurent),
+                                      st.one_of(st.integers(0, 4), st.sampled_from([63, 64]))),
+                            max_size=3))
+    wide = any(k >= 63 for _, k in factors)
+    even, odd = {}, set()
+    for kind, k in factors:
+        if kind == "l":
+            even[1] = even.get(1, 0) + (1 if wide else -1)
+        elif kind == "u":
+            even[k] = even.get(k, 0) + 1
+        else:
+            odd |= {k} if kind == "t" else {k, k + 1}
+    return _pack((tuple(((1, k), e) for k, e in even.items()),
+                  tuple((1, k) for k in sorted(odd))))
+
+
+def int_dicts(keys=keys(), size=6):
+    return st.dictionaries(keys, st.integers(-6, 6).filter(bool), max_size=size)
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the reference
+# ---------------------------------------------------------------------------
+
+@given(int_dicts(), int_dicts())
+def test_add_derivative_matches_the_reference_cold_and_warm(terms, out):
+    want = outcome(lambda: list(ref_add_derivative(dict(out), terms).items()))
+    with cold_table():
+        for _ in range(2):  # cold, then warm
+            assert outcome(lambda: list(_add_derivative(dict(out), terms).items())) == want
+            assert outcome(lambda: list(_add_derivative({}, terms).items())) == \
+                outcome(lambda: list(ref_add_derivative({}, terms).items()))
+
+
+@given(int_dicts(short_keys()), st.integers(0, 3), st.sampled_from([1, 2, 6]))
+def test_dx_matches_the_reference(nums, n, D):
+    p = _make(nums, D)
+    with reference_kernel():
+        want = items(p.dx(n))
+    with cold_table():
+        for _ in range(2):  # cold, then warm
+            assert items(p.dx(n)) == want
+
+
+@given(int_dicts(short_keys(), 3), st.booleans(), st.integers(0, 2), st.sampled_from([1, 4]))
+def test_variational_matches_the_reference(nums, odd, level, D):
+    p = _make(nums, D)
+    with reference_kernel():
+        want = outcome(lambda: items(_variational(p, odd, level)))
+    with cold_table():
+        assert outcome(lambda: items(_variational(p, odd, level))) == want
+
+
+@given(int_dicts(short_keys(laurent=False), 3), int_dicts(short_keys(), 3), st.booleans())
+def test_integrate_matches_the_reference(g, noise, exact):
+    # d of g is exact; adding drawn terms mostly makes it inexact
+    a = _make(ref_add_derivative({}, g) if exact else ref_add_derivative(dict(noise), g), 3)
+    with reference_kernel():
+        want = outcome(lambda: items(_integrate(a)))
+    with cold_table():
+        assert outcome(lambda: items(_integrate(a))) == want
+
+
+_MESSAGE = ("a total derivative leaves the supported exponent range "
+            "(0..16383 for u_k, -8192..8191 for u_1)")
+
+
+@pytest.mark.parametrize("p", [
+    SP.u(1, power=_U1_MIN),
+    SP.u(1, power=_U1_MIN) * SP.theta(3),
+    SP.u(2) * SP.u(3, power=_E_MAX),
+    SP.u(0) * SP.u(1, power=_U1_MAX) * SP.theta(0) * SP.theta(1),
+    SP.u(100) * SP.u(101, power=_E_MAX) * SP.theta(5),
+], ids=["u_1^-8192", "u_1^-8192*theta_3", "u_2*u_3^16383", "u*u_1^8191*theta*theta_1",
+        "u_100*u_101^16383*theta_5"])
+def test_range_errors_keep_their_message(p):
+    with pytest.raises(AlgebraError) as exc:
+        ref_add_derivative({}, algebra._numerators(p)[0])
+    assert str(exc.value) == _MESSAGE
+    with cold_table() as table:
+        for _ in range(2):
+            with pytest.raises(AlgebraError) as exc:
+                p.dx()
+            assert str(exc.value) == _MESSAGE
+        # every stored part derived in full
+        for key, ents in table.items():
+            assert ents == (_theta_moves(key) if key & _THETA else _derive_key(key))
+
+
+def test_a_u_exponent_just_below_the_limit_derives():
+    p = SP.u(2) * SP.u(3, power=_E_MAX - 1) * SP.theta(2) * SP.theta(3)
+    with cold_table():
+        assert items(p.dx()) == items(_make(ref_add_derivative({}, p._nums), 1))
+
+
+# ---------------------------------------------------------------------------
+# Table invariants
+# ---------------------------------------------------------------------------
+
+def _part_kind(key):
+    return "even" if not key & _THETA else "odd" if not key & ~_THETA else "mixed"
+
+
+def test_after_jacobi_brackets_every_key_is_a_part(rng):
+    with cold_table() as table:
+        for ka, kb, kc in [(1, 2, 0), (2, 2, 1), (3, 1, 2)]:
+            a, b, c = (canonical_class(rand_density(rng, k, laurent=2)) for k in (ka, kb, kc))
+            schouten_bracket(a, schouten_bracket(b, c))
+        assert table
+        assert {_part_kind(key) for key in table} == {"even", "odd"}
+        assert all(key < _WIDE for key in table)
+
+
+def test_wide_keys_are_not_stored(rng):
+    p = SP.u(200) * SP.theta(200) + SP.u(1, power=-2) * SP.u(70) * SP.theta(0) * SP.theta(64)
+    warm = rand_density(rng, 2)
+    with cold_table() as table:
+        warm.dx()
+        before = dict(table)
+        assert items(p.dx(2)) == items(_make(ref_add_derivative({}, ref_add_derivative({}, p._nums)), 1))
+        assert table == before
+
+
+def test_normalize_at_index_200_leaves_the_table_size():
+    before = len(algebra._DERIV_CACHE)
+    assert normalize_N(SP.u(200) * SP.theta(200)) == SP.u(400) * SP.theta(0)
+    assert len(algebra._DERIV_CACHE) == before
+
+
+def test_a_key_straddling_field_63_moves_into_field_64():
+    p = SP.u(63, power=2) * SP.theta(63) + SP.theta(62) * SP.theta(63)
+    with cold_table() as table:
+        got = items(p.dx())
+        assert all(key < _WIDE for key in table)
+    assert got == items(_make(ref_add_derivative({}, p._nums), 1))
+    assert max(p.dx()._nums) >= _WIDE
+
