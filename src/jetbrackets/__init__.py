@@ -1,4 +1,13 @@
-"""Exact variational calculus of functional multivectors on jet space."""
+"""Exact variational calculus of functional multivectors on jet space.
+
+`import jetbrackets` loads the engine: the ring (`algebra`), the quotient
+calculus (`variational`), the Schouten bracket (`schouten`), the deformation
+calculus and slice solver (`deform`) and dispersionless KdV (`dkdv`).  No
+engine module uses the expression parser, so `ParseError`, `parse_density`,
+`parse_expression` and `parse_operator` are resolved from
+`jetbrackets.parsing` when one of them is first asked for, by
+`jetbrackets.parse_density` or `from jetbrackets import parse_density` alike.
+"""
 
 from .algebra import (
     AlgebraError,
@@ -69,6 +78,18 @@ from .dkdv import (
     symmetry_space,
     verify_SE_equivalence,
 )
-from .parsing import ParseError, parse_density, parse_expression, parse_operator
 
 __version__ = "0.1.0"
+
+_PARSER_NAMES = ("ParseError", "parse_density", "parse_expression", "parse_operator")
+
+
+def __getattr__(name):
+    if name in _PARSER_NAMES:
+        from . import parsing
+        return getattr(parsing, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_PARSER_NAMES})

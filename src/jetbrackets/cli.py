@@ -25,7 +25,10 @@ a correction order above the truncation gives `invalid-argument`.  Without
 "truncation" the series is truncated at its highest correction order.  A
 truncation, or an `--order` of `obstruction` or `miura-push`, above 10 000
 gives `invalid-argument` too: a series is stored and checked order by
-order, so a few bytes of manifest must not ask for a million orders.
+order, so a few bytes of manifest must not ask for a million orders.  An
+expression, operator or manifest operator of jet order above 1 000 (u_1001,
+or del^1001 in an operator) gives `invalid-argument` as well: the ring
+admits any jet index, but the variational kernels take time quadratic in it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import argparse
 import functools
 import json
 import sys
-import traceback
 from fractions import Fraction
 
 from .algebra import (
@@ -69,6 +71,7 @@ from .variational import (
 
 
 _MAX_ORDER = 10_000  # largest truncation or --order of a series request
+_MAX_JET_ORDER = 1_000  # largest jet index of a parsed expression or operator
 
 
 class _InvalidArgument(Exception):
@@ -126,12 +129,31 @@ def _emit(doc, args) -> None:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
+def _jet_order_at_most_max(x, what):
+    """Refuse a parsed input of jet order above `_MAX_JET_ORDER`: the
+    variational kernels take time quadratic in the jet index, so a few
+    bytes such as u_10000*theta_10000 must not ask for seconds.  An
+    operator's jet order counts its power of del and its coefficients."""
+    order = x.order()
+    if isinstance(x, DiffOperator):
+        order = max([order, *(c.order() for c in x.coeffs.values())])
+    if order > _MAX_JET_ORDER:
+        raise _InvalidArgument(f"{what} jet order must be at most {_MAX_JET_ORDER}, "
+                               f"got {order}")
+    return x
+
+
 def _density(args, text) -> SuperPolynomial:
-    return parse_density(_read_arg(text), hat=args.hat)
+    return _jet_order_at_most_max(parse_density(_read_arg(text), hat=args.hat), "expression")
 
 
 def _operator(args, text) -> DiffOperator:
-    return parse_operator(_read_arg(text), hat=args.hat)
+    return _jet_order_at_most_max(parse_operator(_read_arg(text), hat=args.hat), "operator")
+
+
+def _manifest_bivector(args, text) -> MultiVector:
+    op = _jet_order_at_most_max(parse_operator(text, hat=args.hat), "manifest operator")
+    return operator_to_bivector(op)
 
 
 def _load_manifest(args, path) -> EpsilonDeformation:
@@ -168,11 +190,11 @@ def _load_manifest(args, path) -> EpsilonDeformation:
     if max(table, default=0) > trunc:
         raise _InvalidArgument(f"manifest correction order {max(table)} exceeds "
                                f"its truncation {trunc}")
-    base = operator_to_bivector(parse_operator(doc["base"], hat=args.hat))
+    base = _manifest_bivector(args, doc["base"])
     corrections = []
     for k in range(1, trunc + 1):
         if k in table:
-            corrections.append(operator_to_bivector(parse_operator(table[k], hat=args.hat)))
+            corrections.append(_manifest_bivector(args, table[k]))
         else:
             corrections.append(MultiVector(SuperPolynomial(), 2))
     return EpsilonDeformation(base, corrections, trunc)
@@ -451,6 +473,8 @@ def main(argv=None) -> int:
                 doc["error"]["expected"] = list(exc.expected)
         elif code == "internal-error":
             doc["error"]["message"] = f"{type(exc).__name__}: {exc}"
+            import traceback  # loaded only here: a normal run never needs it
+
             traceback.print_exc()
         _emit(doc, args)
         return 2

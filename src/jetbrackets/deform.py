@@ -16,10 +16,10 @@ images instead of recomputing a Schouten bracket per monomial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._records import FrozenRecord
 from .algebra import AlgebraError, SuperPolynomial, _make, _numerators, _pack
 from .schouten import Pencil, schouten_bracket
 from .variational import EvolutionaryVF, MultiVector, canonical_class
@@ -236,28 +236,26 @@ def miura_push(D: EpsilonDeformation, X, weight: int = 1,
 # Graded slices and the primitive solver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradedSlice:
+class GradedSlice(FrozenRecord):
     """A finite-dimensional space of densities: fixed theta-degree and
     homogeneity, capped order, capped power of the undifferentiated u, capped
     Laurent depth in u_1 (the largest admitted power of u_1^-1; 0 keeps the
     slice polynomial)."""
 
-    max_order: int = 4
-    max_udeg: int = 4
-    laurent_depth: int = 0
+    __slots__ = ("max_order", "max_udeg", "laurent_depth")
+    _fields = __slots__
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def __init__(self, max_order: int = 4, max_udeg: int = 4, laurent_depth: int = 0):
+        super().__init__(max_order, max_udeg, laurent_depth)
+        for name, v in zip(self._fields, self._astuple()):
             if v < 0:
-                raise AlgebraError(f"GradedSlice {f.name} must be at least 0, got {v}")
+                raise AlgebraError(f"GradedSlice {name} must be at least 0, got {v}")
 
     def grown(self) -> "GradedSlice":
-        return replace(self, max_order=self.max_order + 2,
-                       max_udeg=self.max_udeg * 2 + 2,
-                       laurent_depth=self.laurent_depth * 2 + 2
-                       if self.laurent_depth else 0)
+        return type(self)(max_order=self.max_order + 2,
+                          max_udeg=self.max_udeg * 2 + 2,
+                          laurent_depth=self.laurent_depth * 2 + 2
+                          if self.laurent_depth else 0)
 
 
 def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):

@@ -12,10 +12,10 @@ primitives come from the contracting homotopy of d_P (Getzler, 2002).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
+from ._records import Record
 from .algebra import (
     AlgebraError,
     DiffOperator,
@@ -257,14 +257,16 @@ def binomial_identity_check(alpha: int, beta: int) -> bool:
 # The order-lowering step
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CocyclePair:
+class CocyclePair(Record):
     """Characteristics f, g of order <= n with d_P int(f theta) = d_Q int(g theta),
     equivalently with identically vanishing S-system."""
 
-    f: SuperPolynomial
-    g: SuperPolynomial
-    n: int
+    _fields = ("f", "g", "n")
+
+    def __init__(self, f: SuperPolynomial, g: SuperPolynomial, n: int):
+        self.f = f
+        self.g = g
+        self.n = n
 
     def s_system(self):
         return _s_system(_prolong(_e_data(self.f, self.g, self.n)), self.n)
@@ -368,12 +370,14 @@ def quasi_step(pair: CocyclePair):
 # Quasi-trivialization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NontrivialAtDegreeZero:
+class NontrivialAtDegreeZero(Record):
     """Marker result: polynomial degree-0 tail classes s(u) theta theta_1
     with nonconstant s are not quasi-trivial."""
 
-    cocycle: MultiVector
+    _fields = ("cocycle",)
+
+    def __init__(self, cocycle: MultiVector):
+        self.cocycle = cocycle
 
     def __bool__(self):
         return False

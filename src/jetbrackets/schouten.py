@@ -20,9 +20,9 @@ representative was formed from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._records import FrozenRecord
 from .algebra import AlgebraError, DiffOperator, SkewnessError, SuperPolynomial, _theta_free
 from .variational import MultiVector, canonical_class, operator_to_bivector
 
@@ -77,13 +77,14 @@ def poisson_bracket_functionals(F: MultiVector, G: MultiVector, D: DiffOperator)
     return canonical_class(dF * D.apply(G._delta_u()) if dF else dF)
 
 
-@dataclass(frozen=True)
-class Pencil:
+class Pencil(FrozenRecord):
     """A compatible pair of Hamiltonian bivectors."""
 
-    P: MultiVector
-    Q: MultiVector
-    certified: bool = False
+    __slots__ = ("P", "Q", "certified")
+    _fields = __slots__
+
+    def __init__(self, P: MultiVector, Q: MultiVector, certified: bool = False):
+        super().__init__(P, Q, certified)
 
     @classmethod
     def make(cls, P: MultiVector, Q: MultiVector) -> "Pencil":

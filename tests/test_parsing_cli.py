@@ -266,6 +266,14 @@ class TestCLI:
         ["quasi-trivialize", "--g", "u*theta_1"],
         ["quasi-trivialize", "--g", "u + theta"],
         ["quasi-trivialize", "--hat", "--g", "u_1^-1*theta"],
+        # a parsed input is bounded at jet order 1 000: the variational
+        # kernels take time quadratic in the jet index
+        ["normalize", "--", "u_10000*theta_10000"],
+        ["vder", "--slot", "theta", "--", "u_1001*theta"],
+        ["dtot", "--", "theta_1001"],
+        ["quasi-trivialize", "--g", "d(u_1001)"],
+        ["check-hamiltonian", "D: del^1001"],
+        ["check-compatible", "D: del", "D: u_1001*del + 1/2*u_1002"],
     ])
     def test_out_of_range_argument_exit_two(self, capsys, argv):
         assert main(argv) == 2
@@ -295,12 +303,15 @@ class TestCLI:
         '{"base": "D: del", "truncation": 10001}',
         '{"base": "D: del", "corrections": {"1000000": "D: del^3"}}',
         '{"base": "D: del", "corrections": {"' + "1" * 5000 + '": "D: del^3"}}',
+        '{"base": "D: u_1001*del + 1/2*u_1002"}',
+        '{"base": "D: del", "corrections": {"2": "D: del^1001"}}',
     ], ids=["no-base", "non-integer-order", "invalid-json", "missing-file",
             "negative-truncation", "order-zero", "order-above-truncation",
             "float-truncation", "integral-float-truncation", "string-truncation",
             "bool-truncation", "padded-order", "signed-order", "non-ascii-digit-order",
             "repeated-order", "truncation-above-bound", "order-above-bound",
-            "order-beyond-digit-limit"])
+            "order-beyond-digit-limit", "base-above-jet-order",
+            "correction-above-jet-order"])
     def test_malformed_manifest_is_invalid_argument(self, capsys, tmp_path, command, content):
         man = tmp_path / "manifest.json"
         if content is not None:
@@ -336,6 +347,22 @@ class TestCLI:
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid-argument"
         assert stdin.read() == "D: del\n"  # refused before stdin is read
+
+    def test_jet_order_bound_is_inclusive(self, capsys, tmp_path):
+        # u_10000*theta_10000 took seconds; at the bound these take about 0.05 s each
+        start = time.perf_counter()
+        assert main(["normalize", "--", "u_1000*theta_1000"]) == 0
+        assert main(["vder", "--slot", "theta", "--", "u_1000*theta_1000"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert [json.loads(line)["result"] for line in capsys.readouterr().out.splitlines()] \
+            == ["u_2000*theta", "u_2000"]
+        # operators of jet order 1 000 get past the bound to the skewness check
+        man = tmp_path / "manifest.json"
+        man.write_text('{"base": "D: del", "corrections": {"1": "D: u_1000*del"}}')
+        assert main(["obstruction", str(man)]) == 2
+        assert main(["check-hamiltonian", "D: del^1000"]) == 2
+        assert [json.loads(line)["error"]["code"] for line in capsys.readouterr().out.splitlines()] \
+            == ["not-skew-adjoint"] * 2
 
     def test_stdin_for_one_of_two_arguments(self):
         code, doc = run_cli("check-compatible", "D: del", "-", stdin="D: u*del + 1/2*u_1\n")
