@@ -46,7 +46,10 @@ partial derivatives of the numerators under the power of d they are to
 receive, in one sweep; `_add_derivative` applies d once.  Neither changes D.
 partial_u and partial_theta are one filing, d^n is n steps, and
 `_variational` is one filing plus Horner in d.  `_integrate`, formal
-integration in x, descends from the top order with the same step.  d is an
+integration in x, descends from the top order with the same step and splits
+a = d(g) + r at every theta-degree, r = 0 exactly when a is exact; an
+antiderivative power past the exponent range raises AlgebraError for a
+theta-free term and goes to r for a term with a theta factor.  d is an
 even derivation, so its table (`_DERIV_CACHE`) holds the derivatives of the
 theta-free and the odd parts of the keys it meets, not of the keys: a few
 thousand parts cover the tens of thousands of monomials of a Jacobi check.
@@ -757,52 +760,53 @@ def _exponent(m: int, k: int) -> int:
 
 
 def _integrate(a: SuperPolynomial):
-    """A g with d(g) = a, or None, by top-order descent on the terms bucketed
-    by order.  At top order n the theta_n terms move down to theta_{n-1} with
-    their coefficients (d theta_{n-1} = theta_n keeps its place and sign),
-    then the u_n-linear terms integrate in u_{n-1}; d of both is subtracted,
-    which clears order n.  None means the descent stalled, which happens
-    only on a density that is not a total derivative: a theta_n term with
-    theta_{n-1} or u_n, a term nonlinear in u_n, u_1^-1 u_2 (log u_1), a
-    power of u_{n-1} past the exponent range, or a nonzero remainder at
-    order 0.  Every bucket and g are over the one denominator D."""
+    """(g, r) with a = d(g) + r, by top-order descent on the terms bucketed
+    by order.  At top order n the theta_n terms move down to theta_{n-1}
+    with their coefficients (d theta_{n-1} = theta_n keeps its place and
+    sign), then the u_n-linear terms integrate in u_{n-1}; d of both is
+    subtracted.  What the step cannot take stays at order n and goes to r:
+    a theta_n term with theta_{n-1} or u_n, a term nonlinear in u_n,
+    u_1^-1 u_2 (log u_1), and every term still at order n after the step;
+    at order 0 the whole remainder goes to r.  So r = 0 exactly when a is
+    a total derivative, and for a theta-free a, r is the canonical residue.
+    An antiderivative power of u_{n-1} past the exponent range sends a term
+    with a theta factor to r (d has kernel 0 on such terms, so their density
+    has no antiderivative in the ring) and raises AlgebraError for a
+    theta-free term, which may be exact (u_1^8191 u_2 is d(u_1^8192 / 8192)
+    over Q).  Every bucket, g and r are over the one denominator D."""
     D = a._D
+    tmask = _masks(max(a._nums, default=0))[0]
     work: dict = {}  # order -> {key: numerator}
     for m, c in a._nums.items():
         work.setdefault(_key_order(m), {})[m] = c
     g: dict = {}
+    r: dict = {}
     while work:
         n = max(work)
         top = {m: c for m, c in work.pop(n).items() if c}
-        if not top:
-            continue
         if n == 0:
-            return None
+            r.update(top)
+            break
         s = _W * n
         bit = 1 << s
-        neg_x = {}  # -(the theta_n terms moved down)
-        for m, c in top.items():
-            if m & bit:
-                if (m >> (s - _W)) & 1 or _exponent(m, n):
-                    return None
-                neg_x[m - bit + (bit >> _W)] = -c
+        # -(the theta_n terms that move down: those without theta_{n-1} or u_n)
+        neg_x = {m - bit + (bit >> _W): -c for m, c in top.items()
+                 if m & bit and not ((m >> (s - _W)) & 1 or _exponent(m, n))}
         if neg_x:
             top = _add_derivative(top, neg_x)
         y, L = [], 1
         for m, c in top.items():
-            if _key_order(m) == n:
-                if m & bit or _exponent(m, n) != 1:
-                    return None
+            if not m & bit and _exponent(m, n) == 1:
                 e = _exponent(m, n - 1) + 1
-                # no antiderivative in the ring: log u_1, or a power past
-                # the exponent range, which d(g) would keep
-                if not e or e > (_U1_MAX if n == 2 else _E_MAX):
-                    return None
-                y.append((m - (2 << s) + (2 << (s - _W)), c, e))
-                L = lcm(L, e)
+                if e > (_U1_MAX if n == 2 else _E_MAX):
+                    if not m & tmask:
+                        raise _range_error(f"{_name('u', n - 1)}^{e}")
+                elif e:  # e = 0 needs log u_1
+                    y.append((m - (2 << s) + (2 << (s - _W)), c, e))
+                    L = lcm(L, e)
         if L != 1:
             D *= L
-            for terms in (top, neg_x, g, *work.values()):
+            for terms in (top, neg_x, g, r, *work.values()):
                 for m in terms:
                     terms[m] *= L
         neg_y = {key: -c * (L // e) for key, c, e in y}
@@ -812,11 +816,9 @@ def _integrate(a: SuperPolynomial):
                 g[m] = g.get(m, 0) - c
         for m, c in top.items():
             o = _key_order(m)
-            if o >= n:
-                return None
-            bucket = work.setdefault(o, {})
+            bucket = r if o == n else work.setdefault(o, {})
             bucket[m] = bucket.get(m, 0) + c
-    return _make(g, D)
+    return _make(g, D), _make(r, D)
 
 
 def _koszul_dP(a: SuperPolynomial) -> SuperPolynomial:
@@ -946,10 +948,17 @@ class DiffOperator:
     def scale(self, c) -> "DiffOperator":
         return DiffOperator({j: p * c for j, p in self.coeffs.items()})
 
+    # apply, compose and adjoint each keep one running derivative, so a
+    # del^j term costs j applications of d, not j^2/2
+
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
+        derivs, df, done = {}, f, 0
+        for j in sorted(self.coeffs):
+            df = derivs[j] = df.dx(j - done)
+            done = j
         out = SuperPolynomial()
         for j, p in self.coeffs.items():
-            out = out + p * f.dx(j)
+            out = out + p * derivs[j]
         return out
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
@@ -957,8 +966,11 @@ class DiffOperator:
         out: dict = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
+                db = b
                 for t in range(i + 1):
-                    c = a * b.dx(t) * comb(i, t)
+                    if t:
+                        db = db.total_derivative()
+                    c = a * db * comb(i, t)
                     key = i + j - t
                     cur = out.get(key)
                     out[key] = c if cur is None else cur + c
@@ -969,8 +981,11 @@ class DiffOperator:
         out: dict = {}
         for j, p in self.coeffs.items():
             sign = -1 if j & 1 else 1
+            dp = p
             for t in range(j + 1):
-                c = p.dx(t) * (comb(j, t) * sign)
+                if t:
+                    dp = dp.total_derivative()
+                c = dp * (comb(j, t) * sign)
                 key = j - t
                 cur = out.get(key)
                 out[key] = c if cur is None else cur + c

@@ -11,20 +11,20 @@ operators.
 Canonical representatives: for theta-degree k >= 1 the representative is
 (1/k) N applied to any density of the class; N kills total derivatives and
 N F - k F is always a total derivative, so this is a well-defined projection
-onto normal forms.  For k = 0 the representative is the residue of a
-deterministic integration-by-parts descent.
+onto normal forms.  For k = 0 the representative is the residue r of the
+integration-by-parts descent below.
 
-Exactness in theta-degree k >= 1 is decided by a descent on the top order n
-(`algebra._integrate`): the theta_n terms move down to theta_{n-1} with
-their coefficients, the u_n-linear rest integrates in u_{n-1}, and d of both
-is subtracted, which clears order n.  Since ker d is 0 in these degrees, a
-descent that reaches 0 returns the one antiderivative, the same g as the
-higher-Euler homotopy (1/k) sum_j d^j (theta delta_{j+1,theta} a).  It
-stalls only on a density that is not exact (a theta_n term with theta_{n-1}
-or u_n, a term nonlinear in u_n, u_1^-1 u_2, which needs log u_1, or a
-remainder at order 0), and only then is the canonical residue computed for
-NotExact.  The descent applies d once to each term of g, n steps in all,
-where the homotopy took about n^2/2.
+One descent on the top order n (`algebra._integrate`) splits every density
+as a = d(g) + r: the theta_n terms move down to theta_{n-1} with their
+coefficients, the u_n-linear rest integrates in u_{n-1}, and d of both is
+subtracted; a term the step cannot take (a theta_n term with theta_{n-1} or
+u_n, a term nonlinear in u_n, u_1^-1 u_2, which needs log u_1, or a
+remainder at order 0) goes to r, so r = 0 exactly when a is exact.  Since
+ker d is 0 in theta-degree k >= 1, an exact density there gets the one
+antiderivative, the same g as the higher-Euler homotopy
+(1/k) sum_j d^j (theta delta_{j+1,theta} a); a nonzero r is replaced by the
+canonical residue (1/k) N(a) for NotExact.  The descent applies d once to
+each term of g, n steps in all, where the homotopy took about n^2/2.
 
 Every variational derivative (delta_u and delta_theta at every level) and N
 run through the algebra layer's integer derivation kernel,
@@ -119,67 +119,18 @@ def antidiff_square(p: SuperPolynomial, k: int) -> SuperPolynomial:
     return h2
 
 
-def _decompose_even(a: SuperPolynomial):
-    """Descent for theta-free densities: a = d(g) + residue with a canonical
-    residue.  Linear in a, and exact inputs reduce to residue 0."""
-    g = SuperPolynomial()
-    residue = SuperPolynomial()
-    work = a
-    while work:
-        n = work.order()
-        if n == 0:
-            residue = residue + work
-            break
-        if n == 1:
-            # exact order-1 densities are exactly the d(G(u)) = u_1 G'(u): the
-            # u_1-linear part integrates, everything else is irreducible
-            p = work.coefficient_layers(1).get(1)
-            if p:
-                anti, blocked = _antidiff_u(p, 0)
-                if blocked:
-                    raise AssertionError("antiderivative in u cannot be blocked")
-                g = g + anti
-                work = work - anti.total_derivative()
-            residue = residue + work
-            break
-        # order n >= 2: terms nonlinear in u_n are irreducible; the linear
-        # ones, p u_n, are d of the u_{n-1}-antiderivative of p up to lower
-        # order, so this step removes every u_n
-        top = (1, n)
-        moved = SuperPolynomial({(even, odd): c for (even, odd), c in work.terms.items()
-                                 if dict(even).get(top, 0) > 1})
-        residue = residue + moved
-        work = work - moved
-        p = work.coefficient_layers(n).get(1)
-        if p:
-            anti, blocked = _antidiff_u(p, n - 1)
-            if blocked:
-                blocked_term = SuperPolynomial.u(n) * blocked
-                residue = residue + blocked_term
-                work = work - blocked_term
-            if anti:
-                g = g + anti
-                work = work - anti.total_derivative()
-    return g, residue
-
-
 def decompose_total_derivative(a: SuperPolynomial):
     """Split a = d(g) + r with r the canonical residue; works per
     theta-degree.  Returns (g, r)."""
-    g = SuperPolynomial()
-    r = SuperPolynomial()
+    g = r = SuperPolynomial()
     for k, comp in a.theta_components().items():
-        if k == 0:
-            gk, rk = _decompose_even(comp)
-        else:
-            gk, rk = _integrate(comp), SuperPolynomial()
-            if gk is None:
-                # the descent stalls only on an inexact comp, so rk != 0;
-                # comp - rk is exact
-                rk = canonical_class(comp).rep
-                gk = _integrate(comp - rk) if rk else None
-                if gk is None:
-                    raise AssertionError("the descent stalled on an exact density")
+        gk, rk = _integrate(comp)
+        if k and rk:
+            # comp is not exact; minus its canonical residue (1/k) N(comp) it is
+            rk = canonical_class(comp).rep
+            gk, rest = _integrate(comp - rk)
+            if rest:
+                raise AssertionError("the descent stalled on an exact density")
         g, r = g + gk, r + rk
     return g, r
 
@@ -321,8 +272,7 @@ def canonical_class(a: SuperPolynomial) -> MultiVector:
         out._dtheta = out._du = a
         return out
     if k == 0:
-        _g, r = _decompose_even(a)
-        out = MultiVector(r, 0)
+        out = MultiVector(_integrate(a)[1], 0)
         out._dtheta = _ZERO
         return out
     return _class_of(_variational(a, True, 0), k)

@@ -182,9 +182,12 @@ def test_integrate_matches_the_reference(g, noise, exact):
     # d of g is exact; adding drawn terms mostly makes it inexact
     a = _make(ref_add_derivative({}, g) if exact else ref_add_derivative(dict(noise), g), 3)
     with reference_kernel():
-        want = outcome(lambda: items(_integrate(a)))
+        want = outcome(lambda: tuple(map(items, _integrate(a))))
     with cold_table():
-        assert outcome(lambda: items(_integrate(a))) == want
+        assert outcome(lambda: tuple(map(items, _integrate(a)))) == want
+    if want[0] is not AlgebraError:
+        g, r = _integrate(a)
+        assert g.total_derivative() + r == a
 
 
 _MESSAGE = ("a total derivative leaves the supported exponent range "

@@ -7,7 +7,11 @@ of the higher-Euler homotopy (1/k) sum_j d^j (theta delta_{j+1,theta} a)
 (Olver, Applications of Lie Groups to Differential Equations, ch. 5), which
 `integrate_x` used before and which is kept here as the reference.  A
 density that is not exact raises NotExact with its canonical residue
-(1/k) N(a).  The e/S/E systems are compared with their defining sums, also
+(1/k) N(a).  For theta-degree 0 the same descent returns g and the
+canonical residue r with a = d(g) + r; both must equal those of the
+theta-free descent over `.terms` views that it replaced, kept here as
+`_decompose_even`, and so must the AlgebraError of a power past the exponent
+range.  The e/S/E systems are compared with their defining sums, also
 kept here: every partial derivative and every power of d recomputed per
 term.
 """
@@ -30,7 +34,8 @@ from jetbrackets import (
     integrate_x,
     verify_SE_equivalence,
 )
-from jetbrackets.algebra import _E_MAX, _U1_MAX, _integrate
+from jetbrackets.algebra import _E_MAX, _U1_MAX, _U1_MIN, _integrate
+from jetbrackets.variational import _antidiff_u
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +52,50 @@ def _witness_from_N(a, k):
     for layer in reversed(layers):
         acc = layer if acc is None else layer + acc.total_derivative()
     return (acc if acc is not None else SP()) / k
+
+
+def _decompose_even(a):
+    """Descent for theta-free densities: a = d(g) + residue with a canonical
+    residue.  Linear in a, and exact inputs reduce to residue 0."""
+    g = SP()
+    residue = SP()
+    work = a
+    while work:
+        n = work.order()
+        if n == 0:
+            residue = residue + work
+            break
+        if n == 1:
+            # exact order-1 densities are exactly the d(G(u)) = u_1 G'(u): the
+            # u_1-linear part integrates, everything else is irreducible
+            p = work.coefficient_layers(1).get(1)
+            if p:
+                anti, blocked = _antidiff_u(p, 0)
+                if blocked:
+                    raise AssertionError("antiderivative in u cannot be blocked")
+                g = g + anti
+                work = work - anti.total_derivative()
+            residue = residue + work
+            break
+        # order n >= 2: terms nonlinear in u_n are irreducible; the linear
+        # ones, p u_n, are d of the u_{n-1}-antiderivative of p up to lower
+        # order, so this step removes every u_n
+        top = (1, n)
+        moved = SP({(even, odd): c for (even, odd), c in work.terms.items()
+                    if dict(even).get(top, 0) > 1})
+        residue = residue + moved
+        work = work - moved
+        p = work.coefficient_layers(n).get(1)
+        if p:
+            anti, blocked = _antidiff_u(p, n - 1)
+            if blocked:
+                blocked_term = SP.u(n) * blocked
+                residue = residue + blocked_term
+                work = work - blocked_term
+            if anti:
+                g = g + anti
+                work = work - anti.total_derivative()
+    return g, residue
 
 
 def ref_e_data(f, g, n):
@@ -112,6 +161,52 @@ def odd_densities(draw, max_order=8):
     return a
 
 
+def _edge_power(k, below):
+    """u_k^E with E the largest exponent of u_k allowed, or one less."""
+    return SP.u(k, power=(_U1_MAX if k == 1 else _E_MAX) - below)
+
+
+@st.composite
+def even_densities(draw):
+    """A theta-free density of order <= 5, polynomial or Laurent in u_1
+    (drawn), over mixed denominators, plus d(h) for a drawn h, plus terms
+    u_k^E u_{k+1} whose antiderivative power E + 1 is just in or just past
+    the exponent range, and u_1^-1 u_2, whose antiderivative is log u_1."""
+    laurent = draw(st.booleans())
+
+    def density():
+        a = SP()
+        for _ in range(draw(st.integers(0, 4))):
+            m = SP.const(Fraction(draw(st.integers(-7, 7).filter(bool)),
+                                  draw(st.sampled_from([1, 2, 3, 5, 6]))))
+            for _ in range(draw(st.integers(0, 3))):
+                m = m * SP.u(draw(st.integers(0, 5)))
+            if laurent and draw(st.booleans()):
+                m = m * SP.u(1, power=-draw(st.integers(1, 3)))
+            a = a + m
+        return a
+
+    a = density() + density().total_derivative()
+    extra = draw(st.sampled_from(["none", "edge", "log"]))
+    if extra == "edge":
+        k = draw(st.integers(0, 4))
+        m = _edge_power(k, draw(st.integers(0, 1))) * SP.u(k + 1)
+        if k != 1 and laurent and draw(st.booleans()):
+            m = m * SP.u(1, power=-1)
+        a = a + m * draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    elif extra == "log":
+        a = a + SP.u(1, power=-1) * SP.u(2) * draw(st.sampled_from([1, SP.u(0), Fraction(2, 3)]))
+    return a
+
+
+def _outcome(f):
+    """f(), or the type and message of the AlgebraError it raises."""
+    try:
+        return f()
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
 @st.composite
 def even_pairs(draw):
     """(f, g, n): theta-free f and g of order <= n, Laurent in u_1 when drawn."""
@@ -151,7 +246,8 @@ class TestDescent:
         if not r:
             assert integrate_x(a).total_derivative() == a
             return
-        assert _integrate(a) is None
+        g, rest = _integrate(a)
+        assert rest and g.total_derivative() + rest == a
         with pytest.raises(NotExact) as err:
             integrate_x(a)
         assert err.value.residue == r
@@ -178,7 +274,8 @@ class TestDescent:
                   u * th(2) * u2,                         # theta_n with u_n
                   th(0) * SP.u(1, power=_U1_MAX) * u2,    # u_1^8192 / 8192
                   th(0) * SP.u(2, power=_E_MAX) * SP.u(3)):
-            assert _integrate(a) is None
+            g, rest = _integrate(a)
+            assert rest and g.total_derivative() + rest == a
             with pytest.raises(NotExact) as err:
                 integrate_x(a)
             assert err.value.residue == canonical_class(a).rep
@@ -186,6 +283,48 @@ class TestDescent:
         g = th(0) * SP.u(1, power=-1) * SP.u(3) * u2
         assert integrate_x(g.total_derivative()) == g
         assert integrate_x(th(0) * u1 + th(1) * u) == th(0) * u
+
+
+class TestThetaFreeDescent:
+    @given(even_densities())
+    def test_matches_the_descent_it_replaced(self, a):
+        want = _outcome(lambda: _decompose_even(a))
+        assert _outcome(lambda: _integrate(a)) == want
+        if want[0] is not AlgebraError:
+            g, r = want
+            assert g.total_derivative() + r == a
+            assert canonical_class(a).rep == r
+
+    @pytest.mark.parametrize("a", [
+        SP.u(1, power=-1) * SP.u(2),                      # log u_1
+        SP.u(0) * SP.u(1, power=-1) * SP.u(2) + SP.u(3),
+        _edge_power(0, 0) * SP.u(1),                      # u^16384 / 16384
+        _edge_power(0, 1) * SP.u(1),
+        _edge_power(1, 0) * SP.u(2),                      # u_1^8192 / 8192
+        _edge_power(1, 1) * SP.u(2),
+        _edge_power(2, 0) * SP.u(3) * SP.u(1, power=-1),
+        SP.u(1, power=_U1_MIN) * SP.u(2),
+        SP.u(2) * _edge_power(3, 0) * SP.u(5),            # d of the antiderivative
+        _edge_power(2, 0) * SP.u(3) * SP.u(3),            # nonlinear: a residue
+    ], ids=str)
+    def test_pinned_cases_match_the_descent_it_replaced(self, a):
+        assert _outcome(lambda: _integrate(a)) == _outcome(lambda: _decompose_even(a))
+
+    def test_builds_no_terms_view(self):
+        u, u1, u2, u3 = SP.u(0), SP.u(1), SP.u(2), SP.u(3)
+        inexact = u * u2 * u2 + u1 ** 3 + SP.u(1, power=-1) * u2 * Fraction(2, 3)
+        exact = (u * u1 * u3 + SP.u(1, power=-2) * u2).total_derivative()
+
+        def no_view(self):
+            raise AssertionError("a .terms view was built")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SP, "terms", property(no_view))
+            for a in (inexact, exact, inexact + exact):
+                g, r = decompose_total_derivative(a)
+                assert canonical_class(a).rep == r
+                assert g.total_derivative() + r == a
+            assert integrate_x(exact).total_derivative() == exact
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,103 @@
+"""DiffOperator.apply, compose and adjoint against the per-t formulas they
+replaced, and their cost counted in applications of d.
+
+Each of the three methods keeps one running derivative of a coefficient (or
+of the argument), so a del^j term costs j calls of `algebra._add_derivative`.
+The formulas below are the ones before that change, kept here as the
+reference: they call p.dx(t) afresh for every t, j^2/2 calls in all.
+"""
+
+from contextlib import contextmanager
+from math import comb
+
+import pytest
+
+from conftest import rand_density
+from jetbrackets import DiffOperator, SuperPolynomial as SP
+from jetbrackets import algebra
+
+
+def ref_apply(D, f):
+    out = SP()
+    for j, p in D.coeffs.items():
+        out = out + p * f.dx(j)
+    return out
+
+
+def ref_compose(A, B):
+    out: dict = {}
+    for i, a in A.coeffs.items():
+        for j, b in B.coeffs.items():
+            for t in range(i + 1):
+                c = a * b.dx(t) * comb(i, t)
+                out[i + j - t] = out.get(i + j - t, SP()) + c
+    return DiffOperator(out)
+
+
+def ref_adjoint(D):
+    out: dict = {}
+    for j, p in D.coeffs.items():
+        sign = -1 if j & 1 else 1
+        for t in range(j + 1):
+            c = p.dx(t) * (comb(j, t) * sign)
+            out[j - t] = out.get(j - t, SP()) + c
+    return DiffOperator(out)
+
+
+@contextmanager
+def counted():
+    """Count the calls of `algebra._add_derivative`, which applies d once."""
+    calls = [0]
+    inner = algebra._add_derivative
+
+    def counting(out, terms):
+        calls[0] += 1
+        return inner(out, terms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_add_derivative", counting)
+        yield calls
+
+
+def test_a_del_300_term_costs_300_derivatives():
+    D = DiffOperator({300: SP.u(299)})
+    with counted() as calls:
+        adj = D.adjoint()
+    assert calls[0] <= 300
+    with counted() as calls:
+        want = ref_adjoint(D)
+    assert calls[0] == 45150  # sum of t over t = 0..300
+    assert adj == want
+
+    f = SP.u(0) * SP.u(1)
+    with counted() as calls:
+        got = D.apply(f)
+    assert calls[0] <= 300
+    assert got == ref_apply(D, f)
+
+    B = DiffOperator({0: SP.u(0), 2: SP.u(3)})
+    with counted() as calls:
+        got = D.compose(B)
+    assert calls[0] <= 2 * 300
+    assert got == ref_compose(D, B)
+
+
+def _operator(rng, orders, laurent=0):
+    return DiffOperator({j: rand_density(rng, 0, max_order=2, terms=1, laurent=laurent)
+                         for j in range(orders)})
+
+
+@pytest.mark.parametrize("laurent", [0, 2])
+def test_random_operators_match_the_per_t_formulas(rng, laurent):
+    for _ in range(20):
+        A = _operator(rng, rng.randint(1, 4), laurent)
+        B = _operator(rng, rng.randint(1, 3), laurent)
+        f = rand_density(rng, 0, laurent=laurent)
+        assert A.adjoint() == ref_adjoint(A)
+        assert A.compose(B) == ref_compose(A, B)
+        assert A.apply(f) == ref_apply(A, f)
+        # sparse orders, out of insertion order
+        C = DiffOperator({5: A.coeffs.get(0, SP.u(2)), 2: SP.u(3), 7: SP.u(0) * SP.u(0)})
+        assert C.adjoint() == ref_adjoint(C)
+        assert C.compose(A) == ref_compose(C, A)
+        assert C.apply(f) == ref_apply(C, f)
