@@ -28,11 +28,12 @@ the key minus the unit of field k plus the unit of field k+1; d of theta_k
 moves its bit one field up.  Odd factors are ordered by index, and odd partial
 derivatives are left derivations.
 
-`terms` is the view for everything outside the kernel: a fresh dict
-{(even, odd): Fraction} whose even part is a sorted tuple of ((1, k), e)
-pairs with nonzero exponents and whose odd part is a strictly increasing
-tuple of (1, k).  The public constructor takes that format, with factors in
-any order, validates it, sorts odd factors with their Koszul sign and packs.
+`terms` is the view for printing, parsing and tests, built on demand
+with no memo: a fresh dict {(even, odd): Fraction} whose even part is a
+sorted tuple of ((1, k), e) pairs with nonzero exponents and whose odd part
+is a strictly increasing tuple of (1, k).  No engine module reads it.  The
+public constructor takes that format, with factors in any order, validates
+it, sorts odd factors with their Koszul sign and packs.
 
 A polynomial holds integer numerators over one positive denominator D: the
 coefficient of the monomial m is nums[m]/D.  The form is canonical (no zero
@@ -45,10 +46,11 @@ Every derivation goes through one integer kernel: `_file` files the signed
 partial derivatives of the numerators under the power of d they are to
 receive, in one sweep; `_add_derivative` applies d once.  Neither changes D.
 partial_u and partial_theta are one filing, d^n is n steps, and
-`_variational` is one filing plus Horner in d.  `_integrate`, formal
-integration in x, descends from the top order with the same step and splits
-a = d(g) + r at every theta-degree, r = 0 exactly when a is exact; an
-antiderivative power past the exponent range raises AlgebraError for a
+`_variational` is one filing plus Horner in d.  `_antidiff_u`, the
+antiderivative in u_k, adds one unit to field k of each key.  `_integrate`,
+formal integration in x, descends from the top order with the same step and
+splits a = d(g) + r at every theta-degree, r = 0 exactly when a is exact;
+an antiderivative power past the exponent range raises AlgebraError for a
 theta-free term and goes to r for a term with a theta factor.  d is an
 even derivation, so its table (`_DERIV_CACHE`) holds the derivatives of the
 theta-free and the odd parts of the keys it meets, not of the keys: a few
@@ -174,12 +176,6 @@ def _unpack(key: int):
     return tuple(even), tuple(odd)
 
 
-# memo of `_unpack` for the `terms` view: key -> monomial.  Its values are
-# deterministic, so emptying it once it holds _VIEW_LIMIT entries changes no
-# result.
-_VIEW: dict = {}
-_VIEW_LIMIT = 16384
-
 def _field_masks(n: int):
     """(theta mask, guard mask) over fields 0..n-1."""
     rep = ((1 << (_W * n)) - 1) // _FIELD  # bit 0 of every field
@@ -262,16 +258,9 @@ class SuperPolynomial:
     def terms(self) -> dict:
         """A fresh dict {monomial: Fraction coefficient}, monomials in the
         nested format of the module docstring."""
-        D, view = self._D, _VIEW
-        out = {}
-        for m, c in self._nums.items():
-            mono = view.get(m)
-            if mono is None:
-                if len(view) >= _VIEW_LIMIT:
-                    view.clear()
-                mono = view[m] = _unpack(m)
-            out[mono] = Fraction(c) if D == 1 else Fraction(c, D)
-        return out
+        D = self._D
+        return {_unpack(m): Fraction(c) if D == 1 else Fraction(c, D)
+                for m, c in self._nums.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -757,6 +746,23 @@ def _exponent(m: int, k: int) -> int:
     """The exponent of u_k in the key m."""
     f = (m >> (_W * k + 1)) & _E_MAX
     return f - _BIAS if k == 1 else f
+
+
+def _antidiff_u(p: SuperPolynomial, k: int):
+    """(h, blocked), partial_u(k) h = p - blocked: a term c m u_k^e gives
+    c m u_k / (e + 1), over the lcm of the new powers, and blocked holds the
+    u_1^-1 terms (log u_1); a new power out of range raises AlgebraError."""
+    unit = 2 << (_W * k)
+    h, blocked, L = [], {}, 1
+    for m, c in p._nums.items():
+        e = _exponent(m, k) + 1
+        if e:
+            _check_exponent(k, e)
+            h.append((m + unit, c, e))
+            L = lcm(L, e)
+        else:
+            blocked[m] = c
+    return _make({m: c * (L // e) for m, c, e in h}, p._D * L), _make(blocked, p._D)
 
 
 def _integrate(a: SuperPolynomial):

@@ -29,6 +29,13 @@ order, so a few bytes of manifest must not ask for a million orders.  An
 expression, operator or manifest operator of jet order above 1 000 (u_1001,
 or del^1001 in an operator) gives `invalid-argument` as well: the ring
 admits any jet index, but the variational kernels take time quadratic in it.
+In a request with a negative power of u_1 in any input (both arguments of
+`bracket` and `check-compatible`, a manifest's base and corrections, `--x`,
+`--g`) every input is bounded at jet order 20, since d^n of u_1^-1 has p(n)
+terms; all inputs are parsed and checked before any derivative is taken.
+`hierarchy --n` above 2 000, `symmetries --degree` above 11 and
+`symmetries --max-udeg` above 1 000 give `invalid-argument` too; each
+largest accepted value answers in about a second.
 """
 
 from __future__ import annotations
@@ -72,6 +79,10 @@ from .variational import (
 
 _MAX_ORDER = 10_000  # largest truncation or --order of a series request
 _MAX_JET_ORDER = 1_000  # largest jet index of a parsed expression or operator
+_MAX_LAURENT_JET_ORDER = 20  # the same, in a request with a negative power of u_1
+_MAX_HIERARCHY_N = 2_000  # largest hierarchy --n
+_MAX_SYMMETRY_DEGREE = 11  # largest symmetries --degree
+_MAX_UDEG = 1_000  # largest symmetries --max-udeg
 
 
 class _InvalidArgument(Exception):
@@ -105,9 +116,11 @@ def _at_least(args, *names, minimum=0) -> None:
             raise _InvalidArgument(f"{flag} must be at least {minimum}, got {value}")
 
 
-def _order_at_most_max(args) -> None:
-    if args.order is not None and args.order > _MAX_ORDER:
-        raise _InvalidArgument(f"--order must be at most {_MAX_ORDER}, got {args.order}")
+def _at_most(args, name, maximum) -> None:
+    value = getattr(args, name)
+    if value is not None and value > maximum:
+        flag = "--" + name.replace("_", "-")
+        raise _InvalidArgument(f"{flag} must be at most {maximum}, got {value}")
 
 
 def _one_stdin(*texts) -> None:
@@ -129,34 +142,50 @@ def _emit(doc, args) -> None:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _jet_order_at_most_max(x, what):
+def _jet_order_at_most_max(args, x, what):
     """Refuse a parsed input of jet order above `_MAX_JET_ORDER`: the
     variational kernels take time quadratic in the jet index, so a few
     bytes such as u_10000*theta_10000 must not ask for seconds.  An
-    operator's jet order counts its power of del and its coefficients."""
+    operator's jet order counts its power of del and its coefficients.
+    d^n of u_1^-1 has p(n) terms (the partitions of n), so once an input of
+    a request has a negative power of u_1, every input of it is bounded at
+    `_MAX_LAURENT_JET_ORDER`; args carries the request's largest jet order
+    so far and whether it has had such an input."""
+    polys = [x]
     order = x.order()
     if isinstance(x, DiffOperator):
-        order = max([order, *(c.order() for c in x.coeffs.values())])
+        polys = x.coeffs.values()
+        order = max([order, *(c.order() for c in polys)])
     if order > _MAX_JET_ORDER:
         raise _InvalidArgument(f"{what} jet order must be at most {_MAX_JET_ORDER}, "
                                f"got {order}")
+    args.jet_order = max(order, getattr(args, "jet_order", 0))
+    # only --hat admits a negative power in the input
+    args.laurent = getattr(args, "laurent", False) or (args.hat and any(
+        min(p.coefficient_layers(1), default=0) < 0 for p in polys))
+    if args.laurent and args.jet_order > _MAX_LAURENT_JET_ORDER:
+        raise _InvalidArgument(f"a request with a negative power of u_1 must have jet order "
+                               f"at most {_MAX_LAURENT_JET_ORDER}, got {args.jet_order}")
     return x
 
 
 def _density(args, text) -> SuperPolynomial:
-    return _jet_order_at_most_max(parse_density(_read_arg(text), hat=args.hat), "expression")
+    return _jet_order_at_most_max(args, parse_density(_read_arg(text), hat=args.hat),
+                                  "expression")
 
 
 def _operator(args, text) -> DiffOperator:
-    return _jet_order_at_most_max(parse_operator(_read_arg(text), hat=args.hat), "operator")
+    return _jet_order_at_most_max(args, parse_operator(_read_arg(text), hat=args.hat),
+                                  "operator")
 
 
-def _manifest_bivector(args, text) -> MultiVector:
-    op = _jet_order_at_most_max(parse_operator(text, hat=args.hat), "manifest operator")
-    return operator_to_bivector(op)
+def _manifest_operator(args, text) -> DiffOperator:
+    return _jet_order_at_most_max(args, parse_operator(text, hat=args.hat), "manifest operator")
 
 
-def _load_manifest(args, path) -> EpsilonDeformation:
+def _load_manifest(args, path):
+    """The checked operators of a manifest, (base, {order: correction},
+    truncation); `_series` takes their derivatives."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -190,14 +219,18 @@ def _load_manifest(args, path) -> EpsilonDeformation:
     if max(table, default=0) > trunc:
         raise _InvalidArgument(f"manifest correction order {max(table)} exceeds "
                                f"its truncation {trunc}")
-    base = _manifest_bivector(args, doc["base"])
+    base = _manifest_operator(args, doc["base"])
+    return base, {k: _manifest_operator(args, table[k]) for k in sorted(table)}, trunc
+
+
+def _series(base, table, trunc) -> EpsilonDeformation:
     corrections = []
     for k in range(1, trunc + 1):
         if k in table:
-            corrections.append(_manifest_bivector(args, table[k]))
+            corrections.append(operator_to_bivector(table[k]))
         else:
             corrections.append(MultiVector(SuperPolynomial(), 2))
-    return EpsilonDeformation(base, corrections, trunc)
+    return EpsilonDeformation(operator_to_bivector(base), corrections, trunc)
 
 
 def _dump_series(D: EpsilonDeformation) -> dict:
@@ -212,9 +245,8 @@ def _dump_series(D: EpsilonDeformation) -> dict:
 
 def _cmd_bracket(args):
     _one_stdin(args.a, args.b)
-    a = canonical_class(_density(args, args.a))
-    b = canonical_class(_density(args, args.b))
-    res = schouten_bracket(a, b)
+    a, b = _density(args, args.a), _density(args, args.b)
+    res = schouten_bracket(canonical_class(a), canonical_class(b))
     _emit({"bracket": str(res.rep), "theta_degree": res.theta_degree}, args)
     return 0
 
@@ -245,8 +277,8 @@ def _cmd_check_hamiltonian(args):
 
 def _cmd_check_compatible(args):
     _one_stdin(args.op1, args.op2)
-    B1 = operator_to_bivector(_operator(args, args.op1))
-    B2 = operator_to_bivector(_operator(args, args.op2))
+    D1, D2 = _operator(args, args.op1), _operator(args, args.op2)
+    B1, B2 = operator_to_bivector(D1), operator_to_bivector(D2)
     ok = is_hamiltonian(B1) and is_hamiltonian(B2) and are_compatible(B1, B2)
     _emit({"compatible": ok}, args)
     return 0 if ok else 1
@@ -254,6 +286,7 @@ def _cmd_check_compatible(args):
 
 def _cmd_hierarchy(args):
     _at_least(args, "n")
+    _at_most(args, "n", _MAX_HIERARCHY_N)
     hams = hierarchy(args.n)
     doc = {"hamiltonians": [
         {"index": i - 1, "density": str(H.rep),
@@ -266,6 +299,8 @@ def _cmd_hierarchy(args):
 
 def _cmd_symmetries(args):
     _at_least(args, "max_order", "max_udeg", "degree")
+    _at_most(args, "degree", _MAX_SYMMETRY_DEGREE)
+    _at_most(args, "max_udeg", _MAX_UDEG)
     basis = symmetry_space(args.degree, args.max_udeg, max_order=args.max_order)
     _emit({"degree": args.degree, "dimension": len(basis),
            "basis": sorted(str(b) for b in basis)}, args)
@@ -274,8 +309,8 @@ def _cmd_symmetries(args):
 
 def _cmd_obstruction(args):
     _at_least(args, "order")
-    _order_at_most_max(args)
-    D = _load_manifest(args, args.manifest)
+    _at_most(args, "order", _MAX_ORDER)
+    D = _series(*_load_manifest(args, args.manifest))
     order = args.order if args.order is not None else D.truncation
     res = mc_residual(D, order)
     doc = {"mc_residual": [str(r.rep) for r in res],
@@ -290,10 +325,11 @@ def _cmd_obstruction(args):
 
 def _cmd_miura_push(args):
     _at_least(args, "order")
-    _order_at_most_max(args)
+    _at_most(args, "order", _MAX_ORDER)
     _at_least(args, "weight", minimum=1)
-    D = _load_manifest(args, args.manifest)
+    manifest = _load_manifest(args, args.manifest)
     x = _density(args, args.x)
+    D = _series(*manifest)
     X = canonical_class(x * SuperPolynomial.theta(0))
     N = args.order if args.order is not None else D.truncation
     pushed = miura_push(D, X, args.weight, N)

@@ -1,7 +1,8 @@
 """The dispersionless KdV pencil (d, u d + u_1/2) and its deformation theory.
 
-Hierarchy generation by the functional recursion from the Casimir, the
-infinitesimal-symmetry checks, the e/S/E systems attached to a pair of
+Hierarchy generation by the functional recursion from the Casimir (every
+H_n is c_n u^(n+2), so delta_u H_n lifts to H_n by an antiderivative in u),
+the infinitesimal-symmetry checks, the e/S/E systems attached to a pair of
 characteristics (every e_j from one filing sweep of f and one of g, every
 d^i e_j computed once), the order-lowering reduction step, and the full
 quasi-trivialization of tail cocycles: every positive-degree infinitesimal
@@ -21,6 +22,7 @@ from .algebra import (
     DiffOperator,
     SuperPolynomial,
     _add_times_u,
+    _antidiff_u,
     _contract,
     _file,
     _koszul_dP,
@@ -41,7 +43,6 @@ from .variational import (
     EvolutionaryVF,
     MultiVector,
     NotExact,
-    _antidiff_u,
     antidiff_square,
     canonical_class,
     higher_variational_u,
@@ -69,19 +70,6 @@ def dkdv_pencil() -> Pencil:
 # Hierarchy
 # ---------------------------------------------------------------------------
 
-def _euler_lift(s: SuperPolynomial) -> SuperPolynomial:
-    """A density H with delta_u H = s, for s in the image of the Euler
-    operator: the standard homotopy int_0^1 u s(lambda . jets) dlambda."""
-    out = SuperPolynomial()
-    u0 = SuperPolynomial.u(0)
-    for (even, odd), c in s.terms.items():
-        if odd:
-            raise AlgebraError("lift expects an even density")
-        d = sum(e for _co, e in even)
-        out = out + u0 * SuperPolynomial({(even, odd): c}) / (d + 1)
-    return out
-
-
 def hierarchy(N: int):
     """Hamiltonians H_{-1}, ..., H_N of the dispersionless KdV hierarchy,
     recursively from the Casimir (4/3) int u dx."""
@@ -90,10 +78,8 @@ def hierarchy(N: int):
     Qop = _q_operator()
     out = [canonical_class(SuperPolynomial.u(0) * Fraction(4, 3))]
     for _n in range(0, N + 1):
-        delta = out[-1]._delta_u()
-        rhs = Qop.apply(delta)
-        new_delta = integrate_x(rhs)
-        lift = _euler_lift(new_delta)
+        new_delta = integrate_x(Qop.apply(out[-1]._delta_u()))
+        lift = _antidiff_u(new_delta, 0)[0]
         if higher_variational_u(lift) != new_delta:
             raise AssertionError("hierarchy lift failed")
         out.append(canonical_class(lift))
@@ -455,11 +441,12 @@ def _degree_zero(c1: MultiVector, pencil: Pencil):
     no solution there raises NoSolution (undecided), never "nontrivial".
     """
     rep = c1.rep
-    if not any(e < 0 for even, _odd in rep.terms for _k, e in even):
-        lam = rep.terms.get(((), ((1, 0), (1, 1))))
-        if lam is None or len(rep.terms) != 1:
+    if min(rep.coefficient_layers(1)) >= 0:
+        lam = rep.partial_theta(0).partial_theta(1)
+        if (lam.order() or lam.max_u_power()
+                or rep != lam * SuperPolynomial.theta(0) * SuperPolynomial.theta(1)):
             return NontrivialAtDegreeZero(c1)
-        w = EvolutionaryVF(SuperPolynomial.const(-2 * lam))
+        w = EvolutionaryVF(lam * -2)
         _verify_witness(w, c1, pencil)
         return w
     sl = GradedSlice(max_order=max(2, rep.order()), max_udeg=max(2, rep.max_u_power()),

@@ -31,9 +31,11 @@ run through the algebra layer's integer derivation kernel,
 `algebra._variational`, which works on the numerators and keeps the
 denominator; N multiplies by theta, and a canonical representative divides
 by k, which multiplies the denominator by k.  The operator of a bivector B
-is read off delta_theta B = sum_j D_j theta_j.  A class carries the
-delta_theta and delta_u of its representative (see MultiVector), so the
-Schouten bracket differentiates each class at most once per variable.
+is read off delta_theta B = sum_j D_j theta_j as D_j = partial_theta(j) of
+it, and `antidiff_square` and the dKdV hierarchy lift are antiderivatives
+in u_k (`algebra._antidiff_u`).  A class carries the delta_theta and
+delta_u of its representative (see MultiVector), so the Schouten bracket
+differentiates each class at most once per variable.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .algebra import (
     DiffOperator,
     SkewnessError,
     SuperPolynomial,
+    _antidiff_u,
     _integrate,
     _theta_free,
     _variational,
@@ -89,33 +92,13 @@ def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
 # Formal integration in x
 # ---------------------------------------------------------------------------
 
-def _antidiff_u(p: SuperPolynomial, k: int):
-    """Antiderivative of p with respect to u_k, term by term.
-
-    Returns (antiderivative, blocked) where blocked collects the terms whose
-    antiderivative would need a logarithm (exponent -1, so k = 1 only).
-    """
-    good: dict = {}
-    blocked: dict = {}
-    coord = (1, k)
-    for (even, odd), c in p.terms.items():
-        e = next((ee for co, ee in even if co == coord), 0)
-        if e == -1:
-            blocked[(even, odd)] = c
-        else:
-            # the constructor merges the new factor into the power of u_k
-            good[(even + ((coord, 1),), odd)] = c / (e + 1)
-    return SuperPolynomial(good), SuperPolynomial(blocked)
-
-
 def antidiff_square(p: SuperPolynomial, k: int) -> SuperPolynomial:
     """Solve (d/du_k)^2 h = p by two formal antidifferentiations."""
     h1, b1 = _antidiff_u(p, k)
     h2, b2 = _antidiff_u(h1, k)
     if b1 or b2:
-        raise NotExact(
-            f"double antiderivative in u_{k} requires a logarithm", residue=b1 + b2
-        )
+        raise NotExact(f"double antiderivative in u_{k} requires a logarithm",
+                       residue=b1 + b2)
     return h2
 
 
@@ -348,12 +331,10 @@ def bivector_to_operator(B: MultiVector) -> DiffOperator:
     operator is read off delta_theta B = sum_j D_j theta_j."""
     if B.theta_degree != 2:
         raise AlgebraError("only theta-degree-2 classes correspond to operators")
-    coeffs: dict = {}  # coeffs[j]: terms of D_j
-    for (even, odd), c in B._delta_theta().terms.items():
-        if len(odd) != 1:
-            raise AlgebraError("not a bivector density")
-        coeffs.setdefault(odd[0][1], {})[(even, ())] = c
-    D = DiffOperator({j: SuperPolynomial(t) for j, t in coeffs.items()})
+    dtheta = B._delta_theta()
+    if dtheta and dtheta.theta_degree() != 1:
+        raise AlgebraError("not a bivector density")
+    D = DiffOperator({j: dtheta.partial_theta(j) for j in range(dtheta.order() + 1)})
     if not D.is_skew_adjoint():
         raise SkewnessError("reconstructed operator is not skew-adjoint")
     if operator_to_bivector(D) != B:

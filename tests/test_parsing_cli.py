@@ -274,6 +274,27 @@ class TestCLI:
         ["quasi-trivialize", "--g", "d(u_1001)"],
         ["check-hamiltonian", "D: del^1001"],
         ["check-compatible", "D: del", "D: u_1001*del + 1/2*u_1002"],
+        # d^n of u_1^-1 has p(n) terms: a request with a negative power of
+        # u_1 is bounded at jet order 20 in every input
+        ["bracket", "--hat", "--", "u_1^-1*u_21*theta", "u*theta*theta_1"],
+        ["bracket", "--hat", "--", "u_1^-1*theta", "u_21*theta*theta_1"],
+        ["bracket", "--hat", "--", "u_60*theta*theta_1", "u_1^-1*theta"],
+        ["bracket", "--hat", "--", "u + theta", "u_1^-1*u_21*theta"],
+        ["normalize", "--hat", "--", "u_1^-1*u_21*theta*theta_21"],
+        ["dtot", "--hat", "--", "u_1^-1*theta_21"],
+        ["vder", "--hat", "--", "d(u_1^-1*u_20)"],
+        ["check-hamiltonian", "--hat", "D: u_1^-1*del^21"],
+        ["check-hamiltonian", "--hat", "D: u_1^-1*del^40"],
+        ["check-compatible", "--hat", "D: u_1^-1*del", "D: del^21"],
+        ["check-compatible", "--hat", "D: u_21*del", "D: u_1^-1*del"],
+        ["quasi-trivialize", "--hat", "--g", "u_1^-1*u_21"],
+        # hierarchy --n, symmetries --degree and --max-udeg are bounded
+        ["hierarchy", "--n", "2001"],
+        ["hierarchy", "--n", "1000000"],
+        ["symmetries", "--degree", "12"],
+        ["symmetries", "--degree", "18"],
+        ["symmetries", "--degree", "3", "--max-udeg", "1001"],
+        ["symmetries", "--degree", "3", "--max-udeg", "6000"],
     ])
     def test_out_of_range_argument_exit_two(self, capsys, argv):
         assert main(argv) == 2
@@ -363,6 +384,28 @@ class TestCLI:
         assert main(["check-hamiltonian", "D: del^1000"]) == 2
         assert [json.loads(line)["error"]["code"] for line in capsys.readouterr().out.splitlines()] \
             == ["not-skew-adjoint"] * 2
+        # a request with a negative power of u_1 is accepted at jet order 20
+        assert main(["bracket", "--hat", "--", "u_1^-1*theta", "u_20*theta*theta_1"]) == 0
+        assert main(["check-hamiltonian", "--hat", "D: u_1^-1*del^20"]) == 2
+        assert [json.loads(line).get("error", {}).get("code")
+                for line in capsys.readouterr().out.splitlines()] == [None, "not-skew-adjoint"]
+
+    @pytest.mark.parametrize("manifest, argv", [
+        # a non-skew base would fail its skewness check first: the bound is
+        # checked on every input before any derivative is taken
+        ({"base": "D: u_1^-1*del", "corrections": {"2": "D: del^21"}}, ["obstruction"]),
+        ({"base": "D: del", "corrections": {"1": "D: u_21*del", "2": "D: u_1^-1*del"}},
+         ["obstruction"]),
+        ({"base": "D: u*del", "truncation": 2}, ["miura-push", "--x", "u_1^-1*u_21"]),
+        ({"base": "D: u_1^-1*del", "truncation": 2}, ["miura-push", "--x", "u_21"]),
+    ])
+    def test_laurent_manifest_request_is_bounded(self, capsys, tmp_path, manifest, argv):
+        man = tmp_path / "manifest.json"
+        man.write_text(json.dumps(manifest))
+        assert main([argv[0], "--hat", str(man)] + argv[1:]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"]["code"] == "invalid-argument"
+        assert "negative power of u_1" in doc["error"]["message"]
 
     def test_stdin_for_one_of_two_arguments(self):
         code, doc = run_cli("check-compatible", "D: del", "-", stdin="D: u*del + 1/2*u_1\n")
