@@ -2,14 +2,15 @@
 
 Exit codes: 0 on success, 1 when a mathematical check comes out false, 2 on
 usage, parse, or engine errors.  Every exit 2 after argument parsing prints a
-JSON object {"error": {"code", "message"}}; a negative count, degree, order
-or slice cap, or a Miura weight below 1, gives the code `invalid-argument`,
-and an unexpected exception gives `internal-error` with its traceback on
-stderr.  Expressions accept `-` to read stdin; at most one argument of a
-request may be `-`, and `bracket - -` or `check-compatible - -` gives
-`invalid-argument` before stdin is read.  `main` builds its argument parser
-on its first call and reuses it for every later call in the process;
-`build_parser` returns a fresh parser each time.
+JSON object {"error": {"code", "message"}}; an unexpected exception gives
+`internal-error` with its traceback on stderr.  Each subcommand declares the
+range of its integer flags beside them in `build_parser` (`ranges`: lowest,
+and highest or None), and `main` checks them before dispatch; a value
+outside its range gives `invalid-argument`.  Expressions accept `-` to read
+stdin; at most one argument of a request may be `-`, and `bracket - -` or
+`check-compatible - -` gives `invalid-argument` before stdin is read.
+`main` builds its argument parser on its first call and reuses it for every
+later call in the process; `build_parser` returns a fresh parser each time.
 Deformation manifests are JSON documents of the form
 
     {"base": "D: u*del + 1/2*u_1",
@@ -23,19 +24,21 @@ correction key that is not a string of decimal digits 0-9 naming an order
 a truncation that is not a JSON integer >= 0 (so not 2.7, "2" or true), or
 a correction order above the truncation gives `invalid-argument`.  Without
 "truncation" the series is truncated at its highest correction order.  A
-truncation, or an `--order` of `obstruction` or `miura-push`, above 10 000
-gives `invalid-argument` too: a series is stored and checked order by
-order, so a few bytes of manifest must not ask for a million orders.  An
-expression, operator or manifest operator of jet order above 1 000 (u_1001,
-or del^1001 in an operator) gives `invalid-argument` as well: the ring
-admits any jet index, but the variational kernels take time quadratic in it.
-In a request with a negative power of u_1 in any input (both arguments of
-`bracket` and `check-compatible`, a manifest's base and corrections, `--x`,
-`--g`) every input is bounded at jet order 20, since d^n of u_1^-1 has p(n)
-terms; all inputs are parsed and checked before any derivative is taken.
-`hierarchy --n` above 2 000, `symmetries --degree` above 11 and
-`symmetries --max-udeg` above 1 000 give `invalid-argument` too; each
-largest accepted value answers in about a second.
+truncation above 10 000, the bound of `--order` as well, gives
+`invalid-argument` too: a series is stored and checked order by order, so a
+few bytes of manifest must not ask for a million orders.  An expression,
+operator or manifest operator of jet order above 1 000 (u_1001, or del^1001
+in an operator) gives `invalid-argument` as well: the ring admits any jet
+index, but the variational kernels take time quadratic in it.  In a request
+with a negative power of u_1 in any input (both arguments of `bracket` and
+`check-compatible`, a manifest's base and corrections, `--x`, `--g`) every
+input is bounded at jet order 20, since d^n of u_1^-1 has p(n) terms.  Every
+input of a request is parsed before any is bounded, and all are bounded
+before the command computes; but `d(...)` is evaluated while its expression
+is parsed, so a deeply nested derivative of a Laurent input costs its terms
+before the bound refuses it.  A `symmetries` slice whose column count times
+the degree squared exceeds 75 000 gives `invalid-argument` before any
+bracket is computed; the largest accepted slices answer in about two seconds.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ from .algebra import (
     SuperPolynomial,
     UndefinedGrading,
 )
-from .deform import EpsilonDeformation, MCViolation, NoSolution, mc_residual, obstruction, miura_push
+from .deform import (EpsilonDeformation, GradedSlice, MCViolation, NoSolution, enumerate_basis,
+                     mc_residual, miura_push, obstruction)
 from .dkdv import (
     NontrivialAtDegreeZero,
     dkdv_pencil,
@@ -80,9 +84,7 @@ from .variational import (
 _MAX_ORDER = 10_000  # largest truncation or --order of a series request
 _MAX_JET_ORDER = 1_000  # largest jet index of a parsed expression or operator
 _MAX_LAURENT_JET_ORDER = 20  # the same, in a request with a negative power of u_1
-_MAX_HIERARCHY_N = 2_000  # largest hierarchy --n
-_MAX_SYMMETRY_DEGREE = 11  # largest symmetries --degree
-_MAX_UDEG = 1_000  # largest symmetries --max-udeg
+_MAX_SLICE_COST = 75_000  # largest columns * degree^2 of a symmetries slice
 
 
 class _InvalidArgument(Exception):
@@ -108,19 +110,14 @@ def _error_code(exc) -> str:
     return "internal-error"
 
 
-def _at_least(args, *names, minimum=0) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < minimum:
-            flag = "--" + name.replace("_", "-")
-            raise _InvalidArgument(f"{flag} must be at least {minimum}, got {value}")
-
-
-def _at_most(args, name, maximum) -> None:
-    value = getattr(args, name)
-    if value is not None and value > maximum:
-        flag = "--" + name.replace("_", "-")
-        raise _InvalidArgument(f"{flag} must be at most {maximum}, got {value}")
+def _in_range(args) -> None:
+    """Refuse a flag outside the range its subcommand declares."""
+    for name, (lowest, highest) in args.ranges.items():
+        value, flag = getattr(args, name), "--" + name.replace("_", "-")
+        if value is not None and value < lowest:
+            raise _InvalidArgument(f"{flag} must be at least {lowest}, got {value}")
+        if value is not None and highest is not None and value > highest:
+            raise _InvalidArgument(f"{flag} must be at most {highest}, got {value}")
 
 
 def _one_stdin(*texts) -> None:
@@ -129,10 +126,9 @@ def _one_stdin(*texts) -> None:
         raise _InvalidArgument("at most one argument may be '-' (stdin)")
 
 
-def _read_arg(text: str) -> str:
-    if text == "-":
-        return sys.stdin.read()
-    return text
+def _read(args, text, parse=parse_density):
+    """Parse one input of a request; `-` reads it from stdin."""
+    return parse(sys.stdin.read() if text == "-" else text, hat=args.hat)
 
 
 def _emit(doc, args) -> None:
@@ -142,50 +138,35 @@ def _emit(doc, args) -> None:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _jet_order_at_most_max(args, x, what):
-    """Refuse a parsed input of jet order above `_MAX_JET_ORDER`: the
-    variational kernels take time quadratic in the jet index, so a few
-    bytes such as u_10000*theta_10000 must not ask for seconds.  An
-    operator's jet order counts its power of del and its coefficients.
-    d^n of u_1^-1 has p(n) terms (the partitions of n), so once an input of
-    a request has a negative power of u_1, every input of it is bounded at
-    `_MAX_LAURENT_JET_ORDER`; args carries the request's largest jet order
-    so far and whether it has had such an input."""
-    polys = [x]
-    order = x.order()
-    if isinstance(x, DiffOperator):
-        polys = x.coeffs.values()
-        order = max([order, *(c.order() for c in polys)])
-    if order > _MAX_JET_ORDER:
-        raise _InvalidArgument(f"{what} jet order must be at most {_MAX_JET_ORDER}, "
-                               f"got {order}")
-    args.jet_order = max(order, getattr(args, "jet_order", 0))
-    # only --hat admits a negative power in the input
-    args.laurent = getattr(args, "laurent", False) or (args.hat and any(
-        min(p.coefficient_layers(1), default=0) < 0 for p in polys))
-    if args.laurent and args.jet_order > _MAX_LAURENT_JET_ORDER:
-        raise _InvalidArgument(f"a request with a negative power of u_1 must have jet order "
-                               f"at most {_MAX_LAURENT_JET_ORDER}, got {args.jet_order}")
-    return x
-
-
-def _density(args, text) -> SuperPolynomial:
-    return _jet_order_at_most_max(args, parse_density(_read_arg(text), hat=args.hat),
-                                  "expression")
-
-
-def _operator(args, text) -> DiffOperator:
-    return _jet_order_at_most_max(args, parse_operator(_read_arg(text), hat=args.hat),
-                                  "operator")
-
-
-def _manifest_operator(args, text) -> DiffOperator:
-    return _jet_order_at_most_max(args, parse_operator(text, hat=args.hat), "manifest operator")
+def _bounded(hat, *inputs, manifest=()) -> None:
+    """Refuse a request whose parsed inputs are too deep, walking a
+    manifest's operators and then `inputs` in the order they were parsed.
+    The variational kernels take time quadratic in the jet index, which for
+    an operator counts its power of del and its coefficients; and d^n of
+    u_1^-1 has p(n) terms, so once an input has a negative power of u_1
+    every input is bounded at `_MAX_LAURENT_JET_ORDER`."""
+    jet_order, laurent = 0, False
+    labelled = [("manifest operator", D) for D in manifest]
+    labelled += [("operator" if isinstance(x, DiffOperator) else "expression", x) for x in inputs]
+    for what, x in labelled:
+        polys = x.coeffs.values() if isinstance(x, DiffOperator) else [x]
+        order = max([x.order(), *(p.order() for p in polys)])
+        if order > _MAX_JET_ORDER:
+            raise _InvalidArgument(f"{what} jet order must be at most {_MAX_JET_ORDER}, "
+                                   f"got {order}")
+        jet_order = max(order, jet_order)
+        # only --hat admits a negative power in the input
+        laurent = laurent or (hat and any(
+            min(p.coefficient_layers(1), default=0) < 0 for p in polys))
+        if laurent and jet_order > _MAX_LAURENT_JET_ORDER:
+            raise _InvalidArgument(f"a request with a negative power of u_1 must have jet "
+                                   f"order at most {_MAX_LAURENT_JET_ORDER}, got {jet_order}")
 
 
 def _load_manifest(args, path):
-    """The checked operators of a manifest, (base, {order: correction},
-    truncation); `_series` takes their derivatives."""
+    """The parsed operators of a manifest, ({order: operator}, truncation)
+    with the base at order 0; `_bounded` bounds them and `_series` takes
+    their derivatives."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -219,18 +200,14 @@ def _load_manifest(args, path):
     if max(table, default=0) > trunc:
         raise _InvalidArgument(f"manifest correction order {max(table)} exceeds "
                                f"its truncation {trunc}")
-    base = _manifest_operator(args, doc["base"])
-    return base, {k: _manifest_operator(args, table[k]) for k in sorted(table)}, trunc
+    ops = {0: doc["base"], **table}
+    return {k: parse_operator(ops[k], hat=args.hat) for k in sorted(ops)}, trunc
 
 
-def _series(base, table, trunc) -> EpsilonDeformation:
-    corrections = []
-    for k in range(1, trunc + 1):
-        if k in table:
-            corrections.append(operator_to_bivector(table[k]))
-        else:
-            corrections.append(MultiVector(SuperPolynomial(), 2))
-    return EpsilonDeformation(operator_to_bivector(base), corrections, trunc)
+def _series(ops, trunc) -> EpsilonDeformation:
+    corrections = [operator_to_bivector(ops[k]) if k in ops else MultiVector(SuperPolynomial(), 2)
+                   for k in range(1, trunc + 1)]
+    return EpsilonDeformation(operator_to_bivector(ops[0]), corrections, trunc)
 
 
 def _dump_series(D: EpsilonDeformation) -> dict:
@@ -245,39 +222,47 @@ def _dump_series(D: EpsilonDeformation) -> dict:
 
 def _cmd_bracket(args):
     _one_stdin(args.a, args.b)
-    a, b = _density(args, args.a), _density(args, args.b)
+    a, b = _read(args, args.a), _read(args, args.b)
+    _bounded(args.hat, a, b)
     res = schouten_bracket(canonical_class(a), canonical_class(b))
     _emit({"bracket": str(res.rep), "theta_degree": res.theta_degree}, args)
     return 0
 
 
 def _cmd_dtot(args):
-    _emit({"result": str(_density(args, args.expr).total_derivative())}, args)
+    x = _read(args, args.expr)
+    _bounded(args.hat, x)
+    _emit({"result": str(x.total_derivative())}, args)
     return 0
 
 
 def _cmd_vder(args):
-    _at_least(args, "level")
-    r = variational_derivative(_density(args, args.expr), args.slot, level=args.level)
+    x = _read(args, args.expr)
+    _bounded(args.hat, x)
+    r = variational_derivative(x, args.slot, level=args.level)
     _emit({"result": str(r), "slot": args.slot, "level": args.level}, args)
     return 0
 
 
 def _cmd_normalize(args):
-    _emit({"result": str(normalize_N(_density(args, args.expr)))}, args)
+    x = _read(args, args.expr)
+    _bounded(args.hat, x)
+    _emit({"result": str(normalize_N(x))}, args)
     return 0
 
 
 def _cmd_check_hamiltonian(args):
-    B = operator_to_bivector(_operator(args, args.op))
-    ok = is_hamiltonian(B)
+    D = _read(args, args.op, parse_operator)
+    _bounded(args.hat, D)
+    ok = is_hamiltonian(operator_to_bivector(D))
     _emit({"hamiltonian": ok}, args)
     return 0 if ok else 1
 
 
 def _cmd_check_compatible(args):
     _one_stdin(args.op1, args.op2)
-    D1, D2 = _operator(args, args.op1), _operator(args, args.op2)
+    D1, D2 = _read(args, args.op1, parse_operator), _read(args, args.op2, parse_operator)
+    _bounded(args.hat, D1, D2)
     B1, B2 = operator_to_bivector(D1), operator_to_bivector(D2)
     ok = is_hamiltonian(B1) and is_hamiltonian(B2) and are_compatible(B1, B2)
     _emit({"compatible": ok}, args)
@@ -285,8 +270,6 @@ def _cmd_check_compatible(args):
 
 
 def _cmd_hierarchy(args):
-    _at_least(args, "n")
-    _at_most(args, "n", _MAX_HIERARCHY_N)
     hams = hierarchy(args.n)
     doc = {"hamiltonians": [
         {"index": i - 1, "density": str(H.rep),
@@ -298,9 +281,13 @@ def _cmd_hierarchy(args):
 
 
 def _cmd_symmetries(args):
-    _at_least(args, "max_order", "max_udeg", "degree")
-    _at_most(args, "degree", _MAX_SYMMETRY_DEGREE)
-    _at_most(args, "max_udeg", _MAX_UDEG)
+    # the time grows with the column count and, per column, with the degree
+    max_order = args.degree if args.max_order is None else args.max_order
+    columns = len(enumerate_basis(GradedSlice(max_order, 0), 0, args.degree))
+    cost = columns * (args.max_udeg + 1) * args.degree ** 2
+    if cost > _MAX_SLICE_COST:
+        raise _InvalidArgument(f"symmetries slice columns times degree squared must be at "
+                               f"most {_MAX_SLICE_COST}, got {cost}")
     basis = symmetry_space(args.degree, args.max_udeg, max_order=args.max_order)
     _emit({"degree": args.degree, "dimension": len(basis),
            "basis": sorted(str(b) for b in basis)}, args)
@@ -308,9 +295,9 @@ def _cmd_symmetries(args):
 
 
 def _cmd_obstruction(args):
-    _at_least(args, "order")
-    _at_most(args, "order", _MAX_ORDER)
-    D = _series(*_load_manifest(args, args.manifest))
+    ops, trunc = _load_manifest(args, args.manifest)
+    _bounded(args.hat, manifest=ops.values())
+    D = _series(ops, trunc)
     order = args.order if args.order is not None else D.truncation
     res = mc_residual(D, order)
     doc = {"mc_residual": [str(r.rep) for r in res],
@@ -324,12 +311,10 @@ def _cmd_obstruction(args):
 
 
 def _cmd_miura_push(args):
-    _at_least(args, "order")
-    _at_most(args, "order", _MAX_ORDER)
-    _at_least(args, "weight", minimum=1)
-    manifest = _load_manifest(args, args.manifest)
-    x = _density(args, args.x)
-    D = _series(*manifest)
+    ops, trunc = _load_manifest(args, args.manifest)
+    x = _read(args, args.x)
+    _bounded(args.hat, x, manifest=ops.values())
+    D = _series(ops, trunc)
     X = canonical_class(x * SuperPolynomial.theta(0))
     N = args.order if args.order is not None else D.truncation
     pushed = miura_push(D, X, args.weight, N)
@@ -338,8 +323,8 @@ def _cmd_miura_push(args):
 
 
 def _cmd_quasi_trivialize(args):
-    _at_least(args, "max_udeg", "degree")
-    g = _density(args, args.g)
+    g = _read(args, args.g)
+    _bounded(args.hat, g)
     k = g.theta_degree()
     if g and k != 0:
         raise _InvalidArgument(
@@ -395,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hat", action="store_true",
                         help="allow Laurent powers of u_1")
+    common.set_defaults(ranges={})
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="pretty", action="store_false",
                      default=False, help="compact JSON output (default)")
@@ -422,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--slot", choices=("u", "theta"), default="u")
     p.add_argument("--level", type=int, default=0)
-    p.set_defaults(func=_cmd_vder)
+    p.set_defaults(func=_cmd_vder, ranges={"level": (0, None)})
 
     p = sub.add_parser("normalize", parents=[common],
                        help="normalization operator N")
@@ -443,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hierarchy", parents=[common],
                        help="dispersionless KdV Hamiltonians H_{-1}..H_n")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_hierarchy)
+    p.set_defaults(func=_cmd_hierarchy, ranges={"n": (0, 2_000)})
 
     p = sub.add_parser("symmetries", parents=[common],
                        help="joint kernel of d_P and d_Q in a graded slice")
@@ -452,14 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on the jet order of the slice (default: the degree)")
     p.add_argument("--max-udeg", type=int, default=6,
                    help="cap on the power of u in the slice (default: 6)")
-    p.set_defaults(func=_cmd_symmetries)
+    p.set_defaults(func=_cmd_symmetries, ranges={
+        "max_order": (0, None), "max_udeg": (0, 1_000), "degree": (0, 11)})
 
     p = sub.add_parser("obstruction", parents=[common],
                        help="Maurer-Cartan residuals and obstruction cocycle "
                             "of a deformation manifest")
     p.add_argument("manifest")
     p.add_argument("--order", type=int, default=None)
-    p.set_defaults(func=_cmd_obstruction)
+    p.set_defaults(func=_cmd_obstruction, ranges={"order": (0, _MAX_ORDER)})
 
     p = sub.add_parser("miura-push", parents=[common],
                        help="push a deformation manifest along exp(-eps^p ad_X)")
@@ -467,17 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="characteristic of X")
     p.add_argument("--weight", type=int, default=1)
     p.add_argument("--order", type=int, default=None)
-    p.set_defaults(func=_cmd_miura_push)
+    p.set_defaults(func=_cmd_miura_push, ranges={"order": (0, _MAX_ORDER), "weight": (1, None)})
 
     p = sub.add_parser("quasi-trivialize", parents=[common],
                        help="quasi-triviality witness for the tail cocycle "
                             "d_P int(g theta) dx")
     p.add_argument("--g", required=True)
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--max-udeg", type=int, default=None,
-                   help="no effect: the witness needs no slice (a negative "
-                        "value is still refused)")
-    p.set_defaults(func=_cmd_quasi_trivialize)
+    p.set_defaults(func=_cmd_quasi_trivialize, ranges={"degree": (0, None)})
 
     p = sub.add_parser("psi-check", parents=[common],
                        help="verify the quasi-Miura seed identity")
@@ -499,6 +483,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _in_range(args)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - every failure becomes an error object
         code = _error_code(exc)

@@ -54,7 +54,7 @@ CASES = {
     "miura-push": ["miura-push", "@kdv", "--x", "u_1^2", "--weight", "2"],
     "miura-push-flat": ["miura-push", "@flat", "--x", "1/2*u_3", "--order", "1"],
     "quasi-trivialize": ["quasi-trivialize", "--g", "d(u_1*u)", "--degree", "2"],
-    "quasi-trivialize-udeg": ["quasi-trivialize", "--g", "d(u_1*u^2)", "--max-udeg", "4"],
+    "quasi-trivialize-udeg": ["quasi-trivialize", "--g", "d(u_1*u^2)"],
     "quasi-trivialize-degree-zero": ["quasi-trivialize", "--g", "1/2*u^2"],
     "psi-check": ["psi-check"],
     "selftest": ["selftest"],

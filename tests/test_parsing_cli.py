@@ -295,6 +295,8 @@ class TestCLI:
         ["symmetries", "--degree", "18"],
         ["symmetries", "--degree", "3", "--max-udeg", "1001"],
         ["symmetries", "--degree", "3", "--max-udeg", "6000"],
+        # and so is their product, the size of the slice
+        ["symmetries", "--degree", "11", "--max-udeg", "40"],
     ])
     def test_out_of_range_argument_exit_two(self, capsys, argv):
         assert main(argv) == 2
@@ -493,12 +495,92 @@ def test_nesting_up_to_the_bound_parses():
     ["hierarchy", "--n", "1", "--max-order", "3"],
     ["dtot", "--max-udeg", "2", "u"],
     ["quasi-trivialize", "--g", "d(u_1*u)", "--max-order", "3"],
+    ["quasi-trivialize", "--g", "d(u_1*u)", "--max-udeg", "4"],
 ])
 def test_slice_caps_only_where_read(argv):
-    # --max-order belongs to symmetries, --max-udeg to symmetries and
-    # quasi-trivialize; argparse rejects them elsewhere with exit 2
+    # --max-order and --max-udeg belong to symmetries, the one command that
+    # searches a slice; argparse rejects them elsewhere with exit 2
     code, doc = run_cli(*argv)
     assert code == 2 and doc is None
+
+
+# the exact answer to each request with a single error: both ends of every
+# declared flag range, the jet-order bound under each of its three labels,
+# and the Laurent bound, which names the largest jet order parsed so far
+_REFUSALS = [
+    (["vder", "--level", "-1", "u_2"], "--level must be at least 0, got -1"),
+    (["hierarchy", "--n", "-1"], "--n must be at least 0, got -1"),
+    (["hierarchy", "--n", "2001"], "--n must be at most 2000, got 2001"),
+    (["symmetries", "--degree", "-1"], "--degree must be at least 0, got -1"),
+    (["symmetries", "--degree", "12"], "--degree must be at most 11, got 12"),
+    (["symmetries", "--degree", "2", "--max-udeg", "-1"], "--max-udeg must be at least 0, got -1"),
+    (["symmetries", "--degree", "2", "--max-udeg", "1001"],
+     "--max-udeg must be at most 1000, got 1001"),
+    (["symmetries", "--degree", "2", "--max-order", "-1"],
+     "--max-order must be at least 0, got -1"),
+    (["quasi-trivialize", "--g", "d(u_1*u)", "--degree", "-1"],
+     "--degree must be at least 0, got -1"),
+    (["obstruction", "@unread", "--order", "-1"], "--order must be at least 0, got -1"),
+    (["obstruction", "@unread", "--order", "10001"], "--order must be at most 10000, got 10001"),
+    (["miura-push", "@unread", "--x", "u_1", "--order", "-1"],
+     "--order must be at least 0, got -1"),
+    (["miura-push", "@unread", "--x", "u_1", "--order", "10001"],
+     "--order must be at most 10000, got 10001"),
+    (["miura-push", "@unread", "--x", "u_1", "--weight", "0"],
+     "--weight must be at least 1, got 0"),
+    (["dtot", "--", "theta_1001"], "expression jet order must be at most 1000, got 1001"),
+    (["check-hamiltonian", "D: del^1001"], "operator jet order must be at most 1000, got 1001"),
+    (["obstruction", "@deep"], "manifest operator jet order must be at most 1000, got 1002"),
+    (["bracket", "--hat", "--", "u_1^-1*u_30*theta", "u_60*theta*theta_1"],
+     "a request with a negative power of u_1 must have jet order at most 20, got 30"),
+    (["bracket", "--hat", "--", "u_60*theta*theta_1", "u_1^-1*theta"],
+     "a request with a negative power of u_1 must have jet order at most 20, got 60"),
+    (["miura-push", "--hat", "@flat", "--x", "u_1^-1*u_21"],
+     "a request with a negative power of u_1 must have jet order at most 20, got 21"),
+    (["bracket", "--", "-", "-"], "at most one argument may be '-' (stdin)"),
+]
+_REFUSAL_MANIFESTS = {"deep": {"base": "D: u_1001*del + 1/2*u_1002"},
+                      "flat": {"base": "D: u*del", "truncation": 2}}
+
+
+@pytest.mark.parametrize("argv, message", _REFUSALS, ids=[" ".join(a) for a, _ in _REFUSALS])
+def test_single_error_answer_is_pinned(capsys, tmp_path, argv, message):
+    for name, doc in _REFUSAL_MANIFESTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == \
+        '{"error":{"code":"invalid-argument","message":"' + message + '"}}\n'
+
+
+def test_parse_error_comes_before_the_jet_order_bound(capsys):
+    # every input of a request is parsed before any is bounded
+    assert main(["bracket", "--", "u_2000*theta", "u*+"]) == 2
+    assert capsys.readouterr().out == (
+        '{"error":{"code":"parse-error","column":3,"expected":["int","name","(","-"],'
+        '"message":"unexpected token \'+\' at column 3"}}\n')
+
+
+@pytest.mark.parametrize("argv, refused", [
+    # columns times degree squared: 56*7*121, 3*1001*9, 56*11*121, 5*937*16
+    (["--degree", "11"], False),
+    (["--degree", "3", "--max-udeg", "1000"], False),
+    (["--degree", "11", "--max-udeg", "10"], False),
+    (["--degree", "4", "--max-udeg", "936"], False),
+    # 56*12*121, 5*938*16 and 42*18*100
+    (["--degree", "11", "--max-udeg", "11"], True),
+    (["--degree", "4", "--max-udeg", "937"], True),
+    (["--degree", "10", "--max-udeg", "17"], True),
+    # a jet-order cap shrinks the slice: 16*31*121
+    (["--degree", "11", "--max-udeg", "30", "--max-order", "3"], False),
+])
+def test_symmetries_slice_is_bounded_before_it_is_built(capsys, monkeypatch, argv, refused):
+    import jetbrackets.cli as cli
+
+    monkeypatch.setattr(cli, "symmetry_space", lambda *args, **kwargs: [])
+    assert main(["symmetries", *argv]) == (2 if refused else 0)
+    doc = json.loads(capsys.readouterr().out)
+    assert ("error" in doc) == refused
 
 
 def test_selftest_reports_the_exception(capsys, monkeypatch):
