@@ -23,10 +23,12 @@ On packed keys the ring is integer arithmetic.  A product of monomials whose
 theta bits are disjoint (theta^2 = 0 otherwise) has the key m1 + m2 - `_ONE`,
 one guard-mask test per term checks its range, and its Koszul sign is the
 parity of the inversions between the two odd parts, one `int.bit_count` over
-a mask precomputed per left term (`_inversion_mask`).  d of u_k^e is e times
-the key minus the unit of field k plus the unit of field k+1; d of theta_k
-moves its bit one field up.  Odd factors are ordered by index, and odd partial
-derivatives are left derivations.
+a mask precomputed per left term (`_inversion_mask`).  `_mul_into`, the one
+product loop, adds n a b to an int dict: `*` and the Schouten bracket's two
+products share it.  theta m is m with bit 0 set (`_theta_times`).  d of u_k^e
+is e times the key minus the unit of field k plus the unit of field k+1; d of
+theta_k moves its bit one field up.  Odd factors are ordered by index, and
+odd partial derivatives are left derivations.
 
 `terms` is the view for printing, parsing and tests, built on demand
 with no memo: a fresh dict {(even, odd): Fraction} whose even part is a
@@ -44,7 +46,8 @@ which drops zeros and divides out the gcd.
 
 Every derivation goes through one integer kernel: `_file` files the signed
 partial derivatives of the numerators under the power of d they are to
-receive, in one sweep; `_add_derivative` applies d once.  Neither changes D.
+receive, in one sweep; `_add_derivative` applies d once, into its output
+dict, which it returns unless a term cancelled.  Neither changes D.
 partial_u and partial_theta are one filing, d^n is n steps, and
 `_variational` is one filing plus Horner in d.  `_antidiff_u`, the
 antiderivative in u_k, adds one unit to field k of each key.  `_integrate`,
@@ -327,6 +330,8 @@ class SuperPolynomial:
             return NotImplemented
         if not other._nums:
             return self
+        if not self._nums:
+            return other
         D = lcm(self._D, other._D)
         sa, sb = D // self._D, D // other._D
         nums = {m: c * sa for m, c in self._nums.items()} if sa != 1 else dict(self._nums)
@@ -356,33 +361,7 @@ class SuperPolynomial:
             return _make({m: c * n for m, c in self._nums.items()}, self._D * other.denominator)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        a, b = self._nums, other._nums
-        if not a or not b:
-            return _make({}, 1)
-        tmask, guard = _masks(max(max(a), max(b)))
-        right = [(m, m & tmask, c) for m, c in b.items()]
-        right_odd = any(t for _, t, _ in right)
-        out: dict = {}
-        get = out.get
-        for m1, c1 in a.items():
-            t1 = m1 & tmask
-            m1 -= _ONE
-            if t1 and right_odd:
-                inv = _inversion_mask(t1)
-                for m2, t2, c2 in right:
-                    if t1 & t2:
-                        continue  # theta^2 = 0
-                    key = m1 + m2
-                    if key & guard:
-                        raise _range_error("a product")
-                    out[key] = get(key, 0) + (-c1 * c2 if (inv & t2).bit_count() & 1 else c1 * c2)
-            else:
-                for m2, _, c2 in right:
-                    key = m1 + m2
-                    if key & guard:
-                        raise _range_error("a product")
-                    out[key] = get(key, 0) + c1 * c2
-        return _make(out, self._D * other._D)
+        return _make(_mul_into({}, self._nums, other._nums, 1), self._D * other._D)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -565,6 +544,42 @@ def _make(nums: dict, D: int) -> SuperPolynomial:
     return p
 
 
+def _mul_into(out: dict, a: dict, b: dict, n: int) -> dict:
+    """out += n a b for int dicts, in place, term by term in the order of a
+    then b, and returns out; the denominator is the caller's."""
+    if not a or not b:
+        return out
+    tmask, guard = _masks(max(max(a), max(b)))
+    right = [(m, m & tmask, c) for m, c in b.items()]
+    right_odd = any(t for _, t, _ in right)
+    get = out.get
+    for m1, c1 in a.items():
+        t1 = m1 & tmask
+        m1 -= _ONE
+        c1 *= n
+        if t1 and right_odd:
+            inv = _inversion_mask(t1)
+            for m2, t2, c2 in right:
+                if t1 & t2:
+                    continue  # theta^2 = 0
+                key = m1 + m2
+                if key & guard:
+                    raise _range_error("a product")
+                out[key] = get(key, 0) + (-c1 * c2 if (inv & t2).bit_count() & 1 else c1 * c2)
+        else:
+            for m2, _, c2 in right:
+                key = m1 + m2
+                if key & guard:
+                    raise _range_error("a product")
+                out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _theta_times(x: SuperPolynomial, k: int) -> SuperPolynomial:
+    """theta x / k, k > 0: theta_0 sorts first, so theta m is m | 1 with sign +1, or 0."""
+    return _make({m | 1: c for m, c in x._nums.items() if not m & 1}, x._D * k)
+
+
 # -- the derivation kernel (see the module docstring) --------------------------
 
 # table of derivatives of the parts of monomials.  d is an even derivation,
@@ -637,9 +652,9 @@ def _theta_moves(t: int):
 
 def _add_derivative(out: dict, terms: dict) -> dict:
     """out + d(terms) for int dicts, without zero coefficients; out is
-    updated in place.  For each term m = E theta^t, the terms of d(E) theta^t
-    come first, then those of E d(theta^t), each in field order.  The one
-    reader of `_DERIV_CACHE`."""
+    updated in place, and is the result unless a coefficient cancelled.  For
+    each term m = E theta^t, the terms of d(E) theta^t come first, then those
+    of E d(theta^t), each in field order.  The one reader of `_DERIV_CACHE`."""
     cache = _DERIV_CACHE
     get = out.get
     for m, c in terms.items():
@@ -668,7 +683,7 @@ def _add_derivative(out: dict, terms: dict) -> dict:
         for step in moves:
             key = m + step
             out[key] = get(key, 0) + c
-    return {m: c for m, c in out.items() if c}
+    return {m: c for m, c in out.items() if c} if 0 in out.values() else out
 
 
 def _file(nums: dict, odd: bool, lo: int, hi: float = inf) -> dict:

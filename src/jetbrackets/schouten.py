@@ -14,17 +14,21 @@ Each class carries its delta_theta and delta_u (see
 at most once per class and a delta_u only against a nonzero delta_theta,
 so d_P, d_Q, the Maurer-Cartan residuals and the Jacobi checks
 differentiate each operand at most once per variable however often they
-bracket it.  The bracket's result carries the delta_theta its canonical
-representative was formed from.
+bracket it.  The density is formed in one pass: both products accumulate
+into one int dict over the lcm of their denominators (`algebra._mul_into`),
+and its known theta-degree goes with it to the canonical form.  The
+bracket's result carries the delta_theta its representative was formed from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ._records import FrozenRecord
-from .algebra import AlgebraError, DiffOperator, SkewnessError, SuperPolynomial, _theta_free
-from .variational import MultiVector, canonical_class, operator_to_bivector
+from .algebra import (AlgebraError, DiffOperator, SkewnessError, SuperPolynomial, _make,
+                      _mul_into, _numerators, _theta_free)
+from .variational import MultiVector, _class_of_degree, canonical_class, operator_to_bivector
 
 
 def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -32,18 +36,26 @@ def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
     variational derivatives each class carries, so a class bracketed many
     times (a differential d_H, a slice column) is differentiated once."""
     ka, kb = a.theta_degree, b.theta_degree
+    k = max(ka + kb - 1, 0)
     if a.is_zero() or b.is_zero():
-        return MultiVector(SuperPolynomial(), max(ka + kb - 1, 0))
-    sign = 1 if (ka + 1) % 2 == 0 else -1
-    density = SuperPolynomial()
+        return MultiVector(SuperPolynomial(), k)
+    # both products go into one int dict over the lcm of their denominators
+    nums, D = {}, 1
     dtF, dtG = a._delta_theta(), b._delta_theta()
     if dtF:
-        density = density + dtF * b._delta_u() * sign
+        (f, Df), (g, Dg) = _numerators(dtF), _numerators(b._delta_u())
+        D = Df * Dg
+        _mul_into(nums, f, g, 1 if ka & 1 else -1)
     if dtG:
-        density = density - a._delta_u() * dtG
-    if density.is_zero():
-        return MultiVector(density, max(ka + kb - 1, 0))
-    return canonical_class(density)
+        (f, Df), (g, Dg) = _numerators(a._delta_u()), _numerators(dtG)
+        L = lcm(D, Df * Dg)
+        if L != D or 0 in nums.values():
+            # drop cancelled keys, as the two-step sum did: one that comes back goes last
+            nums = {m: c * (L // D) for m, c in nums.items() if c}
+        _mul_into(nums, f, g, -(L // (Df * Dg)))
+        D = L
+    density = _make(nums, D)
+    return _class_of_degree(density, k) if density else MultiVector(density, k)
 
 
 def differential_dH(H: MultiVector, a: MultiVector) -> MultiVector:

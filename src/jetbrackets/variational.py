@@ -29,13 +29,13 @@ each term of g, n steps in all, where the homotopy took about n^2/2.
 Every variational derivative (delta_u and delta_theta at every level) and N
 run through the algebra layer's integer derivation kernel,
 `algebra._variational`, which works on the numerators and keeps the
-denominator; N multiplies by theta, and a canonical representative divides
-by k, which multiplies the denominator by k.  The operator of a bivector B
-is read off delta_theta B = sum_j D_j theta_j as D_j = partial_theta(j) of
-it, and `antidiff_square` and the dKdV hierarchy lift are antiderivatives
-in u_k (`algebra._antidiff_u`).  A class carries the delta_theta and
-delta_u of its representative (see MultiVector), so the Schouten bracket
-differentiates each class at most once per variable.
+denominator; N multiplies by theta, a shift of the keys, and a canonical
+representative divides by k, which multiplies the denominator by k.  The
+operator of a bivector B is read off delta_theta B = sum_j D_j theta_j as
+D_j = partial_theta(j) of it, and `antidiff_square` and the dKdV hierarchy
+lift are antiderivatives in u_k (`algebra._antidiff_u`).  A class carries
+the delta_theta and delta_u of its representative (see MultiVector), so the
+Schouten bracket differentiates each class at most once per variable.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .algebra import (
     _antidiff_u,
     _integrate,
     _theta_free,
+    _theta_times,
     _variational,
 )
 
@@ -80,12 +81,9 @@ def variational_derivative(a: SuperPolynomial, slot: str = "u", *,
     raise AlgebraError(f"unknown variational slot {slot!r}")
 
 
-_THETA = SuperPolynomial.theta()
-
-
 def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
     """The normalization operator N = theta delta_theta."""
-    return _THETA * _variational(a, True, 0)
+    return _theta_times(_variational(a, True, 0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +235,8 @@ _ZERO = SuperPolynomial()
 def _class_of(dtheta: SuperPolynomial, k: int) -> MultiVector:
     """The class of theta-degree k >= 1 whose representative has the
     theta-variational derivative dtheta: rep = theta dtheta / k."""
-    # (1/k) N(a), written out so that traces count only explicit N calls
-    out = MultiVector(_THETA * dtheta / k, k)
+    # (1/k) N(a) from the delta_theta a at hand, not a second normalize_N
+    out = MultiVector(_theta_times(dtheta, k), k)
     out._dtheta = dtheta
     return out
 
@@ -254,6 +252,11 @@ def canonical_class(a: SuperPolynomial) -> MultiVector:
         out = MultiVector(a, 0)
         out._dtheta = out._du = a
         return out
+    return _class_of_degree(a, k)
+
+
+def _class_of_degree(a: SuperPolynomial, k: int) -> MultiVector:
+    """canonical_class(a) for a nonzero a of known theta-degree k, with no scan for k."""
     if k == 0:
         out = MultiVector(_integrate(a)[1], 0)
         out._dtheta = _ZERO

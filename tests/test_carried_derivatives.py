@@ -182,3 +182,17 @@ def test_sums_and_multiples_are_not_differentiated_again(monkeypatch):
     s = a + b.scale(Fraction(2, 3)) - a.scale(4)
     assert calls == []
     assert s._dtheta == higher_variational_theta(s.rep)
+
+
+def test_a_brackets_canonical_form_is_counted(monkeypatch):
+    # the bracket reaches the kernel through the variational module, so the
+    # counts above include the canonical form of its density
+    _, Q = _fresh_pencil_classes()
+    c = canonical_class(SP.u(0) ** 2 * SP.u(2) * SP.theta(0))
+    for x in (Q, c):
+        x._delta_theta(), x._delta_u()
+    calls = _count_kernel(monkeypatch)
+    image = schouten_bracket(Q, c)
+    assert not image.is_zero()
+    assert [odd for _, odd in calls] == [True]
+    assert image._dtheta == higher_variational_theta(calls[0][0])

@@ -143,3 +143,21 @@ def test_size_bounds_change_no_result(monkeypatch):
     assert _results() == expected
     assert 0 < len(deform._IMAGES) <= 3
     assert 0 < len(algebra._DERIV_CACHE) <= 5
+
+
+def test_an_image_is_put_in_canonical_form_through_the_counted_kernel(cold, monkeypatch):
+    calls = []
+    kernel = variational._variational
+
+    def counting_kernel(a, odd, level):
+        calls.append(odd)
+        return kernel(a, odd, level)
+
+    H = PENCIL.Q
+    H._delta_theta(), H._delta_u()
+    monkeypatch.setattr(variational, "_variational", counting_kernel)
+    matrix = deform.slice_matrix([SP.u(0) ** 2 * SP.u(2) * SP.theta(0)], [H])
+    assert matrix.rows
+    # the column's delta_theta and delta_u, then the canonical form of its
+    # image, which the bracket reaches through the variational module
+    assert calls == [True, False, True]
