@@ -34,11 +34,13 @@ with a negative power of u_1 in any input (both arguments of `bracket` and
 `check-compatible`, a manifest's base and corrections, `--x`, `--g`) every
 input is bounded at jet order 20, since d^n of u_1^-1 has p(n) terms.  Every
 input of a request is parsed before any is bounded, and all are bounded
-before the command computes; but `d(...)` is evaluated while its expression
-is parsed, so a deeply nested derivative of a Laurent input costs its terms
-before the bound refuses it.  A `symmetries` slice whose column count times
-the degree squared exceeds 75 000 gives `invalid-argument` before any
-bracket is computed; the largest accepted slices answer in about two seconds.
+before the command computes.  `d(...)` is evaluated while its expression is
+parsed, so the parser itself refuses, as a `parse-error` at that `d`, a
+`d(...)` whose operand has a negative power of u_1 and jet order above 20:
+a nested derivative of a Laurent input stops there, before its terms grow.
+A `symmetries` slice whose column count times the degree squared exceeds
+75 000 gives `invalid-argument` before any bracket is computed; the largest
+accepted slices answer in about two seconds.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ from .dkdv import (
     quasi_trivialize_from_generator,
     symmetry_space,
 )
-from .parsing import ParseError, format_operator, parse_density, parse_operator
+from .parsing import (_MAX_LAURENT_JET_ORDER, ParseError, format_operator, parse_density,
+                      parse_operator)
 from .schouten import are_compatible, is_hamiltonian, schouten_bracket
 from .variational import (
     MultiVector,
@@ -83,7 +86,6 @@ from .variational import (
 
 _MAX_ORDER = 10_000  # largest truncation or --order of a series request
 _MAX_JET_ORDER = 1_000  # largest jet index of a parsed expression or operator
-_MAX_LAURENT_JET_ORDER = 20  # the same, in a request with a negative power of u_1
 _MAX_SLICE_COST = 75_000  # largest columns * degree^2 of a symmetries slice
 
 
@@ -132,7 +134,7 @@ def _read(args, text, parse=parse_density):
 
 
 def _emit(doc, args) -> None:
-    if getattr(args, "pretty", False):
+    if args.pretty:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
@@ -378,14 +380,12 @@ def _cmd_selftest(args):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hat", action="store_true",
-                        help="allow Laurent powers of u_1")
+    common.add_argument("--pretty", action="store_true", help="indented JSON output")
     common.set_defaults(ranges={})
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="pretty", action="store_false",
-                     default=False, help="compact JSON output (default)")
-    fmt.add_argument("--pretty", dest="pretty", action="store_true",
-                     help="indented JSON output")
+    # --hat only for the subcommands that parse an expression, operator or manifest
+    hat = argparse.ArgumentParser(add_help=False)
+    hat.add_argument("--hat", action="store_true", help="allow Laurent powers of u_1")
+    parsed = [hat, common]
 
     ap = argparse.ArgumentParser(
         prog="jetbrackets",
@@ -393,34 +393,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "on jet space.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bracket", parents=[common],
+    p = sub.add_parser("bracket", parents=parsed,
                        help="Schouten bracket of two densities")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=_cmd_bracket)
 
-    p = sub.add_parser("dtot", parents=[common], help="total derivative")
+    p = sub.add_parser("dtot", parents=parsed, help="total derivative")
     p.add_argument("expr")
     p.set_defaults(func=_cmd_dtot)
 
-    p = sub.add_parser("vder", parents=[common],
+    p = sub.add_parser("vder", parents=parsed,
                        help="(higher) variational derivative")
     p.add_argument("expr")
     p.add_argument("--slot", choices=("u", "theta"), default="u")
     p.add_argument("--level", type=int, default=0)
     p.set_defaults(func=_cmd_vder, ranges={"level": (0, None)})
 
-    p = sub.add_parser("normalize", parents=[common],
+    p = sub.add_parser("normalize", parents=parsed,
                        help="normalization operator N")
     p.add_argument("expr")
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("check-hamiltonian", parents=[common],
+    p = sub.add_parser("check-hamiltonian", parents=parsed,
                        help="certify [[D, D]] = 0 for an operator")
     p.add_argument("op")
     p.set_defaults(func=_cmd_check_hamiltonian)
 
-    p = sub.add_parser("check-compatible", parents=[common],
+    p = sub.add_parser("check-compatible", parents=parsed,
                        help="certify a pair of operators as a pencil")
     p.add_argument("op1")
     p.add_argument("op2")
@@ -441,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_symmetries, ranges={
         "max_order": (0, None), "max_udeg": (0, 1_000), "degree": (0, 11)})
 
-    p = sub.add_parser("obstruction", parents=[common],
+    p = sub.add_parser("obstruction", parents=parsed,
                        help="Maurer-Cartan residuals and obstruction cocycle "
                             "of a deformation manifest")
     p.add_argument("manifest")
     p.add_argument("--order", type=int, default=None)
     p.set_defaults(func=_cmd_obstruction, ranges={"order": (0, _MAX_ORDER)})
 
-    p = sub.add_parser("miura-push", parents=[common],
+    p = sub.add_parser("miura-push", parents=parsed,
                        help="push a deformation manifest along exp(-eps^p ad_X)")
     p.add_argument("manifest")
     p.add_argument("--x", required=True, help="characteristic of X")
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.set_defaults(func=_cmd_miura_push, ranges={"order": (0, _MAX_ORDER), "weight": (1, None)})
 
-    p = sub.add_parser("quasi-trivialize", parents=[common],
+    p = sub.add_parser("quasi-trivialize", parents=parsed,
                        help="quasi-triviality witness for the tail cocycle "
                             "d_P int(g theta) dx")
     p.add_argument("--g", required=True)

@@ -105,24 +105,16 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     return out
 
 
-def is_order_n_deformation(D: EpsilonDeformation, n: int) -> bool:
-    return all(r.is_zero() for r in mc_residual(D, n))
-
-
 def obstruction(D: EpsilonDeformation, n: int) -> MultiVector:
     """The obstruction cocycle sum_{i=1}^{n} [[H_i, H_{n-i+1}]] blocking the
-    extension of an order-n deformation; always closed for the base.  Like
-    mc_residual, it brackets only pairs of nonzero corrections."""
-    if not is_order_n_deformation(D, n):
+    extension of an order-n deformation; always closed for the base.  The
+    series cut at eps^n has no H_{n+1}, so its mc_residual to order n + 1 is
+    the Maurer-Cartan check of order n and then half the cocycle."""
+    *residual, half = mc_residual(EpsilonDeformation(D.base, D.corrections[:n], n), n + 1)
+    if not all(r.is_zero() for r in residual):
         raise MCViolation(f"not a deformation of order {n}")
-    orders = _nonzero_orders(D, n)
-    nonzero = set(orders)
-    acc = MultiVector(SuperPolynomial(), 3)
-    for i in orders:
-        if n - i + 1 in nonzero:
-            acc = acc + schouten_bracket(D.term(i), D.term(n - i + 1))
-    closure = schouten_bracket(D.term(0), acc)
-    if not closure.is_zero():
+    acc = half.scale(2)
+    if not schouten_bracket(D.base, acc).is_zero():
         raise AssertionError("obstruction cocycle is not closed: internal error")
     return acc
 
@@ -274,7 +266,7 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
         # e_1 := rem - sum, e_0 free up to the cap
         for evens in _even_parts(rem + depth, 2, n):
             e1 = rem - sum(k * e for k, e in evens)
-            if e1 < -depth:
+            if e1 < -depth or (e1 and n < 1):
                 continue
             tail = ((((1, 1), e1),) if e1 else ()) + tuple(((1, k), e) for k, e in evens)
             for e0 in range(slice_.max_udeg + 1):

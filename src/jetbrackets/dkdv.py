@@ -472,10 +472,11 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
     if c1.is_zero():
         return EvolutionaryVF(SuperPolynomial()), c1
     ell0 = _tail_degree(c1, ell)
-    if ell0 == 0:
-        return quasi_trivialize(c1), c1
+    # d_P c1 = 0, since c1 is d_P-exact; only d_Q c1 = 0 is checked
     if not pencil.d_Q(c1).is_zero():
         raise AlgebraError("d_P int(g theta) is not d_Q-closed: g is not admissible")
+    if ell0 == 0:
+        return _degree_zero(c1, pencil), c1
     X = _d_P_primitive(pencil.d_Q(gmv))
     return _trivialize_pair(_characteristic(X), g, ell0, c1, pencil), c1
 

@@ -8,6 +8,10 @@ input may carry negative exponents on u_1.  Whitespace is insignificant.
 Numbers and subscripts are ASCII digits 0-9, at most as many as Python's
 int/str conversion allows (4300 unless set otherwise).  Parentheses, d(...)
 and unary minus signs nest factors in factors, at most _MAX_NESTING deep.
+`d(...)` is evaluated as it is parsed, and d^n of u_1^-1 has p(n) terms, so
+`d(...)` of an operand with a negative power of u_1 and jet order above
+_MAX_LAURENT_JET_ORDER is a ParseError at that `d`, raised before the
+derivative is taken.
 Printing uses the canonical term order, so parse(print(x)) == x.
 """
 
@@ -30,6 +34,7 @@ class ParseError(Exception):
 
 _SYMBOLS = "+-*^()/"
 _MAX_NESTING = 100  # nested factors; each costs at most five frames of the descent
+_MAX_LAURENT_JET_ORDER = 20  # jet-order bound wherever u_1^-1 appears: d(...), CLI inputs
 
 
 def _int(digits, column):
@@ -181,6 +186,11 @@ class _Parser:
             poly, delpow = val
             if delpow:
                 raise ParseError("d(...) takes a density, not an operator", col, name)
+            # only hat mode admits a negative power of u_1
+            if (self.hat and poly.order() > _MAX_LAURENT_JET_ORDER
+                    and min(poly.coefficient_layers(1), default=0) < 0):
+                raise ParseError(f"d(...) of an operand with a negative power of u_1 must "
+                                 f"have jet order at most {_MAX_LAURENT_JET_ORDER}", col, name)
             return (poly.total_derivative(), 0)
         if name == "del":
             if not self.operator:
@@ -251,11 +261,9 @@ def parse_density(text: str, hat: bool = False) -> SuperPolynomial:
     Laurent powers outside hat mode."""
     parser = _Parser(text, hat=hat, operator=False)
     try:
-        poly, delpow = parser.parse()
+        poly, _ = parser.parse()
     except AlgebraError as exc:
         raise ParseError(str(exc), 1) from exc
-    if delpow:
-        raise ParseError("'del' is only valid after the 'D:' prefix", 1)
     return poly
 
 

@@ -1,0 +1,257 @@
+"""Every CLI flag changes an answer, and each fact on the CLI's paths is
+checked once.
+
+`--json` is gone and `--hat` belongs only to the subcommands that parse an
+expression, operator or manifest; the obstruction cocycle is read off the
+Maurer-Cartan residual of the cut series; the degree-0 tail class and the
+operator read-off each check their condition once.  Also here: a slice with
+jet-order cap 0 admits no u_1, and the parser refuses a nested `d(...)` of a
+Laurent input before its terms grow.
+"""
+
+import contextlib
+import io
+import json
+import time
+
+import pytest
+
+from jetbrackets import (
+    AlgebraError,
+    DiffOperator,
+    EpsilonDeformation,
+    GradedSlice,
+    MCViolation,
+    MultiVector,
+    ParseError,
+    SuperPolynomial as SP,
+    bivector_to_operator,
+    canonical_class,
+    enumerate_basis,
+    mc_residual,
+    obstruction,
+    operator_to_bivector,
+    parse_density,
+    parse_operator,
+    schouten_bracket,
+)
+import jetbrackets.deform as deform
+import jetbrackets.schouten as schouten
+from jetbrackets.cli import build_parser, main
+from jetbrackets.dkdv import dkdv_pencil, quasi_trivialize, quasi_trivialize_from_generator
+
+# one request per subcommand; the first nine parse an expression, operator
+# or manifest
+_REQUESTS = {
+    "bracket": ["bracket", "u*theta", "u*theta"],
+    "dtot": ["dtot", "u"],
+    "vder": ["vder", "u"],
+    "normalize": ["normalize", "u*theta"],
+    "check-hamiltonian": ["check-hamiltonian", "D: del"],
+    "check-compatible": ["check-compatible", "D: del", "D: del"],
+    "obstruction": ["obstruction", "manifest.json"],
+    "miura-push": ["miura-push", "manifest.json", "--x", "u_1"],
+    "quasi-trivialize": ["quasi-trivialize", "--g", "d(u_1*u)"],
+    "hierarchy": ["hierarchy", "--n", "1"],
+    "symmetries": ["symmetries", "--degree", "1"],
+    "psi-check": ["psi-check"],
+    "selftest": ["selftest"],
+}
+_IDLE = ["hierarchy", "symmetries", "psi-check", "selftest"]
+
+
+def _usage_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(argv)
+    return exit_.value.code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(_REQUESTS))
+def test_json_flag_is_a_usage_error(name):
+    code, err = _usage_error(_REQUESTS[name] + ["--json"])
+    assert code == 2 and "unrecognized arguments: --json" in err
+
+
+@pytest.mark.parametrize("name", _IDLE)
+def test_hat_on_a_subcommand_that_parses_nothing_is_a_usage_error(name):
+    code, err = _usage_error(_REQUESTS[name] + ["--hat"])
+    assert code == 2 and "unrecognized arguments: --hat" in err
+
+
+@pytest.mark.parametrize("name", list(_REQUESTS))
+def test_pretty_everywhere_and_hat_where_an_input_is_parsed(name):
+    args = build_parser().parse_args(_REQUESTS[name] + ["--pretty"])
+    assert args.pretty is True
+    assert build_parser().parse_args(_REQUESTS[name]).pretty is False
+    if name not in _IDLE:
+        assert build_parser().parse_args(_REQUESTS[name] + ["--hat"]).hat is True
+        assert build_parser().parse_args(_REQUESTS[name]).hat is False
+
+
+# -- the obstruction cocycle -------------------------------------------------
+
+def _reference_obstruction(D, n):
+    """The pair loop obstruction() used before it read the cocycle off
+    mc_residual: sum_{i=1}^{n} [[H_i, H_{n-i+1}]] over nonzero corrections."""
+    if not all(r.is_zero() for r in mc_residual(D, n)):
+        raise MCViolation(f"not a deformation of order {n}")
+    orders = [k for k, H in enumerate(D.corrections[:n], 1) if not H.is_zero()]
+    nonzero = set(orders)
+    acc = MultiVector(SP(), 3)
+    for i in orders:
+        if n - i + 1 in nonzero:
+            acc = acc + schouten_bracket(D.term(i), D.term(n - i + 1))
+    return acc
+
+
+u, th = SP.u(0), SP.theta(0)
+P = operator_to_bivector(DiffOperator.d(1))
+Q = operator_to_bivector(parse_operator("D: u*del + 1/2*u_1"))
+B3 = operator_to_bivector(parse_operator("D: 3/2*del^3"))
+ZERO = MultiVector(SP(), 2)
+# d_P-exact, so d_P-closed, with [[EXACT, EXACT]] != 0 and [[Q, EXACT]] != 0
+EXACT = schouten.schouten_bracket(P, canonical_class(SP.u(1) ** 2 * th))
+# d_Q-exact, with [[P, Q_EXACT]] != 0
+Q_EXACT = schouten.schouten_bracket(Q, canonical_class(SP.u(1) ** 2 * th))
+# skew-adjoint but not d_Q-closed
+NOT_CLOSED = operator_to_bivector(parse_operator("D: 2*u*del^3 + 3*u_1*del^2 + 3*u_2*del + u_3"))
+
+
+def _series(corrections, truncation=None, base=P):
+    return EpsilonDeformation(base, corrections, truncation)
+
+
+_OBSTRUCTIONS = {
+    # [[H_0, H_2]] != 0 above n = 1: the cut drops it, and [[H_1, H_1]] != 0
+    "above-n": (_series([EXACT, Q_EXACT, Q]), 1, True),
+    # one nonzero pair across a long series: 2 [[H_1, H_20]]
+    "sparse": (_series([Q] + [ZERO] * 18 + [EXACT], 40), 20, True),
+    "n-zero": (_series([EXACT, Q]), 0, False),
+    # n = 3 above the truncation 2: [[H_2, H_2]]
+    "n-above-truncation": (_series([ZERO, EXACT]), 3, True),
+    "n-far-above-truncation": (_series([Q, B3]), 5, False),
+    "kdv": (_series([ZERO, B3], 4, base=Q), 4, False),
+    "mc-violation": (_series([NOT_CLOSED], base=Q), 1, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_OBSTRUCTIONS))
+def test_obstruction_matches_the_pair_loop(name):
+    D, n, nonzero = _OBSTRUCTIONS[name]
+    if nonzero is None:
+        with pytest.raises(MCViolation, match=f"not a deformation of order {n}"):
+            _reference_obstruction(D, n)
+        with pytest.raises(MCViolation, match=f"not a deformation of order {n}"):
+            obstruction(D, n)
+        return
+    want = _reference_obstruction(D, n)
+    got = obstruction(D, n)
+    assert got == want and str(got.rep) == str(want.rep)
+    assert got.theta_degree == 3
+    assert (not got.is_zero()) == nonzero
+
+
+# -- one check per fact ------------------------------------------------------
+
+def _counting_brackets(monkeypatch):
+    calls = []
+    bracket = schouten.schouten_bracket
+
+    def counting(a, b):
+        calls.append(None)
+        return bracket(a, b)
+
+    monkeypatch.setattr(schouten, "schouten_bracket", counting)
+    monkeypatch.setattr(deform, "schouten_bracket", counting)
+    monkeypatch.setattr(deform, "_IMAGES", {})
+    return calls
+
+
+def test_degree_zero_tail_is_checked_once(monkeypatch):
+    g = parse_density("d(u_1^-1)", hat=True)
+    dkdv_pencil()  # certified once per process, not counted here
+    calls = _counting_brackets(monkeypatch)
+    witness, c1 = quasi_trivialize_from_generator(g)
+    made = len(calls)
+    # the path before: d_P int(g theta), then quasi_trivialize(c1), which
+    # brackets d_P c1 and d_Q c1
+    deform._IMAGES.clear()
+    del calls[:]
+    assert dkdv_pencil().d_P(canonical_class(g * th)) == c1
+    assert quasi_trivialize(c1) == witness
+    assert made == len(calls) - 1
+    assert str(witness.chars[0]) == "2*u_1^-4*u_2^2 - 2/3*u_1^-3*u_3"
+
+
+def test_degree_zero_generator_that_is_not_admissible():
+    # before, quasi_trivialize refused it: "(0, c1) is not a cocycle of the double complex"
+    with pytest.raises(AlgebraError, match="g is not admissible"):
+        quasi_trivialize_from_generator(parse_density("u_1^-3*u_3", hat=True))
+
+
+@pytest.mark.parametrize("op", ["D: u*del + 1/2*u_1", "D: 3/2*del^3", "D: u_1^-1*del - 1/2*u_1^-2*u_2"])
+def test_operator_read_off_takes_one_adjoint(monkeypatch, op):
+    B = operator_to_bivector(parse_operator(op, hat=True))
+    calls = []
+    adjoint = DiffOperator.adjoint
+
+    def counting(self):
+        calls.append(None)
+        return adjoint(self)
+
+    monkeypatch.setattr(DiffOperator, "adjoint", counting)
+    D = bivector_to_operator(B)
+    assert len(calls) == 1  # the skewness check of its round trip
+    monkeypatch.undo()
+    assert D == parse_operator(op, hat=True)
+
+
+# -- a slice with jet-order cap 0 --------------------------------------------
+
+def test_enumerated_monomials_respect_the_order_cap():
+    for cap in range(4):
+        for depth in range(3):
+            for t in range(3):
+                for degree in range(-2, 6):
+                    sl = GradedSlice(cap, 2, depth)
+                    assert all(m.order() <= cap for m in enumerate_basis(sl, t, degree)), \
+                        (cap, depth, t, degree)
+    assert enumerate_basis(GradedSlice(0, 1), 0, 3) == []
+    assert enumerate_basis(GradedSlice(1, 1), 0, 3) == [SP.u(1) ** 3, u * SP.u(1) ** 3]
+
+
+def test_symmetries_with_order_cap_zero(capsys):
+    assert main(["symmetries", "--degree", "1", "--max-order", "0", "--max-udeg", "2"]) == 0
+    assert capsys.readouterr().out == '{"basis":[],"degree":1,"dimension":0}\n'
+
+
+# -- a nested d(...) of a Laurent input --------------------------------------
+
+def _nested(n, inner="u_1^-1"):
+    return "d(" * n + inner + ")" * n
+
+
+@pytest.mark.parametrize("n", [21, 35, 60])
+def test_nested_laurent_derivative_is_refused_at_once(capsys, n):
+    start = time.perf_counter()
+    assert main(["dtot", "--hat", "--", _nested(n)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = json.loads(capsys.readouterr().out)["error"]
+    # the d whose operand reaches jet order 21, the (n - 20)-th from outside
+    column = 2 * (n - 21) + 1
+    assert err == {"code": "parse-error", "column": column, "message":
+                   "d(...) of an operand with a negative power of u_1 must have jet "
+                   f"order at most 20 at column {column}"}
+
+
+def test_laurent_derivative_up_to_the_bound_is_parsed(capsys):
+    assert parse_density("d(u_1^-1*u_20)", hat=True).order() == 21
+    assert parse_density(_nested(20), hat=True).order() == 21
+    with pytest.raises(ParseError, match="at column 1$"):
+        parse_density("d(u_1^-1*u_21)", hat=True)
+    # no negative power of u_1: no bound
+    assert parse_density(_nested(40, "u_1"), hat=True) == SP.u(41)
+    # the CLI bounds the parsed input at jet order 20
+    assert main(["dtot", "--hat", "--", _nested(20)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid-argument"

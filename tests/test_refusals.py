@@ -1,0 +1,157 @@
+"""Refusals of outside input, each pinned by its type and message.
+
+Every check here guards a public entry point against input it cannot
+answer; the parse errors are also pinned through `cli.main`, by exit code,
+error code, message and column.
+"""
+
+import json
+
+import pytest
+
+from jetbrackets import (
+    AlgebraError,
+    Cochain,
+    DiffOperator,
+    EpsilonDeformation,
+    GradedSlice,
+    ParseError,
+    Pencil,
+    SkewnessError,
+    SuperPolynomial as SP,
+    bicomplex_d,
+    canonical_class,
+    miura_push,
+    operator_to_bivector,
+    parse_density,
+    parse_expression,
+    parse_operator,
+    poisson_bracket_functionals,
+    primitive_solve,
+    variational_derivative,
+    vf_from_density,
+)
+from jetbrackets.cli import main
+from jetbrackets.dkdv import (binomial_identity_check, dkdv_pencil, hierarchy, quasi_trivialize,
+                              quasi_trivialize_from_generator)
+
+u, th = SP.u(0), SP.theta(0)
+P = operator_to_bivector(DiffOperator.d(1))
+Q = operator_to_bivector(parse_operator("D: u*del + 1/2*u_1"))
+VF = canonical_class(u * th)  # theta-degree 1
+
+_RANGE = "u^20000 leaves the supported exponent range (0..16383 for u_k, -8192..8191 for u_1)"
+# (text, hat, message, column)
+_PARSE_ERRORS = [
+    ("1/", False, "expected 'int', found ''", 3),
+    ("u^", False, "expected 'int', found ''", 3),
+    ("u)", False, "trailing input ')'", 2),
+    ("D: del )", False, "trailing input ')'", 8),
+    ("1/0", False, "zero denominator", 3),
+    ("(u", False, "expected ')'", 3),
+    ("d(u", False, "expected ')'", 4),
+    ("v_2", False, "unknown variable 'v_2'", 1),
+    ("D: d(del)", False, "d(...) takes a density, not an operator", 4),
+    ("D: (del + u*del)", False,
+     "'del' terms cannot be grouped; write a flat sum of coeff*del^j terms", 16),
+    ("D: del^-1", False, "only 'del^j' with j >= 0 is allowed", 10),
+    ("D: u^20000*del", False, _RANGE, 1),
+    ("(2*u_1)^-1", True, "negative powers apply to the bare variable", 11),
+    ("(u_1 + u)^-1", True, "negative powers apply to a single variable only", 13),
+]
+
+
+@pytest.mark.parametrize("text, hat, message, column", _PARSE_ERRORS,
+                         ids=[t for t, *_ in _PARSE_ERRORS])
+def test_parse_error_is_pinned(capsys, text, hat, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, hat=hat)
+    assert str(err.value) == f"{message} at column {column}"
+    assert err.value.column == column
+    command = "check-hamiltonian" if text.startswith("D:") else "dtot"
+    assert main([command, *(["--hat"] if hat else []), "--", text]) == 2
+    doc = json.loads(capsys.readouterr().out)["error"]
+    assert (doc["code"], doc["message"], doc["column"]) == \
+        ("parse-error", f"{message} at column {column}", column)
+
+
+def test_exponent_range_error_is_wrapped_as_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_operator("D: u^20000*del")
+    assert isinstance(err.value.__cause__, AlgebraError)
+
+
+def test_manifest_correction_that_is_not_a_string(capsys, tmp_path):
+    man = tmp_path / "manifest.json"
+    man.write_text('{"base": "D: del", "corrections": {"2": 3}}')
+    assert main(["obstruction", str(man)]) == 2
+    assert capsys.readouterr().out == (
+        '{"error":{"code":"invalid-argument",'
+        '"message":"manifest \\"corrections\\" must map orders to operator strings"}}\n')
+
+
+def _tail(g):
+    """The tail class d_P int(g theta) dx of a characteristic g."""
+    return dkdv_pencil().d_P(canonical_class(parse_density(g) * th))
+
+
+def _not_closed():
+    # theta-degree 2 and degree 2, with [[P, c]] != 0
+    return canonical_class(u ** 3 * SP.u(1) * th * SP.theta(1))
+
+
+_REFUSALS = {
+    "deformation-base": (lambda: EpsilonDeformation(VF), AlgebraError,
+                         "deformations are built from bivectors"),
+    "deformation-correction": (lambda: EpsilonDeformation(P, [VF]), AlgebraError,
+                               "corrections must be bivectors"),
+    "cochain-mixed-degree": (lambda: Cochain([VF, P]), AlgebraError,
+                             "cochain entries must share their theta-degree"),
+    "bicomplex-uncertified": (lambda: bicomplex_d(Cochain([VF]), Pencil(P, Q)), AlgebraError,
+                              "the ambient pencil must be certified"),
+    "miura-bivector-generator": (lambda: miura_push(EpsilonDeformation(P, [], 1), Q),
+                                 AlgebraError, "Miura generators are vector fields"),
+    "primitive-not-closed": (lambda: primitive_solve(_not_closed(), P, GradedSlice()),
+                             AlgebraError, "primitive_solve needs a d_H-closed input"),
+    "hierarchy-negative": (lambda: hierarchy(-1), AlgebraError, "N must be nonnegative"),
+    "binomial-negative": (lambda: binomial_identity_check(-1, 0), AlgebraError,
+                          "nonnegative arguments required"),
+    "quasi-trivialize-polynomial": (lambda: quasi_trivialize(u), AlgebraError,
+                                    "expected a cochain or bivector class"),
+    "quasi-trivialize-declared-degree": (
+        lambda: quasi_trivialize(_tail("d(u_1*u)"), 3), AlgebraError,
+        "declared degree 3 but the class is in degree 2"),
+    "quasi-trivialize-inadmissible": (
+        lambda: quasi_trivialize_from_generator(SP.u(1) ** 3), AlgebraError,
+        "d_P int(g theta) is not d_Q-closed: g is not admissible"),
+    "poisson-not-skew": (
+        lambda: poisson_bracket_functionals(canonical_class(u ** 2), canonical_class(u ** 2),
+                                            parse_operator("D: u*del + u_1")),
+        SkewnessError, "Poisson bracket needs a skew-adjoint operator"),
+    "poisson-not-functional": (
+        lambda: poisson_bracket_functionals(VF, canonical_class(u ** 2), DiffOperator.d(1)),
+        AlgebraError, "functional bracket takes theta-degree-0 classes"),
+    "pencil-not-hamiltonian": (
+        lambda: Pencil.make(operator_to_bivector(
+            parse_operator("D: 2*u*del^3 + 3*u_1*del^2 + 3*u_2*del + u_3")), P),
+        AlgebraError, "[[P, P]] != 0: first structure is not Hamiltonian"),
+    "variational-slot": (lambda: variational_derivative(u, slot="v"), AlgebraError,
+                         "unknown variational slot 'v'"),
+    "add-different-degree": (lambda: VF + P, AlgebraError,
+                             "cannot add multivectors of different theta-degree"),
+    "vector-field-degree-zero": (lambda: vf_from_density(u), AlgebraError,
+                                 "vector fields come from theta-degree-1 densities"),
+    "divide-by-zero": (lambda: u / 0, ZeroDivisionError, "division of a polynomial by zero"),
+    "negative-power": (lambda: u ** -1, AlgebraError,
+                       "only nonnegative integer powers of polynomials"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_refusal_is_pinned(name):
+    call, exc_type, message = _REFUSALS[name]
+    with pytest.raises(exc_type) as err:
+        call()
+    assert type(err.value) is exc_type
+    assert str(err.value) == message
+
