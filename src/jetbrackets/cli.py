@@ -58,8 +58,8 @@ from .algebra import (
     SuperPolynomial,
     UndefinedGrading,
 )
-from .deform import (EpsilonDeformation, GradedSlice, MCViolation, NoSolution, enumerate_basis,
-                     mc_residual, miura_push, obstruction)
+from .deform import (EpsilonDeformation, GradedSlice, MCViolation, NoSolution,
+                     _residual_and_obstruction, enumerate_basis, mc_residual, miura_push)
 from .dkdv import (
     NontrivialAtDegreeZero,
     dkdv_pencil,
@@ -301,11 +301,9 @@ def _cmd_obstruction(args):
     _bounded(args.hat, manifest=ops.values())
     D = _series(ops, trunc)
     order = args.order if args.order is not None else D.truncation
-    res = mc_residual(D, order)
-    doc = {"mc_residual": [str(r.rep) for r in res],
-           "is_deformation": all(r.is_zero() for r in res)}
-    if doc["is_deformation"]:
-        ob = obstruction(D, order)
+    res, ob = _residual_and_obstruction(D, order)
+    doc = {"mc_residual": [str(r.rep) for r in res], "is_deformation": ob is not None}
+    if ob is not None:
         doc["order"] = order
         doc["obstruction"] = str(ob.rep)
     _emit(doc, args)

@@ -107,16 +107,25 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
 
 def obstruction(D: EpsilonDeformation, n: int) -> MultiVector:
     """The obstruction cocycle sum_{i=1}^{n} [[H_i, H_{n-i+1}]] blocking the
-    extension of an order-n deformation; always closed for the base.  The
-    series cut at eps^n has no H_{n+1}, so its mc_residual to order n + 1 is
-    the Maurer-Cartan check of order n and then half the cocycle."""
+    extension of an order-n deformation; always closed for the base."""
+    cocycle = _residual_and_obstruction(D, n)[1]
+    if cocycle is None:
+        raise MCViolation(f"not a deformation of order {n}")
+    return cocycle
+
+
+def _residual_and_obstruction(D: EpsilonDeformation, n: int):
+    """(mc_residual(D, n), the obstruction cocycle or None if D is not a
+    deformation of order n), from one residual: the series cut at eps^n has
+    no H_{n+1}, so its mc_residual to order n + 1 is the Maurer-Cartan
+    residual of order n and then half the cocycle."""
     *residual, half = mc_residual(EpsilonDeformation(D.base, D.corrections[:n], n), n + 1)
     if not all(r.is_zero() for r in residual):
-        raise MCViolation(f"not a deformation of order {n}")
+        return residual, None
     acc = half.scale(2)
     if not schouten_bracket(D.base, acc).is_zero():
         raise AssertionError("obstruction cocycle is not closed: internal error")
-    return acc
+    return residual, acc
 
 
 # ---------------------------------------------------------------------------

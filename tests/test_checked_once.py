@@ -3,16 +3,22 @@ checked once.
 
 `--json` is gone and `--hat` belongs only to the subcommands that parse an
 expression, operator or manifest; the obstruction cocycle is read off the
-Maurer-Cartan residual of the cut series; the degree-0 tail class and the
-operator read-off each check their condition once.  Also here: a slice with
-jet-order cap 0 admits no u_1, and the parser refuses a nested `d(...)` of a
-Laurent input before its terms grow.
+Maurer-Cartan residual of the cut series, which an obstruction request takes
+once; the degree-0 tail class and the operator read-off each check their
+condition once.  Quasi-triviality at degree ell0 >= 1 is proved by the final
+witness check alone: no S-system is evaluated and closure is not bracketed
+on the way to a witness, and the S-system is re-verified here after every
+reduction step instead.  Also here: a slice with jet-order cap 0 admits no
+u_1, and the parser refuses a nested `d(...)` of a Laurent input before its
+terms grow.
 """
 
 import contextlib
 import io
 import json
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -36,9 +42,11 @@ from jetbrackets import (
     schouten_bracket,
 )
 import jetbrackets.deform as deform
+import jetbrackets.dkdv as dkdv
 import jetbrackets.schouten as schouten
 from jetbrackets.cli import build_parser, main
-from jetbrackets.dkdv import dkdv_pencil, quasi_trivialize, quasi_trivialize_from_generator
+from jetbrackets.dkdv import (CocyclePair, dkdv_pencil, quasi_trivialize,
+                              quasi_trivialize_from_generator)
 
 # one request per subcommand; the first nine parse an expression, operator
 # or manifest
@@ -205,6 +213,137 @@ def test_operator_read_off_takes_one_adjoint(monkeypatch, op):
     assert len(calls) == 1  # the skewness check of its round trip
     monkeypatch.undo()
     assert D == parse_operator(op, hat=True)
+
+
+def test_obstruction_request_takes_one_residual(monkeypatch, tmp_path, capsys):
+    man = tmp_path / "manifest.json"
+    man.write_text(json.dumps({"base": "D: u*del + 1/2*u_1", "truncation": 200,
+                               "corrections": {"1": "D: del", "2": "D: 3/2*del^3"}}))
+    D = _series([P, B3], 200, base=Q)
+    want = {"is_deformation": True, "mc_residual": [str(r.rep) for r in mc_residual(D)],
+            "obstruction": str(obstruction(D, 200).rep), "order": 200}
+    calls = _counting_brackets(monkeypatch)
+    assert main(["obstruction", str(man)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+    # [[H_0, H_k]] for k = 1..201 and 4 pairs of H_1, H_2 on the series cut
+    # at eps^200, then the closure of the cocycle
+    assert len(calls) <= 206
+
+
+# -- quasi-triviality proved once --------------------------------------------
+
+def _counting_s_systems(monkeypatch):
+    calls = []
+    s_system = dkdv._s_system
+
+    def counting(de, n):
+        calls.append(None)
+        return s_system(de, n)
+
+    monkeypatch.setattr(dkdv, "_s_system", counting)
+    return calls
+
+
+def _tail_cocycle(ell0, rng, laurent):
+    """The qt-ladder shape: a tail cocycle c1 = d_Q d_P int w dx != 0 of
+    degree ell0, w two monomials of the degree-(ell0 - 1) slice of order
+    <= 3 and u-power <= 2 (with u_1^-1 if laurent) with seeded
+    coefficients."""
+    pencil = dkdv_pencil()
+    basis = enumerate_basis(GradedSlice(3, 2, 1 if laurent else 0), 0, ell0 - 1)
+    if laurent:
+        basis = [b for b in basis if min(b.coefficient_layers(1)) < 0]
+    while True:
+        w = SP()
+        for b in rng.sample(basis, 2):
+            w = w + b * Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        c1 = pencil.d_Q(pencil.d_P(canonical_class(w)))
+        if not c1.is_zero():
+            return c1
+
+
+@pytest.mark.parametrize("laurent", [False, True])
+@pytest.mark.parametrize("ell0", [3, 6])
+def test_quasi_trivialize_makes_three_brackets_and_no_s_system(monkeypatch, ell0, laurent):
+    c1 = _tail_cocycle(ell0, random.Random(f"brackets/{ell0}/{laurent}"), laurent)
+    brackets = _counting_brackets(monkeypatch)
+    s_systems = _counting_s_systems(monkeypatch)
+    b0 = quasi_trivialize(c1)
+    # d_Q Y for the second d_P primitive, then d_P b0 and d_Q b0 of the
+    # final check
+    assert len(brackets) == 3 and s_systems == []
+    monkeypatch.undo()
+    cls = b0.as_class()
+    assert dkdv_pencil().d_P(cls).is_zero() and dkdv_pencil().d_Q(cls) == c1
+
+
+def test_generator_at_positive_degree_checks_admissibility_only_without_a_witness(monkeypatch):
+    w = SP.u(2) ** 2 * u + SP.u(1) ** 2 * SP.u(2)
+    pencil = dkdv_pencil()
+    g = -pencil.d_Q(canonical_class(w)).rep.partial_theta(0)
+    calls = _counting_brackets(monkeypatch)
+    witness, c1 = quasi_trivialize_from_generator(g)
+    made = len(calls)
+    # the path before: d_P int(g theta), d_Q c1, d_Q int(g theta) and the
+    # final check's two brackets
+    deform._IMAGES.clear()
+    del calls[:]
+    gmv = canonical_class(g * th)
+    assert pencil.d_P(gmv) == c1 and pencil.d_Q(c1).is_zero()
+    pencil.d_Q(gmv)
+    dkdv._verify_witness(witness, c1, pencil)
+    assert made == len(calls) - 1 == 4
+    assert dkdv._tail_degree(c1, None) == 5
+
+
+@pytest.mark.parametrize("argv", [["--g", "u_1^3"], ["--hat", "--g", "u_1^-1*u_2*u_3"]])
+def test_inadmissible_generator_is_refused_through_the_cli(capsys, argv):
+    start = time.perf_counter()
+    assert main(["quasi-trivialize", *argv]) == 2
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out) == {"error": {
+        "code": "algebra-error",
+        "message": "d_P int(g theta) is not d_Q-closed: g is not admissible"}}
+
+
+# -- the S-system after every reduction step ---------------------------------
+
+def _replay(c1):
+    """_trivialize_pair's reduction of the pair of c1, one step at a time,
+    with the S-system verified before it and after every step; returns the
+    witness and the (n, N) of the even-order steps."""
+    pencil = dkdv_pencil()
+    Y = dkdv._d_P_primitive(c1)
+    X = dkdv._d_P_primitive(pencil.d_Q(Y))
+    state = dkdv._MoveState(dkdv._characteristic(X), dkdv._characteristic(Y))
+    n = max(state.f.order(), state.g.order())
+    assert CocyclePair(state.f, state.g, n).verify()
+    steps = []
+    while n > 2:
+        N = n if n % 2 == 0 else n + 1
+        dkdv._one_reduction(state, N)
+        steps.append((n, N))
+        n = N - 2
+        assert CocyclePair(state.f, state.g, n).verify(), (n, N)
+    # ell0 > 2: the order-2 endgame removes the u_2 layer and the pair
+    # vanishes
+    dkdv._one_reduction(state, 2, last_step=3)
+    assert CocyclePair(state.f, state.g, 1).verify()
+    assert not state.f and not state.g
+    return dkdv._flow(state.c), steps
+
+
+@pytest.mark.parametrize("laurent", [False, True])
+def test_every_reduction_step_keeps_the_cocycle_equation(laurent):
+    odd = 0
+    for ell0 in range(3, 9):
+        c1 = _tail_cocycle(ell0, random.Random(f"replay/{ell0}/{laurent}"), laurent)
+        assert dkdv._tail_degree(c1, None) == ell0
+        witness, steps = _replay(c1)
+        assert steps
+        odd += sum(n % 2 for n, _N in steps)
+        assert quasi_trivialize(c1) == witness
+    assert odd >= 3  # steps from an odd order n to N = n + 1
 
 
 # -- a slice with jet-order cap 0 --------------------------------------------

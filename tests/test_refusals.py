@@ -100,6 +100,19 @@ def _not_closed():
     return canonical_class(u ** 3 * SP.u(1) * th * SP.theta(1))
 
 
+# bivector classes of degree ell0 + 1 >= 2 with d_P c != 0 and d_Q c != 0, and
+# one that is neither closed nor homogeneous: the ell0 >= 1 path finds no
+# witness, and only then is closure bracketed
+_NOT_COCYCLES = {
+    "polynomial": "u_1^3*theta*theta_1",
+    "polynomial-order-2": "u*u_2*theta*theta_2",
+    "laurent": "u_1^-1*u_2^2*theta*theta_1",
+    "not-homogeneous": "u_1^3*theta*theta_1 + u*theta*theta_1",
+}
+_NOT_A_COCYCLE = "(0, c1) is not a cocycle of the double complex"
+_INADMISSIBLE = "d_P int(g theta) is not d_Q-closed: g is not admissible"
+
+
 _REFUSALS = {
     "deformation-base": (lambda: EpsilonDeformation(VF), AlgebraError,
                          "deformations are built from bivectors"),
@@ -122,8 +135,13 @@ _REFUSALS = {
         lambda: quasi_trivialize(_tail("d(u_1*u)"), 3), AlgebraError,
         "declared degree 3 but the class is in degree 2"),
     "quasi-trivialize-inadmissible": (
-        lambda: quasi_trivialize_from_generator(SP.u(1) ** 3), AlgebraError,
-        "d_P int(g theta) is not d_Q-closed: g is not admissible"),
+        lambda: quasi_trivialize_from_generator(SP.u(1) ** 3), AlgebraError, _INADMISSIBLE),
+    "quasi-trivialize-inadmissible-laurent": (
+        lambda: quasi_trivialize_from_generator(parse_density("u_1^-1*u_2*u_3", hat=True)),
+        AlgebraError, _INADMISSIBLE),
+    **{f"quasi-trivialize-not-a-cocycle-{name}": (
+        lambda text=text: quasi_trivialize(canonical_class(parse_density(text, hat=True))),
+        AlgebraError, _NOT_A_COCYCLE) for name, text in _NOT_COCYCLES.items()},
     "poisson-not-skew": (
         lambda: poisson_bracket_functionals(canonical_class(u ** 2), canonical_class(u ** 2),
                                             parse_operator("D: u*del + u_1")),
