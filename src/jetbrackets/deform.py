@@ -4,12 +4,12 @@ Epsilon-expansions of bivectors with their Maurer-Cartan residuals and
 obstruction cocycles, the double complex of a compatible pair, Miura and
 quasi-Miura pushforwards, and a constructive primitive solver: acyclicity of
 d_H on the positive-degree graded pieces is realized by enumerating a finite
-monomial slice, building d_H on it as a sparse matrix of primitive integer
-rows and solving with one fraction-free reduced-row-echelon kernel; its
-rational results are formed only on return.  The d_H image of each
-slice monomial is computed once per process and kept in a table shared by
-every slice problem: the slices nest and the differentials are fixed, so a
-later system, a grown slice or the next cocycle of the same degree reads its
+monomial slice, building d_H on it as a sparse matrix and solving with one
+fraction-free row-echelon kernel on primitive integer rows; its rational
+results are formed only on return.  The d_H image of each slice monomial
+is computed once per process and kept in a table shared by every slice
+problem: the slices nest and the differentials are fixed, so a later
+system, a grown slice or the next cocycle of the same degree reads its
 images instead of recomputing a Schouten bracket per monomial.
 """
 
@@ -85,17 +85,18 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     """Coefficients of eps^k, 1 <= k <= up_to, in (1/2)[[H, H]].
 
     The coefficient is [[H_0, H_k]] + (1/2) sum_{i=1}^{k-1} [[H_i, H_{k-i}]];
-    corrections beyond the truncation are zero.  Only pairs of nonzero
-    corrections are bracketed, so a sparse series costs time linear in
-    up_to.
+    corrections beyond the truncation are zero.  Only nonzero corrections
+    are bracketed, with the base and in pairs, so a sparse series costs
+    time linear in up_to.
     """
     n = D.truncation if up_to is None else up_to
     orders = _nonzero_orders(D, n)
     nonzero = set(orders)
     out = []
     for k in range(1, n + 1):
-        acc = schouten_bracket(D.term(0), D.term(k))
-        inner = MultiVector(SuperPolynomial(), 3)
+        acc = inner = MultiVector(SuperPolynomial(), 3)
+        if k in nonzero:
+            acc = schouten_bracket(D.term(0), D.term(k))
         for i in orders:
             if i >= k:
                 break
@@ -123,7 +124,7 @@ def _residual_and_obstruction(D: EpsilonDeformation, n: int):
     if not all(r.is_zero() for r in residual):
         return residual, None
     acc = half.scale(2)
-    if not schouten_bracket(D.base, acc).is_zero():
+    if not acc.is_zero() and not schouten_bracket(D.base, acc).is_zero():
         raise AssertionError("obstruction cocycle is not closed: internal error")
     return residual, acc
 
@@ -300,148 +301,215 @@ def _even_parts(budget: int, kmin: int, kmax: int):
 
 
 class SparseMatrix:
-    """An exact rational matrix as sparse primitive integer rows {column: int}.
+    """An exact rational matrix as sparse rows {column: int or Fraction}.
 
     Rows are keyed by any hashable label (a monomial, say) so that a right-hand
-    side can be given in the same labels.  The constructor takes rational rows
-    (int or Fraction entries), drops zero entries and scales each row once to
-    a primitive integer row (nonzero integer entries with gcd 1), remembering
-    the scale for the right-hand side.  Both operations reduce a copy of the
-    rows over the integers to reduced row echelon form with the pivot columns
-    taken in column order, and convert to Fraction only in what they return;
-    that form, normalized, is unique, so the solution of ``solve`` and the
-    vectors of ``kernel`` do not depend on row order or on the choice of
-    pivot rows.
+    side can be given in the same labels.  The given rows are kept, not
+    copied; each is scaled to a primitive integer row (nonzero integer
+    entries with gcd 1) only when an elimination takes it, and ``rows`` and
+    ``scales`` show every row so scaled.  Both operations run one
+    fraction-free row-echelon elimination (``_echelon``) and convert to
+    Fraction only in what they return.  Its pivot columns are those of the
+    unique reduced row echelon form, so the solution of ``solve`` (free
+    variables at 0) and the vectors of ``kernel`` do not depend on row
+    order or on the choice of pivot rows.
     """
 
     def __init__(self, rows: dict, ncols: int):
-        self.rows = {}
-        self.scales = {}  # label -> (m, d): the integer row is m/d times the given one
-        for key, row in rows.items():
-            m = lcm(*(v.denominator for v in row.values()))
-            ints = {c: v.numerator * (m // v.denominator)
-                    for c, v in row.items() if v}
-            d = gcd(*ints.values()) or 1
-            if d != 1:
-                ints = {c: x // d for c, x in ints.items()}
-            self.rows[key] = ints
-            if m != 1 or d != 1:
-                self.scales[key] = (m, d)
+        self._given = rows
         self.ncols = ncols
+
+    @property
+    def rows(self) -> dict:
+        """label -> the primitive integer row, m/d times the given row."""
+        return {key: _primitive(row)[0] for key, row in self._given.items()}
+
+    @property
+    def scales(self) -> dict:
+        """label -> (m, d), for the rows whose m/d is not 1."""
+        scaled = ((key, _primitive(row)[1:]) for key, row in self._given.items())
+        return {key: md for key, md in scaled if md != (1, 1)}
 
     def solve(self, rhs: dict):
         """A solution of M x = rhs as a dense list, free variables set to 0,
-        or None when the system is inconsistent."""
-        if any(v and key not in self.rows for key, v in rhs.items()):
+        or None when the system is inconsistent.
+
+        The right-hand side is column ncols of the eliminated rows, so a row
+        that reduces to that entry alone is inconsistent.  The rows that the
+        elimination did not take are checked in integers against the
+        solution written as num / L."""
+        given = self._given
+        if any(v and key not in given for key, v in rhs.items()):
             return None
         n = self.ncols
-        rows = []
-        for key, row in self.rows.items():
+        labels = list(given)
+
+        def take(i):
+            # the given row | b, times m/d, is row | p/q in lowest terms,
+            # so q row | p is a primitive integer row
+            key = labels[i]
+            row, m, d = _primitive(given[key])
             b = rhs.get(key)
             if b:
-                # the given row | b, times m/d, is row | p/q in lowest terms,
-                # so q row | p is a primitive integer row
-                m, d = self.scales.get(key, (1, 1))
                 p, q = b.numerator * m, b.denominator * d
                 g = gcd(p, q)
                 p, q = p // g, q // g
-                row = {c: x * q for c, x in row.items()} if q != 1 else dict(row)
+                if q != 1:
+                    for c in row:
+                        row[c] *= q
                 row[n] = p
-            else:
-                row = dict(row)
-            rows.append(row)
-        pivots = _rref(rows, n)
-        pivot_rows = set(pivots.values())
-        if any(rows[i] for i in range(len(rows)) if i not in pivot_rows):
+            return row
+
+        order = _row_order(list(given.values()))
+        pivots, taken = _echelon(order, take, n)
+        if pivots is None:
             return None
+        # the free variables are 0, so only pivot columns and b are reduced
+        for row in pivots.values():
+            for c in [c for c in row if c not in pivots and c != n]:
+                del row[c]
+        _back_substitute(pivots)
         sol = [Fraction(0)] * n
-        for col, i in pivots.items():
-            row = rows[i]
+        for col, row in pivots.items():
             if n in row:
                 sol[col] = Fraction(row[n], row[col])
+        L = lcm(*(x.denominator for x in sol))
+        num = [x.numerator * (L // x.denominator) for x in sol]
+        done = set(order[:taken])
+        for i in range(len(labels)):
+            if i not in done:
+                row = take(i)
+                b = row.pop(n, 0)
+                if sum(x * num[c] for c, x in row.items()) != b * L:
+                    return None
         return sol
 
     def kernel(self):
         """Basis of the kernel, one dense vector per free column in column
         order, with that column at 1."""
         n = self.ncols
-        rows = [dict(row) for row in self.rows.values()]
-        pivots = _rref(rows, n)
+        given = list(self._given.values())
+        pivots, _ = _echelon(_row_order(given), lambda i: _primitive(given[i])[0], n)
+        if len(pivots) == n:
+            return []
+        _back_substitute(pivots)
         basis = []
         for fc in range(n):
             if fc in pivots:
                 continue
             v = [Fraction(0)] * n
             v[fc] = Fraction(1)
-            for col, i in pivots.items():
-                row = rows[i]
+            for col, row in pivots.items():
                 if fc in row:
                     v[col] = -Fraction(row[fc], row[col])
             basis.append(v)
         return basis
 
 
-def _rref(rows, ncols):
-    """Reduce the sparse primitive integer rows in place to a reduced row
-    echelon form, fraction-free.
+def _primitive(row):
+    """(ints, m, d): the rational row times m/d as a new primitive integer
+    row with its zero entries dropped; m is the lcm of the denominators and
+    d the gcd of the integer entries."""
+    vals = row.values()
+    try:
+        d = gcd(*vals)
+    except TypeError:  # a Fraction entry
+        m = lcm(*(v.denominator for v in vals))
+        ints = {c: v.numerator * (m // v.denominator) for c, v in row.items() if v}
+        d = gcd(*ints.values())
+    else:
+        m = 1
+        ints = {c: v for c, v in row.items() if v} if 0 in vals else dict(row)
+    if d > 1:
+        for c in ints:
+            ints[c] //= d
+    return ints, m, d or 1
 
-    Pivots are taken only in columns < ncols, in column order; entries at
-    ncols and beyond (an augmented right-hand side) are carried along.  The
-    pivot row of a column is the shortest candidate, which keeps fill-in low.
-    A row with entry f in the pivot column of a pivot row with entry a
-    becomes (a/g) row - (f/g) pivot row, g = gcd(a, f), and is then divided
-    by its content, so every row stays a primitive integer row and no step
-    does rational arithmetic.  Pivot entries are not scaled to 1: dividing
-    a pivot row by its pivot entry gives the unique normalized form.
-    Returns {pivot column: row index}, in column order.
+
+def _row_order(rows):
+    """The order in which the elimination takes the nonempty rows: shortest
+    first (ties by index), grouped by lowest column and taken round-robin
+    over the groups in column order.  The first round puts a row on every
+    column that leads some row, each a new pivot with no elimination."""
+    groups: dict = {}
+    lengths = [len(row) for row in rows]
+    for i in sorted(range(len(rows)), key=lengths.__getitem__):
+        if lengths[i]:
+            groups.setdefault(min(rows[i]), []).append(i)
+    rounds = itertools.zip_longest(*(groups[c] for c in sorted(groups)))
+    return [i for r in rounds for i in r if i is not None]
+
+
+def _echelon(order, take, ncols):
+    """Row-incremental fraction-free echelon form of the rows take(i), i in
+    order, with pivots only in columns < ncols.
+
+    Each row taken is reduced against the pivot rows found so far, lowest
+    column first, until its lowest column has no pivot row; that column
+    becomes a new pivot, so every pivot is the lowest column of a vector in
+    the row space.  The elimination stops once every column has a pivot.
+    Returns ({pivot column: row}, the number of rows taken), or (None, that
+    number) when a row reduces to entries at ncols and beyond alone (an
+    inconsistent augmented row).
     """
-    where: dict = {}
-    for i, row in enumerate(rows):
-        for col in row:
-            where.setdefault(col, set()).add(i)
-    pivots = {}
-    used = set()
-    for col in range(ncols):
-        hits = where.get(col)
-        if not hits:
-            continue
-        cands = [i for i in hits if i not in used]
-        if not cands:
-            continue
-        p = min(cands, key=lambda i: (len(rows[i]), i))
-        prow = rows[p]
-        a = prow[col]
-        for i in list(hits):
-            if i == p:
-                continue
-            row = rows[i]
-            f = row[col]
-            g = gcd(a, f)
-            if a < 0:
-                g = -g
-            s, t = a // g, f // g
-            if s != 1:
-                for c in row:
-                    row[c] *= s
-            for c, x in prow.items():
-                y = row.get(c)
-                if y is None:
-                    row[c] = -t * x
-                    where.setdefault(c, set()).add(i)
-                else:
-                    y -= t * x
-                    if y:
-                        row[c] = y
-                    else:
-                        del row[c]
-                        where[c].discard(i)
-            h = gcd(*row.values())
-            if h > 1:
-                for c in row:
-                    row[c] //= h
-        pivots[col] = p
-        used.add(p)
-    return pivots
+    pivots: dict = {}
+    for taken, i in enumerate(order, 1):
+        row = take(i)
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                break
+            _eliminate(row, prow, col)
+        if row:
+            if col >= ncols:
+                return None, taken
+            pivots[col] = row
+            if len(pivots) == ncols:
+                return pivots, taken
+    return pivots, len(order)
+
+
+def _back_substitute(pivots):
+    """Reduce the echelon rows in place to reduced row echelon form: every
+    pivot column is cleared from the other pivot rows, highest first.
+    Pivot entries are not scaled to 1: dividing a pivot row by its pivot
+    entry gives the unique normalized form."""
+    done: dict = {}
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for c in [c for c in row if c in done]:
+            _eliminate(row, done[c], c)
+        done[col] = row
+
+
+def _eliminate(row, prow, col):
+    """Clear column col of a primitive integer row with the pivot row prow:
+    with a = prow[col], f = row[col] and g = gcd(a, f) signed so that a/g > 0,
+    row becomes (a/g) row - (f/g) prow, divided by its content, so it stays
+    a primitive integer row and no step does rational arithmetic."""
+    a, f = prow[col], row[col]
+    g = gcd(a, f)
+    if a < 0:
+        g = -g
+    s, t = a // g, f // g
+    if s != 1:
+        for c in row:
+            row[c] *= s
+    for c, x in prow.items():
+        y = row.get(c)
+        if y is None:
+            row[c] = -t * x
+        else:
+            y -= t * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+    h = gcd(*row.values())
+    if h > 1:
+        for c in row:
+            row[c] //= h
 
 
 # The d_H images of single monomials: (H, monomial) -> the terms of

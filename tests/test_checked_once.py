@@ -225,9 +225,10 @@ def test_obstruction_request_takes_one_residual(monkeypatch, tmp_path, capsys):
     calls = _counting_brackets(monkeypatch)
     assert main(["obstruction", str(man)]) == 0
     assert json.loads(capsys.readouterr().out) == want
-    # [[H_0, H_k]] for k = 1..201 and 4 pairs of H_1, H_2 on the series cut
-    # at eps^200, then the closure of the cocycle
-    assert len(calls) <= 206
+    # on the series cut at eps^200, [[H_0, H_k]] for the nonzero H_1 and H_2
+    # and the 4 pairs of them; the cocycle is zero, so its closure is not
+    # bracketed
+    assert len(calls) == 6
 
 
 # -- quasi-triviality proved once --------------------------------------------

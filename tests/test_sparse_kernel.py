@@ -5,7 +5,10 @@ tall, wide, rank-deficient, inconsistent, with all-zero rows and columns.
 ``solve`` must return sympy's pivot-column solution (free variables at 0), or
 None exactly when the augmented rank exceeds the rank; ``kernel`` must equal
 ``Matrix.nullspace()`` vector for vector, both using the free-column-at-1
-convention.
+convention.  The elimination takes one row at a time and stops once every
+column has a pivot, so tall systems, full-rank and rank-deficient, are also
+drawn by hypothesis, and ``solve`` must reject an inconsistent row that the
+elimination never took.
 """
 
 import random
@@ -13,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -95,6 +99,112 @@ def test_solve_and_kernel_match_sympy(seed, m, n):
         assert got == want
 
 
+def _sympy_answers(A, b):
+    """sympy's kernel of A and pivot-column solution of A x = b (or None)."""
+    m, n = len(A), len(A[0])
+    S = sympy.Matrix(m, n, [sympy.Rational(x.numerator, x.denominator) for r in A for x in r])
+    kernel = [[_to_fraction(x) for x in v] for v in S.nullspace()]
+    aug = S.row_join(sympy.Matrix(m, 1, [sympy.Rational(x.numerator, x.denominator)
+                                         for x in b]))
+    R, pivots = aug.rref()
+    if n in pivots:
+        return kernel, None
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = _to_fraction(R[i, n])
+    return kernel, sol
+
+
+@st.composite
+def _tall_systems(draw):
+    """(A, full, rhs list): m x n with m 2 to 8 times n, sparse small
+    rationals.  A full system has n triangular rows with a nonzero diagonal
+    among shuffled random ones; otherwise one column is a combination of the
+    others (or zero), so the rank is below n."""
+    n = draw(st.integers(1, 6))
+    m = n * draw(st.integers(2, 8))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=5))
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    full = draw(st.booleans())
+    if full:
+        for i in range(n):
+            A[i][i] = draw(st.sampled_from([Fraction(-3), Fraction(1, 2), Fraction(1),
+                                            Fraction(5, 3)]))
+            for j in range(i):
+                A[i][j] = Fraction(0)
+        A = [A[i] for i in draw(st.permutations(range(m)))]
+    else:
+        j0 = draw(st.integers(0, n - 1))
+        weights = [draw(entry) for _ in range(n)]
+        for r in A:
+            r[j0] = sum((w * x for j, (w, x) in enumerate(zip(weights, r)) if j != j0),
+                        Fraction(0))
+    x0 = [draw(entry) for _ in range(n)]
+    spanned = [sum((a * x for a, x in zip(r, x0)), Fraction(0)) for r in A]
+    perturbed = list(spanned)
+    perturbed[draw(st.integers(0, m - 1))] += 1
+    return A, full, [spanned, perturbed]
+
+
+@given(_tall_systems())
+def test_tall_systems_match_sympy_rref(system):
+    A, full, rhs_list = system
+    M = SparseMatrix({i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(A)},
+                     len(A[0]))
+    for b in rhs_list:
+        kernel, sol = _sympy_answers(A, b)
+        assert M.kernel() == kernel
+        assert (kernel == []) if full else kernel
+        assert M.solve({i: x for i, x in enumerate(b) if x}) == sol
+
+
+def _counting_echelon(monkeypatch):
+    """Record (rows given in order, rows taken) of every elimination."""
+    runs = []
+    echelon = deform._echelon
+
+    def counting(order, take, ncols):
+        pivots, taken = echelon(order, take, ncols)
+        runs.append((len(order), taken))
+        return pivots, taken
+
+    monkeypatch.setattr(deform, "_echelon", counting)
+    return runs
+
+
+def test_full_rank_symmetry_system_stops_early(monkeypatch):
+    """The ell = 7, cap 5 system of symmetry_space, [d_P; d_Q] on 90
+    characteristics, has full column rank: the elimination stops once it
+    has 90 pivots, long before its last row."""
+    from jetbrackets import symmetry_space
+    shapes = []
+
+    class Recording(SparseMatrix):
+        def __init__(self, rows, ncols):
+            shapes.append((len(rows), ncols))
+            super().__init__(rows, ncols)
+
+    runs = _counting_echelon(monkeypatch)
+    monkeypatch.setattr(deform, "SparseMatrix", Recording)
+    assert symmetry_space(7, 5) == []
+    assert shapes == [(564, 90)]
+    ((given_rows, taken),) = runs
+    assert given_rows == 564 and taken < 564
+
+
+def test_inconsistent_row_that_is_never_taken(monkeypatch):
+    # rows a and b give full rank; c is skipped and contradicts them
+    M = SparseMatrix({"a": {0: Fraction(1)}, "b": {1: Fraction(2)},
+                      "c": {0: Fraction(1), 1: Fraction(1, 3)}}, 2)
+    runs = _counting_echelon(monkeypatch)
+    assert M.solve({"a": Fraction(1), "b": Fraction(4), "c": Fraction(5)}) is None
+    assert M.solve({"a": Fraction(1), "b": Fraction(4), "c": Fraction(5, 3)}) == \
+        [Fraction(1), Fraction(2)]
+    assert M.solve({"a": Fraction(1), "b": Fraction(4)}) is None
+    assert runs == [(3, 2)] * 3
+
+
 def test_rows_are_not_modified():
     # solve and kernel may be called on one matrix any number of times
     M = SparseMatrix({"a": {0: Fraction(2), 1: Fraction(1)}, "b": {1: Fraction(3)}}, 2)
@@ -155,6 +265,76 @@ def _ref_rref(rows, ncols):
         pivots[col] = p
         used.add(p)
     return pivots
+
+
+def _int_rref(rows, ncols):
+    """Frozen copy of the column-driven integer Gauss-Jordan elimination that
+    the row-incremental kernel replaced: pivots in column order, the pivot
+    row of a column the shortest candidate, every row cross-multiplied and
+    divided by its content.  Returns {pivot column: row index}."""
+    where: dict = {}
+    for i, row in enumerate(rows):
+        for col in row:
+            where.setdefault(col, set()).add(i)
+    pivots = {}
+    used = set()
+    for col in range(ncols):
+        hits = where.get(col)
+        if not hits:
+            continue
+        cands = [i for i in hits if i not in used]
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        a = prow[col]
+        for i in list(hits):
+            if i == p:
+                continue
+            row = rows[i]
+            f = row[col]
+            g = gcd(a, f)
+            if a < 0:
+                g = -g
+            s, t = a // g, f // g
+            if s != 1:
+                for c in row:
+                    row[c] *= s
+            for c, x in prow.items():
+                y = row.get(c)
+                if y is None:
+                    row[c] = -t * x
+                    where.setdefault(c, set()).add(i)
+                else:
+                    y -= t * x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+                        where[c].discard(i)
+            h = gcd(*row.values())
+            if h > 1:
+                for c in row:
+                    row[c] //= h
+        pivots[col] = p
+        used.add(p)
+    return pivots
+
+
+def _kernel_rref(rows, n):
+    """The kernel's reduced pivot rows {pivot column: primitive integer row}
+    of the rational rows, or None when a row reduces to entries at column n
+    and beyond alone."""
+    given = list(rows.values())
+    pivots, _ = deform._echelon(deform._row_order(given),
+                                lambda i: deform._primitive(given[i])[0], n)
+    if pivots is not None:
+        deform._back_substitute(pivots)
+    return pivots
+
+
+def _normalized(row, col):
+    return {c: Fraction(x) / row[col] for c, x in row.items()}
 
 
 def _ref_solve(rows, n, rhs):
@@ -228,23 +408,24 @@ def _rhs(rng, rows, n, consistent):
 
 
 def _assert_matches_reference(rows, n, rhs_list):
-    """Pivots, normalized rows, solutions and kernels of the integer kernel
-    equal those of the frozen Fraction elimination; every row left behind
-    is primitive; results are Fractions."""
+    """Pivot columns and normalized pivot rows (the reduced row echelon
+    form), solutions and kernels of the kernel equal those of the frozen
+    Fraction and integer eliminations; every pivot row is primitive;
+    results are Fractions."""
     M = deform.SparseMatrix(rows, n)
 
     ref_rows = [dict(r) for r in rows.values()]
     ref_pivots = _ref_rref(ref_rows, n)
+    ref = {col: _normalized(ref_rows[i], col) for col, i in ref_pivots.items()}
     int_rows = [dict(r) for r in M.rows.values()]
-    pivots = deform._rref(int_rows, n)
-    assert pivots == ref_pivots
-    for col, i in pivots.items():
-        a = int_rows[i][col]
-        assert {c: Fraction(x, a) for c, x in int_rows[i].items()} == ref_rows[i]
-    for row in int_rows:
+    int_pivots = _int_rref(int_rows, n)
+    assert {col: _normalized(int_rows[i], col) for col, i in int_pivots.items()} == ref
+    pivots = _kernel_rref(rows, n)
+    assert sorted(pivots) == list(ref_pivots)
+    assert {col: _normalized(row, col) for col, row in pivots.items()} == ref
+    for row in pivots.values():
         assert all(type(x) is int for x in row.values())
-        if row:
-            assert gcd(*row.values()) == 1
+        assert gcd(*row.values()) == 1
 
     kernel = M.kernel()
     assert kernel == _ref_kernel(rows, n)
@@ -258,11 +439,11 @@ def _assert_matches_reference(rows, n, rhs_list):
         aug = {key: dict(row) for key, row in rows.items()}
         for key, b in rhs.items():
             aug[key][n] = b
-        aug_rows = [dict(r) for r in deform.SparseMatrix(aug, n + 1).rows.values()]
-        deform._rref(aug_rows, n)
-        for row in aug_rows:
-            if row:
-                assert gcd(*row.values()) == 1
+        aug_pivots = _kernel_rref(aug, n)
+        # a row left with the right-hand side alone makes the system inconsistent
+        assert aug_pivots is not None or got is None
+        for row in (aug_pivots or {}).values():
+            assert gcd(*row.values()) == 1
 
 
 def _reference_cases():
