@@ -1,8 +1,11 @@
 """Small record classes with the value semantics of a dataclass.
 
-The engine has four record types.  `dataclasses` would serve them, but it
-imports `inspect`, `dis`, `ast` and `tokenize`, which cost more at
-`import jetbrackets` than the engine's own work in a one-shot CLI process.
+The engine has four record types: `Pencil` in `schouten`, `GradedSlice` in
+`deform`, and `CocyclePair` and `NontrivialAtDegreeZero` in `dkdv`.
+`dataclasses` would serve them, but it imports `inspect`, `dis`, `ast` and
+`tokenize`, which cost more than the engine's own work in a one-shot CLI
+process.  `schouten` loads this module for the dKdV pencil, the first thing
+a fresh process certifies.
 """
 
 from __future__ import annotations

@@ -52,6 +52,8 @@ import json
 import sys
 from fractions import Fraction
 
+# every engine module at once, unlike the package root's load on first use:
+# a process that serves many requests compiles them all before the first one
 from .algebra import (
     AlgebraError,
     DiffOperator,

@@ -1,4 +1,7 @@
-"""The dispersionless KdV pencil (d, u d + u_1/2) and its deformation theory.
+"""Deformation theory of the dispersionless KdV pencil (d, u d + u_1/2).
+
+The pencil itself, `dkdv_pencil`, is certified in `schouten` and re-exported
+here.
 
 Hierarchy generation by the functional recursion from the Casimir (every
 H_n is c_n u^(n+2), so delta_u H_n lifts to H_n by an antiderivative in u),
@@ -19,7 +22,6 @@ from math import comb, lcm
 from ._records import Record
 from .algebra import (
     AlgebraError,
-    DiffOperator,
     SuperPolynomial,
     _add_times_u,
     _antidiff_u,
@@ -28,6 +30,7 @@ from .algebra import (
     _koszul_dP,
     _make,
     _numerators,
+    _theta_times,
 )
 from .deform import (
     Cochain,
@@ -38,7 +41,7 @@ from .deform import (
     linear_combination,
     slice_matrix,
 )
-from .schouten import Pencil
+from .schouten import Pencil, _q_operator, dkdv_pencil
 from .variational import (
     EvolutionaryVF,
     MultiVector,
@@ -47,24 +50,7 @@ from .variational import (
     canonical_class,
     higher_variational_u,
     integrate_x,
-    operator_to_bivector,
 )
-
-_PENCIL = None
-
-
-def _q_operator() -> DiffOperator:
-    return DiffOperator({1: SuperPolynomial.u(0), 0: SuperPolynomial.u(1) / 2})
-
-
-def dkdv_pencil() -> Pencil:
-    """The certified pencil of d and u d + u_1/2."""
-    global _PENCIL
-    if _PENCIL is None:
-        P = operator_to_bivector(DiffOperator.d(1))
-        _PENCIL = Pencil.make(P, operator_to_bivector(_q_operator()))
-    return _PENCIL
-
 
 # ---------------------------------------------------------------------------
 # Hierarchy
@@ -117,8 +103,8 @@ def symmetry_space(ell: int, max_udeg: int = 6, max_order: int | None = None):
     chars = enumerate_basis(sl, 0, ell)
     if not chars:
         return []
-    theta = SuperPolynomial.theta(0)
-    matrix = slice_matrix([b * theta for b in chars], [pencil.P, pencil.Q])
+    # b theta is a key shift: every characteristic is theta-free
+    matrix = slice_matrix([_theta_times(b, 1) for b in chars], [pencil.P, pencil.Q])
     return [linear_combination(v, chars) for v in matrix.kernel()]
 
 

@@ -1,4 +1,5 @@
-"""Schouten bracket, Hamiltonian certificates and hydrodynamic constructors.
+"""Schouten bracket, Hamiltonian certificates, hydrodynamic constructors and
+the certified dispersionless KdV pencil (d, u d + u_1/2).
 
 The bracket of two classes int(F) dx, int(G) dx is the class of
 
@@ -18,6 +19,10 @@ bracket it.  The density is formed in one pass: both products accumulate
 into one int dict over the lcm of their denominators (`algebra._mul_into`),
 and its known theta-degree goes with it to the canonical form.  The
 bracket's result carries the delta_theta its representative was formed from.
+
+Every quasi-triviality proof starts from the dKdV pencil, so it lives here,
+beside `Pencil`: certifying it needs only the ring, the quotient calculus
+and the bracket, not the slice solver (`deform`) or `dkdv`.
 """
 
 from __future__ import annotations
@@ -117,6 +122,22 @@ class Pencil(FrozenRecord):
 
     def d_Q(self, a: MultiVector) -> MultiVector:
         return schouten_bracket(self.Q, a)
+
+
+_PENCIL = None
+
+
+def _q_operator() -> DiffOperator:
+    return DiffOperator({1: SuperPolynomial.u(0), 0: SuperPolynomial.u(1) / 2})
+
+
+def dkdv_pencil() -> Pencil:
+    """The certified pencil of d and u d + u_1/2 of dispersionless KdV."""
+    global _PENCIL
+    if _PENCIL is None:
+        P = operator_to_bivector(DiffOperator.d(1))
+        _PENCIL = Pencil.make(P, operator_to_bivector(_q_operator()))
+    return _PENCIL
 
 
 def hydrodynamic_bivector(h):

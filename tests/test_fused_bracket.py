@@ -15,7 +15,8 @@ overflow raises the reference's error.
 `algebra._theta_times` forms theta x / k by setting bit 0 on the theta_0-free
 keys of x (theta_0 sorts first, so the sign is +1); it must equal
 `theta * x / k` item for item, on polynomial and Laurent densities, on
-densities with theta_0 terms and on keys wider than 64 fields.
+densities with theta_0 terms, on keys wider than 64 fields and on every
+column that `dkdv.symmetry_space` forms.
 """
 
 import json
@@ -29,8 +30,10 @@ from hypothesis import given, strategies as st
 from jetbrackets import (
     AlgebraError,
     DiffOperator,
+    GradedSlice,
     SuperPolynomial as SP,
     canonical_class,
+    enumerate_basis,
     higher_variational_theta,
     normalize_N,
     operator_to_bivector,
@@ -222,6 +225,15 @@ def test_theta_shift_drops_the_theta_0_terms():
     x = u(0) * th(0) + u(2) * th(1) - Fraction(2, 3) * th(0) * th(64) + u(1) * th(65)
     assert items(_theta_times(x, 3)) == items(th(0) * x / 3)
     assert _theta_times(th(0) * u(3), 1).is_zero()
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_theta_shift_matches_the_symmetry_space_columns(cap):
+    # `symmetry_space` keys its columns by theta b for every basis monomial b
+    theta = SP.theta(0)
+    for ell in range(1, 8):
+        for b in enumerate_basis(GradedSlice(max_order=ell, max_udeg=cap), 0, ell):
+            assert items(_theta_times(b, 1)) == items(b * theta)
 
 
 @given(densities(min_theta_degree=1))

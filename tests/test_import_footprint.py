@@ -1,8 +1,10 @@
 """What a fresh process loads for `import jetbrackets` and for the CLI.
 
 Every `jetbrackets ...` command is a new process, and in it importing costs
-far more than the engine's work on a short request.  The engine needs
-neither `dataclasses` (which brings in inspect, dis, ast and tokenize) nor
+far more than the engine's work on a short request.  The package root
+loads an engine module only when one of its names is first used, so the
+dKdV pencil loads neither the slice solver (`deform`) nor `dkdv`.  The
+engine needs neither `dataclasses` (which brings in inspect, dis, ast and tokenize) nor
 the expression parser, and the CLI needs `traceback` only to report an
 internal error.  Each check compares a fresh interpreter against a bare
 `python -c pass`, so modules that the interpreter's own start-up loads do not
@@ -39,9 +41,17 @@ def baseline():
 
 def test_engine_loads_neither_dataclasses_nor_the_parser(baseline):
     added = _modules_after("import jetbrackets\njetbrackets.dkdv_pencil()") - baseline
-    assert "jetbrackets.dkdv" in added
+    assert "jetbrackets.schouten" in added
+    assert "jetbrackets.deform" not in added
+    assert "jetbrackets.dkdv" not in added
     assert "dataclasses" not in added
     assert "jetbrackets.parsing" not in added
+
+
+def test_bare_import_loads_no_engine_module(baseline):
+    added = _modules_after("import jetbrackets") - baseline
+    assert "jetbrackets" in added
+    assert not {m for m in added if m.startswith("jetbrackets.")}
 
 
 def test_cli_import_does_not_load_traceback(baseline):
