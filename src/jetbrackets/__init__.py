@@ -13,8 +13,9 @@ engine module names resolve the same way.  `from jetbrackets import *`
 binds the engine's names and modules (`__all__`); it leaves out the
 parser's, which no engine module uses.
 
-`jetbrackets.cli` imports every module it serves at once: a process that
-runs requests pays the whole import before its first one, not inside it.
+`jetbrackets.cli` imports every module it serves at once, so every
+`jetbrackets` command loads the whole engine: a process that runs requests
+pays the whole import before its first one, not inside it.
 """
 
 from importlib import import_module as _import_module

@@ -1,6 +1,7 @@
 """Deformation theory of the dispersionless KdV pencil (d, u d + u_1/2).
 
-The pencil itself, `dkdv_pencil`, is certified in `schouten` and re-exported
+The pencil itself, `dkdv_pencil`, and its second operator
+`dkdv_q_operator` are defined in `schouten`; `dkdv_pencil` is re-exported
 here.
 
 Hierarchy generation by the functional recursion from the Casimir (every
@@ -41,7 +42,7 @@ from .deform import (
     linear_combination,
     slice_matrix,
 )
-from .schouten import Pencil, _q_operator, dkdv_pencil
+from .schouten import Pencil, dkdv_pencil, dkdv_q_operator
 from .variational import (
     EvolutionaryVF,
     MultiVector,
@@ -61,7 +62,7 @@ def hierarchy(N: int):
     recursively from the Casimir (4/3) int u dx."""
     if N < 0:
         raise AlgebraError("N must be nonnegative")
-    Qop = _q_operator()
+    Qop = dkdv_q_operator()
     out = [canonical_class(SuperPolynomial.u(0) * Fraction(4, 3))]
     for _n in range(0, N + 1):
         new_delta = integrate_x(Qop.apply(out[-1]._delta_u()))
@@ -254,7 +255,7 @@ class _MoveState:
     def __init__(self, f, g):
         self.f = f
         self.g = g
-        self.K = _q_operator()
+        self.K = dkdv_q_operator()
         self.a = SuperPolynomial()
         self.b = SuperPolynomial()
         self.c = SuperPolynomial()

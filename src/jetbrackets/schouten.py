@@ -20,9 +20,10 @@ into one int dict over the lcm of their denominators (`algebra._mul_into`),
 and its known theta-degree goes with it to the canonical form.  The
 bracket's result carries the delta_theta its representative was formed from.
 
-Every quasi-triviality proof starts from the dKdV pencil, so it lives here,
-beside `Pencil`: certifying it needs only the ring, the quotient calculus
-and the bracket, not the slice solver (`deform`) or `dkdv`.
+The dKdV pencil (`dkdv_pencil`, with its second operator `dkdv_q_operator`)
+lives here, beside `Pencil`: certifying it needs only the ring, the quotient
+calculus and the bracket, so a script that stops at the pencil never loads
+the slice solver (`deform`) or `dkdv`, which imports both from here.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class Pencil(FrozenRecord):
 _PENCIL = None
 
 
-def _q_operator() -> DiffOperator:
+def dkdv_q_operator() -> DiffOperator:
+    """The second operator u d + u_1/2 of the dKdV pencil."""
     return DiffOperator({1: SuperPolynomial.u(0), 0: SuperPolynomial.u(1) / 2})
 
 
@@ -136,7 +138,7 @@ def dkdv_pencil() -> Pencil:
     global _PENCIL
     if _PENCIL is None:
         P = operator_to_bivector(DiffOperator.d(1))
-        _PENCIL = Pencil.make(P, operator_to_bivector(_q_operator()))
+        _PENCIL = Pencil.make(P, operator_to_bivector(dkdv_q_operator()))
     return _PENCIL
 
 

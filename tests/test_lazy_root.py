@@ -89,6 +89,15 @@ def test_unknown_name_raises_attribute_error():
 def test_the_pencil_lives_in_schouten():
     assert dkdv.dkdv_pencil is schouten.dkdv_pencil is jetbrackets.dkdv_pencil
     assert schouten.dkdv_pencil.__module__ == "jetbrackets.schouten"
+    assert dkdv.dkdv_q_operator is schouten.dkdv_q_operator
     pencil = jetbrackets.dkdv_pencil()
     assert pencil.certified
     assert jetbrackets.dkdv_pencil() is pencil
+    assert pencil.Q == jetbrackets.operator_to_bivector(schouten.dkdv_q_operator())
+
+
+def test_the_cli_loads_every_engine_module():
+    # a process that serves requests compiles the engine before the first one
+    out = _run("import sys, jetbrackets.cli\n"
+               f"print(*(m for m in {_MODULES!r} if 'jetbrackets.' + m not in sys.modules))\n")
+    assert out.split() == []
