@@ -745,18 +745,6 @@ def _variational(a: SuperPolynomial, odd: bool, level: int) -> SuperPolynomial:
     return _make(acc, a._D)
 
 
-def _add_times_u(out: dict, nums: dict, k: int, c: int) -> None:
-    """out += c u_k nums for int dicts, in place; the denominator is the
-    caller's."""
-    unit, guard = 2 << (_W * k), 1 << (_W * k + _W - 1)
-    get = out.get
-    for m, v in nums.items():
-        key = m + unit
-        if key & guard:
-            raise _range_error("a product")
-        out[key] = get(key, 0) + c * v
-
-
 def _exponent(m: int, k: int) -> int:
     """The exponent of u_k in the key m."""
     f = (m >> (_W * k + 1)) & _E_MAX
@@ -919,10 +907,10 @@ class DiffOperator:
     def __init__(self, coeffs: dict):
         clean = {}
         for j, p in coeffs.items():
-            if j < 0:
-                raise AlgebraError(f"operator orders must be nonnegative, got {j}")
-            if isinstance(p, (int, Fraction)):
-                p = SuperPolynomial.const(p)
+            if type(j) is not int or j < 0:
+                raise AlgebraError(f"operator orders must be nonnegative integers, got {j!r}")
+            if not isinstance(p, SuperPolynomial):
+                p = SuperPolynomial.const(p)  # refuses a coefficient that is not exact
             if not _theta_free(p):
                 raise AlgebraError("operator coefficients must be free of odd coordinates")
             if p:

@@ -33,6 +33,15 @@ class MCViolation(AlgebraError):
     """The epsilon-series fails the Maurer-Cartan equation at some order."""
 
 
+def _check_size(v, what: str, lowest: int = 0) -> None:
+    """Refuse an order, size or cap v that is not an int (a bool is not
+    one) or is below `lowest`."""
+    if type(v) is not int:
+        raise AlgebraError(f"{what} must be an integer, got {v!r}")
+    if v < lowest:
+        raise AlgebraError(f"{what} must be at least {lowest}, got {v}")
+
+
 class EpsilonDeformation:
     """base + sum_k eps^k H_k, truncated at eps^N; all entries theta-degree-2
     classes.  corrections[k - 1] is H_k, and there are at most N of them."""
@@ -46,8 +55,7 @@ class EpsilonDeformation:
             if not H.is_zero() and H.theta_degree != 2:
                 raise AlgebraError("corrections must be bivectors")
         self.truncation = len(self.corrections) if truncation is None else truncation
-        if self.truncation < 0:
-            raise AlgebraError(f"truncation must be at least 0, got {self.truncation}")
+        _check_size(self.truncation, "truncation")
         if len(self.corrections) > self.truncation:
             raise AlgebraError(f"{len(self.corrections)} corrections exceed the "
                                f"truncation at order {self.truncation}")
@@ -165,6 +173,8 @@ def bicomplex_d(c: Cochain, pencil: Pencil) -> Cochain:
     """(c_0,...,c_k) -> (d_P c_0, d_Q c_0 + d_P c_1, ..., d_Q c_k)."""
     if not pencil.certified:
         raise AlgebraError("the ambient pencil must be certified")
+    if not len(c):
+        raise AlgebraError("the cochain must have at least one entry")
     out = [pencil.d_P(c[0])]
     for i in range(1, len(c)):
         out.append(pencil.d_Q(c[i - 1]) + pencil.d_P(c[i]))
@@ -206,15 +216,13 @@ def miura_push(D: EpsilonDeformation, X, weight: int = 1,
     characteristic with u_1^-1 gives a quasi-Miura transformation, and X = 0
     the identity.
     """
-    if weight < 1:
-        raise AlgebraError(f"Miura weight must be at least 1, got {weight}")
+    _check_size(weight, "Miura weight", 1)
     if isinstance(X, EvolutionaryVF):
         X = X.as_class()
     if X.theta_degree != 1 and not X.is_zero():
         raise AlgebraError("Miura generators are vector fields")
     N = D.truncation if truncation is None else truncation
-    if N < 0:
-        raise AlgebraError(f"truncation must be at least 0, got {N}")
+    _check_size(N, "truncation")
     p = weight
     out = [MultiVector(SuperPolynomial(), 2) for _ in range(N + 1)]
     for k in range(0, N + 1):
@@ -250,8 +258,7 @@ class GradedSlice(FrozenRecord):
     def __init__(self, max_order: int = 4, max_udeg: int = 4, laurent_depth: int = 0):
         super().__init__(max_order, max_udeg, laurent_depth)
         for name, v in zip(self._fields, self._astuple()):
-            if v < 0:
-                raise AlgebraError(f"GradedSlice {name} must be at least 0, got {v}")
+            _check_size(v, f"GradedSlice {name}")
 
     def grown(self) -> "GradedSlice":
         return type(self)(max_order=self.max_order + 2,
@@ -264,8 +271,7 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
     """All normal-form monomials of the given theta-degree and homogeneity
     degree within the slice caps.  They are built in normal form, so they
     are packed and go through the private constructor."""
-    if theta_degree < 0:
-        raise AlgebraError(f"theta-degree must be at least 0, got {theta_degree}")
+    _check_size(theta_degree, "theta-degree")
     n = slice_.max_order
     depth = slice_.laurent_depth
     out = []
@@ -601,8 +607,7 @@ def primitive_solve(c: MultiVector, H: MultiVector, slice_: GradedSlice,
                     max_grows: int = 2) -> MultiVector:
     """Solve d_H y = c for y in the slice; exact, deterministic, growing the
     slice a bounded number of times before reporting NoSolution."""
-    if max_grows < 0:
-        raise AlgebraError(f"max_grows must be at least 0, got {max_grows}")
+    _check_size(max_grows, "max_grows")
     if not schouten_bracket(H, c).is_zero():
         raise AlgebraError("primitive_solve needs a d_H-closed input")
     if c.is_zero():

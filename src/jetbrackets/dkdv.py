@@ -7,8 +7,8 @@ here.
 Hierarchy generation by the functional recursion from the Casimir (every
 H_n is c_n u^(n+2), so delta_u H_n lifts to H_n by an antiderivative in u),
 the infinitesimal-symmetry checks, the e/S/E systems attached to a pair of
-characteristics (every e_j from one filing sweep of f and one of g, every
-d^i e_j computed once), the order-lowering reduction step, and the full
+characteristics (the e_j from their defining sums in the ring, every d^i e_j
+computed once), the order-lowering reduction step, and the full
 quasi-trivialization of tail cocycles: every positive-degree infinitesimal
 bihamiltonian deformation is trivialized by a vector field with u_1-inverse
 coefficients, produced here explicitly; its exact check is the proof.  Its
@@ -18,19 +18,15 @@ d_P primitives come from the contracting homotopy of d_P (Getzler, 2002).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from ._records import Record
 from .algebra import (
     AlgebraError,
     SuperPolynomial,
-    _add_times_u,
     _antidiff_u,
     _contract,
-    _file,
     _koszul_dP,
-    _make,
-    _numerators,
     _theta_times,
 )
 from .deform import (
@@ -127,28 +123,17 @@ def build_eSE(f: SuperPolynomial, g: SuperPolynomial, n: int):
 
 def _e_data(f: SuperPolynomial, g: SuperPolynomial, n: int):
     """e_j = F_j - G_j, j = 0..n (see build_eSE), with
-    2 G_j = sum_l (C(j+l, l) + C(j+l+1, l)) u_l partial_{u_{j+l}} g - [j = 0] g,
-    from one filing sweep of f and one of g."""
+    2 G_j = sum_{i=j..n} (C(i, j) + C(i+1, i-j)) u_{i-j} partial_{u_i} g - [j = 0] g."""
     if f.order() > n or g.order() > n:
         raise AlgebraError("pair has order larger than declared")
-    (fn, fD), (gn, gD) = _numerators(f), _numerators(g)
-    # everything over D = 2 lcm(fD, gD): the numerators of f scale by sf,
-    # those of g / 2 by sg
-    L = lcm(fD, gD)
-    D, sf, sg = 2 * L, 2 * L // fD, L // gD
-    # _file signs the partial by u_i with (-1)^i
-    fp, gp = _file(fn, False, 0, n), _file(gn, False, 0, n)
+    dg = [g.partial_u(i) for i in range(n + 1)]
     e = []
     for j in range(n + 1):
-        out = {m: v * (-sf if j & 1 else sf) for m, v in fp.get(j, {}).items()}
+        G2 = -g if j == 0 else SuperPolynomial()
         for i in range(j, n + 1):
-            if i in gp:
-                c = sg * (comb(i, j) + comb(i + 1, i - j))
-                _add_times_u(out, gp[i], i - j, c if i & 1 else -c)
-        if j == 0:
-            for m, v in gn.items():
-                out[m] = out.get(m, 0) + v * sg
-        e.append(_make(out, D))
+            if dg[i]:
+                G2 = G2 + SuperPolynomial.u(i - j) * dg[i] * (comb(i, j) + comb(i + 1, i - j))
+        e.append(f.partial_u(j) - G2 * Fraction(1, 2))
     return e
 
 

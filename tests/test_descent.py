@@ -209,9 +209,10 @@ def _outcome(f):
 
 @st.composite
 def even_pairs(draw):
-    """(f, g, n): theta-free f and g of order <= n, Laurent in u_1 when drawn."""
-    n = draw(st.integers(1, 6))
-    laurent = draw(st.booleans())
+    """(f, g, n): theta-free f and g of order <= n, Laurent in u_1 when drawn
+    (u_1 has order 1, so only for n >= 1)."""
+    n = draw(st.integers(0, 6))
+    laurent = n >= 1 and draw(st.booleans())
 
     def density():
         a = SP()

@@ -26,12 +26,18 @@ _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 _PARSER_NAMES = ("ParseError", "parse_density", "parse_expression", "parse_operator")
 
 
-def _modules_after(code: str) -> set:
-    """The modules loaded in a fresh interpreter after running `code`."""
+def _load_order(code: str) -> list:
+    """The modules loaded in a fresh interpreter after running `code`, in
+    the order they were loaded."""
     probe = code + "\nimport sys\nprint('\\n'.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=_ENV, capture_output=True,
                          text=True, timeout=60, check=True)
-    return set(out.stdout.split())
+    return out.stdout.split()
+
+
+def _modules_after(code: str) -> set:
+    """The modules loaded in a fresh interpreter after running `code`."""
+    return set(_load_order(code))
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +64,14 @@ def test_cli_import_does_not_load_traceback(baseline):
     added = _modules_after("import jetbrackets.cli") - baseline
     assert "jetbrackets.parsing" in added
     assert "traceback" not in added
+
+
+def test_cli_loads_the_engine_before_argparse_and_json():
+    # without a bytecode cache the engine's compile peak would otherwise
+    # stack on the memory that argparse and json hold
+    order = _load_order("import jetbrackets.cli")
+    assert order.index("jetbrackets.algebra") < order.index("argparse")
+    assert order.index("jetbrackets.algebra") < order.index("json")
 
 
 def test_parser_names_resolve_from_the_root():

@@ -159,6 +159,28 @@ _REFUSALS = {
                              "cannot add multivectors of different theta-degree"),
     "vector-field-degree-zero": (lambda: vf_from_density(u), AlgebraError,
                                  "vector fields come from theta-degree-1 densities"),
+    "operator-order-fraction": (lambda: DiffOperator({1.5: u}), AlgebraError,
+                                "operator orders must be nonnegative integers, got 1.5"),
+    "operator-order-string": (lambda: DiffOperator({"a": u}), AlgebraError,
+                              "operator orders must be nonnegative integers, got 'a'"),
+    "operator-order-bool": (lambda: DiffOperator({True: u}), AlgebraError,
+                            "operator orders must be nonnegative integers, got True"),
+    "operator-order-negative": (lambda: DiffOperator({-1: u}), AlgebraError,
+                                "operator orders must be nonnegative integers, got -1"),
+    "operator-coefficient-float": (lambda: DiffOperator({1: 0.5}), TypeError,
+                                   "coefficients must be exact rationals (int or Fraction)"),
+    "slice-cap-fraction": (lambda: GradedSlice(1.5, 2), AlgebraError,
+                           "GradedSlice max_order must be an integer, got 1.5"),
+    "slice-cap-bool": (lambda: GradedSlice(2, True), AlgebraError,
+                       "GradedSlice max_udeg must be an integer, got True"),
+    "deformation-truncation-fraction": (lambda: EpsilonDeformation(Q, [], 1.5), AlgebraError,
+                                        "truncation must be an integer, got 1.5"),
+    "miura-weight-fraction": (lambda: miura_push(EpsilonDeformation(P, [], 1), VF, 1.5),
+                              AlgebraError, "Miura weight must be an integer, got 1.5"),
+    "miura-truncation-bool": (lambda: miura_push(EpsilonDeformation(P, [], 1), VF, 1, True),
+                              AlgebraError, "truncation must be an integer, got True"),
+    "bicomplex-empty-cochain": (lambda: bicomplex_d(Cochain([]), dkdv_pencil()), AlgebraError,
+                                "the cochain must have at least one entry"),
     "divide-by-zero": (lambda: u / 0, ZeroDivisionError, "division of a polynomial by zero"),
     "negative-power": (lambda: u ** -1, AlgebraError,
                        "only nonnegative integer powers of polynomials"),
