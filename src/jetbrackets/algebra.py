@@ -75,6 +75,15 @@ class AlgebraError(Exception):
     """Base class for errors raised by the algebra layer."""
 
 
+def _check_size(v, what: str, lowest: int | None = 0) -> None:
+    """Refuse an order, size, index or cap v that is not an int (a bool is
+    not one) or is below `lowest` (None: no bound)."""
+    if type(v) is not int:
+        raise AlgebraError(f"{what} must be an integer, got {v!r}")
+    if lowest is not None and v < lowest:
+        raise AlgebraError(f"{what} must be at least {lowest}, got {v}")
+
+
 class UndefinedGrading(AlgebraError):
     """Grading of the zero polynomial was requested."""
 
@@ -405,10 +414,12 @@ class SuperPolynomial:
 
     def partial_u(self, k: int) -> "SuperPolynomial":
         """Partial derivative with respect to the jet variable u_k."""
+        _check_size(k, "jet index")
         return _make(_file(self._nums, False, k, k).get(0, {}), self._D)
 
     def partial_theta(self, k: int) -> "SuperPolynomial":
         """Left graded derivative with respect to theta_k."""
+        _check_size(k, "jet index")
         return _make(_file(self._nums, True, k, k).get(0, {}), self._D)
 
     def total_derivative(self) -> "SuperPolynomial":
@@ -479,8 +490,7 @@ class SuperPolynomial:
     def coefficient_layers(self, k: int) -> dict:
         """Collect by the exponent of u_k: exponent -> polynomial free of
         that variable."""
-        if k < 0:
-            return {0: self} if self._nums else {}
+        _check_size(k, "jet index")
         shift = _W * k + 1
         layers: dict = {}
         for m, c in self._nums.items():

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._records import FrozenRecord
-from .algebra import AlgebraError, SuperPolynomial, _make, _numerators, _pack
+from .algebra import AlgebraError, SuperPolynomial, _check_size, _make, _numerators, _pack
 from .schouten import Pencil, schouten_bracket
 from .variational import EvolutionaryVF, MultiVector, canonical_class
 
@@ -31,15 +31,6 @@ class NoSolution(AlgebraError):
 
 class MCViolation(AlgebraError):
     """The epsilon-series fails the Maurer-Cartan equation at some order."""
-
-
-def _check_size(v, what: str, lowest: int = 0) -> None:
-    """Refuse an order, size or cap v that is not an int (a bool is not
-    one) or is below `lowest`."""
-    if type(v) is not int:
-        raise AlgebraError(f"{what} must be an integer, got {v!r}")
-    if v < lowest:
-        raise AlgebraError(f"{what} must be at least {lowest}, got {v}")
 
 
 class EpsilonDeformation:
@@ -67,6 +58,7 @@ class EpsilonDeformation:
 
     def term(self, k: int) -> MultiVector:
         """Coefficient of eps^k (the base at k = 0, zero beyond truncation)."""
+        _check_size(k, "order")
         if k == 0:
             return self.base
         if 1 <= k <= len(self.corrections):
@@ -98,6 +90,7 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     time linear in up_to.
     """
     n = D.truncation if up_to is None else up_to
+    _check_size(n, "order")
     orders = _nonzero_orders(D, n)
     nonzero = set(orders)
     out = []
@@ -117,6 +110,7 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
 def obstruction(D: EpsilonDeformation, n: int) -> MultiVector:
     """The obstruction cocycle sum_{i=1}^{n} [[H_i, H_{n-i+1}]] blocking the
     extension of an order-n deformation; always closed for the base."""
+    _check_size(n, "truncation")
     cocycle = _residual_and_obstruction(D, n)[1]
     if cocycle is None:
         raise MCViolation(f"not a deformation of order {n}")
@@ -272,6 +266,7 @@ def enumerate_basis(slice_: GradedSlice, theta_degree: int, degree: int):
     degree within the slice caps.  They are built in normal form, so they
     are packed and go through the private constructor."""
     _check_size(theta_degree, "theta-degree")
+    _check_size(degree, "degree", None)
     n = slice_.max_order
     depth = slice_.laurent_depth
     out = []
@@ -311,29 +306,47 @@ class SparseMatrix:
 
     Rows are keyed by any hashable label (a monomial, say) so that a right-hand
     side can be given in the same labels.  The given rows are kept, not
-    copied; each is scaled to a primitive integer row (nonzero integer
-    entries with gcd 1) only when an elimination takes it, and ``rows`` and
-    ``scales`` show every row so scaled.  Both operations run one
-    fraction-free row-echelon elimination (``_echelon``) and convert to
-    Fraction only in what they return.  Its pivot columns are those of the
-    unique reduced row echelon form, so the solution of ``solve`` (free
-    variables at 0) and the vectors of ``kernel`` do not depend on row
-    order or on the choice of pivot rows.
+    copied.  A row may be given as d times the rational row it stands for,
+    with d = ``_denominator(label)`` (1 unless set on the matrix; the rows
+    of ``slice_matrix`` are integer rows so given).  Each row is
+    scaled to a primitive integer row (nonzero integer entries with gcd 1)
+    only when an elimination takes it, and ``rows`` and ``scales`` show
+    every row so scaled.  Both operations run one fraction-free row-echelon
+    elimination (``_echelon``) and convert to Fraction only in what they
+    return.  Its pivot columns are those of the unique reduced row echelon
+    form, so the solution of ``solve`` (free variables at 0) and the vectors
+    of ``kernel`` do not depend on row order or on the choice of pivot rows.
     """
 
     def __init__(self, rows: dict, ncols: int):
         self._given = rows
         self.ncols = ncols
 
+    @staticmethod
+    def _denominator(key) -> int:
+        """The denominator of the row of key: 1 for rows given as they are."""
+        return 1
+
+    def _scaled(self, key):
+        """(ints, m, d): the rational row of key times m/d, a new primitive
+        integer row, with m/d > 0 in lowest terms (1/1 for a zero row)."""
+        ints, m, d = _primitive(self._given[key])
+        den = self._denominator(key)
+        if den != 1 and ints:
+            m *= den
+            g = gcd(m, d)
+            m, d = m // g, d // g
+        return ints, m, d
+
     @property
     def rows(self) -> dict:
-        """label -> the primitive integer row, m/d times the given row."""
+        """label -> the primitive integer row, m/d times the rational row."""
         return {key: _primitive(row)[0] for key, row in self._given.items()}
 
     @property
     def scales(self) -> dict:
         """label -> (m, d), for the rows whose m/d is not 1."""
-        scaled = ((key, _primitive(row)[1:]) for key, row in self._given.items())
+        scaled = ((key, self._scaled(key)[1:]) for key in self._given)
         return {key: md for key, md in scaled if md != (1, 1)}
 
     def solve(self, rhs: dict):
@@ -351,10 +364,10 @@ class SparseMatrix:
         labels = list(given)
 
         def take(i):
-            # the given row | b, times m/d, is row | p/q in lowest terms,
+            # the rational row | b, times m/d, is row | p/q in lowest terms,
             # so q row | p is a primitive integer row
             key = labels[i]
-            row, m, d = _primitive(given[key])
+            row, m, d = self._scaled(key)
             b = rhs.get(key)
             if b:
                 p, q = b.numerator * m, b.denominator * d
@@ -434,14 +447,17 @@ def _primitive(row):
 
 def _row_order(rows):
     """The order in which the elimination takes the nonempty rows: shortest
-    first (ties by index), grouped by lowest column and taken round-robin
-    over the groups in column order.  The first round puts a row on every
-    column that leads some row, each a new pivot with no elimination."""
+    first (ties by index), grouped by first column and taken round-robin
+    over the groups in column order.  A row of slice_matrix is built column
+    by column, so its first column is its lowest, and the first round puts
+    a row on every column that leads some row, each a new pivot with no
+    elimination.  The order is only a choice: the result does not depend
+    on it."""
     groups: dict = {}
     lengths = [len(row) for row in rows]
     for i in sorted(range(len(rows)), key=lengths.__getitem__):
         if lengths[i]:
-            groups.setdefault(min(rows[i]), []).append(i)
+            groups.setdefault(next(iter(rows[i])), []).append(i)
     rounds = itertools.zip_longest(*(groups[c] for c in sorted(groups)))
     return [i for r in rounds for i in r if i is not None]
 
@@ -518,15 +534,16 @@ def _eliminate(row, prow, col):
             row[c] //= h
 
 
-# The d_H images of single monomials: (H, monomial) -> the terms of
-# [[H, class(monomial)]] as a tuple of (monomial, coefficient) pairs,
-# monomials as the ring's packed keys, integral coefficients as ints and H
-# keyed by the numerators and denominator of its representative.  Every
-# slice_matrix call reads and fills it.  The values are deterministic, so
-# emptying the table once _IMAGE_LIMIT images are held changes no result;
-# the limit is well above the 528 images of symmetry_space over ell = 1..7,
-# caps 2..5, and the 24 of the degree-0 request of `quasi-trivialize --hat
-# --g "d(u_1^-1)"`.
+# The d_H images of single monomials: (H, monomial) -> (terms, D), the
+# image [[H, class(monomial)]] held the way the ring holds a polynomial:
+# integer numerators under the ring's packed monomial keys, as a tuple of
+# (key, numerator) pairs, over one denominator D > 0.  H is keyed by the
+# numerators and denominator of its representative.  Every slice_matrix
+# call reads and fills it.  The values are deterministic, so emptying the
+# table once _IMAGE_LIMIT images are held changes no result; the limit is
+# well above the 528 images of symmetry_space over ell = 1..7, caps 2..5,
+# and the 24 of the degree-0 request of `quasi-trivialize --hat --g
+# "d(u_1^-1)"`.
 _IMAGES: dict = {}
 _IMAGE_LIMIT = 16384
 
@@ -537,17 +554,23 @@ def slice_matrix(monomials, brackets) -> SparseMatrix:
     m in [[brackets[k], class(monomials[j])]].  The images come from the
     table above; a monomial missing from it has its class built once for all
     brackets, and every class carries its variational derivatives, so each
-    is differentiated at most once.  Polynomial terms carry no zero
+    is differentiated at most once.
+
+    The rows of bracket k are given as integer rows over the lcm of the
+    denominators of its images and of the monomials' coefficients, which
+    the matrix records as their denominator, so no entry is a Fraction.
+    They are built column by column, so the first
+    column of each row is its lowest.  Polynomial terms carry no zero
     coefficients, so every stored entry is nonzero."""
     hkeys = []
     for H in brackets:
         nums, D = _numerators(H.rep)
         hkeys.append((frozenset(nums.items()), D))
-    rows: dict = {}
+    dens = [1] * len(brackets)
+    found = []
     for j, x in enumerate(monomials):
         nums, D = _numerators(x)
         ((mono, n),) = nums.items()
-        c = n if D == 1 else Fraction(n, D)
         column = None
         for k, H in enumerate(brackets):
             image = _IMAGES.get((hkeys[k], mono))
@@ -557,12 +580,26 @@ def slice_matrix(monomials, brackets) -> SparseMatrix:
                 if column is None:
                     column = canonical_class(_make({mono: 1}, 1))
                 inums, iD = _numerators(schouten_bracket(H, column).rep)
-                image = tuple((mn, v // iD if v % iD == 0 else Fraction(v, iD))
-                              for mn, v in inums.items())
-                _IMAGES[(hkeys[k], mono)] = image
-            for mn, v in image:
-                rows.setdefault((k, mn), {})[j] = v if c == 1 else v * c
-    return SparseMatrix(rows, len(monomials))
+                image = _IMAGES[(hkeys[k], mono)] = (tuple(inums.items()), iD)
+            terms, iD = image
+            if terms:
+                found.append((j, k, terms, n, iD * D))
+                dens[k] = lcm(dens[k], iD * D)
+    # a block's denominator is known once all its images are read
+    rows: dict = {}
+    get = rows.get
+    for j, k, terms, n, d in found:
+        f = n * (dens[k] // d)
+        for mn, v in terms:
+            key = (k, mn)
+            row = get(key)
+            if row is None:
+                rows[key] = {j: v * f}
+            else:
+                row[j] = v * f
+    matrix = SparseMatrix(rows, len(monomials))
+    matrix._denominator = lambda key: dens[key[0]]
+    return matrix
 
 
 def linear_combination(vector, basis) -> SuperPolynomial:

@@ -25,6 +25,7 @@ from .algebra import (
     AlgebraError,
     SuperPolynomial,
     _antidiff_u,
+    _check_size,
     _contract,
     _koszul_dP,
     _theta_times,
@@ -56,6 +57,7 @@ from .variational import (
 def hierarchy(N: int):
     """Hamiltonians H_{-1}, ..., H_N of the dispersionless KdV hierarchy,
     recursively from the Casimir (4/3) int u dx."""
+    _check_size(N, "N", None)
     if N < 0:
         raise AlgebraError("N must be nonnegative")
     Qop = dkdv_q_operator()
@@ -124,6 +126,7 @@ def build_eSE(f: SuperPolynomial, g: SuperPolynomial, n: int):
 def _e_data(f: SuperPolynomial, g: SuperPolynomial, n: int):
     """e_j = F_j - G_j, j = 0..n (see build_eSE), with
     2 G_j = sum_{i=j..n} (C(i, j) + C(i+1, i-j)) u_{i-j} partial_{u_i} g - [j = 0] g."""
+    _check_size(n, "order")
     if f.order() > n or g.order() > n:
         raise AlgebraError("pair has order larger than declared")
     dg = [g.partial_u(i) for i in range(n + 1)]
@@ -204,6 +207,8 @@ def verify_SE_equivalence(e, n: int) -> bool:
 
 def binomial_identity_check(alpha: int, beta: int) -> bool:
     """sum_p C(alpha+1, beta-2p) C(alpha+p, p) = C(alpha+beta, beta)."""
+    _check_size(alpha, "alpha", None)
+    _check_size(beta, "beta", None)
     if alpha < 0 or beta < 0:
         raise AlgebraError("nonnegative arguments required")
     lhs = sum(comb(alpha + 1, beta - 2 * p) * comb(alpha + p, p)

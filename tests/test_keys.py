@@ -308,9 +308,11 @@ class TestExponentRange:
             u(1, power=_U1_MIN).partial_u(1)
         assert u(1, power=_U1_MIN).partial_u(0) == 0
         assert u(1, power=_U1_MIN).order() == 1 and u(1, power=_U1_MIN).degree() == _U1_MIN
-        # no index is negative
-        assert u(0).partial_u(-1) == 0 and SP.theta(0).partial_theta(-1) == 0
-        assert u(1).coefficient_layers(-1) == {0: u(1)}
+        # no index is negative, so a negative one is refused
+        for call in (lambda: u(0).partial_u(-1), lambda: SP.theta(0).partial_theta(-1),
+                     lambda: u(1).coefficient_layers(-1)):
+            with pytest.raises(AlgebraError, match="jet index must be at least 0, got -1"):
+                call()
 
     @pytest.mark.parametrize("k, e", [(0, _E_MAX), (1, _U1_MAX), (1, _U1_MIN), (300, _E_MAX)])
     def test_largest_exponents_round_trip_through_print(self, k, e):

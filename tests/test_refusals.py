@@ -21,7 +21,10 @@ from jetbrackets import (
     SuperPolynomial as SP,
     bicomplex_d,
     canonical_class,
+    enumerate_basis,
+    mc_residual,
     miura_push,
+    obstruction,
     operator_to_bivector,
     parse_density,
     parse_expression,
@@ -32,13 +35,14 @@ from jetbrackets import (
     vf_from_density,
 )
 from jetbrackets.cli import main
-from jetbrackets.dkdv import (binomial_identity_check, dkdv_pencil, hierarchy, quasi_trivialize,
-                              quasi_trivialize_from_generator)
+from jetbrackets.dkdv import (binomial_identity_check, build_eSE, dkdv_pencil, hierarchy,
+                              quasi_trivialize, quasi_trivialize_from_generator)
 
 u, th = SP.u(0), SP.theta(0)
 P = operator_to_bivector(DiffOperator.d(1))
 Q = operator_to_bivector(parse_operator("D: u*del + 1/2*u_1"))
 VF = canonical_class(u * th)  # theta-degree 1
+SERIES = EpsilonDeformation(P, [], 2)
 
 _RANGE = "u^20000 leaves the supported exponent range (0..16383 for u_k, -8192..8191 for u_1)"
 # (text, hat, message, column)
@@ -184,6 +188,43 @@ _REFUSALS = {
     "divide-by-zero": (lambda: u / 0, ZeroDivisionError, "division of a polynomial by zero"),
     "negative-power": (lambda: u ** -1, AlgebraError,
                        "only nonnegative integer powers of polynomials"),
+    # an index or order that does not exist, or is not an int
+    "partial-u-negative": (lambda: u.partial_u(-1), AlgebraError,
+                           "jet index must be at least 0, got -1"),
+    "partial-u-fraction": (lambda: u.partial_u(1.5), AlgebraError,
+                           "jet index must be an integer, got 1.5"),
+    "partial-theta-negative": (lambda: th.partial_theta(-1), AlgebraError,
+                               "jet index must be at least 0, got -1"),
+    "partial-theta-bool": (lambda: th.partial_theta(False), AlgebraError,
+                           "jet index must be an integer, got False"),
+    "coefficient-layers-negative": (lambda: u.coefficient_layers(-1), AlgebraError,
+                                    "jet index must be at least 0, got -1"),
+    "coefficient-layers-fraction": (lambda: u.coefficient_layers(1.5), AlgebraError,
+                                    "jet index must be an integer, got 1.5"),
+    "mc-residual-negative": (lambda: mc_residual(SERIES, -1), AlgebraError,
+                             "order must be at least 0, got -1"),
+    "mc-residual-fraction": (lambda: mc_residual(SERIES, 1.5), AlgebraError,
+                             "order must be an integer, got 1.5"),
+    "obstruction-negative": (lambda: obstruction(SERIES, -1), AlgebraError,
+                             "truncation must be at least 0, got -1"),
+    "obstruction-fraction": (lambda: obstruction(SERIES, 1.5), AlgebraError,
+                             "truncation must be an integer, got 1.5"),
+    "deformation-term-negative": (lambda: SERIES.term(-1), AlgebraError,
+                                  "order must be at least 0, got -1"),
+    "deformation-term-fraction": (lambda: SERIES.term(1.5), AlgebraError,
+                                  "order must be an integer, got 1.5"),
+    "enumerate-basis-degree-fraction": (lambda: enumerate_basis(GradedSlice(), 0, 1.5),
+                                        AlgebraError, "degree must be an integer, got 1.5"),
+    "hierarchy-fraction": (lambda: hierarchy(1.5), AlgebraError,
+                           "N must be an integer, got 1.5"),
+    "binomial-fraction": (lambda: binomial_identity_check(1.5, 0), AlgebraError,
+                          "alpha must be an integer, got 1.5"),
+    "binomial-fraction-beta": (lambda: binomial_identity_check(0, 1.5), AlgebraError,
+                               "beta must be an integer, got 1.5"),
+    "e-system-negative-order": (lambda: build_eSE(SP(), SP(), -1), AlgebraError,
+                                "order must be at least 0, got -1"),
+    "e-system-fraction-order": (lambda: build_eSE(SP(), SP(), 1.5), AlgebraError,
+                                "order must be an integer, got 1.5"),
 }
 
 
