@@ -29,6 +29,7 @@ MANIFESTS = {
     "kdv": {"base": "D: u*del + 1/2*u_1", "corrections": {"2": "D: 3/2*del^3"},
             "truncation": 4},
     "flat": {"base": "D: del", "truncation": 2},
+    "deep": {"base": "D: del", "truncation": 10001},
 }
 
 CASES = {
@@ -62,6 +63,17 @@ CASES = {
     "invalid-level": ["vder", "--level", "-1", "u_2"],
     "invalid-generator": ["quasi-trivialize", "--g", "u + theta"],
     "not-skew-adjoint": ["check-hamiltonian", "D: u*del + u_1"],
+    # the request pipeline: a second stdin is refused before stdin is read;
+    # with a negative power of u_1 every input is bounded at jet order 20,
+    # and without one a polynomial input above order 20 is accepted
+    "second-stdin": ["bracket", "-", "-"],
+    "laurent-bound": ["bracket", "--hat", "--", "u_1^-1*theta", "u_21*theta*theta_1"],
+    "polynomial-above-laurent-bound": ["dtot", "u_500"],
+    "hat-polynomial-above-laurent-bound": ["bracket", "--hat", "--", "u_25*theta",
+                                           "u*theta*theta_1"],
+    "manifest-truncation-bound": ["obstruction", "@deep"],
+    "miura-push-hat": ["miura-push", "--hat", "@flat", "--x", "u_1^-1*u_2"],
+    "quasi-trivialize-hat": ["quasi-trivialize", "--hat", "--g", "d(u_1^-1)"],
 }
 
 
