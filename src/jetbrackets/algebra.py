@@ -390,7 +390,7 @@ class SuperPolynomial:
     def __pow__(self, n: int):
         """self^n by repeated squaring, n >= 0; the exponent range is checked
         before the first product."""
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # a bool is not an exponent
             raise AlgebraError("only nonnegative integer powers of polynomials")
         if n > 1 and self._nums:
             # the theta-free part of self^n is that of self to the n, a power
@@ -428,6 +428,7 @@ class SuperPolynomial:
 
     def dx(self, n: int = 1) -> "SuperPolynomial":
         """The n-th total derivative, n >= 0."""
+        _check_size(n, "the power of the total derivative", None)
         if n < 0:
             raise AlgebraError(f"the power of the total derivative must be nonnegative, got {n}")
         nums = self._nums
@@ -741,10 +742,8 @@ def _file(nums: dict, odd: bool, lo: int, hi: float = inf) -> dict:
 
 def _variational(a: SuperPolynomial, odd: bool, level: int) -> SuperPolynomial:
     """delta_{level, u} a (odd false) or delta_{level, theta} a (odd true),
-    level >= 0, evaluated as p_0 + d(p_1 + d(...)) on the pieces p_j of
-    `_file`."""
-    if level < 0:
-        raise AlgebraError(f"the level of a variational derivative must be nonnegative, got {level}")
+    level >= 0 (the public wrappers check it), evaluated as p_0 + d(p_1 +
+    d(...)) on the pieces p_j of `_file`."""
     pieces = _file(a._nums, odd, level)
     acc: dict = {}
     if pieces:

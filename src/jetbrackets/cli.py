@@ -1,14 +1,19 @@
 """Command-line surface: deterministic JSON over the engine.
 
-Exit codes: 0 on success, 1 when a mathematical check comes out false, 2 on
-usage, parse, or engine errors.  Every exit 2 after argument parsing prints a
-JSON object {"error": {"code", "message"}}; an unexpected exception gives
-`internal-error` with its traceback on stderr.  Each subcommand declares the
-range of its integer flags beside them in `build_parser` (`ranges`: lowest,
-and highest or None), and `main` checks them before dispatch; a value
-outside its range gives `invalid-argument`.  Expressions accept `-` to read
-stdin; at most one argument of a request may be `-`, and `bracket - -` or
-`check-compatible - -` gives `invalid-argument` before stdin is read.
+Every request runs one pipeline.  `main` parses the arguments and checks
+each integer flag against the range its subcommand declares beside it in
+`build_parser` (`ranges`: lowest, and highest or None).  The command then
+takes its inputs from `_inputs`: a second `-` (stdin) among them, as in
+`bracket - -` or `check-compatible - -`, is refused before stdin is read;
+every input is parsed; then a manifest's operators and the inputs are
+bounded (below), all before the command computes.  The command returns its
+JSON document and exit code, and `main`, stdout's only writer, prints that
+document or the error object of what was raised.  Exit codes: 0 on
+success, 1 when a mathematical check comes out false, 2 on usage, parse, or
+engine errors.  Every exit 2 after argument parsing prints
+{"error": {"code", "message"}}: a flag outside its range, a second stdin
+or an input above its bound gives `invalid-argument`, and an unexpected
+exception gives `internal-error` with its traceback on stderr.
 `main` builds its argument parser on its first call and reuses it for every
 later call in the process; `build_parser` returns a fresh parser each time.
 Deformation manifests are JSON documents of the form
@@ -32,12 +37,11 @@ in an operator) gives `invalid-argument` as well: the ring admits any jet
 index, but the variational kernels take time quadratic in it.  In a request
 with a negative power of u_1 in any input (both arguments of `bracket` and
 `check-compatible`, a manifest's base and corrections, `--x`, `--g`) every
-input is bounded at jet order 20, since d^n of u_1^-1 has p(n) terms.  Every
-input of a request is parsed before any is bounded, and all are bounded
-before the command computes.  `d(...)` is evaluated while its expression is
-parsed, so the parser itself refuses, as a `parse-error` at that `d`, a
-`d(...)` whose operand has a negative power of u_1 and jet order above 20:
-a nested derivative of a Laurent input stops there, before its terms grow.
+input is bounded at jet order 20, since d^n of u_1^-1 has p(n) terms.
+`d(...)` is evaluated while its expression is parsed, so the parser itself
+refuses, as a `parse-error` at that `d`, a `d(...)` whose operand has a
+negative power of u_1 and jet order above 20: a nested derivative of a
+Laurent input stops there, before its terms grow.
 A `symmetries` slice whose column count times the degree squared exceeds
 75 000 gives `invalid-argument` before any bracket is computed; the largest
 accepted slices (degrees 8 to 11) answer in about a second: 0.6 to 1.0 s
@@ -130,32 +134,19 @@ def _in_range(args) -> None:
             raise _InvalidArgument(f"{flag} must be at most {highest}, got {value}")
 
 
-def _one_stdin(*texts) -> None:
-    """Refuse a request that names stdin twice: the second read gets ""."""
+def _inputs(args, *texts, parse=parse_density, manifest=()) -> list:
+    """The parsed inputs `texts` of a request (`-` reads stdin), once all are
+    bounded.  A second `-` is refused before stdin is read, since its read
+    would get "".  Every input is parsed, then a manifest's operators and
+    the inputs are bounded in the order they were parsed.  The variational
+    kernels take time quadratic in the jet index, which for an operator
+    counts its power of del and its coefficients; and d^n of u_1^-1 has
+    p(n) terms, so once an input has a negative power of u_1 every input is
+    bounded at `_MAX_LAURENT_JET_ORDER`."""
     if texts.count("-") > 1:
         raise _InvalidArgument("at most one argument may be '-' (stdin)")
-
-
-def _read(args, text, parse=parse_density):
-    """Parse one input of a request; `-` reads it from stdin."""
-    return parse(sys.stdin.read() if text == "-" else text, hat=args.hat)
-
-
-def _emit(doc, args) -> None:
-    if args.pretty:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-
-
-def _bounded(hat, *inputs, manifest=()) -> None:
-    """Refuse a request whose parsed inputs are too deep, walking a
-    manifest's operators and then `inputs` in the order they were parsed.
-    The variational kernels take time quadratic in the jet index, which for
-    an operator counts its power of del and its coefficients; and d^n of
-    u_1^-1 has p(n) terms, so once an input has a negative power of u_1
-    every input is bounded at `_MAX_LAURENT_JET_ORDER`."""
-    jet_order, laurent = 0, False
+    inputs = [parse(sys.stdin.read() if text == "-" else text, hat=args.hat) for text in texts]
+    jet_order, seen = 0, []
     labelled = [("manifest operator", D) for D in manifest]
     labelled += [("operator" if isinstance(x, DiffOperator) else "expression", x) for x in inputs]
     for what, x in labelled:
@@ -165,17 +156,18 @@ def _bounded(hat, *inputs, manifest=()) -> None:
             raise _InvalidArgument(f"{what} jet order must be at most {_MAX_JET_ORDER}, "
                                    f"got {order}")
         jet_order = max(order, jet_order)
-        # only --hat admits a negative power in the input
-        laurent = laurent or (hat and any(
-            min(p.coefficient_layers(1), default=0) < 0 for p in polys))
-        if laurent and jet_order > _MAX_LAURENT_JET_ORDER:
+        seen += polys
+        # a request within order 20 pays for no test of its powers of u_1
+        if jet_order > _MAX_LAURENT_JET_ORDER and any(
+                min(p.coefficient_layers(1), default=0) < 0 for p in seen):
             raise _InvalidArgument(f"a request with a negative power of u_1 must have jet "
                                    f"order at most {_MAX_LAURENT_JET_ORDER}, got {jet_order}")
+    return inputs
 
 
 def _load_manifest(args, path):
     """The parsed operators of a manifest, ({order: operator}, truncation)
-    with the base at order 0; `_bounded` bounds them and `_series` takes
+    with the base at order 0; `_inputs` bounds them and `_series` takes
     their derivatives."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -231,63 +223,47 @@ def _dump_series(D: EpsilonDeformation) -> dict:
 
 
 def _cmd_bracket(args):
-    _one_stdin(args.a, args.b)
-    a, b = _read(args, args.a), _read(args, args.b)
-    _bounded(args.hat, a, b)
+    a, b = _inputs(args, args.a, args.b)
     res = schouten_bracket(canonical_class(a), canonical_class(b))
-    _emit({"bracket": str(res.rep), "theta_degree": res.theta_degree}, args)
-    return 0
+    return {"bracket": str(res.rep), "theta_degree": res.theta_degree}, 0
 
 
 def _cmd_dtot(args):
-    x = _read(args, args.expr)
-    _bounded(args.hat, x)
-    _emit({"result": str(x.total_derivative())}, args)
-    return 0
+    x, = _inputs(args, args.expr)
+    return {"result": str(x.total_derivative())}, 0
 
 
 def _cmd_vder(args):
-    x = _read(args, args.expr)
-    _bounded(args.hat, x)
+    x, = _inputs(args, args.expr)
     r = variational_derivative(x, args.slot, level=args.level)
-    _emit({"result": str(r), "slot": args.slot, "level": args.level}, args)
-    return 0
+    return {"result": str(r), "slot": args.slot, "level": args.level}, 0
 
 
 def _cmd_normalize(args):
-    x = _read(args, args.expr)
-    _bounded(args.hat, x)
-    _emit({"result": str(normalize_N(x))}, args)
-    return 0
+    x, = _inputs(args, args.expr)
+    return {"result": str(normalize_N(x))}, 0
 
 
 def _cmd_check_hamiltonian(args):
-    D = _read(args, args.op, parse_operator)
-    _bounded(args.hat, D)
+    D, = _inputs(args, args.op, parse=parse_operator)
     ok = is_hamiltonian(operator_to_bivector(D))
-    _emit({"hamiltonian": ok}, args)
-    return 0 if ok else 1
+    return {"hamiltonian": ok}, 0 if ok else 1
 
 
 def _cmd_check_compatible(args):
-    _one_stdin(args.op1, args.op2)
-    D1, D2 = _read(args, args.op1, parse_operator), _read(args, args.op2, parse_operator)
-    _bounded(args.hat, D1, D2)
+    D1, D2 = _inputs(args, args.op1, args.op2, parse=parse_operator)
     B1, B2 = operator_to_bivector(D1), operator_to_bivector(D2)
     ok = is_hamiltonian(B1) and is_hamiltonian(B2) and are_compatible(B1, B2)
-    _emit({"compatible": ok}, args)
-    return 0 if ok else 1
+    return {"compatible": ok}, 0 if ok else 1
 
 
 def _cmd_hierarchy(args):
     hams = hierarchy(args.n)
-    doc = {"hamiltonians": [
+    return {"hamiltonians": [
         {"index": i - 1, "density": str(H.rep),
          "flow": str(hierarchy_flow(H).chars[0])}
         for i, H in enumerate(hams)
-    ]}
-    _emit(doc, args)
-    return 0
+    ]}, 0
 
 
 def _cmd_symmetries(args):
@@ -299,14 +275,13 @@ def _cmd_symmetries(args):
         raise _InvalidArgument(f"symmetries slice columns times degree squared must be at "
                                f"most {_MAX_SLICE_COST}, got {cost}")
     basis = symmetry_space(args.degree, args.max_udeg, max_order=args.max_order)
-    _emit({"degree": args.degree, "dimension": len(basis),
-           "basis": sorted(str(b) for b in basis)}, args)
-    return 0
+    return {"degree": args.degree, "dimension": len(basis),
+            "basis": sorted(str(b) for b in basis)}, 0
 
 
 def _cmd_obstruction(args):
     ops, trunc = _load_manifest(args, args.manifest)
-    _bounded(args.hat, manifest=ops.values())
+    _inputs(args, manifest=ops.values())
     D = _series(ops, trunc)
     order = args.order if args.order is not None else D.truncation
     res, ob = _residual_and_obstruction(D, order)
@@ -314,43 +289,35 @@ def _cmd_obstruction(args):
     if ob is not None:
         doc["order"] = order
         doc["obstruction"] = str(ob.rep)
-    _emit(doc, args)
-    return 0
+    return doc, 0
 
 
 def _cmd_miura_push(args):
     ops, trunc = _load_manifest(args, args.manifest)
-    x = _read(args, args.x)
-    _bounded(args.hat, x, manifest=ops.values())
+    x, = _inputs(args, args.x, manifest=ops.values())
     D = _series(ops, trunc)
     X = canonical_class(x * SuperPolynomial.theta(0))
     N = args.order if args.order is not None else D.truncation
-    pushed = miura_push(D, X, args.weight, N)
-    _emit(_dump_series(pushed), args)
-    return 0
+    return _dump_series(miura_push(D, X, args.weight, N)), 0
 
 
 def _cmd_quasi_trivialize(args):
-    g = _read(args, args.g)
-    _bounded(args.hat, g)
+    g, = _inputs(args, args.g)
     k = g.theta_degree()
     if g and k != 0:
         raise _InvalidArgument(
             f"--g must have theta-degree 0, got {'mixed' if k is None else k}")
     witness, c1 = quasi_trivialize_from_generator(g, args.degree)
     if isinstance(witness, NontrivialAtDegreeZero):
-        _emit({"trivial": False, "cocycle": str(c1.rep),
-               "reason": "nontrivial-at-degree-zero"}, args)
-        return 1
-    _emit({"trivial": True, "cocycle": str(c1.rep),
-           "witness_characteristic": str(witness.chars[0])}, args)
-    return 0
+        return {"trivial": False, "cocycle": str(c1.rep),
+                "reason": "nontrivial-at-degree-zero"}, 1
+    return {"trivial": True, "cocycle": str(c1.rep),
+            "witness_characteristic": str(witness.chars[0])}, 0
 
 
 def _cmd_psi_check(args):
     ok = psi_check()
-    _emit({"holds": ok, "psi": str(psi_density())}, args)
-    return 0 if ok else 1
+    return {"holds": ok, "psi": str(psi_density())}, 0 if ok else 1
 
 
 def _cmd_selftest(args):
@@ -380,8 +347,7 @@ def _cmd_selftest(args):
 
     check("quasi-trivialize-deg2", quasi_deg2)
     ok = all(c["pass"] for c in checks)
-    _emit({"ok": ok, "checks": checks}, args)
-    return 0 if ok else 1
+    return {"ok": ok, "checks": checks}, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,24 +453,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Answer one request: the command's document, or an error object, is
+    the one JSON document written to stdout."""
     args = _parser().parse_args(argv)
     try:
         _in_range(args)
-        return args.func(args)
+        doc, code = args.func(args)
     except Exception as exc:  # noqa: BLE001 - every failure becomes an error object
-        code = _error_code(exc)
-        doc = {"error": {"code": code, "message": str(exc)}}
+        error = {"code": _error_code(exc), "message": str(exc)}
         if isinstance(exc, ParseError):
-            doc["error"]["column"] = exc.column
+            error["column"] = exc.column
             if exc.expected:
-                doc["error"]["expected"] = list(exc.expected)
-        elif code == "internal-error":
-            doc["error"]["message"] = f"{type(exc).__name__}: {exc}"
+                error["expected"] = list(exc.expected)
+        elif error["code"] == "internal-error":
+            error["message"] = f"{type(exc).__name__}: {exc}"
             import traceback  # loaded only here: a normal run never needs it
 
             traceback.print_exc()
-        _emit(doc, args)
-        return 2
+        doc, code = {"error": error}, 2
+    if args.pretty:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return code
 
 
 if __name__ == "__main__":

@@ -379,6 +379,8 @@ def quasi_trivialize(c, ell: int | None = None):
     NontrivialAtDegreeZero; a Laurent class gets a witness from the joint
     d_P / d_Q system or raises NoSolution (see _degree_zero).
     """
+    if ell is not None:
+        _check_size(ell, "declared degree")
     pencil = dkdv_pencil()
     if isinstance(c, Cochain):
         if len(c.entries) != 2 or not c[0].is_zero():
@@ -455,6 +457,8 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
     bracket is taken only when no witness comes out; at degree 0 it is
     taken first.
     """
+    if ell is not None:
+        _check_size(ell, "declared degree")
     k = g.theta_degree()
     if g and k != 0:
         raise AlgebraError(f"g must have theta-degree 0, got {'mixed' if k is None else k}")

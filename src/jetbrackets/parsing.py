@@ -186,8 +186,7 @@ class _Parser:
             poly, delpow = val
             if delpow:
                 raise ParseError("d(...) takes a density, not an operator", col, name)
-            # only hat mode admits a negative power of u_1
-            if (self.hat and poly.order() > _MAX_LAURENT_JET_ORDER
+            if (poly.order() > _MAX_LAURENT_JET_ORDER
                     and min(poly.coefficient_layers(1), default=0) < 0):
                 raise ParseError(f"d(...) of an operand with a negative power of u_1 must "
                                  f"have jet order at most {_MAX_LAURENT_JET_ORDER}", col, name)

@@ -116,7 +116,9 @@ class Pencil(FrozenRecord):
 
     def member(self, lam) -> MultiVector:
         """P + lambda Q, again Hamiltonian for every rational lambda."""
-        return self.P + self.Q.scale(Fraction(lam))
+        if not isinstance(lam, (int, Fraction)):
+            raise TypeError("coefficients must be exact rationals (int or Fraction)")
+        return self.P + self.Q.scale(lam)
 
     def d_P(self, a: MultiVector) -> MultiVector:
         return schouten_bracket(self.P, a)

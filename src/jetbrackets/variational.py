@@ -46,6 +46,7 @@ from .algebra import (
     SkewnessError,
     SuperPolynomial,
     _antidiff_u,
+    _check_size,
     _integrate,
     _theta_free,
     _theta_times,
@@ -61,13 +62,21 @@ class NotExact(AlgebraError):
         self.residue = residue
 
 
+def _check_level(level) -> None:
+    _check_size(level, "the level of a variational derivative", None)
+    if level < 0:
+        raise AlgebraError(f"the level of a variational derivative must be nonnegative, got {level}")
+
+
 def higher_variational_u(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
     """delta_{k,u} = sum_j (-1)^j C(k+j, k) d^j o partial_{u_{k+j}}, k = level >= 0."""
+    _check_level(level)
     return _variational(a, False, level)
 
 
 def higher_variational_theta(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
     """delta_{k,theta}, the odd counterpart."""
+    _check_level(level)
     return _variational(a, True, level)
 
 

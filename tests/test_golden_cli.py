@@ -3,7 +3,8 @@
 Each case runs ``jetbrackets.cli.main`` in-process and compares the exit code
 and the exact stdout with ``data/golden_cli.json``.  The cases cover every
 subcommand, ``--hat``, ``--pretty``, the slice caps, a parse error, invalid
-arguments and the two manifest commands.  A difference here is a change of the
+arguments, the two manifest commands, and the request pipeline's refusal of a
+second stdin and its jet-order bounds.  A difference here is a change of the
 CLI's output and must be deliberate.
 
 Regenerate (only after such a deliberate change) with

@@ -6,6 +6,7 @@ error code, message and column.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,8 @@ from jetbrackets import (
     bicomplex_d,
     canonical_class,
     enumerate_basis,
+    higher_variational_theta,
+    higher_variational_u,
     mc_residual,
     miura_push,
     obstruction,
@@ -188,6 +191,38 @@ _REFUSALS = {
     "divide-by-zero": (lambda: u / 0, ZeroDivisionError, "division of a polynomial by zero"),
     "negative-power": (lambda: u ** -1, AlgebraError,
                        "only nonnegative integer powers of polynomials"),
+    "power-bool": (lambda: u ** True, AlgebraError,
+                   "only nonnegative integer powers of polynomials"),
+    "dx-fraction": (lambda: u.dx(1.5), AlgebraError,
+                    "the power of the total derivative must be an integer, got 1.5"),
+    "dx-bool": (lambda: u.dx(True), AlgebraError,
+                "the power of the total derivative must be an integer, got True"),
+    "variational-level-fraction": (
+        lambda: higher_variational_u(u, level=1.5), AlgebraError,
+        "the level of a variational derivative must be an integer, got 1.5"),
+    "variational-level-bool": (
+        lambda: higher_variational_theta(th, level=True), AlgebraError,
+        "the level of a variational derivative must be an integer, got True"),
+    "variational-derivative-level-fraction": (
+        lambda: variational_derivative(u, level=1.5), AlgebraError,
+        "the level of a variational derivative must be an integer, got 1.5"),
+    "quasi-trivialize-declared-degree-string": (
+        lambda: quasi_trivialize(_tail("d(u_1*u)"), "2"), AlgebraError,
+        "declared degree must be an integer, got '2'"),
+    "quasi-trivialize-declared-degree-fraction": (
+        lambda: quasi_trivialize(_tail("d(u_1*u)"), 2.0), AlgebraError,
+        "declared degree must be an integer, got 2.0"),
+    "quasi-trivialize-declared-degree-negative": (
+        lambda: quasi_trivialize(_tail("d(u_1*u)"), -1), AlgebraError,
+        "declared degree must be at least 0, got -1"),
+    "quasi-trivialize-from-generator-declared-degree-fraction": (
+        lambda: quasi_trivialize_from_generator(parse_density("d(u_1*u)"), 2.0),
+        AlgebraError, "declared degree must be an integer, got 2.0"),
+    # a pencil member is exact: no float and no string is read as a rational
+    "pencil-member-float": (lambda: dkdv_pencil().member(0.1), TypeError,
+                            "coefficients must be exact rationals (int or Fraction)"),
+    "pencil-member-string": (lambda: dkdv_pencil().member("1/2"), TypeError,
+                             "coefficients must be exact rationals (int or Fraction)"),
     # an index or order that does not exist, or is not an int
     "partial-u-negative": (lambda: u.partial_u(-1), AlgebraError,
                            "jet index must be at least 0, got -1"),
@@ -236,3 +271,10 @@ def test_refusal_is_pinned(name):
     assert type(err.value) is exc_type
     assert str(err.value) == message
 
+
+
+def test_pencil_member_of_an_exact_lambda():
+    # P + lambda Q for P = del and Q = u del + 1/2 u_1
+    for lam, op in ((2, "D: del + 2*u*del + u_1"),
+                    (Fraction(1, 2), "D: del + 1/2*u*del + 1/4*u_1")):
+        assert dkdv_pencil().member(lam) == operator_to_bivector(parse_operator(op))
