@@ -58,17 +58,21 @@ theta-free term and goes to r for a term with a theta factor.  d is an
 even derivation, so its table (`_DERIV_CACHE`) holds the derivatives of the
 theta-free and the odd parts of the keys it meets, not of the keys: a few
 thousand parts cover the tens of thousands of monomials of a Jacobi check.
-`_derive_key` finds the nonzero fields of a part with a bit fold, and
-`_unpack` and `_key_degree` read the fields of a key from one pass over its
-bytes (`_fields`), so d, printing and the degree cost time linear in a jet
-index.
+The filing reads a second table of the same parts (`_FILE_CACHE`), under
+the same bound of 65 536 entries: for an odd part, the bit of each theta_k
+with the sign of its left derivative; for a theta-free part, the unit of
+each u_k with its signed exponent.  A term files one entry per factor of
+its part in [lo, hi], with no walk over its fields.  `_u_factors` finds the
+nonzero fields of a part with a bit fold, and `_unpack` and `_key_degree`
+read the fields of a key from one pass over its bytes (`_fields`), so d,
+printing and the degree cost time linear in a jet index.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, gcd, inf, lcm
+from math import comb, gcd, lcm
 
 
 class AlgebraError(Exception):
@@ -607,8 +611,10 @@ def _theta_times(x: SuperPolynomial, k: int) -> SuperPolynomial:
 # bounds an entry's size.  The limit is above the 41 334 parts of the
 # quasi-Miura series of KdV through eps^16 and the 3 353 parts of 52 passes
 # of random Jacobi checks (seed 14, 48 746 distinct monomials).  Those 3 353
-# entries retain 1.05 MB under tracemalloc, 314 bytes each (CPython 3.11),
-# so a full table holds about 21 MB.
+# entries retain 1.04 MB under tracemalloc, 311 bytes each (CPython 3.11),
+# so a full table holds about 20 MB.  The filing table below keeps the same
+# limit and rule; the same 52 passes file 712 parts, whose entries retain
+# 254 kB, 357 bytes each, so it too holds at most about 23 MB.
 _DERIV_CACHE: dict = {}
 _DERIV_LIMIT = 65536
 _THETA = _MASKS[64][0]       # the theta bits of fields 0..63
@@ -618,26 +624,52 @@ _WIDE = 1 << (_W * 64)       # the keys from here on are wider than 64 fields
 _STEPS = tuple((2 << (_W * k + _W)) - (2 << (_W * k)) for k in range(64))
 _MOVES = tuple((1 << (_W * k + _W)) - (1 << (_W * k)) for k in range(64))
 
+# table of the filing entries of the parts of monomials, beside _DERIV_CACHE
+# and under its limit and clearing rule: a theta part t != 0 -> ((k, bit,
+# sign), ...) over its factors theta_k, where sign = (-1)^(k+i) and i is the
+# number of theta factors below theta_k (a left derivative jumps them), and
+# a theta-free part E -> ((k, unit, (-1)^k e), ...) over its factors u_k^e.
+# The partial derivative by theta_k or u_k of a key m is then m - bit or
+# m - unit, times the signed multiplier; `_file` multiplies in C(k, lo) and
+# (-1)^lo, so one loop serves both parities and every [lo, hi].  The keys
+# cannot collide: t has only theta bits, E none, and neither t = 0 nor an E
+# with u_1^-8192 (whose field 1 is 0, so u_1^-8192 alone is the key 0) is
+# stored.  Parts of keys wider than 64 fields are filed on each use and not
+# stored.
+_FILE_CACHE: dict = {}
+# the bit of theta_k and the unit of u_k, shared by every filing entry
+_BITS = tuple(1 << (_W * k) for k in range(64))
+_UNITS = tuple(2 << (_W * k) for k in range(64))
 
-def _derive_key(m: int):
-    """d of the monomial with theta-free key m, as ((step, multiplier), ...)
-    in field order: by Leibniz, u_k^e gives e u_k^(e-1) u_{k+1}, whose key is
-    m + step.  The nonzero fields come from a bit fold, so the cost is linear
-    in the key's length per nonzero field."""
+
+def _u_factors(m: int):
+    """The factors u_k^e, e != 0, of the theta-free key m as [(k, e), ...] in
+    field order.  The nonzero fields come from a bit fold, so the cost is
+    linear in the key's length per nonzero field."""
     x = m ^ _ONE  # field 1 of x is 0 exactly when u_1 has exponent 0
     x |= x >> 8
     x |= x >> 4
     x |= x >> 2
     x |= x >> 1
     nz = x & (_THETA if m < _WIDE else _masks(m)[0])  # bit 0 of each nonzero field
-    ents = []
+    out = []
     while nz:
         low = nz & -nz
         nz ^= low
         shift = low.bit_length() - 1
         k = shift // _W
         f = (m >> shift) & _FIELD
-        e = (f >> 1) - _BIAS if k == 1 else f >> 1
+        out.append((k, (f >> 1) - _BIAS if k == 1 else f >> 1))
+    return out
+
+
+def _derive_key(m: int):
+    """d of the monomial with theta-free key m, as ((step, multiplier), ...)
+    in field order: by Leibniz, u_k^e gives e u_k^(e-1) u_{k+1}, whose key is
+    m + step."""
+    ents = []
+    for k, e in _u_factors(m):
+        shift = _W * k
         # u_1^e loses one power, u_{k+1} gains one (_E_MAX is also the
         # largest value a field stores)
         if e == _U1_MIN or (m >> (shift + _W + 1)) & _E_MAX == _E_MAX:
@@ -697,46 +729,61 @@ def _add_derivative(out: dict, terms: dict) -> dict:
     return {m: c for m, c in out.items() if c} if 0 in out.values() else out
 
 
-def _file(nums: dict, odd: bool, lo: int, hi: float = inf) -> dict:
+def _filing_entries(part: int, odd: bool):
+    """The filing entries of a theta part (odd true) or a theta-free part,
+    see `_FILE_CACHE`; () for the theta part 0."""
+    ents = []
+    if odd:
+        i = 0  # theta_k jumps the i odd factors below it
+        while part:
+            low = part & -part
+            part ^= low
+            k = low.bit_length() // _W
+            ents.append((k, _BITS[k] if k < 64 else low, -1 if (i + k) & 1 else 1))
+            i += 1
+    else:
+        for k, e in _u_factors(part):
+            ents.append((k, _UNITS[k] if k < 64 else 2 << (_W * k), -e if k & 1 else e))
+    return tuple(ents)
+
+
+def _file(nums: dict, odd: bool, lo: int, hi: int = sys.maxsize) -> dict:
     """The filing sweep.  pieces[j] is the int dict of (-1)^j C(lo+j, lo)
     times the partial derivative of nums by u_{lo+j} (odd false) or
     theta_{lo+j} (odd true, a left derivative), for lo+j <= hi; the
-    denominator is unchanged."""
+    denominator is unchanged.  Each term files the entries of its part that
+    lie in [lo, hi], in field order.  The one reader of `_FILE_CACHE`."""
     pieces: dict = {}
     if hi < 0:
         return pieces  # no index is negative
-    if odd:
-        tmask = _masks(max(nums, default=0))[0]
-        for m, n in nums.items():
-            t = m & tmask
-            i = 0  # theta_k jumps the i odd factors below it
-            while t:
-                low = t & -t
-                t ^= low
-                k = low.bit_length() // _W
-                if k > hi:
-                    break
-                if k >= lo:
-                    v = n * comb(k, lo)
-                    key = m - low
-                    piece = pieces.setdefault(k - lo, {})
-                    piece[key] = piece.get(key, 0) + (-v if (i + k - lo) & 1 else v)
-                i += 1
-        return pieces
+    table = _FILE_CACHE
     for m, n in nums.items():
-        rest, k = m >> (_W * lo), lo
-        while (rest or k < 2) and k <= hi:
-            f = rest & _FIELD
-            e = (f >> 1) - _BIAS if k == 1 else f >> 1
-            if e:
-                if e == _U1_MIN:
+        t = m & (_THETA if m < _WIDE else _masks(m)[0])
+        part = t if odd else m - t
+        ents = table.get(part)
+        if ents is None:
+            ents = _filing_entries(part, odd)
+            if not odd and not (part >> _W) & _FIELD:
+                # u_1^-8192, whose field 1 is 0: never stored, so its
+                # partial derivative by u_1 is refused on every use
+                if lo <= 1 <= hi:
                     raise _range_error("a partial derivative")
-                v = n * e * comb(k, lo)
-                key = m - (2 << (_W * k))
-                piece = pieces.setdefault(k - lo, {})
-                piece[key] = piece.get(key, 0) + (-v if (k - lo) & 1 else v)
-            rest >>= _W
-            k += 1
+            elif part and part < _WIDE:
+                if len(table) >= _DERIV_LIMIT:
+                    table.clear()
+                table[part] = ents
+        for k, unit, x in ents:
+            if k > hi:
+                break
+            if k >= lo:
+                v = n * x
+                if lo:
+                    v *= -comb(k, lo) if lo & 1 else comb(k, lo)
+                key = m - unit
+                piece = pieces.get(k - lo)
+                if piece is None:
+                    piece = pieces[k - lo] = {}
+                piece[key] = piece.get(key, 0) + v
     return pieces
 
 

@@ -115,9 +115,8 @@ class Pencil(FrozenRecord):
         return cls(P, Q, certified=True)
 
     def member(self, lam) -> MultiVector:
-        """P + lambda Q, again Hamiltonian for every rational lambda."""
-        if not isinstance(lam, (int, Fraction)):
-            raise TypeError("coefficients must be exact rationals (int or Fraction)")
+        """P + lambda Q, again Hamiltonian for every rational lambda (`scale`
+        refuses any other lambda)."""
         return self.P + self.Q.scale(lam)
 
     def d_P(self, a: MultiVector) -> MultiVector:

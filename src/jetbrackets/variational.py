@@ -35,10 +35,14 @@ operator of a bivector B is read off delta_theta B = sum_j D_j theta_j as
 D_j = partial_theta(j) of it, and `antidiff_square` and the dKdV hierarchy
 lift are antiderivatives in u_k (`algebra._antidiff_u`).  A class carries
 the delta_theta and delta_u of its representative (see MultiVector), so the
-Schouten bracket differentiates each class at most once per variable.
+Schouten bracket differentiates each class at most once per variable, and
+takes delta_u from the density a class was built from when that density is
+smaller than the representative.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .algebra import (
     AlgebraError,
@@ -48,6 +52,7 @@ from .algebra import (
     _antidiff_u,
     _check_size,
     _integrate,
+    _numerators,
     _theta_free,
     _theta_times,
     _variational,
@@ -151,21 +156,24 @@ class MultiVector:
     computed at most once per class, on first use, unless the class was
     built with it.  `canonical_class` (theta-degree k >= 1) stores the
     delta_theta it differentiates anyway: N a - k a is a total derivative,
-    so delta_theta (theta delta_theta a / k) = delta_theta a.  The
-    derivatives are linear, so `scale` scales the known ones, and the sum of
-    two classes of theta-degree k >= 1 with known delta_theta is
+    so delta_theta (theta delta_theta a / k) = delta_theta a.  For the same
+    reason delta_u a = delta_u rep, so when the density a has fewer terms
+    than rep the class keeps it in a third slot, and delta_u is taken from
+    a, which is then dropped; a class with no such density differentiates
+    rep.  The derivatives are linear, so `scale` scales the known ones, and
+    the sum of two classes of theta-degree k >= 1 with known delta_theta is
     theta (delta_theta a + delta_theta b) / k, with no differentiation.
 
     Invariant: `rep` and `theta_degree` are never reassigned after
     construction, and `theta_degree` is the theta-degree of `rep`; the
     carried derivatives are only correct under it."""
 
-    __slots__ = ("rep", "theta_degree", "_dtheta", "_du")
+    __slots__ = ("rep", "theta_degree", "_dtheta", "_du", "_src")
 
     def __init__(self, rep: SuperPolynomial, theta_degree: int):
         self.rep = rep
         self.theta_degree = theta_degree
-        self._dtheta = self._du = None
+        self._dtheta = self._du = self._src = None
 
     def _delta_theta(self) -> SuperPolynomial:
         """delta_theta rep, computed at most once."""
@@ -175,10 +183,12 @@ class MultiVector:
         return d
 
     def _delta_u(self) -> SuperPolynomial:
-        """delta_u rep, computed at most once."""
+        """delta_u rep, computed at most once, from the smaller density of
+        the class when it carries one (see the class docstring)."""
         d = self._du
         if d is None:
-            d = self._du = _variational(self.rep, False, 0)
+            src, self._src = self._src, None
+            d = self._du = _variational(self.rep if src is None else src, False, 0)
         return d
 
     def is_zero(self) -> bool:
@@ -220,6 +230,9 @@ class MultiVector:
         return self.scale(-1)
 
     def scale(self, c) -> "MultiVector":
+        """The class c times self, for an exact rational c (a bool is not one)."""
+        if type(c) is bool or not isinstance(c, (int, Fraction)):
+            raise TypeError("coefficients must be exact rationals (int or Fraction)")
         out = MultiVector(self.rep * c, self.theta_degree)
         if self._dtheta is not None:
             out._dtheta = self._dtheta * c
@@ -270,7 +283,10 @@ def _class_of_degree(a: SuperPolynomial, k: int) -> MultiVector:
         out = MultiVector(_integrate(a)[1], 0)
         out._dtheta = _ZERO
         return out
-    return _class_of(_variational(a, True, 0), k)
+    out = _class_of(_variational(a, True, 0), k)
+    if len(_numerators(a)[0]) < len(_numerators(out.rep)[0]):
+        out._src = a  # the smaller density of the class, for delta_u
+    return out
 
 
 class EvolutionaryVF:

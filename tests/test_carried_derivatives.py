@@ -165,14 +165,30 @@ def test_d_P_then_d_Q_differentiate_a_class_once(monkeypatch):
         first, second = pencil.d_P(c), pencil.d_Q(c)
         counts = Counter(calls)
         assert not c.is_zero()
-        # delta_theta once at most (canonical_class), delta_u once (d_P)
+        # delta_theta once at most (canonical_class), delta_u once (d_P), of
+        # the density or the representative
         assert sum(n for (a, odd), n in counts.items() if odd and a in (density, c.rep)) <= 1
-        assert counts[(c.rep, False)] == 1
+        assert sum(n for (a, odd), n in counts.items() if not odd and a in (density, c.rep)) == 1
         # besides c, only the two images are put in canonical form
         assert len(calls) <= 2 + 2
         calls.clear()
         assert (pencil.d_P(c), pencil.d_Q(c)) == (first, second)
         assert len(calls) <= 2
+
+
+def test_delta_u_comes_from_the_smaller_density(monkeypatch):
+    # theta_3 u u_1 has one term, its representative -theta d^3(u u_1) four
+    large = SP.u(0) * SP.u(1) * SP.theta(3)
+    small = SP.u(0) * SP.u(2) * SP.theta(0)  # one term, its own representative
+    want = {p: higher_variational_u(p) for p in (large, small)}
+    a, b = canonical_class(large), canonical_class(small)
+    assert a._src is large and b._src is None
+    calls = _count_kernel(monkeypatch)
+    assert (a._delta_u(), b._delta_u()) == (want[large], want[small])
+    assert calls == [(large, False), (b.rep, False)]
+    assert a._src is None
+    assert (a._delta_u(), b._delta_u()) == (want[large], want[small])
+    assert len(calls) == 2
 
 
 def test_sums_and_multiples_are_not_differentiated_again(monkeypatch):

@@ -10,9 +10,14 @@ equal it as a list of items, so the insertion order of each dict is pinned
 too, with the table cold and warm, on polynomial and Laurent keys, on
 blocked moves theta_k theta_{k+1} and on keys wider than 64 fields, which
 are derived on each use and never stored.
+
+The filing sweep `algebra._file` reads a second table of the same parts,
+its filing entries; it is checked the same way against the per-term walk
+it replaced, `_file_per_term`.
 """
 
 from contextlib import contextmanager
+from math import comb, inf
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,8 +31,9 @@ from jetbrackets import (
 )
 from jetbrackets import algebra
 from jetbrackets.algebra import (
-    _BIAS, _E_MAX, _THETA, _U1_MIN, _U1_MAX, _W, _WIDE,
-    _add_derivative, _derive_key, _fields, _integrate, _make, _pack, _range_error, _theta_moves, _variational,
+    _BIAS, _E_MAX, _FIELD, _THETA, _U1_MIN, _U1_MAX, _W, _WIDE,
+    _add_derivative, _derive_key, _fields, _file, _integrate, _make, _masks, _pack, _range_error,
+    _theta_moves, _variational,
 )
 from conftest import rand_density
 
@@ -77,8 +83,10 @@ def reference_kernel():
 
 @contextmanager
 def cold_table():
+    """Empty derivative and filing tables; yields the derivative table."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "_DERIV_CACHE", {})
+        mp.setattr(algebra, "_FILE_CACHE", {})
         yield algebra._DERIV_CACHE
 
 
@@ -264,3 +272,134 @@ def test_a_key_straddling_field_63_moves_into_field_64():
     assert got == items(_make(ref_add_derivative({}, p._nums), 1))
     assert max(p.dx()._nums) >= _WIDE
 
+
+
+# ---------------------------------------------------------------------------
+# The filing table against the per-term walk it replaced
+# ---------------------------------------------------------------------------
+
+def _file_per_term(nums, odd, lo, hi=inf):
+    """The filing sweep of `algebra._file` before its table: for every term,
+    a walk over the theta bits (odd) or over the fields from lo up (even)."""
+    pieces = {}
+    if hi < 0:
+        return pieces
+    if odd:
+        tmask = _masks(max(nums, default=0))[0]
+        for m, n in nums.items():
+            t = m & tmask
+            i = 0  # theta_k jumps the i odd factors below it
+            while t:
+                low = t & -t
+                t ^= low
+                k = low.bit_length() // _W
+                if k > hi:
+                    break
+                if k >= lo:
+                    v = n * comb(k, lo)
+                    key = m - low
+                    piece = pieces.setdefault(k - lo, {})
+                    piece[key] = piece.get(key, 0) + (-v if (i + k - lo) & 1 else v)
+                i += 1
+        return pieces
+    for m, n in nums.items():
+        rest, k = m >> (_W * lo), lo
+        while (rest or k < 2) and k <= hi:
+            f = rest & _FIELD
+            e = (f >> 1) - _BIAS if k == 1 else f >> 1
+            if e:
+                if e == _U1_MIN:
+                    raise _range_error("a partial derivative")
+                v = n * e * comb(k, lo)
+                key = m - (2 << (_W * k))
+                piece = pieces.setdefault(k - lo, {})
+                piece[key] = piece.get(key, 0) + (-v if (k - lo) & 1 else v)
+            rest >>= _W
+            k += 1
+    return pieces
+
+
+def filed(file, nums, odd, lo, *hi):
+    """The pieces of a filing as ordered item lists, or the error it raises."""
+    return outcome(lambda: [(j, list(p.items())) for j, p in file(nums, odd, lo, *hi).items()])
+
+
+@given(int_dicts(), st.booleans(), st.integers(0, 3), st.sampled_from([0, 2, None]))
+def test_file_matches_the_per_term_walk_cold_and_warm(nums, odd, lo, width):
+    hi = () if width is None else (lo + width,)
+    want = filed(_file_per_term, nums, odd, lo, *hi)
+    with cold_table():
+        for _ in range(2):  # cold, then warm
+            assert filed(_file, nums, odd, lo, *hi) == want
+        assert all(0 < key < _WIDE for key in algebra._FILE_CACHE)
+
+
+_U1_LOW = SP.u(1, power=_U1_MIN)  # theta-free part 0, the key of the theta part 0
+
+
+@pytest.mark.parametrize("first", ["odd", "even"])
+def test_the_theta_part_0_and_u1_to_the_lowest_power_share_no_entry(first):
+    # the theta-free part of u_1^-8192 is the key 0, as is the theta part of
+    # a theta-free term: whichever is filed first, neither reads the other
+    def odd():
+        assert SP.u(2).partial_theta(1) == 0
+        assert _variational(SP.u(2) + SP.u(3) * SP.theta(1), True, 0) == -SP.u(4)
+
+    def even():
+        assert _U1_LOW.partial_u(0) == 0
+        with pytest.raises(AlgebraError, match="a partial derivative leaves"):
+            _U1_LOW.partial_u(1)
+
+    with cold_table():
+        for step in (odd, even) if first == "odd" else (even, odd):
+            for _ in range(2):
+                step()
+        assert 0 not in algebra._FILE_CACHE
+
+
+@pytest.mark.parametrize("p", [_U1_LOW, _U1_LOW * SP.u(3) * SP.theta(2), _U1_LOW * SP.u(70)],
+                         ids=["u_1^-8192", "u_1^-8192*u_3*theta_2", "u_1^-8192*u_70"])
+def test_the_lowest_power_of_u1_is_refused_only_in_field_1(p):
+    nums = algebra._numerators(p)[0]
+    with cold_table():
+        for _ in range(2):
+            for lo, hi in ((0, 0), (2, 2), (2, inf), (0, 1), (1, inf), (1, 1)):
+                assert filed(_file, nums, False, lo, hi) == filed(_file_per_term, nums, False, lo, hi)
+            assert p.partial_u(0) == 0
+            assert p.partial_u(2) == 0
+            with pytest.raises(AlgebraError, match="a partial derivative leaves"):
+                p.partial_u(1)
+        assert not algebra._FILE_CACHE.keys() & {m - (m & _THETA) for m in nums}
+
+
+def test_wide_parts_are_not_filed_into_the_table(rng):
+    p = SP.u(200) * SP.theta(200) + SP.u(1, power=-2) * SP.u(70) * SP.theta(0) * SP.theta(64)
+    nums = algebra._numerators(p)[0]
+    with cold_table():
+        _variational(rand_density(rng, 2), True, 0)
+        before = dict(algebra._FILE_CACHE)
+        for odd in (False, True):
+            assert filed(_file, nums, odd, 0) == filed(_file_per_term, nums, odd, 0)
+        assert algebra._FILE_CACHE == before
+
+
+def test_emptying_the_filing_table_changes_no_result(monkeypatch):
+    polys = [SP.u(1, power=-2) * SP.u(3) * SP.theta(0) + SP.u(0, power=3),
+             SP.theta(1000) * SP.u(2) + SP.theta(0) * SP.theta(2) * SP.u(1)]
+
+    def results():
+        return [items(_variational(a, odd, level))
+                for a in polys for odd in (False, True) for level in (0, 1, 2)]
+
+    expected = results()
+    monkeypatch.setattr(algebra, "_FILE_CACHE", {})
+    monkeypatch.setattr(algebra, "_DERIV_LIMIT", 3)
+    assert results() == expected
+    assert 0 < len(algebra._FILE_CACHE) <= 3
+
+
+def test_cold_table_empties_the_filing_table(rng):
+    _variational(rand_density(rng, 2), True, 0)
+    assert algebra._FILE_CACHE
+    with cold_table():
+        assert algebra._FILE_CACHE == {}

@@ -223,6 +223,15 @@ _REFUSALS = {
                             "coefficients must be exact rationals (int or Fraction)"),
     "pencil-member-string": (lambda: dkdv_pencil().member("1/2"), TypeError,
                              "coefficients must be exact rationals (int or Fraction)"),
+    "pencil-member-bool": (lambda: dkdv_pencil().member(True), TypeError,
+                           "coefficients must be exact rationals (int or Fraction)"),
+    # so is a multiple of a class
+    "scale-string": (lambda: dkdv_pencil().Q.scale("1/2"), TypeError,
+                     "coefficients must be exact rationals (int or Fraction)"),
+    "scale-float": (lambda: dkdv_pencil().Q.scale(0.5), TypeError,
+                    "coefficients must be exact rationals (int or Fraction)"),
+    "scale-bool": (lambda: dkdv_pencil().Q.scale(True), TypeError,
+                   "coefficients must be exact rationals (int or Fraction)"),
     # an index or order that does not exist, or is not an int
     "partial-u-negative": (lambda: u.partial_u(-1), AlgebraError,
                            "jet index must be at least 0, got -1"),
