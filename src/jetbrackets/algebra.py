@@ -48,8 +48,9 @@ Every derivation goes through one integer kernel: `_file` files the signed
 partial derivatives of the numerators under the power of d they are to
 receive, in one sweep; `_add_derivative` applies d once, into its output
 dict, which it returns unless a term cancelled.  Neither changes D.
-partial_u and partial_theta are one filing, d^n is n steps, and
-`_variational` is one filing plus Horner in d.  `_antidiff_u`, the
+partial_u and partial_theta are one filing, d^n is n steps,
+`_variational` is one filing plus Horner in d, and D_P (`_koszul_dP`) is
+one filing whose piece k gains theta_{k+1}.  `_antidiff_u`, the
 antiderivative in u_k, adds one unit to field k of each key.  `_integrate`,
 formal integration in x, descends from the top order with the same step and
 splits a = d(g) + r at every theta-degree, r = 0 exactly when a is exact;
@@ -499,14 +500,13 @@ class SuperPolynomial:
         shift = _W * k + 1
         layers: dict = {}
         for m, c in self._nums.items():
-            s = (m >> shift) & (_FIELD >> 1)
-            e = s - _BIAS if k == 1 else s
+            e = _exponent(m, k)
             layers.setdefault(e, {})[m - (e << shift)] = c
         return {e: _make(t, self._D) for e, t in sorted(layers.items())}
 
     def max_u_power(self) -> int:
         """Largest exponent of the undifferentiated u."""
-        return max(((m >> 1) & (_FIELD >> 1) for m in self._nums), default=0)
+        return max((_exponent(m, 0) for m in self._nums), default=0)
 
     # -- printing ----------------------------------------------------------
 
@@ -642,6 +642,14 @@ _BITS = tuple(1 << (_W * k) for k in range(64))
 _UNITS = tuple(2 << (_W * k) for k in range(64))
 
 
+def _store(table: dict, part: int, ents):
+    """table[part] = ents on a miss, emptying a full table first (see _DERIV_CACHE)."""
+    if len(table) >= _DERIV_LIMIT:
+        table.clear()
+    table[part] = ents
+    return ents
+
+
 def _u_factors(m: int):
     """The factors u_k^e, e != 0, of the theta-free key m as [(k, e), ...] in
     field order.  The nonzero fields come from a bit fold, so the cost is
@@ -706,15 +714,11 @@ def _add_derivative(out: dict, terms: dict) -> dict:
             even = m - t
             ents = cache.get(even)
             if ents is None:
-                if len(cache) >= _DERIV_LIMIT:
-                    cache.clear()
-                ents = cache[even] = _derive_key(even)
+                ents = _store(cache, even, _derive_key(even))
             if t:
                 moves = cache.get(t)
                 if moves is None:
-                    if len(cache) >= _DERIV_LIMIT:
-                        cache.clear()
-                    moves = cache[t] = _theta_moves(t)
+                    moves = _store(cache, t, _theta_moves(t))
             else:
                 moves = ()
         else:
@@ -769,9 +773,7 @@ def _file(nums: dict, odd: bool, lo: int, hi: int = sys.maxsize) -> dict:
                 if lo <= 1 <= hi:
                     raise _range_error("a partial derivative")
             elif part and part < _WIDE:
-                if len(table) >= _DERIV_LIMIT:
-                    table.clear()
-                table[part] = ents
+                _store(table, part, ents)
         for k, unit, x in ents:
             if k > hi:
                 break
@@ -888,19 +890,16 @@ def _integrate(a: SuperPolynomial):
 
 def _koszul_dP(a: SuperPolynomial) -> SuperPolynomial:
     """D_P a = sum_k theta_{k+1} partial_{u_k} a, theta_{k+1} multiplying on
-    the left: d_P for P = d, since d_P(class a) = -class(D_P a)."""
+    the left: d_P for P = d, since d_P(class a) = -class(D_P a).  Piece k of one
+    filing is (-1)^k partial_{u_k} a; theta_{k+1} jumps the odd factors below it."""
     out: dict = {}
-    for m, n in a._nums.items():
-        below = 0  # the theta factors of index <= k
-        for k in range(_key_order(m) + 1):
-            f = (m >> (_W * k)) & _FIELD
-            below += f & 1
-            e = (f >> 1) - _BIAS if k == 1 else f >> 1
-            if e and not (m >> (_W * k + _W)) & 1:
-                if e == _U1_MIN:
-                    raise _range_error("D_P")
-                key = m - (2 << (_W * k)) + (1 << (_W * k + _W))
-                out[key] = out.get(key, 0) + (-n * e if below & 1 else n * e)
+    for k, piece in _file(a._nums, False, 0).items():
+        bit = 1 << (_W * k + _W)
+        below = _field_masks(k + 1)[0]  # the theta bits of fields 0..k
+        for m, n in piece.items():
+            if not m & bit:  # theta_{k+1}^2 = 0
+                key = m + bit
+                out[key] = out.get(key, 0) + (-n if ((m & below).bit_count() + k) & 1 else n)
     return _make(out, a._D)
 
 
@@ -1011,6 +1010,8 @@ class DiffOperator:
         return self + (-other)
 
     def scale(self, c) -> "DiffOperator":
+        if type(c) is bool or not isinstance(c, (int, Fraction)):
+            raise TypeError("coefficients must be exact rationals (int or Fraction)")
         return DiffOperator({j: p * c for j, p in self.coeffs.items()})
 
     # apply, compose and adjoint each keep one running derivative, so a

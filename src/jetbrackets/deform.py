@@ -85,9 +85,10 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     """Coefficients of eps^k, 1 <= k <= up_to, in (1/2)[[H, H]].
 
     The coefficient is [[H_0, H_k]] + (1/2) sum_{i=1}^{k-1} [[H_i, H_{k-i}]];
-    corrections beyond the truncation are zero.  Only nonzero corrections
-    are bracketed, with the base and in pairs, so a sparse series costs
-    time linear in up_to.
+    corrections beyond the truncation are zero.  [[H_i, H_j]] = [[H_j, H_i]],
+    so each pair {i, k-i} is bracketed once, and halved for i = k-i.  Only
+    nonzero corrections are bracketed, so a sparse series costs time linear
+    in up_to.
     """
     n = D.truncation if up_to is None else up_to
     _check_size(n, "order")
@@ -95,15 +96,16 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     nonzero = set(orders)
     out = []
     for k in range(1, n + 1):
-        acc = inner = MultiVector(SuperPolynomial(), 3)
+        acc = MultiVector(SuperPolynomial(), 3)
         if k in nonzero:
             acc = schouten_bracket(D.term(0), D.term(k))
         for i in orders:
-            if i >= k:
+            if 2 * i > k:
                 break
             if k - i in nonzero:
-                inner = inner + schouten_bracket(D.term(i), D.term(k - i))
-        out.append(acc + inner.scale(Fraction(1, 2)))
+                b = schouten_bracket(D.term(i), D.term(k - i))
+                acc = acc + (b if 2 * i < k else b.scale(Fraction(1, 2)))
+        out.append(acc)
     return out
 
 
@@ -208,7 +210,8 @@ def miura_push(D: EpsilonDeformation, X, weight: int = 1,
 
     X is a vector field (class of theta-degree 1 or an EvolutionaryVF); a
     characteristic with u_1^-1 gives a quasi-Miura transformation, and X = 0
-    the identity.
+    the identity.  H_k adds the running term (-1)^m ad_X^m H_k / m! at
+    eps^(k + m p) until the truncation or a zero term.
     """
     _check_size(weight, "Miura weight", 1)
     if isinstance(X, EvolutionaryVF):
@@ -217,22 +220,15 @@ def miura_push(D: EpsilonDeformation, X, weight: int = 1,
         raise AlgebraError("Miura generators are vector fields")
     N = D.truncation if truncation is None else truncation
     _check_size(N, "truncation")
-    p = weight
     out = [MultiVector(SuperPolynomial(), 2) for _ in range(N + 1)]
-    for k in range(0, N + 1):
-        H = D.term(k)
-        if H.is_zero():
-            continue
-        m = 0
-        cur = H
-        fact = Fraction(1)
-        while k + m * p <= N:
-            out[k + m * p] = out[k + m * p] + cur.scale(fact * (-1) ** m)
-            m += 1
-            if k + m * p > N:
+    for k in range(N + 1):
+        term = D.term(k)
+        for m, j in enumerate(range(k, N + 1, weight)):
+            if m:
+                term = schouten_bracket(X, term).scale(Fraction(-1, m))
+            if term.is_zero():
                 break
-            cur = schouten_bracket(X, cur)
-            fact = fact / m
+            out[j] = out[j] + term
     return EpsilonDeformation(out[0], out[1:], N)
 
 

@@ -73,7 +73,7 @@ def hierarchy(N: int):
 
 def hierarchy_flow(H: MultiVector) -> EvolutionaryVF:
     """The evolutionary field d u/dt = d(delta_u H) of a Hamiltonian."""
-    return _flow(H.rep)
+    return EvolutionaryVF(H._delta_u().total_derivative())
 
 
 def _flow(w: SuperPolynomial) -> EvolutionaryVF:
@@ -346,12 +346,6 @@ class NontrivialAtDegreeZero(Record):
         return False
 
 
-def _characteristic(Y: MultiVector) -> SuperPolynomial:
-    """The characteristic f of a vector-field class with canonical
-    representative f theta."""
-    return Y.rep.partial_theta(0)
-
-
 def _tail_degree(c1: MultiVector, ell: int | None) -> int:
     """The degree ell0 of a nonzero tail class c1, homogeneous of degree
     ell0 + 1 >= 1, checked against a declared degree ell."""
@@ -397,7 +391,7 @@ def quasi_trivialize(c, ell: int | None = None):
         if ell0 > 0:
             Y = _d_P_primitive(c1)
             X = _d_P_primitive(pencil.d_Q(Y))
-            return _trivialize_pair(_characteristic(X), _characteristic(Y), ell0, c1, pencil)
+            return _trivialize_pair(X._delta_theta(), Y._delta_theta(), ell0, c1, pencil)
     except (AssertionError, AlgebraError):
         _check_closed(c1, pencil)
         raise
@@ -444,7 +438,7 @@ def _degree_zero(c1: MultiVector, pencil: Pencil):
     # one growth only: the next slice takes tens of seconds (26 s for the
     # 6045 columns of g = u^2/2 + d(u_1^-1), Python 3.11, 2 cores)
     y = _solve_in_slices([pencil.P, pencil.Q], [MultiVector(SuperPolynomial(), 2), c1], sl, 1)
-    return EvolutionaryVF(_characteristic(y))
+    return EvolutionaryVF(y._delta_theta())
 
 
 def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
@@ -463,7 +457,7 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
     if g and k != 0:
         raise AlgebraError(f"g must have theta-degree 0, got {'mixed' if k is None else k}")
     pencil = dkdv_pencil()
-    gmv = canonical_class(g * SuperPolynomial.theta(0))
+    gmv = EvolutionaryVF(g).as_class()
     c1 = pencil.d_P(gmv)
     if c1.is_zero():
         return EvolutionaryVF(SuperPolynomial()), c1
@@ -473,7 +467,7 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
         return _degree_zero(c1, pencil), c1
     try:
         X = _d_P_primitive(pencil.d_Q(gmv))
-        return _trivialize_pair(_characteristic(X), g, ell0, c1, pencil), c1
+        return _trivialize_pair(X._delta_theta(), g, ell0, c1, pencil), c1
     except (AssertionError, AlgebraError):
         _check_admissible(c1, pencil)
         raise

@@ -148,7 +148,9 @@ def hydrodynamic_bivector(h):
 
     Returns (bivector, operator) with the operator h d + h'(u) u_1 / 2.
     """
-    if isinstance(h, (int, Fraction)):
+    if not isinstance(h, SuperPolynomial):
+        if type(h) is bool or not isinstance(h, (int, Fraction)):
+            raise TypeError(f"h must be a SuperPolynomial, int or Fraction, got {h!r}")
         h = SuperPolynomial.const(h)
     if h.order() != 0 or not _theta_free(h):
         raise AlgebraError("h must depend on u only")

@@ -51,7 +51,9 @@ from .algebra import (
     SuperPolynomial,
     _antidiff_u,
     _check_size,
+    _file,
     _integrate,
+    _make,
     _numerators,
     _theta_free,
     _theta_times,
@@ -290,32 +292,35 @@ def _class_of_degree(a: SuperPolynomial, k: int) -> MultiVector:
 
 
 class EvolutionaryVF:
-    """An evolutionary vector field, stored by its characteristic; `chars`
-    is the 1-tuple (characteristic,)."""
+    """An evolutionary vector field, stored by its characteristic f; `chars`
+    is the 1-tuple (f,), and its class is read off f = delta_theta (f theta)."""
 
     __slots__ = ("chars",)
 
     def __init__(self, char: SuperPolynomial):
+        if not isinstance(char, SuperPolynomial):
+            raise TypeError(f"a characteristic must be a SuperPolynomial, got {char!r}")
         if not _theta_free(char):
             raise AlgebraError("characteristics must be even densities")
         self.chars = (char,)
 
     def apply(self, a: SuperPolynomial) -> SuperPolynomial:
-        """Act as the derivation sum_j d^j(f) partial_{u_j}."""
-        out = SuperPolynomial()
-        fj = self.chars[0]
-        for j in range(a.order() + 1):
-            term = a.partial_u(j)
-            if term:
-                out = out + fj * term
-            fj = fj.total_derivative()
+        """Act as the derivation sum_j d^j(f) partial_{u_j}; piece j of one
+        filing of a is (-1)^j partial_{u_j} a."""
+        nums, D = _numerators(a)
+        out, fj, done = SuperPolynomial(), self.chars[0], 0
+        for j, piece in sorted(_file(nums, False, 0).items()):
+            fj, done = fj.dx(j - done), j
+            term = fj * _make(piece, D)
+            out = out - term if j & 1 else out + term
         return out
 
     def commutator(self, other: "EvolutionaryVF") -> "EvolutionaryVF":
         return EvolutionaryVF(self.apply(other.chars[0]) - other.apply(self.chars[0]))
 
     def as_class(self) -> MultiVector:
-        return canonical_class(self.chars[0] * SuperPolynomial.theta())
+        f = self.chars[0]
+        return _class_of(f, 1) if f else canonical_class(f)
 
     def is_zero(self):
         return not self.chars[0]

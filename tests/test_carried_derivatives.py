@@ -212,3 +212,16 @@ def test_a_brackets_canonical_form_is_counted(monkeypatch):
     assert not image.is_zero()
     assert [odd for _, odd in calls] == [True]
     assert image._dtheta == higher_variational_theta(calls[0][0])
+
+
+def test_a_vector_field_class_is_read_off_its_characteristic(monkeypatch):
+    # delta_theta (f theta) = f: as_class differentiates nothing, and gives
+    # the class canonical_class builds from the density f theta
+    for f in (SP.u(0) ** 2 * SP.u(3), SP.u(1, power=-2) * SP.u(2) ** 2 - SP.u(0), SP()):
+        want = canonical_class(f * SP.theta(0))
+        calls = _count_kernel(monkeypatch)
+        X = EvolutionaryVF(f).as_class()
+        assert calls == []
+        assert (X.rep, X.theta_degree) == (want.rep, want.theta_degree)
+        assert X._dtheta == f
+        _assert_carried(X)

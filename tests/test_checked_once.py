@@ -26,6 +26,7 @@ from jetbrackets import (
     AlgebraError,
     DiffOperator,
     EpsilonDeformation,
+    EvolutionaryVF,
     GradedSlice,
     MCViolation,
     MultiVector,
@@ -160,6 +161,129 @@ def test_obstruction_matches_the_pair_loop(name):
     assert (not got.is_zero()) == nonzero
 
 
+# -- the epsilon-series ------------------------------------------------------
+
+def _reference_mc_residual(D, up_to=None):
+    """mc_residual before it bracketed each unordered pair once: every
+    ordered pair (i, k-i) bracketed, summed and halved."""
+    n = D.truncation if up_to is None else up_to
+    orders = [k for k, H in enumerate(D.corrections[:n], 1) if not H.is_zero()]
+    nonzero = set(orders)
+    out = []
+    for k in range(1, n + 1):
+        acc = inner = MultiVector(SP(), 3)
+        if k in nonzero:
+            acc = schouten.schouten_bracket(D.term(0), D.term(k))
+        for i in orders:
+            if i >= k:
+                break
+            if k - i in nonzero:
+                inner = inner + schouten.schouten_bracket(D.term(i), D.term(k - i))
+        out.append(acc + inner.scale(Fraction(1, 2)))
+    return out
+
+
+def _reference_miura_push(D, X, weight=1, truncation=None):
+    """miura_push before its running term: ad_X^m H_k, with (-1)^m and 1/m!
+    kept apart and the bound tested twice."""
+    if isinstance(X, EvolutionaryVF):
+        X = X.as_class()
+    N = D.truncation if truncation is None else truncation
+    p = weight
+    out = [MultiVector(SP(), 2) for _ in range(N + 1)]
+    for k in range(0, N + 1):
+        H = D.term(k)
+        if H.is_zero():
+            continue
+        m = 0
+        cur = H
+        fact = Fraction(1)
+        while k + m * p <= N:
+            out[k + m * p] = out[k + m * p] + cur.scale(fact * (-1) ** m)
+            m += 1
+            if k + m * p > N:
+                break
+            cur = schouten.schouten_bracket(X, cur)
+            fact = fact / m
+    return EpsilonDeformation(out[0], out[1:], N)
+
+
+def _same_classes(got, want):
+    assert [str(c.rep) for c in got] == [str(c.rep) for c in want]
+    assert [c.theta_degree for c in got if not c.is_zero()] == \
+        [c.theta_degree for c in want if not c.is_zero()]
+
+
+def _terms(D):
+    return [D.term(k) for k in range(D.truncation + 1)]
+
+
+# KdV through eps^8, and its quasi-Miura generator at eps^2
+KDV = _series([ZERO, B3], 8, base=Q)
+KDV_X = canonical_class(parse_density("1/2*u_1^-2*u_2^2*theta - 1/2*u_1^-1*u_3*theta", hat=True))
+# nonzero corrections at eps^2, 4, 6 and 8, and not a deformation
+EVEN = _series([ZERO, EXACT, ZERO, Q_EXACT, ZERO, Q, ZERO, B3])
+
+_PUSHES = {
+    "kdv-weight-1": (KDV, KDV_X, 1, 6),
+    "kdv-weight-2": (KDV, KDV_X, 2, None),
+    "kdv-zero-class": (KDV, MultiVector(SP(), 1), 1, None),
+    "kdv-zero-field": (KDV, EvolutionaryVF(SP()), 2, None),
+    "kdv-field": (KDV, EvolutionaryVF(KDV_X._delta_theta()), 2, None),
+    "even-weight-1": (EVEN, canonical_class(u * SP.u(1) * th), 1, 4),
+    "even-weight-2": (EVEN, canonical_class(u * SP.u(1) * th), 2, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_PUSHES))
+def test_miura_push_and_mc_residual_match_their_loops(name):
+    D, X, weight, N = _PUSHES[name]
+    got = deform.miura_push(D, X, weight, N)
+    want = _reference_miura_push(D, X, weight, N)
+    assert got == want and got.truncation == want.truncation
+    _same_classes(_terms(got), _terms(want))
+    for series in (D, got):
+        _same_classes(mc_residual(series), _reference_mc_residual(series))
+    if X.is_zero():
+        assert got == D
+
+
+def test_kdv_quasi_miura_push_clears_eps_squared():
+    pushed = deform.miura_push(KDV, quasi_trivialize(B3.scale(-1)), 2)
+    assert quasi_trivialize(B3.scale(-1)).as_class() == KDV_X
+    assert pushed.term(2).is_zero() and not pushed.term(4).is_zero()
+    assert all(r.is_zero() for r in mc_residual(pushed))
+
+
+def test_mc_residual_brackets_each_unordered_pair_once(monkeypatch):
+    want = _reference_mc_residual(EVEN)
+    calls = _counting_brackets(monkeypatch)
+    got = mc_residual(EVEN)
+    # [[H_0, H_k]] for k = 2, 4, 6, 8 and the pairs {2, 2}, {2, 4}, {2, 6},
+    # {4, 4}; the ordered loop made 10, bracketing {2, 4} and {2, 6} twice
+    assert len(calls) == 8
+    _same_classes(got, want)
+    assert not got[3].is_zero() and not got[7].is_zero()
+    del calls[:]
+    _reference_mc_residual(EVEN)
+    assert len(calls) == 10
+
+
+def test_miura_push_stops_at_a_zero_term(monkeypatch):
+    # [[u_1 theta, P]] = 0 (the flow of d commutes with d), and every
+    # correction is zero, so one bracket is taken
+    X = canonical_class(SP.u(1) * th)
+    assert schouten_bracket(X, P).is_zero()
+    calls = _counting_brackets(monkeypatch)
+    pushed = deform.miura_push(_series([], 6), X, 1)
+    assert pushed == _series([], 6)
+    assert len(calls) == 1
+    # the old loop bracketed on up to the truncation
+    del calls[:]
+    assert _reference_miura_push(_series([], 6), X, 1) == pushed
+    assert len(calls) == 6
+
+
 # -- one check per fact ------------------------------------------------------
 
 def _counting_brackets(monkeypatch):
@@ -226,9 +350,9 @@ def test_obstruction_request_takes_one_residual(monkeypatch, tmp_path, capsys):
     assert main(["obstruction", str(man)]) == 0
     assert json.loads(capsys.readouterr().out) == want
     # on the series cut at eps^200, [[H_0, H_k]] for the nonzero H_1 and H_2
-    # and the 4 pairs of them; the cocycle is zero, so its closure is not
-    # bracketed
-    assert len(calls) == 6
+    # and the 3 unordered pairs of them; the cocycle is zero, so its closure
+    # is not bracketed
+    assert len(calls) == 5
 
 
 # -- quasi-triviality proved once --------------------------------------------
@@ -316,7 +440,7 @@ def _replay(c1):
     pencil = dkdv_pencil()
     Y = dkdv._d_P_primitive(c1)
     X = dkdv._d_P_primitive(pencil.d_Q(Y))
-    state = dkdv._MoveState(dkdv._characteristic(X), dkdv._characteristic(Y))
+    state = dkdv._MoveState(X._delta_theta(), Y._delta_theta())
     n = max(state.f.order(), state.g.order())
     assert CocyclePair(state.f, state.g, n).verify()
     steps = []

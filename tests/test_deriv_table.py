@@ -13,7 +13,10 @@ are derived on each use and never stored.
 
 The filing sweep `algebra._file` reads a second table of the same parts,
 its filing entries; it is checked the same way against the per-term walk
-it replaced, `_file_per_term`.
+it replaced, `_file_per_term`.  D_P (`algebra._koszul_dP`) and the action
+of a vector field (`EvolutionaryVF.apply`) take their partial derivatives
+by u from one filing each; they are checked against the field walk of D_P
+and the per-index partial_u loop they replaced.
 """
 
 from contextlib import contextmanager
@@ -24,18 +27,19 @@ from hypothesis import given, strategies as st
 
 from jetbrackets import (
     AlgebraError,
+    EvolutionaryVF,
     SuperPolynomial as SP,
     canonical_class,
     normalize_N,
     schouten_bracket,
 )
-from jetbrackets import algebra
+from jetbrackets import algebra, variational
 from jetbrackets.algebra import (
     _BIAS, _E_MAX, _FIELD, _THETA, _U1_MIN, _U1_MAX, _W, _WIDE,
-    _add_derivative, _derive_key, _fields, _file, _integrate, _make, _masks, _pack, _range_error,
-    _theta_moves, _variational,
+    _add_derivative, _derive_key, _exponent, _fields, _file, _integrate, _key_order, _koszul_dP,
+    _make, _masks, _pack, _range_error, _theta_moves, _variational,
 )
-from conftest import rand_density
+from conftest import densities, rand_density
 
 
 # ---------------------------------------------------------------------------
@@ -403,3 +407,80 @@ def test_cold_table_empties_the_filing_table(rng):
     assert algebra._FILE_CACHE
     with cold_table():
         assert algebra._FILE_CACHE == {}
+
+
+# ---------------------------------------------------------------------------
+# D_P and the action of a vector field, from one filing
+# ---------------------------------------------------------------------------
+
+def _koszul_dP_per_term(nums):
+    """D_P before it read the filing: for every term, a walk over its fields
+    0..order with a count of the theta factors at or below field k."""
+    out = {}
+    for m, n in nums.items():
+        below = 0
+        for k in range(_key_order(m) + 1):
+            f = (m >> (_W * k)) & _FIELD
+            below += f & 1
+            e = (f >> 1) - _BIAS if k == 1 else f >> 1
+            if e and not (m >> (_W * k + _W)) & 1:
+                if e == _U1_MIN:
+                    raise _range_error("D_P")
+                key = m - (2 << (_W * k)) + (1 << (_W * k + _W))
+                out[key] = out.get(key, 0) + (-n * e if below & 1 else n * e)
+    return out
+
+
+@given(int_dicts(), st.sampled_from([1, 2, 9]))
+def test_D_P_matches_the_per_term_walk_cold_and_warm(nums, D):
+    # u_1^-8192 is refused by the filing, see below
+    a = _make({m: c for m, c in nums.items() if _exponent(m, 1) != _U1_MIN}, D)
+    want = _make(_koszul_dP_per_term(a._nums), a._D)
+    with cold_table():
+        for _ in range(2):  # cold, then warm
+            assert _koszul_dP(a) == want
+
+
+@pytest.mark.parametrize("p", [_U1_LOW, _U1_LOW * SP.theta(2), _U1_LOW * SP.u(3) * SP.theta(0)],
+                         ids=["u_1^-8192", "u_1^-8192*theta_2", "u_1^-8192*u_3*theta"])
+def test_D_P_refuses_the_lowest_power_of_u1_as_partial_u_does(p):
+    # the walk refused with "D_P leaves ..." unless theta_2 was present, and
+    # then gave 0: D_P now refuses as partial_u(1) and delta_u do
+    nums = algebra._numerators(p)[0]
+    if p == _U1_LOW * SP.theta(2):
+        assert _koszul_dP_per_term(nums) == {}
+    else:
+        assert outcome(lambda: _koszul_dP_per_term(nums))[1].startswith("D_P leaves")
+    for f in (lambda: _koszul_dP(p), lambda: p.partial_u(1), lambda: _variational(p, False, 0)):
+        assert outcome(f) == (AlgebraError, "a partial derivative leaves the supported "
+                              "exponent range (0..16383 for u_k, -8192..8191 for u_1)")
+
+
+def _apply_per_index(f, a):
+    """EvolutionaryVF.apply before one filing: a partial_u filing per index."""
+    out, fj = SP(), f
+    for j in range(a.order() + 1):
+        term = a.partial_u(j)
+        if term:
+            out = out + fj * term
+        fj = fj.total_derivative()
+    return out
+
+
+@given(densities(0, 0), densities())
+def test_a_vector_field_acts_as_the_per_index_sum(f, a):
+    assert EvolutionaryVF(f).apply(a) == _apply_per_index(f, a)
+
+
+def test_a_vector_field_files_its_argument_once(monkeypatch):
+    calls = []
+    file = variational._file
+
+    def counting(nums, odd, lo, *hi):
+        calls.append((odd, lo, *hi))
+        return file(nums, odd, lo, *hi)
+
+    monkeypatch.setattr(variational, "_file", counting)
+    a = SP.u(0) ** 2 * SP.u(3) * SP.theta(1) + SP.u(1, power=-1) * SP.u(2)
+    assert EvolutionaryVF(SP.u(0) * SP.u(1)).apply(a) == _apply_per_index(SP.u(0) * SP.u(1), a)
+    assert calls == [(False, 0)]

@@ -15,6 +15,7 @@ from jetbrackets import (
     Cochain,
     DiffOperator,
     EpsilonDeformation,
+    EvolutionaryVF,
     GradedSlice,
     ParseError,
     Pencil,
@@ -25,6 +26,7 @@ from jetbrackets import (
     enumerate_basis,
     higher_variational_theta,
     higher_variational_u,
+    hydrodynamic_bivector,
     mc_residual,
     miura_push,
     obstruction,
@@ -232,6 +234,20 @@ _REFUSALS = {
                     "coefficients must be exact rationals (int or Fraction)"),
     "scale-bool": (lambda: dkdv_pencil().Q.scale(True), TypeError,
                    "coefficients must be exact rationals (int or Fraction)"),
+    # and of an operator
+    "operator-scale-string": (lambda: DiffOperator.d().scale("1/2"), TypeError,
+                              "coefficients must be exact rationals (int or Fraction)"),
+    "operator-scale-float": (lambda: DiffOperator.d().scale(0.5), TypeError,
+                             "coefficients must be exact rationals (int or Fraction)"),
+    "operator-scale-bool": (lambda: DiffOperator.d().scale(True), TypeError,
+                            "coefficients must be exact rationals (int or Fraction)"),
+    # a public constructor names what it expected
+    "vector-field-int": (lambda: EvolutionaryVF(3), TypeError,
+                         "a characteristic must be a SuperPolynomial, got 3"),
+    "hydrodynamic-float": (lambda: hydrodynamic_bivector(0.5), TypeError,
+                           "h must be a SuperPolynomial, int or Fraction, got 0.5"),
+    "hydrodynamic-bool": (lambda: hydrodynamic_bivector(True), TypeError,
+                          "h must be a SuperPolynomial, int or Fraction, got True"),
     # an index or order that does not exist, or is not an int
     "partial-u-negative": (lambda: u.partial_u(-1), AlgebraError,
                            "jet index must be at least 0, got -1"),
@@ -287,3 +303,11 @@ def test_pencil_member_of_an_exact_lambda():
     for lam, op in ((2, "D: del + 2*u*del + u_1"),
                     (Fraction(1, 2), "D: del + 1/2*u*del + 1/4*u_1")):
         assert dkdv_pencil().member(lam) == operator_to_bivector(parse_operator(op))
+
+
+def test_exact_scalars_of_operators_and_coefficients_are_accepted():
+    assert DiffOperator.d().scale(Fraction(1, 2)) == DiffOperator({1: Fraction(1, 2)})
+    assert DiffOperator.d().scale(-2) == DiffOperator({1: -2})
+    assert hydrodynamic_bivector(2)[1] == DiffOperator({1: 2})
+    assert hydrodynamic_bivector(Fraction(1, 3))[1] == DiffOperator({1: Fraction(1, 3)})
+    assert hydrodynamic_bivector(u)[1] == parse_operator("D: u*del + 1/2*u_1")

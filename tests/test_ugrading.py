@@ -122,7 +122,7 @@ def test_quasi_trivialize_matches_the_whole_slice(ell):
     sl = GradedSlice(max_order=max(ell0, 2), max_udeg=8)
     Y, _ = full_slice_solve([P], [c1], sl, 2)
     X, _ = full_slice_solve([P], [PENCIL.d_Q(Y)], sl, 2)
-    want = dkdv._trivialize_pair(dkdv._characteristic(X), dkdv._characteristic(Y),
+    want = dkdv._trivialize_pair(X._delta_theta(), Y._delta_theta(),
                                  ell0, c1, PENCIL)
     assert primitive_solve(c1, P, sl) == Y
     assert quasi_trivialize(c1).chars == want.chars
@@ -140,7 +140,7 @@ def test_laurent_degree_zero_witness():
     assert c1.homogeneity() == 1
     y, _ = full_slice_solve([P, Q], [MultiVector(SP(), 2), c1], _degree_zero_slice(c1), 1)
     assert y is not None
-    assert w.chars[0] == dkdv._characteristic(y)
+    assert w.chars[0] == y._delta_theta()
     assert quasi_trivialize(c1).chars == w.chars
 
 
