@@ -5,6 +5,11 @@ k >= 0) and odd generators theta_k.  Coefficients are exact rationals.  u_1 is
 inverted: it alone may carry a negative exponent, nothing else is invertible.
 The polynomials form a subring that every operation here preserves.
 
+One rule decides what a scalar is, wherever the ring, its operators and the
+classes of `variational` take one (a coefficient, a constant, an operand of
++, -, *, / and ==, a multiple): an int or a Fraction by exact type
+(`_is_scalar`).  A bool is not one, so True is refused, never read as 1.
+
 Monomials are keyed by packed integers, one fixed-width field per jet index
 (cf. the packed exponent vectors of Monagan and Pearce, "POLY: a new
 polynomial data structure for Maple 17", 2013).  Index k owns the 16 bits
@@ -78,6 +83,16 @@ from math import comb, gcd, lcm
 
 class AlgebraError(Exception):
     """Base class for errors raised by the algebra layer."""
+
+
+def _is_scalar(c) -> bool:
+    """The one scalar rule: an int or a Fraction by exact type, never a bool."""
+    return type(c) in (int, Fraction)
+
+
+def _check_scalar(c) -> None:
+    if not _is_scalar(c):
+        raise TypeError("coefficients must be exact rationals (int or Fraction)")
 
 
 def _check_size(v, what: str, lowest: int | None = 0) -> None:
@@ -259,8 +274,8 @@ class SuperPolynomial:
         if not terms:
             return
         terms = dict(terms)
-        if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
-            raise TypeError("coefficients must be exact rationals (int or Fraction)")
+        for c in terms.values():
+            _check_scalar(c)
         D = lcm(*(c.denominator for c in terms.values()))
         nums: dict = {}
         for mono, c in terms.items():
@@ -298,8 +313,7 @@ class SuperPolynomial:
     @classmethod
     def const(cls, c, q=1, hat=False):
         _only_one_component(q)
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError("coefficients must be exact rationals (int or Fraction)")
+        _check_scalar(c)
         return _make({_ONE: c.numerator}, c.denominator)
 
     @classmethod
@@ -325,7 +339,7 @@ class SuperPolynomial:
         return bool(self._nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = SuperPolynomial.const(other)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
@@ -338,7 +352,7 @@ class SuperPolynomial:
         return hash((frozenset(self._nums.items()), self._D))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = SuperPolynomial.const(other)
         elif not isinstance(other, SuperPolynomial):
             return NotImplemented
@@ -360,17 +374,17 @@ class SuperPolynomial:
         return _make({m: -c for m, c in self._nums.items()}, self._D)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, SuperPolynomial)):
+        if not (_is_scalar(other) or isinstance(other, SuperPolynomial)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if not _is_scalar(other):
             return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             n = other.numerator
             return _make({m: c * n for m, c in self._nums.items()}, self._D * other.denominator)
         if not isinstance(other, SuperPolynomial):
@@ -378,12 +392,12 @@ class SuperPolynomial:
         return _make(_mul_into({}, self._nums, other._nums, 1), self._D * other._D)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self * other
         return NotImplemented
 
     def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        if not _is_scalar(other):
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
@@ -992,7 +1006,7 @@ class DiffOperator:
         return self.coeffs == other.coeffs
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = DiffOperator({0: other})
         elif not isinstance(other, DiffOperator):
             return NotImplemented
@@ -1007,11 +1021,12 @@ class DiffOperator:
         return DiffOperator({j: -p for j, p in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not (_is_scalar(other) or isinstance(other, DiffOperator)):
+            return NotImplemented  # -True would be read as -1
         return self + (-other)
 
     def scale(self, c) -> "DiffOperator":
-        if type(c) is bool or not isinstance(c, (int, Fraction)):
-            raise TypeError("coefficients must be exact rationals (int or Fraction)")
+        _check_scalar(c)
         return DiffOperator({j: p * c for j, p in self.coeffs.items()})
 
     # apply, compose and adjoint each keep one running derivative, so a

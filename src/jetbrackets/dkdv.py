@@ -386,16 +386,24 @@ def quasi_trivialize(c, ell: int | None = None):
         raise AlgebraError("expected a cochain or bivector class")
     if c1.is_zero():
         return EvolutionaryVF(SuperPolynomial())
+    return _witness(c1, ell, pencil, _check_closed)
+
+
+def _witness(c1, ell, pencil, check, Y=None):
+    """The witness for a nonzero tail class c1 = d_P Y (Y None: found by
+    `_d_P_primitive`).  `check` refuses an unclosed c1 with the caller's
+    message: first at degree 0, at ell0 >= 1 only when no witness comes out."""
     try:
         ell0 = _tail_degree(c1, ell)
         if ell0 > 0:
-            Y = _d_P_primitive(c1)
+            if Y is None:
+                Y = _d_P_primitive(c1)
             X = _d_P_primitive(pencil.d_Q(Y))
             return _trivialize_pair(X._delta_theta(), Y._delta_theta(), ell0, c1, pencil)
     except (AssertionError, AlgebraError):
-        _check_closed(c1, pencil)
+        check(c1, pencil)
         raise
-    _check_closed(c1, pencil)
+    check(c1, pencil)
     return _degree_zero(c1, pencil)
 
 
@@ -461,16 +469,8 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
     c1 = pencil.d_P(gmv)
     if c1.is_zero():
         return EvolutionaryVF(SuperPolynomial()), c1
-    ell0 = _tail_degree(c1, ell)
-    if ell0 == 0:
-        _check_admissible(c1, pencil)
-        return _degree_zero(c1, pencil), c1
-    try:
-        X = _d_P_primitive(pencil.d_Q(gmv))
-        return _trivialize_pair(X._delta_theta(), g, ell0, c1, pencil), c1
-    except (AssertionError, AlgebraError):
-        _check_admissible(c1, pencil)
-        raise
+    _tail_degree(c1, ell)  # an inhomogeneous or misdeclared c1 is refused before closure
+    return _witness(c1, ell, pencil, _check_admissible, gmv), c1
 
 
 def _check_admissible(c1: MultiVector, pencil: Pencil):

@@ -28,12 +28,11 @@ the slice solver (`deform`) or `dkdv`, which imports both from here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from ._records import FrozenRecord
-from .algebra import (AlgebraError, DiffOperator, SkewnessError, SuperPolynomial, _make,
-                      _mul_into, _numerators, _theta_free)
+from .algebra import (AlgebraError, DiffOperator, SkewnessError, SuperPolynomial, _is_scalar,
+                      _make, _mul_into, _numerators, _theta_free)
 from .variational import MultiVector, _class_of_degree, canonical_class, operator_to_bivector
 
 
@@ -149,7 +148,7 @@ def hydrodynamic_bivector(h):
     Returns (bivector, operator) with the operator h d + h'(u) u_1 / 2.
     """
     if not isinstance(h, SuperPolynomial):
-        if type(h) is bool or not isinstance(h, (int, Fraction)):
+        if not _is_scalar(h):
             raise TypeError(f"h must be a SuperPolynomial, int or Fraction, got {h!r}")
         h = SuperPolynomial.const(h)
     if h.order() != 0 or not _theta_free(h):

@@ -42,14 +42,13 @@ smaller than the representative.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
     AlgebraError,
     DiffOperator,
     SkewnessError,
     SuperPolynomial,
     _antidiff_u,
+    _check_scalar,
     _check_size,
     _file,
     _integrate,
@@ -166,16 +165,31 @@ class MultiVector:
     the sum of two classes of theta-degree k >= 1 with known delta_theta is
     theta (delta_theta a + delta_theta b) / k, with no differentiation.
 
-    Invariant: `rep` and `theta_degree` are never reassigned after
-    construction, and `theta_degree` is the theta-degree of `rep`; the
-    carried derivatives are only correct under it."""
+    `MultiVector(rep, k)` refuses a k that is not an int >= 0, a rep that
+    is not a SuperPolynomial and a nonzero rep whose theta-degree is not k,
+    and stores the canonical representative, so `MultiVector(a, k) ==
+    canonical_class(a)`; a zero rep gives the zero class of theta-degree k
+    and takes no derivative.  Engine paths, whose rep is canonical already,
+    build through the unchecked `_make_class`, as the ring's through
+    `algebra._make`.  `rep` and `theta_degree` are never reassigned: the
+    carried derivatives rely on it."""
 
     __slots__ = ("rep", "theta_degree", "_dtheta", "_du", "_src")
 
     def __init__(self, rep: SuperPolynomial, theta_degree: int):
+        _check_size(theta_degree, "theta-degree")
+        if not isinstance(rep, SuperPolynomial):
+            raise TypeError(f"a representative must be a SuperPolynomial, got {rep!r}")
+        self._dtheta = self._du = self._src = None
+        if rep:
+            k = rep.theta_degree()
+            if k != theta_degree:
+                raise AlgebraError(f"the density has theta-degree "
+                                   f"{'mixed' if k is None else k}, not {theta_degree}")
+            c = _class_of_degree(rep, k)
+            rep, self._dtheta, self._du, self._src = c.rep, c._dtheta, c._du, c._src
         self.rep = rep
         self.theta_degree = theta_degree
-        self._dtheta = self._du = self._src = None
 
     def _delta_theta(self) -> SuperPolynomial:
         """delta_theta rep, computed at most once."""
@@ -226,6 +240,8 @@ class MultiVector:
         return canonical_class(self.rep + other.rep)
 
     def __sub__(self, other):
+        if not isinstance(other, MultiVector):
+            return NotImplemented
         return self + other.scale(-1)
 
     def __neg__(self):
@@ -233,9 +249,8 @@ class MultiVector:
 
     def scale(self, c) -> "MultiVector":
         """The class c times self, for an exact rational c (a bool is not one)."""
-        if type(c) is bool or not isinstance(c, (int, Fraction)):
-            raise TypeError("coefficients must be exact rationals (int or Fraction)")
-        out = MultiVector(self.rep * c, self.theta_degree)
+        _check_scalar(c)
+        out = _make_class(self.rep * c, self.theta_degree)
         if self._dtheta is not None:
             out._dtheta = self._dtheta * c
         if self._du is not None:
@@ -256,11 +271,20 @@ class MultiVector:
 _ZERO = SuperPolynomial()
 
 
+def _make_class(rep: SuperPolynomial, k: int) -> MultiVector:
+    """The class of rep, unchecked: rep must be canonical and, unless zero,
+    of theta-degree k (see MultiVector)."""
+    out = object.__new__(MultiVector)
+    out.rep, out.theta_degree = rep, k
+    out._dtheta = out._du = out._src = None
+    return out
+
+
 def _class_of(dtheta: SuperPolynomial, k: int) -> MultiVector:
     """The class of theta-degree k >= 1 whose representative has the
     theta-variational derivative dtheta: rep = theta dtheta / k."""
     # (1/k) N(a) from the delta_theta a at hand, not a second normalize_N
-    out = MultiVector(_theta_times(dtheta, k), k)
+    out = _make_class(_theta_times(dtheta, k), k)
     out._dtheta = dtheta
     return out
 
@@ -273,7 +297,7 @@ def canonical_class(a: SuperPolynomial) -> MultiVector:
     if k is None and a:
         raise AlgebraError("density has mixed theta-degree; no canonical class")
     if not a:
-        out = MultiVector(a, 0)
+        out = _make_class(a, 0)
         out._dtheta = out._du = a
         return out
     return _class_of_degree(a, k)
@@ -282,7 +306,7 @@ def canonical_class(a: SuperPolynomial) -> MultiVector:
 def _class_of_degree(a: SuperPolynomial, k: int) -> MultiVector:
     """canonical_class(a) for a nonzero a of known theta-degree k, with no scan for k."""
     if k == 0:
-        out = MultiVector(_integrate(a)[1], 0)
+        out = _make_class(_integrate(a)[1], 0)
         out._dtheta = _ZERO
         return out
     out = _class_of(_variational(a, True, 0), k)

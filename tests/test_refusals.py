@@ -17,6 +17,7 @@ from jetbrackets import (
     EpsilonDeformation,
     EvolutionaryVF,
     GradedSlice,
+    MultiVector,
     ParseError,
     Pencil,
     SkewnessError,
@@ -248,6 +249,39 @@ _REFUSALS = {
                            "h must be a SuperPolynomial, int or Fraction, got 0.5"),
     "hydrodynamic-bool": (lambda: hydrodynamic_bivector(True), TypeError,
                           "h must be a SuperPolynomial, int or Fraction, got True"),
+    # a bool is not a scalar of the ring or of its operators
+    "const-bool": (lambda: SP.const(True), TypeError,
+                   "coefficients must be exact rationals (int or Fraction)"),
+    "coefficient-bool": (lambda: SP({((), ()): True}), TypeError,
+                         "coefficients must be exact rationals (int or Fraction)"),
+    "operator-coefficient-bool": (lambda: DiffOperator({1: True}), TypeError,
+                                  "coefficients must be exact rationals (int or Fraction)"),
+    "add-bool": (lambda: u + True, TypeError,
+                 "unsupported operand type(s) for +: 'SuperPolynomial' and 'bool'"),
+    "sub-bool": (lambda: u - True, TypeError,
+                 "unsupported operand type(s) for -: 'SuperPolynomial' and 'bool'"),
+    "mul-bool": (lambda: u * True, TypeError,
+                 "unsupported operand type(s) for *: 'SuperPolynomial' and 'bool'"),
+    "div-bool": (lambda: u / True, TypeError,
+                 "unsupported operand type(s) for /: 'SuperPolynomial' and 'bool'"),
+    "operator-add-bool": (lambda: DiffOperator.d() + True, TypeError,
+                          "unsupported operand type(s) for +: 'DiffOperator' and 'bool'"),
+    "operator-sub-bool": (lambda: DiffOperator.d() - True, TypeError,
+                          "unsupported operand type(s) for -: 'DiffOperator' and 'bool'"),
+    # a class is built from a density of its own theta-degree, and only a
+    # class is subtracted from one
+    "class-of-wrong-theta-degree": (lambda: MultiVector(u * th, 2), AlgebraError,
+                                    "the density has theta-degree 1, not 2"),
+    "class-of-mixed-theta-degree": (lambda: MultiVector(u + th, 1), AlgebraError,
+                                    "the density has theta-degree mixed, not 1"),
+    "class-of-int": (lambda: MultiVector(0, 2), TypeError,
+                     "a representative must be a SuperPolynomial, got 0"),
+    "class-theta-degree-bool": (lambda: MultiVector(SP(), True), AlgebraError,
+                                "theta-degree must be an integer, got True"),
+    "class-theta-degree-negative": (lambda: MultiVector(SP(), -1), AlgebraError,
+                                    "theta-degree must be at least 0, got -1"),
+    "class-minus-int": (lambda: dkdv_pencil().P - 3, TypeError,
+                        "unsupported operand type(s) for -: 'MultiVector' and 'int'"),
     # an index or order that does not exist, or is not an int
     "partial-u-negative": (lambda: u.partial_u(-1), AlgebraError,
                            "jet index must be at least 0, got -1"),
@@ -303,6 +337,11 @@ def test_pencil_member_of_an_exact_lambda():
     for lam, op in ((2, "D: del + 2*u*del + u_1"),
                     (Fraction(1, 2), "D: del + 1/2*u*del + 1/4*u_1")):
         assert dkdv_pencil().member(lam) == operator_to_bivector(parse_operator(op))
+
+
+def test_a_bool_is_not_a_constant():
+    assert SP.const(1) == 1 and SP.const(1) != True
+    assert DiffOperator.d() - 1 == DiffOperator({1: 1, 0: -1})
 
 
 def test_exact_scalars_of_operators_and_coefficients_are_accepted():

@@ -22,7 +22,8 @@ from jetbrackets import (
 from hypothesis import given, strategies as st
 
 from jetbrackets.algebra import SkewnessError
-from jetbrackets.variational import MultiVector
+from jetbrackets import variational
+from jetbrackets.variational import MultiVector, _make_class
 from conftest import (
     assert_same,
     densities,
@@ -170,6 +171,43 @@ class TestCanonicalClass:
             canonical_class(th + th * th1)
 
 
+class TestPublicConstructor:
+    def test_an_exact_density_gives_the_zero_class(self):
+        # u_1 theta + u theta_1 = d(u theta)
+        c = MultiVector(u1 * th + u * th1, 1)
+        assert c.is_zero()
+        assert c == canonical_class(u1 * th + u * th1)
+        assert c.theta_degree == 1
+
+    def test_the_representative_is_canonical(self):
+        c = MultiVector(u * th1 * th2, 2)
+        assert c.rep == canonical_class(u * th1 * th2).rep
+        assert c.rep != u * th1 * th2
+
+    @given(densities(), densities(), st.booleans(), st.integers(0, 3))
+    def test_the_canonical_class_or_refused(self, a, b, mixed, k):
+        if mixed:
+            a = a + b
+        try:
+            c = MultiVector(a, k)
+        except AlgebraError:
+            assert a and a.theta_degree() != k
+            return
+        assert c == canonical_class(a)
+        assert c.theta_degree == k
+        assert c.is_zero() or c.rep.theta_degree() == k
+
+    def test_a_zero_class_takes_no_derivative(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a zero class was differentiated")
+
+        monkeypatch.setattr(variational, "_variational", refuse)
+        monkeypatch.setattr(variational, "_integrate", refuse)
+        for k in range(4):
+            z = MultiVector(SP(), k)
+            assert z.is_zero() and z.theta_degree == k
+
+
 class TestEvolutionaryVF:
     def test_translation(self):
         X = vf_from_density(u1 * th)
@@ -249,7 +287,8 @@ class TestOperatorDictionary:
 
     def test_non_canonical_representative_rejected(self):
         with pytest.raises(AlgebraError):
-            bivector_to_operator(MultiVector(u * th1 * th2, 2))
+            # past the public constructor, which would store the canonical rep
+            bivector_to_operator(_make_class(u * th1 * th2, 2))
 
     @given(skew_operators())
     def test_round_trip_from_random_skew_operator(self, D):

@@ -34,7 +34,7 @@ from jetbrackets import (
 )
 from jetbrackets.algebra import _E_MAX, _U1_MAX, _U1_MIN, _antidiff_u
 from jetbrackets.dkdv import dkdv_pencil
-from jetbrackets.variational import antidiff_square, bivector_to_operator
+from jetbrackets.variational import _make_class, antidiff_square, bivector_to_operator
 
 u, u1, u2, u3 = SP.u(0), SP.u(1), SP.u(2), SP.u(3)
 inv = SP.u(1, power=-1)
@@ -187,10 +187,11 @@ class TestReadOff:
         D = D - D.adjoint()
         assert bivector_to_operator(operator_to_bivector(D)) == D
 
+    # the first three are wrong classes, built past the public constructor
     @pytest.mark.parametrize("B", [
-        MultiVector(u * SP.theta(1) * SP.theta(2), 2),   # an AlgebraError on both
-        MultiVector(u * th, 2),                           # not a bivector density
-        MultiVector(th * th1 * SP.theta(2), 2),
+        _make_class(u * SP.theta(1) * SP.theta(2), 2),   # an AlgebraError on both
+        _make_class(u * th, 2),                           # not a bivector density
+        _make_class(th * th1 * SP.theta(2), 2),
         MultiVector(SP(), 2),                             # the zero operator
         canonical_class(u * th),                          # theta-degree 1
     ], ids=str)
