@@ -302,47 +302,32 @@ class SparseMatrix:
 
     Rows are keyed by any hashable label (a monomial, say) so that a right-hand
     side can be given in the same labels.  The given rows are kept, not
-    copied.  A row may be given as d times the rational row it stands for,
-    with d = ``_denominator(label)`` (1 unless set on the matrix; the rows
-    of ``slice_matrix`` are integer rows so given).  Each row is
-    scaled to a primitive integer row (nonzero integer entries with gcd 1)
-    only when an elimination takes it, and ``rows`` and ``scales`` show
-    every row so scaled.  Both operations run one fraction-free row-echelon
-    elimination (``_echelon``) and convert to Fraction only in what they
-    return.  Its pivot columns are those of the unique reduced row echelon
-    form, so the solution of ``solve`` (free variables at 0) and the vectors
-    of ``kernel`` do not depend on row order or on the choice of pivot rows.
+    copied.  Each row is scaled to a primitive integer row (nonzero integer
+    entries with gcd 1) only when an elimination takes it, and ``rows`` and
+    ``scales`` show every row so scaled.  A row given as d times the row it
+    stands for has the same kernel, and the same solutions once its
+    right-hand side entry is multiplied by d; ``slice_matrix`` gives its
+    rows so and returns each block's d.  Both operations run one
+    fraction-free row-echelon elimination (``_echelon``) and convert to
+    Fraction only in what they return.  Its pivot columns are those of the
+    unique reduced row echelon form, so the solution of ``solve`` (free
+    variables at 0) and the vectors of ``kernel`` do not depend on row order
+    or on the choice of pivot rows.
     """
 
     def __init__(self, rows: dict, ncols: int):
         self._given = rows
         self.ncols = ncols
 
-    @staticmethod
-    def _denominator(key) -> int:
-        """The denominator of the row of key: 1 for rows given as they are."""
-        return 1
-
-    def _scaled(self, key):
-        """(ints, m, d): the rational row of key times m/d, a new primitive
-        integer row, with m/d > 0 in lowest terms (1/1 for a zero row)."""
-        ints, m, d = _primitive(self._given[key])
-        den = self._denominator(key)
-        if den != 1 and ints:
-            m *= den
-            g = gcd(m, d)
-            m, d = m // g, d // g
-        return ints, m, d
-
     @property
     def rows(self) -> dict:
-        """label -> the primitive integer row, m/d times the rational row."""
+        """label -> the primitive integer row, m/d times the given row."""
         return {key: _primitive(row)[0] for key, row in self._given.items()}
 
     @property
     def scales(self) -> dict:
         """label -> (m, d), for the rows whose m/d is not 1."""
-        scaled = ((key, self._scaled(key)[1:]) for key in self._given)
+        scaled = ((key, _primitive(row)[1:]) for key, row in self._given.items())
         return {key: md for key, md in scaled if md != (1, 1)}
 
     def solve(self, rhs: dict):
@@ -363,7 +348,7 @@ class SparseMatrix:
             # the rational row | b, times m/d, is row | p/q in lowest terms,
             # so q row | p is a primitive integer row
             key = labels[i]
-            row, m, d = self._scaled(key)
+            row, m, d = _primitive(given[key])
             b = rhs.get(key)
             if b:
                 p, q = b.numerator * m, b.denominator * d
@@ -544,20 +529,21 @@ _IMAGES: dict = {}
 _IMAGE_LIMIT = 16384
 
 
-def slice_matrix(monomials, brackets) -> SparseMatrix:
-    """The matrix of the maps d_H, H in brackets, on the span of the
-    monomials: entry ((k, m), j) is the coefficient of the monomial with key
-    m in [[brackets[k], class(monomials[j])]].  The images come from the
+def slice_matrix(monomials, brackets):
+    """(matrix, dens): the matrix of the maps d_H, H in brackets, on the
+    span of the monomials, with row (k, m) given as dens[k] times the row
+    whose entry j is the coefficient of the monomial with key m in
+    [[brackets[k], class(monomials[j])]].  The images come from the
     table above; a monomial missing from it has its class built once for all
     brackets, and every class carries its variational derivatives, so each
     is differentiated at most once.
 
-    The rows of bracket k are given as integer rows over the lcm of the
-    denominators of its images and of the monomials' coefficients, which
-    the matrix records as their denominator, so no entry is a Fraction.
-    They are built column by column, so the first
-    column of each row is its lowest.  Polynomial terms carry no zero
-    coefficients, so every stored entry is nonzero."""
+    dens[k] is the lcm of the denominators of bracket k's images and of the
+    monomials' coefficients, so no entry is a Fraction; a solve multiplies
+    the block-k entries of its right-hand side by dens[k].  The rows are
+    built column by column, so the first column of each row is its lowest.
+    Polynomial terms carry no zero coefficients, so every stored entry is
+    nonzero."""
     hkeys = []
     for H in brackets:
         nums, D = _numerators(H.rep)
@@ -593,9 +579,7 @@ def slice_matrix(monomials, brackets) -> SparseMatrix:
                 rows[key] = {j: v * f}
             else:
                 row[j] = v * f
-    matrix = SparseMatrix(rows, len(monomials))
-    matrix._denominator = lambda key: dens[key[0]]
-    return matrix
+    return SparseMatrix(rows, len(monomials)), dens
 
 
 def linear_combination(vector, basis) -> SuperPolynomial:
@@ -615,18 +599,17 @@ def _solve_in_slices(brackets, targets, slice_: GradedSlice, max_grows: int) -> 
     verified exactly; NoSolution names the last slice tried."""
     c = next(T for T in targets if not T.is_zero())
     t, deg = c.theta_degree - 1, c.homogeneity() - 1
-    rhs = {}
-    for k, T in enumerate(targets):
-        nums, D = _numerators(T.rep)
-        for mn, v in nums.items():
-            rhs[(k, mn)] = Fraction(v, D)
+    target = [_numerators(T.rep) for T in targets]
     s = slice_
     for grow in range(max_grows + 1):
         if grow:
             s = s.grown()
         basis = enumerate_basis(s, t, deg)
         if basis:
-            sol = slice_matrix(basis, brackets).solve(rhs)
+            matrix, dens = slice_matrix(basis, brackets)
+            sol = matrix.solve({(k, mn): Fraction(v * dens[k], D)
+                                for k, (nums, D) in enumerate(target)
+                                for mn, v in nums.items()})
             if sol is not None:
                 y = canonical_class(linear_combination(sol, basis))
                 if any(schouten_bracket(H, y) != T for H, T in zip(brackets, targets)):

@@ -44,6 +44,7 @@ from .variational import (
     EvolutionaryVF,
     MultiVector,
     NotExact,
+    _check_density,
     antidiff_square,
     canonical_class,
     higher_variational_u,
@@ -103,7 +104,7 @@ def symmetry_space(ell: int, max_udeg: int = 6, max_order: int | None = None):
     if not chars:
         return []
     # b theta is a key shift: every characteristic is theta-free
-    matrix = slice_matrix([_theta_times(b, 1) for b in chars], [pencil.P, pencil.Q])
+    matrix, _ = slice_matrix([_theta_times(b, 1) for b in chars], [pencil.P, pencil.Q])
     return [linear_combination(v, chars) for v in matrix.kernel()]
 
 
@@ -459,6 +460,7 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
     bracket is taken only when no witness comes out; at degree 0 it is
     taken first.
     """
+    _check_density(g)
     if ell is not None:
         _check_size(ell, "declared degree")
     k = g.theta_degree()

@@ -74,14 +74,22 @@ def _check_level(level) -> None:
         raise AlgebraError(f"the level of a variational derivative must be nonnegative, got {level}")
 
 
+def _check_density(a, what: str = "a density") -> None:
+    """Refuse an a that is not a SuperPolynomial, naming what was expected."""
+    if not isinstance(a, SuperPolynomial):
+        raise TypeError(f"{what} must be a SuperPolynomial, got {a!r}")
+
+
 def higher_variational_u(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
     """delta_{k,u} = sum_j (-1)^j C(k+j, k) d^j o partial_{u_{k+j}}, k = level >= 0."""
+    _check_density(a)
     _check_level(level)
     return _variational(a, False, level)
 
 
 def higher_variational_theta(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
     """delta_{k,theta}, the odd counterpart."""
+    _check_density(a)
     _check_level(level)
     return _variational(a, True, level)
 
@@ -98,6 +106,7 @@ def variational_derivative(a: SuperPolynomial, slot: str = "u", *,
 
 def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
     """The normalization operator N = theta delta_theta."""
+    _check_density(a)
     return _theta_times(_variational(a, True, 0), 1)
 
 
@@ -118,6 +127,7 @@ def antidiff_square(p: SuperPolynomial, k: int) -> SuperPolynomial:
 def decompose_total_derivative(a: SuperPolynomial):
     """Split a = d(g) + r with r the canonical residue; works per
     theta-degree.  Returns (g, r)."""
+    _check_density(a)
     g = r = SuperPolynomial()
     for k, comp in a.theta_components().items():
         gk, rk = _integrate(comp)
@@ -178,8 +188,7 @@ class MultiVector:
 
     def __init__(self, rep: SuperPolynomial, theta_degree: int):
         _check_size(theta_degree, "theta-degree")
-        if not isinstance(rep, SuperPolynomial):
-            raise TypeError(f"a representative must be a SuperPolynomial, got {rep!r}")
+        _check_density(rep, "a representative")
         self._dtheta = self._du = self._src = None
         if rep:
             k = rep.theta_degree()
@@ -293,6 +302,7 @@ def canonical_class(a: SuperPolynomial) -> MultiVector:
     """The class of the density a, via the canonical representative; a class
     of theta-degree k >= 1 carries delta_theta a, and one of theta-degree 0
     carries delta_theta = 0."""
+    _check_density(a)
     k = a.theta_degree()
     if k is None and a:
         raise AlgebraError("density has mixed theta-degree; no canonical class")
@@ -322,8 +332,7 @@ class EvolutionaryVF:
     __slots__ = ("chars",)
 
     def __init__(self, char: SuperPolynomial):
-        if not isinstance(char, SuperPolynomial):
-            raise TypeError(f"a characteristic must be a SuperPolynomial, got {char!r}")
+        _check_density(char, "a characteristic")
         if not _theta_free(char):
             raise AlgebraError("characteristics must be even densities")
         self.chars = (char,)
@@ -361,6 +370,7 @@ class EvolutionaryVF:
 def vf_from_density(a: SuperPolynomial) -> EvolutionaryVF:
     """The vector field int(a) dx, a of theta-degree 1 or zero: its
     characteristic is delta_theta a."""
+    _check_density(a)
     if a and a.theta_degree() != 1:
         raise AlgebraError("vector fields come from theta-degree-1 densities")
     return EvolutionaryVF(higher_variational_theta(a))

@@ -230,7 +230,9 @@ def ref_mul(a, b):
 def full_slice_solve(brackets, targets, slice_, max_grows=0):
     """The class y with [[H, y]] = T for each bracket H and target T, found
     on the whole slice (grown up to max_grows times) with enumerate_basis,
-    slice_matrix and SparseMatrix.solve, or None; returns (y, system shapes)."""
+    slice_matrix and SparseMatrix.solve, the target of bracket k multiplied
+    by the block denominator dens[k] that slice_matrix returns, or None;
+    returns (y, system shapes)."""
     from jetbrackets import canonical_class, enumerate_basis
     from jetbrackets.algebra import _numerators
     from jetbrackets.deform import linear_combination, slice_matrix
@@ -248,9 +250,9 @@ def full_slice_solve(brackets, targets, slice_, max_grows=0):
         basis = enumerate_basis(s, t, deg)
         if not basis:
             continue
-        M = slice_matrix(basis, brackets)
+        M, dens = slice_matrix(basis, brackets)
         shapes.append((len(M.rows), M.ncols))
-        sol = M.solve(rhs)
+        sol = M.solve({key: b * dens[key[0]] for key, b in rhs.items()})
         if sol is not None:
             return canonical_class(linear_combination(sol, basis)), shapes
     return None, shapes

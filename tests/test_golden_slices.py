@@ -45,11 +45,10 @@ TAIL_DENSITIES = {
 
 
 def _hat_case():
-    char = SP.u(1, power=-2, hat=True) * SP.u(2, hat=True) ** 2 * SP.u(0, hat=True) \
-        - SP.u(1, power=-1, hat=True) * SP.u(3, hat=True) / 3
-    c = dkdv_pencil().d_P(canonical_class(char * SP.theta(0, hat=True)))
+    char = SP.u(1, power=-2) * SP.u(2) ** 2 * SP.u(0) - SP.u(1, power=-1) * SP.u(3) / 3
+    c = dkdv_pencil().d_P(canonical_class(char * SP.theta(0)))
     sl = GradedSlice(max_order=4, max_udeg=2, laurent_depth=2)
-    return primitive_solve(c, dkdv_pencil().P.to_hat(), sl)
+    return primitive_solve(c, dkdv_pencil().P, sl)
 
 
 def golden_outputs():

@@ -2,10 +2,12 @@
 
 A slice matrix built from a cold table, the same matrix built again from the
 warm table, and the direct build the table replaced (one canonical_class and
-one Schouten bracket per column, column outer, map inner) must agree entry
-for entry and in row order, for every bracket partner, on polynomial and
-Laurent slices of theta-degree 0, 1 and 2.  The size bounds of the image
-table and of the derivation cache change no result.
+one Schouten bracket per column, column outer, map inner, in Fraction rows)
+must agree entry for entry and in row order, for every bracket partner, on
+polynomial and Laurent slices of theta-degree 0, 1 and 2: the cold and warm
+builds return the same block denominators, and each of their integer rows
+is its block's denominator times the direct build's rational row.  The size
+bounds of the image table and of the derivation cache change no result.
 """
 
 import random
@@ -46,10 +48,26 @@ def _direct_build(monomials, brackets):
 
 
 def _assert_same(a, b):
+    """a and b, each (matrix, dens), are the same system."""
+    (a, a_dens), (b, b_dens) = a, b
     assert list(a.rows) == list(b.rows)
     assert a.rows == b.rows
     assert a.scales == b.scales
     assert a.ncols == b.ncols
+    assert a_dens == b_dens
+
+
+def _assert_direct(built, direct):
+    """The integer rows of built, (matrix, dens), are dens[k] times the
+    rational rows of the direct build, in the same order."""
+    matrix, dens = built
+    assert list(matrix.rows) == list(direct.rows)
+    assert matrix.rows == direct.rows
+    assert matrix.ncols == direct.ncols
+    for (k, mn), row in direct._given.items():
+        ints = matrix._given[(k, mn)]
+        assert all(type(x) is int for x in ints.values())
+        assert ints == {j: x * dens[k] for j, x in row.items()}
 
 
 @pytest.fixture
@@ -76,9 +94,9 @@ def test_cold_warm_and_direct_builds_agree(cold, t, depth, name):
     columns = _seeded_columns(t, depth, name)
     first = deform.slice_matrix(columns, [H])
     assert len(deform._IMAGES) == len(columns) - 1  # the scaled column is a hit
-    assert first.rows
+    assert first[0].rows
     _assert_same(deform.slice_matrix(columns, [H]), first)
-    _assert_same(_direct_build(columns, [H]), first)
+    _assert_direct(first, _direct_build(columns, [H]))
 
 
 @pytest.mark.parametrize("depth", [0, 2])
@@ -119,7 +137,7 @@ def test_joint_system_reads_the_table(cold, monkeypatch, depth):
     deform.slice_matrix(inner, brackets)
     _assert_same(deform.slice_matrix(columns, brackets), first)
     assert (len(brackets_made), len(calls)) == (made, differentiated)
-    _assert_same(_direct_build(columns, brackets), first)
+    _assert_direct(first, _direct_build(columns, brackets))
 
 
 def _results():
@@ -129,9 +147,9 @@ def _results():
     assert not c1.is_zero()
     witness = quasi_trivialize(c1)
     columns = _seeded_columns(1, 2, "bound")
-    matrix = deform.slice_matrix(columns, [PENCIL.P, PENCIL.Q])
+    matrix, dens = deform.slice_matrix(columns, [PENCIL.P, PENCIL.Q])
     return (symmetry_space(1, 3), symmetry_space(2, 2), witness.chars,
-            list(matrix.rows.items()), matrix.scales)
+            list(matrix.rows.items()), matrix.scales, dens)
 
 
 def test_size_bounds_change_no_result(monkeypatch):
@@ -156,7 +174,7 @@ def test_an_image_is_put_in_canonical_form_through_the_counted_kernel(cold, monk
     H = PENCIL.Q
     H._delta_theta(), H._delta_u()
     monkeypatch.setattr(variational, "_variational", counting_kernel)
-    matrix = deform.slice_matrix([SP.u(0) ** 2 * SP.u(2) * SP.theta(0)], [H])
+    matrix, _ = deform.slice_matrix([SP.u(0) ** 2 * SP.u(2) * SP.theta(0)], [H])
     assert matrix.rows
     # the column's delta_theta and delta_u, then the canonical form of its
     # image, which the bracket reaches through the variational module

@@ -1,12 +1,14 @@
-"""Slice systems in integers: rows given over a row denominator.
+"""Slice systems in integers: each row given as d times its rational row.
 
-A rational row may be given as an integer row d times it, with d recorded
-as the row's denominator; ``slice_matrix`` gives every row so, over the lcm
-of its bracket's image and column denominators.  The matrix must mean the
-same rational rows: the same primitive rows and scales, the same kernel and
-the same solutions (None on the same inconsistent right-hand sides) as the
-matrix of the Fraction rows.  On the slice systems of the engine no
-Fraction reaches the row scaling or the elimination.
+``slice_matrix`` gives the rows of bracket k as integer rows, dens[k] times
+the rational rows, with dens[k] the lcm of the bracket's image and column
+denominators, and returns dens; the solve of ``deform._solve_in_slices``
+multiplies the block-k entries of its right-hand side by dens[k].  Integer
+rows so given, with each right-hand side entry multiplied by its row's d,
+must give the same primitive rows, the same kernel and the same solutions
+(None on the same inconsistent right-hand sides) as the Fraction rows.  On
+the slice systems of the engine no Fraction reaches the row scaling or the
+elimination.
 """
 
 from fractions import Fraction
@@ -30,16 +32,20 @@ PENCIL = dkdv_pencil()
 
 
 def _over_denominators(rows, ncols, extra):
-    """The matrix of the rational rows given as integer rows, each over the
-    lcm of its denominators times extra[label] (so not always the least)."""
+    """(matrix, d): the rational rows given as integer rows, row label times
+    d[label], the lcm of its denominators times extra[label] (so not always
+    the least)."""
     ints, dens = {}, {}
     for key, row in rows.items():
         d = lcm(*(x.denominator for x in row.values())) * extra[key]
         ints[key] = {c: int(x * d) for c, x in row.items()}
         dens[key] = d
-    M = deform.SparseMatrix(ints, ncols)
-    M._denominator = dens.__getitem__
-    return M
+    return deform.SparseMatrix(ints, ncols), dens
+
+
+def _times(rhs, dens):
+    """The right-hand side with each entry multiplied by its row's d."""
+    return {key: b * dens[key] for key, b in rhs.items()}
 
 
 @st.composite
@@ -73,22 +79,21 @@ def _systems(draw):
 def test_integer_rows_over_denominators_mean_the_fraction_rows(system):
     rows, n, extra, rhs_list = system
     by_fractions = deform.SparseMatrix(rows, n)
-    by_integers = _over_denominators(rows, n, extra)
+    by_integers, dens = _over_denominators(rows, n, extra)
     assert list(by_integers.rows) == list(by_fractions.rows)
     assert by_integers.rows == by_fractions.rows
-    assert by_integers.scales == by_fractions.scales
     assert by_integers.kernel() == by_fractions.kernel()
     for rhs in rhs_list:
-        assert by_integers.solve(rhs) == by_fractions.solve(rhs)
+        assert by_integers.solve(_times(rhs, dens)) == by_fractions.solve(rhs)
 
 
 def test_an_inconsistent_right_hand_side_is_found_over_denominators():
-    # x = 1/2 from the first row; the second row, 4/3 x over 3, asks 2/3
+    # x = 1/2 from the first row; the second row, 4/3 x as 4 x over 3, asks 2/3
     rows = {"a": {0: Fraction(2)}, "b": {0: Fraction(4, 3)}}
-    M = _over_denominators(rows, 1, {"a": 1, "b": 1})
-    assert M.solve({"a": Fraction(1), "b": Fraction(2, 3)}) == [Fraction(1, 2)]
-    assert M.solve({"a": Fraction(1), "b": Fraction(2)}) is None
-    assert M.scales == {"a": (1, 2), "b": (3, 4)}
+    M, dens = _over_denominators(rows, 1, {"a": 1, "b": 1})
+    assert dens == {"a": 1, "b": 3}
+    assert M.solve(_times({"a": Fraction(1), "b": Fraction(2, 3)}, dens)) == [Fraction(1, 2)]
+    assert M.solve(_times({"a": Fraction(1), "b": Fraction(2)}, dens)) is None
 
 
 def _integers_only(monkeypatch):

@@ -24,12 +24,15 @@ from jetbrackets import (
     SuperPolynomial as SP,
     bicomplex_d,
     canonical_class,
+    decompose_total_derivative,
     enumerate_basis,
     higher_variational_theta,
     higher_variational_u,
     hydrodynamic_bivector,
+    integrate_x,
     mc_residual,
     miura_push,
+    normalize_N,
     obstruction,
     operator_to_bivector,
     parse_density,
@@ -245,6 +248,22 @@ _REFUSALS = {
     # a public constructor names what it expected
     "vector-field-int": (lambda: EvolutionaryVF(3), TypeError,
                          "a characteristic must be a SuperPolynomial, got 3"),
+    "density-int-canonical-class": (lambda: canonical_class(3), TypeError,
+                                    "a density must be a SuperPolynomial, got 3"),
+    "density-int-vector-field": (lambda: vf_from_density(3), TypeError,
+                                 "a density must be a SuperPolynomial, got 3"),
+    "density-int-generator": (lambda: quasi_trivialize_from_generator(3), TypeError,
+                              "a density must be a SuperPolynomial, got 3"),
+    "density-int-normalize": (lambda: normalize_N(3), TypeError,
+                              "a density must be a SuperPolynomial, got 3"),
+    "density-int-integrate": (lambda: integrate_x(3), TypeError,
+                              "a density must be a SuperPolynomial, got 3"),
+    "density-int-decompose": (lambda: decompose_total_derivative(3), TypeError,
+                              "a density must be a SuperPolynomial, got 3"),
+    "density-int-delta-u": (lambda: higher_variational_u(3), TypeError,
+                            "a density must be a SuperPolynomial, got 3"),
+    "density-int-delta-theta": (lambda: higher_variational_theta(3), TypeError,
+                                "a density must be a SuperPolynomial, got 3"),
     "hydrodynamic-float": (lambda: hydrodynamic_bivector(0.5), TypeError,
                            "h must be a SuperPolynomial, int or Fraction, got 0.5"),
     "hydrodynamic-bool": (lambda: hydrodynamic_bivector(True), TypeError,
