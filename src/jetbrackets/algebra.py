@@ -53,19 +53,24 @@ Every derivation goes through one integer kernel: `_file` files the signed
 partial derivatives of the numerators under the power of d they are to
 receive, in one sweep; `_add_derivative` applies d once, into its output
 dict, which it returns unless a term cancelled.  Neither changes D.
-partial_u and partial_theta are one filing, d^n is n steps,
-`_variational` is one filing plus Horner in d, and D_P (`_koszul_dP`) is
-one filing whose piece k gains theta_{k+1}.  `_antidiff_u`, the
-antiderivative in u_k, adds one unit to field k of each key.  `_integrate`,
-formal integration in x, descends from the top order with the same step and
-splits a = d(g) + r at every theta-degree, r = 0 exactly when a is exact;
-an antiderivative power past the exponent range raises AlgebraError for a
-theta-free term and goes to r for a term with a theta factor.  d is an
-even derivation, so its table (`_DERIV_CACHE`) holds the derivatives of the
-theta-free and the odd parts of the keys it meets, not of the keys: a few
-thousand parts cover the tens of thousands of monomials of a Jacobi check.
-The filing reads a second table of the same parts (`_FILE_CACHE`), under
-the same bound of 65 536 entries: for an odd part, the bit of each theta_k
+partial_u and partial_theta are one filing, d^n is n steps, and `_jet(p,
+n)` is the list p, d p, ..., d^n p from the same n steps: the operators'
+apply, compose and adjoint, a vector field's action and the e/S/E systems
+of `dkdv` read every run of total derivatives from it.  `_variational` is
+one filing plus Horner in d, and D_P (`_koszul_dP`) is one filing whose
+piece k gains theta_{k+1}.  `_antidiff_u`, the antiderivative in u_k, adds
+one unit to field k of each key.  `_integrate`, formal integration in x,
+descends from the top order with the same step and splits a = d(g) + r at
+every theta-degree, r = 0 exactly when a is exact; an antiderivative power
+past the exponent range raises AlgebraError for a theta-free term and goes
+to r for a term with a theta factor.  d is an even derivation, so its
+table (`_DERIV_CACHE`) holds the derivatives of the theta-free and the odd
+parts of the keys it meets, not of the keys: a few thousand parts cover the
+tens of thousands of monomials of a Jacobi check.
+The filing reads a second table of the same parts (`_FILE_CACHE`).  One
+rule, in `_store`, decides what both tables hold: parts wider than 64
+fields are not stored, and a table is emptied once it holds 65 536
+entries.  The filing entries are, for an odd part, the bit of each theta_k
 with the sign of its left derivative; for a theta-free part, the unit of
 each u_k with its signed exponent.  A term files one entry per factor of
 its part in [lo, hi], with no walk over its fields.  `_u_factors` finds the
@@ -102,6 +107,12 @@ def _check_size(v, what: str, lowest: int | None = 0) -> None:
         raise AlgebraError(f"{what} must be an integer, got {v!r}")
     if lowest is not None and v < lowest:
         raise AlgebraError(f"{what} must be at least {lowest}, got {v}")
+
+
+def _check_density(a, what: str = "a density") -> None:
+    """Refuse an a that is not a SuperPolynomial, naming what was expected."""
+    if not isinstance(a, SuperPolynomial):
+        raise TypeError(f"{what} must be a SuperPolynomial, got {a!r}")
 
 
 class UndefinedGrading(AlgebraError):
@@ -613,22 +624,23 @@ def _theta_times(x: SuperPolynomial, k: int) -> SuperPolynomial:
 
 # table of derivatives of the parts of monomials.  d is an even derivation,
 # so d(E theta^t) = d(E) theta^t + E d(theta^t): a key m splits into its odd
-# part t = m & _THETA and its theta-free part E = m - t, and the table holds
-# E -> ((step, multiplier), ...) from `_derive_key` and, for t != 0,
-# t -> (step, ...) from `_theta_moves`.  The two kinds of key cannot
+# part t, the theta bits of m, and its theta-free part E = m - t, and the
+# table holds E -> ((step, multiplier), ...) from `_derive_key` and, for
+# t != 0, t -> (step, ...) from `_theta_moves`.  The two kinds of key cannot
 # collide: E has every theta bit clear, a nonzero t only theta bits.  A
 # derived key is m + step, and the multipliers are integers (exponents), so
 # d of an int dict stays an int dict.  The values are deterministic, so
 # concurrent readers are safe (a racing recompute is identical) and emptying
-# the table once it holds _DERIV_LIMIT entries changes no result.  Parts of
-# keys wider than 64 fields are derived on each use and not stored, which
-# bounds an entry's size.  The limit is above the 41 334 parts of the
+# the table once it holds _DERIV_LIMIT entries changes no result.  Parts
+# wider than 64 fields are not stored, whatever key they come from, which
+# bounds an entry's size; `_store` is the one place that applies this rule
+# and the limit, to both tables.  The limit is above the 41 334 parts of the
 # quasi-Miura series of KdV through eps^16 and the 3 353 parts of 52 passes
 # of random Jacobi checks (seed 14, 48 746 distinct monomials).  Those 3 353
 # entries retain 1.04 MB under tracemalloc, 311 bytes each (CPython 3.11),
-# so a full table holds about 20 MB.  The filing table below keeps the same
-# limit and rule; the same 52 passes file 712 parts, whose entries retain
-# 254 kB, 357 bytes each, so it too holds at most about 23 MB.
+# so a full table holds about 20 MB.  The filing table below is stored under
+# the same limit and rule; the same 52 passes file 712 parts, whose entries
+# retain 254 kB, 357 bytes each, so it too holds at most about 23 MB.
 _DERIV_CACHE: dict = {}
 _DERIV_LIMIT = 65536
 _THETA = _MASKS[64][0]       # the theta bits of fields 0..63
@@ -648,7 +660,6 @@ _MOVES = tuple((1 << (_W * k + _W)) - (1 << (_W * k)) for k in range(64))
 # (-1)^lo, so one loop serves both parities and every [lo, hi].  The keys
 # cannot collide: t has only theta bits, E none, and neither t = 0 nor an E
 # with u_1^-8192 (whose field 1 is 0, so u_1^-8192 alone is the key 0) is
-# stored.  Parts of keys wider than 64 fields are filed on each use and not
 # stored.
 _FILE_CACHE: dict = {}
 # the bit of theta_k and the unit of u_k, shared by every filing entry
@@ -657,10 +668,12 @@ _UNITS = tuple(2 << (_W * k) for k in range(64))
 
 
 def _store(table: dict, part: int, ents):
-    """table[part] = ents on a miss, emptying a full table first (see _DERIV_CACHE)."""
-    if len(table) >= _DERIV_LIMIT:
-        table.clear()
-    table[part] = ents
+    """table[part] = ents on a miss, emptying a full table first, unless the
+    part is wider than 64 fields (see _DERIV_CACHE); returns ents."""
+    if part < _WIDE:
+        if len(table) >= _DERIV_LIMIT:
+            table.clear()
+        table[part] = ents
     return ents
 
 
@@ -723,21 +736,17 @@ def _add_derivative(out: dict, terms: dict) -> dict:
     cache = _DERIV_CACHE
     get = out.get
     for m, c in terms.items():
-        if m < _WIDE:
-            t = m & _THETA
-            even = m - t
-            ents = cache.get(even)
-            if ents is None:
-                ents = _store(cache, even, _derive_key(even))
-            if t:
-                moves = cache.get(t)
-                if moves is None:
-                    moves = _store(cache, t, _theta_moves(t))
-            else:
-                moves = ()
+        t = m & (_THETA if m < _WIDE else _masks(m)[0])
+        even = m - t
+        ents = cache.get(even)
+        if ents is None:
+            ents = _store(cache, even, _derive_key(even))
+        if t:
+            moves = cache.get(t)
+            if moves is None:
+                moves = _store(cache, t, _theta_moves(t))
         else:
-            t = m & _masks(m)[0]
-            ents, moves = _derive_key(m - t), _theta_moves(t) if t else ()
+            moves = ()
         for step, mult in ents:
             key = m + step
             out[key] = get(key, 0) + c * mult
@@ -745,6 +754,17 @@ def _add_derivative(out: dict, terms: dict) -> dict:
             key = m + step
             out[key] = get(key, 0) + c
     return {m: c for m, c in out.items() if c} if 0 in out.values() else out
+
+
+def _jet(p: SuperPolynomial, n: int) -> list:
+    """[p, d p, ..., d^n p], n >= 0: n steps of `_add_derivative` on the
+    numerators of p, each over its denominator.  Every run of total
+    derivatives that keeps the intermediate ones reads them from here."""
+    jet, nums = [p], p._nums
+    for _ in range(n):
+        nums = _add_derivative({}, nums)
+        jet.append(_make(nums, p._D))
+    return jet
 
 
 def _filing_entries(part: int, odd: bool):
@@ -786,7 +806,7 @@ def _file(nums: dict, odd: bool, lo: int, hi: int = sys.maxsize) -> dict:
                 # partial derivative by u_1 is refused on every use
                 if lo <= 1 <= hi:
                     raise _range_error("a partial derivative")
-            elif part and part < _WIDE:
+            elif part:
                 _store(table, part, ents)
         for k, unit, x in ents:
             if k > hi:
@@ -964,6 +984,7 @@ def _theta_free(p: SuperPolynomial) -> bool:
 
 
 def grading_info(a: SuperPolynomial):
+    _check_density(a)
     return a.grading_info()
 
 
@@ -1029,29 +1050,23 @@ class DiffOperator:
         _check_scalar(c)
         return DiffOperator({j: p * c for j, p in self.coeffs.items()})
 
-    # apply, compose and adjoint each keep one running derivative, so a
-    # del^j term costs j applications of d, not j^2/2
-
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        derivs, df, done = {}, f, 0
-        for j in sorted(self.coeffs):
-            df = derivs[j] = df.dx(j - done)
-            done = j
+        _check_density(f)
+        df = _jet(f, self.order())
         out = SuperPolynomial()
         for j, p in self.coeffs.items():
-            out = out + p * derivs[j]
+            out = out + p * df[j]
         return out
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """Operator composition self . other."""
+        top = self.order()
+        jets = {j: _jet(b, top) for j, b in other.coeffs.items()}
         out: dict = {}
         for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                db = b
+            for j, db in jets.items():
                 for t in range(i + 1):
-                    if t:
-                        db = db.total_derivative()
-                    c = a * db * comb(i, t)
+                    c = a * db[t] * comb(i, t)
                     key = i + j - t
                     cur = out.get(key)
                     out[key] = c if cur is None else cur + c
@@ -1062,10 +1077,7 @@ class DiffOperator:
         out: dict = {}
         for j, p in self.coeffs.items():
             sign = -1 if j & 1 else 1
-            dp = p
-            for t in range(j + 1):
-                if t:
-                    dp = dp.total_derivative()
+            for t, dp in enumerate(_jet(p, j)):
                 c = dp * (comb(j, t) * sign)
                 key = j - t
                 cur = out.get(key)

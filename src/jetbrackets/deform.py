@@ -665,6 +665,7 @@ def homogenize(D: EpsilonDeformation, p: int, slice_: GradedSlice) -> EpsilonDef
     components of later corrections are removed by Miura transformations
     generated by primitives of d_base.
     """
+    _check_size(p, "p")
     H1 = D.term(1)
     if not H1.is_zero() and H1.homogeneity() != p + 1:
         raise AlgebraError("first correction is not homogeneous of degree p+1")

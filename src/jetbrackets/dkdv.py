@@ -25,8 +25,10 @@ from .algebra import (
     AlgebraError,
     SuperPolynomial,
     _antidiff_u,
+    _check_density,
     _check_size,
     _contract,
+    _jet,
     _koszul_dP,
     _theta_times,
 )
@@ -44,7 +46,6 @@ from .variational import (
     EvolutionaryVF,
     MultiVector,
     NotExact,
-    _check_density,
     antidiff_square,
     canonical_class,
     higher_variational_u,
@@ -120,13 +121,15 @@ def build_eSE(f: SuperPolynomial, g: SuperPolynomial, n: int):
     even n the equivalent packed system E_l, l = 0..n/2 (None for odd n).
     """
     e = _e_data(f, g, n)
-    de = _prolong(e)
+    de = [_jet(ej, j) for j, ej in enumerate(e)]
     return e, _s_system(de, n), _e_system(de, n) if n % 2 == 0 else None
 
 
 def _e_data(f: SuperPolynomial, g: SuperPolynomial, n: int):
     """e_j = F_j - G_j, j = 0..n (see build_eSE), with
     2 G_j = sum_{i=j..n} (C(i, j) + C(i+1, i-j)) u_{i-j} partial_{u_i} g - [j = 0] g."""
+    _check_density(f)
+    _check_density(g)
     _check_size(n, "order")
     if f.order() > n or g.order() > n:
         raise AlgebraError("pair has order larger than declared")
@@ -139,17 +142,6 @@ def _e_data(f: SuperPolynomial, g: SuperPolynomial, n: int):
                 G2 = G2 + SuperPolynomial.u(i - j) * dg[i] * (comb(i, j) + comb(i + 1, i - j))
         e.append(f.partial_u(j) - G2 * Fraction(1, 2))
     return e
-
-
-def _prolong(polys, step: int = 1):
-    """rows[j] = [p_j, d p_j, ..., d^(step j) p_j] for the polys p_j."""
-    rows = []
-    for j, p in enumerate(polys):
-        row = [p]
-        for _ in range(step * j):
-            row.append(row[-1].total_derivative())
-        rows.append(row)
-    return rows
 
 
 def _s_system(de, n: int):
@@ -182,13 +174,14 @@ def _e_system(de, n: int):
 def verify_SE_equivalence(e, n: int) -> bool:
     """Check the packed identity expressing S_k through the E_l for the
     given e-data (n even); missing entries e_j, j <= n, count as zero."""
+    _check_size(n, "order")
     if n % 2:
         raise AlgebraError("the packed E-system is defined for even n only")
     m = n // 2
     e = list(e) + [SuperPolynomial()] * (n + 1 - len(e))
-    de = _prolong(e)
+    de = [_jet(ej, j) for j, ej in enumerate(e)]
     E = _e_system(de, n)
-    dE = _prolong(E, 2)
+    dE = [_jet(El, 2 * l) for l, El in enumerate(E)]
     for k, Sk in enumerate(_s_system(de, n)):
         if k == n:
             rhs = E[m] * 2
@@ -228,12 +221,15 @@ class CocyclePair(Record):
     _fields = ("f", "g", "n")
 
     def __init__(self, f: SuperPolynomial, g: SuperPolynomial, n: int):
+        _check_density(f)
+        _check_density(g)
         self.f = f
         self.g = g
         self.n = n
 
     def s_system(self):
-        return _s_system(_prolong(_e_data(self.f, self.g, self.n)), self.n)
+        e = _e_data(self.f, self.g, self.n)
+        return _s_system([_jet(ej, j) for j, ej in enumerate(e)], self.n)
 
     def verify(self) -> bool:
         return all(s.is_zero() for s in self.s_system())
@@ -560,6 +556,7 @@ def psi_residual(psi: SuperPolynomial | None = None, source: int = 1) -> SuperPo
     """D_t psi - u d(psi) - u_1 psi + source * u_3 along the flow u_t = u u_1."""
     if psi is None:
         psi = psi_density()
+    _check_density(psi)
     u0 = SuperPolynomial.u(0)
     u1 = SuperPolynomial.u(1)
     u3 = SuperPolynomial.u(3)

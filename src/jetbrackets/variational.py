@@ -48,10 +48,12 @@ from .algebra import (
     SkewnessError,
     SuperPolynomial,
     _antidiff_u,
+    _check_density,
     _check_scalar,
     _check_size,
     _file,
     _integrate,
+    _jet,
     _make,
     _numerators,
     _theta_free,
@@ -72,12 +74,6 @@ def _check_level(level) -> None:
     _check_size(level, "the level of a variational derivative", None)
     if level < 0:
         raise AlgebraError(f"the level of a variational derivative must be nonnegative, got {level}")
-
-
-def _check_density(a, what: str = "a density") -> None:
-    """Refuse an a that is not a SuperPolynomial, naming what was expected."""
-    if not isinstance(a, SuperPolynomial):
-        raise TypeError(f"{what} must be a SuperPolynomial, got {a!r}")
 
 
 def higher_variational_u(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
@@ -116,6 +112,8 @@ def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
 
 def antidiff_square(p: SuperPolynomial, k: int) -> SuperPolynomial:
     """Solve (d/du_k)^2 h = p by two formal antidifferentiations."""
+    _check_density(p)
+    _check_size(k, "jet index")
     h1, b1 = _antidiff_u(p, k)
     h2, b2 = _antidiff_u(h1, k)
     if b1 or b2:
@@ -340,11 +338,13 @@ class EvolutionaryVF:
     def apply(self, a: SuperPolynomial) -> SuperPolynomial:
         """Act as the derivation sum_j d^j(f) partial_{u_j}; piece j of one
         filing of a is (-1)^j partial_{u_j} a."""
+        _check_density(a)
         nums, D = _numerators(a)
-        out, fj, done = SuperPolynomial(), self.chars[0], 0
-        for j, piece in sorted(_file(nums, False, 0).items()):
-            fj, done = fj.dx(j - done), j
-            term = fj * _make(piece, D)
+        pieces = _file(nums, False, 0)
+        df = _jet(self.chars[0], max(pieces, default=0))
+        out = SuperPolynomial()
+        for j, piece in sorted(pieces.items()):
+            term = df[j] * _make(piece, D)
             out = out - term if j & 1 else out + term
         return out
 

@@ -8,8 +8,9 @@ below is the kernel before that split: one table entry per monomial, built
 by `_derive_key_per_monomial`, kept here as the oracle.  Every result must
 equal it as a list of items, so the insertion order of each dict is pinned
 too, with the table cold and warm, on polynomial and Laurent keys, on
-blocked moves theta_k theta_{k+1} and on keys wider than 64 fields, which
-are derived on each use and never stored.
+blocked moves theta_k theta_{k+1} and on keys wider than 64 fields.  A part
+wider than 64 fields is derived on each use and never stored; a narrower
+part of such a key is stored like any other.
 
 The filing sweep `algebra._file` reads a second table of the same parts,
 its filing entries; it is checked the same way against the per-term walk
@@ -260,6 +261,16 @@ def test_wide_keys_are_not_stored(rng):
         before = dict(table)
         assert items(p.dx(2)) == items(_make(ref_add_derivative({}, ref_add_derivative({}, p._nums)), 1))
         assert table == before
+
+
+def test_a_narrow_part_of_a_wide_key_is_stored():
+    # u theta_100 is wider than 64 fields, its theta-free part u is not: the
+    # storage rule judges the part, whatever key it came from
+    p = SP.u(0) * SP.theta(100)
+    with cold_table() as table:
+        assert items(p.dx()) == items(_make(ref_add_derivative({}, p._nums), 1))
+        assert SP.u(0)._nums.keys() <= table.keys()
+        assert all(key < _WIDE for key in table)
 
 
 def test_normalize_at_index_200_leaves_the_table_size():

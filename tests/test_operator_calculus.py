@@ -1,9 +1,11 @@
 """DiffOperator.apply, compose and adjoint against the per-t formulas they
 replaced, and their cost counted in applications of d.
 
-Each of the three methods keeps one running derivative of a coefficient (or
-of the argument), so a del^j term costs j calls of `algebra._add_derivative`.
-The formulas below are the ones before that change, kept here as the
+Each of the three methods reads its derivatives from one jet
+(`algebra._jet`, the list p, d p, ..., d^n p) of a coefficient or of the
+argument, so a del^j term costs j calls of `algebra._add_derivative`, and
+compose takes one jet per right-hand coefficient, up to the left operator's
+order.  The formulas below are the ones before that change, kept here as the
 reference: they call p.dx(t) afresh for every t, j^2/2 calls in all.
 """
 
@@ -80,6 +82,17 @@ def test_a_del_300_term_costs_300_derivatives():
         got = D.compose(B)
     assert calls[0] <= 2 * 300
     assert got == ref_compose(D, B)
+
+
+def test_compose_takes_one_jet_per_right_hand_coefficient():
+    # a left operator of orders {2, 5, 7}: one jet of length 7 per coefficient
+    # of B, where a fresh run per pair of coefficients took 2 + 5 + 7 = 14
+    A = DiffOperator({2: SP.u(1), 5: SP.u(0), 7: SP.u(2)})
+    B = DiffOperator({0: SP.u(0), 1: SP.u(3), 4: SP.u(1) * SP.u(0)})
+    with counted() as calls:
+        got = A.compose(B)
+    assert calls[0] == 7 * len(B.coeffs)
+    assert got == ref_compose(A, B)
 
 
 def _operator(rng, orders, laurent=0):

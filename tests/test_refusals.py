@@ -5,11 +5,13 @@ answer; the parse errors are also pinned through `cli.main`, by exit code,
 error code, message and column.
 """
 
+import inspect
 import json
 from fractions import Fraction
 
 import pytest
 
+import jetbrackets
 from jetbrackets import (
     AlgebraError,
     Cochain,
@@ -22,11 +24,14 @@ from jetbrackets import (
     Pencil,
     SkewnessError,
     SuperPolynomial as SP,
+    antidiff_square,
     bicomplex_d,
     canonical_class,
     decompose_total_derivative,
     enumerate_basis,
+    grading_info,
     higher_variational_theta,
+    homogenize,
     higher_variational_u,
     hydrodynamic_bivector,
     integrate_x,
@@ -44,8 +49,9 @@ from jetbrackets import (
     vf_from_density,
 )
 from jetbrackets.cli import main
-from jetbrackets.dkdv import (binomial_identity_check, build_eSE, dkdv_pencil, hierarchy,
-                              quasi_trivialize, quasi_trivialize_from_generator)
+from jetbrackets.dkdv import (CocyclePair, binomial_identity_check, build_eSE, dkdv_pencil,
+                              hierarchy, psi_check, psi_residual, quasi_trivialize,
+                              quasi_trivialize_from_generator, verify_SE_equivalence)
 
 u, th = SP.u(0), SP.theta(0)
 P = operator_to_bivector(DiffOperator.d(1))
@@ -338,6 +344,34 @@ _REFUSALS = {
                                 "order must be at least 0, got -1"),
     "e-system-fraction-order": (lambda: build_eSE(SP(), SP(), 1.5), AlgebraError,
                                 "order must be an integer, got 1.5"),
+    # an order the check would not run is refused, never answered True
+    "se-equivalence-negative-order": (lambda: verify_SE_equivalence([], -2), AlgebraError,
+                                      "order must be at least 0, got -2"),
+    "se-equivalence-float-order": (lambda: verify_SE_equivalence([], 4.0), AlgebraError,
+                                   "order must be an integer, got 4.0"),
+    "antidiff-square-index-bool": (lambda: antidiff_square(SP.u(1), True), AlgebraError,
+                                   "jet index must be an integer, got True"),
+    "antidiff-square-index-negative": (lambda: antidiff_square(SP.u(1), -1), AlgebraError,
+                                       "jet index must be at least 0, got -1"),
+    "homogenize-degree-bool": (lambda: homogenize(SERIES, True, GradedSlice()), AlgebraError,
+                               "p must be an integer, got True"),
+    # every density argument is refused by name, not by an AttributeError
+    "density-int-operator-apply": (lambda: DiffOperator.d().apply(3), TypeError,
+                                   "a density must be a SuperPolynomial, got 3"),
+    "density-int-vector-field-apply": (lambda: EvolutionaryVF(u).apply(3), TypeError,
+                                       "a density must be a SuperPolynomial, got 3"),
+    "density-int-antidiff-square": (lambda: antidiff_square(3, 0), TypeError,
+                                    "a density must be a SuperPolynomial, got 3"),
+    "density-int-psi-residual": (lambda: psi_residual(3), TypeError,
+                                 "a density must be a SuperPolynomial, got 3"),
+    "density-int-psi-check": (lambda: psi_check(3), TypeError,
+                              "a density must be a SuperPolynomial, got 3"),
+    "density-int-e-system": (lambda: build_eSE(3, u, 2), TypeError,
+                             "a density must be a SuperPolynomial, got 3"),
+    "density-int-cocycle-pair": (lambda: CocyclePair(3, u, 2).verify(), TypeError,
+                                 "a density must be a SuperPolynomial, got 3"),
+    "density-int-grading-info": (lambda: grading_info(3), TypeError,
+                                 "a density must be a SuperPolynomial, got 3"),
 }
 
 
@@ -349,6 +383,41 @@ def test_refusal_is_pinned(name):
     assert type(err.value) is exc_type
     assert str(err.value) == message
 
+
+
+def _takes_a_density_first():
+    """Every public callable, and the two apply methods, whose first
+    parameter is annotated SuperPolynomial, with a value for each other
+    required parameter."""
+    fill = {"SuperPolynomial": u, "int": 2}
+    calls = {"DiffOperator.apply": DiffOperator.d().apply,
+             "EvolutionaryVF.apply": EvolutionaryVF(u).apply}
+    for name in jetbrackets.__all__:
+        obj = getattr(jetbrackets, name)
+        if callable(obj) and not inspect.ismodule(obj):
+            calls[name] = obj
+    out = {}
+    for name, call in calls.items():
+        try:
+            params = list(inspect.signature(call).parameters.values())
+        except ValueError:  # an exception class with no Python signature
+            continue
+        if params and "SuperPolynomial" in str(params[0].annotation).split(" | "):
+            rest = [fill[p.annotation] for p in params[1:]
+                    if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD]
+            out[name] = (call, rest)
+    return out
+
+
+def test_every_density_parameter_refuses_a_non_polynomial():
+    found = _takes_a_density_first()
+    # the sweep reaches the entry points it was written for
+    assert {"DiffOperator.apply", "EvolutionaryVF.apply", "antidiff_square", "build_eSE",
+            "CocyclePair", "grading_info", "psi_residual", "psi_check",
+            "canonical_class"} <= set(found)
+    for name, (call, rest) in found.items():
+        with pytest.raises(TypeError, match=r"must be a SuperPolynomial, got 3$"):
+            call(3, *rest)
 
 
 def test_pencil_member_of_an_exact_lambda():
