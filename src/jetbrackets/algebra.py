@@ -51,14 +51,15 @@ which drops zeros and divides out the gcd.
 
 Every derivation goes through one integer kernel: `_file` files the signed
 partial derivatives of the numerators under the power of d they are to
-receive, in one sweep; `_add_derivative` applies d once, into its output
-dict, which it returns unless a term cancelled.  Neither changes D.
-partial_u and partial_theta are one filing, d^n is n steps, and `_jet(p,
-n)` is the list p, d p, ..., d^n p from the same n steps: the operators'
+receive, in one sweep; `_horner` sums p_0 + d(p_1 + d(...)) over the
+pieces, one level per application of d.  Neither changes D.  partial_u
+and partial_theta are one filing, d^n is one Horner call, and `_jet(p,
+n)` is the list p, d p, ..., d^n p from n one-level calls: the operators'
 apply, compose and adjoint, a vector field's action and the e/S/E systems
 of `dkdv` read every run of total derivatives from it.  `_variational` is
-one filing plus Horner in d, and D_P (`_koszul_dP`) is one filing whose
-piece k gains theta_{k+1}.  `_antidiff_u`, the antiderivative in u_k, adds
+one filing plus one Horner call, which can leave out the theta_0 terms
+that theta kills.  D_P (`_koszul_dP`) is one filing whose piece k gains
+theta_{k+1}.  `_antidiff_u`, the antiderivative in u_k, adds
 one unit to field k of each key.  `_integrate`, formal integration in x,
 descends from the top order with the same step and splits a = d(g) + r at
 every theta-degree, r = 0 exactly when a is exact; an antiderivative power
@@ -150,14 +151,22 @@ def _check_exponent(k: int, e: int) -> None:
                            else f"a power of {_name('u', k)} of more than 64 bits")
 
 
+def _check_factor(a, k, *e) -> None:
+    """Refuse a factor ((a, k), e), or (a, k) with no e, that is not u_k^e
+    or theta_k, k >= 0 (e < 0 only for u_1)."""
+    if (a != 1 or type(k) is not int or k < 0
+            or e and (type(e[0]) is not int or e[0] < 0 and k != 1)):
+        raise AlgebraError(f"invalid factor (({a!r}, {k!r}), {e[0]!r}): the index must be at least "
+                           "0, and only u_1 has negative powers" if e else
+                           f"invalid odd factor ({a!r}, {k!r}): the index must be at least 0")
+
+
 def _normal_key(mono):
     """(sign, key) of a monomial given as (even factors, odd factors) in any
     order, or None when an odd generator repeats (theta^2 = 0)."""
     exps: dict = {}
     for (a, k), e in mono[0]:
-        if a != 1 or type(k) is not int or k < 0 or type(e) is not int or (e < 0 and k != 1):
-            raise AlgebraError(f"invalid factor (({a!r}, {k!r}), {e!r}): the index must be "
-                               "at least 0, and only u_1 has negative powers")
+        _check_factor(a, k, e)
         exps[k] = exps.get(k, 0) + e
     key = _ONE
     for k, e in exps.items():
@@ -165,8 +174,7 @@ def _normal_key(mono):
         key += e << (_W * k + 1)
     sign, odd = 1, 0
     for a, k in mono[1]:
-        if a != 1 or type(k) is not int or k < 0:
-            raise AlgebraError(f"invalid odd factor ({a!r}, {k!r}): the index must be at least 0")
+        _check_factor(a, k)
         bit = 1 << (_W * k)
         if odd & bit:
             return None
@@ -225,7 +233,7 @@ def _field_masks(n: int):
     return rep, rep << (_W - 1)
 
 
-_MASKS = tuple(_field_masks(n) for n in range(65))
+_MASKS = tuple(map(_field_masks, range(65)))
 
 
 def _masks(top: int):
@@ -251,7 +259,10 @@ def _inversion_mask(t: int) -> int:
 
 def _key_degree(key: int) -> int:
     """sum k e_k + sum k over the theta_k; field 1 adds its bias once."""
-    return sum(k * ((f >> 1) + (f & 1)) for k, f in enumerate(_fields(key))) - _BIAS
+    d = -_BIAS
+    for k, f in enumerate(_fields(key)):
+        d += k * ((f >> 1) + (f & 1))
+    return d
 
 
 def _key_order(key: int) -> int:
@@ -284,10 +295,10 @@ class SuperPolynomial:
         self._nums, self._D = {}, 1
         if not terms:
             return
-        terms = dict(terms)
+        terms, D = dict(terms), 1
         for c in terms.values():
             _check_scalar(c)
-        D = lcm(*(c.denominator for c in terms.values()))
+            D = lcm(D, c.denominator)
         nums: dict = {}
         for mono, c in terms.items():
             normal = _normal_key(mono)
@@ -329,16 +340,13 @@ class SuperPolynomial:
 
     @classmethod
     def u(cls, k=0, *, power=1, hat=False):
-        if type(k) is not int or k < 0 or type(power) is not int or (power < 0 and k != 1):
-            raise AlgebraError(f"invalid factor ((1, {k!r}), {power!r}): the index must be "
-                               "at least 0, and only u_1 has negative powers")
+        _check_factor(1, k, power)
         _check_exponent(k, power)
         return _make({_ONE + (power << (_W * k + 1)): 1}, 1)
 
     @classmethod
     def theta(cls, k=0, *, hat=False):
-        if type(k) is not int or k < 0:
-            raise AlgebraError(f"invalid odd factor (1, {k!r}): the index must be at least 0")
+        _check_factor(1, k)
         return _make({_ONE + (1 << (_W * k)): 1}, 1)
 
     # -- ring structure ----------------------------------------------------
@@ -461,10 +469,7 @@ class SuperPolynomial:
         _check_size(n, "the power of the total derivative", None)
         if n < 0:
             raise AlgebraError(f"the power of the total derivative must be nonnegative, got {n}")
-        nums = self._nums
-        for _ in range(n):
-            nums = _add_derivative({}, nums)
-        return _make(nums, self._D)
+        return _make(_horner({n: self._nums}, n), self._D)
 
     # -- gradings ----------------------------------------------------------
 
@@ -474,17 +479,13 @@ class SuperPolynomial:
             return None
         tmask = _masks(max(self._nums))[0]
         degs = {(m & tmask).bit_count() for m in self._nums}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return degs.pop() if len(degs) == 1 else None
 
     def degree(self):
         """Uniform homogeneity degree (deg u_k = deg theta_k = k,
         deg u_1^{-1} = -1), or None if inhomogeneous."""
         degs = {_key_degree(m) for m in self._nums}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return degs.pop() if len(degs) == 1 else None
 
     def order(self) -> int:
         """Largest jet index appearing (even or odd); 0 for constants."""
@@ -502,19 +503,22 @@ class SuperPolynomial:
             self.order(),
         )
 
+    def _split(self, label, shift=None) -> dict:
+        """e -> the polynomial of the terms m with label(m) = e, by ascending
+        e; with a shift, each term keyed m - (e << shift)."""
+        comps: dict = {}
+        for m, c in self._nums.items():
+            e = label(m)
+            comps.setdefault(e, {})[m - (e << shift) if shift else m] = c
+        return {e: _make(t, self._D) for e, t in sorted(comps.items())}
+
     def homogeneous_components(self) -> dict:
         """Split into homogeneity-degree components: degree -> polynomial."""
-        comps: dict = {}
-        for m, c in self._nums.items():
-            comps.setdefault(_key_degree(m), {})[m] = c
-        return {d: _make(t, self._D) for d, t in sorted(comps.items())}
+        return self._split(_key_degree)
 
     def theta_components(self) -> dict:
-        comps: dict = {}
         tmask = _masks(max(self._nums, default=0))[0]
-        for m, c in self._nums.items():
-            comps.setdefault((m & tmask).bit_count(), {})[m] = c
-        return {k: _make(t, self._D) for k, t in sorted(comps.items())}
+        return self._split(lambda m: (m & tmask).bit_count())
 
     # -- coefficient extraction --------------------------------------------
 
@@ -522,12 +526,7 @@ class SuperPolynomial:
         """Collect by the exponent of u_k: exponent -> polynomial free of
         that variable."""
         _check_size(k, "jet index")
-        shift = _W * k + 1
-        layers: dict = {}
-        for m, c in self._nums.items():
-            e = _exponent(m, k)
-            layers.setdefault(e, {})[m - (e << shift)] = c
-        return {e: _make(t, self._D) for e, t in sorted(layers.items())}
+        return self._split(lambda m: _exponent(m, k), _W * k + 1)
 
     def max_u_power(self) -> int:
         """Largest exponent of the undifferentiated u."""
@@ -545,9 +544,8 @@ class SuperPolynomial:
         for (even, odd), c in self.sorted_terms():
             factors = []
             for (_, k), e in even:
-                name = _name("u", k)
-                factors.append(name if e == 1 else f"{name}^{e}")
-            for (_, k) in odd:
+                factors.append(_name("u", k) + ("" if e == 1 else f"^{e}"))
+            for _, k in odd:
                 factors.append(_name("theta", k))
             if not factors:
                 parts.append(_coeff_str(c))
@@ -557,10 +555,7 @@ class SuperPolynomial:
                 parts.append("-" + "*".join(factors))
             else:
                 parts.append(_coeff_str(c) + "*" + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"SuperPolynomial({self})"
@@ -622,7 +617,8 @@ def _theta_times(x: SuperPolynomial, k: int) -> SuperPolynomial:
 
 # -- the derivation kernel (see the module docstring) --------------------------
 
-# table of derivatives of the parts of monomials.  d is an even derivation,
+# table of derivatives of the parts of monomials, read by the one kernel
+# `_horner` at every level of every run of d.  d is an even derivation,
 # so d(E theta^t) = d(E) theta^t + E d(theta^t): a key m splits into its odd
 # part t, the theta bits of m, and its theta-free part E = m - t, and the
 # table holds E -> ((step, multiplier), ...) from `_derive_key` and, for
@@ -728,41 +724,55 @@ def _theta_moves(t: int):
     return tuple(moves)
 
 
-def _add_derivative(out: dict, terms: dict) -> dict:
-    """out + d(terms) for int dicts, without zero coefficients; out is
-    updated in place, and is the result unless a coefficient cancelled.  For
-    each term m = E theta^t, the terms of d(E) theta^t come first, then those
-    of E d(theta^t), each in field order.  The one reader of `_DERIV_CACHE`."""
+def _horner(pieces: dict, top: int, y=None) -> dict:
+    """p_0 + d(p_1 + d(... + d(p_top))) for the int dicts p_j = pieces.get(j),
+    without zero coefficients: each level adds d of the one above into p_j, in
+    place, skipping zero coefficients as it reads them.  For each term m = E
+    theta^t, the terms of d(E) theta^t come first, then those of E
+    d(theta^t), each in field order.  With a dict y, a term theta_0 x of
+    level 1 adds only theta_1 x to level 0 and x goes to y: the result is
+    the sum less theta_0 d(y).  The one reader of `_DERIV_CACHE`."""
     cache = _DERIV_CACHE
-    get = out.get
-    for m, c in terms.items():
-        t = m & (_THETA if m < _WIDE else _masks(m)[0])
-        even = m - t
-        ents = cache.get(even)
-        if ents is None:
-            ents = _store(cache, even, _derive_key(even))
-        if t:
-            moves = cache.get(t)
+    j, acc = top, pieces.get(top, {})
+    while j:
+        j -= 1
+        out = pieces.get(j, {})
+        get = out.get
+        split = y is not None and not j
+        for m, c in acc.items():
+            if not c:
+                continue
+            if split and m & 1:
+                y[m - 1] = c
+                if not m & _BITS[1]:  # theta_1 x, unless theta_1 is in x
+                    key = m + _MOVES[0]
+                    out[key] = get(key, 0) + c
+                continue
+            t = m & (_THETA if m < _WIDE else _masks(m)[0])
+            even = m - t
+            ents = cache.get(even)
+            if ents is None:
+                ents = _store(cache, even, _derive_key(even))
+            moves = cache.get(t) if t else ()
             if moves is None:
                 moves = _store(cache, t, _theta_moves(t))
-        else:
-            moves = ()
-        for step, mult in ents:
-            key = m + step
-            out[key] = get(key, 0) + c * mult
-        for step in moves:
-            key = m + step
-            out[key] = get(key, 0) + c
-    return {m: c for m, c in out.items() if c} if 0 in out.values() else out
+            for step, mult in ents:
+                key = m + step
+                out[key] = get(key, 0) + c * mult
+            for step in moves:
+                key = m + step
+                out[key] = get(key, 0) + c
+        acc = out
+    return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
 
 
 def _jet(p: SuperPolynomial, n: int) -> list:
-    """[p, d p, ..., d^n p], n >= 0: n steps of `_add_derivative` on the
+    """[p, d p, ..., d^n p], n >= 0: n one-level steps of `_horner` on the
     numerators of p, each over its denominator.  Every run of total
     derivatives that keeps the intermediate ones reads them from here."""
     jet, nums = [p], p._nums
     for _ in range(n):
-        nums = _add_derivative({}, nums)
+        nums = _horner({1: nums}, 1)
         jet.append(_make(nums, p._D))
     return jet
 
@@ -823,18 +833,14 @@ def _file(nums: dict, odd: bool, lo: int, hi: int = sys.maxsize) -> dict:
     return pieces
 
 
-def _variational(a: SuperPolynomial, odd: bool, level: int) -> SuperPolynomial:
+def _variational(a: SuperPolynomial, odd: bool, level: int, y=None) -> SuperPolynomial:
     """delta_{level, u} a (odd false) or delta_{level, theta} a (odd true),
     level >= 0 (the public wrappers check it), evaluated as p_0 + d(p_1 +
-    d(...)) on the pieces p_j of `_file`."""
+    d(...)) on the pieces p_j of `_file` by `_horner`; with a dict y (odd
+    true, level 0), the theta_0-free part of delta_theta a, whose rest,
+    theta_0 d(y), is over the same denominator."""
     pieces = _file(a._nums, odd, level)
-    acc: dict = {}
-    if pieces:
-        top = max(pieces)
-        acc = pieces[top]
-        for j in range(top - 1, -1, -1):
-            acc = _add_derivative(pieces.get(j, {}), acc)
-    return _make(acc, a._D)
+    return _make(_horner(pieces, max(pieces) if pieces else 0, y), a._D)
 
 
 def _exponent(m: int, k: int) -> int:
@@ -894,7 +900,7 @@ def _integrate(a: SuperPolynomial):
         neg_x = {m - bit + (bit >> _W): -c for m, c in top.items()
                  if m & bit and not ((m >> (s - _W)) & 1 or _exponent(m, n))}
         if neg_x:
-            top = _add_derivative(top, neg_x)
+            top = _horner({0: top, 1: neg_x}, 1)
         y, L = [], 1
         for m, c in top.items():
             if not m & bit and _exponent(m, n) == 1:
@@ -911,7 +917,7 @@ def _integrate(a: SuperPolynomial):
                 for m in terms:
                     terms[m] *= L
         neg_y = {key: -c * (L // e) for key, c, e in y}
-        top = _add_derivative(top, neg_y)
+        top = _horner({0: top, 1: neg_y}, 1)
         for terms in (neg_x, neg_y):
             for m, c in terms.items():
                 g[m] = g.get(m, 0) - c
@@ -943,7 +949,7 @@ def _contract(a: SuperPolynomial) -> SuperPolynomial:
     in m] and k is the first pair with w_k != 0.  So D_P K + K D_P = 1 on
     monomials of nonzero weight; K is 0 on the others, theta_0^i (u_1^-1
     theta_2)^j, which span the cohomology of D_P."""
-    ents = []
+    ents, L = [], 1
     for m, n in a._nums.items():
         below = 0
         for k in range(_key_order(m) + 1):
@@ -956,8 +962,8 @@ def _contract(a: SuperPolynomial) -> SuperPolynomial:
                     _check_exponent(k, e + 1)
                     ents.append((m + (2 << (_W * k)) - (1 << (_W * k + _W)),
                                  -n if below & 1 else n, e + 1))
+                    L = lcm(L, e + 1)
                 break
-    L = lcm(*(w for _, _, w in ents))
     out: dict = {}
     for key, n, w in ents:
         out[key] = out.get(key, 0) + n * (L // w)
@@ -966,6 +972,14 @@ def _contract(a: SuperPolynomial) -> SuperPolynomial:
 
 def _name(base, k):
     return base if k == 0 else f"{base}_{k}"
+
+
+def _signed_sum(parts) -> str:
+    """The printed terms joined by + and -."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 def _coeff_str(c: Fraction) -> str:
@@ -980,7 +994,10 @@ def _theta_free(p: SuperPolynomial) -> bool:
     """No term of p has an odd factor (true for the zero polynomial).  Unlike
     `theta_degree() in (0, None)`, this rejects mixed theta-degree."""
     tmask = _masks(max(p._nums, default=0))[0]
-    return not any(m & tmask for m in p._nums)
+    for m in p._nums:
+        if m & tmask:
+            return False
+    return True
 
 
 def grading_info(a: SuperPolynomial):
@@ -1039,7 +1056,7 @@ class DiffOperator:
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffOperator({j: -p for j, p in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not (_is_scalar(other) or isinstance(other, DiffOperator)):
@@ -1092,8 +1109,7 @@ class DiffOperator:
             return "0"
         parts = []
         for j in sorted(self.coeffs, reverse=True):
-            p = self.coeffs[j]
-            head = str(p)
+            head = str(self.coeffs[j])
             if " + " in head or " - " in head[1:]:
                 head = f"({head})"
             if j == 0:
@@ -1101,10 +1117,7 @@ class DiffOperator:
             else:
                 dpart = "del" if j == 1 else f"del^{j}"
                 parts.append(dpart if head == "1" else f"-{dpart}" if head == "-1" else f"{head}*{dpart}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"DiffOperator({self})"

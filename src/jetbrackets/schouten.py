@@ -33,7 +33,8 @@ from math import lcm
 from ._records import FrozenRecord
 from .algebra import (AlgebraError, DiffOperator, SkewnessError, SuperPolynomial, _is_scalar,
                       _make, _mul_into, _numerators, _theta_free)
-from .variational import MultiVector, _class_of_degree, canonical_class, operator_to_bivector
+from .variational import (MultiVector, _class_of_degree, _make_class, canonical_class,
+                          operator_to_bivector)
 
 
 def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -43,7 +44,7 @@ def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
     ka, kb = a.theta_degree, b.theta_degree
     k = max(ka + kb - 1, 0)
     if a.is_zero() or b.is_zero():
-        return MultiVector(SuperPolynomial(), k)
+        return _make_class(SuperPolynomial(), k)
     # both products go into one int dict over the lcm of their denominators
     nums, D = {}, 1
     dtF, dtG = a._delta_theta(), b._delta_theta()
@@ -60,7 +61,7 @@ def schouten_bracket(a: MultiVector, b: MultiVector) -> MultiVector:
         _mul_into(nums, f, g, -(L // (Df * Dg)))
         D = L
     density = _make(nums, D)
-    return _class_of_degree(density, k) if density else MultiVector(density, k)
+    return _class_of_degree(density, k) if density else _make_class(density, k)
 
 
 def differential_dH(H: MultiVector, a: MultiVector) -> MultiVector:
@@ -78,8 +79,9 @@ def is_hamiltonian(B: MultiVector) -> bool:
 
 def are_compatible(B1: MultiVector, B2: MultiVector) -> bool:
     """[[B1, B2]] = 0 for bivectors, each possibly the zero class."""
-    if any(B.theta_degree != 2 and not B.is_zero() for B in (B1, B2)):
-        raise AlgebraError("compatibility is a property of bivectors")
+    for B in (B1, B2):
+        if B.theta_degree != 2 and not B.is_zero():
+            raise AlgebraError("compatibility is a property of bivectors")
     return schouten_bracket(B1, B2).is_zero()
 
 

@@ -30,17 +30,21 @@ Every variational derivative (delta_u and delta_theta at every level) and N
 run through the algebra layer's integer derivation kernel,
 `algebra._variational`, which works on the numerators and keeps the
 denominator; N multiplies by theta, a shift of the keys, and a canonical
-representative divides by k, which multiplies the denominator by k.  The
+representative divides by k, which multiplies the denominator by k; both
+skip the theta_0 terms, which theta kills, at the last Horner level.  The
 operator of a bivector B is read off delta_theta B = sum_j D_j theta_j as
 D_j = partial_theta(j) of it, and `antidiff_square` and the dKdV hierarchy
 lift are antiderivatives in u_k (`algebra._antidiff_u`).  A class carries
-the delta_theta and delta_u of its representative (see MultiVector), so the
-Schouten bracket differentiates each class at most once per variable, and
-takes delta_u from the density a class was built from when that density is
-smaller than the representative.
+the theta_0 part of its delta_theta and derives the rest only when a
+bracket reads it (see MultiVector), so the Schouten bracket differentiates
+each class at most once per variable, and a result that is only compared
+never does; delta_u comes from the density a class was built from when
+that density is smaller than the representative.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .algebra import (
     AlgebraError,
@@ -52,6 +56,7 @@ from .algebra import (
     _check_scalar,
     _check_size,
     _file,
+    _horner,
     _integrate,
     _jet,
     _make,
@@ -103,7 +108,8 @@ def variational_derivative(a: SuperPolynomial, slot: str = "u", *,
 def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
     """The normalization operator N = theta delta_theta."""
     _check_density(a)
-    return _theta_times(_variational(a, True, 0), 1)
+    # theta kills the theta_0 terms of delta_theta, so they are left out
+    return _theta_times(_variational(a, True, 0, {}), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +166,18 @@ class MultiVector:
     """An equivalence class of densities modulo total derivatives, stored via
     its canonical representative.
 
-    A class carries the variational derivatives delta_theta rep and delta_u
-    rep that the Schouten bracket reads, in two private slots: each is
-    computed at most once per class, on first use, unless the class was
-    built with it.  `canonical_class` (theta-degree k >= 1) stores the
-    delta_theta it differentiates anyway: N a - k a is a total derivative,
-    so delta_theta (theta delta_theta a / k) = delta_theta a.  For the same
-    reason delta_u a = delta_u rep, so when the density a has fewer terms
-    than rep the class keeps it in a third slot, and delta_u is taken from
-    a, which is then dropped; a class with no such density differentiates
-    rep.  The derivatives are linear, so `scale` scales the known ones, and
-    the sum of two classes of theta-degree k >= 1 with known delta_theta is
-    theta (delta_theta a + delta_theta b) / k, with no differentiation.
+    A class carries delta_theta rep and delta_u rep, which the Schouten
+    bracket reads, each computed at most once.  N a - k a is a total
+    derivative, so delta_theta rep = delta_theta a, and theta kills its
+    theta_0 terms.  At the last Horner level of delta_theta a a term theta_0
+    x gives theta_1 x + theta_0 d(x), so `canonical_class` (theta-degree
+    k >= 1) builds rep from theta_1 x and keeps the sum y of those x, the
+    theta_0 part: delta_theta = k (rep less its theta_0) + theta_0 d(y) is
+    formed in one pass over y when first read, and at once when y = 0 (so
+    at theta-degree 0).  Likewise delta_u a = delta_u rep, so the class
+    keeps the density a while it has fewer terms than rep and takes delta_u
+    from it.  All are linear, so `scale` scales them, and a sum adds the
+    representatives (N / k is a linear projection) and the theta_0 parts.
 
     `MultiVector(rep, k)` refuses a k that is not an int >= 0, a rep that
     is not a SuperPolynomial and a nonzero rep whose theta-degree is not k,
@@ -179,30 +185,39 @@ class MultiVector:
     canonical_class(a)`; a zero rep gives the zero class of theta-degree k
     and takes no derivative.  Engine paths, whose rep is canonical already,
     build through the unchecked `_make_class`, as the ring's through
-    `algebra._make`.  `rep` and `theta_degree` are never reassigned: the
-    carried derivatives rely on it."""
+    `algebra._make`.  `rep`, `theta_degree` and the theta_0 part are never
+    reassigned: the carried derivatives rely on them."""
 
-    __slots__ = ("rep", "theta_degree", "_dtheta", "_du", "_src")
+    __slots__ = ("rep", "theta_degree", "_dtheta", "_du", "_src", "_y")
 
-    def __init__(self, rep: SuperPolynomial, theta_degree: int):
+    def __new__(cls, rep: SuperPolynomial, theta_degree: int):
         _check_size(theta_degree, "theta-degree")
         _check_density(rep, "a representative")
-        self._dtheta = self._du = self._src = None
-        if rep:
-            k = rep.theta_degree()
-            if k != theta_degree:
-                raise AlgebraError(f"the density has theta-degree "
-                                   f"{'mixed' if k is None else k}, not {theta_degree}")
-            c = _class_of_degree(rep, k)
-            rep, self._dtheta, self._du, self._src = c.rep, c._dtheta, c._du, c._src
-        self.rep = rep
-        self.theta_degree = theta_degree
+        if not rep:
+            return _make_class(rep, theta_degree)
+        k = rep.theta_degree()
+        if k != theta_degree:
+            raise AlgebraError(f"the density has theta-degree "
+                               f"{'mixed' if k is None else k}, not {theta_degree}")
+        return _class_of_degree(rep, k)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild the class, then restore its slots
+        return self.rep, self.theta_degree
 
     def _delta_theta(self) -> SuperPolynomial:
-        """delta_theta rep, computed at most once."""
+        """delta_theta rep, computed at most once, from the theta_0 part y
+        the class carries in one pass over y (see the class docstring)."""
         d = self._dtheta
         if d is None:
-            d = self._dtheta = _variational(self.rep, True, 0)
+            # k (rep less its theta_0) + theta_0 d(y), over one denominator
+            (r, Dr), (y, Dy) = _numerators(self.rep), _numerators(self._y)
+            L = lcm(Dr, Dy)
+            f, g = self.theta_degree * (L // Dr), L // Dy
+            nums = {m - 1: c * f for m, c in r.items()}
+            for m, c in _horner({1: y}, 1).items():
+                nums[m + 1] = c * g
+            d = self._dtheta = _make(nums, L)
         return d
 
     def _delta_u(self) -> SuperPolynomial:
@@ -238,13 +253,11 @@ class MultiVector:
         k = self.theta_degree
         if k != other.theta_degree:
             raise AlgebraError("cannot add multivectors of different theta-degree")
-        if k >= 1 and self._dtheta is not None and other._dtheta is not None:
-            dtheta = self._dtheta + other._dtheta
-            # a zero sum takes the general path, which gives the zero class
-            # of theta-degree 0
-            if dtheta:
-                return _class_of(dtheta, k)
-        return canonical_class(self.rep + other.rep)
+        # rep is a linear projection of the class, so reps add
+        rep = self.rep + other.rep
+        if not rep:
+            return canonical_class(rep)  # the zero class, of theta-degree 0
+        return _make_class(rep, k, self._y + other._y)
 
     def __sub__(self, other):
         if not isinstance(other, MultiVector):
@@ -257,7 +270,7 @@ class MultiVector:
     def scale(self, c) -> "MultiVector":
         """The class c times self, for an exact rational c (a bool is not one)."""
         _check_scalar(c)
-        out = _make_class(self.rep * c, self.theta_degree)
+        out = _make_class(self.rep * c, self.theta_degree, self._y * c)
         if self._dtheta is not None:
             out._dtheta = self._dtheta * c
         if self._du is not None:
@@ -278,21 +291,13 @@ class MultiVector:
 _ZERO = SuperPolynomial()
 
 
-def _make_class(rep: SuperPolynomial, k: int) -> MultiVector:
-    """The class of rep, unchecked: rep must be canonical and, unless zero,
-    of theta-degree k (see MultiVector)."""
+def _make_class(rep: SuperPolynomial, k: int, y=_ZERO) -> MultiVector:
+    """The class of rep with the theta_0 part y (see MultiVector), unchecked:
+    rep must be canonical and, unless zero, of theta-degree k; y = 0 fits
+    theta-degree 0, a zero rep and rep = theta f, f theta-free."""
     out = object.__new__(MultiVector)
-    out.rep, out.theta_degree = rep, k
-    out._dtheta = out._du = out._src = None
-    return out
-
-
-def _class_of(dtheta: SuperPolynomial, k: int) -> MultiVector:
-    """The class of theta-degree k >= 1 whose representative has the
-    theta-variational derivative dtheta: rep = theta dtheta / k."""
-    # (1/k) N(a) from the delta_theta a at hand, not a second normalize_N
-    out = _make_class(_theta_times(dtheta, k), k)
-    out._dtheta = dtheta
+    out.rep, out.theta_degree, out._du, out._src, out._y = rep, k, None, None, y
+    out._dtheta = None if k else _ZERO
     return out
 
 
@@ -304,21 +309,19 @@ def canonical_class(a: SuperPolynomial) -> MultiVector:
     k = a.theta_degree()
     if k is None and a:
         raise AlgebraError("density has mixed theta-degree; no canonical class")
-    if not a:
-        out = _make_class(a, 0)
-        out._dtheta = out._du = a
-        return out
-    return _class_of_degree(a, k)
+    return _class_of_degree(a, k) if a else _make_class(a, 0)
 
 
 def _class_of_degree(a: SuperPolynomial, k: int) -> MultiVector:
     """canonical_class(a) for a nonzero a of known theta-degree k, with no scan for k."""
     if k == 0:
-        out = _make_class(_integrate(a)[1], 0)
-        out._dtheta = _ZERO
-        return out
-    out = _class_of(_variational(a, True, 0), k)
-    if len(_numerators(a)[0]) < len(_numerators(out.rep)[0]):
+        return _make_class(_integrate(a)[1], 0)
+    (nums, D), y = _numerators(a), {}
+    r = _variational(a, True, 0, y)
+    out = _make_class(_theta_times(r, k), k, _make(y, D) if y else _ZERO)
+    if not y:
+        out._dtheta = r  # nothing waits: delta_theta is its theta_0-free part
+    if len(nums) < len(_numerators(out.rep)[0]):
         out._src = a  # the smaller density of the class, for delta_u
     return out
 
@@ -353,7 +356,10 @@ class EvolutionaryVF:
 
     def as_class(self) -> MultiVector:
         f = self.chars[0]
-        return _class_of(f, 1) if f else canonical_class(f)
+        # rep = theta f, so delta_theta rep = f and its theta_0 part is 0
+        out = _make_class(_theta_times(f, 1), 1 if f else 0)
+        out._dtheta = f
+        return out
 
     def is_zero(self):
         return not self.chars[0]

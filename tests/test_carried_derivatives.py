@@ -1,12 +1,16 @@
 """The variational derivatives a class carries.
 
-Every `MultiVector` holds delta_theta rep and delta_u rep, filled when the
-class is built (`canonical_class`, `+`, `scale`) or on first use.  A carried
-derivative must equal a fresh differentiation of the representative, on
-polynomial and Laurent densities and through every way a class is made; a
-zero sum keeps theta-degree 0; and each class is differentiated at most once
-per variable however often it is bracketed.  The count tests build their own
-pencil, so they do not depend on what earlier tests computed.
+Every `MultiVector` holds delta_theta rep and delta_u rep, filled on first
+use or when the class is built (`scale`, a vector field's class).  A class
+of theta-degree k >= 1 made by `canonical_class`, a bracket or `+` carries
+the theta_0 part y of its delta_theta instead, and derives delta_theta =
+k (rep less its theta_0) + theta_0 d(y) from it in one kernel pass when a
+bracket first reads it.  A carried derivative must equal a fresh
+differentiation of the representative, on polynomial and Laurent densities
+and through every way a class is made; a zero sum keeps theta-degree 0; and
+each class is differentiated at most once per variable however often it is
+bracketed.  The count tests build their own pencil, so they do not depend on
+what earlier tests computed.
 """
 
 from collections import Counter
@@ -26,7 +30,7 @@ from jetbrackets import (
     operator_to_bivector,
     schouten_bracket,
 )
-from jetbrackets import variational
+from jetbrackets import algebra, variational
 
 from conftest import densities, rand_density
 
@@ -56,9 +60,13 @@ def _same_degree_pair(draw, k=None):
 def test_canonical_classes_carry_their_derivatives(data):
     a = data.draw(densities())
     c = canonical_class(a)
-    assert c._dtheta is not None  # filled on construction, not lazily
     if c.theta_degree >= 1:
-        assert c._dtheta == higher_variational_theta(a)
+        # rep is built at once; delta_theta waits for its first read exactly
+        # when a theta_0 part does
+        assert (c._dtheta is None) == bool(c._y)
+        assert c._delta_theta() == higher_variational_theta(a)
+    else:
+        assert c._dtheta == 0  # theta-degree 0 has delta_theta = 0
     _assert_carried(c)
 
 
@@ -122,15 +130,31 @@ def test_operators_and_vector_fields_carry_their_derivatives(f, g):
 # ---------------------------------------------------------------------------
 
 def _count_kernel(monkeypatch):
+    """Record (a, odd) for each pass of `_variational` over a density a."""
     calls = []
     kernel = variational._variational
 
-    def counting(a, odd, level):
+    def counting(a, odd, level, y=None):
         calls.append((a, odd))
-        return kernel(a, odd, level)
+        return kernel(a, odd, level, y)
 
     monkeypatch.setattr(variational, "_variational", counting)
     return calls
+
+
+def _count_reads(monkeypatch):
+    """Record the terms of each kernel pass over the theta_0 part a class
+    carries, the one pass that reading its delta_theta takes."""
+    reads = []
+    kernel = variational._horner
+
+    def counting(pieces, top, y=None):
+        assert (top, y, list(pieces)) == (1, None, [1])
+        reads.append(pieces[1])
+        return kernel(pieces, top, y)
+
+    monkeypatch.setattr(variational, "_horner", counting)
+    return reads
 
 
 def _fresh_pencil_classes():
@@ -194,10 +218,14 @@ def test_delta_u_comes_from_the_smaller_density(monkeypatch):
 def test_sums_and_multiples_are_not_differentiated_again(monkeypatch):
     a = canonical_class(SP.u(0) * SP.u(2) * SP.theta(0) * SP.theta(1))
     b = canonical_class(SP.u(1) ** 2 * SP.theta(0) * SP.theta(3))
-    calls = _count_kernel(monkeypatch)
+    calls, reads = _count_kernel(monkeypatch), _count_reads(monkeypatch)
     s = a + b.scale(Fraction(2, 3)) - a.scale(4)
-    assert calls == []
-    assert s._dtheta == higher_variational_theta(s.rep)
+    assert calls == [] and reads == []
+    # the sum carries the sum of the theta_0 parts, read in one pass
+    assert s._y == a._y + b._y * Fraction(2, 3) - a._y * 4
+    got = s._delta_theta()
+    assert calls == [] and reads == [s._y._nums]
+    assert got == higher_variational_theta(s.rep)
 
 
 def test_a_brackets_canonical_form_is_counted(monkeypatch):
@@ -207,11 +235,47 @@ def test_a_brackets_canonical_form_is_counted(monkeypatch):
     c = canonical_class(SP.u(0) ** 2 * SP.u(2) * SP.theta(0))
     for x in (Q, c):
         x._delta_theta(), x._delta_u()
-    calls = _count_kernel(monkeypatch)
+    calls, reads = _count_kernel(monkeypatch), _count_reads(monkeypatch)
     image = schouten_bracket(Q, c)
     assert not image.is_zero()
     assert [odd for _, odd in calls] == [True]
-    assert image._dtheta == higher_variational_theta(calls[0][0])
+    assert reads == [] and image._dtheta is None
+    got = image._delta_theta()
+    assert len(calls) == 1 and reads == [image._y._nums]
+    assert got == higher_variational_theta(calls[0][0])
+
+
+def test_a_jacobi_triples_outer_results_leave_their_theta_0_part_underived(monkeypatch):
+    # the three outer brackets of a Jacobi triple are only compared, so the
+    # last Horner level of their canonical forms runs no derivative entry
+    # that keeps theta_0: their level-0 output has no theta_0 key, and the
+    # level-1 terms with theta_0 wait in y until delta_theta is read
+    u, th = SP.u, SP.theta
+    a = canonical_class(u(0) * u(2) * th(0) * th(1) + u(1) ** 2 * th(0) * th(2))
+    b = canonical_class(u(0) ** 2 * th(1) * th(3))
+    c = canonical_class(u(1) * u(2) * th(2) - u(0) * th(1))
+    S = schouten_bracket
+    bc, ab, ac = S(b, c), S(a, b), S(a, c)
+    for x in (bc, ab, ac):  # operands of the outer brackets
+        x._delta_theta(), x._delta_u()
+    passes, kernel = [], algebra._horner
+
+    def recording(pieces, top, y=None):
+        out = kernel(pieces, top, y)
+        passes.append((y, out))
+        return out
+
+    monkeypatch.setattr(algebra, "_horner", recording)
+    calls, reads = _count_kernel(monkeypatch), _count_reads(monkeypatch)
+    outer = [S(a, bc), S(ab, c), S(b, ac)]
+    assert len(calls) == len(passes) == 3 and reads == []
+    assert all(y is not None and not any(m & 1 for m in out) for y, out in passes)
+    assert sum(len(y) for y, _ in passes) > 0  # the split saved work
+    assert all(x.theta_degree == 3 and x._dtheta is None for x in outer)
+    got = [x._delta_theta() for x in outer]
+    # one pass over each stored part, and no differentiation
+    assert reads == [x._y._nums for x in outer] and len(calls) == 3
+    assert got == [higher_variational_theta(x.rep) for x in outer]
 
 
 def test_a_vector_field_class_is_read_off_its_characteristic(monkeypatch):

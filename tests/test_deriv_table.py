@@ -2,10 +2,11 @@
 against the per-monomial derivation it replaced.
 
 d is an even derivation, so d(E theta^t) = d(E) theta^t + E d(theta^t):
-`algebra._add_derivative` splits each key into its theta-free part E and its
-odd part t and reads the derivatives of both from one table.  The reference
+`algebra._horner` splits each key into its theta-free part E and its odd
+part t and reads the derivatives of both from one table.  The reference
 below is the kernel before that split: one table entry per monomial, built
-by `_derive_key_per_monomial`, kept here as the oracle.  Every result must
+by `_derive_key_per_monomial`, kept here as the oracle, with the level loop
+that dropped the zeros after every application of d.  Every result must
 equal it as a list of items, so the insertion order of each dict is pinned
 too, with the table cold and warm, on polynomial and Laurent keys, on
 blocked moves theta_k theta_{k+1} and on keys wider than 64 fields.  A part
@@ -37,7 +38,7 @@ from jetbrackets import (
 from jetbrackets import algebra, variational
 from jetbrackets.algebra import (
     _BIAS, _E_MAX, _FIELD, _THETA, _U1_MIN, _U1_MAX, _W, _WIDE,
-    _add_derivative, _derive_key, _exponent, _fields, _file, _integrate, _key_order, _koszul_dP,
+    _derive_key, _exponent, _fields, _file, _horner, _integrate, _key_order, _koszul_dP,
     _make, _masks, _pack, _range_error, _theta_moves, _variational,
 )
 from conftest import densities, rand_density
@@ -77,12 +78,23 @@ def ref_add_derivative(out, terms):
     return {m: c for m, c in out.items() if c}
 
 
+def ref_horner(pieces, top, y=None):
+    """p_0 + d(p_1 + d(... + d(p_top))) as one reference step per level,
+    each dropping the zeros it leaves; the theta_0 split is checked in
+    test_deferred_theta."""
+    assert y is None
+    acc = pieces.get(top, {})
+    for j in range(top - 1, -1, -1):
+        acc = ref_add_derivative(pieces.get(j, {}), acc)
+    return acc
+
+
 @contextmanager
 def reference_kernel():
     """Run the module's own code paths (dx, _variational, _integrate) on the
-    reference derivation instead of the table."""
+    reference derivation and level loop instead of the table."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "_add_derivative", ref_add_derivative)
+        mp.setattr(algebra, "_horner", ref_horner)
         yield
 
 
@@ -163,12 +175,35 @@ def int_dicts(keys=keys(), size=6):
 
 @given(int_dicts(), int_dicts())
 def test_add_derivative_matches_the_reference_cold_and_warm(terms, out):
+    # one level of the kernel is out + d(terms)
     want = outcome(lambda: list(ref_add_derivative(dict(out), terms).items()))
     with cold_table():
         for _ in range(2):  # cold, then warm
-            assert outcome(lambda: list(_add_derivative(dict(out), terms).items())) == want
-            assert outcome(lambda: list(_add_derivative({}, terms).items())) == \
+            assert outcome(lambda: list(_horner({0: dict(out), 1: terms}, 1).items())) == want
+            assert outcome(lambda: list(_horner({1: terms}, 1).items())) == \
                 outcome(lambda: list(ref_add_derivative({}, terms).items()))
+
+
+@given(st.dictionaries(st.integers(0, 4), int_dicts(short_keys(), 4), min_size=1))
+def test_horner_matches_the_reference_level_loop(pieces):
+    # terms that cancel at one level are skipped when the next reads them,
+    # where the reference dropped them: the same items in the same order
+    top = max(pieces)
+    want = outcome(lambda: list(ref_horner({j: dict(p) for j, p in pieces.items()}, top).items()))
+    with cold_table():
+        got = outcome(lambda: list(_horner({j: dict(p) for j, p in pieces.items()}, top).items()))
+    assert got == want
+
+
+def test_horner_skips_a_term_that_cancelled_a_level_up():
+    # at level 1, u u_2 of d(u u_1) cancels against the -u u_2 of p_1; level
+    # 0 skips its zero, where deriving it would file u_1 u_2 before u_6
+    u = SP.u
+    key = lambda p: next(iter(p._nums))  # noqa: E731
+    pieces = {1: {key(u(0) * u(2)): -1, key(u(5)): 1}, 2: {key(u(0) * u(1)): 1}}
+    want = [(key(u(6)), 1), (key(u(1) * u(2)), 2)]
+    assert list(ref_horner({j: dict(p) for j, p in pieces.items()}, 2).items()) == want
+    assert list(_horner(pieces, 2).items()) == want
 
 
 @given(int_dicts(short_keys()), st.integers(0, 3), st.sampled_from([1, 2, 6]))

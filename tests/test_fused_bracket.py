@@ -40,7 +40,7 @@ from jetbrackets import (
     parse_density,
     schouten_bracket,
 )
-from jetbrackets import algebra, schouten
+from jetbrackets import algebra, schouten, variational
 from jetbrackets.algebra import _mul_into, _numerators, _theta_times
 from jetbrackets.cli import main
 
@@ -251,20 +251,29 @@ def test_normal_forms_match_theta_times_delta_theta(a):
 # ---------------------------------------------------------------------------
 
 def test_the_derivative_step_is_reached_through_the_module(monkeypatch):
-    """_variational and _integrate call `algebra._add_derivative` through the
+    """_variational, dx and _integrate call `algebra._horner` through the
     module global, so a patch of it (the reference of the derivative-table
-    tests) is what they run."""
-    steps = []
-    step = algebra._add_derivative
+    tests) is what they run; a class reads its carried theta_0 part through
+    the variational module's name for the same kernel."""
+    steps, reads = [], []
+    step = algebra._horner
 
-    def counting(out, terms):
-        steps.append(1)
-        return step(out, terms)
+    def counting(pieces, top, y=None):
+        steps.append(y is not None)
+        return step(pieces, top, y)
 
-    monkeypatch.setattr(algebra, "_add_derivative", counting)
+    def reading(pieces, top, y=None):
+        reads.append(1)
+        return step(pieces, top, y)
+
+    monkeypatch.setattr(algebra, "_horner", counting)
+    monkeypatch.setattr(variational, "_horner", reading)
     a = parse_density("u*u_3*theta*theta_1 + u_1^2*theta*theta_2")
     higher_variational_theta(a)
-    assert steps
+    assert steps == [False]
     steps.clear()
     schouten_bracket(canonical_class(a), canonical_class(parse_density("u_2*u*theta")))
-    assert steps
+    # two canonical forms of the operands and one of the bracket, split at
+    # theta_0, and the first operand's theta_0 part read; u u_2 theta has
+    # none, so its delta_theta came with its canonical form
+    assert steps.count(True) == 3 and len(reads) == 1

@@ -107,11 +107,16 @@ def test_joint_system_reads_the_table(cold, monkeypatch, depth):
         brackets_made.append(1)
         return bracket(a, b)
 
-    def counting_kernel(a, odd, level):
+    def counting_kernel(a, odd, level, y=None):
         calls.append((a, odd))
-        return kernel(a, odd, level)
+        return kernel(a, odd, level, y)
 
-    bracket, kernel = deform.schouten_bracket, variational._variational
+    def counting_read(pieces, top, y=None):
+        reads.append(pieces[1])
+        return read(pieces, top, y)
+
+    bracket, kernel, read, reads = deform.schouten_bracket, variational._variational, \
+        variational._horner, []
     theta = SP.theta(0)
     sl = GradedSlice(max_order=3, max_udeg=3, laurent_depth=depth)
     columns = [b * theta for b in enumerate_basis(sl, 0, 3)]
@@ -119,24 +124,28 @@ def test_joint_system_reads_the_table(cold, monkeypatch, depth):
     brackets = [PENCIL.P, PENCIL.Q]
     monkeypatch.setattr(deform, "schouten_bracket", counting_bracket)
     monkeypatch.setattr(variational, "_variational", counting_kernel)
+    monkeypatch.setattr(variational, "_horner", counting_read)
     first = deform.slice_matrix(columns, brackets)
     assert len(brackets_made) == 2 * len(columns)
     # each column's class is differentiated once per variable, however many
     # brackets read it, and each bracket at most once per process (the
     # pencil is shared, so it may be warm); the other calls put one image
-    # each in canonical form
+    # each in canonical form, whose theta_0 part no bracket reads
     counts = Counter(calls)
     assert all(counts[(x, True)] == 1 for x in columns)
     assert all(counts[(r, False)] == 1 for r in reps if r)
     assert all(counts[(H.rep, odd)] <= 1 for H in brackets for odd in (True, False))
     assert len(calls) <= 4 * len(columns) + 4
+    # the theta_0 part of each column is read once, and a bracket's at most
+    # once per process
+    assert len(reads) <= len(columns) + len(brackets)
     # a smaller slice nests in the larger one: no new image is computed
     inner = [b * theta for b in enumerate_basis(GradedSlice(3, 1, 0), 0, 3)]
     assert set(x for c in inner for x in c.terms) <= set(x for c in columns for x in c.terms)
-    made, differentiated = len(brackets_made), len(calls)
+    made, differentiated, read_ = len(brackets_made), len(calls), len(reads)
     deform.slice_matrix(inner, brackets)
     _assert_same(deform.slice_matrix(columns, brackets), first)
-    assert (len(brackets_made), len(calls)) == (made, differentiated)
+    assert (len(brackets_made), len(calls), len(reads)) == (made, differentiated, read_)
     _assert_direct(first, _direct_build(columns, brackets))
 
 
@@ -165,17 +174,24 @@ def test_size_bounds_change_no_result(monkeypatch):
 
 def test_an_image_is_put_in_canonical_form_through_the_counted_kernel(cold, monkeypatch):
     calls = []
-    kernel = variational._variational
+    kernel, read = variational._variational, variational._horner
 
-    def counting_kernel(a, odd, level):
-        calls.append(odd)
-        return kernel(a, odd, level)
+    def counting_kernel(a, odd, level, y=None):
+        calls.append((odd, y is not None))
+        return kernel(a, odd, level, y)
+
+    def counting_read(pieces, top, y=None):
+        calls.append("read")
+        return read(pieces, top, y)
 
     H = PENCIL.Q
     H._delta_theta(), H._delta_u()
     monkeypatch.setattr(variational, "_variational", counting_kernel)
+    monkeypatch.setattr(variational, "_horner", counting_read)
     matrix, _ = deform.slice_matrix([SP.u(0) ** 2 * SP.u(2) * SP.theta(0)], [H])
     assert matrix.rows
-    # the column's delta_theta and delta_u, then the canonical form of its
-    # image, which the bracket reaches through the variational module
-    assert calls == [True, False, True]
+    # the column's canonical form, split at theta_0, which leaves nothing to
+    # wait (u^2 u_2 theta has no theta_k, k > 0), then its delta_u, then the
+    # canonical form of its image, which the bracket reaches through the
+    # variational module
+    assert calls == [(True, True), (False, False), (True, True)]

@@ -3,7 +3,7 @@ replaced, and their cost counted in applications of d.
 
 Each of the three methods reads its derivatives from one jet
 (`algebra._jet`, the list p, d p, ..., d^n p) of a coefficient or of the
-argument, so a del^j term costs j calls of `algebra._add_derivative`, and
+argument, so a del^j term costs j levels of `algebra._horner`, and
 compose takes one jet per right-hand coefficient, up to the left operator's
 order.  The formulas below are the ones before that change, kept here as the
 reference: they call p.dx(t) afresh for every t, j^2/2 calls in all.
@@ -48,16 +48,17 @@ def ref_adjoint(D):
 
 @contextmanager
 def counted():
-    """Count the calls of `algebra._add_derivative`, which applies d once."""
+    """Count the applications of d: the levels of `algebra._horner`, one
+    per power of d it applies."""
     calls = [0]
-    inner = algebra._add_derivative
+    inner = algebra._horner
 
-    def counting(out, terms):
-        calls[0] += 1
-        return inner(out, terms)
+    def counting(pieces, top, y=None):
+        calls[0] += top
+        return inner(pieces, top, y)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "_add_derivative", counting)
+        mp.setattr(algebra, "_horner", counting)
         yield calls
 
 
