@@ -20,7 +20,8 @@ the key `_ONE` = 2^13 << 17.  Exponents range over 0..16383 for u_k, k != 1,
 and over -8192..8191 for u_1; the constructor, `*`, `**` and the derivations
 raise AlgebraError for a monomial outside that range.  Jet indices are
 unbounded: a key is as long as its largest index needs.  Only this module
-reads or builds keys; `_pack` serves the slice enumeration, and
+and `_koszul` (D_P and its homotopy, which only `dkdv` uses) read or build
+keys; `_pack` serves the slice enumeration, and
 `_numerators` hands the slice solver integer coefficients under keys it
 treats as opaque labels.
 
@@ -52,15 +53,19 @@ which drops zeros and divides out the gcd.
 Every derivation goes through one integer kernel: `_file` files the signed
 partial derivatives of the numerators under the power of d they are to
 receive, in one sweep; `_horner` sums p_0 + d(p_1 + d(...)) over the
-pieces, one level per application of d.  Neither changes D.  partial_u
-and partial_theta are one filing, d^n is one Horner call, and `_jet(p,
-n)` is the list p, d p, ..., d^n p from n one-level calls: the operators'
-apply, compose and adjoint, a vector field's action and the e/S/E systems
-of `dkdv` read every run of total derivatives from it.  `_variational` is
-one filing plus one Horner call, which can leave out the theta_0 terms
-that theta kills.  D_P (`_koszul_dP`) is one filing whose piece k gains
-theta_{k+1}.  `_antidiff_u`, the antiderivative in u_k, adds
-one unit to field k of each key.  `_integrate`, formal integration in x,
+pieces, one level per application of d.  Neither changes D.  partial_u and
+partial_theta are one filing, d^n is one Horner call, and `_jet(p, n)` is
+the list p, d p, ..., d^n p from n one-level calls: the operators' apply,
+compose and adjoint, a vector field's action and the e/S/E systems of
+`dkdv` read every run of total derivatives from it.  `_variational`
+(delta_u) is one filing plus one Horner call, and so is `_theta_pass`
+(delta_theta, which can leave out the theta_0 terms that theta kills) on a
+small density or one of few terms per odd part; on the others it files
+and derives groups {E: n} of the terms E theta^t of one odd part t, since
+d keeps t on d(E) theta^t and moves theta_k to theta_{k+1} without
+touching E, so a group moves by one copy in C where the flat loop adds
+term by term.  `_antidiff_u`, the antiderivative in u_k, adds one unit to
+field k of each key.  `_integrate`, formal integration in x,
 descends from the top order with the same step and splits a = d(g) + r at
 every theta-degree, r = 0 exactly when a is exact; an antiderivative power
 past the exponent range raises AlgebraError for a theta-free term and goes
@@ -276,7 +281,7 @@ def _key_order(key: int) -> int:
 def _numerators(p: "SuperPolynomial"):
     """(nums, D): p is sum_m nums[m]/D m, nums an int dict under packed keys
     and D > 0, in canonical form.  The dict is p's own: read it, never
-    mutate it.  Outside this module the keys are opaque labels."""
+    mutate it.  Outside the ring layer the keys are opaque labels."""
     return p._nums, p._D
 
 
@@ -489,7 +494,7 @@ class SuperPolynomial:
 
     def order(self) -> int:
         """Largest jet index appearing (even or odd); 0 for constants."""
-        return max(map(_key_order, self._nums), default=0)
+        return max(map(_key_order, self._nums)) if self._nums else 0
 
     def grading_info(self):
         """Return (degree, theta_degree, order) with "inhomogeneous" markers."""
@@ -517,7 +522,7 @@ class SuperPolynomial:
         return self._split(_key_degree)
 
     def theta_components(self) -> dict:
-        tmask = _masks(max(self._nums, default=0))[0]
+        tmask = _masks(max(self._nums) if self._nums else 0)[0]
         return self._split(lambda m: (m & tmask).bit_count())
 
     # -- coefficient extraction --------------------------------------------
@@ -530,7 +535,7 @@ class SuperPolynomial:
 
     def max_u_power(self) -> int:
         """Largest exponent of the undifferentiated u."""
-        return max((_exponent(m, 0) for m in self._nums), default=0)
+        return max(_exponent(m, 0) for m in self._nums) if self._nums else 0
 
     # -- printing ----------------------------------------------------------
 
@@ -617,26 +622,27 @@ def _theta_times(x: SuperPolynomial, k: int) -> SuperPolynomial:
 
 # -- the derivation kernel (see the module docstring) --------------------------
 
-# table of derivatives of the parts of monomials, read by the one kernel
-# `_horner` at every level of every run of d.  d is an even derivation,
-# so d(E theta^t) = d(E) theta^t + E d(theta^t): a key m splits into its odd
-# part t, the theta bits of m, and its theta-free part E = m - t, and the
-# table holds E -> ((step, multiplier), ...) from `_derive_key` and, for
-# t != 0, t -> (step, ...) from `_theta_moves`.  The two kinds of key cannot
-# collide: E has every theta bit clear, a nonzero t only theta bits.  A
-# derived key is m + step, and the multipliers are integers (exponents), so
-# d of an int dict stays an int dict.  The values are deterministic, so
+# table of derivatives of the parts of monomials, read by the level loops
+# `_horner` and `_theta_pass` at every level of every run of d.  d is an even
+# derivation, so d(E theta^t) = d(E) theta^t + E d(theta^t): a key m splits
+# into its odd part t, the theta bits of m, and its theta-free part E = m - t,
+# and the table holds E -> ((step, multiplier), ...) from `_derive_key` and,
+# for t != 0, t -> (step, ...) from `_theta_moves`.  The two kinds of key
+# cannot collide: E has every theta bit clear, a nonzero t only theta bits.  A
+# derived key is m + step, and the multipliers are integers (exponents), so d
+# of an int dict stays an int dict.  The values are deterministic, so
 # concurrent readers are safe (a racing recompute is identical) and emptying
-# the table once it holds _DERIV_LIMIT entries changes no result.  Parts
-# wider than 64 fields are not stored, whatever key they come from, which
-# bounds an entry's size; `_store` is the one place that applies this rule
-# and the limit, to both tables.  The limit is above the 41 334 parts of the
-# quasi-Miura series of KdV through eps^16 and the 3 353 parts of 52 passes
-# of random Jacobi checks (seed 14, 48 746 distinct monomials).  Those 3 353
-# entries retain 1.04 MB under tracemalloc, 311 bytes each (CPython 3.11),
-# so a full table holds about 20 MB.  The filing table below is stored under
-# the same limit and rule; the same 52 passes file 712 parts, whose entries
-# retain 254 kB, 357 bytes each, so it too holds at most about 23 MB.
+# the table once it holds _DERIV_LIMIT entries changes no result.  Parts wider
+# than 64 fields are not stored, whatever key they come from, which bounds an
+# entry's size; `_store` is the one place that applies this rule and the
+# limit, to both tables.  The limit is above the 41 334 parts of the
+# quasi-Miura series of KdV through eps^16 and the 2 850 parts of 52 passes of
+# the Jacobi benchmark (seed 14).  Those entries retain 1.17 MB under
+# tracemalloc, 420 bytes each (CPython 3.11, measured on an unpickled copy),
+# so a full table holds about 28 MB.  The filing table below is stored under
+# the same limit and rule; the same 52 passes file 712 parts, 360 of them odd,
+# whose entries retain 210 kB, 302 bytes each, so it too holds at most about
+# 20 MB.
 _DERIV_CACHE: dict = {}
 _DERIV_LIMIT = 65536
 _THETA = _MASKS[64][0]       # the theta bits of fields 0..63
@@ -653,7 +659,8 @@ _MOVES = tuple((1 << (_W * k + _W)) - (1 << (_W * k)) for k in range(64))
 # a theta-free part E -> ((k, unit, (-1)^k e), ...) over its factors u_k^e.
 # The partial derivative by theta_k or u_k of a key m is then m - bit or
 # m - unit, times the signed multiplier; `_file` multiplies in C(k, lo) and
-# (-1)^lo, so one loop serves both parities and every [lo, hi].  The keys
+# (-1)^lo, so one loop serves both parities and every [lo, hi], and a
+# grouped theta pass files a whole group by one entry of t.  The keys
 # cannot collide: t has only theta bits, E none, and neither t = 0 nor an E
 # with u_1^-8192 (whose field 1 is 0, so u_1^-8192 alone is the key 0) is
 # stored.
@@ -731,7 +738,7 @@ def _horner(pieces: dict, top: int, y=None) -> dict:
     theta^t, the terms of d(E) theta^t come first, then those of E
     d(theta^t), each in field order.  With a dict y, a term theta_0 x of
     level 1 adds only theta_1 x to level 0 and x goes to y: the result is
-    the sum less theta_0 d(y).  The one reader of `_DERIV_CACHE`."""
+    the sum less theta_0 d(y)."""
     cache = _DERIV_CACHE
     j, acc = top, pieces.get(top, {})
     while j:
@@ -753,9 +760,7 @@ def _horner(pieces: dict, top: int, y=None) -> dict:
             ents = cache.get(even)
             if ents is None:
                 ents = _store(cache, even, _derive_key(even))
-            moves = cache.get(t) if t else ()
-            if moves is None:
-                moves = _store(cache, t, _theta_moves(t))
+            moves = cache.get(t) or _store(cache, t, _theta_moves(t)) if t else ()
             for step, mult in ents:
                 key = m + step
                 out[key] = get(key, 0) + c * mult
@@ -764,6 +769,81 @@ def _horner(pieces: dict, top: int, y=None) -> dict:
                 out[key] = get(key, 0) + c
         acc = out
     return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
+
+
+# (terms, terms per odd part): a theta pass runs on groups when its density
+# has at least these many; on smaller densities, moving a group costs more
+# than the flat loop pays for its few terms
+_GROUPED = (32, 3)
+
+
+def _theta_pass(a: SuperPolynomial, level: int, y=None) -> dict:
+    """delta_{level, theta} a, level >= 0, as an int dict over the
+    denominator of a, with the theta_0 split of `_horner` for a dict y
+    (level 0).  A density with fewer terms, or fewer terms per odd part,
+    than _GROUPED runs flat, `_horner` on `_file`; the others run on the
+    groups {E: n} of its terms E theta^t of one odd part t.  A filing entry
+    of t copies a whole group under t - bit, one-to-one in t, so no two
+    groups of a piece meet.  d keeps the odd part of d(E) theta^t and moves
+    theta_k to theta_{k+1} without touching E, so a level derives the E of
+    a group into the group of t and moves the whole group, by a copy in C
+    when the target is empty; the split sends a theta_0 group to y."""
+    nums, (least, share) = a._nums, _GROUPED
+    n = len(nums)
+    # the odd parts are counted on fields 0..63, which is enough to pick a path
+    if n < least or n < share * len({m & _THETA for m in nums}):
+        pieces = _file(nums, True, level)
+        return _horner(pieces, max(pieces) if pieces else 0, y)
+    groups: dict = {}
+    for m, c in nums.items():
+        t = m & (_THETA if m < _WIDE else _masks(m)[0])
+        groups.setdefault(t, {})[m - t] = c
+    table, cache, pieces = _FILE_CACHE, _DERIV_CACHE, {}
+    for t, grp in groups.items():
+        ents = table.get(t)
+        if ents is None:
+            ents = _store(table, t, _filing_entries(t, True)) if t else ()
+        for k, bit, x in ents:
+            if k >= level:
+                if level:
+                    x *= -comb(k, level) if level & 1 else comb(k, level)
+                pieces.setdefault(k - level, {})[t - bit] = \
+                    grp.copy() if x == 1 else {E: c * x for E, c in grp.items()}
+    j = max(pieces) if pieces else 0
+    acc = pieces.get(j, {})
+    while j:
+        j -= 1
+        out = pieces.get(j, {})
+        for t, grp in acc.items():
+            if y is not None and not j and t & 1:
+                for E, c in grp.items():
+                    if c:
+                        y[E + t - 1] = c
+                moves = () if t & _BITS[1] else _MOVES[:1]
+            else:
+                tgt = None  # the group of t, made when a derivative enters it
+                for E, c in grp.items():
+                    if c:
+                        ents = cache.get(E)
+                        if ents is None:
+                            ents = _store(cache, E, _derive_key(E))
+                        if ents and tgt is None:
+                            tgt = out.setdefault(t, {})
+                            get = tgt.get
+                        for step, mult in ents:
+                            key = E + step
+                            tgt[key] = get(key, 0) + c * mult
+                moves = cache.get(t) or _store(cache, t, _theta_moves(t)) if t else ()
+            for step in moves:
+                tgt = out.get(t + step)
+                if tgt:
+                    get = tgt.get
+                    for E, c in grp.items():
+                        tgt[E] = get(E, 0) + c
+                else:
+                    out[t + step] = grp.copy()
+        acc = out
+    return {E + t: c for t, grp in acc.items() for E, c in grp.items()}
 
 
 def _jet(p: SuperPolynomial, n: int) -> list:
@@ -833,14 +913,11 @@ def _file(nums: dict, odd: bool, lo: int, hi: int = sys.maxsize) -> dict:
     return pieces
 
 
-def _variational(a: SuperPolynomial, odd: bool, level: int, y=None) -> SuperPolynomial:
-    """delta_{level, u} a (odd false) or delta_{level, theta} a (odd true),
-    level >= 0 (the public wrappers check it), evaluated as p_0 + d(p_1 +
-    d(...)) on the pieces p_j of `_file` by `_horner`; with a dict y (odd
-    true, level 0), the theta_0-free part of delta_theta a, whose rest,
-    theta_0 d(y), is over the same denominator."""
-    pieces = _file(a._nums, odd, level)
-    return _make(_horner(pieces, max(pieces) if pieces else 0, y), a._D)
+def _variational(a: SuperPolynomial, level: int) -> SuperPolynomial:
+    """delta_{level, u} a, level >= 0 (the public wrappers check it), as
+    p_0 + d(p_1 + d(...)) on the pieces p_j of `_file`, by `_horner`."""
+    pieces = _file(a._nums, False, level)
+    return _make(_horner(pieces, max(pieces) if pieces else 0), a._D)
 
 
 def _exponent(m: int, k: int) -> int:
@@ -882,7 +959,7 @@ def _integrate(a: SuperPolynomial):
     theta-free term, which may be exact (u_1^8191 u_2 is d(u_1^8192 / 8192)
     over Q).  Every bucket, g and r are over the one denominator D."""
     D = a._D
-    tmask = _masks(max(a._nums, default=0))[0]
+    tmask = _masks(max(a._nums) if a._nums else 0)[0]
     work: dict = {}  # order -> {key: numerator}
     for m, c in a._nums.items():
         work.setdefault(_key_order(m), {})[m] = c
@@ -928,48 +1005,6 @@ def _integrate(a: SuperPolynomial):
     return _make(g, D), _make(r, D)
 
 
-def _koszul_dP(a: SuperPolynomial) -> SuperPolynomial:
-    """D_P a = sum_k theta_{k+1} partial_{u_k} a, theta_{k+1} multiplying on
-    the left: d_P for P = d, since d_P(class a) = -class(D_P a).  Piece k of one
-    filing is (-1)^k partial_{u_k} a; theta_{k+1} jumps the odd factors below it."""
-    out: dict = {}
-    for k, piece in _file(a._nums, False, 0).items():
-        bit = 1 << (_W * k + _W)
-        below = _field_masks(k + 1)[0]  # the theta bits of fields 0..k
-        for m, n in piece.items():
-            if not m & bit:  # theta_{k+1}^2 = 0
-                key = m + bit
-                out[key] = out.get(key, 0) + (-n if ((m & below).bit_count() + k) & 1 else n)
-    return _make(out, a._D)
-
-
-def _contract(a: SuperPolynomial) -> SuperPolynomial:
-    """The contracting homotopy K of D_P: K m = h_k m / w_k, where h_k = u_k
-    partial_{theta_{k+1}} has D_P h_k + h_k D_P = w_k = e_k + [theta_{k+1}
-    in m] and k is the first pair with w_k != 0.  So D_P K + K D_P = 1 on
-    monomials of nonzero weight; K is 0 on the others, theta_0^i (u_1^-1
-    theta_2)^j, which span the cohomology of D_P."""
-    ents, L = [], 1
-    for m, n in a._nums.items():
-        below = 0
-        for k in range(_key_order(m) + 1):
-            f = (m >> (_W * k)) & _FIELD
-            below += f & 1
-            e = (f >> 1) - _BIAS if k == 1 else f >> 1
-            up = (m >> (_W * k + _W)) & 1
-            if e + up:
-                if up:
-                    _check_exponent(k, e + 1)
-                    ents.append((m + (2 << (_W * k)) - (1 << (_W * k + _W)),
-                                 -n if below & 1 else n, e + 1))
-                    L = lcm(L, e + 1)
-                break
-    out: dict = {}
-    for key, n, w in ents:
-        out[key] = out.get(key, 0) + n * (L // w)
-    return _make(out, a._D * L)
-
-
 def _name(base, k):
     return base if k == 0 else f"{base}_{k}"
 
@@ -993,7 +1028,7 @@ def _coeff_str(c: Fraction) -> str:
 def _theta_free(p: SuperPolynomial) -> bool:
     """No term of p has an odd factor (true for the zero polynomial).  Unlike
     `theta_degree() in (0, None)`, this rejects mixed theta-degree."""
-    tmask = _masks(max(p._nums, default=0))[0]
+    tmask = _masks(max(p._nums) if p._nums else 0)[0]
     for m in p._nums:
         if m & tmask:
             return False
@@ -1033,7 +1068,7 @@ class DiffOperator:
         return cls({j: SuperPolynomial.const(1)})
 
     def order(self) -> int:
-        return max(self.coeffs, default=0)
+        return max(self.coeffs) if self.coeffs else 0
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from ._koszul import _contract, _koszul_dP
 from ._records import Record
 from .algebra import (
     AlgebraError,
@@ -27,9 +28,7 @@ from .algebra import (
     _antidiff_u,
     _check_density,
     _check_size,
-    _contract,
     _jet,
-    _koszul_dP,
     _theta_times,
 )
 from .deform import (
@@ -411,7 +410,7 @@ def _check_closed(c1: MultiVector, pencil: Pencil):
 
 def _d_P_primitive(c: MultiVector) -> MultiVector:
     """The class y with d_P y = c, c d_P-closed of homogeneity at least 2,
-    through the homotopy K of D_P (`algebra._contract`): with a = -rep(c),
+    through the homotopy K of D_P (`_koszul._contract`): with a = -rep(c),
     D_P a = d b for b = integrate_x(D_P a), and y = K(a - d(K b)) has D_P y
     = a - d(K b), so d_P y = -class(D_P y) = c.  Polynomial or Laurent, no
     monomial of degree 2 or more has weight 0."""

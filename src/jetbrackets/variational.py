@@ -27,11 +27,13 @@ canonical residue (1/k) N(a) for NotExact.  The descent applies d once to
 each term of g, n steps in all, where the homotopy took about n^2/2.
 
 Every variational derivative (delta_u and delta_theta at every level) and N
-run through the algebra layer's integer derivation kernel,
-`algebra._variational`, which works on the numerators and keeps the
-denominator; N multiplies by theta, a shift of the keys, and a canonical
-representative divides by k, which multiplies the denominator by k; both
-skip the theta_0 terms, which theta kills, at the last Horner level.  The
+run through the algebra layer's integer derivation kernel, which works on
+the numerators and keeps the denominator: delta_u through
+`algebra._variational`, delta_theta and N through `algebra._theta_pass`,
+which moves the terms of one odd part as a group when they are many.  N
+multiplies by theta, a shift of the keys, and a canonical representative
+divides by k, which multiplies the denominator by k; both skip the theta_0
+terms, which theta kills, at the last level.  The
 operator of a bivector B is read off delta_theta B = sum_j D_j theta_j as
 D_j = partial_theta(j) of it, and `antidiff_square` and the dKdV hierarchy
 lift are antiderivatives in u_k (`algebra._antidiff_u`).  A class carries
@@ -62,6 +64,7 @@ from .algebra import (
     _make,
     _numerators,
     _theta_free,
+    _theta_pass,
     _theta_times,
     _variational,
 )
@@ -85,14 +88,14 @@ def higher_variational_u(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomi
     """delta_{k,u} = sum_j (-1)^j C(k+j, k) d^j o partial_{u_{k+j}}, k = level >= 0."""
     _check_density(a)
     _check_level(level)
-    return _variational(a, False, level)
+    return _variational(a, level)
 
 
 def higher_variational_theta(a: SuperPolynomial, *, level: int = 0) -> SuperPolynomial:
     """delta_{k,theta}, the odd counterpart."""
     _check_density(a)
     _check_level(level)
-    return _variational(a, True, level)
+    return _make(_theta_pass(a, level), _numerators(a)[1])
 
 
 def variational_derivative(a: SuperPolynomial, slot: str = "u", *,
@@ -109,7 +112,7 @@ def normalize_N(a: SuperPolynomial) -> SuperPolynomial:
     """The normalization operator N = theta delta_theta."""
     _check_density(a)
     # theta kills the theta_0 terms of delta_theta, so they are left out
-    return _theta_times(_variational(a, True, 0, {}), 1)
+    return _theta_times(_make(_theta_pass(a, 0, {}), _numerators(a)[1]), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +229,7 @@ class MultiVector:
         d = self._du
         if d is None:
             src, self._src = self._src, None
-            d = self._du = _variational(self.rep if src is None else src, False, 0)
+            d = self._du = _variational(self.rep if src is None else src, 0)
         return d
 
     def is_zero(self) -> bool:
@@ -317,7 +320,7 @@ def _class_of_degree(a: SuperPolynomial, k: int) -> MultiVector:
     if k == 0:
         return _make_class(_integrate(a)[1], 0)
     (nums, D), y = _numerators(a), {}
-    r = _variational(a, True, 0, y)
+    r = _make(_theta_pass(a, 0, y), D)
     out = _make_class(_theta_times(r, k), k, _make(y, D) if y else _ZERO)
     if not y:
         out._dtheta = r  # nothing waits: delta_theta is its theta_0-free part
@@ -344,7 +347,7 @@ class EvolutionaryVF:
         _check_density(a)
         nums, D = _numerators(a)
         pieces = _file(nums, False, 0)
-        df = _jet(self.chars[0], max(pieces, default=0))
+        df = _jet(self.chars[0], max(pieces) if pieces else 0)
         out = SuperPolynomial()
         for j, piece in sorted(pieces.items()):
             term = df[j] * _make(piece, D)

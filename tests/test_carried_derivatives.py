@@ -30,7 +30,7 @@ from jetbrackets import (
     operator_to_bivector,
     schouten_bracket,
 )
-from jetbrackets import algebra, variational
+from jetbrackets import variational
 
 from conftest import densities, rand_density
 
@@ -130,15 +130,21 @@ def test_operators_and_vector_fields_carry_their_derivatives(f, g):
 # ---------------------------------------------------------------------------
 
 def _count_kernel(monkeypatch):
-    """Record (a, odd) for each pass of `_variational` over a density a."""
+    """Record (a, odd) for each pass over a density a: odd false for a
+    delta_u pass of `_variational`, odd true for a theta pass."""
     calls = []
-    kernel = variational._variational
+    kernel, theta_pass = variational._variational, variational._theta_pass
 
-    def counting(a, odd, level, y=None):
-        calls.append((a, odd))
-        return kernel(a, odd, level, y)
+    def counting(a, level):
+        calls.append((a, False))
+        return kernel(a, level)
+
+    def counting_pass(a, level, y=None):
+        calls.append((a, True))
+        return theta_pass(a, level, y)
 
     monkeypatch.setattr(variational, "_variational", counting)
+    monkeypatch.setattr(variational, "_theta_pass", counting_pass)
     return calls
 
 
@@ -247,9 +253,10 @@ def test_a_brackets_canonical_form_is_counted(monkeypatch):
 
 def test_a_jacobi_triples_outer_results_leave_their_theta_0_part_underived(monkeypatch):
     # the three outer brackets of a Jacobi triple are only compared, so the
-    # last Horner level of their canonical forms runs no derivative entry
-    # that keeps theta_0: their level-0 output has no theta_0 key, and the
-    # level-1 terms with theta_0 wait in y until delta_theta is read
+    # last level of the theta passes of their canonical forms runs no
+    # derivative entry that keeps theta_0: their level-0 output has no
+    # theta_0 key, and the level-1 terms with theta_0 wait in y until
+    # delta_theta is read
     u, th = SP.u, SP.theta
     a = canonical_class(u(0) * u(2) * th(0) * th(1) + u(1) ** 2 * th(0) * th(2))
     b = canonical_class(u(0) ** 2 * th(1) * th(3))
@@ -258,14 +265,14 @@ def test_a_jacobi_triples_outer_results_leave_their_theta_0_part_underived(monke
     bc, ab, ac = S(b, c), S(a, b), S(a, c)
     for x in (bc, ab, ac):  # operands of the outer brackets
         x._delta_theta(), x._delta_u()
-    passes, kernel = [], algebra._horner
+    passes, kernel = [], variational._theta_pass
 
-    def recording(pieces, top, y=None):
-        out = kernel(pieces, top, y)
+    def recording(a, level, y=None):
+        out = kernel(a, level, y)
         passes.append((y, out))
         return out
 
-    monkeypatch.setattr(algebra, "_horner", recording)
+    monkeypatch.setattr(variational, "_theta_pass", recording)
     calls, reads = _count_kernel(monkeypatch), _count_reads(monkeypatch)
     outer = [S(a, bc), S(ab, c), S(b, ac)]
     assert len(calls) == len(passes) == 3 and reads == []

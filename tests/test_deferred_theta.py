@@ -10,9 +10,10 @@ k (rep less its theta_0) + theta_0 d(x), formed when a bracket reads it.
 
 The reference is the Horner loop `_variational` ran before the split, kept
 here: the filing, then one step of d per level, the zeros dropped after
-each.  rep must equal theta ref / k as a list of items, so the insertion
-order of its keys is pinned, on polynomial and Laurent densities of
-theta-degree 1 to 4, with the derivative tables cold and warm; the
+each.  rep must equal theta ref / k as a list of items sorted by key (a
+theta pass on groups inserts its keys in another order), on polynomial
+and Laurent densities of theta-degree 1 to 4, with the derivative tables
+cold and warm; the
 delta_theta read later must equal ref.  The sum of two classes adds their
 representatives, since N / k is a linear projection; it must be the class of
 the summed densities at every theta-degree, and a sum that cancels the zero
@@ -58,7 +59,7 @@ def ref_variational(a):
 
 
 def items(p):
-    return list(algebra._numerators(p)[0].items()), p._D
+    return sorted(algebra._numerators(p)[0].items()), p._D
 
 
 @contextmanager

@@ -11,16 +11,20 @@ equal it as a list of items, so the insertion order of each dict is pinned
 too, with the table cold and warm, on polynomial and Laurent keys, on
 blocked moves theta_k theta_{k+1} and on keys wider than 64 fields.  A part
 wider than 64 fields is derived on each use and never stored; a narrower
-part of such a key is stored like any other.
+part of such a key is stored like any other.  The theta pass
+`algebra._theta_pass` moves the terms of one odd part as a group when they
+are many, so its reference is the flat filing and level loop with the
+theta_0 split, and its results are compared as items sorted by key.
 
 The filing sweep `algebra._file` reads a second table of the same parts,
 its filing entries; it is checked the same way against the per-term walk
-it replaced, `_file_per_term`.  D_P (`algebra._koszul_dP`) and the action
+it replaced, `_file_per_term`.  D_P (`_koszul._koszul_dP`) and the action
 of a vector field (`EvolutionaryVF.apply`) take their partial derivatives
 by u from one filing each; they are checked against the field walk of D_P
 and the per-index partial_u loop they replaced.
 """
 
+import sys
 from contextlib import contextmanager
 from math import comb, inf
 
@@ -38,9 +42,10 @@ from jetbrackets import (
 from jetbrackets import algebra, variational
 from jetbrackets.algebra import (
     _BIAS, _E_MAX, _FIELD, _THETA, _U1_MIN, _U1_MAX, _W, _WIDE,
-    _derive_key, _exponent, _fields, _file, _horner, _integrate, _key_order, _koszul_dP,
-    _make, _masks, _pack, _range_error, _theta_moves, _variational,
+    _BITS, _MOVES, _derive_key, _exponent, _fields, _file, _horner, _integrate, _key_order,
+    _make, _masks, _pack, _range_error, _theta_moves,
 )
+from jetbrackets._koszul import _koszul_dP
 from conftest import densities, rand_density
 
 
@@ -80,22 +85,47 @@ def ref_add_derivative(out, terms):
 
 def ref_horner(pieces, top, y=None):
     """p_0 + d(p_1 + d(... + d(p_top))) as one reference step per level,
-    each dropping the zeros it leaves; the theta_0 split is checked in
-    test_deferred_theta."""
-    assert y is None
+    each dropping the zeros it leaves.  With a dict y, the level-1 terms
+    theta_0 x go to y as x and add only theta_1 x to level 0, none when
+    theta_1 is in x."""
     acc = pieces.get(top, {})
     for j in range(top - 1, -1, -1):
-        acc = ref_add_derivative(pieces.get(j, {}), acc)
+        out = pieces.get(j, {})
+        if y is not None and not j:
+            for m, c in acc.items():
+                if m & 1:
+                    y[m - 1] = c
+                    if not m & _BITS[1]:
+                        out[m + _MOVES[0]] = out.get(m + _MOVES[0], 0) + c
+            acc = {m: c for m, c in acc.items() if not m & 1}
+        acc = ref_add_derivative(out, acc)
     return acc
+
+
+def ref_theta_pass(a, level, y=None):
+    """`algebra._theta_pass` on the reference: the flat filing of every
+    term and the reference level loop, with its theta_0 split for a dict y."""
+    pieces = _file_per_term(a._nums, True, level)
+    return ref_horner(pieces, max(pieces) if pieces else 0, y)
 
 
 @contextmanager
 def reference_kernel():
-    """Run the module's own code paths (dx, _variational, _integrate) on the
-    reference derivation and level loop instead of the table."""
+    """Run the module's own code paths (dx, the variational derivatives,
+    _integrate) on the reference derivation, filing and level loop instead
+    of the tables."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "_horner", ref_horner)
+        mp.setattr(algebra, "_theta_pass", ref_theta_pass)
         yield
+
+
+def _delta(a, odd, level):
+    """delta_{level} a by theta (the theta pass) or by u, through the names
+    of the algebra module, so that `reference_kernel` reaches both."""
+    if odd:
+        return _make(algebra._theta_pass(a, level), a._D)
+    return algebra._variational(a, level)
 
 
 @contextmanager
@@ -118,6 +148,11 @@ def outcome(f):
 def items(p):
     """A polynomial as its ordered numerators and denominator."""
     return p if p is None else (list(algebra._numerators(p)[0].items()), p._D)
+
+
+def sorted_items(p):
+    """A polynomial as its numerators sorted by key, and its denominator."""
+    return sorted(algebra._numerators(p)[0].items()), p._D
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +253,15 @@ def test_dx_matches_the_reference(nums, n, D):
 
 @given(int_dicts(short_keys(), 3), st.booleans(), st.integers(0, 2), st.sampled_from([1, 4]))
 def test_variational_matches_the_reference(nums, odd, level, D):
-    p = _make(nums, D)
+    # every theta pass on groups, then every one flat; on groups it inserts
+    # its keys in another order
+    p, read = _make(nums, D), sorted_items if odd else items
     with reference_kernel():
-        want = outcome(lambda: items(_variational(p, odd, level)))
-    with cold_table():
-        assert outcome(lambda: items(_variational(p, odd, level))) == want
+        want = outcome(lambda: read(_delta(p, odd, level)))
+    with cold_table(), pytest.MonkeyPatch.context() as mp:
+        for grouped in ((0, 0), (sys.maxsize, 0)):
+            mp.setattr(algebra, "_GROUPED", grouped)
+            assert outcome(lambda: read(_delta(p, odd, level))) == want
 
 
 @given(int_dicts(short_keys(laurent=False), 3), int_dicts(short_keys(), 3), st.booleans())
@@ -393,7 +432,7 @@ def test_the_theta_part_0_and_u1_to_the_lowest_power_share_no_entry(first):
     # a theta-free term: whichever is filed first, neither reads the other
     def odd():
         assert SP.u(2).partial_theta(1) == 0
-        assert _variational(SP.u(2) + SP.u(3) * SP.theta(1), True, 0) == -SP.u(4)
+        assert _delta(SP.u(2) + SP.u(3) * SP.theta(1), True, 0) == -SP.u(4)
 
     def even():
         assert _U1_LOW.partial_u(0) == 0
@@ -426,7 +465,7 @@ def test_wide_parts_are_not_filed_into_the_table(rng):
     p = SP.u(200) * SP.theta(200) + SP.u(1, power=-2) * SP.u(70) * SP.theta(0) * SP.theta(64)
     nums = algebra._numerators(p)[0]
     with cold_table():
-        _variational(rand_density(rng, 2), True, 0)
+        _delta(rand_density(rng, 2), True, 0)
         before = dict(algebra._FILE_CACHE)
         for odd in (False, True):
             assert filed(_file, nums, odd, 0) == filed(_file_per_term, nums, odd, 0)
@@ -438,7 +477,7 @@ def test_emptying_the_filing_table_changes_no_result(monkeypatch):
              SP.theta(1000) * SP.u(2) + SP.theta(0) * SP.theta(2) * SP.u(1)]
 
     def results():
-        return [items(_variational(a, odd, level))
+        return [items(_delta(a, odd, level))
                 for a in polys for odd in (False, True) for level in (0, 1, 2)]
 
     expected = results()
@@ -449,7 +488,7 @@ def test_emptying_the_filing_table_changes_no_result(monkeypatch):
 
 
 def test_cold_table_empties_the_filing_table(rng):
-    _variational(rand_density(rng, 2), True, 0)
+    _delta(rand_density(rng, 2), True, 0)
     assert algebra._FILE_CACHE
     with cold_table():
         assert algebra._FILE_CACHE == {}
@@ -497,7 +536,7 @@ def test_D_P_refuses_the_lowest_power_of_u1_as_partial_u_does(p):
         assert _koszul_dP_per_term(nums) == {}
     else:
         assert outcome(lambda: _koszul_dP_per_term(nums))[1].startswith("D_P leaves")
-    for f in (lambda: _koszul_dP(p), lambda: p.partial_u(1), lambda: _variational(p, False, 0)):
+    for f in (lambda: _koszul_dP(p), lambda: p.partial_u(1), lambda: _delta(p, False, 0)):
         assert outcome(f) == (AlgebraError, "a partial derivative leaves the supported "
                               "exponent range (0..16383 for u_k, -8192..8191 for u_1)")
 

@@ -236,14 +236,21 @@ def test_theta_shift_matches_the_symmetry_space_columns(cap):
             assert items(_theta_times(b, 1)) == items(b * theta)
 
 
+def sorted_items(p):
+    """A polynomial as its numerators sorted by key, and its denominator: a
+    theta pass on groups inserts its keys in another order."""
+    nums, D = _numerators(p)
+    return sorted(nums.items()), D
+
+
 @given(densities(min_theta_degree=1))
 def test_normal_forms_match_theta_times_delta_theta(a):
     theta = SP.theta(0)
     dtheta = higher_variational_theta(a)
-    assert items(normalize_N(a)) == items(theta * dtheta)
+    assert sorted_items(normalize_N(a)) == sorted_items(theta * dtheta)
     if a:
         c = canonical_class(a)
-        assert items(c.rep) == items(theta * dtheta / a.theta_degree())
+        assert sorted_items(c.rep) == sorted_items(theta * dtheta / a.theta_degree())
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +258,41 @@ def test_normal_forms_match_theta_times_delta_theta(a):
 # ---------------------------------------------------------------------------
 
 def test_the_derivative_step_is_reached_through_the_module(monkeypatch):
-    """_variational, dx and _integrate call `algebra._horner` through the
-    module global, so a patch of it (the reference of the derivative-table
-    tests) is what they run; a class reads its carried theta_0 part through
-    the variational module's name for the same kernel."""
-    steps, reads = [], []
-    step = algebra._horner
+    """_variational, dx, _integrate and the flat theta pass call
+    `algebra._horner`, and the variational derivatives `algebra._theta_pass`,
+    through the module globals, so a patch of them (the references of the
+    derivative-table tests) is what they run; canonical forms reach the
+    theta pass, and a class reads its carried theta_0 part, through the
+    variational module's names."""
+    steps, passes, reads = [], [], []
+    step, theta_pass = algebra._horner, algebra._theta_pass
 
     def counting(pieces, top, y=None):
         steps.append(y is not None)
         return step(pieces, top, y)
+
+    def counting_pass(a, level, y=None):
+        passes.append(y is not None)
+        return theta_pass(a, level, y)
 
     def reading(pieces, top, y=None):
         reads.append(1)
         return step(pieces, top, y)
 
     monkeypatch.setattr(algebra, "_horner", counting)
+    monkeypatch.setattr(algebra, "_theta_pass", counting_pass)
     monkeypatch.setattr(variational, "_horner", reading)
+    monkeypatch.setattr(variational, "_theta_pass", counting_pass)
     a = parse_density("u*u_3*theta*theta_1 + u_1^2*theta*theta_2")
     higher_variational_theta(a)
-    assert steps == [False]
+    # one term per odd part: the pass runs flat, on the module's _horner
+    assert passes == [False] and steps == [False]
     steps.clear()
+    a.dx(2)
+    assert steps == [False]
+    passes.clear()
     schouten_bracket(canonical_class(a), canonical_class(parse_density("u_2*u*theta")))
     # two canonical forms of the operands and one of the bracket, split at
     # theta_0, and the first operand's theta_0 part read; u u_2 theta has
     # none, so its delta_theta came with its canonical form
-    assert steps.count(True) == 3 and len(reads) == 1
+    assert passes.count(True) == 3 and len(reads) == 1

@@ -31,7 +31,7 @@ from jetbrackets import (
     quasi_trivialize_from_generator,
 )
 from jetbrackets import algebra, cli, deform, dkdv
-from jetbrackets.algebra import _contract as K, _koszul_dP as D_P
+from jetbrackets._koszul import _contract as K, _koszul_dP as D_P
 
 PENCIL = dkdv_pencil()
 P = PENCIL.P

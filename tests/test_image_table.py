@@ -107,16 +107,20 @@ def test_joint_system_reads_the_table(cold, monkeypatch, depth):
         brackets_made.append(1)
         return bracket(a, b)
 
-    def counting_kernel(a, odd, level, y=None):
-        calls.append((a, odd))
-        return kernel(a, odd, level, y)
+    def counting_kernel(a, level):
+        calls.append((a, False))
+        return kernel(a, level)
+
+    def counting_pass(a, level, y=None):
+        calls.append((a, True))
+        return theta_pass(a, level, y)
 
     def counting_read(pieces, top, y=None):
         reads.append(pieces[1])
         return read(pieces, top, y)
 
-    bracket, kernel, read, reads = deform.schouten_bracket, variational._variational, \
-        variational._horner, []
+    bracket, kernel, theta_pass, read, reads = deform.schouten_bracket, \
+        variational._variational, variational._theta_pass, variational._horner, []
     theta = SP.theta(0)
     sl = GradedSlice(max_order=3, max_udeg=3, laurent_depth=depth)
     columns = [b * theta for b in enumerate_basis(sl, 0, 3)]
@@ -124,6 +128,7 @@ def test_joint_system_reads_the_table(cold, monkeypatch, depth):
     brackets = [PENCIL.P, PENCIL.Q]
     monkeypatch.setattr(deform, "schouten_bracket", counting_bracket)
     monkeypatch.setattr(variational, "_variational", counting_kernel)
+    monkeypatch.setattr(variational, "_theta_pass", counting_pass)
     monkeypatch.setattr(variational, "_horner", counting_read)
     first = deform.slice_matrix(columns, brackets)
     assert len(brackets_made) == 2 * len(columns)
@@ -174,11 +179,16 @@ def test_size_bounds_change_no_result(monkeypatch):
 
 def test_an_image_is_put_in_canonical_form_through_the_counted_kernel(cold, monkeypatch):
     calls = []
-    kernel, read = variational._variational, variational._horner
+    kernel, theta_pass, read = variational._variational, variational._theta_pass, \
+        variational._horner
 
-    def counting_kernel(a, odd, level, y=None):
-        calls.append((odd, y is not None))
-        return kernel(a, odd, level, y)
+    def counting_kernel(a, level):
+        calls.append((False, False))
+        return kernel(a, level)
+
+    def counting_pass(a, level, y=None):
+        calls.append((True, y is not None))
+        return theta_pass(a, level, y)
 
     def counting_read(pieces, top, y=None):
         calls.append("read")
@@ -187,6 +197,7 @@ def test_an_image_is_put_in_canonical_form_through_the_counted_kernel(cold, monk
     H = PENCIL.Q
     H._delta_theta(), H._delta_u()
     monkeypatch.setattr(variational, "_variational", counting_kernel)
+    monkeypatch.setattr(variational, "_theta_pass", counting_pass)
     monkeypatch.setattr(variational, "_horner", counting_read)
     matrix, _ = deform.slice_matrix([SP.u(0) ** 2 * SP.u(2) * SP.theta(0)], [H])
     assert matrix.rows

@@ -202,6 +202,7 @@ class TestPublicConstructor:
             raise AssertionError("a zero class was differentiated")
 
         monkeypatch.setattr(variational, "_variational", refuse)
+        monkeypatch.setattr(variational, "_theta_pass", refuse)
         monkeypatch.setattr(variational, "_integrate", refuse)
         for k in range(4):
             z = MultiVector(SP(), k)
