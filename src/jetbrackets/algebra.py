@@ -718,17 +718,11 @@ def _derive_key(m: int):
 
 def _theta_moves(t: int):
     """d of the odd part t (a product of theta factors, t != 0), as the steps
-    (step, ...) of its terms in field order: d is even, so theta_k ->
-    theta_{k+1} keeps its place and sign, and is dropped when theta_{k+1} is
-    in t already."""
-    free = t & ~(t >> _W)
-    moves = []
-    while free:
-        low = free & -free
-        free ^= low
-        k = (low.bit_length() - 1) // _W
-        moves.append(_MOVES[k] if k < 64 else (low << _W) - low)
-    return tuple(moves)
+    (step, ...) of its terms in field order, read off the filing entries of
+    t: d is even, so theta_k -> theta_{k+1} keeps its place and sign, and is
+    dropped when theta_{k+1} is in t already."""
+    return tuple(_MOVES[k] if k < 64 else (bit << _W) - bit
+                 for k, bit, _ in _filing_entries(t, True) if not t & bit << _W)
 
 
 def _horner(pieces: dict, top: int, y=None) -> dict:

@@ -466,7 +466,9 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
     c1 = pencil.d_P(gmv)
     if c1.is_zero():
         return EvolutionaryVF(SuperPolynomial()), c1
-    _tail_degree(c1, ell)  # an inhomogeneous or misdeclared c1 is refused before closure
+    ell0 = _tail_degree(c1, ell)  # an inhomogeneous or misdeclared c1 is refused before closure
+    if g.degree() is None:  # the parts of g in other degrees are d_P-closed
+        gmv = EvolutionaryVF(g.homogeneous_components()[ell0]).as_class()
     return _witness(c1, ell, pencil, _check_admissible, gmv), c1
 
 

@@ -3,7 +3,9 @@
 Grammar: rationals `a/b`; variables `u`, `u_k`, `theta`, `theta_k`;
 operators `+ - * ^` with `^` > `*` > `+ -` and unary minus; `d(expr)` for the
 total derivative; a `D:` prefix switches to operator mode, where terms have
-the shape `coeff*del^j` (`del` last in each product).  With hat=True the
+the shape `coeff*del^j` (`del` last in each product).  A sum of `del` terms
+is allowed only at the top level of an operator, where terms with the same
+power of `del` add up; a parenthesized one is refused.  With hat=True the
 input may carry negative exponents on u_1.  Whitespace is insignificant.
 Numbers and subscripts are ASCII digits 0-9, at most as many as Python's
 int/str conversion allows (4300 unless set otherwise).  Parentheses, d(...)
@@ -50,32 +52,27 @@ def _int(digits, column):
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
+        j = i + 1
         if ch in _SYMBOLS:
-            tokens.append((ch, ch, i + 1))
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
+            kind = ch
+        elif "0" <= ch <= "9":
+            kind = "int"
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", text[i:j], i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            kind = "name"
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("name", text[i:j], i + 1))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i + 1, ch)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i + 1, ch)
+        tokens.append((kind, text[i:j], i + 1))
+        i = j
     tokens.append(("end", "", n + 1))
     return tokens
 
@@ -103,21 +100,37 @@ class _Parser:
                              tok[1], (kind,))
         return tok
 
+    def _close(self):
+        tok = self.next()
+        if tok[0] != ")":
+            raise ParseError("expected ')'", tok[2], tok[1], (")",))
+
     # value type: (SuperPolynomial coefficient, del-power)
 
-    def parse(self):
-        val = self.expr()
+    def parse(self, coeffs=None):
+        val = self.expr(coeffs)
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[1], ("end",))
         return val
 
-    def expr(self):
+    def expr(self, coeffs=None):
+        """A sum of terms.  With a dict coeffs (the top level of an operator)
+        each term coeff*del^j is added into coeffs[j]; elsewhere `_add` sums
+        the terms, and refuses a sum of del terms."""
         val = self.term()
+        if coeffs is not None:
+            coeffs[val[1]] = val[0]
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             rhs = self.term()
-            val = self._add(val, rhs if op == "+" else self._neg(rhs))
+            if op == "-":
+                rhs = self._neg(rhs)
+            if coeffs is None:
+                val = self._add(val, rhs)
+            else:
+                cur = coeffs.get(rhs[1])
+                coeffs[rhs[1]] = rhs[0] if cur is None else cur + rhs[0]
         return val
 
     def term(self):
@@ -166,9 +179,7 @@ class _Parser:
             return self._const(Fraction(num))
         if tok[0] == "(":
             val = self.expr()
-            close = self.next()
-            if close[0] != ")":
-                raise ParseError("expected ')'", close[2], close[1], (")",))
+            self._close()
             return val
         if tok[0] == "name":
             return self._name_atom(tok)
@@ -179,11 +190,8 @@ class _Parser:
         name, col = tok[1], tok[2]
         if name == "d":
             self.expect("(")
-            val = self.expr()
-            close = self.next()
-            if close[0] != ")":
-                raise ParseError("expected ')'", close[2], close[1], (")",))
-            poly, delpow = val
+            poly, delpow = self.expr()
+            self._close()
             if delpow:
                 raise ParseError("d(...) takes a density, not an operator", col, name)
             if (poly.order() > _MAX_LAURENT_JET_ORDER
@@ -255,49 +263,31 @@ class _Parser:
         return (SuperPolynomial({(((coord, ee * e),), ()): 1}), 0)
 
 
+def _parse(text, hat, coeffs=None):
+    """The parsed value of text, an operator's when coeffs is a dict (see
+    `_Parser.expr`); an AlgebraError of the ring is a ParseError at column 1."""
+    try:
+        return _Parser(text, hat, coeffs is not None).parse(coeffs)
+    except AlgebraError as exc:
+        raise ParseError(str(exc), 1) from exc
+
+
 def parse_density(text: str, hat: bool = False) -> SuperPolynomial:
     """Parse a density expression; raises ParseError on bad syntax and on
     Laurent powers outside hat mode."""
-    parser = _Parser(text, hat=hat, operator=False)
-    try:
-        poly, _ = parser.parse()
-    except AlgebraError as exc:
-        raise ParseError(str(exc), 1) from exc
-    return poly
+    return _parse(text, hat)[0]
 
 
 def parse_operator(text: str, hat: bool = False) -> DiffOperator:
     """Parse a `D:`-prefixed operator expression into sum of P_j del^j."""
-    body = text
     stripped = text.lstrip()
     if stripped.startswith("D:"):
-        offset = len(text) - len(stripped)
-        body = " " * (offset + 2) + stripped[2:]
-    parser = _Parser(body, hat=hat, operator=True)
-    # operator expressions are sums of coeff*del^j products; parse term by term
+        text = " " * (len(text) - len(stripped) + 2) + stripped[2:]
     coeffs: dict = {}
-
-    def add_term(poly, j):
-        cur = coeffs.get(j)
-        coeffs[j] = poly if cur is None else cur + poly
-
-    try:
-        val = parser.term()
-        tok = parser.peek()
-        add_term(val[0], val[1])
-        while tok[0] in ("+", "-"):
-            parser.next()
-            nxt = parser.term()
-            add_term(nxt[0] if tok[0] == "+" else -nxt[0], nxt[1])
-            tok = parser.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[1], ("end",))
-        for p in coeffs.values():
-            if not _theta_free(p):
-                raise ParseError("operator coefficients must be even", 1)
-        return DiffOperator(coeffs)
-    except AlgebraError as exc:
-        raise ParseError(str(exc), 1) from exc
+    _parse(text, hat, coeffs)
+    if not all(map(_theta_free, coeffs.values())):
+        raise ParseError("operator coefficients must be even", 1)
+    return DiffOperator(coeffs)
 
 
 def parse_expression(text: str, hat: bool = False):

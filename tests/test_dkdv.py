@@ -302,6 +302,16 @@ class TestQuasiTrivialize:
         assert pen.d_P(wcls).is_zero()
         assert pen.d_Q(wcls) == c1
 
+    @pytest.mark.parametrize("g0", [u2, u * SP.u(3)], ids=["u_2", "u*u_3"])
+    @pytest.mark.parametrize("closed", [SP.const(1), u * u1, u * u1 - 2],
+                             ids=["constant", "d(u^2/2)", "both"])
+    def test_d_P_closed_parts_of_g_do_not_change_the_witness(self, g0, closed):
+        # the order reduction runs on the part of g in the class's degree
+        want, c0 = quasi_trivialize_from_generator(g0)
+        witness, c1 = quasi_trivialize_from_generator(g0 + closed, g0.degree())
+        assert c1 == c0
+        assert witness.chars == want.chars
+
     def test_degree_one_generator_gives_zero_witness(self):
         s = u ** 2
         g = s.partial_u(0) * u1  # u_1 s'(u) = d(s)

@@ -74,6 +74,18 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_operator("D: del*u")
 
+    # terms with the same power of del add up at the top level of an
+    # operator, and a factor may hold del in parentheses or under a sign
+    @pytest.mark.parametrize("text, coeffs", [
+        ("D: del - del", {}),
+        ("D: u*(del)", {1: u}),
+        ("D: -(del)", {1: SP.const(-1)}),
+        ("D: 2*-del", {1: SP.const(-2)}),
+        ("D: u*del + del^2 - 3*del + u_1 - del^2", {1: u - 3, 0: u1}),
+    ], ids=["zero", "parenthesized", "negated", "signed-factor", "repeated-power"])
+    def test_operator_forms(self, text, coeffs):
+        assert parse_operator(text) == DiffOperator(coeffs)
+
     def test_operator_rejects_mixed_coefficient(self):
         with pytest.raises(ParseError, match="operator coefficients must be even"):
             parse_operator("D: (u + theta)*del")
@@ -183,6 +195,18 @@ class TestCLI:
     def test_zero_operator_checks(self, capsys, argv, doc):
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == doc
+
+    @pytest.mark.parametrize("g, g0, witness", [
+        ("1 + u_2", "u_2", "-2/3*u_1^-2*u_2^2 + 2/3*u_1^-1*u_3"),
+        ("u*u_1 + u*u_3", "u*u_3", "-4/3*u_3"),
+    ])
+    def test_quasi_trivialize_ignores_parts_of_other_degrees(self, capsys, g, g0, witness):
+        # a constant and d(u^2/2) are d_P-closed, so g answers as g0
+        assert main(["quasi-trivialize", "--g", g0]) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert want["trivial"] is True and want["witness_characteristic"] == witness
+        assert main(["quasi-trivialize", "--g", g]) == 0
+        assert json.loads(capsys.readouterr().out) == want
 
     def test_quasi_trivialize_inadmissible_generator(self):
         code, doc = run_cli("quasi-trivialize", "--g", "u_1^2")
