@@ -31,12 +31,13 @@ one guard-mask test per term checks its range, and its Koszul sign is the
 parity of the inversions between the two odd parts, one `int.bit_count` over
 a mask precomputed per left term (`_inversion_mask`).  `_mul_into`, the one
 product loop, adds n a b to an int dict: `*` and the Schouten bracket's two
-products share it.  theta m is m with bit 0 set (`_theta_times`).  d of u_k^e
-is e times the key minus the unit of field k plus the unit of field k+1; d of
-theta_k moves its bit one field up.  Odd factors are ordered by index, and
-odd partial derivatives are left derivations.
+products share it (one term by one skips it).  theta m is m with bit 0 set
+(`_theta_times`).  d of u_k^e is e times the key minus the unit of field k
+plus the unit of field k+1; d of theta_k moves its bit one field up.  Odd
+factors are ordered by index, and odd partial derivatives are left
+derivations.  `str` prints from the keys.
 
-`terms` is the view for printing, parsing and tests, built on demand
+`terms` is the view for parsing and tests, built on demand
 with no memo: a fresh dict {(even, odd): Fraction} whose even part is a
 sorted tuple of ((1, k), e) pairs with nonzero exponents and whose odd part
 is a strictly increasing tuple of (1, k).  No engine module reads it.  The
@@ -413,7 +414,18 @@ class SuperPolynomial:
             return _make({m: c * n for m, c in self._nums.items()}, self._D * other.denominator)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return _make(_mul_into({}, self._nums, other._nums, 1), self._D * other._D)
+        a, b = self._nums, other._nums
+        if len(a) == 1 == len(b):
+            (m1, c1), (m2, c2) = *a.items(), *b.items()
+            tmask, guard = _masks(max(m1, m2))
+            t1, t2 = m1 & tmask, m2 & tmask
+            key = m1 + m2 - _ONE
+            if key & guard and not t1 & t2:
+                raise _range_error("a product")
+            if (_inversion_mask(t1) & t2).bit_count() & 1:
+                c1 = -c1
+            return _make({} if t1 & t2 else {key: c1 * c2}, self._D * other._D)
+        return _make(_mul_into({}, a, b, 1), self._D * other._D)
 
     def __rmul__(self, other):
         if _is_scalar(other):
@@ -540,26 +552,28 @@ class SuperPolynomial:
     # -- printing ----------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0][1]), kv[0][1], kv[0][0]))
+        return sorted(self.terms.items(), key=_print_order)
 
     def __str__(self):
         if not self._nums:
             return "0"
         parts = []
-        for (even, odd), c in self.sorted_terms():
+        for (even, odd), n in sorted(zip(map(_unpack, self._nums), self._nums.values()),
+                                     key=_print_order):
             factors = []
             for (_, k), e in even:
                 factors.append(_name("u", k) + ("" if e == 1 else f"^{e}"))
             for _, k in odd:
                 factors.append(_name("theta", k))
+            c = _coeff_str(n, self._D)
             if not factors:
-                parts.append(_coeff_str(c))
-            elif c == 1:
+                parts.append(c)
+            elif c == "1":
                 parts.append("*".join(factors))
-            elif c == -1:
+            elif c == "-1":
                 parts.append("-" + "*".join(factors))
             else:
-                parts.append(_coeff_str(c) + "*" + "*".join(factors))
+                parts.append(c + "*" + "*".join(factors))
         return _signed_sum(parts)
 
     def __repr__(self):
@@ -1011,9 +1025,18 @@ def _signed_sum(parts) -> str:
     return out
 
 
-def _coeff_str(c: Fraction) -> str:
+def _print_order(term):
+    """The print order of a term (monomial, coefficient): by the number of
+    odd factors, then the odd part, then the even part."""
+    (even, odd), _ = term
+    return len(odd), odd, even
+
+
+def _coeff_str(n: int, D: int) -> str:
+    """n/D as its Fraction prints."""
+    g = gcd(n, D)
     try:
-        return str(c)
+        return str(n // g) if g == D else f"{n // g}/{D // g}"
     except ValueError:  # more digits than Python converts; the limit is process-global
         raise AlgebraError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
                            "digits, Python's int/str conversion limit") from None

@@ -16,6 +16,12 @@ or an input above its bound gives `invalid-argument`, and an unexpected
 exception gives `internal-error` with its traceback on stderr.
 `main` builds its argument parser on its first call and reuses it for every
 later call in the process; `build_parser` returns a fresh parser each time.
+Arguments are parsed in one argparse pass: when the first argument names a
+subcommand, that subcommand's parser alone parses the rest, and arguments
+it leaves over get the full parser's "unrecognized arguments" error.  Any
+other argument list (none, -h, an unknown name, an option before the
+command) goes to the full parser.  Help, usage errors and exit codes are
+those of the full parser either way.
 Deformation manifests are JSON documents of the form
 
     {"base": "D: u*del + 1/2*u_1",
@@ -41,7 +47,8 @@ input is bounded at jet order 20, since d^n of u_1^-1 has p(n) terms.
 `d(...)` is evaluated while its expression is parsed, so the parser itself
 refuses, as a `parse-error` at that `d`, a `d(...)` whose operand has a
 negative power of u_1 and jet order above 20: a nested derivative of a
-Laurent input stops there, before its terms grow.
+Laurent input stops there, before its terms grow.  A power whose terms may
+need more than 1 000 000 bits is likewise a `parse-error` at that `^`.
 A `symmetries` slice whose column count times the degree squared exceeds
 75 000 gives `invalid-argument` before any bracket is computed; the largest
 accepted slices (degrees 8 to 11) answer in about a second: 0.6 to 1.0 s
@@ -99,6 +106,9 @@ import json  # noqa: E402
 _MAX_ORDER = 10_000  # largest truncation or --order of a series request
 _MAX_JET_ORDER = 1_000  # largest jet index of a parsed expression or operator
 _MAX_SLICE_COST = 75_000  # largest columns * degree^2 of a symmetries slice
+# the encoders of json.dumps(doc, sort_keys=True, ...), built once
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_PRETTY = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 class _InvalidArgument(Exception):
@@ -442,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", parents=[common],
                        help="run the built-in acceptance identities")
     p.set_defaults(func=_cmd_selftest)
+    # the parsers by subcommand name, where `main` finds them
+    ap.set_defaults(subcommands=sub.choices)
     return ap
 
 
@@ -455,7 +467,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Answer one request: the command's document, or an error object, is
     the one JSON document written to stdout."""
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = _parser()
+    sub = ap.get_default("subcommands").get(argv[0]) if argv else None
+    if sub is None:
+        args = ap.parse_args(argv)
+    else:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if rest:
+            ap.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         _in_range(args)
         doc, code = args.func(args)
@@ -471,10 +491,7 @@ def main(argv=None) -> int:
 
             traceback.print_exc()
         doc, code = {"error": error}, 2
-    if args.pretty:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print((_PRETTY if args.pretty else _COMPACT).encode(doc))
     return code
 
 

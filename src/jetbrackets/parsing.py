@@ -13,15 +13,17 @@ and unary minus signs nest factors in factors, at most _MAX_NESTING deep.
 `d(...)` is evaluated as it is parsed, and d^n of u_1^-1 has p(n) terms, so
 `d(...)` of an operand with a negative power of u_1 and jet order above
 _MAX_LAURENT_JET_ORDER is a ParseError at that `d`, raised before the
-derivative is taken.
+derivative is taken.  So is a power p^n whose terms may need more than
+_MAX_POWER_SIZE bits (`_power_size`), at that `^`, before any product.
 Printing uses the canonical term order, so parse(print(x)) == x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .algebra import AlgebraError, DiffOperator, SuperPolynomial, _theta_free
+from .algebra import AlgebraError, DiffOperator, SuperPolynomial, _masks, _numerators, _theta_free
 
 
 class ParseError(Exception):
@@ -37,6 +39,11 @@ class ParseError(Exception):
 _SYMBOLS = "+-*^()/"
 _MAX_NESTING = 100  # nested factors; each costs at most five frames of the descent
 _MAX_LAURENT_JET_ORDER = 20  # jet-order bound wherever u_1^-1 appears: d(...), CLI inputs
+_MAX_POWER_SIZE = 1_000_000  # bound on `_power_size`: about a second of work at most
+# the generators u_k and theta_k named with at most two subscript digits, by
+# name, built on first use: polynomials are immutable, so every parse shares them
+_ATOMS: dict = {}
+_DEL = SuperPolynomial.const(1)
 
 
 def _int(digits, column):
@@ -151,9 +158,8 @@ class _Parser:
         else:
             val = self.atom()
             if self.peek()[0] == "^":
-                self.next()
-                e = self._signed_int()
-                val = self._pow(val, e)
+                col = self.next()[2]
+                val = self._pow(val, self._signed_int(), col)
         self.depth -= 1
         return val
 
@@ -175,8 +181,8 @@ class _Parser:
                 den = _int(den_tok[1], den_tok[2])
                 if den == 0:
                     raise ParseError("zero denominator", den_tok[2], den_tok[1])
-                return self._const(Fraction(num, den))
-            return self._const(Fraction(num))
+                return (SuperPolynomial.const(Fraction(num, den)), 0)
+            return (SuperPolynomial.const(num), 0)
         if tok[0] == "(":
             val = self.expr()
             self._close()
@@ -203,22 +209,23 @@ class _Parser:
             if not self.operator:
                 raise ParseError("'del' is only valid after the 'D:' prefix",
                                  col, name)
-            return (SuperPolynomial.const(1), 1)
+            return (_DEL, 1)
+        atom = _ATOMS.get(name)
+        if atom is not None:
+            return (atom, 0)
         base, _, sub = name.partition("_")
         k = 0
         if sub:
             if not (sub.isascii() and sub.isdigit()):
                 raise ParseError(f"bad subscript in {name!r}", col, name)
             k = _int(sub, col)
-        if base == "u":
-            return (SuperPolynomial.u(k), 0)
-        if base == "theta":
-            return (SuperPolynomial.theta(k), 0)
+        if base in ("u", "theta"):
+            atom = SuperPolynomial.u(k) if base == "u" else SuperPolynomial.theta(k)
+            if len(sub) < 3:
+                _ATOMS[name] = atom
+            return (atom, 0)
         raise ParseError(f"unknown variable {name!r}", col, name,
                          ("u", "u_k", "theta", "theta_k", "d", "del"))
-
-    def _const(self, c):
-        return (SuperPolynomial.const(c), 0)
 
     def _neg(self, val):
         return (-val[0], val[1])
@@ -237,7 +244,8 @@ class _Parser:
             return (a[0], a[1] + b[1])
         return (a[0] * b[0], a[1] + b[1])
 
-    def _pow(self, val, e):
+    def _pow(self, val, e, col):
+        """val^e; col is the column of the `^`."""
         poly, delpow = val
         if delpow:
             if poly != 1 or delpow != 1 or e < 0:
@@ -245,22 +253,48 @@ class _Parser:
                                  self.peek()[2])
             return (poly, e)
         if e >= 0:
+            if _power_size(poly, e) > _MAX_POWER_SIZE:
+                raise ParseError(f"a power whose terms may need more than {_MAX_POWER_SIZE} "
+                                 "bits", col, "^")
             return (poly ** e, 0)
         # negative exponents: only on u_1, and only where hat admits them
         terms = poly.terms
         mono = next(iter(terms)) if len(terms) == 1 else None
-        if mono is None or mono[1] or len(mono[0]) != 1:
+        if mono is None or len(mono[0]) + len(mono[1]) != 1:
             raise ParseError("negative powers apply to a single variable only",
                              self.peek()[2])
-        (coord, ee), = mono[0]
-        coeff = terms[mono]
-        if coord != (1, 1) or not self.hat:
+        if not mono[0] or mono[0][0][0] != (1, 1):
+            raise ParseError("negative powers are only allowed for u_1", self.peek()[2])
+        if not self.hat:
             raise ParseError("negative powers are only allowed for u_1 in hat "
                              "mode (use --hat)", self.peek()[2])
-        if coeff != 1:
+        if terms[mono] != 1:
             raise ParseError("negative powers apply to the bare variable",
                              self.peek()[2])
+        (coord, ee), = mono[0]
         return (SuperPolynomial({(((coord, ee * e),), ()): 1}), 0)
+
+
+def _power_size(p, n):
+    """A bound, in bits, on the terms of p^k for every k <= n, so on each
+    product of p ** n: their count times the larger of 64 and the bits of
+    the largest numerator or denominator, n ceil(log2 max(sum |n_m|, D)).  A
+    term of p^k multiplies j distinct terms of p with a theta factor (each
+    squares to 0) and k - j of its t theta-free terms.  Counting stops once
+    the bound is passed."""
+    nums, D = _numerators(p)
+    tmask = _masks(max(nums, default=0))[0]
+    t = sum(1 for m in nums if not m & tmask)
+    s = len(nums) - t
+    bits = max(64, n * (max(sum(map(abs, nums.values())), D) - 1).bit_length())
+    if t > 1 and (n + 1) * bits > _MAX_POWER_SIZE:
+        return (n + 1) * bits  # C(n + t - 1, t - 1) > n, without the comb of a large n
+    count = 0
+    for j in range(min(n, s) + 1):
+        count += (comb(n - j + t - 1, t - 1) if t else 1) * comb(s, j)
+        if count * bits > _MAX_POWER_SIZE:
+            break
+    return count * bits
 
 
 def _parse(text, hat, coeffs=None):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,51 @@ def ref_mul(a, b):
             even = tuple(sorted((k, v) for k, v in exps.items() if v))
             _ref_accumulate(out, (even, tuple(sorted(odd))),
                             c1 * c2 * (-1 if inversions & 1 else 1))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Reference printer: `SuperPolynomial.__str__` as it was before it printed
+# from the packed keys, on the `terms` view (one Fraction per term), sorted by
+# (number of odd factors, odd part, even part).  Frozen here so that the
+# printer is compared with an independent copy, not with itself.
+# ---------------------------------------------------------------------------
+
+def _ref_name(base, k):
+    return base if k == 0 else f"{base}_{k}"
+
+
+def _ref_coeff_str(c):
+    from jetbrackets import AlgebraError
+    try:
+        return str(c)
+    except ValueError:
+        raise AlgebraError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                           "digits, Python's int/str conversion limit") from None
+
+
+def ref_str(p):
+    if p.is_zero():
+        return "0"
+    parts = []
+    for (even, odd), c in sorted(p.terms.items(),
+                                 key=lambda kv: (len(kv[0][1]), kv[0][1], kv[0][0])):
+        factors = []
+        for (_, k), e in even:
+            factors.append(_ref_name("u", k) + ("" if e == 1 else f"^{e}"))
+        for _, k in odd:
+            factors.append(_ref_name("theta", k))
+        if not factors:
+            parts.append(_ref_coeff_str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        elif c == -1:
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append(_ref_coeff_str(c) + "*" + "*".join(factors))
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
     return out
 
 

@@ -1,15 +1,20 @@
 """`cli.main` builds its argument parser once per process and reuses it.
 
 A reused parser must answer every request as a fresh process would: usage
-errors, help and ordinary requests alike, in any order.
+errors, help and ordinary requests alike, in any order.  A request whose
+first argument names a subcommand is parsed by that subcommand's parser
+alone; it must answer as the full parser's two passes did.
 """
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import jetbrackets.cli as cli
 
@@ -76,3 +81,36 @@ def test_reused_parser_answers_like_a_fresh_process(monkeypatch):
     assert [code for code, _, _ in seen] == [2, 2, 2, 0, 0]
     for argv, got in zip(sequence, seen):
         assert got == fresh_process(argv), argv
+
+
+# stdout, stderr and exit code of `main`, recorded with COLUMNS=100 when every
+# request went through the full parser, which hands a subcommand's arguments
+# to its parser
+_PINS = json.loads((Path(__file__).parent / "data" / "cli_dispatch_pins.json").read_text())
+_AS = {"list": list, "tuple": tuple, "iterator": iter}
+
+
+@pytest.mark.parametrize("pin", _PINS, ids=[f"{p['kind']}:{' '.join(p['argv'])}" for p in _PINS])
+def test_one_pass_dispatch_answers_as_the_full_parser(monkeypatch, pin):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(_AS[pin["kind"]](pin["argv"]))
+        except SystemExit as exc:
+            code = exc.code
+    assert (code, out.getvalue(), err.getvalue()) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["jetbrackets", "dtot", "u"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == '{"result":"u_1"}\n'
+
+
+def test_every_subcommand_has_its_parser_in_the_table():
+    ap = cli.build_parser()
+    table = ap.get_default("subcommands")
+    assert sorted(table) == sorted(cli._parser().get_default("subcommands"))
+    assert {p.prog for p in table.values()} == {f"jetbrackets {name}" for name in table}
+    assert "bracket" in table and "selftest" in table

@@ -60,6 +60,7 @@ VF = canonical_class(u * th)  # theta-degree 1
 SERIES = EpsilonDeformation(P, [], 2)
 
 _RANGE = "u^20000 leaves the supported exponent range (0..16383 for u_k, -8192..8191 for u_1)"
+_POWER = "a power whose terms may need more than 1000000 bits"
 # (text, hat, message, column)
 _PARSE_ERRORS = [
     ("1/", False, "expected 'int', found ''", 3),
@@ -77,6 +78,16 @@ _PARSE_ERRORS = [
     ("D: u^20000*del", False, _RANGE, 1),
     ("(2*u_1)^-1", True, "negative powers apply to the bare variable", 11),
     ("(u_1 + u)^-1", True, "negative powers apply to a single variable only", 13),
+    ("u_1^-1", False, "negative powers are only allowed for u_1 in hat mode (use --hat)", 7),
+    ("u_2^-1", False, "negative powers are only allowed for u_1", 7),
+    ("u_2^-1", True, "negative powers are only allowed for u_1", 7),
+    ("theta^-1", False, "negative powers are only allowed for u_1", 9),
+    ("theta_1^-2", True, "negative powers are only allowed for u_1", 11),
+    ("(2*u)^-1", True, "negative powers are only allowed for u_1", 9),
+    ("(1+u)^4000", False, _POWER, 6),
+    ("3^30000000", False, _POWER, 2),
+    ("((1+u)^30)^30", False, _POWER, 11),
+    ("D: (1+u)^8000*del", False, _POWER, 9),
 ]
 
 
