@@ -19,11 +19,14 @@ e + 2^13, so u_1^-e borrows nothing from its neighbour and the monomial 1 is
 the key `_ONE` = 2^13 << 17.  Exponents range over 0..16383 for u_k, k != 1,
 and over -8192..8191 for u_1; the constructor, `*`, `**` and the derivations
 raise AlgebraError for a monomial outside that range.  Jet indices are
-unbounded: a key is as long as its largest index needs.  Only this module
-and `_koszul` (D_P and its homotopy, which only `dkdv` uses) read or build
-keys; `_pack` serves the slice enumeration, and
-`_numerators` hands the slice solver integer coefficients under keys it
-treats as opaque labels.
+unbounded: a key is as long as its largest index needs.  This module and
+`_koszul` (D_P and its homotopy, which only `dkdv` uses) read and build
+keys, and so do two places outside them: `MultiVector._delta_theta` in
+`variational` builds keys as m - 1 and m + 1 (theta_0 off and on), and
+`parsing._power_size` reads their theta bits.  `_pack` serves the slice
+enumeration, and `_numerators` hands the slice solver integer coefficients
+under keys it treats as opaque labels.  `_is_laurent` is the one test for a
+negative power of u_1.
 
 On packed keys the ring is integer arithmetic.  A product of monomials whose
 theta bits are disjoint (theta^2 = 0 otherwise) has the key m1 + m2 - `_ONE`,
@@ -888,10 +891,9 @@ def _file(nums: dict, odd: bool, lo: int, hi: int = sys.maxsize) -> dict:
     times the partial derivative of nums by u_{lo+j} (odd false) or
     theta_{lo+j} (odd true, a left derivative), for lo+j <= hi; the
     denominator is unchanged.  Each term files the entries of its part that
-    lie in [lo, hi], in field order.  The one reader of `_FILE_CACHE`."""
+    lie in [lo, hi], in field order.  Its table is `_FILE_CACHE`, which the
+    grouped pass of `_theta_pass` reads as well."""
     pieces: dict = {}
-    if hi < 0:
-        return pieces  # no index is negative
     table = _FILE_CACHE
     for m, n in nums.items():
         t = m & (_THETA if m < _WIDE else _masks(m)[0])
@@ -1050,6 +1052,13 @@ def _theta_free(p: SuperPolynomial) -> bool:
         if m & tmask:
             return False
     return True
+
+
+def _is_laurent(p: SuperPolynomial) -> bool:
+    """Some term of p has a negative power of u_1 (false for the zero
+    polynomial): the u_1 field e + 2^13 of its key is below the bias, so the
+    top bit of that field, the one bit of `_ONE`, is clear."""
+    return not all(m & _ONE for m in p._nums)
 
 
 def grading_info(a: SuperPolynomial):

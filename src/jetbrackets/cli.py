@@ -44,6 +44,8 @@ index, but the variational kernels take time quadratic in it.  In a request
 with a negative power of u_1 in any input (both arguments of `bracket` and
 `check-compatible`, a manifest's base and corrections, `--x`, `--g`) every
 input is bounded at jet order 20, since d^n of u_1^-1 has p(n) terms.
+Each input's powers of u_1 are read at most once, and a request within jet
+order 20 reads none, so the bound costs time linear in the inputs.
 `d(...)` is evaluated while its expression is parsed, so the parser itself
 refuses, as a `parse-error` at that `d`, a `d(...)` whose operand has a
 negative power of u_1 and jet order above 20: a nested derivative of a
@@ -69,6 +71,7 @@ from .algebra import (
     SkewnessError,
     SuperPolynomial,
     UndefinedGrading,
+    _is_laurent,
 )
 from .deform import (EpsilonDeformation, GradedSlice, MCViolation, NoSolution,
                      _residual_and_obstruction, enumerate_basis, mc_residual, miura_push)
@@ -152,11 +155,12 @@ def _inputs(args, *texts, parse=parse_density, manifest=()) -> list:
     kernels take time quadratic in the jet index, which for an operator
     counts its power of del and its coefficients; and d^n of u_1^-1 has
     p(n) terms, so once an input has a negative power of u_1 every input is
-    bounded at `_MAX_LAURENT_JET_ORDER`."""
+    bounded at `_MAX_LAURENT_JET_ORDER`.  Each polynomial's powers of u_1
+    are read at most once, and only once the jet order passes that bound."""
     if texts.count("-") > 1:
         raise _InvalidArgument("at most one argument may be '-' (stdin)")
     inputs = [parse(sys.stdin.read() if text == "-" else text, hat=args.hat) for text in texts]
-    jet_order, seen = 0, []
+    jet_order, unread = 0, []
     labelled = [("manifest operator", D) for D in manifest]
     labelled += [("operator" if isinstance(x, DiffOperator) else "expression", x) for x in inputs]
     for what, x in labelled:
@@ -166,12 +170,14 @@ def _inputs(args, *texts, parse=parse_density, manifest=()) -> list:
             raise _InvalidArgument(f"{what} jet order must be at most {_MAX_JET_ORDER}, "
                                    f"got {order}")
         jet_order = max(order, jet_order)
-        seen += polys
-        # a request within order 20 pays for no test of its powers of u_1
-        if jet_order > _MAX_LAURENT_JET_ORDER and any(
-                min(p.coefficient_layers(1), default=0) < 0 for p in seen):
-            raise _InvalidArgument(f"a request with a negative power of u_1 must have jet "
-                                   f"order at most {_MAX_LAURENT_JET_ORDER}, got {jet_order}")
+        unread += polys
+        # a request within order 20 pays for no test of its powers of u_1, and
+        # past it each polynomial's are read once
+        while jet_order > _MAX_LAURENT_JET_ORDER and unread:
+            if _is_laurent(unread.pop()):
+                raise _InvalidArgument(f"a request with a negative power of u_1 must have "
+                                       f"jet order at most {_MAX_LAURENT_JET_ORDER}, "
+                                       f"got {jet_order}")
     return inputs
 
 

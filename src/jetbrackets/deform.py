@@ -76,11 +76,6 @@ class EpsilonDeformation:
                 f"corrections={self.corrections!r}, N={self.truncation})")
 
 
-def _nonzero_orders(D: EpsilonDeformation, n: int) -> list:
-    """The orders 1 <= k <= n with a nonzero correction, ascending."""
-    return [k for k, H in enumerate(D.corrections[:n], 1) if not H.is_zero()]
-
-
 def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     """Coefficients of eps^k, 1 <= k <= up_to, in (1/2)[[H, H]].
 
@@ -92,7 +87,7 @@ def mc_residual(D: EpsilonDeformation, up_to: int | None = None):
     """
     n = D.truncation if up_to is None else up_to
     _check_size(n, "order")
-    orders = _nonzero_orders(D, n)
+    orders = [k for k, H in enumerate(D.corrections[:n], 1) if not H.is_zero()]
     nonzero = set(orders)
     out = []
     for k in range(1, n + 1):

@@ -28,6 +28,7 @@ from .algebra import (
     _antidiff_u,
     _check_density,
     _check_size,
+    _is_laurent,
     _jet,
     _theta_times,
 )
@@ -40,7 +41,7 @@ from .deform import (
     linear_combination,
     slice_matrix,
 )
-from .schouten import Pencil, dkdv_pencil, dkdv_q_operator
+from .schouten import dkdv_pencil, dkdv_q_operator
 from .variational import (
     EvolutionaryVF,
     MultiVector,
@@ -87,7 +88,8 @@ def _flow(w: SuperPolynomial) -> EvolutionaryVF:
 # ---------------------------------------------------------------------------
 
 def symmetry_check(Z) -> bool:
-    """Exact test of d_P Z = d_Q Z = 0 for a vector field."""
+    """Exact test of d_P Z = d_Q Z = 0 for a vector field or a class; d_Q Z
+    is bracketed only when d_P Z = 0."""
     if isinstance(Z, EvolutionaryVF):
         Z = Z.as_class()
     pencil = dkdv_pencil()
@@ -371,7 +373,6 @@ def quasi_trivialize(c, ell: int | None = None):
     """
     if ell is not None:
         _check_size(ell, "declared degree")
-    pencil = dkdv_pencil()
     if isinstance(c, Cochain):
         if len(c.entries) != 2 or not c[0].is_zero():
             raise AlgebraError("expected a tail cochain (0, c1); reduce_to_tail first")
@@ -382,10 +383,10 @@ def quasi_trivialize(c, ell: int | None = None):
         raise AlgebraError("expected a cochain or bivector class")
     if c1.is_zero():
         return EvolutionaryVF(SuperPolynomial())
-    return _witness(c1, ell, pencil, _check_closed)
+    return _witness(c1, ell, _check_closed)
 
 
-def _witness(c1, ell, pencil, check, Y=None):
+def _witness(c1, ell, check, Y=None):
     """The witness for a nonzero tail class c1 = d_P Y (Y None: found by
     `_d_P_primitive`).  `check` refuses an unclosed c1 with the caller's
     message: first at degree 0, at ell0 >= 1 only when no witness comes out."""
@@ -394,17 +395,17 @@ def _witness(c1, ell, pencil, check, Y=None):
         if ell0 > 0:
             if Y is None:
                 Y = _d_P_primitive(c1)
-            X = _d_P_primitive(pencil.d_Q(Y))
-            return _trivialize_pair(X._delta_theta(), Y._delta_theta(), ell0, c1, pencil)
+            X = _d_P_primitive(dkdv_pencil().d_Q(Y))
+            return _trivialize_pair(X._delta_theta(), Y._delta_theta(), ell0, c1)
     except (AssertionError, AlgebraError):
-        check(c1, pencil)
+        check(c1)
         raise
-    check(c1, pencil)
-    return _degree_zero(c1, pencil)
+    check(c1)
+    return _degree_zero(c1)
 
 
-def _check_closed(c1: MultiVector, pencil: Pencil):
-    if not pencil.d_P(c1).is_zero() or not pencil.d_Q(c1).is_zero():
+def _check_closed(c1: MultiVector):
+    if not symmetry_check(c1):
         raise AlgebraError("(0, c1) is not a cocycle of the double complex")
 
 
@@ -419,7 +420,7 @@ def _d_P_primitive(c: MultiVector) -> MultiVector:
     return canonical_class(_contract(a - _contract(b).total_derivative()))
 
 
-def _degree_zero(c1: MultiVector, pencil: Pencil):
+def _degree_zero(c1: MultiVector):
     """The witness of a degree-0 tail class, or NontrivialAtDegreeZero.
 
     A polynomial class is s(u) theta theta_1, trivial exactly when s is a
@@ -429,14 +430,15 @@ def _degree_zero(c1: MultiVector, pencil: Pencil):
     no solution there raises NoSolution (undecided), never "nontrivial".
     """
     rep = c1.rep
-    if min(rep.coefficient_layers(1)) >= 0:
+    if not _is_laurent(rep):
         lam = rep.partial_theta(0).partial_theta(1)
         if (lam.order() or lam.max_u_power()
                 or rep != lam * SuperPolynomial.theta(0) * SuperPolynomial.theta(1)):
             return NontrivialAtDegreeZero(c1)
         w = EvolutionaryVF(lam * -2)
-        _verify_witness(w, c1, pencil)
+        _verify_witness(w, c1)
         return w
+    pencil = dkdv_pencil()
     sl = GradedSlice(max_order=max(2, rep.order()), max_udeg=max(2, rep.max_u_power()),
                      laurent_depth=2)
     # one growth only: the next slice takes tens of seconds (26 s for the
@@ -461,23 +463,22 @@ def quasi_trivialize_from_generator(g: SuperPolynomial, ell: int | None = None):
     k = g.theta_degree()
     if g and k != 0:
         raise AlgebraError(f"g must have theta-degree 0, got {'mixed' if k is None else k}")
-    pencil = dkdv_pencil()
     gmv = EvolutionaryVF(g).as_class()
-    c1 = pencil.d_P(gmv)
+    c1 = dkdv_pencil().d_P(gmv)
     if c1.is_zero():
         return EvolutionaryVF(SuperPolynomial()), c1
     ell0 = _tail_degree(c1, ell)  # an inhomogeneous or misdeclared c1 is refused before closure
     if g.degree() is None:  # the parts of g in other degrees are d_P-closed
         gmv = EvolutionaryVF(g.homogeneous_components()[ell0]).as_class()
-    return _witness(c1, ell, pencil, _check_admissible, gmv), c1
+    return _witness(c1, ell, _check_admissible, gmv), c1
 
 
-def _check_admissible(c1: MultiVector, pencil: Pencil):
-    if not pencil.d_Q(c1).is_zero():
+def _check_admissible(c1: MultiVector):
+    if not dkdv_pencil().d_Q(c1).is_zero():
         raise AlgebraError("d_P int(g theta) is not d_Q-closed: g is not admissible")
 
 
-def _trivialize_pair(f, g, ell0, c1, pencil):
+def _trivialize_pair(f, g, ell0, c1):
     """The witness for c1 from its cocycle pair (f, g), by order reduction.
 
     The pair's S-system is not evaluated: each step asserts its own
@@ -518,7 +519,7 @@ def _trivialize_pair(f, g, ell0, c1, pencil):
         h = _antidiff_u(p, 0)[0] * Fraction(2, 3)
         carrier = state.c + u2 * SuperPolynomial.u(1, power=-1) * h
         witness = _flow(carrier)
-        _verify_witness(witness, c1, pencil)
+        _verify_witness(witness, c1)
         return witness
 
     # ell0 > 2: at order <= 1 the constraint system forces the pair to
@@ -528,11 +529,12 @@ def _trivialize_pair(f, g, ell0, c1, pencil):
     if state.f or state.g:
         raise AssertionError("pair did not vanish at order 1: not a cocycle")
     witness = _flow(state.c)
-    _verify_witness(witness, c1, pencil)
+    _verify_witness(witness, c1)
     return witness
 
 
-def _verify_witness(b0: EvolutionaryVF, c1: MultiVector, pencil: Pencil):
+def _verify_witness(b0: EvolutionaryVF, c1: MultiVector):
+    pencil = dkdv_pencil()
     cls = b0.as_class()
     if not pencil.d_P(cls).is_zero():
         raise AssertionError("witness is not d_P-closed")

@@ -7,9 +7,10 @@ the shape `coeff*del^j` (`del` last in each product).  A sum of `del` terms
 is allowed only at the top level of an operator, where terms with the same
 power of `del` add up; a parenthesized one is refused.  With hat=True the
 input may carry negative exponents on u_1.  Whitespace is insignificant.
-Numbers and subscripts are ASCII digits 0-9, at most as many as Python's
-int/str conversion allows (4300 unless set otherwise).  Parentheses, d(...)
-and unary minus signs nest factors in factors, at most _MAX_NESTING deep.
+Numbers and subscripts are ASCII digits 0-9, at least one and at most as
+many as Python's int/str conversion allows (4300 unless set otherwise), so
+`u_` is refused.  Parentheses, d(...) and unary minus signs nest factors in
+factors, at most _MAX_NESTING deep.
 `d(...)` is evaluated as it is parsed, and d^n of u_1^-1 has p(n) terms, so
 `d(...)` of an operand with a negative power of u_1 and jet order above
 _MAX_LAURENT_JET_ORDER is a ParseError at that `d`, raised before the
@@ -23,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra import AlgebraError, DiffOperator, SuperPolynomial, _masks, _numerators, _theta_free
+from .algebra import (AlgebraError, DiffOperator, SuperPolynomial, _is_laurent, _masks,
+                      _numerators, _theta_free)
 
 
 class ParseError(Exception):
@@ -200,8 +202,7 @@ class _Parser:
             self._close()
             if delpow:
                 raise ParseError("d(...) takes a density, not an operator", col, name)
-            if (poly.order() > _MAX_LAURENT_JET_ORDER
-                    and min(poly.coefficient_layers(1), default=0) < 0):
+            if poly.order() > _MAX_LAURENT_JET_ORDER and _is_laurent(poly):
                 raise ParseError(f"d(...) of an operand with a negative power of u_1 must "
                                  f"have jet order at most {_MAX_LAURENT_JET_ORDER}", col, name)
             return (poly.total_derivative(), 0)
@@ -213,9 +214,9 @@ class _Parser:
         atom = _ATOMS.get(name)
         if atom is not None:
             return (atom, 0)
-        base, _, sub = name.partition("_")
+        base, sep, sub = name.partition("_")
         k = 0
-        if sub:
+        if sep:
             if not (sub.isascii() and sub.isdigit()):
                 raise ParseError(f"bad subscript in {name!r}", col, name)
             k = _int(sub, col)

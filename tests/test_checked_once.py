@@ -416,7 +416,7 @@ def test_generator_at_positive_degree_checks_admissibility_only_without_a_witnes
     gmv = canonical_class(g * th)
     assert pencil.d_P(gmv) == c1 and pencil.d_Q(c1).is_zero()
     pencil.d_Q(gmv)
-    dkdv._verify_witness(witness, c1, pencil)
+    dkdv._verify_witness(witness, c1)
     assert made == len(calls) - 1 == 4
     assert dkdv._tail_degree(c1, None) == 5
 

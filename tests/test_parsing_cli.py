@@ -561,10 +561,20 @@ _REFUSALS = [
      "a request with a negative power of u_1 must have jet order at most 20, got 60"),
     (["miura-push", "--hat", "@flat", "--x", "u_1^-1*u_21"],
      "a request with a negative power of u_1 must have jet order at most 20, got 21"),
+    # the Laurent input first or last, at the first jet order past the bound
+    (["bracket", "--hat", "--", "u_1^-1*theta", "u_21*theta*theta_1"],
+     "a request with a negative power of u_1 must have jet order at most 20, got 21"),
+    (["bracket", "--hat", "--", "u_21*theta*theta_1", "u_1^-1*theta"],
+     "a request with a negative power of u_1 must have jet order at most 20, got 21"),
+    (["check-compatible", "--hat", "--", "D: u_21*del", "D: u_1^-1*del"],
+     "a request with a negative power of u_1 must have jet order at most 20, got 21"),
+    (["miura-push", "--hat", "@laurent", "--x", "u_21"],
+     "a request with a negative power of u_1 must have jet order at most 20, got 21"),
     (["bracket", "--", "-", "-"], "at most one argument may be '-' (stdin)"),
 ]
 _REFUSAL_MANIFESTS = {"deep": {"base": "D: u_1001*del + 1/2*u_1002"},
-                      "flat": {"base": "D: u*del", "truncation": 2}}
+                      "flat": {"base": "D: u*del", "truncation": 2},
+                      "laurent": {"base": "D: u_1^-1*del"}}
 
 
 @pytest.mark.parametrize("argv, message", _REFUSALS, ids=[" ".join(a) for a, _ in _REFUSALS])

@@ -20,6 +20,7 @@ from jetbrackets import (
     EvolutionaryVF,
     GradedSlice,
     MultiVector,
+    NoSolution,
     ParseError,
     Pencil,
     SkewnessError,
@@ -88,6 +89,10 @@ _PARSE_ERRORS = [
     ("3^30000000", False, _POWER, 2),
     ("((1+u)^30)^30", False, _POWER, 11),
     ("D: (1+u)^8000*del", False, _POWER, 9),
+    ("u_", False, "bad subscript in 'u_'", 1),
+    ("u + theta_", False, "bad subscript in 'theta_'", 5),
+    ("u_*theta_", True, "bad subscript in 'u_'", 1),
+    ("D: u_*del", False, "bad subscript in 'u_'", 4),
 ]
 
 
@@ -183,6 +188,20 @@ _REFUSALS = {
         lambda: Pencil.make(operator_to_bivector(
             parse_operator("D: 2*u*del^3 + 3*u_1*del^2 + 3*u_2*del + u_3")), P),
         AlgebraError, "[[P, P]] != 0: first structure is not Hamiltonian"),
+    # d^3 and u^2 d + u u_1 are each Hamiltonian
+    "pencil-not-compatible": (
+        lambda: Pencil.make(operator_to_bivector(DiffOperator.d(3)),
+                            operator_to_bivector(parse_operator("D: u^2*del + u*u_1"))),
+        AlgebraError, "[[P, Q]] != 0: structures are not compatible"),
+    # closed, of homogeneity 3 and 4
+    "primitive-not-homogeneous": (
+        lambda: primitive_solve(_tail("u*u_2 + u*u_3"), P, GradedSlice()),
+        AlgebraError, "primitive_solve needs homogeneous input"),
+    # the eps^2 term d has degree 1, below the acyclic range of d_P
+    "homogenize-stray-outside-the-acyclic-range": (
+        lambda: homogenize(EpsilonDeformation(P, [operator_to_bivector(DiffOperator.d(3)), P],
+                                              2), 2, GradedSlice()),
+        NoSolution, "stray component outside the acyclic range"),
     "variational-slot": (lambda: variational_derivative(u, slot="v"), AlgebraError,
                          "unknown variational slot 'v'"),
     "add-different-degree": (lambda: VF + P, AlgebraError,

@@ -122,8 +122,7 @@ def test_quasi_trivialize_matches_the_whole_slice(ell):
     sl = GradedSlice(max_order=max(ell0, 2), max_udeg=8)
     Y, _ = full_slice_solve([P], [c1], sl, 2)
     X, _ = full_slice_solve([P], [PENCIL.d_Q(Y)], sl, 2)
-    want = dkdv._trivialize_pair(X._delta_theta(), Y._delta_theta(),
-                                 ell0, c1, PENCIL)
+    want = dkdv._trivialize_pair(X._delta_theta(), Y._delta_theta(), ell0, c1)
     assert primitive_solve(c1, P, sl) == Y
     assert quasi_trivialize(c1).chars == want.chars
 
