@@ -23,10 +23,12 @@ unbounded: a key is as long as its largest index needs.  This module and
 `_koszul` (D_P and its homotopy, which only `dkdv` uses) read and build
 keys, and so do two places outside them: `MultiVector._delta_theta` in
 `variational` builds keys as m - 1 and m + 1 (theta_0 off and on), and
-`parsing._power_size` reads their theta bits.  `_pack` serves the slice
-enumeration, and `_numerators` hands the slice solver integer coefficients
-under keys it treats as opaque labels.  `_is_laurent` is the one test for a
-negative power of u_1.
+`parsing._power_size` reads their theta bits.  An operator's D theta =
+sum_j D_j theta_j is the theta_j bit added to the keys of D_j
+(`_on_theta`), and `_off_theta` reads the D_j back off those keys.
+`_pack` serves the slice enumeration, and `_numerators` hands the slice
+solver integer coefficients under keys it treats as opaque labels.
+`_is_laurent` is the one test for a negative power of u_1.
 
 On packed keys the ring is integer arithmetic.  A product of monomials whose
 theta bits are disjoint (theta^2 = 0 otherwise) has the key m1 + m2 - `_ONE`,
@@ -635,6 +637,33 @@ def _mul_into(out: dict, a: dict, b: dict, n: int) -> dict:
 def _theta_times(x: SuperPolynomial, k: int) -> SuperPolynomial:
     """theta x / k, k > 0: theta_0 sorts first, so theta m is m | 1 with sign +1, or 0."""
     return _make({m | 1: c for m, c in x._nums.items() if not m & 1}, x._D * k)
+
+
+def _on_theta(coeffs: dict) -> SuperPolynomial:
+    """D theta = sum_j coeffs[j] theta_j for the theta-free coefficients of
+    an operator D: theta_j is the one odd factor, so each key of coeffs[j]
+    gains its bit with sign +1."""
+    L = lcm(*(p._D for p in coeffs.values()))
+    nums = {}
+    for j, p in coeffs.items():
+        bit, f = _BITS[j] if j < 64 else 1 << (_W * j), L // p._D
+        for m, c in p._nums.items():
+            nums[m + bit] = c * f
+    return _make(nums, L)
+
+
+def _off_theta(p: SuperPolynomial):
+    """The inverse of `_on_theta`: {j: p_j} for p = sum_j p_j theta_j, read
+    off the keys of p in one pass; None when a term of p has other than
+    one odd factor."""
+    tmask = _masks(max(p._nums) if p._nums else 0)[0]
+    parts: dict = {}
+    for m, c in p._nums.items():
+        t = m & tmask
+        if not t or t & (t - 1):
+            return None
+        parts.setdefault(t, {})[m - t] = c
+    return {(t.bit_length() - 1) // _W: _make(nums, p._D) for t, nums in parts.items()}
 
 
 # -- the derivation kernel (see the module docstring) --------------------------

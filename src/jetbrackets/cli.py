@@ -89,6 +89,7 @@ from .parsing import (_MAX_LAURENT_JET_ORDER, ParseError, format_operator, parse
                       parse_operator)
 from .schouten import are_compatible, is_hamiltonian, schouten_bracket
 from .variational import (
+    EvolutionaryVF,
     MultiVector,
     NotExact,
     bivector_to_operator,
@@ -179,6 +180,13 @@ def _inputs(args, *texts, parse=parse_density, manifest=()) -> list:
                                        f"jet order at most {_MAX_LAURENT_JET_ORDER}, "
                                        f"got {jet_order}")
     return inputs
+
+
+def _even(x, flag) -> None:
+    """Refuse a characteristic x, given by `flag`, with an odd part."""
+    k = x.theta_degree()
+    if x and k != 0:
+        raise _InvalidArgument(f"{flag} must have theta-degree 0, got {'mixed' if k is None else k}")
 
 
 def _load_manifest(args, path):
@@ -311,18 +319,16 @@ def _cmd_obstruction(args):
 def _cmd_miura_push(args):
     ops, trunc = _load_manifest(args, args.manifest)
     x, = _inputs(args, args.x, manifest=ops.values())
+    _even(x, "--x")  # theta^2 = 0 would drop an odd part of x from X
     D = _series(ops, trunc)
-    X = canonical_class(x * SuperPolynomial.theta(0))
+    X = EvolutionaryVF(x).as_class()
     N = args.order if args.order is not None else D.truncation
     return _dump_series(miura_push(D, X, args.weight, N)), 0
 
 
 def _cmd_quasi_trivialize(args):
     g, = _inputs(args, args.g)
-    k = g.theta_degree()
-    if g and k != 0:
-        raise _InvalidArgument(
-            f"--g must have theta-degree 0, got {'mixed' if k is None else k}")
+    _even(g, "--g")
     witness, c1 = quasi_trivialize_from_generator(g, args.degree)
     if isinstance(witness, NontrivialAtDegreeZero):
         return {"trivial": False, "cocycle": str(c1.rep),

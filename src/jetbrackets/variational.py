@@ -33,15 +33,17 @@ the numerators and keeps the denominator: delta_u through
 which moves the terms of one odd part as a group when they are many.  N
 multiplies by theta, a shift of the keys, and a canonical representative
 divides by k, which multiplies the denominator by k; both skip the theta_0
-terms, which theta kills, at the last level.  The
-operator of a bivector B is read off delta_theta B = sum_j D_j theta_j as
-D_j = partial_theta(j) of it, and `antidiff_square` and the dKdV hierarchy
-lift are antiderivatives in u_k (`algebra._antidiff_u`).  A class carries
-the theta_0 part of its delta_theta and derives the rest only when a
-bracket reads it (see MultiVector), so the Schouten bracket differentiates
-each class at most once per variable, and a result that is only compared
-never does; delta_u comes from the density a class was built from when
-that density is smaller than the representative.
+terms, which theta kills, at the last level.  An operator D becomes the
+class of theta (D theta) / 2, whose delta_theta is (D - D*) theta / 2: D is
+skew exactly when that is D theta.  Back, the D_j of a bivector are read
+off delta_theta B = sum_j D_j theta_j by their theta_j bit, so neither
+direction takes an adjoint or a ring product.  `antidiff_square` and the
+dKdV hierarchy lift are antiderivatives in u_k (`algebra._antidiff_u`).  A
+class carries the theta_0 part of its delta_theta and derives the rest only
+when a bracket reads it (see MultiVector), so the Schouten bracket
+differentiates each class at most once per variable, and a result that is
+only compared never does; delta_u comes from the density a class was built
+from when that density is smaller than the representative.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ from .algebra import (
     _jet,
     _make,
     _numerators,
+    _off_theta,
+    _on_theta,
     _theta_free,
     _theta_pass,
     _theta_times,
@@ -392,25 +396,32 @@ def vf_from_density(a: SuperPolynomial) -> EvolutionaryVF:
 def operator_to_bivector(D: DiffOperator) -> MultiVector:
     """The bivector (1/2) int theta D theta dx of a skew-adjoint operator.
     The operators d and u d + u_1/2 map to the brackets' generating
-    bivectors (1/2) int theta theta_1 and (1/2) int u theta theta_1."""
-    if not D.is_skew_adjoint():
+    bivectors (1/2) int theta theta_1 and (1/2) int u theta theta_1.  The
+    density is theta (D theta) / 2, a shift of the keys of the D_j.  Its
+    class has delta_theta = (D - D*) theta / 2, which is D theta exactly
+    when D* = -D, so skewness is read off the class with no adjoint.  A
+    nonzero D of even order n is refused before its class is built: D + D*
+    has the term 2 p_n d^n."""
+    if D.coeffs and not D.order() & 1:
         raise SkewnessError("operator is not skew-adjoint")
-    theta = SuperPolynomial.theta()
-    density = SuperPolynomial()
-    for j, p in D.coeffs.items():
-        density = density + theta * p * SuperPolynomial.theta(j)
-    return canonical_class(density / 2)
+    dtheta = _on_theta(D.coeffs)
+    density = _theta_times(dtheta, 2)
+    B = _class_of_degree(density, 2) if density else _make_class(density, 0)
+    if B._delta_theta() != dtheta:
+        raise SkewnessError("operator is not skew-adjoint")
+    return B
 
 
 def bivector_to_operator(B: MultiVector) -> DiffOperator:
     """Inverse of operator_to_bivector on theta-degree-2 classes: the
-    operator is read off delta_theta B = sum_j D_j theta_j."""
+    operator is read off delta_theta B = sum_j D_j theta_j, each D_j from
+    the keys with the bit of theta_j, in one pass."""
     if B.theta_degree != 2:
         raise AlgebraError("only theta-degree-2 classes correspond to operators")
-    dtheta = B._delta_theta()
-    if dtheta and dtheta.theta_degree() != 1:
+    coeffs = _off_theta(B._delta_theta())
+    if coeffs is None:
         raise AlgebraError("not a bivector density")
-    D = DiffOperator({j: dtheta.partial_theta(j) for j in range(dtheta.order() + 1)})
+    D = DiffOperator(coeffs)
     # operator_to_bivector raises SkewnessError for a D that is not skew-adjoint
     if operator_to_bivector(D) != B:
         raise AlgebraError("bivector does not come from a differential operator")

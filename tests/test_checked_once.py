@@ -323,20 +323,21 @@ def test_degree_zero_generator_that_is_not_admissible():
 
 
 @pytest.mark.parametrize("op", ["D: u*del + 1/2*u_1", "D: 3/2*del^3", "D: u_1^-1*del - 1/2*u_1^-2*u_2"])
-def test_operator_read_off_takes_one_adjoint(monkeypatch, op):
-    B = operator_to_bivector(parse_operator(op, hat=True))
+def test_operator_conversions_take_no_adjoint_and_no_product(monkeypatch, op):
+    # skewness is read off the class's delta_theta, and both directions
+    # shift keys: neither takes an adjoint or a ring product
+    D0 = parse_operator(op, hat=True)
     calls = []
-    adjoint = DiffOperator.adjoint
-
-    def counting(self):
-        calls.append(None)
-        return adjoint(self)
-
-    monkeypatch.setattr(DiffOperator, "adjoint", counting)
+    for cls, name in [(DiffOperator, "adjoint"), (SP, "__mul__")]:
+        def counting(*args, _f=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(cls, name, counting)
+    B = operator_to_bivector(D0)
     D = bivector_to_operator(B)
-    assert len(calls) == 1  # the skewness check of its round trip
+    assert calls == []
     monkeypatch.undo()
-    assert D == parse_operator(op, hat=True)
+    assert D == D0
 
 
 def test_obstruction_request_takes_one_residual(monkeypatch, tmp_path, capsys):

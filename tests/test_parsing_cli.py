@@ -571,10 +571,19 @@ _REFUSALS = [
     (["miura-push", "--hat", "@laurent", "--x", "u_21"],
      "a request with a negative power of u_1 must have jet order at most 20, got 21"),
     (["bracket", "--", "-", "-"], "at most one argument may be '-' (stdin)"),
+    # a characteristic --x is even: X = int(x theta) dx would drop an odd
+    # part of x, since theta^2 = 0
+    (["miura-push", "@kdv", "--x", "u_2 + theta*theta_1"],
+     "--x must have theta-degree 0, got mixed"),
+    (["miura-push", "@kdv", "--x", "u_1 + theta"], "--x must have theta-degree 0, got mixed"),
+    (["miura-push", "@kdv", "--x", "theta_1"], "--x must have theta-degree 0, got 1"),
+    (["miura-push", "@kdv", "--x", "u*theta*theta_1"], "--x must have theta-degree 0, got 2"),
 ]
 _REFUSAL_MANIFESTS = {"deep": {"base": "D: u_1001*del + 1/2*u_1002"},
                       "flat": {"base": "D: u*del", "truncation": 2},
-                      "laurent": {"base": "D: u_1^-1*del"}}
+                      "laurent": {"base": "D: u_1^-1*del"},
+                      "kdv": {"base": "D: u*del + 1/2*u_1",
+                              "corrections": {"2": "D: 3/2*del^3"}, "truncation": 4}}
 
 
 @pytest.mark.parametrize("argv, message", _REFUSALS, ids=[" ".join(a) for a, _ in _REFUSALS])

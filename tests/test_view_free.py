@@ -5,9 +5,9 @@ view at all.
 
 `algebra._antidiff_u(p, k)` must give the same antiderivative and the same
 blocked u_1^-1 part as the old body, or raise the same AlgebraError for a
-new power past the exponent range.  `bivector_to_operator` reads D_j as
-partial_theta(j) of the carried delta_theta and must agree with the old
-term-by-term read-off, operator or error.  Every Hamiltonian H_n is
+new power past the exponent range.  `bivector_to_operator` reads D_j off
+the keys of the carried delta_theta with the bit of theta_j and must agree
+with the old term-by-term read-off, operator or error.  Every Hamiltonian H_n is
 c_n u^(n+2) with c_{n+1} = (n + 3/2) / (n + 3) c_n and c_{-1} = 4/3, so the
 hierarchy lift is one antiderivative in u.
 """
