@@ -16,12 +16,20 @@ or an input above its bound gives `invalid-argument`, and an unexpected
 exception gives `internal-error` with its traceback on stderr.
 `main` builds its argument parser on its first call and reuses it for every
 later call in the process; `build_parser` returns a fresh parser each time.
-Arguments are parsed in one argparse pass: when the first argument names a
+A well-formed request is read without argparse, from the actions that
+`build_parser` declares for its subcommand, into the Namespace argparse
+would make: the subcommand comes first; each option is named in full, as
+`--name value` or `--name=value`, and a flag takes no value; a value given
+apart from its option and starting with "-" is a negative number (so
+`--level -1`); there is at most one `--`, and no positional before it; the
+positionals are exactly those declared; every required option is given;
+and every value passes its declared type and choices.  Argparse parses
+every other argument list, in one pass: when the first argument names a
 subcommand, that subcommand's parser alone parses the rest, and arguments
-it leaves over get the full parser's "unrecognized arguments" error.  Any
-other argument list (none, -h, an unknown name, an option before the
-command) goes to the full parser.  Help, usage errors and exit codes are
-those of the full parser either way.
+it leaves over get the full parser's "unrecognized arguments" error; any
+other list (none, -h, an unknown name, an option before the command) goes
+to the full parser.  So an abbreviation, -h or a malformed value gets
+argparse's help, usage error and exit code.
 Deformation manifests are JSON documents of the form
 
     {"base": "D: u*del + 1/2*u_1",
@@ -60,6 +68,7 @@ in a fresh process (Python 3.11.7, 2 cores).
 from __future__ import annotations
 
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -374,11 +383,12 @@ def _cmd_selftest(args):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="indented JSON output")
+    pretty = common.add_argument("--pretty", action="store_true", help="indented JSON output")
     common.set_defaults(ranges={})
     # --hat only for the subcommands that parse an expression, operator or manifest
     hat = argparse.ArgumentParser(add_help=False)
-    hat.add_argument("--hat", action="store_true", help="allow Laurent powers of u_1")
+    flags = [hat.add_argument("--hat", action="store_true", help="allow Laurent powers of u_1"),
+             pretty]
     parsed = [hat, common]
 
     ap = argparse.ArgumentParser(
@@ -386,86 +396,90 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact variational calculus of functional multivectors "
                     "on jet space.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # each subcommand's actions, its parents' included, as add_argument
+    # returns them: `_read` reads a well-formed request from them
+    declared = {}
 
     p = sub.add_parser("bracket", parents=parsed,
                        help="Schouten bracket of two densities")
-    p.add_argument("a")
-    p.add_argument("b")
+    declared["bracket"] = [*flags, p.add_argument("a"), p.add_argument("b")]
     p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("dtot", parents=parsed, help="total derivative")
-    p.add_argument("expr")
+    declared["dtot"] = [*flags, p.add_argument("expr")]
     p.set_defaults(func=_cmd_dtot)
 
     p = sub.add_parser("vder", parents=parsed,
                        help="(higher) variational derivative")
-    p.add_argument("expr")
-    p.add_argument("--slot", choices=("u", "theta"), default="u")
-    p.add_argument("--level", type=int, default=0)
+    declared["vder"] = [*flags, p.add_argument("expr"),
+                        p.add_argument("--slot", choices=("u", "theta"), default="u"),
+                        p.add_argument("--level", type=int, default=0)]
     p.set_defaults(func=_cmd_vder, ranges={"level": (0, None)})
 
     p = sub.add_parser("normalize", parents=parsed,
                        help="normalization operator N")
-    p.add_argument("expr")
+    declared["normalize"] = [*flags, p.add_argument("expr")]
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("check-hamiltonian", parents=parsed,
                        help="certify [[D, D]] = 0 for an operator")
-    p.add_argument("op")
+    declared["check-hamiltonian"] = [*flags, p.add_argument("op")]
     p.set_defaults(func=_cmd_check_hamiltonian)
 
     p = sub.add_parser("check-compatible", parents=parsed,
                        help="certify a pair of operators as a pencil")
-    p.add_argument("op1")
-    p.add_argument("op2")
+    declared["check-compatible"] = [*flags, p.add_argument("op1"), p.add_argument("op2")]
     p.set_defaults(func=_cmd_check_compatible)
 
     p = sub.add_parser("hierarchy", parents=[common],
                        help="dispersionless KdV Hamiltonians H_{-1}..H_n")
-    p.add_argument("--n", type=int, required=True)
+    declared["hierarchy"] = [pretty, p.add_argument("--n", type=int, required=True)]
     p.set_defaults(func=_cmd_hierarchy, ranges={"n": (0, 2_000)})
 
     p = sub.add_parser("symmetries", parents=[common],
                        help="joint kernel of d_P and d_Q in a graded slice")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=None,
-                   help="cap on the jet order of the slice (default: the degree)")
-    p.add_argument("--max-udeg", type=int, default=6,
-                   help="cap on the power of u in the slice (default: 6)")
+    declared["symmetries"] = [
+        pretty, p.add_argument("--degree", type=int, required=True),
+        p.add_argument("--max-order", type=int, default=None,
+                       help="cap on the jet order of the slice (default: the degree)"),
+        p.add_argument("--max-udeg", type=int, default=6,
+                       help="cap on the power of u in the slice (default: 6)")]
     p.set_defaults(func=_cmd_symmetries, ranges={
         "max_order": (0, None), "max_udeg": (0, 1_000), "degree": (0, 11)})
 
     p = sub.add_parser("obstruction", parents=parsed,
                        help="Maurer-Cartan residuals and obstruction cocycle "
                             "of a deformation manifest")
-    p.add_argument("manifest")
-    p.add_argument("--order", type=int, default=None)
+    declared["obstruction"] = [*flags, p.add_argument("manifest"),
+                               p.add_argument("--order", type=int, default=None)]
     p.set_defaults(func=_cmd_obstruction, ranges={"order": (0, _MAX_ORDER)})
 
     p = sub.add_parser("miura-push", parents=parsed,
                        help="push a deformation manifest along exp(-eps^p ad_X)")
-    p.add_argument("manifest")
-    p.add_argument("--x", required=True, help="characteristic of X")
-    p.add_argument("--weight", type=int, default=1)
-    p.add_argument("--order", type=int, default=None)
+    declared["miura-push"] = [*flags, p.add_argument("manifest"),
+                              p.add_argument("--x", required=True, help="characteristic of X"),
+                              p.add_argument("--weight", type=int, default=1),
+                              p.add_argument("--order", type=int, default=None)]
     p.set_defaults(func=_cmd_miura_push, ranges={"order": (0, _MAX_ORDER), "weight": (1, None)})
 
     p = sub.add_parser("quasi-trivialize", parents=parsed,
                        help="quasi-triviality witness for the tail cocycle "
                             "d_P int(g theta) dx")
-    p.add_argument("--g", required=True)
-    p.add_argument("--degree", type=int, default=None)
+    declared["quasi-trivialize"] = [*flags, p.add_argument("--g", required=True),
+                                    p.add_argument("--degree", type=int, default=None)]
     p.set_defaults(func=_cmd_quasi_trivialize, ranges={"degree": (0, None)})
 
     p = sub.add_parser("psi-check", parents=[common],
                        help="verify the quasi-Miura seed identity")
+    declared["psi-check"] = [pretty]
     p.set_defaults(func=_cmd_psi_check)
 
     p = sub.add_parser("selftest", parents=[common],
                        help="run the built-in acceptance identities")
+    declared["selftest"] = [pretty]
     p.set_defaults(func=_cmd_selftest)
-    # the parsers by subcommand name, where `main` finds them
-    ap.set_defaults(subcommands=sub.choices)
+    # the parsers and their actions by subcommand name, where `main` finds them
+    ap.set_defaults(subcommands=sub.choices, declared=declared)
     return ap
 
 
@@ -476,18 +490,106 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.lru_cache(maxsize=1)
+def _grammar(ap) -> dict:
+    """What `_read` needs of each subcommand of `ap`, from the actions that
+    `build_parser` declares: its options by option string, its positional
+    actions in order, its required options, and the Namespace values of a
+    request that gives no option (`func` and `ranges` are read as `main`
+    reads them)."""
+    table = {}
+    for name, actions in ap.get_default("declared").items():
+        sub = ap.get_default("subcommands")[name]
+        table[name] = (
+            {s: a for a in actions for s in a.option_strings},
+            [a for a in actions if not a.option_strings],
+            {a for a in actions if a.option_strings and a.required},
+            {"command": name, "func": sub.get_default("func"), "ranges": sub.get_default("ranges"),
+             **{a.dest: sub.get_default(a.dest) for a in actions if a.option_strings}})
+    return table
+
+
+# argparse's test for an argument that starts with "-" and is a negative
+# number, so a value, in a parser with no option that looks like one
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _value_like(arg) -> bool:
+    """Whether argparse reads `arg`, before any `--`, as a value."""
+    return not arg.startswith("-") or arg == "-" or _NEGATIVE_NUMBER.match(arg) is not None
+
+
+def _store(values, action, text) -> bool:
+    """Store `text` (None for a flag) as argparse stores it for `action` in
+    `values`; False where argparse would refuse it."""
+    if text is None:
+        values[action.dest] = action.const
+        return True
+    try:
+        value = text if action.type is None else action.type(text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return False
+    values[action.dest] = value
+    return action.choices is None or value in action.choices
+
+
+def _read(argv):
+    """The Namespace that argparse makes of `argv` when it is a well-formed
+    request (see the module docstring), else None: then argparse reads it."""
+    grammar = _grammar(_parser()).get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    options, positionals, required, defaults = grammar
+    values, words, seen = dict(defaults), [], set()
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--":
+            if words:  # a positional before `--`
+                return None
+            words = list(args)
+            if not words or "--" in words:
+                return None
+        elif _value_like(arg):
+            words.append(arg)
+        else:
+            action = options.get(arg)
+            if action is not None:
+                # a missing value is refused as "--" is
+                text = None if action.nargs == 0 else next(args, "--")
+                if text is not None and not _value_like(text):
+                    return None
+            else:
+                name, _, text = arg.partition("=")
+                action = options.get(name)
+                if action is None or action.nargs == 0 or text == "--":
+                    return None
+            if not _store(values, action, text):
+                return None
+            seen.add(action)
+    if len(words) != len(positionals) or not required <= seen:
+        return None
+    for action, text in zip(positionals, words):
+        if not _store(values, action, text):
+            return None
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
+
+
 def main(argv=None) -> int:
     """Answer one request: the command's document, or an error object, is
     the one JSON document written to stdout."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = _parser()
-    sub = ap.get_default("subcommands").get(argv[0]) if argv else None
-    if sub is None:
-        args = ap.parse_args(argv)
-    else:
-        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if rest:
-            ap.error(f"unrecognized arguments: {' '.join(rest)}")
+    args = _read(argv)
+    if args is None:
+        ap = _parser()
+        sub = ap.get_default("subcommands").get(argv[0]) if argv else None
+        if sub is None:
+            args = ap.parse_args(argv)
+        else:
+            args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if rest:
+                ap.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         _in_range(args)
         doc, code = args.func(args)

@@ -35,10 +35,12 @@ class MCViolation(AlgebraError):
 
 class EpsilonDeformation:
     """base + sum_k eps^k H_k, truncated at eps^N; all entries theta-degree-2
-    classes.  corrections[k - 1] is H_k, and there are at most N of them."""
+    classes, or zero classes of any theta-degree (the zero operator's is of
+    theta-degree 0).  corrections[k - 1] is H_k, and there are at most N of
+    them."""
 
     def __init__(self, base: MultiVector, corrections=(), truncation=None):
-        if base.theta_degree != 2:
+        if not base.is_zero() and base.theta_degree != 2:
             raise AlgebraError("deformations are built from bivectors")
         self.base = base
         self.corrections = list(corrections)

@@ -401,9 +401,15 @@ def operator_to_bivector(D: DiffOperator) -> MultiVector:
     class has delta_theta = (D - D*) theta / 2, which is D theta exactly
     when D* = -D, so skewness is read off the class with no adjoint.  A
     nonzero D of even order n is refused before its class is built: D + D*
-    has the term 2 p_n d^n."""
-    if D.coeffs and not D.order() & 1:
-        raise SkewnessError("operator is not skew-adjoint")
+    has the term 2 p_n d^n.  So is one of odd order n whose two top
+    coefficients fail 2 p_{n-1} = n d(p_n): D + D* has the term
+    (2 p_{n-1} - n d(p_n)) d^(n-1).  That test is necessary, not sufficient,
+    so an operator that passes it is still read off its class."""
+    if D.coeffs:
+        n = D.order()
+        if not n & 1 or D.coeffs.get(n - 1, SuperPolynomial()) / n \
+                != D.coeffs[n].total_derivative() / 2:
+            raise SkewnessError("operator is not skew-adjoint")
     dtheta = _on_theta(D.coeffs)
     density = _theta_times(dtheta, 2)
     B = _class_of_degree(density, 2) if density else _make_class(density, 0)
@@ -415,7 +421,10 @@ def operator_to_bivector(D: DiffOperator) -> MultiVector:
 def bivector_to_operator(B: MultiVector) -> DiffOperator:
     """Inverse of operator_to_bivector on theta-degree-2 classes: the
     operator is read off delta_theta B = sum_j D_j theta_j, each D_j from
-    the keys with the bit of theta_j, in one pass."""
+    the keys with the bit of theta_j, in one pass.  Every zero class, of
+    any theta-degree, is the zero operator's."""
+    if B.is_zero():
+        return DiffOperator.zero()
     if B.theta_degree != 2:
         raise AlgebraError("only theta-degree-2 classes correspond to operators")
     coeffs = _off_theta(B._delta_theta())

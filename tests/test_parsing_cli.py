@@ -196,6 +196,20 @@ class TestCLI:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == doc
 
+    # the zero operator is a bivector as a base, as it is as a correction
+    @pytest.mark.parametrize("argv, doc", [
+        (["obstruction"], {"is_deformation": True, "mc_residual": ["0", "0"],
+                           "obstruction": "0", "order": 2}),
+        (["miura-push", "--x", "u_1"], {"base": "D: 0", "corrections": {"1": "D: del"},
+                                        "truncation": 2}),
+    ], ids=["obstruction", "miura-push"])
+    def test_zero_base_manifest(self, capsys, tmp_path, argv, doc):
+        man = tmp_path / "zero.json"
+        man.write_text(json.dumps({"base": "D: 0", "corrections": {"1": "D: del"},
+                                   "truncation": 2}))
+        assert main([argv[0], str(man), *argv[1:]]) == 0
+        assert json.loads(capsys.readouterr().out) == doc
+
     @pytest.mark.parametrize("g, g0, witness", [
         ("1 + u_2", "u_2", "-2/3*u_1^-2*u_2^2 + 2/3*u_1^-1*u_3"),
         ("u*u_1 + u*u_3", "u*u_3", "-4/3*u_3"),

@@ -62,7 +62,10 @@ def ref_antidiff_u(p, k):
 
 
 def ref_bivector_to_operator(B):
-    """The operator read off delta_theta B = sum_j D_j theta_j term by term."""
+    """The operator read off delta_theta B = sum_j D_j theta_j term by term;
+    every zero class is the zero operator's."""
+    if B.is_zero():
+        return DiffOperator({})
     if B.theta_degree != 2:
         raise AlgebraError("only theta-degree-2 classes correspond to operators")
     coeffs: dict = {}
