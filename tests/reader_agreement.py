@@ -16,7 +16,6 @@ pytest:
     PYTHONPATH=src python tests/reader_agreement.py [count] [seed]
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -37,16 +36,11 @@ _STRAYS = ["-h", "--help", "--", "-", "-1", "-x", "--nope", "--nope=1", "extra",
 
 def argparse_namespace(argv):
     """The Namespace of `main`'s argparse path, or None where it exits."""
-    ap = cli._parser()
-    sub = ap.get_default("subcommands").get(argv[0]) if argv else None
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            if sub is None:
-                return ap.parse_args(argv)
-            args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            return cli._parser().parse_args(argv)
         except SystemExit:
             return None
-    return None if rest else args
 
 
 def agree(argv) -> bool:

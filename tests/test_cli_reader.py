@@ -71,6 +71,7 @@ def test_malformed_request_is_left_to_argparse(argv):
 
 @pytest.mark.parametrize("argv, expected", [
     (["vder", "--level", "-1", "--", "u"], {"level": -1, "expr": "u"}),
+    (["vder", "--level=-1", "--", "u"], {"level": -1, "expr": "u"}),
     (["vder", "--level=-1", "-u"], None),           # -u is an option to argparse
     (["vder", "--level=-1", "--", "-u"], {"level": -1, "expr": "-u"}),
     (["miura-push", "m.json", "--x=-3/2*u_1", "--weight", "2"],
@@ -104,7 +105,7 @@ def test_a_well_formed_request_makes_no_argparse_call(monkeypatch):
     # an abbreviation is argparse's to read, and it answers as before
     with contextlib.redirect_stdout(out):
         assert cli.main(["dtot", "--pr", "u"]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 2  # the full parser's, then the subcommand parser's
     assert out.getvalue().endswith('{\n  "result": "u_1"\n}\n')
 
 
