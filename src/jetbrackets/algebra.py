@@ -23,9 +23,11 @@ unbounded: a key is as long as its largest index needs.  This module and
 `_koszul` (D_P and its homotopy, which only `dkdv` uses) read and build
 keys, and so do two places outside them: `MultiVector._delta_theta` in
 `variational` builds keys as m - 1 and m + 1 (theta_0 off and on), and
-`parsing._power_size` reads their theta bits.  An operator's D theta =
-sum_j D_j theta_j is the theta_j bit added to the keys of D_j
-(`_on_theta`), and `_off_theta` reads the D_j back off those keys.
+`parsing` files its numbers under `_ONE` and reads theta bits in
+`_power_size`; its other keys come from the generators and `_product`.
+An operator's D theta = sum_j D_j theta_j is the theta_j bit added to the
+keys of D_j (`_on_theta`), and `_off_theta` reads the D_j back off those
+keys.
 `_pack` serves the slice enumeration, and `_numerators` hands the slice
 solver integer coefficients under keys it treats as opaque labels.
 `_is_laurent` is the one test for a negative power of u_1.
@@ -36,14 +38,15 @@ one guard-mask test per term checks its range, and its Koszul sign is the
 parity of the inversions between the two odd parts, one `int.bit_count` over
 a mask precomputed per left term (`_inversion_mask`).  `_mul_into`, the one
 product loop, adds n a b to an int dict: `*` and the Schouten bracket's two
-products share it (one term by one skips it).  theta m is m with bit 0 set
+products share it.  `_product`, the numerators of a product, takes one term
+by one apart, and `*` and the parser share it.  theta m is m with bit 0 set
 (`_theta_times`).  d of u_k^e is e times the key minus the unit of field k
 plus the unit of field k+1; d of theta_k moves its bit one field up.  Odd
 factors are ordered by index, and odd partial derivatives are left
 derivations.  `str` prints from the keys.
 
-`terms` is the view for parsing and tests, built on demand
-with no memo: a fresh dict {(even, odd): Fraction} whose even part is a
+`terms` is the view for `sorted_terms` and tests, built on demand with
+no memo: a fresh dict {(even, odd): Fraction} whose even part is a
 sorted tuple of ((1, k), e) pairs with nonzero exponents and whose odd part
 is a strictly increasing tuple of (1, k).  No engine module reads it.  The
 public constructor takes that format, with factors in any order, validates
@@ -419,18 +422,7 @@ class SuperPolynomial:
             return _make({m: c * n for m, c in self._nums.items()}, self._D * other.denominator)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        a, b = self._nums, other._nums
-        if len(a) == 1 == len(b):
-            (m1, c1), (m2, c2) = *a.items(), *b.items()
-            tmask, guard = _masks(max(m1, m2))
-            t1, t2 = m1 & tmask, m2 & tmask
-            key = m1 + m2 - _ONE
-            if key & guard and not t1 & t2:
-                raise _range_error("a product")
-            if (_inversion_mask(t1) & t2).bit_count() & 1:
-                c1 = -c1
-            return _make({} if t1 & t2 else {key: c1 * c2}, self._D * other._D)
-        return _make(_mul_into({}, a, b, 1), self._D * other._D)
+        return _make(_product(self._nums, other._nums), self._D * other._D)
 
     def __rmul__(self, other):
         if _is_scalar(other):
@@ -632,6 +624,26 @@ def _mul_into(out: dict, a: dict, b: dict, n: int) -> dict:
                     raise _range_error("a product")
                 out[key] = get(key, 0) + c1 * c2
     return out
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The int dict a b, which may hold zeros: one term by one adds the two
+    keys and takes the Koszul sign, and everything else is `_mul_into`."""
+    if len(a) == 1 == len(b):
+        [(m1, c1)], [(m2, c2)] = a.items(), b.items()
+        if m1 == _ONE or m2 == _ONE:  # a constant factor: no sign, no new exponent
+            return {m1 + m2 - _ONE: c1 * c2}
+        tmask, guard = _MASKS[64] if m1 < _WIDE > m2 else _masks(max(m1, m2))
+        t1, t2 = m1 & tmask, m2 & tmask
+        if t1 & t2:
+            return {}
+        key = m1 + m2 - _ONE
+        if key & guard:
+            raise _range_error("a product")
+        if t1 and t2 and (_inversion_mask(t1) & t2).bit_count() & 1:
+            c1 = -c1
+        return {key: c1 * c2}
+    return _mul_into({}, a, b, 1)
 
 
 def _theta_times(x: SuperPolynomial, k: int) -> SuperPolynomial:

@@ -11,9 +11,9 @@ JSON document and exit code, and `main`, stdout's only writer, prints that
 document or the error object of what was raised.  Exit codes: 0 on
 success, 1 when a mathematical check comes out false, 2 on usage, parse, or
 engine errors.  Every exit 2 after argument parsing prints
-{"error": {"code", "message"}}: a flag outside its range, a second stdin
-or an input above its bound gives `invalid-argument`, and an unexpected
-exception gives `internal-error` with its traceback on stderr.
+{"error": {"code", "message"}}: a flag outside its range, an input `--`, a
+second stdin or an input above its bound gives `invalid-argument`, and an
+unexpected exception gives `internal-error` with its traceback on stderr.
 `main` builds its argument parser on its first call and reuses it for every
 later call in the process; `build_parser` returns a fresh parser each time.
 A well-formed request is read without argparse, from the actions that
@@ -155,14 +155,18 @@ def _in_range(args) -> None:
 
 def _inputs(args, *texts, parse=parse_density, manifest=()) -> list:
     """The parsed inputs `texts` of a request (`-` reads stdin), once all are
-    bounded.  A second `-` is refused before stdin is read, since its read
-    would get "".  Every input is parsed, then a manifest's operators and
-    the inputs are bounded in the order they were parsed.  The variational
-    kernels take time quadratic in the jet index, which for an operator
-    counts its power of del and its coefficients; and d^n of u_1^-1 has
-    p(n) terms, so once an input has a negative power of u_1 every input is
-    bounded at `_MAX_LAURENT_JET_ORDER`.  Each polynomial's powers of u_1
-    are read at most once, and only once the jet order passes that bound."""
+    bounded.  An input `--` is refused: argparse up to Python 3.12 reads
+    `--name=--` as the value [], and 3.13 as "--".  A second `-` is refused
+    before stdin is read, since its read would get "".  Every input is
+    parsed, then a manifest's operators and the inputs are bounded in the
+    order they were parsed.  The variational kernels take time quadratic in
+    the jet index, which for an operator counts its power of del and its
+    coefficients; and d^n of u_1^-1 has p(n) terms, so once an input has a
+    negative power of u_1 every input is bounded at
+    `_MAX_LAURENT_JET_ORDER`.  Each polynomial's powers of u_1 are read at
+    most once, and only once the jet order passes that bound."""
+    if any(not isinstance(text, str) or text == "--" for text in texts):
+        raise _InvalidArgument("an input may not be '--'")
     if texts.count("-") > 1:
         raise _InvalidArgument("at most one argument may be '-' (stdin)")
     inputs = [parse(sys.stdin.read() if text == "-" else text, hat=args.hat) for text in texts]

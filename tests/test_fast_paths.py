@@ -103,12 +103,18 @@ def test_a_one_term_product_out_of_range_is_refused_as_by_the_loop(a, b):
 
 
 def test_the_parser_shares_its_generators_in_a_bounded_table():
-    assert parse_density("u_3") is parse_density(" u_3 ")  # one shared value
+    assert parse_density("u_3") == parse_density(" u_3 ") == SP.u(3)
     assert parse_density("u_03") == SP.u(3) and parse_density("theta_2") == SP.theta(2)
     parse_density("u_123 + theta_1000")
     assert "u_123" not in parsing._ATOMS and "theta_1000" not in parsing._ATOMS
     assert all(len(name.partition("_")[2]) < 3 for name in parsing._ATOMS)
-    # shared values are never changed by the arithmetic on them
+    # shared numerators are never changed by the arithmetic on them, and no
+    # parsed value holds them
     u3 = parse_density("u_3")
-    parse_density("u_3*u_3 + 2*u_3 - u_3")
-    assert u3 == SP.u(3) and parse_density("u_3") is u3
+    shared = parsing._ATOMS["u_3"][0]
+    assert shared == {next(iter(SP.u(3)._nums)): 1}
+    x = parse_density("u_3*u_3 + 2*u_3 - u_3 + d(u_3) + u_3^1 + (u_3)^2")
+    assert x == SP.u(3) ** 2 * 2 + SP.u(3) * 2 + SP.u(4)
+    assert u3 == SP.u(3) and parse_density("u_3") == u3
+    assert shared == {next(iter(SP.u(3)._nums)): 1} and parsing._ATOMS["u_3"][0] is shared
+    assert u3._nums is not shared and x._nums is not shared

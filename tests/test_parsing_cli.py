@@ -585,6 +585,10 @@ _REFUSALS = [
     (["miura-push", "--hat", "@laurent", "--x", "u_21"],
      "a request with a negative power of u_1 must have jet order at most 20, got 21"),
     (["bracket", "--", "-", "-"], "at most one argument may be '-' (stdin)"),
+    # argparse reads --name=-- as the value [] up to Python 3.12, as "--" in 3.13
+    (["quasi-trivialize", "--g=--"], "an input may not be '--'"),
+    (["miura-push", "@kdv", "--x=--"], "an input may not be '--'"),
+    (["dtot", "--", "--"], "an input may not be '--'"),
     # a characteristic --x is even: X = int(x theta) dx would drop an odd
     # part of x, since theta^2 = 0
     (["miura-push", "@kdv", "--x", "u_2 + theta*theta_1"],

@@ -56,5 +56,7 @@ def test_an_empty_subscript_is_refused_and_not_stored(name):
     with pytest.raises(ParseError, match=f"^bad subscript in '{name}' at column 1$"):
         parse_density(name)
     assert name not in parsing._ATOMS
-    # the names with a subscript still parse, and share their generator
-    assert parse_density(name + "3") is parse_density(name + "3")
+    # the names with a subscript still parse, and their generator is stored
+    gen = SP.u(3) if name == "u_" else SP.theta(3)
+    assert parse_density(name + "3") == parse_density(name + "3") == gen
+    assert name + "3" in parsing._ATOMS
