@@ -18,8 +18,9 @@ u_k and bit 15 is a guard bit, clear in every valid key.  The u_1 field holds
 e + 2^13, so u_1^-e borrows nothing from its neighbour and the monomial 1 is
 the key `_ONE` = 2^13 << 17.  Exponents range over 0..16383 for u_k, k != 1,
 and over -8192..8191 for u_1; the constructor, `*`, `**` and the derivations
-raise AlgebraError for a monomial outside that range.  Jet indices are
-unbounded: a key is as long as its largest index needs.  This module and
+raise AlgebraError for a monomial outside that range.  A key is as long as
+its largest jet index needs, so the constructor and the generators refuse an
+index above `_K_MAX`, whose key would fit in no memory.  This module and
 `_koszul` (D_P and its homotopy, which only `dkdv` uses) read and build
 keys, and so do two places outside them: `MultiVector._delta_theta` in
 `variational` builds keys as m - 1 and m + 1 (theta_0 off and on), and
@@ -151,6 +152,7 @@ _BIAS = 1 << 13              # the u_1 field holds e + _BIAS
 _E_MAX = (1 << 14) - 1       # largest exponent of u_k, k != 1
 _U1_MIN, _U1_MAX = -_BIAS, _BIAS - 1
 _ONE = _BIAS << (_W + 1)     # the key of the monomial 1
+_K_MAX = sys.maxsize // _W   # largest index: its key has at most sys.maxsize bits
 _RANGE = f"0..{_E_MAX} for u_k, {_U1_MIN}..{_U1_MAX} for u_1"
 
 
@@ -173,6 +175,8 @@ def _check_factor(a, k, *e) -> None:
         raise AlgebraError(f"invalid factor (({a!r}, {k!r}), {e[0]!r}): the index must be at least "
                            "0, and only u_1 has negative powers" if e else
                            f"invalid odd factor ({a!r}, {k!r}): the index must be at least 0")
+    if k > _K_MAX:  # a larger shift overflows, or asks for exabytes
+        raise AlgebraError(f"an index above {_K_MAX} has a key too wide to build")
 
 
 def _normal_key(mono):
@@ -693,14 +697,14 @@ def _off_theta(p: SuperPolynomial):
 # the table once it holds _DERIV_LIMIT entries changes no result.  Parts wider
 # than 64 fields are not stored, whatever key they come from, which bounds an
 # entry's size; `_store` is the one place that applies this rule and the
-# limit, to both tables.  The limit is above the 41 334 parts of the
+# limit, to both tables.  The limit is above the 41 238 parts of the
 # quasi-Miura series of KdV through eps^16 and the 2 850 parts of 52 passes of
-# the Jacobi benchmark (seed 14).  Those entries retain 1.17 MB under
-# tracemalloc, 420 bytes each (CPython 3.11, measured on an unpickled copy),
-# so a full table holds about 28 MB.  The filing table below is stored under
-# the same limit and rule; the same 52 passes file 712 parts, 360 of them odd,
-# whose entries retain 210 kB, 302 bytes each, so it too holds at most about
-# 20 MB.
+# the Jacobi benchmark (seed 14).  With their items shared (`_ITEMS`), the KdV
+# entries retain 6.3 MB under tracemalloc, 152 bytes each (CPython 3.11, freed
+# by emptying the table after the loop), so a full table holds about 10 MB.
+# The filing table below is stored under the same limit and rule; the same
+# loop files 24 392 parts, whose entries retain 4.2 MB, 171 bytes each, so it
+# holds at most about 11 MB.
 _DERIV_CACHE: dict = {}
 _DERIV_LIMIT = 65536
 _THETA = _MASKS[64][0]       # the theta bits of fields 0..63
@@ -728,13 +732,22 @@ _BITS = tuple(1 << (_W * k) for k in range(64))
 _UNITS = tuple(2 << (_W * k) for k in range(64))
 
 
+# the items of the stored entries of both tables, each item -> itself, so
+# that equal (step, multiplier) pairs and filing triples are one object.
+# Emptied with either table, so it holds only items of entries stored since;
+# it never sees a wide part, which is not stored.
+_ITEMS: dict = {}
+
+
 def _store(table: dict, part: int, ents):
     """table[part] = ents on a miss, emptying a full table first, unless the
-    part is wider than 64 fields (see _DERIV_CACHE); returns ents."""
+    part is wider than 64 fields (see _DERIV_CACHE); returns ents, with the
+    items of a stored entry taken from _ITEMS."""
     if part < _WIDE:
         if len(table) >= _DERIV_LIMIT:
             table.clear()
-        table[part] = ents
+            _ITEMS.clear()
+        ents = table[part] = tuple(map(_ITEMS.setdefault, ents, ents))
     return ents
 
 

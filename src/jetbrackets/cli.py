@@ -43,8 +43,10 @@ truncation above 10 000, the bound of `--order` as well, gives
 `invalid-argument` too: a series is stored and checked order by order, so a
 few bytes of manifest must not ask for a million orders.  An expression,
 operator or manifest operator of jet order above 1 000 (u_1001, or del^1001
-in an operator) gives `invalid-argument` as well: the ring admits any jet
-index, but the variational kernels take time quadratic in it.  In a request
+in an operator) gives `invalid-argument` as well: the ring admits far larger
+jet indices, but the variational kernels take time quadratic in them.  A
+subscript above 1 000 is refused before its key (two bytes per index) is
+built, once every input has parsed.  In a request
 with a negative power of u_1 in any input (both arguments of `bracket` and
 `check-compatible`, a manifest's base and corrections, `--x`, `--g`) every
 input is bounded at jet order 20, since d^n of u_1^-1 has p(n) terms.
@@ -90,8 +92,8 @@ from .dkdv import (
     quasi_trivialize_from_generator,
     symmetry_space,
 )
-from .parsing import (_MAX_LAURENT_JET_ORDER, ParseError, format_operator, parse_density,
-                      parse_operator)
+from .parsing import (_MAX_JET_ORDER, _MAX_LAURENT_JET_ORDER, ParseError, format_operator,
+                      parse_input)
 from .schouten import are_compatible, is_hamiltonian, schouten_bracket
 from .variational import (
     EvolutionaryVF,
@@ -113,7 +115,6 @@ import json  # noqa: E402
 
 
 _MAX_ORDER = 10_000  # largest truncation or --order of a series request
-_MAX_JET_ORDER = 1_000  # largest jet index of a parsed expression or operator
 _MAX_SLICE_COST = 75_000  # largest columns * degree^2 of a symmetries slice
 # the encoders of json.dumps(doc, sort_keys=True, ...), built once
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -153,29 +154,32 @@ def _in_range(args) -> None:
             raise _InvalidArgument(f"{flag} must be at most {highest}, got {value}")
 
 
-def _inputs(args, *texts, parse=parse_density, manifest=()) -> list:
-    """The parsed inputs `texts` of a request (`-` reads stdin), once all are
-    bounded.  An input `--` is refused: argparse up to Python 3.12 reads
-    `--name=--` as the value [], and 3.13 as "--".  A second `-` is refused
-    before stdin is read, since its read would get "".  Every input is
-    parsed, then a manifest's operators and the inputs are bounded in the
-    order they were parsed.  The variational kernels take time quadratic in
-    the jet index, which for an operator counts its power of del and its
-    coefficients; and d^n of u_1^-1 has p(n) terms, so once an input has a
-    negative power of u_1 every input is bounded at
-    `_MAX_LAURENT_JET_ORDER`.  Each polynomial's powers of u_1 are read at
-    most once, and only once the jet order passes that bound."""
+def _inputs(args, *texts, operator=False, manifest=()) -> list:
+    """The parsed inputs `texts` of a request (`-` reads stdin), operators
+    when operator is true, once all are bounded.  An input `--` is refused:
+    argparse up to Python 3.12 reads `--name=--` as the value [], and 3.13
+    as "--".  A second `-` is refused before stdin is read, since its read
+    would get "".  Every input is parsed, then a manifest's operators (the
+    pairs of `_load_manifest`) and the inputs are bounded in the order they
+    were parsed.  The variational kernels take time quadratic in the jet
+    index, so it is bounded at `_MAX_JET_ORDER`, counting an operator's
+    power of del and its coefficients, and a subscript past the bound is
+    parsed without its key (`parse_input`).  d^n of u_1^-1 has p(n)
+    terms, so once an input has a negative power of u_1 every input is
+    bounded at `_MAX_LAURENT_JET_ORDER`.  Each polynomial's powers of u_1
+    are read at most once, and only once the jet order passes that bound."""
     if any(not isinstance(text, str) or text == "--" for text in texts):
         raise _InvalidArgument("an input may not be '--'")
     if texts.count("-") > 1:
         raise _InvalidArgument("at most one argument may be '-' (stdin)")
-    inputs = [parse(sys.stdin.read() if text == "-" else text, hat=args.hat) for text in texts]
+    inputs = [parse_input(sys.stdin.read() if text == "-" else text, args.hat, operator)
+              for text in texts]
     jet_order, unread = 0, []
-    labelled = [("manifest operator", D) for D in manifest]
-    labelled += [("operator" if isinstance(x, DiffOperator) else "expression", x) for x in inputs]
-    for what, x in labelled:
+    labelled = [("manifest operator", *D) for D in manifest]
+    labelled += [("operator" if operator else "expression", *x) for x in inputs]
+    for what, x, beyond in labelled:
         polys = x.coeffs.values() if isinstance(x, DiffOperator) else [x]
-        order = max([x.order(), *(p.order() for p in polys)])
+        order = max([x.order(), beyond, *(p.order() for p in polys)])
         if order > _MAX_JET_ORDER:
             raise _InvalidArgument(f"{what} jet order must be at most {_MAX_JET_ORDER}, "
                                    f"got {order}")
@@ -188,7 +192,7 @@ def _inputs(args, *texts, parse=parse_density, manifest=()) -> list:
                 raise _InvalidArgument(f"a request with a negative power of u_1 must have "
                                        f"jet order at most {_MAX_LAURENT_JET_ORDER}, "
                                        f"got {jet_order}")
-    return inputs
+    return [x for x, _ in inputs]
 
 
 def _even(x, flag) -> None:
@@ -199,9 +203,9 @@ def _even(x, flag) -> None:
 
 
 def _load_manifest(args, path):
-    """The parsed operators of a manifest, ({order: operator}, truncation)
-    with the base at order 0; `_inputs` bounds them and `_series` takes
-    their derivatives."""
+    """The parsed operators of a manifest, ({order: (operator, subscript
+    beyond the jet-order bound)}, truncation) with the base at order 0;
+    `_inputs` bounds them and `_series` takes their derivatives."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -236,13 +240,13 @@ def _load_manifest(args, path):
         raise _InvalidArgument(f"manifest correction order {max(table)} exceeds "
                                f"its truncation {trunc}")
     ops = {0: doc["base"], **table}
-    return {k: parse_operator(ops[k], hat=args.hat) for k in sorted(ops)}, trunc
+    return {k: parse_input(ops[k], args.hat, True) for k in sorted(ops)}, trunc
 
 
 def _series(ops, trunc) -> EpsilonDeformation:
-    corrections = [operator_to_bivector(ops[k]) if k in ops else MultiVector(SuperPolynomial(), 2)
-                   for k in range(1, trunc + 1)]
-    return EpsilonDeformation(operator_to_bivector(ops[0]), corrections, trunc)
+    corrections = [operator_to_bivector(ops[k][0]) if k in ops
+                   else MultiVector(SuperPolynomial(), 2) for k in range(1, trunc + 1)]
+    return EpsilonDeformation(operator_to_bivector(ops[0][0]), corrections, trunc)
 
 
 def _dump_series(D: EpsilonDeformation) -> dict:
@@ -278,13 +282,13 @@ def _cmd_normalize(args):
 
 
 def _cmd_check_hamiltonian(args):
-    D, = _inputs(args, args.op, parse=parse_operator)
+    D, = _inputs(args, args.op, operator=True)
     ok = is_hamiltonian(operator_to_bivector(D))
     return {"hamiltonian": ok}, 0 if ok else 1
 
 
 def _cmd_check_compatible(args):
-    D1, D2 = _inputs(args, args.op1, args.op2, parse=parse_operator)
+    D1, D2 = _inputs(args, args.op1, args.op2, operator=True)
     B1, B2 = operator_to_bivector(D1), operator_to_bivector(D2)
     ok = is_hamiltonian(B1) and is_hamiltonian(B2) and are_compatible(B1, B2)
     return {"compatible": ok}, 0 if ok else 1

@@ -53,6 +53,7 @@ class ParseError(Exception):
 
 _MAX_NESTING = 100  # nested factors; each costs at most five frames of the descent
 _MAX_LAURENT_JET_ORDER = 20  # jet-order bound wherever u_1^-1 appears: d(...), CLI inputs
+_MAX_JET_ORDER = 1_000  # jet-order bound of a CLI input (see `parse_input`)
 _MAX_POWER_SIZE = 1_000_000  # bound on `_power_size`: about a second of work at most
 # a symbol, a number, a name, or any other character, which is refused;
 # what no alternative matches is whitespace, exactly the str.isspace() set
@@ -106,10 +107,11 @@ class _Parser:
     """A value is (numerators, denominator, del power): the numerators an int
     dict under packed keys with no zero, never changed once made."""
 
-    def __init__(self, text, hat=False, operator=False):
-        self.text, self.hat, self.operator = text, hat, operator
+    def __init__(self, text, hat=False, operator=False, bounded=False):
+        self.text, self.hat, self.operator, self.bounded = text, hat, operator, bounded
         self.toks = _tokenize(text)
         self.i = self.depth = 0  # the next token, and the factors being parsed
+        self.beyond = 0  # the largest subscript above _MAX_JET_ORDER, when bounded
 
     def error(self, message, i=None, token=None, expected=()):
         """A ParseError at token i, the next token by default."""
@@ -256,6 +258,8 @@ class _Parser:
             if not (sub.isascii() and sub.isdigit()):
                 raise self.error(f"bad subscript in {tok!r}", i, tok)
             k = self.number(sub, i)
+            if k > _MAX_JET_ORDER and self.bounded:
+                self.beyond, k = max(self.beyond, k), _MAX_JET_ORDER + 1
         if base in ("u", "theta"):
             nums = _numerators(SuperPolynomial.u(k) if base == "u" else SuperPolynomial.theta(k))[0]
             if len(sub) < 3:
@@ -313,16 +317,28 @@ def _power_size(p, n):
     return count * bits
 
 
-def _parse(text, hat, operator=False):
-    """{j: the coefficient of del^j} of text, each normalized once (only j
-    = 0 for a density); an AlgebraError of the ring is a ParseError at
-    column 1."""
-    coeffs: dict = {}
+def _parse(text, hat, operator=False, bounded=False):
+    """The density of text, or with operator true its operator, and the
+    largest subscript above _MAX_JET_ORDER read as _MAX_JET_ORDER + 1 when
+    bounded is true (`parse_input`), else 0.  Each coefficient of del is
+    normalized once; an AlgebraError of the ring is a ParseError at column
+    1."""
+    if operator:
+        stripped = text.lstrip()
+        if stripped.startswith("D:"):
+            text = " " * (len(text) - len(stripped) + 2) + stripped[2:]
+    parser, coeffs = _Parser(text, hat, operator, bounded), {}
     try:
-        _Parser(text, hat, operator).parse(coeffs)
+        parser.parse(coeffs)
     except AlgebraError as exc:
         raise ParseError(str(exc), 1) from exc
-    return {j: _make(nums, D) for j, (nums, D) in coeffs.items()}
+    coeffs = {j: _make(nums, D) for j, (nums, D) in coeffs.items()}
+    if not operator:
+        return coeffs[0], parser.beyond
+    try:
+        return DiffOperator(coeffs), parser.beyond
+    except AlgebraError:  # the one refusal of parsed coefficients: an odd factor
+        raise ParseError("operator coefficients must be even", 1) from None
 
 
 def parse_density(text: str, hat: bool = False) -> SuperPolynomial:
@@ -333,14 +349,16 @@ def parse_density(text: str, hat: bool = False) -> SuperPolynomial:
 
 def parse_operator(text: str, hat: bool = False) -> DiffOperator:
     """Parse a `D:`-prefixed operator expression into sum of P_j del^j."""
-    stripped = text.lstrip()
-    if stripped.startswith("D:"):
-        text = " " * (len(text) - len(stripped) + 2) + stripped[2:]
-    coeffs = _parse(text, hat, True)
-    try:
-        return DiffOperator(coeffs)
-    except AlgebraError:  # the one refusal of parsed coefficients: an odd factor
-        raise ParseError("operator coefficients must be even", 1) from None
+    return _parse(text, hat, True)[0]
+
+
+def parse_input(text: str, hat: bool = False, operator: bool = False):
+    """A CLI input: (its density, or with operator true its operator, the
+    largest subscript above _MAX_JET_ORDER in it or 0).  Such a subscript
+    is read as _MAX_JET_ORDER + 1, so its key, two bytes per index, is never
+    built, and the rest of the text parses as before; the CLI refuses the
+    input by that subscript once every input is parsed."""
+    return _parse(text, hat, operator, True)
 
 
 def parse_expression(text: str, hat: bool = False):

@@ -67,6 +67,7 @@ def cold_tables():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "_DERIV_CACHE", {})
         mp.setattr(algebra, "_FILE_CACHE", {})
+        mp.setattr(algebra, "_ITEMS", {})
         yield
 
 

@@ -130,10 +130,12 @@ def _delta(a, odd, level):
 
 @contextmanager
 def cold_table():
-    """Empty derivative and filing tables; yields the derivative table."""
+    """Empty derivative, filing and item tables; yields the derivative
+    table."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "_DERIV_CACHE", {})
         mp.setattr(algebra, "_FILE_CACHE", {})
+        mp.setattr(algebra, "_ITEMS", {})
         yield algebra._DERIV_CACHE
 
 
@@ -489,9 +491,9 @@ def test_emptying_the_filing_table_changes_no_result(monkeypatch):
 
 def test_cold_table_empties_the_filing_table(rng):
     _delta(rand_density(rng, 2), True, 0)
-    assert algebra._FILE_CACHE
+    assert algebra._FILE_CACHE and algebra._ITEMS
     with cold_table():
-        assert algebra._FILE_CACHE == {}
+        assert algebra._FILE_CACHE == algebra._ITEMS == {}
 
 
 # ---------------------------------------------------------------------------

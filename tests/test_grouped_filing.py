@@ -117,6 +117,7 @@ def cold_tables(path):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "_DERIV_CACHE", {})
         mp.setattr(algebra, "_FILE_CACHE", {})
+        mp.setattr(algebra, "_ITEMS", {})
         mp.setattr(algebra, "_GROUPED", _PATHS[path])
         yield
 

@@ -7,6 +7,8 @@ error code, message and column.
 
 import inspect
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,6 +116,45 @@ def test_exponent_range_error_is_wrapped_as_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_operator("D: u^20000*del")
     assert isinstance(err.value.__cause__, AlgebraError)
+
+
+_TOO_WIDE = f"an index above {sys.maxsize // 16} has a key too wide to build"
+
+
+@pytest.mark.parametrize("name", ["u", "theta"])
+def test_an_index_whose_key_cannot_be_built_is_a_parse_error(name):
+    # the shift that would build such a key overflows, and an OverflowError
+    # would reach the CLI as internal-error
+    with pytest.raises(ParseError) as err:
+        parse_density(f"{name}_99999999999999999999")
+    assert str(err.value) == f"{_TOO_WIDE} at column 1"
+    assert isinstance(err.value.__cause__, AlgebraError)
+
+
+@pytest.mark.parametrize("text", ["u_99999999999999999999", "theta_99999999999999999999",
+                                  "u*u_999999"])
+def test_a_subscript_past_the_cli_jet_order_bound_is_refused_by_its_value(capsys, text):
+    assert main(["dtot", "--", text]) == 2
+    assert capsys.readouterr().out == (
+        '{"error":{"code":"invalid-argument","message":"expression jet order must be at most '
+        f'1000, got {text.rpartition("_")[2]}"}}}}\n')
+
+
+def test_a_subscript_past_the_cli_jet_order_bound_builds_no_key(capsys):
+    # u_999999 has a 2 MB key (a 4.3 MB peak when it is built) and
+    # u_999999999 one of about 2 GB: the bound refuses them before any is built
+    argv = ["dtot", "--", "u_999999"]
+    assert main(argv) == 2  # imports and first-use tables out of the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["error"] == {
+        "code": "invalid-argument",
+        "message": "expression jet order must be at most 1000, got 999999"}
 
 
 def test_manifest_correction_that_is_not_a_string(capsys, tmp_path):
